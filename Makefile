@@ -118,13 +118,15 @@ test-routing:
 		{ echo "test-routing: coverage $$total% below the 90% gate"; exit 1; }
 
 # shard-determinism pins the intra-run sharding contract (DESIGN.md
-# section 14): every architecture x routing strategy produces identical
-# results and byte-identical JSONL traces at 1, 2, 4, and 8 scheduler
-# shards. The same test also runs under the race detector as part of
-# the race target; this fast serial pass keeps the gate explicit and
-# cheap to re-run in isolation.
+# section 14): every architecture x routing strategy, single-die and
+# chiplet-composed, produces identical results and byte-identical JSONL
+# traces at 1, 2, 4, and 8 scheduler shards. -cpu 1,2,4 runs the suite
+# at GOMAXPROCS 1, 2 and 4: the persistent-worker parallel backend is
+# auto-selected only above one, so a 1-CPU machine exercises it too.
+# The same tests also run under the race detector as part of the race
+# target; this pass keeps the gate explicit and cheap to re-run.
 shard-determinism:
-	$(GO) test -run TestShardDeterminism -count=1 .
+	$(GO) test -run 'TestShardDeterminism|TestChipletShardDeterminism' -cpu 1,2,4 -count=1 .
 
 # chiplet-smoke runs the hierarchical composition end to end: the golden
 # 2x2-of-4x4 table and the composed shard-determinism contract (all five

@@ -388,14 +388,20 @@ func MeshSerial(w, h int) MeshSpec {
 	return MeshSpec{Name: fmt.Sprintf("Mesh%dx%dSerial", w, h), W: w, H: h, PacketLen: core.DefaultPacketLen, Serial: true}
 }
 
-// RunMesh executes one mesh simulation under the same configuration
-// contract as Run; the benchmark's destination space must equal w*h.
-func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) { return mesh.Run(spec, cfg) }
+// RunMesh executes one mesh simulation through the same run path as
+// Run; the benchmark's destination space must equal w*h.
+func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) {
+	return core.RunMesh(context.Background(), spec, cfg)
+}
 
 // MeshSaturation searches for a mesh's saturation throughput under the
 // same latency-divergence criterion as Saturation.
 func MeshSaturation(spec MeshSpec, cfg SatConfig) (SatResult, error) {
-	return mesh.Saturation(spec, cfg)
+	return core.SaturationWith(spec.Name, cfg, func(load float64) (RunResult, error) {
+		c := cfg.Base
+		c.LoadGFs = load
+		return RunMesh(spec, c)
+	})
 }
 
 // TopologySpec is the unified construction contract every network
@@ -440,7 +446,7 @@ func RunTopology(ts TopologySpec, cfg RunConfig) (RunResult, error) {
 	case NetworkSpec:
 		return core.Run(s, cfg)
 	case MeshSpec:
-		return mesh.Run(s, cfg)
+		return RunMesh(s, cfg)
 	default:
 		return RunResult{}, fmt.Errorf("asyncnoc: unsupported topology spec %T", ts)
 	}

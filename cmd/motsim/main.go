@@ -10,12 +10,13 @@
 // nanoseconds. The -topology flag selects the substrate: mot (default)
 // runs one MoT die, chiplet:WxH composes a WxH interposer mesh of
 // radix -n MoT dies (hierarchical benchmarks only; results carry an
-// intra-die versus die-to-die breakout), and mesh:WxH runs the
-// synchronous mesh-of-trees reference. With -sat the tool searches for the saturation throughput
-// instead of running at a fixed load; the search's probes run through
-// the parallel experiment engine with speculative bisection (-workers,
-// or the ASYNCNOC_WORKERS environment variable; default GOMAXPROCS) and
-// find the same boundary at any pool size.
+// intra-die versus die-to-die breakout), and mesh:WxH runs an
+// asynchronous 2D mesh of XY routers. With -sat the tool searches for
+// the saturation throughput instead of running at a fixed load; the
+// search's probes run through the parallel experiment engine with
+// speculative bisection (-workers, or the ASYNCNOC_WORKERS environment
+// variable; default GOMAXPROCS) and find the same boundary at any pool
+// size.
 //
 // The -faults flag family enables the deterministic fault-injection
 // layer with end-to-end CRC-checked retransmission:

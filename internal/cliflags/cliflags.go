@@ -39,7 +39,7 @@ func Dests() *string {
 // TopologyFlag registers the shared -topology flag.
 func TopologyFlag() *string {
 	return flag.String("topology", "mot",
-		"topology: mot (one MoT die), mesh:WxH (synchronous mesh of trees), or chiplet:WxH (WxH interposer mesh of MoT dies)")
+		"topology: mot (one MoT die), mesh:WxH (asynchronous 2D mesh of XY routers), or chiplet:WxH (WxH interposer mesh of MoT dies)")
 }
 
 // Topology is a parsed -topology selection.
@@ -93,7 +93,7 @@ func (t Topology) Bench(n int, name string) (asyncnoc.Benchmark, error) {
 	return asyncnoc.BenchmarkByName(n, name)
 }
 
-// MeshSpec returns the synchronous mesh spec of a "mesh" selection.
+// MeshSpec returns the asynchronous 2D mesh spec of a "mesh" selection.
 func (t Topology) MeshSpec() asyncnoc.MeshSpec {
 	return asyncnoc.MeshTree(t.W, t.H)
 }

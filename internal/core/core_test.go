@@ -398,6 +398,15 @@ func TestRunSchedule(t *testing.T) {
 	if res.AvgLatencyNs <= 0 {
 		t.Errorf("no latency measured: %+v", res)
 	}
+	// Replay shares Run's collector: the figures the replay harness
+	// reported before are unchanged, and P50/P99 are now filled in.
+	if res.AvgLatencyNs != 1.598 || res.P95LatencyNs != 1.598 ||
+		res.ThroughputGFs != 0.0012496875781054736 || res.PowerMW != 0.05083618260634838 {
+		t.Errorf("schedule replay drifted: %+v", res)
+	}
+	if res.P50LatencyNs <= 0 || res.P99LatencyNs <= 0 {
+		t.Errorf("schedule replay P50 %v / P99 %v not collected", res.P50LatencyNs, res.P99LatencyNs)
+	}
 	// Determinism of replay.
 	res2, err := RunSchedule(OptHybridSpeculative(8), sched, 2000*sim.Nanosecond)
 	if err != nil {

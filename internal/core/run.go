@@ -7,8 +7,11 @@ import (
 	"strings"
 
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/mesh"
+	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
+	"asyncnoc/internal/power"
 	"asyncnoc/internal/rng"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
@@ -242,7 +245,7 @@ func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunR
 	if err := attachInstruments(nw, cfg.Instruments); err != nil {
 		return RunResult{}, err
 	}
-	total := sim.AddSat(sim.AddSat(cfg.Warmup, cfg.Measure), cfg.Drain)
+	total := runSpan(cfg)
 	maxEvents := cfg.MaxEvents
 	if maxEvents == 0 && spec.Faults.Enabled() {
 		// Automatic backstop for fault runs: generous enough that any
@@ -256,15 +259,106 @@ func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunR
 			maxEvents *= mul
 		}
 	}
-	if err := runGuarded(ctx, nw, total, maxEvents); err != nil {
+	h := motHarness(nw)
+	if err := h.runGuarded(ctx, total, maxEvents); err != nil {
 		_ = finishInstruments(cfg.Instruments) // best effort on an aborted run
 		return RunResult{}, err
 	}
-	res = Collect(nw, cfg)
+	res = h.collect(cfg.Bench.Name(), cfg.LoadGFs)
 	if err := finishInstruments(cfg.Instruments); err != nil {
 		return res, err
 	}
 	return res, nil
+}
+
+// RunMesh executes one 2D-mesh simulation through the same path as
+// RunContext: injectors, windows, the guarded loop and the collector are
+// shared, so MaxEvents and ctx bound a mesh run exactly like a MoT run.
+// The benchmark's destination space must equal the tile count. The mesh
+// runs on one scheduler (mesh.Spec.MaxShards is 1), so cfg.Shards never
+// changes anything, and it has no observer surface for Instruments yet.
+func RunMesh(ctx context.Context, spec mesh.Spec, cfg RunConfig) (res RunResult, err error) {
+	defer RecoverViolations(spec.Name, &err)
+	if err := cfg.Validate(); err != nil {
+		return RunResult{}, err
+	}
+	if len(cfg.Instruments) > 0 {
+		return RunResult{}, fmt.Errorf("mesh %s: RunConfig.Instruments is not supported on the mesh topology", spec.Name)
+	}
+	m, err := mesh.New(spec)
+	if err != nil {
+		return RunResult{}, err
+	}
+	h := harness{
+		fab: meshFabric{m}, name: spec.Name, terms: spec.Tiles(), packetLen: spec.PacketLen,
+		clock: m.Sched, rec: m.Rec, meter: m.Meter,
+	}
+	h.arm(cfg, nil)
+	if err := h.runGuarded(ctx, runSpan(cfg), cfg.MaxEvents); err != nil {
+		return RunResult{}, err
+	}
+	return h.collect(cfg.Bench.Name(), cfg.LoadGFs), nil
+}
+
+// runSpan is a run's simulated length: injection continues through the
+// drain window, so the run ends when it closes.
+func runSpan(cfg RunConfig) sim.Time {
+	return sim.AddSat(sim.AddSat(cfg.Warmup, cfg.Measure), cfg.Drain)
+}
+
+// clock is what the guarded loop advances: *sim.Scheduler drives a
+// serial network, *sim.ShardGroup a sharded one. The serial engine is
+// just the one-shard driver of the same loop.
+type clock interface {
+	RunUntil(sim.Time)
+	Now() sim.Time
+	Len() int
+	Executed() uint64
+}
+
+// fabric is the injection surface of one node/link network.
+// *network.Network (a MoT die or a chiplet composition) implements it
+// directly and meshFabric adapts the 2D mesh, so every topology shares
+// one injector.
+type fabric interface {
+	// SchedFor returns the scheduler source src's injector arms on.
+	SchedFor(src int) *sim.Scheduler
+	// Inject creates one packet from src at the current simulated time.
+	Inject(src int, dests packet.DestSet) (*packet.Packet, error)
+}
+
+// meshFabric adapts the mesh, whose tiles all share one scheduler.
+type meshFabric struct{ *mesh.Mesh }
+
+// SchedFor implements fabric.
+func (m meshFabric) SchedFor(int) *sim.Scheduler { return m.Sched }
+
+// harness is one built fabric as the run path sees it: the single
+// build/run/collect loop reads nothing else.
+type harness struct {
+	fab       fabric
+	name      string
+	terms     int
+	packetLen int
+	clock     clock
+	rec       *metrics.Recorder
+	meter     *power.Meter
+	// nw is the MoT network behind fab, nil on a mesh: only the MoT has
+	// a fault layer, stuck-flit diagnostics, per-level fanout counters
+	// and die-to-die links.
+	nw *network.Network
+}
+
+// motHarness wraps a built MoT network, serial or sharded.
+func motHarness(nw *network.Network) harness {
+	h := harness{
+		fab: nw, name: nw.Spec.Name, terms: nw.Spec.Terminals(), packetLen: nw.Spec.PacketLen,
+		clock: nw.Sched, rec: nw.Rec, meter: nw.Meter, nw: nw,
+	}
+	if g := nw.Group(); g != nil {
+		h.clock = g
+	}
+	return h
 }
 
 // watchdogChunks is the granularity of the guarded run loop: the budget
@@ -286,19 +380,16 @@ type holdStreak struct {
 	count int
 }
 
-// runGuarded drives the scheduler to `total` simulated picoseconds under
+// runGuarded drives the clock to `total` simulated picoseconds under
 // the watchdog. Without a context deadline or event budget it is the
 // plain single RunUntil of the original harness (bit-identical); with
 // either, the same event sequence is dispatched in bounded chunks so the
 // run can abort between batches. In both modes quiescence with flits
 // still held in the fabric is diagnosed as a deadlock.
-func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEvents uint64) error {
-	if nw.Group() != nil {
-		return runShardedGuarded(ctx, nw, total, maxEvents)
-	}
-	sched := nw.Sched
+func (h *harness) runGuarded(ctx context.Context, total sim.Time, maxEvents uint64) error {
+	clk := h.clock
 	if ctx.Done() == nil && maxEvents == 0 {
-		sched.RunUntil(total)
+		clk.RunUntil(total)
 	} else {
 		chunk := total / watchdogChunks
 		if chunk < 1 {
@@ -306,87 +397,48 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 		}
 		// With faults enabled, watch for wedged links: injection runs for
 		// the whole span, so a stuck channel never quiesces the event
-		// queue — instead it pins one flit in one channel forever.
-		watchHolds := nw.FaultStats() != nil
+		// queue — instead it pins one flit in one channel forever. Fault
+		// specs never shard, so this only ever runs on one scheduler.
+		watchHolds := h.nw != nil && h.nw.FaultStats() != nil
 		streaks := make(map[int]holdStreak)
 		for t := chunk; ; t = sim.AddSat(t, chunk) {
 			if t > total {
 				t = total
 			}
-			sched.RunUntil(t)
+			clk.RunUntil(t)
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if maxEvents > 0 && sched.Executed() > maxEvents {
-				return &LivelockError{Network: nw.Spec.Name, Events: sched.Executed(), At: sched.Now()}
+			if maxEvents > 0 && clk.Executed() > maxEvents {
+				return &LivelockError{Network: h.name, Events: clk.Executed(), At: clk.Now()}
 			}
 			if watchHolds {
 				next := make(map[int]holdStreak)
-				for _, h := range nw.ChannelHolds() {
-					s := streaks[h.Chan]
-					if s.hold == h {
+				for _, hold := range h.nw.ChannelHolds() {
+					s := streaks[hold.Chan]
+					if s.hold == hold {
 						s.count++
 					} else {
-						s = holdStreak{hold: h, count: 1}
+						s = holdStreak{hold: hold, count: 1}
 					}
 					if s.count >= heldBoundaries {
-						return &DeadlockError{Network: nw.Spec.Name, At: sched.Now(), Stuck: nw.StuckFlits()}
+						return &DeadlockError{Network: h.name, At: clk.Now(), Stuck: h.nw.StuckFlits()}
 					}
-					next[h.Chan] = s
+					next[hold.Chan] = s
 				}
 				streaks = next
 			}
-			if t >= total || sched.Len() == 0 {
+			if t >= total || clk.Len() == 0 {
 				break
 			}
 		}
-		if sched.Now() < total {
-			sched.RunUntil(total) // advance the clock past an early quiescence
+		if clk.Now() < total {
+			clk.RunUntil(total) // advance the clock past an early quiescence
 		}
 	}
-	if sched.Len() == 0 {
-		if stuck := nw.StuckFlits(); len(stuck) > 0 {
-			return &DeadlockError{Network: nw.Spec.Name, At: sched.Now(), Stuck: stuck}
-		}
-	}
-	return nil
-}
-
-// runShardedGuarded is runGuarded for a network driven by a shard group.
-// Fault specs never shard (Build falls back to serial), so there is no
-// wedged-link watchdog here — only the event budget, the context, and
-// the final quiescence/deadlock check.
-func runShardedGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEvents uint64) error {
-	g := nw.Group()
-	if ctx.Done() == nil && maxEvents == 0 {
-		g.RunUntil(total)
-	} else {
-		chunk := total / watchdogChunks
-		if chunk < 1 {
-			chunk = 1
-		}
-		for t := chunk; ; t = sim.AddSat(t, chunk) {
-			if t > total {
-				t = total
-			}
-			g.RunUntil(t)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if maxEvents > 0 && g.Executed() > maxEvents {
-				return &LivelockError{Network: nw.Spec.Name, Events: g.Executed(), At: g.Now()}
-			}
-			if t >= total || g.Len() == 0 {
-				break
-			}
-		}
-		if g.Now() < total {
-			g.RunUntil(total) // advance the clocks past an early quiescence
-		}
-	}
-	if g.Len() == 0 {
-		if stuck := nw.StuckFlits(); len(stuck) > 0 {
-			return &DeadlockError{Network: nw.Spec.Name, At: g.Now(), Stuck: stuck}
+	if clk.Len() == 0 && h.nw != nil {
+		if stuck := h.nw.StuckFlits(); len(stuck) > 0 {
+			return &DeadlockError{Network: h.name, At: clk.Now(), Stuck: stuck}
 		}
 	}
 	return nil
@@ -397,8 +449,7 @@ func runShardedGuarded(ctx context.Context, nw *network.Network, total sim.Time,
 // counts above spec.MaxShards() clamp to it (one tree per shard on a
 // single die, one die per shard on a chiplet composition — the finest
 // useful partitions).
-func resolveShards(spec network.Spec, cfg RunConfig) int {
-	k := cfg.Shards
+func resolveShards(spec network.Spec, k int) int {
 	if k <= 1 || spec.Faults.Enabled() {
 		return 1
 	}
@@ -406,6 +457,20 @@ func resolveShards(spec network.Spec, cfg RunConfig) int {
 		k = mk
 	}
 	return k
+}
+
+// newNetwork builds spec serial or partitioned into the resolved number
+// of shards, applying the ShardExecEnv backend override to a group.
+func newNetwork(spec network.Spec, shards int) (*network.Network, error) {
+	k := resolveShards(spec, shards)
+	if k <= 1 {
+		return network.New(spec)
+	}
+	nw, err := network.NewSharded(spec, k)
+	if err == nil {
+		applyShardExec(nw.Group())
+	}
+	return nw, err
 }
 
 // Build constructs the network with injection processes armed and
@@ -418,19 +483,6 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var nw *network.Network
-	var err error
-	if k := resolveShards(spec, cfg); k > 1 {
-		nw, err = network.NewSharded(spec, k)
-		if err == nil {
-			applyShardExec(nw.Group())
-		}
-	} else {
-		nw, err = network.New(spec)
-	}
-	if err != nil {
-		return nil, err
-	}
 	var wide traffic.WideBenchmark
 	if spec.Chiplet != nil {
 		w, ok := cfg.Bench.(traffic.WideBenchmark)
@@ -440,35 +492,46 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 		}
 		wide = w
 	}
+	nw, err := newNetwork(spec, cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	h := motHarness(nw)
+	h.arm(cfg, wide)
+	return nw, nil
+}
+
+// arm sets the measurement windows, pre-sizes the recorder, and starts
+// one open-loop Poisson injector per terminal. A non-nil wide benchmark
+// drives hierarchical injection over a chiplet composition of dies.
+func (h *harness) arm(cfg RunConfig, wide traffic.WideBenchmark) {
 	windowEnd := sim.AddSat(cfg.Warmup, cfg.Measure)
-	nw.Rec.SetWindow(cfg.Warmup, windowEnd)
-	nw.Meter.SetWindow(cfg.Warmup, windowEnd)
+	h.rec.SetWindow(cfg.Warmup, windowEnd)
+	h.meter.SetWindow(cfg.Warmup, windowEnd)
 	injectUntil := sim.AddSat(windowEnd, cfg.Drain)
 	// Mean packet inter-arrival in ps: PacketLen flits at LoadGFs
 	// flits/ns per source.
-	meanGapPs := float64(spec.PacketLen) / cfg.LoadGFs * 1000
-	terms := spec.Terminals()
+	meanGapPs := float64(h.packetLen) / cfg.LoadGFs * 1000
 	// Pre-size the recorder from the injection schedule: open-loop
 	// Poisson processes inject span/meanGap packets each in expectation.
 	// The 9/8 headroom absorbs ordinary Poisson fluctuation; an
 	// underestimate only costs amortized growth.
-	expected := float64(injectUntil) / meanGapPs * float64(terms)
-	nw.Rec.Reserve(int(expected*9/8) + terms)
+	expected := float64(injectUntil) / meanGapPs * float64(h.terms)
+	h.rec.Reserve(int(expected*9/8) + h.terms)
 	root := rng.New(cfg.Seed)
-	for s := 0; s < terms; s++ {
+	for s := 0; s < h.terms; s++ {
 		inj := &injector{
-			nw: nw, sched: nw.SchedFor(s), bench: cfg.Bench, src: s, r: root.Split(),
+			fab: h.fab, sched: h.fab.SchedFor(s), bench: cfg.Bench, src: s, r: root.Split(),
 			meanGapPs: meanGapPs, injectUntil: injectUntil,
 		}
 		if wide != nil {
 			// Per-injector destination buffer: injectors on different
 			// shards run concurrently, so the scratch space cannot be
 			// shared.
-			inj.wide, inj.byDie = wide, make([]packet.DestSet, spec.Dies())
+			inj.wide, inj.byDie = wide, make([]packet.DestSet, h.nw.Spec.Dies())
 		}
 		inj.sched.In(gap(inj.r, meanGapPs), inj, 0)
 	}
-	return nw, nil
 }
 
 // injector drives one source's open-loop Poisson process: each event
@@ -476,7 +539,7 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 // once the drain window closes. It runs on its source's scheduler —
 // the source tree's shard in a sharded run.
 type injector struct {
-	nw          *network.Network
+	fab         fabric
 	sched       *sim.Scheduler
 	bench       traffic.Benchmark
 	src         int
@@ -484,9 +547,10 @@ type injector struct {
 	meanGapPs   float64
 	injectUntil sim.Time
 
-	// wide/byDie drive hierarchical injection on chiplet compositions:
-	// the benchmark fills one local destination mask per die into the
-	// injector-owned scratch buffer and the packet enters via InjectWide.
+	// wide/byDie drive hierarchical injection on chiplet compositions
+	// (always a *network.Network): the benchmark fills one local
+	// destination mask per die into the injector-owned scratch buffer
+	// and the packet enters via InjectWide.
 	wide  traffic.WideBenchmark
 	byDie []packet.DestSet
 }
@@ -498,10 +562,10 @@ func (in *injector) OnEvent(int64) {
 	}
 	if in.wide != nil {
 		in.wide.NextWideDests(in.src, in.byDie, in.r)
-		if err := in.nw.InjectWide(in.src, in.byDie); err != nil {
+		if err := in.fab.(*network.Network).InjectWide(in.src, in.byDie); err != nil {
 			panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
 		}
-	} else if _, err := in.nw.Inject(in.src, in.bench.NextDests(in.src, in.r)); err != nil {
+	} else if _, err := in.fab.Inject(in.src, in.bench.NextDests(in.src, in.r)); err != nil {
 		// A benchmark producing an invalid destination set is a
 		// protocol-level modeling bug; surface it as one.
 		panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
@@ -520,27 +584,38 @@ func gap(r *rng.Source, meanPs float64) sim.Time {
 
 // Collect extracts the run's measurements from a finished network.
 func Collect(nw *network.Network, cfg RunConfig) RunResult {
+	h := motHarness(nw)
+	return h.collect(cfg.Bench.Name(), cfg.LoadGFs)
+}
+
+// collect extracts a finished run's measurements; bench and load label
+// the result.
+func (h *harness) collect(bench string, load float64) RunResult {
 	res := RunResult{
-		Network:         nw.Spec.Name,
-		Benchmark:       cfg.Bench.Name(),
-		LoadGFs:         cfg.LoadGFs,
-		ThroughputGFs:   nw.Rec.ThroughputGFs(nw.Spec.Terminals()),
-		PowerMW:         nw.Meter.PowerMW(),
-		Completion:      nw.Rec.CompletionRate(),
-		MeasuredPackets: nw.Rec.MeasuredCreated(),
+		Network:         h.name,
+		Benchmark:       bench,
+		LoadGFs:         load,
+		ThroughputGFs:   h.rec.ThroughputGFs(h.terms),
+		PowerMW:         h.meter.PowerMW(),
+		Completion:      h.rec.CompletionRate(),
+		MeasuredPackets: h.rec.MeasuredCreated(),
 	}
-	if sum := nw.Rec.LatencySummary(); sum.Count() > 0 {
+	if sum := h.rec.LatencySummary(); sum.Count() > 0 {
 		// Sort-once summary: one sort serves all four latency figures.
 		res.AvgLatencyNs = sum.Mean()
 		res.P50LatencyNs = sum.P50()
 		res.P95LatencyNs = sum.P95()
 		res.P99LatencyNs = sum.P99()
 	}
-	res.LostMeasuredPackets = nw.Rec.MeasuredLost()
+	res.LostMeasuredPackets = h.rec.MeasuredLost()
+	copy(res.ForwardsPerLevel[:], h.rec.ForwardsPerLevel())
+	copy(res.ThrottlesPerLevel[:], h.rec.ThrottlesPerLevel())
+	res.RedundantFraction = h.rec.RedundantFraction()
+	nw := h.nw
+	if nw == nil {
+		return res
+	}
 	res.Levels = nw.MoT.Levels
-	copy(res.ForwardsPerLevel[:], nw.Rec.ForwardsPerLevel())
-	copy(res.ThrottlesPerLevel[:], nw.Rec.ThrottlesPerLevel())
-	res.RedundantFraction = nw.Rec.RedundantFraction()
 	if nw.Spec.Chiplet != nil {
 		res.D2DMeasuredPackets = nw.Rec.MeasuredCompletedD2D()
 		if avg, p95, ok := nw.Rec.IntraLatency(); ok {

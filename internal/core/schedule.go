@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -95,14 +96,12 @@ func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards
 	if drain < 0 {
 		return RunResult{}, fmt.Errorf("core: negative drain %v", drain)
 	}
-	var nw *network.Network
-	if k := resolveShards(spec, RunConfig{Shards: shards}); k > 1 {
-		nw, err = network.NewSharded(spec, k)
-	} else {
-		nw, err = network.New(spec)
-	}
+	nw, err := newNetwork(spec, shards)
 	if err != nil {
 		return RunResult{}, err
+	}
+	if g := nw.Group(); g != nil {
+		defer g.Close()
 	}
 	end := sim.AddSat(sched.End(), drain)
 	nw.Rec.Reserve(len(sched)) // the schedule's packet count is exact
@@ -114,30 +113,9 @@ func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards
 	for i := range ordered {
 		nw.SchedFor(ordered[i].Src).At(ordered[i].At, rp, int64(i))
 	}
-	var clock sim.Time
-	var pending int
-	if g := nw.Group(); g != nil {
-		defer g.Close()
-		g.RunUntil(end)
-		clock, pending = g.Now(), g.Len()
-	} else {
-		nw.Sched.RunUntil(end)
-		clock, pending = nw.Sched.Now(), nw.Sched.Len()
+	h := motHarness(nw)
+	if err := h.runGuarded(context.Background(), end, 0); err != nil {
+		return RunResult{}, err
 	}
-	if pending == 0 {
-		if stuck := nw.StuckFlits(); len(stuck) > 0 {
-			return RunResult{}, &DeadlockError{Network: spec.Name, At: clock, Stuck: stuck}
-		}
-	}
-	res = RunResult{
-		Network:         spec.Name,
-		Benchmark:       "schedule",
-		ThroughputGFs:   nw.Rec.ThroughputGFs(spec.N),
-		PowerMW:         nw.Meter.PowerMW(),
-		Completion:      nw.Rec.CompletionRate(),
-		MeasuredPackets: nw.Rec.MeasuredCreated(),
-	}
-	res.AvgLatencyNs, _ = nw.Rec.AvgLatencyNs()
-	res.P95LatencyNs, _ = nw.Rec.P95LatencyNs()
-	return res, nil
+	return h.collect("schedule", 0), nil
 }

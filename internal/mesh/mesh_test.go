@@ -3,11 +3,8 @@ package mesh
 import (
 	"testing"
 
-	"asyncnoc/internal/core"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
-	"asyncnoc/internal/sim"
-	"asyncnoc/internal/traffic"
 )
 
 func treeSpec(w, h int) Spec {
@@ -173,85 +170,6 @@ func TestSerialExpansionQueue(t *testing.T) {
 	}
 }
 
-func TestTreeBeatsSerialMulticastLatency(t *testing.T) {
-	// The future-work analogue of the paper's core result: tree-based
-	// multicast beats serial unicasts on a mesh too.
-	cfg := core.RunConfig{
-		Bench:   traffic.Multicast{N: 16, Frac: 0.2},
-		LoadGFs: 0.15,
-		Seed:    4,
-		Warmup:  200 * sim.Nanosecond,
-		Measure: 1000 * sim.Nanosecond,
-		Drain:   600 * sim.Nanosecond,
-	}
-	tree, err := Run(treeSpec(4, 4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Run(serialSpec(4, 4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Completion != 1 || serial.Completion != 1 {
-		t.Fatalf("incomplete runs: tree %v serial %v", tree.Completion, serial.Completion)
-	}
-	if tree.AvgLatencyNs >= serial.AvgLatencyNs {
-		t.Errorf("tree multicast (%.2f ns) not faster than serial (%.2f ns)",
-			tree.AvgLatencyNs, serial.AvgLatencyNs)
-	}
-}
-
-func TestDeterministicRuns(t *testing.T) {
-	cfg := core.RunConfig{
-		Bench:   traffic.UniformRandom{N: 16},
-		LoadGFs: 0.3,
-		Seed:    9,
-		Warmup:  100 * sim.Nanosecond,
-		Measure: 400 * sim.Nanosecond,
-		Drain:   300 * sim.Nanosecond,
-	}
-	a, err := Run(treeSpec(4, 4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(treeSpec(4, 4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same-seed mesh runs diverged:\n%+v\n%+v", a, b)
-	}
-}
-
-// cfg.Shards is an execution hint that must never change results: the
-// mesh has no sharded execution path yet, so any count falls back to
-// serial and matches the unsharded run exactly.
-func TestShardsFallBackToSerial(t *testing.T) {
-	cfg := core.RunConfig{
-		Bench:   traffic.UniformRandom{N: 16},
-		LoadGFs: 0.3,
-		Seed:    9,
-		Warmup:  100 * sim.Nanosecond,
-		Measure: 400 * sim.Nanosecond,
-		Drain:   300 * sim.Nanosecond,
-	}
-	want, err := Run(treeSpec(4, 4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 4} {
-		sharded := cfg
-		sharded.Shards = k
-		got, err := Run(treeSpec(4, 4), sharded)
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", k, err)
-		}
-		if got != want {
-			t.Errorf("Shards=%d diverged from serial:\n%+v\n%+v", k, got, want)
-		}
-	}
-}
-
 func TestBroadcastFloodStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -314,26 +232,6 @@ func TestWormholeNoInterleaving(t *testing.T) {
 		if order[i] != order[5] {
 			t.Fatalf("interleaved flits at sink: %v", order)
 		}
-	}
-}
-
-func TestMeshSaturation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("saturation search is slow")
-	}
-	base := core.RunConfig{
-		Bench: traffic.Shuffle{N: 16}, Seed: 3,
-		Warmup: 100 * sim.Nanosecond, Measure: 350 * sim.Nanosecond, Drain: 300 * sim.Nanosecond,
-	}
-	sat, err := Saturation(treeSpec(4, 4), core.SatConfig{Base: base, Iters: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat.SatLoadGFs <= 0.1 || sat.SatLoadGFs > 6 {
-		t.Errorf("implausible mesh saturation %v", sat.SatLoadGFs)
-	}
-	if sat.AtSaturation.Completion < 0.92 {
-		t.Errorf("unstable point reported: %+v", sat.AtSaturation)
 	}
 }
 

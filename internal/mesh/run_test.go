@@ -1,0 +1,196 @@
+package mesh_test
+
+// Run-level mesh tests: they drive the mesh through core's shared run
+// path, which imports this package, so they live in the external test
+// package.
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"asyncnoc/internal/core"
+	"asyncnoc/internal/mesh"
+	"asyncnoc/internal/sim"
+	"asyncnoc/internal/traffic"
+)
+
+func treeSpec(w, h int) mesh.Spec {
+	return mesh.Spec{Name: "MeshTree", W: w, H: h, PacketLen: 5}
+}
+
+func serialSpec(w, h int) mesh.Spec {
+	return mesh.Spec{Name: "MeshSerial", W: w, H: h, PacketLen: 5, Serial: true}
+}
+
+func run(spec mesh.Spec, cfg core.RunConfig) (core.RunResult, error) {
+	return core.RunMesh(context.Background(), spec, cfg)
+}
+
+func TestTreeBeatsSerialMulticastLatency(t *testing.T) {
+	// The future-work analogue of the paper's core result: tree-based
+	// multicast beats serial unicasts on a mesh too.
+	cfg := core.RunConfig{
+		Bench:   traffic.Multicast{N: 16, Frac: 0.2},
+		LoadGFs: 0.15,
+		Seed:    4,
+		Warmup:  200 * sim.Nanosecond,
+		Measure: 1000 * sim.Nanosecond,
+		Drain:   600 * sim.Nanosecond,
+	}
+	tree, err := run(treeSpec(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := run(serialSpec(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Completion != 1 || serial.Completion != 1 {
+		t.Fatalf("incomplete runs: tree %v serial %v", tree.Completion, serial.Completion)
+	}
+	if tree.AvgLatencyNs >= serial.AvgLatencyNs {
+		t.Errorf("tree multicast (%.2f ns) not faster than serial (%.2f ns)",
+			tree.AvgLatencyNs, serial.AvgLatencyNs)
+	}
+}
+
+func TestDeterministicRuns(t *testing.T) {
+	cfg := core.RunConfig{
+		Bench:   traffic.UniformRandom{N: 16},
+		LoadGFs: 0.3,
+		Seed:    9,
+		Warmup:  100 * sim.Nanosecond,
+		Measure: 400 * sim.Nanosecond,
+		Drain:   300 * sim.Nanosecond,
+	}
+	a, err := run(treeSpec(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := run(treeSpec(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Errorf("same-seed mesh runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// cfg.Shards is an execution hint that must never change results: the
+// mesh runs on one scheduler, so any count matches the unsharded run
+// exactly.
+func TestShardsFallBackToSerial(t *testing.T) {
+	cfg := core.RunConfig{
+		Bench:   traffic.UniformRandom{N: 16},
+		LoadGFs: 0.3,
+		Seed:    9,
+		Warmup:  100 * sim.Nanosecond,
+		Measure: 400 * sim.Nanosecond,
+		Drain:   300 * sim.Nanosecond,
+	}
+	want, err := run(treeSpec(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 4} {
+		sharded := cfg
+		sharded.Shards = k
+		got, err := run(treeSpec(4, 4), sharded)
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", k, err)
+		}
+		if got != want {
+			t.Errorf("Shards=%d diverged from serial:\n%+v\n%+v", k, got, want)
+		}
+	}
+}
+
+func TestMeshSaturation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("saturation search is slow")
+	}
+	base := core.RunConfig{
+		Bench: traffic.Shuffle{N: 16}, Seed: 3,
+		Warmup: 100 * sim.Nanosecond, Measure: 350 * sim.Nanosecond, Drain: 300 * sim.Nanosecond,
+	}
+	sat, err := core.SaturationWith("MeshTree", core.SatConfig{Base: base, Iters: 6}, func(load float64) (core.RunResult, error) {
+		c := base
+		c.LoadGFs = load
+		return run(treeSpec(4, 4), c)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sat.SatLoadGFs <= 0.1 || sat.SatLoadGFs > 6 {
+		t.Errorf("implausible mesh saturation %v", sat.SatLoadGFs)
+	}
+	if sat.AtSaturation.Completion < 0.92 {
+		t.Errorf("unstable point reported: %+v", sat.AtSaturation)
+	}
+}
+
+// paperCfg is the Section 5.1 setup at seed 2016 and 0.2 GF/s per tile.
+func paperCfg(bench traffic.Benchmark) core.RunConfig {
+	return core.RunConfig{
+		Bench: bench, LoadGFs: 0.2, Seed: 2016,
+		Warmup: core.DefaultWarmup, Measure: core.DefaultMeasure, Drain: core.DefaultDrain,
+	}
+}
+
+// TestMeshResultsPinned locks the 4x4 mesh figures that predate the
+// shared run path: moving the mesh onto core's injector, guarded loop
+// and collector must leave every figure the mesh reported before
+// unchanged, and adds the P50/P99 the old mesh harness never filled in.
+func TestMeshResultsPinned(t *testing.T) {
+	cases := []struct {
+		spec                 mesh.Spec
+		bench                traffic.Benchmark
+		avg, p95, thru, powr float64
+		packets              int
+	}{
+		{treeSpec(4, 4), traffic.UniformRandom{N: 16}, 2.041057028514323, 4.137899999999998, 0.1948046875, 43.144916855014365, 1999},
+		{treeSpec(4, 4), traffic.Multicast{N: 16, Frac: 0.10}, 2.2837523620090026, 4.677, 0.34548828125, 57.84159356262951, 2011},
+		{serialSpec(4, 4), traffic.UniformRandom{N: 16}, 2.0451965982992157, 4.1624, 0.1948046875, 43.144916855014365, 1999},
+		{serialSpec(4, 4), traffic.Multicast{N: 16, Frac: 0.10}, 5.736934361014428, 25.6085, 0.344453125, 75.94147476181539, 2011},
+	}
+	for _, c := range cases {
+		res, err := run(c.spec, paperCfg(c.bench))
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.spec.Name, c.bench.Name(), err)
+		}
+		if res.AvgLatencyNs != c.avg || res.P95LatencyNs != c.p95 || res.ThroughputGFs != c.thru ||
+			res.PowerMW != c.powr || res.Completion != 1 || res.MeasuredPackets != c.packets {
+			t.Errorf("%s/%s drifted: %+v", c.spec.Name, c.bench.Name(), res)
+		}
+		if res.P50LatencyNs <= 0 || res.P99LatencyNs < res.P95LatencyNs || res.P50LatencyNs > res.P95LatencyNs {
+			t.Errorf("%s/%s: percentiles P50 %v P95 %v P99 %v", c.spec.Name, c.bench.Name(),
+				res.P50LatencyNs, res.P95LatencyNs, res.P99LatencyNs)
+		}
+	}
+}
+
+// The mesh honours the same watchdog as the MoT: an event budget far
+// below the run's needs aborts it with a LivelockError.
+func TestMeshEventBudget(t *testing.T) {
+	cfg := paperCfg(traffic.UniformRandom{N: 16})
+	cfg.MaxEvents = 1000
+	_, err := run(treeSpec(4, 4), cfg)
+	var le *core.LivelockError
+	if !errors.As(err, &le) {
+		t.Fatalf("err = %v, want *core.LivelockError", err)
+	}
+	if le.Events <= cfg.MaxEvents {
+		t.Errorf("livelock reported at %d events, budget %d", le.Events, cfg.MaxEvents)
+	}
+}
+
+// A cancelled context aborts a mesh run between event batches.
+func TestMeshContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := core.RunMesh(ctx, treeSpec(4, 4), paperCfg(traffic.UniformRandom{N: 16}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}

@@ -643,8 +643,11 @@ func (g *ShardGroup) workerLoop(i int, w *shardWorker) {
 			if g.phase.Load() != last && w.parked.CompareAndSwap(true, false) {
 				break
 			}
+			// The token may be late: a release loop that reached this
+			// worker only after it finished that round and parked again
+			// wakes it for a round that is not open yet. The loop
+			// condition re-checks the phase and parks again if so.
 			<-w.wake
-			break
 		}
 		last++
 		if g.closing {
@@ -700,8 +703,11 @@ func (g *ShardGroup) awaitWorkers() {
 		if g.pending.Load() == 0 && g.coordParked.CompareAndSwap(true, false) {
 			return
 		}
+		// The token may be late: the previous round's last worker can
+		// drop the count to zero, let this coordinator move on, and only
+		// then claim the parked flag of the next round's wait. The loop
+		// condition re-checks the count and parks again if so.
 		<-g.coordWake
-		return
 	}
 }
 

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The sharded-execution property: for any model whose cross-shard events
@@ -296,4 +299,76 @@ func TestCrossShardLookaheadViolationPanics(t *testing.T) {
 		}
 	}()
 	ref.Send(49, &funcEvent{fn: func() {}}, 0)
+}
+
+// relay passes a token round-robin through every shard at exactly the
+// lookahead, so each barrier round has one busy shard and k-1 idle
+// workers that only check in.
+type relay struct {
+	refs  []*RemoteRef // refs[i]: shard i -> shard i+1 (mod k)
+	hops  atomic.Int64 // read by the test's hang watchdog mid-run
+	limit int64
+}
+
+func (r *relay) OnEvent(arg int64) {
+	if r.hops.Add(1) < r.limit {
+		r.refs[arg].Send(testLookahead, r, (arg+1)%int64(len(r.refs)))
+	}
+}
+
+// The parallel backend's phase barrier under many near-empty rounds. A
+// wake token can arrive late on either side of the barrier: a worker
+// (or the coordinator) that finished a round and parked for the next
+// one must not take a token meant for the round it just left as the
+// next round's release, or the group runs a stale window, counts a
+// worker twice and hangs. Several groups run at once so their
+// goroutines contend for the CPUs, the preemption that opens the race.
+// The watchdog fails the test once the relays stop making progress, so
+// a slow run (the race detector) passes and a hang fails.
+func TestParallelBarrierManyEmptyRounds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
+	const groups, k, hops = 4, 4, 200000
+	relays := make([]*relay, groups)
+	done := make(chan struct{}, groups)
+	for i := range relays {
+		g := NewShardGroup(k, testLookahead)
+		g.SetParallel(true)
+		r := &relay{refs: make([]*RemoteRef, k), limit: hops}
+		for j := range r.refs {
+			r.refs[j] = g.Cross(j, (j+1)%k)
+		}
+		g.Shard(0).In(1, r, 0)
+		relays[i] = r
+		go func() {
+			defer func() { done <- struct{}{} }()
+			g.RunUntil(Time(hops+1) * testLookahead)
+			g.Close()
+		}()
+	}
+	progress := func() (n int64) {
+		for _, r := range relays {
+			n += r.hops.Load()
+		}
+		return n
+	}
+	tick := time.NewTicker(10 * time.Second)
+	defer tick.Stop()
+	last := int64(-1)
+	for finished := 0; finished < groups; {
+		select {
+		case <-done:
+			finished++
+		case <-tick.C:
+			n := progress()
+			if n == last {
+				t.Fatalf("parallel shard groups hung at %d of %d relay hops", n, groups*hops)
+			}
+			last = n
+		}
+	}
+	for i, r := range relays {
+		if n := r.hops.Load(); n != hops {
+			t.Errorf("group %d: relay made %d hops, want %d", i, n, hops)
+		}
+	}
 }
