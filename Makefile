@@ -99,12 +99,19 @@ shard-speedup:
 service-smoke:
 	sh scripts/service_smoke.sh
 
-# fuzz-smoke gives the store's entry decoder a short randomized beating
-# on every CI run: Decode must never panic, and any entry it accepts
-# must re-encode byte-identically (acceptance implies integrity). Longer
-# campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m ./internal/store
+# fuzz-smoke gives every external input parser a short randomized
+# beating on every CI run: the store's entry decoder (an accepted entry
+# re-encodes byte-identically), the replay schedule parser (an accepted
+# schedule passes Schedule.Validate), and the -dests and -topology
+# parsers (an accepted value round-trips). None may panic. The parser
+# targets cap input minimization at 200 runs: their binaries link the
+# whole simulator, and an uncapped minimization can eat the 10 s budget.
+# Longer campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m ./internal/store
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 10s -fuzzminimizetime 200x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzParseDests -fuzztime 10s -fuzzminimizetime 200x ./internal/packet
+	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s -fuzzminimizetime 200x ./internal/cliflags
 
 # test-routing is the scheme-shootout shard: the routing package (the
 # Strategy interface and all five multicast schemes) runs alone with a

@@ -458,6 +458,12 @@ type Injection = core.Injection
 // Schedule is a time-ordered workload for replay runs.
 type Schedule = core.Schedule
 
+// ParseSchedule reads a CSV workload (time_ns,src,dest[,dest...] per
+// line) for an n-terminal network; name labels error messages.
+func ParseSchedule(r io.Reader, name string, n int) (Schedule, error) {
+	return core.ParseSchedule(r, name, n)
+}
+
 // RunSchedule replays an explicit workload through a network and measures
 // every injected packet.
 func RunSchedule(spec NetworkSpec, sched Schedule, drain Time) (RunResult, error) {

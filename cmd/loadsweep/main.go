@@ -4,9 +4,10 @@
 //
 //	loadsweep -bench Multicast10 -points 8
 //
-// Simulations run on the parallel experiment engine (-workers, or the
-// ASYNCNOC_WORKERS environment variable; default GOMAXPROCS); the curve
-// is identical at any pool size.
+// Every network's sweep runs concurrently on the shared parallel
+// experiment engine (-workers, or the ASYNCNOC_WORKERS environment
+// variable; default GOMAXPROCS); the curves print in -networks order and
+// are identical at any pool size.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 
 	"asyncnoc"
 	"asyncnoc/internal/cliflags"
@@ -96,20 +98,40 @@ func main() {
 	if base.Shards == 0 {
 		base.Shards = asyncnoc.DefaultShards()
 	}
-	for _, name := range networkList {
-		spec, err := asyncnoc.NetworkByName(*n, strings.TrimSpace(name))
-		if err != nil {
-			fatal(err)
+	// The sweeps are independent, so they run side by side on the shared
+	// engine; each saturation search is serial, and running several at
+	// once is what keeps a multi-worker pool busy. Results print in flag
+	// order, and a failing network stops the output at its turn, exactly
+	// as a one-at-a-time loop would.
+	type sweep struct {
+		spec asyncnoc.NetworkSpec
+		pts  []asyncnoc.SweepPoint
+		err  error
+	}
+	sweeps := make([]sweep, len(networkList))
+	var wg sync.WaitGroup
+	for i, name := range networkList {
+		wg.Add(1)
+		go func(sw *sweep, name string) {
+			defer wg.Done()
+			spec, err := asyncnoc.NetworkByName(*n, strings.TrimSpace(name))
+			if err != nil {
+				sw.err = err
+				return
+			}
+			sw.spec = sel.Compose(spec)
+			sw.pts, sw.err = eng.LoadSweep(sw.spec, base, *points, *maxFrac)
+			progress.JobDone()
+		}(&sweeps[i], name)
+	}
+	wg.Wait()
+	for _, sw := range sweeps {
+		if sw.err != nil {
+			fatal(sw.err)
 		}
-		spec = sel.Compose(spec)
-		pts, err := eng.LoadSweep(spec, base, *points, *maxFrac)
-		if err != nil {
-			fatal(err)
-		}
-		progress.JobDone()
-		fmt.Printf("\n%s / %s\n", spec.Name, bench.Name())
+		fmt.Printf("\n%s / %s\n", sw.spec.Name, bench.Name())
 		fmt.Printf("%10s %12s %12s %12s %10s\n", "frac sat", "load GF/s", "latency ns", "thr GF/s", "complete")
-		for _, p := range pts {
+		for _, p := range sw.pts {
 			fmt.Printf("%10.2f %12.3f %12.2f %12.3f %9.0f%%\n",
 				p.FractionOfSat, p.Result.LoadGFs, p.Result.AvgLatencyNs,
 				p.Result.ThroughputGFs, 100*p.Result.Completion)

@@ -13,9 +13,9 @@
 // intra-die versus die-to-die breakout), and mesh:WxH runs an
 // asynchronous 2D mesh of XY routers. With -sat the tool searches for
 // the saturation throughput instead of running at a fixed load; the
-// search's probes run through the parallel experiment engine with
-// speculative bisection (-workers, or the ASYNCNOC_WORKERS environment
-// variable; default GOMAXPROCS) and find the same boundary at any pool
+// search bisects on the offered load, one probe at a time, through the
+// experiment engine (-workers, or the ASYNCNOC_WORKERS environment
+// variable; default GOMAXPROCS) and finds the same boundary at any pool
 // size.
 //
 // The -faults flag family enables the deterministic fault-injection
@@ -54,7 +54,7 @@ func main() {
 		measure     = flag.Int("measure", 3200, "measurement window (ns)")
 		drain       = flag.Int("drain", 800, "drain window (ns)")
 		sat         = flag.Bool("sat", false, "search for saturation throughput instead of a fixed-load run")
-		workers     = cliflags.Workers("saturation-search")
+		workers     = cliflags.Workers("simulation")
 		shards      = cliflags.Shards()
 		list        = flag.Bool("list", false, "list network and benchmark names")
 		vcdPath     = flag.String("vcd", "", "dump handshake activity to this VCD file")

@@ -14,12 +14,9 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"asyncnoc"
 	"asyncnoc/internal/cliflags"
@@ -85,58 +82,16 @@ func main() {
 	fmt.Printf("network power:  %.2f mW\n", res.PowerMW)
 }
 
-// parseSchedule reads and validates the CSV workload format against a
-// network of n terminals. Every malformed row is reported with its file
-// position so truncated or corrupt recordings fail with a usable message
-// instead of a downstream panic or a silently empty destination set.
-// Destination cells go through the shared validated parser, so duplicate
-// destinations in a row are rejected rather than silently deduplicated.
+// parseSchedule reads and validates a CSV schedule file against a
+// network of n terminals (see asyncnoc.ParseSchedule for the format and
+// its checks).
 func parseSchedule(path string, n int) (asyncnoc.Schedule, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = -1 // variable destination counts
-	rows, err := r.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("%s: malformed CSV: %w", path, err)
-	}
-	var sched asyncnoc.Schedule
-	for i, row := range rows {
-		if len(row) < 3 {
-			return nil, fmt.Errorf("%s:%d: need time_ns,src,dest[,dest...], got %d field(s) (truncated row?)",
-				path, i+1, len(row))
-		}
-		tns, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: bad time %q: %v", path, i+1, row[0], err)
-		}
-		if tns < 0 {
-			return nil, fmt.Errorf("%s:%d: negative time %v ns", path, i+1, tns)
-		}
-		src, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: bad source %q: %v", path, i+1, row[1], err)
-		}
-		if src < 0 || src >= n {
-			return nil, fmt.Errorf("%s:%d: source %d outside [0,%d)", path, i+1, src, n)
-		}
-		dests, err := asyncnoc.ParseDests(strings.Join(row[2:], ","), n)
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", path, i+1, err)
-		}
-		sched = append(sched, asyncnoc.Injection{
-			At:    asyncnoc.Time(tns * 1000),
-			Src:   src,
-			Dests: dests,
-		})
-	}
-	if len(sched) == 0 {
-		return nil, fmt.Errorf("%s: empty schedule", path)
-	}
-	return sched, nil
+	return asyncnoc.ParseSchedule(f, path, n)
 }
 
 func fatal(err error) {

@@ -25,7 +25,7 @@ func Shards() *int {
 }
 
 // Workers registers the shared -workers flag; purpose names what the
-// pool parallelizes (e.g. "simulation", "saturation-search").
+// pool parallelizes (e.g. "simulation").
 func Workers(purpose string) *int {
 	return flag.Int("workers", 0,
 		purpose+" parallelism (0 = $ASYNCNOC_WORKERS or GOMAXPROCS)")

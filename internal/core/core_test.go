@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"asyncnoc/internal/node"
@@ -200,6 +203,58 @@ func TestSaturationSearch(t *testing.T) {
 	// The network must actually be stable at the reported load.
 	if sat.AtSaturation.Completion < 0.92 {
 		t.Errorf("reported stable point has completion %v", sat.AtSaturation.Completion)
+	}
+}
+
+// TestSatConfigValidate: a bad search configuration fails with a typed
+// *ConfigError naming the field, before any probe is simulated.
+func TestSatConfigValidate(t *testing.T) {
+	base := RunConfig{Bench: traffic.UniformRandom{N: 8}, Seed: 1, Measure: 100 * sim.Nanosecond}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		cfg   SatConfig
+		field string
+	}{
+		{"NaN latency factor", SatConfig{LatencyFactor: nan}, "LatencyFactor"},
+		{"negative latency factor", SatConfig{LatencyFactor: -4}, "LatencyFactor"},
+		{"Inf min completion", SatConfig{MinCompletion: inf}, "MinCompletion"},
+		{"min completion above 1", SatConfig{MinCompletion: 1.5}, "MinCompletion"},
+		{"negative zero-load probe", SatConfig{ZeroLoadGFs: -0.05}, "ZeroLoadGFs"},
+		{"NaN start load", SatConfig{StartLoad: nan}, "StartLoad"},
+		{"-Inf max load", SatConfig{MaxLoad: math.Inf(-1)}, "MaxLoad"},
+		{"negative iters", SatConfig{Iters: -1}, "Iters"},
+		{"start above default cap", SatConfig{StartLoad: 20}, "StartLoad"},
+		{"default start above cap", SatConfig{MaxLoad: 0.3}, "StartLoad"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Base = base
+			_, err := SaturationWith("probe", tc.cfg, func(float64) (RunResult, error) {
+				t.Fatal("search simulated a probe despite an invalid configuration")
+				return RunResult{}, nil
+			})
+			var ce *ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("error %v (%T), want *ConfigError", err, err)
+			}
+			if len(ce.Fields) != 1 || ce.Fields[0].Field != tc.field {
+				t.Fatalf("ConfigError fields %v, want exactly %s", ce.Fields, tc.field)
+			}
+			if !strings.Contains(err.Error(), "SatConfig") {
+				t.Errorf("error %q does not name SatConfig", err)
+			}
+		})
+	}
+	if err := (SatConfig{Base: base, StartLoad: 2, MaxLoad: 2}).Validate(); err != nil {
+		t.Errorf("StartLoad == MaxLoad rejected: %v", err)
+	}
+	e := NewEngine(2)
+	if _, err := e.Saturation(Baseline(8), SatConfig{Base: base, Iters: -3}); err == nil {
+		t.Fatal("engine search accepted negative Iters")
+	}
+	if n := e.Snapshot().Started; n != 0 {
+		t.Fatalf("engine simulated %d probes for an invalid configuration", n)
 	}
 }
 

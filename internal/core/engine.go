@@ -162,15 +162,6 @@ type memoEntry struct {
 	elem *list.Element
 }
 
-func (e *memoEntry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Engine executes simulation runs on a bounded worker pool with a keyed
 // LRU memo. The zero value is not usable; construct with NewEngine. An
 // Engine is safe for concurrent use.
@@ -327,13 +318,29 @@ func (e *Engine) evictLocked() {
 	for el := e.order.Back(); el != nil && e.order.Len() > e.cap; {
 		prev := el.Prev()
 		ent := el.Value.(*memoEntry)
-		if ent.completed() {
+		select {
+		case <-ent.done:
 			e.order.Remove(el)
 			delete(e.memo, ent.key)
+		default:
 		}
 		el = prev
 	}
 }
+
+// Source says where the engine found a run's result.
+type Source uint8
+
+const (
+	// SourceComputed: this call simulated the run, locally or on the
+	// remote delegate.
+	SourceComputed Source = iota
+	// SourceMemo: the in-memory memo held the result, or a computation
+	// of it was already in flight and this call shared it.
+	SourceMemo
+	// SourceStore: the result was read through from the persistent store.
+	SourceStore
+)
 
 // Run executes one simulation through the pool and memo: if an equal
 // (spec, config) pair is cached or in flight its result is shared,
@@ -349,81 +356,93 @@ func (e *Engine) Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
 // aborted by its own context is evicted from the memo so the key is not
 // poisoned with a cancellation error.
 func (e *Engine) RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
+	res, _, err := e.RunSource(ctx, spec, cfg)
+	return res, err
+}
+
+// RunSource is RunContext that also reports where the result came from
+// (the service labels store- and memo-served responses with it).
+func (e *Engine) RunSource(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
 	if len(cfg.Instruments) > 0 {
 		// Instrumented runs have observable side effects (waveforms,
 		// trace streams), so the memo must neither replay a cached result
 		// past the instruments nor share one computation among waiters
-		// that each expect their own instruments attached. Execute fresh
-		// under a pool slot.
-		select {
-		case e.sem <- struct{}{}:
-		case <-ctx.Done():
-			return RunResult{}, ctx.Err()
-		}
-		e.started.Add(1)
-		res, err := runSafely(ctx, spec, cfg)
-		e.completed.Add(1)
-		<-e.sem
-		return res, err
+		// that each expect their own instruments attached. Execute fresh.
+		res, err := e.simulate(ctx, spec, cfg)
+		return res, SourceComputed, err
 	}
 	key := JobKey(spec, cfg)
 	ent, compute := e.claim(key)
-	if compute {
-		// Read through to the persistent store before paying for a pool
-		// slot: a disk hit costs microseconds and the in-flight entry
-		// already deduplicates concurrent lookups of the same key.
-		if st := e.Store(); st != nil {
-			if res, ok := st.Get(key); ok {
-				ent.res, ent.err = res, nil
-				close(ent.done)
-				e.sweep()
-				return res, nil
-			}
-		}
-		if rr := e.loadRemote(); rr != nil {
-			// Remote execution does not hold a local pool slot: the
-			// server applies its own admission control, and the point of
-			// delegating is to fan out past local capacity.
-			res, err := rr(ctx, spec, cfg)
-			if err == nil || !errors.Is(err, ErrRemoteUnavailable) {
-				e.remoteRuns.Add(1)
-				ent.res, ent.err = res, err
-				close(ent.done)
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					e.forget(ent)
-				}
-				e.sweep()
-				e.writeBehind(key, ent)
-				return ent.res, ent.err
-			}
-			// Server unavailable: degrade to local computation.
-		}
+	if !compute {
 		select {
-		case e.sem <- struct{}{}:
+		case <-ent.done:
+			return ent.res, SourceMemo, ent.err
 		case <-ctx.Done():
-			ent.res, ent.err = RunResult{}, ctx.Err()
-			close(ent.done)
-			e.forget(ent)
-			return RunResult{}, ctx.Err()
+			return RunResult{}, SourceMemo, ctx.Err()
 		}
-		e.started.Add(1)
-		ent.res, ent.err = runSafely(ctx, spec, cfg)
-		e.completed.Add(1)
-		<-e.sem
-		close(ent.done)
-		if errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded) {
-			e.forget(ent)
-		}
-		e.sweep()
-		e.writeBehind(key, ent)
-		return ent.res, ent.err
 	}
+	// Read through to the persistent store before paying for a pool
+	// slot: a disk hit costs microseconds and the in-flight entry
+	// already deduplicates concurrent lookups of the same key.
+	if st := e.Store(); st != nil {
+		if res, ok := st.Get(key); ok {
+			ent.res = res
+			e.finish(ent)
+			return res, SourceStore, nil
+		}
+	}
+	// Remote execution does not hold a local pool slot: the server
+	// applies its own admission control, and the point of delegating is
+	// to fan out past local capacity. An unavailable server degrades to
+	// local computation.
+	remote := false
+	if rr := e.loadRemote(); rr != nil {
+		ent.res, ent.err = rr(ctx, spec, cfg)
+		remote = ent.err == nil || !errors.Is(ent.err, ErrRemoteUnavailable)
+	}
+	if remote {
+		e.remoteRuns.Add(1)
+	} else {
+		ent.res, ent.err = e.simulate(ctx, spec, cfg)
+	}
+	e.finish(ent)
+	// Write behind; a failed write is the store's to count, not the run's.
+	if st := e.Store(); st != nil && ent.err == nil {
+		st.Put(key, ent.res)
+	}
+	return ent.res, SourceComputed, ent.err
+}
+
+// simulate runs one simulation under a pool slot, or fails with
+// ctx.Err() if ctx ends while it waits for one.
+func (e *Engine) simulate(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
 	select {
-	case <-ent.done:
-		return ent.res, ent.err
+	case e.sem <- struct{}{}:
 	case <-ctx.Done():
 		return RunResult{}, ctx.Err()
 	}
+	defer func() { <-e.sem }()
+	e.started.Add(1)
+	defer e.completed.Add(1)
+	return runSafely(ctx, spec, cfg)
+}
+
+// finish publishes a final entry to its waiters. A canceled computation
+// leaves the memo again, so the key is not poisoned with a cancellation
+// error. Then the capacity bound is re-applied: eviction skips in-flight
+// entries (see evictLocked), so a SetMemoCapacity shrink issued while
+// computations were running could otherwise leave the memo over budget
+// forever.
+func (e *Engine) finish(ent *memoEntry) {
+	close(ent.done)
+	canceled := errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if cur, ok := e.memo[ent.key]; canceled && ok && cur == ent {
+		e.order.Remove(ent.elem)
+		delete(e.memo, ent.key)
+	}
+	e.evictLocked()
 }
 
 // loadRemote returns the remote delegate (nil when none).
@@ -432,27 +451,6 @@ func (e *Engine) loadRemote() RemoteRunner {
 		return *p
 	}
 	return nil
-}
-
-// writeBehind persists a successful result; errors stay the engine's
-// business, never the store's.
-func (e *Engine) writeBehind(key string, ent *memoEntry) {
-	if ent.err != nil {
-		return
-	}
-	if st := e.Store(); st != nil {
-		st.Put(key, ent.res)
-	}
-}
-
-// sweep re-applies the capacity bound after an entry completes. Eviction
-// skips in-flight entries (their done channel is still open — see
-// evictLocked), so a SetMemoCapacity shrink issued while computations
-// were running could otherwise leave the memo over budget forever.
-func (e *Engine) sweep() {
-	e.mu.Lock()
-	e.evictLocked()
-	e.mu.Unlock()
 }
 
 // runSafely converts a worker panic into a *PanicError: one poisoned job
@@ -466,17 +464,6 @@ func runSafely(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunRe
 		}
 	}()
 	return RunContext(ctx, spec, cfg)
-}
-
-// forget evicts one entry from the memo if it is still the entry mapped
-// to its key (used for cancellation results, which must not be replayed).
-func (e *Engine) forget(ent *memoEntry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.memo[ent.key]; ok && cur == ent {
-		e.order.Remove(ent.elem)
-		delete(e.memo, ent.key)
-	}
 }
 
 // claim looks the key up, registering a fresh in-flight entry on a miss.
@@ -495,30 +482,6 @@ func (e *Engine) claim(key string) (*memoEntry, bool) {
 	e.memo[key] = ent
 	e.evictLocked()
 	return ent, true
-}
-
-// Memoized reports whether key's result is resident and final in the
-// in-memory memo (the service layer uses it to label responses as
-// cache hits without touching the persistent store's counters).
-func (e *Engine) Memoized(key string) bool {
-	e.mu.Lock()
-	ent, ok := e.memo[key]
-	e.mu.Unlock()
-	return ok && ent.completed()
-}
-
-// Speculate warms the memo asynchronously: each job is computed on the
-// pool if absent, and its result (or error) parks in the memo for a
-// later Run. On a single-worker pool this is a no-op — speculation there
-// could only steal the slot from demanded work.
-func (e *Engine) Speculate(jobs ...Job) {
-	if e.workers <= 1 {
-		return
-	}
-	for _, j := range jobs {
-		j := j
-		go func() { _, _ = e.Run(j.Spec, j.Cfg) }() //nolint:errcheck // parked in the memo
-	}
 }
 
 // RunJobs executes every job through the pool and returns the results in

@@ -160,8 +160,10 @@ func TestJobKey(t *testing.T) {
 	}
 }
 
-// TestEngineSaturationMatchesSerial requires the engine's speculative
-// bisection to land on exactly the serial search's boundary.
+// TestEngineSaturationMatchesSerial requires the engine's bisection to
+// land on exactly the serial search's boundary, doing exactly the serial
+// search's work: one simulation per distinct probed load, and none still
+// running once the search returns.
 func TestEngineSaturationMatchesSerial(t *testing.T) {
 	spec, err := SpecByName(8, NameOptHybridSpec)
 	if err != nil {
@@ -174,7 +176,9 @@ func TestEngineSaturationMatchesSerial(t *testing.T) {
 		},
 		Iters: 5,
 	}
+	loads := map[float64]bool{}
 	serial, err := SaturationWith(spec.Name, cfg, func(load float64) (RunResult, error) {
+		loads[load] = true
 		c := cfg.Base
 		c.LoadGFs = load
 		return Run(spec, c)
@@ -183,7 +187,8 @@ func TestEngineSaturationMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		par, err := NewEngine(workers).Saturation(spec, cfg)
+		e := NewEngine(workers)
+		par, err := e.Saturation(spec, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -191,6 +196,14 @@ func TestEngineSaturationMatchesSerial(t *testing.T) {
 		b, _ := json.Marshal(par)
 		if string(a) != string(b) {
 			t.Errorf("workers=%d: engine saturation differs from serial:\n%s\nvs\n%s", workers, b, a)
+		}
+		snap := e.Snapshot()
+		if snap.Started != uint64(len(loads)) {
+			t.Errorf("workers=%d: search ran %d simulations, want %d (one per distinct serial probe)",
+				workers, snap.Started, len(loads))
+		}
+		if n := snap.InFlight(); n != 0 {
+			t.Errorf("workers=%d: %d simulations still running after Saturation returned", workers, n)
 		}
 	}
 }

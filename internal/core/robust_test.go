@@ -190,13 +190,15 @@ func TestEngineMemoShrinkKeepsInFlightDedup(t *testing.T) {
 func TestEngineShrinkAppliesOnCompletion(t *testing.T) {
 	e := NewEngine(2)
 	spec, cfg := robustTestJob(t, 55)
-	key := JobKey(spec, cfg)
 	e.SetMemoCapacity(0)
-	if _, err := e.Run(spec, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if e.Memoized(key) {
-		t.Fatal("completed entry survived a zero-capacity memo")
+	for i := 0; i < 2; i++ {
+		_, src, err := e.RunSource(context.Background(), spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != SourceComputed {
+			t.Fatalf("run %d served from source %d: completed entry survived a zero-capacity memo", i, src)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -63,16 +64,19 @@ type FieldError struct {
 
 func (e FieldError) String() string { return e.Field + ": " + e.Reason }
 
-// ConfigError reports every invalid field of a RunConfig at once, so a
-// caller building a configuration from flags or a file sees the full
-// repair list in one round trip instead of one field per attempt.
+// ConfigError reports every invalid field of a RunConfig or SatConfig at
+// once, so a caller building a configuration from flags or a file sees
+// the full repair list in one round trip instead of one field per
+// attempt.
 type ConfigError struct {
 	Fields []FieldError
+	// config names the validated type; empty means RunConfig.
+	config string
 }
 
 func (e *ConfigError) Error() string {
 	var b strings.Builder
-	b.WriteString("core: invalid RunConfig: ")
+	b.WriteString("core: invalid " + cmp.Or(e.config, "RunConfig") + ": ")
 	for i, f := range e.Fields {
 		if i > 0 {
 			b.WriteString("; ")

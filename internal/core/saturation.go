@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 
 	"asyncnoc/internal/network"
 )
@@ -34,24 +36,49 @@ type SatConfig struct {
 }
 
 func (c *SatConfig) defaults() {
-	if c.LatencyFactor == 0 {
-		c.LatencyFactor = 4
+	c.LatencyFactor = cmp.Or(c.LatencyFactor, 4)
+	c.MinCompletion = cmp.Or(c.MinCompletion, 0.92)
+	c.ZeroLoadGFs = cmp.Or(c.ZeroLoadGFs, 0.05)
+	c.StartLoad = cmp.Or(c.StartLoad, 0.4)
+	c.MaxLoad = cmp.Or(c.MaxLoad, 16)
+	c.Iters = cmp.Or(c.Iters, 9)
+}
+
+// Validate checks the configuration as the search will use it (zero
+// fields take their defaults first), aggregating every invalid field
+// into a single *ConfigError. The search calls it before its first
+// probe, so a bad configuration never costs a simulation.
+func (c SatConfig) Validate() error {
+	c.defaults()
+	var fields []FieldError
+	add := func(field, format string, args ...any) {
+		fields = append(fields, FieldError{Field: field, Reason: fmt.Sprintf(format, args...)})
 	}
-	if c.MinCompletion == 0 {
-		c.MinCompletion = 0.92
+	// finite reports (once) a NaN, infinite or negative field; the range
+	// checks below only look at fields that passed it.
+	finite := func(field string, v float64) bool {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			add(field, "%v must be finite and not negative", v)
+			return false
+		}
+		return true
 	}
-	if c.ZeroLoadGFs == 0 {
-		c.ZeroLoadGFs = 0.05
+	finite("LatencyFactor", c.LatencyFactor)
+	finite("ZeroLoadGFs", c.ZeroLoadGFs)
+	if finite("MinCompletion", c.MinCompletion) && c.MinCompletion > 1 {
+		add("MinCompletion", "completion fraction %v exceeds 1", c.MinCompletion)
 	}
-	if c.StartLoad == 0 {
-		c.StartLoad = 0.4
+	startOK, maxOK := finite("StartLoad", c.StartLoad), finite("MaxLoad", c.MaxLoad)
+	if startOK && maxOK && c.StartLoad > c.MaxLoad {
+		add("StartLoad", "start load %v exceeds MaxLoad %v", c.StartLoad, c.MaxLoad)
 	}
-	if c.MaxLoad == 0 {
-		c.MaxLoad = 16
+	if c.Iters < 0 {
+		add("Iters", "bisection depth %d must not be negative", c.Iters)
 	}
-	if c.Iters == 0 {
-		c.Iters = 9
+	if len(fields) > 0 {
+		return &ConfigError{Fields: fields, config: "SatConfig"}
 	}
+	return nil
 }
 
 // SatResult reports a saturation search outcome.
@@ -77,58 +104,44 @@ func Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
 	return DefaultEngine().Saturation(spec, cfg)
 }
 
-// Saturation runs the saturation search through the engine: every probe
-// is memoized, and the bisection is speculative — while the current
-// midpoint runs, both candidate midpoints of the next level are already
-// computing on idle pool workers, so the next iteration's probe is a
-// memo hit whichever way the bisection branches. The search visits the
-// same loads and returns the same result as the serial path.
+// Saturation runs the saturation search through the engine. The search
+// is a plain bisection: each probe decides the next, so one search
+// occupies one pool slot at a time, and every probe is memoized.
+// Parallelism comes from running independent searches side by side
+// (Prefetch in internal/experiments, one goroutine per network in
+// cmd/loadsweep), never from guessing the next probe.
 func (e *Engine) Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
 	return e.SaturationContext(context.Background(), spec, cfg)
 }
 
 // SaturationContext is Saturation with cancellation: every probe runs
 // under ctx, so an abandoned search stops issuing new simulations.
-// Speculative warm-ups keep the background context — they park results
-// in the memo for whoever needs them and must not inherit a deadline.
 func (e *Engine) SaturationContext(ctx context.Context, spec network.Spec, cfg SatConfig) (SatResult, error) {
-	cfgAt := func(load float64) RunConfig {
+	return saturationSearch(ctx, spec.Name, cfg, func(load float64) (RunResult, error) {
 		c := cfg.Base
 		c.LoadGFs = load
-		return c
-	}
-	return saturationSearch(ctx, spec.Name, cfg,
-		func(load float64) (RunResult, error) { return e.RunContext(ctx, spec, cfgAt(load)) },
-		func(loads ...float64) {
-			jobs := make([]Job, len(loads))
-			for i, l := range loads {
-				jobs[i] = Job{Spec: spec, Cfg: cfgAt(l)}
-			}
-			e.Speculate(jobs...)
-		})
+		return e.RunContext(ctx, spec, c)
+	})
 }
 
 // SaturationWith runs the saturation search against an arbitrary serial
 // runner (the mesh substrate reuses it); name labels error messages.
 func SaturationWith(name string, cfg SatConfig, run func(load float64) (RunResult, error)) (SatResult, error) {
-	return saturationSearch(context.Background(), name, cfg, run, nil)
+	return saturationSearch(context.Background(), name, cfg, run)
 }
 
-// saturationSearch is the search shared by the serial and engine entry
-// points. speculate, when non-nil, is handed the loads the next step
-// *might* probe — a pure memo warm-up that must not affect any result.
+// saturationSearch is the search loop shared by every entry point. It
+// validates cfg before the first probe.
 //
 // ctx is consulted between iterations, not just inside each probe: on a
 // warm memo every probe is an instant hit that never observes
 // cancellation, so without the explicit checks an abandoned search
-// would happily run to completion (issuing a fresh speculation pair per
-// level as it went). A canceled search returns a *CanceledError that
-// unwraps to ctx.Err().
-func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(load float64) (RunResult, error),
-	speculate func(loads ...float64)) (SatResult, error) {
+// would happily run to completion. A canceled search returns a
+// *CanceledError that unwraps to ctx.Err().
+func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(load float64) (RunResult, error)) (SatResult, error) {
 	cfg.defaults()
-	if speculate == nil {
-		speculate = func(...float64) {}
+	if err := cfg.Validate(); err != nil {
+		return SatResult{}, err
 	}
 	canceled := func(stage string) (SatResult, error) {
 		return SatResult{}, &CanceledError{Network: name, Stage: stage, Err: ctx.Err()}
@@ -136,8 +149,6 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(
 	if ctx.Err() != nil {
 		return canceled("saturation zero-load probe")
 	}
-	// The first probe after the zero-load anchor is always StartLoad.
-	speculate(cfg.StartLoad)
 	zero, err := run(cfg.ZeroLoadGFs)
 	if err != nil {
 		return SatResult{}, err
@@ -157,10 +168,6 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(
 		if ctx.Err() != nil {
 			return canceled("saturation grow")
 		}
-		// Whichever way this probe goes, the next one is either the
-		// doubled load (still stable) or the first bisection midpoint
-		// (saturated): evaluate both candidates concurrently.
-		speculate(growNext(hi, cfg.MaxLoad), (lo+hi)/2)
 		r, err := run(hi)
 		if err != nil {
 			return SatResult{}, err
@@ -170,17 +177,10 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(
 		}
 		lo, loRes = hi, r
 		if hi >= cfg.MaxLoad {
-			// Never saturated within the cap: report the cap.
-			return SatResult{
-				Network: name, Benchmark: cfg.Base.Bench.Name(),
-				SatLoadGFs: lo, ThroughputGFs: r.ThroughputGFs,
-				ZeroLoadLatencyNs: zero.AvgLatencyNs, AtSaturation: r,
-			}, nil
+			cfg.Iters = 0 // never saturated within the cap: report the cap
+			break
 		}
-		hi *= 2
-		if hi > cfg.MaxLoad {
-			hi = cfg.MaxLoad
-		}
+		hi = math.Min(2*hi, cfg.MaxLoad)
 	}
 	// Bisect the boundary.
 	for i := 0; i < cfg.Iters; i++ {
@@ -188,11 +188,6 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(
 			return canceled(fmt.Sprintf("saturation bisect iteration %d/%d", i+1, cfg.Iters))
 		}
 		mid := (lo + hi) / 2
-		if i+1 < cfg.Iters {
-			// Speculative bisection: the next midpoint is (lo+mid)/2 if
-			// mid saturates and (mid+hi)/2 otherwise — run both now.
-			speculate((lo+mid)/2, (mid+hi)/2)
-		}
 		r, err := run(mid)
 		if err != nil {
 			return SatResult{}, err
@@ -216,14 +211,4 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(
 		ZeroLoadLatencyNs: zero.AvgLatencyNs,
 		AtSaturation:      loRes,
 	}, nil
-}
-
-// growNext returns the load the grow phase will probe if hi turns out
-// stable: the doubled load, clamped to the cap.
-func growNext(hi, max float64) float64 {
-	next := hi * 2
-	if next > max {
-		next = max
-	}
-	return next
 }

@@ -2,8 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
+	"io"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
@@ -42,6 +47,56 @@ func (s Schedule) Validate(n int) error {
 		}
 	}
 	return nil
+}
+
+// ParseSchedule reads the CSV workload format, one injection per line
+// (time_ns,src,dest[,dest...]), and validates it against a network of n
+// terminals. name labels error messages (typically the file path): every
+// malformed row is reported with its position, so truncated or corrupt
+// recordings fail with a usable message instead of a downstream panic or
+// a silently empty destination set. Destination cells go through
+// packet.ParseDestSet, so duplicates in a row are rejected rather than
+// silently deduplicated. A schedule it accepts passes Validate(n).
+func ParseSchedule(r io.Reader, name string, n int) (Schedule, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1 // variable destination counts
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("%s: malformed CSV: %w", name, err)
+	}
+	var sched Schedule
+	for i, row := range rows {
+		if len(row) < 3 {
+			return nil, fmt.Errorf("%s:%d: need time_ns,src,dest[,dest...], got %d field(s) (truncated row?)",
+				name, i+1, len(row))
+		}
+		tns, err := strconv.ParseFloat(row[0], 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: bad time %q: %v", name, i+1, row[0], err)
+		}
+		if tns < 0 {
+			return nil, fmt.Errorf("%s:%d: negative time %v ns", name, i+1, tns)
+		}
+		if !(tns*1000 < math.MaxInt64) { // NaN, Inf, or past the simulated clock's range
+			return nil, fmt.Errorf("%s:%d: time %v ns out of range", name, i+1, tns)
+		}
+		src, err := strconv.Atoi(row[1])
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: bad source %q: %v", name, i+1, row[1], err)
+		}
+		if src < 0 || src >= n {
+			return nil, fmt.Errorf("%s:%d: source %d outside [0,%d)", name, i+1, src, n)
+		}
+		dests, err := packet.ParseDestSet(strings.Join(row[2:], ","), n)
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %v", name, i+1, err)
+		}
+		sched = append(sched, Injection{At: sim.Time(tns * 1000), Src: src, Dests: dests})
+	}
+	if len(sched) == 0 {
+		return nil, fmt.Errorf("%s: empty schedule", name)
+	}
+	return sched, nil
 }
 
 // End returns the latest injection time.

@@ -194,17 +194,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 	key := core.JobKey(req.Spec, cfg)
-	cached := s.Engine.Memoized(key)
 	ctx, cancel := s.deadline(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	res, err := s.Engine.RunContext(ctx, req.Spec, cfg)
+	res, src, err := s.Engine.RunSource(ctx, req.Spec, cfg)
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, RunResponse{
-		Key: key, Cached: cached,
+		Key: key, Cached: src != core.SourceComputed,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 		Result:    res,
 	})

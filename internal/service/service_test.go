@@ -96,6 +96,40 @@ func TestServiceRunCacheHit(t *testing.T) {
 	}
 }
 
+// TestServiceStoreServedIsCached: a fresh engine over a warm store
+// serves the job from disk without simulating, and the response says so.
+func TestServiceStoreServedIsCached(t *testing.T) {
+	srv, c, st := newTestService(t, nil)
+	req := testRunRequest(t, 4)
+	ctx := context.Background()
+	first, err := c.RunJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Flush()
+
+	fresh := NewServer(core.NewEngine(2), st)
+	fresh.Engine.SetStore(st)
+	hs := httptest.NewServer(fresh.Handler())
+	t.Cleanup(hs.Close)
+	got, err := NewClient(hs.URL).RunJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached {
+		t.Fatal("store-served response reported Cached=false")
+	}
+	if got.Result != first.Result {
+		t.Fatalf("store-served result differs:\n%+v\nvs\n%+v", got.Result, first.Result)
+	}
+	if n := fresh.Engine.Snapshot().Started; n != 0 {
+		t.Fatalf("fresh engine simulated %d runs, want 0 (store hit)", n)
+	}
+	if n := srv.Engine.Snapshot().Started; n != 1 {
+		t.Fatalf("first engine simulated %d runs, want 1", n)
+	}
+}
+
 // TestServiceSheddingAndClientRetry: with a single admission slot held
 // by a blocked job, a raw request is shed with 429 + Retry-After, and
 // the retrying client rides out the shed window to success.
