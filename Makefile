@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vuln race soak obs-smoke bench-smoke shard-speedup service-smoke fuzz-smoke test-routing shard-determinism chiplet-smoke chiplet-scale ci experiments clean
+.PHONY: all build test vet lint vuln race soak obs-smoke bench-smoke service-smoke fuzz-smoke test-routing shard-determinism chiplet-smoke chiplet-scale ci experiments clean
 
 all: build
 
@@ -80,16 +80,6 @@ bench-smoke:
 		benchstat bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt; \
 	fi
 
-# shard-speedup is the multi-core gate behind the sharding work: the
-# 8-shard Fig6a regeneration must beat the serial run by >= 2x wall
-# clock with persistent workers actually running in parallel. The script
-# asks benchguard -print-numcpu first and skips with a notice on fewer
-# than 4 cores (where no parallel speedup is measurable; the single-core
-# overhead ratchet in bench-smoke still applies there). Measured numbers
-# land machine-readably in bench/BENCH_shard.json.
-shard-speedup:
-	sh scripts/shard_speedup.sh
-
 # service-smoke exercises simulation-as-a-service end to end: asyncnocd
 # starts on an ephemeral port over a temp cache dir, the same Fig6a-point
 # job is submitted twice (the second response must be a cache hit served
@@ -127,13 +117,11 @@ test-routing:
 # shard-determinism pins the intra-run sharding contract (DESIGN.md
 # section 14): every architecture x routing strategy, single-die and
 # chiplet-composed, produces identical results and byte-identical JSONL
-# traces at 1, 2, 4, and 8 scheduler shards. -cpu 1,2,4 runs the suite
-# at GOMAXPROCS 1, 2 and 4: the persistent-worker parallel backend is
-# auto-selected only above one, so a 1-CPU machine exercises it too.
-# The same tests also run under the race detector as part of the race
-# target; this pass keeps the gate explicit and cheap to re-run.
+# traces at 1, 2, 4, and 8 scheduler shards. The same tests also run
+# under the race detector as part of the race target; this pass keeps
+# the gate explicit and cheap to re-run.
 shard-determinism:
-	$(GO) test -run 'TestShardDeterminism|TestChipletShardDeterminism' -cpu 1,2,4 -count=1 .
+	$(GO) test -run 'TestShardDeterminism|TestChipletShardDeterminism' -count=1 .
 
 # chiplet-smoke runs the hierarchical composition end to end: the golden
 # 2x2-of-4x4 table and the composed shard-determinism contract (all five
@@ -162,9 +150,8 @@ chiplet-scale:
 # ci is the gate: vet, build, the full suite under the race detector
 # (engine determinism, property, and fault-layer tests included), the
 # fault soak, the observability smoke, the hot-path benchmark guard, the
-# multi-core shard speedup gate (self-skips below 4 cores), the service
-# and store-fuzz smokes, and the optional static analyzers.
-ci: vet build test-routing shard-determinism chiplet-smoke race soak obs-smoke bench-smoke shard-speedup service-smoke fuzz-smoke lint vuln
+# service and store-fuzz smokes, and the optional static analyzers.
+ci: vet build test-routing shard-determinism chiplet-smoke race soak obs-smoke bench-smoke service-smoke fuzz-smoke lint vuln
 
 # experiments regenerates the paper's tables at CI scale.
 experiments:

@@ -72,8 +72,7 @@ func BenchmarkFig6aLatency(b *testing.B) {
 // individual simulation partitioned across 8 scheduler shards
 // (RunConfig.Shards) instead of run serially. The table is
 // byte-identical to the serial benchmark's by the sharding determinism
-// contract; ns/op measures the intra-run parallel speedup (or, on a
-// single-core box, the barrier/merge overhead).
+// contract; ns/op measures the barrier/merge overhead of sharding.
 func BenchmarkFig6aLatencySharded8(b *testing.B) {
 	var out *experiments.Table
 	for i := 0; i < b.N; i++ {

@@ -13,19 +13,8 @@
 // checked; an input matching nothing fails. -update rewrites the baseline
 // with the observed numbers instead of checking.
 //
-// Two auxiliary modes:
-//
-//   - -speedup-num/-speedup-den/-speedup-min replace the baseline compare
-//     with a ratio gate: speedup = num ns/op divided by den ns/op must be
-//     at least -speedup-min (e.g. serial over sharded for the multi-core
-//     shard gate). The baseline file is not read in this mode.
-//   - -json PATH additionally writes the observed numbers (and the
-//     speedup ratio, when computed) as machine-readable JSON, in either
-//     mode, pass or fail.
-//
-// -print-numcpu prints runtime.NumCPU() and exits, so shell gates can
-// decide whether a parallel speedup measurement is even meaningful
-// before burning minutes on benchmarks.
+// -json PATH additionally writes the observed numbers as
+// machine-readable JSON, pass or fail.
 //
 // Machines differ, so the committed baseline is a ratchet for one
 // reference machine (CI); after a legitimate improvement, refresh it with:
@@ -76,17 +65,8 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.10, "allowed relative ns/op regression")
 	allocTol := flag.Float64("alloc-tolerance", 0.01, "allowed relative allocs/op regression (non-zero baselines)")
 	update := flag.Bool("update", false, "rewrite the baseline with observed numbers instead of checking")
-	jsonPath := flag.String("json", "", "also write observed numbers (and speedup, if computed) as JSON to this path")
-	speedupNum := flag.String("speedup-num", "", "speedup mode: benchmark name for the ratio numerator (e.g. the serial run)")
-	speedupDen := flag.String("speedup-den", "", "speedup mode: benchmark name for the ratio denominator (e.g. the sharded run)")
-	speedupMin := flag.Float64("speedup-min", 0, "speedup mode: fail when num/den ns/op is below this ratio")
-	printNumCPU := flag.Bool("print-numcpu", false, "print runtime.NumCPU() and exit")
+	jsonPath := flag.String("json", "", "also write observed numbers as JSON to this path")
 	flag.Parse()
-
-	if *printNumCPU {
-		fmt.Println(runtime.NumCPU())
-		return
-	}
 
 	samples, err := parseInputs(flag.Args())
 	if err != nil {
@@ -94,25 +74,6 @@ func main() {
 	}
 	if len(samples) == 0 {
 		fatal(fmt.Errorf("no benchmark results found in input"))
-	}
-
-	if (*speedupNum == "") != (*speedupDen == "") {
-		fatal(fmt.Errorf("-speedup-num and -speedup-den must be given together"))
-	}
-	if *speedupNum != "" {
-		speedup, err := speedupRatio(samples, *speedupNum, *speedupDen)
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(*jsonPath, samples, speedup); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchguard: speedup %s / %s = %.2fx (gate >= %.2fx, GOMAXPROCS %d, NumCPU %d)\n",
-			*speedupNum, *speedupDen, speedup, *speedupMin, runtime.GOMAXPROCS(0), runtime.NumCPU())
-		if speedup < *speedupMin {
-			fatal(fmt.Errorf("speedup %.2fx below the %.2fx gate", speedup, *speedupMin))
-		}
-		return
 	}
 
 	base, err := readBaseline(*baselinePath)
@@ -124,7 +85,7 @@ func main() {
 		if err := writeBaseline(*baselinePath, base, samples); err != nil {
 			fatal(err)
 		}
-		if err := writeJSON(*jsonPath, samples, 0); err != nil {
+		if err := writeJSON(*jsonPath, samples); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchguard: baseline %s updated with %d benchmarks\n", *baselinePath, len(samples))
@@ -132,7 +93,7 @@ func main() {
 	}
 
 	checked, failed := printDeltaTable(base, samples, *tolerance, *allocTol)
-	if err := writeJSON(*jsonPath, samples, 0); err != nil {
+	if err := writeJSON(*jsonPath, samples); err != nil {
 		fatal(err)
 	}
 	if checked == 0 {
@@ -143,27 +104,9 @@ func main() {
 	}
 }
 
-// speedupRatio computes numerator ns/op over denominator ns/op from the
-// parsed samples (averaged per benchmark, like the baseline compare).
-func speedupRatio(samples map[string]*sample, num, den string) (float64, error) {
-	n, ok := samples[num]
-	if !ok {
-		return 0, fmt.Errorf("speedup numerator %s not found in input", num)
-	}
-	d, ok := samples[den]
-	if !ok {
-		return 0, fmt.Errorf("speedup denominator %s not found in input", den)
-	}
-	dns := d.ns / float64(d.count)
-	if dns <= 0 {
-		return 0, fmt.Errorf("speedup denominator %s has non-positive ns/op", den)
-	}
-	return (n.ns / float64(n.count)) / dns, nil
-}
-
 // writeJSON emits the observed numbers machine-readably; path=="" is a
 // no-op so callers can pass the flag through unconditionally.
-func writeJSON(path string, samples map[string]*sample, speedup float64) error {
+func writeJSON(path string, samples map[string]*sample) error {
 	if path == "" {
 		return nil
 	}
@@ -175,12 +118,10 @@ func writeJSON(path string, samples map[string]*sample, speedup float64) error {
 		NumCPU     int            `json:"num_cpu"`
 		GoMaxProcs int            `json:"gomaxprocs"`
 		Benchmarks map[string]obs `json:"benchmarks"`
-		Speedup    float64        `json:"speedup,omitempty"`
 	}{
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Benchmarks: make(map[string]obs, len(samples)),
-		Speedup:    speedup,
 	}
 	for name, s := range samples {
 		out.Benchmarks[name] = obs{

@@ -267,17 +267,13 @@ func main() {
 // printShardStats prints the sharded-execution diagnostics captured by
 // the -shard-stats instrument.
 func printShardStats(ins *asyncnoc.ShardStatsInstrument) {
-	s, shards, parallel := ins.Stats()
+	s, shards, _ := ins.Stats()
 	if s.Barriers == 0 {
 		fmt.Printf("shard stats:      serial run (no shard group; use -shards)\n")
 		return
 	}
-	exec := "inline"
-	if parallel {
-		exec = "parallel"
-	}
-	fmt.Printf("shard stats:      shards=%d exec=%s barriers=%d windows=%d extended=%d coalesced=%d\n",
-		shards, exec, s.Barriers, s.Windows, s.ExtendedWindows, s.CoalescedReplays)
+	fmt.Printf("shard stats:      shards=%d barriers=%d windows=%d extended=%d coalesced=%d\n",
+		shards, s.Barriers, s.Windows, s.ExtendedWindows, s.CoalescedReplays)
 	fmt.Printf("                  merged=%d mailbox=%d held=%d barrier-time=%.3fs\n",
 		s.MergedDispatches, s.MailboxEvents, s.HeldMail, float64(s.BarrierNs)/1e9)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,6 +128,31 @@ func TestRunProducesMeasurements(t *testing.T) {
 		if r.P95LatencyNs < r.AvgLatencyNs*0.5 {
 			t.Errorf("%s: P95 %v inconsistent with mean %v", spec.Name, r.P95LatencyNs, r.AvgLatencyNs)
 		}
+	}
+}
+
+// A sharded run executes every window on the calling goroutine:
+// driving a 4-shard network with GOMAXPROCS >= 2 starts no goroutine.
+func TestShardedRunStartsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	cfg := testCfg(traffic.UniformRandom{N: 8}, 0.3)
+	cfg.Shards = 4
+	before := runtime.NumGoroutine()
+	nw, err := Build(OptHybridSpeculative(8), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := nw.Group()
+	if g == nil || g.Shards() != 4 {
+		t.Fatalf("Build with Shards: 4 returned group %v, want 4 shards", g)
+	}
+	defer g.Close()
+	g.RunUntil(runSpan(cfg))
+	if g.Executed() == 0 {
+		t.Fatal("sharded run dispatched nothing")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("sharded run left %d goroutines, %d before it", after, before)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"asyncnoc/internal/network"
-	"asyncnoc/internal/sim"
 )
 
 // WorkersEnv is the environment variable consulted for the default pool
@@ -66,25 +65,6 @@ func DefaultShards() int {
 		}
 	}
 	return 1
-}
-
-// ShardExecEnv selects the shard-group execution backend: "parallel"
-// forces the persistent worker goroutines, "inline" forces coordinator-
-// inline windows, anything else (including unset) keeps the group's
-// GOMAXPROCS-based default. Results are byte-identical either way —
-// the knob exists for benchmarking and for pinning determinism tests to
-// a specific backend.
-const ShardExecEnv = "ASYNCNOC_SHARD_EXEC"
-
-// applyShardExec applies the ShardExecEnv override to a freshly built
-// shard group.
-func applyShardExec(g *sim.ShardGroup) {
-	switch os.Getenv(ShardExecEnv) {
-	case "parallel":
-		g.SetParallel(true)
-	case "inline":
-		g.SetParallel(false)
-	}
 }
 
 // DefaultMemoCapacity bounds the engine's result memo. A RunResult is a

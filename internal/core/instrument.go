@@ -42,10 +42,9 @@ type ShardStatsInstrument struct {
 	// million-barrier scale.
 	Timing bool
 
-	nw       *network.Network
-	stats    sim.ShardStats
-	shards   int
-	parallel bool
+	nw     *network.Network
+	stats  sim.ShardStats
+	shards int
 }
 
 // Attach implements Instrument.
@@ -64,15 +63,15 @@ func (i *ShardStatsInstrument) Finish() error {
 	if g := i.nw.Group(); g != nil {
 		i.stats = g.Stats()
 		i.shards = g.Shards()
-		i.parallel = g.Parallel()
 	}
 	return nil
 }
 
-// Stats returns the captured counters, the shard count, and whether the
-// windows executed on worker goroutines (parallel) or inline.
+// Stats returns the captured counters and the shard count. parallel is
+// always false, because windows always run inline on the coordinator;
+// it is kept so existing callers still compile.
 func (i *ShardStatsInstrument) Stats() (stats sim.ShardStats, shards int, parallel bool) {
-	return i.stats, i.shards, i.parallel
+	return i.stats, i.shards, false
 }
 
 // attachInstruments hooks every instrument onto the network, in order.

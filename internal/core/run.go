@@ -464,17 +464,13 @@ func resolveShards(spec network.Spec, k int) int {
 }
 
 // newNetwork builds spec serial or partitioned into the resolved number
-// of shards, applying the ShardExecEnv backend override to a group.
+// of shards.
 func newNetwork(spec network.Spec, shards int) (*network.Network, error) {
 	k := resolveShards(spec, shards)
 	if k <= 1 {
 		return network.New(spec)
 	}
-	nw, err := network.NewSharded(spec, k)
-	if err == nil {
-		applyShardExec(nw.Group())
-	}
-	return nw, err
+	return network.NewSharded(spec, k)
 }
 
 // Build constructs the network with injection processes armed and

@@ -68,9 +68,8 @@ type effect struct {
 }
 
 // shardRT is one shard's execution runtime: its accounting context plus
-// the effect log the barrier replay consumes. The owning worker appends
-// during its window; the coordinator drains at the barrier — the window
-// barrier separates the two, so no lock is needed.
+// the effect log the barrier replay consumes. The shard's window appends
+// to the log and the barrier replay drains it.
 type shardRT struct {
 	ctx     actx
 	effects []effect

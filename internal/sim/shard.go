@@ -4,9 +4,9 @@
 // per-pair lookahead matrix la[src][dst]: every event shard src creates
 // for shard dst lands at least la[src][dst] after its creation time, so
 // nothing created during a window can retroactively belong inside it.
-// Shards execute their windows concurrently, exchanging cross-shard
-// events through per-pair mailbox rings that the coordinator drains at
-// the window barriers.
+// Each round, the calling goroutine (the coordinator) runs every shard's
+// window in turn; shards exchange cross-shard events through per-pair
+// mailbox rings that the coordinator drains at the window barriers.
 //
 // Window computation is adaptive. At each barrier the coordinator knows
 // every shard's earliest pending event time next[i] (heap head and
@@ -62,18 +62,11 @@
 // floating-point energy accumulation, latency recording, trace emission,
 // pool releases — in exact serial order, keeping run results and traces
 // byte-identical at any shard count.
-//
-// Execution backend: when GOMAXPROCS > 1 the windows run on K persistent
-// worker goroutines synchronized by a spin-then-park phase barrier (no
-// per-window channel traffic on the fast path); on a single core they
-// run inline on the coordinator, where a barrier round trip would cost
-// more than the window it guards. SetParallel overrides the choice.
 package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"asyncnoc/internal/pool"
@@ -93,9 +86,6 @@ const (
 	// barriers may accumulate before a merge is forced, bounding the
 	// dispatch logs and the client's deferred-effect backlog.
 	flushBacklog = 1 << 14
-	// barrierSpin is the iterations a worker (or the coordinator) spins
-	// at the phase barrier before parking on its wake channel.
-	barrierSpin = 1 << 12
 )
 
 // ReplayFunc observes every dispatch in merged global serial order at
@@ -290,8 +280,7 @@ func (r *RemoteRef) Send(delay Time, h Handler, arg int64) {
 }
 
 // ShardStats counts one group's window/barrier activity. The counters
-// are diagnostics only — they never feed back into the simulation, so
-// results stay byte-identical whatever the execution backend.
+// are diagnostics only — they never feed back into the simulation.
 type ShardStats struct {
 	// Barriers counts coordinator barrier rounds; Windows counts shard
 	// windows executed across them (<= Barriers * Shards — idle shards
@@ -333,52 +322,28 @@ func (s *ShardStats) add(o ShardStats) {
 // globalShardStats accumulates the stats of every closed group in the
 // process — the expvar feed.
 var globalShardStats struct {
-	mu    atomic.Int32 // spin lock; Close is rare
+	mu    sync.Mutex
 	stats ShardStats
 }
 
 func globalStatsAdd(s ShardStats) {
-	for !globalShardStats.mu.CompareAndSwap(0, 1) {
-		runtime.Gosched()
-	}
+	globalShardStats.mu.Lock()
 	globalShardStats.stats.add(s)
-	globalShardStats.mu.Store(0)
+	globalShardStats.mu.Unlock()
 }
 
 // GlobalShardStats returns the process-wide totals across every closed
 // ShardGroup (groups contribute at Close).
 func GlobalShardStats() ShardStats {
-	for !globalShardStats.mu.CompareAndSwap(0, 1) {
-		runtime.Gosched()
-	}
-	s := globalShardStats.stats
-	globalShardStats.mu.Store(0)
-	return s
-}
-
-// Execution backends.
-const (
-	execAuto int8 = iota
-	execInline
-	execParallel
-)
-
-// shardWorker is one shard's persistent execution goroutine state.
-type shardWorker struct {
-	// deadline is the window horizon the coordinator assigns before each
-	// release; < 0 means sit this round out.
-	deadline Time
-	// failure carries a recovered model panic back to the coordinator.
-	failure any
-	parked  atomic.Bool
-	wake    chan struct{}
+	globalShardStats.mu.Lock()
+	defer globalShardStats.mu.Unlock()
+	return globalShardStats.stats
 }
 
 // ShardGroup coordinates K schedulers executing one simulation under
 // conservative lookahead. Construct with NewShardGroup, wire cross-shard
 // links with Cross (and optionally widen pair lookaheads with
-// SetLookahead), then drive it with RunUntil; Close releases the worker
-// goroutines and publishes the stats.
+// SetLookahead), then drive it with RunUntil; Close publishes the stats.
 type ShardGroup struct {
 	shards []*Scheduler
 	// la[src][dst] is the pair lookahead matrix; minLa the floor passed
@@ -411,21 +376,7 @@ type ShardGroup struct {
 
 	stats  ShardStats
 	timing bool
-
-	exec    int8
-	spin    int
-	workers []*shardWorker
-	phase   atomic.Uint32
-	pending atomic.Int32
-	// coordParked/coordWake park the coordinator while windows run; the
-	// last finishing worker wakes it.
-	coordParked atomic.Bool
-	coordWake   chan struct{}
-	closing     bool
-	closed      bool
-	// executedHint mirrors the summed dispatch count at the last barrier
-	// so Executed stays readable while workers run (watchdog polling).
-	executedHint atomic.Uint64
+	closed bool
 }
 
 // NewShardGroup returns a group of k schedulers (k >= 1) with the given
@@ -442,7 +393,6 @@ func NewShardGroup(k int, lookahead Time) *ShardGroup {
 		minLa:     lookahead,
 		nextOrd:   1,
 		uniformLa: true,
-		coordWake: make(chan struct{}, 1),
 	}
 	g.shards = make([]*Scheduler, k)
 	g.mail = make([][]mailbox, k)
@@ -518,24 +468,14 @@ func (g *ShardGroup) SetLookahead(src, dst int, la Time) {
 	}
 }
 
-// SetParallel forces (true) or forbids (false) the persistent-worker
-// backend. By default windows run on worker goroutines when
-// GOMAXPROCS > 1 and inline on the coordinator otherwise (a barrier
-// round trip on one core costs more than the window it guards). Must be
-// called before the first RunUntil.
+// SetParallel is kept for callers that pinned an execution backend.
+// Windows always run inline on the coordinator, so false is a no-op;
+// true panics, because the parallel worker backend was removed.
 func (g *ShardGroup) SetParallel(on bool) {
-	if g.started {
-		panic("sim: SetParallel after the sharded run started")
-	}
 	if on {
-		g.exec = execParallel
-	} else {
-		g.exec = execInline
+		panic("sim: SetParallel(true): the parallel shard backend was removed; windows always run inline")
 	}
 }
-
-// Parallel reports whether windows execute on worker goroutines.
-func (g *ShardGroup) Parallel() bool { return g.exec == execParallel }
 
 // EnableBarrierTiming turns on BarrierNs accounting (off by default —
 // two clock reads per barrier are measurable at million-barrier scale).
@@ -581,9 +521,6 @@ func (g *ShardGroup) Len() int {
 
 // Executed returns the total number of events dispatched so far.
 func (g *ShardGroup) Executed() uint64 {
-	// Between RunUntil calls the shard counters are coherent; the hint
-	// covers reads that race a window (none occur in-process, but keep
-	// the method safe).
 	var n uint64
 	for _, s := range g.shards {
 		n += s.executed
@@ -591,152 +528,14 @@ func (g *ShardGroup) Executed() uint64 {
 	return n
 }
 
-// ensureExec freezes the execution backend on the first RunUntil and
-// starts the persistent workers when the parallel backend is selected.
-func (g *ShardGroup) ensureExec() {
-	if g.closed {
-		panic("sim: RunUntil on a closed ShardGroup")
-	}
-	if g.started {
-		return
-	}
-	if g.exec == execAuto {
-		if len(g.shards) > 1 && runtime.GOMAXPROCS(0) > 1 {
-			g.exec = execParallel
-		} else {
-			g.exec = execInline
-		}
-	}
-	if g.exec == execParallel && g.workers == nil {
-		// Spinning only pays when another core can change the phase
-		// underneath us; on one core, park immediately and let the
-		// scheduler hand the CPU over.
-		g.spin = barrierSpin
-		if runtime.GOMAXPROCS(0) < 2 {
-			g.spin = 0
-		}
-		g.workers = make([]*shardWorker, len(g.shards))
-		for i := range g.workers {
-			w := &shardWorker{wake: make(chan struct{}, 1)}
-			g.workers[i] = w
-			go g.workerLoop(i, w)
-		}
-	}
-}
-
-// workerLoop is one shard's persistent goroutine: wait for the phase
-// barrier, run the assigned window, report completion.
-func (g *ShardGroup) workerLoop(i int, w *shardWorker) {
-	s := g.shards[i]
-	last := uint32(0)
-	for {
-		for spin := 0; g.phase.Load() == last; spin++ {
-			if spin < g.spin {
-				if spin&63 == 63 {
-					runtime.Gosched()
-				}
-				continue
-			}
-			// Park. The coordinator may concurrently claim the parked
-			// flag and send a wake token; whoever wins the CAS decides.
-			w.parked.Store(true)
-			if g.phase.Load() != last && w.parked.CompareAndSwap(true, false) {
-				break
-			}
-			// The token may be late: a release loop that reached this
-			// worker only after it finished that round and parked again
-			// wakes it for a round that is not open yet. The loop
-			// condition re-checks the phase and parks again if so.
-			<-w.wake
-		}
-		last++
-		if g.closing {
-			g.workerDone()
-			return
-		}
-		// Idle workers check in too: every worker joins every round's
-		// completion count, so the coordinator's next-round writes (the
-		// deadline, the closing flag) always happen after every worker —
-		// idle or not — finished reading this round's values. Releasing
-		// only the active subset would let a still-waking idle worker read
-		// its deadline concurrently with the next round's write.
-		if w.deadline >= 0 {
-			w.failure = runWindow(s, w.deadline)
-		}
-		g.workerDone()
-	}
-}
-
-// workerDone joins the round's completion count, waking the coordinator
-// on the last arrival.
-func (g *ShardGroup) workerDone() {
-	if g.pending.Add(-1) == 0 {
-		if g.coordParked.CompareAndSwap(true, false) {
-			g.coordWake <- struct{}{}
-		}
-	}
-}
-
-// releaseWorkers opens the next execution phase for every worker (the
-// coordinator has already written their deadlines; idle workers carry a
-// negative one and check in without running).
-func (g *ShardGroup) releaseWorkers() {
-	g.pending.Store(int32(len(g.workers)))
-	g.phase.Add(1)
-	for _, w := range g.workers {
-		if w.parked.CompareAndSwap(true, false) {
-			w.wake <- struct{}{}
-		}
-	}
-}
-
-// awaitWorkers blocks until the round's active workers all finished.
-func (g *ShardGroup) awaitWorkers() {
-	for spin := 0; g.pending.Load() != 0; spin++ {
-		if spin < g.spin {
-			if spin&63 == 63 {
-				runtime.Gosched()
-			}
-			continue
-		}
-		g.coordParked.Store(true)
-		if g.pending.Load() == 0 && g.coordParked.CompareAndSwap(true, false) {
-			return
-		}
-		// The token may be late: the previous round's last worker can
-		// drop the count to zero, let this coordinator move on, and only
-		// then claim the parked flag of the next round's wait. The loop
-		// condition re-checks the count and parks again if so.
-		<-g.coordWake
-	}
-}
-
-// runWindow executes one shard's window, converting a model panic into a
-// value so the coordinator can re-raise it on the driving goroutine
-// (where the run boundary's recover lives).
-func runWindow(s *Scheduler, deadline Time) (failure any) {
-	defer func() {
-		s.shard.curDispatch = -1
-		failure = recover()
-	}()
-	s.RunUntil(deadline)
-	return nil
-}
-
-// Close terminates the worker goroutines and folds the group's stats
-// into the process totals. The group cannot run again, but its
-// schedulers remain readable (diagnostics, collection).
+// Close folds the group's stats into the process totals. The group
+// cannot run again, but its schedulers remain readable (diagnostics,
+// collection).
 func (g *ShardGroup) Close() {
 	if g.closed {
 		return
 	}
 	g.closed = true
-	if g.workers != nil {
-		g.closing = true
-		g.releaseWorkers()
-		g.awaitWorkers()
-		g.workers = nil
-	}
 	globalStatsAdd(g.stats)
 }
 
@@ -744,7 +543,9 @@ func (g *ShardGroup) Close() {
 // shards in adaptive lookahead windows, then sets every clock to
 // deadline — the sharded counterpart of Scheduler.RunUntil.
 func (g *ShardGroup) RunUntil(deadline Time) {
-	g.ensureExec()
+	if g.closed {
+		panic("sim: RunUntil on a closed ShardGroup")
+	}
 	g.started = true
 	for {
 		var t0 time.Time
@@ -792,7 +593,6 @@ func (g *ShardGroup) RunUntil(deadline Time) {
 			if g.now < deadline {
 				g.now = deadline
 			}
-			g.executedHint.Store(g.Executed())
 			if g.timing {
 				g.stats.BarrierNs += time.Since(t0).Nanoseconds()
 			}
@@ -822,33 +622,12 @@ func (g *ShardGroup) RunUntil(deadline Time) {
 			g.stats.BarrierNs += time.Since(t0).Nanoseconds()
 		}
 
-		if g.workers != nil {
-			for i, w := range g.workers {
-				w.deadline = g.horizon[i]
-			}
-			g.releaseWorkers()
-			g.awaitWorkers()
-			var failure any
-			for _, w := range g.workers {
-				if f := w.failure; f != nil {
-					w.failure = nil
-					if failure == nil {
-						failure = f
-					}
-				}
-			}
-			if failure != nil {
-				panic(failure)
-			}
-		} else {
-			for i, s := range g.shards {
-				if h := g.horizon[i]; h >= 0 {
-					s.RunUntil(h)
-					s.shard.curDispatch = -1
-				}
+		for i, s := range g.shards {
+			if h := g.horizon[i]; h >= 0 {
+				s.RunUntil(h)
+				s.shard.curDispatch = -1
 			}
 		}
-		g.executedHint.Store(g.Executed())
 	}
 }
 
