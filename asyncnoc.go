@@ -132,7 +132,7 @@ type UtilizationInstrument = network.UtilizationInstrument
 type TraceInstrument = obs.TraceInstrument
 
 // ShardStatsInstrument captures the shard group's window/barrier
-// counters from one sharded run (motsim -shard-stats); after the run
+// counters from one sharded run (RunConfig.Shards > 1); after the run
 // its Stats method returns them.
 type ShardStatsInstrument = core.ShardStatsInstrument
 
@@ -337,15 +337,6 @@ func NewEngine(workers int) *Engine { return core.NewEngine(workers) }
 // to a positive integer, otherwise GOMAXPROCS.
 func DefaultWorkers() int { return core.DefaultWorkers() }
 
-// ShardsEnv is the environment variable consulted by DefaultShards.
-const ShardsEnv = core.ShardsEnv
-
-// DefaultShards resolves the default per-run shard count
-// (RunConfig.Shards): ASYNCNOC_SHARDS if set to a positive integer,
-// otherwise 1 — the engine already parallelizes across runs, so
-// intra-run sharding is opt-in.
-func DefaultShards() int { return core.DefaultShards() }
-
 // JobKey returns the canonical hash of a (spec, config) pair; equal keys
 // identify runs that are deterministic replays of each other.
 func JobKey(spec NetworkSpec, cfg RunConfig) string { return core.JobKey(spec, cfg) }
@@ -468,13 +459,6 @@ func ParseSchedule(r io.Reader, name string, n int) (Schedule, error) {
 // every injected packet.
 func RunSchedule(spec NetworkSpec, sched Schedule, drain Time) (RunResult, error) {
 	return core.RunSchedule(spec, sched, drain)
-}
-
-// RunScheduleShards is RunSchedule with the replay partitioned across
-// the given number of scheduler shards; results are byte-identical at
-// any count (see RunConfig.Shards).
-func RunScheduleShards(spec NetworkSpec, sched Schedule, drain Time, shards int) (RunResult, error) {
-	return core.RunScheduleShards(spec, sched, drain, shards)
 }
 
 // Replicated aggregates one configuration over several seeds.

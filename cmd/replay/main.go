@@ -29,7 +29,6 @@ func main() {
 		n           = cliflags.N()
 		file        = flag.String("file", "", "CSV schedule file (time_ns,src,dest[,dest...])")
 		drain       = flag.Int("drain", 2000, "extra simulated time after the last injection (ns)")
-		shards      = cliflags.Shards()
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -38,7 +37,7 @@ func main() {
 		fatal(fmt.Errorf("need -file"))
 	}
 	// Flat schedules address one die's terminal space; composed and mesh
-	// topologies have no schedule format (see core.RunScheduleShards).
+	// topologies have no schedule format (see core.RunSchedule).
 	if sel, err := cliflags.ParseTopology(*topology); err != nil {
 		fatal(err)
 	} else if sel.Kind != "mot" {
@@ -66,11 +65,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	k := *shards
-	if k == 0 {
-		k = asyncnoc.DefaultShards()
-	}
-	res, err := asyncnoc.RunScheduleShards(spec, sched, asyncnoc.Time(*drain)*asyncnoc.Nanosecond, k)
+	res, err := asyncnoc.RunSchedule(spec, sched, asyncnoc.Time(*drain)*asyncnoc.Nanosecond)
 	if err != nil {
 		fatal(err)
 	}

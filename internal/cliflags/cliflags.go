@@ -18,12 +18,6 @@ func N() *int {
 	return flag.Int("n", 8, "MoT radix (power of two)")
 }
 
-// Shards registers the shared -shards flag.
-func Shards() *int {
-	return flag.Int("shards", 0,
-		"scheduler shards per run; results are identical at any count (0 = $ASYNCNOC_SHARDS or 1)")
-}
-
 // Workers registers the shared -workers flag; purpose names what the
 // pool parallelizes (e.g. "simulation").
 func Workers(purpose string) *int {

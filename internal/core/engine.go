@@ -48,25 +48,6 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ShardsEnv is the environment variable consulted for the default
-// intra-run shard count when a caller does not set one explicitly
-// (flags win over env). See RunConfig.Shards.
-const ShardsEnv = "ASYNCNOC_SHARDS"
-
-// DefaultShards resolves the default intra-run shard count:
-// ASYNCNOC_SHARDS if set to a positive integer, otherwise 1 (serial).
-// Unlike the worker pool, sharding does not default to the core count:
-// the engine already parallelizes across runs, and splitting one run
-// only pays off once a single simulation dominates the workload.
-func DefaultShards() int {
-	if v := os.Getenv(ShardsEnv); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
 // DefaultMemoCapacity bounds the engine's result memo. A RunResult is a
 // few hundred bytes, so even the full evaluation suite (a few thousand
 // simulations) fits comfortably.
@@ -343,6 +324,11 @@ func (e *Engine) RunContext(ctx context.Context, spec network.Spec, cfg RunConfi
 // RunSource is RunContext that also reports where the result came from
 // (the service labels store- and memo-served responses with it).
 func (e *Engine) RunSource(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
+	// JobKey ignores Shards, so a memo or store hit from a serial run of
+	// the same key would otherwise hide this rejection.
+	if err := checkShards(spec, cfg); err != nil {
+		return RunResult{}, SourceComputed, err
+	}
 	if len(cfg.Instruments) > 0 {
 		// Instrumented runs have observable side effects (waveforms,
 		// trace streams), so the memo must neither replay a cached result

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"asyncnoc/internal/fault"
 	"asyncnoc/internal/packet"
@@ -250,6 +251,27 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
+// The watchdog bounds wall time, not just simulated time: a run whose
+// span is absurdly long still honours its deadline and its event budget
+// promptly instead of simulating a 1/64th chunk of the span unchecked.
+func TestWatchdogBoundsHugeSpan(t *testing.T) {
+	spec := BasicHybridSpeculative(8)
+	cfg := RunConfig{
+		Bench: traffic.UniformRandom{N: 8}, LoadGFs: 0.2, Seed: 1,
+		Warmup: 20 * sim.Nanosecond, Measure: 1 << 50, Drain: 40 * sim.Nanosecond,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := RunContext(ctx, spec, cfg); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("deadline-bound run returned %v", err)
+	}
+	cfg.MaxEvents = 10_000
+	var ll *LivelockError
+	if _, err := Run(spec, cfg); !errors.As(err, &ll) || ll.Events > 4*stepEvents {
+		t.Errorf("budgeted run returned %v, want a *LivelockError within a few steps of the budget", err)
+	}
+}
+
 // TestDeliveryWithinRetryBudget is the headline robustness property: at a
 // fault rate the retry budget absorbs, the hybrid speculative network
 // still delivers 100% of measured packets, with the recovery visible in
@@ -294,5 +316,37 @@ func TestFaultsDisabledLeavesCountersZero(t *testing.T) {
 	if res.FaultsInjected != 0 || res.Retries != 0 || res.RecoveredFlits != 0 ||
 		res.LostFlits != 0 || res.LostPackets != 0 {
 		t.Errorf("fault counters nonzero with faults disabled: %+v", res)
+	}
+}
+
+// Fault runs execute on one scheduler, so Shards > 1 on a fault-enabled
+// spec is a *ConfigError naming the field — through Run, and through the
+// engine even when a serial run of the same job key is already memoized
+// (JobKey ignores Shards, so the check must precede the memo lookup).
+func TestFaultSpecRejectsShards(t *testing.T) {
+	job := faultTestJobs(t)[0]
+	sharded := job.Cfg
+	sharded.Shards = 4
+	wantShardsErr := func(path string, err error) {
+		t.Helper()
+		var ce *ConfigError
+		if !errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != "Shards" {
+			t.Fatalf("%s: error %v (%T), want a *ConfigError naming Shards", path, err, err)
+		}
+	}
+	_, err := Run(job.Spec, sharded)
+	wantShardsErr("Run", err)
+
+	e := NewEngine(1)
+	if _, err := e.Run(job.Spec, job.Cfg); err != nil {
+		t.Fatal(err)
+	}
+	if JobKey(job.Spec, sharded) != JobKey(job.Spec, job.Cfg) {
+		t.Fatal("JobKey depends on Shards; the memo-hit case is not exercised")
+	}
+	_, err = e.Run(job.Spec, sharded)
+	wantShardsErr("Engine.Run after a serial memo hit", err)
+	if hits, _ := e.Stats(); hits != 0 {
+		t.Errorf("rejected run consulted the memo (%d hits)", hits)
 	}
 }

@@ -46,9 +46,12 @@ type RunConfig struct {
 	// by its own scheduler shard under conservative lookahead (see
 	// network.NewSharded). Results, goldens, and traces are byte-identical
 	// at any shard count, so the engine's memo keys deliberately ignore
-	// it. Values <= 1 select the serial engine; counts above N clamp to
-	// N; fault-enabled specs silently fall back to serial (the fault
-	// stream is global mutable state on the hot path).
+	// it. Values <= 1 select the serial engine; counts above
+	// spec.MaxShards() clamp to it. Fault-enabled specs and meshes run on
+	// one scheduler only, so Shards > 1 on them is a *ConfigError. No
+	// command-line tool sets it: sharding is slower than serial on every
+	// measured case and survives only for the determinism gates and the
+	// benchmark.
 	Shards int
 	// Instruments are attached to the built network before the run and
 	// finished (flushed) after it; see Instrument. Instrumented runs are
@@ -279,11 +282,14 @@ func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunR
 // RunContext: injectors, windows, the guarded loop and the collector are
 // shared, so MaxEvents and ctx bound a mesh run exactly like a MoT run.
 // The benchmark's destination space must equal the tile count. The mesh
-// runs on one scheduler (mesh.Spec.MaxShards is 1), so cfg.Shards never
-// changes anything, and it has no observer surface for Instruments yet.
+// runs on one scheduler (mesh.Spec.MaxShards is 1), so cfg.Shards > 1 is
+// rejected, and it has no observer surface for Instruments yet.
 func RunMesh(ctx context.Context, spec mesh.Spec, cfg RunConfig) (res RunResult, err error) {
 	defer RecoverViolations(spec.Name, &err)
 	if err := cfg.Validate(); err != nil {
+		return RunResult{}, err
+	}
+	if err := serialOnly(cfg.Shards, "mesh "+spec.Name); err != nil {
 		return RunResult{}, err
 	}
 	if len(cfg.Instruments) > 0 {
@@ -365,9 +371,17 @@ func motHarness(nw *network.Network) harness {
 	return h
 }
 
+// maxReserve caps the recorder's pre-sizing in packets, well above the
+// largest paper-scale run.
+const maxReserve = 1 << 20
+
 // watchdogChunks is the granularity of the guarded run loop: the budget
 // and the context are consulted this many times over the simulated span.
 const watchdogChunks = 64
+
+// stepEvents is the watchdog's wall-time granularity in dispatched
+// events (see harness.advance).
+const stepEvents = 1 << 16
 
 // heldBoundaries is the wedge threshold: a flit occupying the same
 // channel at this many consecutive chunk boundaries (i.e. for at least
@@ -405,16 +419,13 @@ func (h *harness) runGuarded(ctx context.Context, total sim.Time, maxEvents uint
 		// specs never shard, so this only ever runs on one scheduler.
 		watchHolds := h.nw != nil && h.nw.FaultStats() != nil
 		streaks := make(map[int]holdStreak)
+		step := min(chunk, sim.Nanosecond)
 		for t := chunk; ; t = sim.AddSat(t, chunk) {
 			if t > total {
 				t = total
 			}
-			clk.RunUntil(t)
-			if err := ctx.Err(); err != nil {
+			if err := h.advance(ctx, t, maxEvents, &step); err != nil {
 				return err
-			}
-			if maxEvents > 0 && clk.Executed() > maxEvents {
-				return &LivelockError{Network: h.name, Events: clk.Executed(), At: clk.Now()}
 			}
 			if watchHolds {
 				next := make(map[int]holdStreak)
@@ -448,29 +459,63 @@ func (h *harness) runGuarded(ctx context.Context, total sim.Time, maxEvents uint
 	return nil
 }
 
-// resolveShards decides the effective shard count for a run: <= 1 keeps
-// the serial engine, fault-enabled specs silently fall back to it, and
-// counts above spec.MaxShards() clamp to it (one tree per shard on a
-// single die, one die per shard on a chiplet composition — the finest
-// useful partitions).
-func resolveShards(spec network.Spec, k int) int {
-	if k <= 1 || spec.Faults.Enabled() {
-		return 1
+// advance runs the clock to t in steps, checking ctx and the event
+// budget after each. The step is re-sized from the observed event rate so
+// that one step dispatches about stepEvents events: a chunk of a huge
+// simulated span then still returns control every few milliseconds.
+// Splitting RunUntil does not change the dispatch sequence.
+func (h *harness) advance(ctx context.Context, t sim.Time, maxEvents uint64, step *sim.Time) error {
+	clk := h.clock
+	for {
+		before := clk.Executed()
+		clk.RunUntil(min(sim.AddSat(clk.Now(), *step), t))
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if maxEvents > 0 && clk.Executed() > maxEvents {
+			return &LivelockError{Network: h.name, Events: clk.Executed(), At: clk.Now()}
+		}
+		if clk.Now() >= t {
+			return nil
+		}
+		switch n := clk.Executed() - before; {
+		case n < stepEvents/2:
+			*step = sim.AddSat(*step, *step)
+		case n > 2*stepEvents:
+			*step = max(*step/2, 1)
+		}
 	}
-	if mk := spec.MaxShards(); k > mk {
-		k = mk
-	}
-	return k
 }
 
-// newNetwork builds spec serial or partitioned into the resolved number
-// of shards.
+// newNetwork builds spec serial or, for shards > 1, partitioned into at
+// most spec.MaxShards() shards (one tree per shard on a single die, one
+// die per shard on a chiplet composition — the finest useful
+// partitions). Callers reject fault-enabled specs first (checkShards).
 func newNetwork(spec network.Spec, shards int) (*network.Network, error) {
-	k := resolveShards(spec, shards)
-	if k <= 1 {
+	if shards <= 1 {
 		return network.New(spec)
 	}
-	return network.NewSharded(spec, k)
+	return network.NewSharded(spec, min(shards, spec.MaxShards()))
+}
+
+// serialOnly rejects Shards > 1 on a run that executes on one scheduler
+// only; what names the run. Running it serial instead would hide that
+// the requested partition never happened.
+func serialOnly(shards int, what string) error {
+	if shards <= 1 {
+		return nil
+	}
+	return &ConfigError{Fields: []FieldError{{Field: "Shards",
+		Reason: fmt.Sprintf("%d shards requested, but %s runs on one scheduler", shards, what)}}}
+}
+
+// checkShards rejects Shards > 1 on a fault-enabled spec (see
+// network.NewSharded for why fault runs cannot shard).
+func checkShards(spec network.Spec, cfg RunConfig) error {
+	if !spec.Faults.Enabled() {
+		return nil
+	}
+	return serialOnly(cfg.Shards, "fault-enabled spec "+spec.Name)
 }
 
 // Build constructs the network with injection processes armed and
@@ -481,6 +526,9 @@ func newNetwork(spec network.Spec, shards int) (*network.Network, error) {
 // group when done — RunContext does both.
 func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkShards(spec, cfg); err != nil {
 		return nil, err
 	}
 	var wide traffic.WideBenchmark
@@ -515,9 +563,11 @@ func (h *harness) arm(cfg RunConfig, wide traffic.WideBenchmark) {
 	// Pre-size the recorder from the injection schedule: open-loop
 	// Poisson processes inject span/meanGap packets each in expectation.
 	// The 9/8 headroom absorbs ordinary Poisson fluctuation; an
-	// underestimate only costs amortized growth.
+	// underestimate only costs amortized growth, so maxReserve caps what
+	// an absurd window (any span a service request names) allocates up
+	// front.
 	expected := float64(injectUntil) / meanGapPs * float64(h.terms)
-	h.rec.Reserve(int(expected*9/8) + h.terms)
+	h.rec.Reserve(int(min(expected*9/8, maxReserve)) + h.terms)
 	root := rng.New(cfg.Seed)
 	for s := 0; s < h.terms; s++ {
 		inj := &injector{

@@ -130,15 +130,7 @@ func (rp *replayer) OnEvent(arg int64) {
 // bounds the extra simulated time after the last injection; the run also
 // ends early once the event queue empties. Protocol violations surface
 // as *ProtocolError and a wedged replay as *DeadlockError.
-func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (RunResult, error) {
-	return RunScheduleShards(spec, sched, drain, 1)
-}
-
-// RunScheduleShards is RunSchedule with the replay partitioned across
-// `shards` scheduler shards (see RunConfig.Shards for the semantics;
-// results are byte-identical at any count). Each injection arms on its
-// source tree's shard.
-func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards int) (res RunResult, err error) {
+func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResult, err error) {
 	defer RecoverViolations(spec.Name, &err)
 	if spec.Chiplet != nil {
 		// Schedule entries address destinations with one flat mask, which
@@ -151,12 +143,9 @@ func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards
 	if drain < 0 {
 		return RunResult{}, fmt.Errorf("core: negative drain %v", drain)
 	}
-	nw, err := newNetwork(spec, shards)
+	nw, err := network.New(spec)
 	if err != nil {
 		return RunResult{}, err
-	}
-	if g := nw.Group(); g != nil {
-		defer g.Close()
 	}
 	end := sim.AddSat(sched.End(), drain)
 	nw.Rec.Reserve(len(sched)) // the schedule's packet count is exact
@@ -166,7 +155,7 @@ func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
 	rp := &replayer{nw: nw, ordered: ordered}
 	for i := range ordered {
-		nw.SchedFor(ordered[i].Src).At(ordered[i].At, rp, int64(i))
+		nw.Sched.At(ordered[i].At, rp, int64(i))
 	}
 	h := motHarness(nw)
 	if err := h.runGuarded(context.Background(), end, 0); err != nil {

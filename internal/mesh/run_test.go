@@ -77,10 +77,10 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// cfg.Shards is an execution hint that must never change results: the
-// mesh runs on one scheduler, so any count matches the unsharded run
-// exactly.
-func TestShardsFallBackToSerial(t *testing.T) {
+// The mesh runs on one scheduler, so Shards > 1 is a *ConfigError
+// naming the field rather than a silent serial run; one shard is the
+// serial run itself.
+func TestMeshRejectsShards(t *testing.T) {
 	cfg := core.RunConfig{
 		Bench:   traffic.UniformRandom{N: 16},
 		LoadGFs: 0.3,
@@ -93,16 +93,17 @@ func TestShardsFallBackToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{1, 4} {
-		sharded := cfg
-		sharded.Shards = k
-		got, err := run(treeSpec(4, 4), sharded)
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", k, err)
-		}
-		if got != want {
-			t.Errorf("Shards=%d diverged from serial:\n%+v\n%+v", k, got, want)
-		}
+	one := cfg
+	one.Shards = 1
+	if got, err := run(treeSpec(4, 4), one); err != nil || got != want {
+		t.Errorf("Shards=1: %v, diverged from serial:\n%+v\n%+v", err, got, want)
+	}
+	four := cfg
+	four.Shards = 4
+	_, err = run(treeSpec(4, 4), four)
+	var ce *core.ConfigError
+	if !errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != "Shards" {
+		t.Fatalf("Shards=4 on a mesh: error %v (%T), want a *ConfigError naming Shards", err, err)
 	}
 }
 

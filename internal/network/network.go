@@ -133,10 +133,23 @@ func (s Spec) CanonicalKey() string {
 // Spec satisfies the unified topology-spec surface.
 var _ topology.TopologySpec = Spec{}
 
+// maxBuildCost bounds Dies × N² × (PacketLen + 8), which a build's
+// memory grows with: the node count grows with dies × radix², and each
+// fanout node buffers 4 × PacketLen flits besides a fixed part worth
+// about 8. It admits the 8×8-of-64 composition with packets of up to 8
+// flits (about 0.7 GB to build at the paper's 5); like the radix limit
+// it is a memory guard, not a correctness constraint.
+const maxBuildCost = 64 * 64 * 64 * 16
+
 // Validate checks internal consistency.
 func (s Spec) Validate() error {
 	if s.PacketLen < 1 {
 		return fmt.Errorf("network %s: packet length %d < 1", s.Name, s.PacketLen)
+	}
+	for _, k := range []node.Kind{s.SpecKind, s.NonSpecKind} {
+		if k < node.Baseline || k > node.OptNonSpec {
+			return fmt.Errorf("network %s: unknown node kind %d", s.Name, int(k))
+		}
 	}
 	if s.Serial && s.NonSpecKind != node.Baseline {
 		return fmt.Errorf("network %s: serial baseline must use baseline fanout nodes", s.Name)
@@ -166,6 +179,10 @@ func (s Spec) Validate() error {
 		if s.Faults.Enabled() {
 			return fmt.Errorf("network %s: the fault layer is unsupported on chiplet compositions", s.Name)
 		}
+	}
+	if s.N > 0 && s.PacketLen > maxBuildCost/(s.Dies()*s.N*s.N)-8 {
+		return fmt.Errorf("network %s: %d die(s) of radix %d with %d-flit packets exceed the build-memory guard",
+			s.Name, s.Dies(), s.N, s.PacketLen)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
@@ -60,6 +61,27 @@ func TestSpecValidation(t *testing.T) {
 	bad = basicNonSpec(7)
 	if _, err := New(bad); err == nil {
 		t.Error("non-power-of-two radix accepted")
+	}
+	bad = optHybrid(8)
+	bad.SpecKind = node.OptNonSpec + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("unknown node kind accepted")
+	}
+	// The build-memory guard admits the paper-scale composition and
+	// rejects what would take tens of gigabytes to build.
+	big := optHybrid(64)
+	big.Chiplet = chiplet.Default(8, 8)
+	if err := big.Validate(); err != nil {
+		t.Errorf("8x8 of 64 with 5-flit packets: %v", err)
+	}
+	big.Chiplet = chiplet.Default(chiplet.MaxMeshDim, chiplet.MaxMeshDim)
+	if err := big.Validate(); err == nil || !strings.Contains(err.Error(), "memory guard") {
+		t.Errorf("64x64 of 64: %v, want the build-memory guard", err)
+	}
+	bad = optHybrid(8)
+	bad.PacketLen = 1 << 40
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "memory guard") {
+		t.Errorf("2^40-flit packets: %v, want the build-memory guard", err)
 	}
 }
 

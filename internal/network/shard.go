@@ -381,9 +381,12 @@ func ShardLookahead(p timing.Protocol) sim.Time {
 // so every leaf crossing stays shard-local and the only cross-region
 // events are die-to-die flights (lookahead = the D2D hop time, which
 // dominates the wire flights). Requires 2 <= k <= spec.MaxShards() and
-// the fault layer disabled: the fault stream and retransmission
-// bookkeeping are global mutable state on the window-time path
-// (internal/core silently falls back to serial in both cases).
+// the fault layer disabled. The per-channel fault streams are seeded in
+// build order and would shard fine, but fault-mode SinkNI.OnFlit writes
+// the recorder and trace directly instead of through the per-shard actx,
+// and its end-to-end acknowledgement confirms at another tree's
+// SourceNI. internal/core clamps k to MaxShards and rejects Shards > 1
+// on a fault-enabled spec with a *ConfigError.
 //
 // Drive the result with Group().RunUntil — Sched is nil — and Close the
 // group when done. Results, goldens, and traces are byte-identical to

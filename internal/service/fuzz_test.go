@@ -1,0 +1,58 @@
+package service
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"asyncnoc/internal/chiplet"
+	"asyncnoc/internal/core"
+	"asyncnoc/internal/fault"
+	"asyncnoc/internal/sim"
+)
+
+// FuzzRunRequest: a JSON request body that Config accepts must run to a
+// result or an error — never a panic or a hang. The event budget and a
+// short deadline bound each run, as the server's timeout would.
+func FuzzRunRequest(f *testing.F) {
+	base := func(spec string, n int) RunRequest {
+		s, err := core.SpecByName(n, spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return RunRequest{Spec: s, Bench: "Multicast10", LoadGFs: 0.3, Seed: 2016,
+			WarmupPs: int64(40 * sim.Nanosecond), MeasurePs: int64(160 * sim.Nanosecond),
+			DrainPs: int64(200 * sim.Nanosecond)}
+	}
+	faulty := base(core.NameBasicHybridSpec, 8)
+	faulty.Spec.Faults = fault.Config{Seed: 7, CorruptRate: 1e-3, DropRate: 1e-3}
+	composed := base(core.NameOptHybridSpec, 4)
+	composed.Spec = core.WithChiplet(composed.Spec, chiplet.Default(2, 2))
+	for _, req := range []RunRequest{base(core.NameOptHybridSpec, 8), faulty, composed} {
+		if _, err := req.Config(); err != nil {
+			f.Fatalf("seed %s is rejected: %v", req.Spec.Name, err)
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req RunRequest
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		cfg, err := req.Config()
+		if err != nil {
+			return
+		}
+		if cfg.MaxEvents == 0 || cfg.MaxEvents > 50_000 {
+			cfg.MaxEvents = 50_000
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, _ = core.RunContext(ctx, req.Spec, cfg)
+	})
+}

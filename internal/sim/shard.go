@@ -66,7 +66,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncnoc/internal/pool"
@@ -307,39 +306,6 @@ type ShardStats struct {
 	BarrierNs int64
 }
 
-// add accumulates o into s.
-func (s *ShardStats) add(o ShardStats) {
-	s.Barriers += o.Barriers
-	s.Windows += o.Windows
-	s.ExtendedWindows += o.ExtendedWindows
-	s.CoalescedReplays += o.CoalescedReplays
-	s.MergedDispatches += o.MergedDispatches
-	s.MailboxEvents += o.MailboxEvents
-	s.HeldMail += o.HeldMail
-	s.BarrierNs += o.BarrierNs
-}
-
-// globalShardStats accumulates the stats of every closed group in the
-// process — the expvar feed.
-var globalShardStats struct {
-	mu    sync.Mutex
-	stats ShardStats
-}
-
-func globalStatsAdd(s ShardStats) {
-	globalShardStats.mu.Lock()
-	globalShardStats.stats.add(s)
-	globalShardStats.mu.Unlock()
-}
-
-// GlobalShardStats returns the process-wide totals across every closed
-// ShardGroup (groups contribute at Close).
-func GlobalShardStats() ShardStats {
-	globalShardStats.mu.Lock()
-	defer globalShardStats.mu.Unlock()
-	return globalShardStats.stats
-}
-
 // ShardGroup coordinates K schedulers executing one simulation under
 // conservative lookahead. Construct with NewShardGroup, wire cross-shard
 // links with Cross (and optionally widen pair lookaheads with
@@ -528,16 +494,9 @@ func (g *ShardGroup) Executed() uint64 {
 	return n
 }
 
-// Close folds the group's stats into the process totals. The group
-// cannot run again, but its schedulers remain readable (diagnostics,
-// collection).
-func (g *ShardGroup) Close() {
-	if g.closed {
-		return
-	}
-	g.closed = true
-	globalStatsAdd(g.stats)
-}
+// Close ends the group: it cannot run again, but its schedulers remain
+// readable (diagnostics, collection).
+func (g *ShardGroup) Close() { g.closed = true }
 
 // RunUntil dispatches events with timestamps <= deadline across all
 // shards in adaptive lookahead windows, then sets every clock to

@@ -424,33 +424,3 @@ func TestSetParallel(t *testing.T) {
 	}()
 	g.SetParallel(true)
 }
-
-// Groups closed from several goroutines at once all reach the
-// process-wide totals (the expvar feed) while a reader polls them.
-func TestGlobalShardStatsConcurrentClose(t *testing.T) {
-	const groups = 8
-	before := GlobalShardStats().Barriers
-	barriers := make([]uint64, groups)
-	var wg sync.WaitGroup
-	for i := range groups {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := NewShardGroup(2, testLookahead)
-			g.RunUntil(Time(100 * (i + 1)))
-			barriers[i] = g.Stats().Barriers
-			g.Close()
-		}()
-	}
-	for range 100 {
-		GlobalShardStats()
-	}
-	wg.Wait()
-	var want uint64
-	for _, b := range barriers {
-		want += b
-	}
-	if got := GlobalShardStats().Barriers - before; got != want || want == 0 {
-		t.Fatalf("process totals gained %d barriers, the closed groups ran %d", got, want)
-	}
-}
