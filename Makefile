@@ -95,9 +95,12 @@ service-smoke:
 # (an accepted value round-trips), a JSON network spec (a validated spec
 # builds) and a JSON service run request (an accepted request runs to a
 # result or an error under a 50k-event budget and a 2 s deadline). None
-# may panic or hang. The targets after the store cap input minimization
-# at 200 runs: their binaries link the whole simulator, and an uncapped
-# minimization can eat the 10 s budget.
+# may panic or hang. It also fuzzes the event kernel itself: byte
+# strings become schedule (any delay, past the timing wheel's span and
+# at Never), cancel, step and RunUntil operations whose dispatch order
+# must match a naive reference scheduler. The targets after the store cap
+# input minimization at 200 runs: most of their binaries link the whole
+# simulator, and an uncapped minimization can eat the 10 s budget.
 # Longer campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m ./internal/store
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
@@ -106,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s -fuzzminimizetime 200x ./internal/cliflags
 	$(GO) test -run '^$$' -fuzz FuzzSpecBuild -fuzztime 10s -fuzzminimizetime 200x ./internal/network
 	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s -fuzzminimizetime 200x ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
 
 # test-routing is the scheme-shootout shard: the routing package (the
 # Strategy interface and all five multicast schemes) runs alone with a

@@ -56,9 +56,11 @@ type sample struct {
 }
 
 // benchLine matches one result line; the -N GOMAXPROCS suffix is folded
-// into the name match so baselines are machine-width independent.
+// into the name match so baselines are machine-width independent. Custom
+// b.ReportMetric units (e.g. events/op) print between ns/op and the
+// -benchmem columns, so allocs/op is found anywhere after ns/op.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(?:\s+[0-9.e+]+ B/op\s+([0-9.e+]+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(?:.*\s([0-9.e+]+) allocs/op)?`)
 
 func main() {
 	baselinePath := flag.String("baseline", "bench/baseline.json", "baseline JSON path")

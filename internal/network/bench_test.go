@@ -12,7 +12,9 @@ import (
 // deliver/recycle at the sink. The warmup loop grows every pool (packet
 // freelist, source rings, recorder slab) to its high-water mark; after
 // ResetTimer the run must not touch the heap (gated at 0 allocs/op by
-// bench/baseline.json).
+// bench/baseline.json). It also reports events/op, the kernel dispatches
+// one transaction costs, and ns/event, so a change in ns/op splits into
+// more events versus slower events.
 func BenchmarkNITransaction(b *testing.B) {
 	nw, err := New(optHybrid(8))
 	if err != nil {
@@ -29,12 +31,16 @@ func BenchmarkNITransaction(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	ev0 := nw.Sched.Executed()
 	for i := 0; i < b.N; i++ {
 		if _, err := nw.Inject(i%8, packet.Dest(7)); err != nil {
 			b.Fatal(err)
 		}
 		nw.Sched.Run()
 	}
+	events := float64(nw.Sched.Executed() - ev0)
+	b.ReportMetric(events/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 }
 
 // benchStrategy pins a routing scheme's full multicast hot path — plan,

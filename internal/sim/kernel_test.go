@@ -5,6 +5,9 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -34,16 +37,33 @@ func (r *refSched) cancel(tag int64) bool {
 	return false
 }
 
-func (r *refSched) popMin() (refEv, bool) {
-	if len(r.evs) == 0 {
-		return refEv{}, false
-	}
-	best := 0
-	for i := 1; i < len(r.evs); i++ {
-		e, b := r.evs[i], r.evs[best]
+// minIdx returns the index of the (at, seq)-least event, -1 if none.
+func (r *refSched) minIdx() int {
+	best := -1
+	for i, e := range r.evs {
+		if best < 0 {
+			best = i
+			continue
+		}
+		b := r.evs[best]
 		if e.at < b.at || (e.at == b.at && e.seq < b.seq) {
 			best = i
 		}
+	}
+	return best
+}
+
+func (r *refSched) peekMin() (refEv, bool) {
+	if i := r.minIdx(); i >= 0 {
+		return r.evs[i], true
+	}
+	return refEv{}, false
+}
+
+func (r *refSched) popMin() (refEv, bool) {
+	best := r.minIdx()
+	if best < 0 {
+		return refEv{}, false
 	}
 	ev := r.evs[best]
 	r.evs = append(r.evs[:best], r.evs[best+1:]...)
@@ -66,138 +86,240 @@ func (h *tagRecorder) OnEvent(arg int64) {
 	h.log = append(h.log, dispatchRec{tag: arg, at: h.s.Now()})
 }
 
-// TestKernelMatchesReferenceProperty drives arbitrary interleavings of
-// schedule, cancel, reschedule, and single-step dispatch through both the
-// kernel and the reference scheduler and requires identical dispatch
-// sequences (tags and timestamps), identical Cancel outcomes, and correct
-// staleness of spent EventIDs.
-func TestKernelMatchesReferenceProperty(t *testing.T) {
-	f := func(ops []uint32) bool {
-		s := NewScheduler()
-		rec := &tagRecorder{s: s}
-		ref := &refSched{}
-		live := make(map[int64]EventID)
-		liveOrder := []int64{} // deterministic pick among live tags
-		var nextTag int64
-		var seq uint64 // mirrors the kernel's per-At sequence counter
+// Operation kinds of the kernel-versus-reference harness: an op is a
+// uint32 whose low four bits pick the kind and whose upper bits (sel)
+// pick the delay, deadline or live event it acts on.
+const (
+	opKinds    = 16
+	opSelShift = 4
+)
 
-		pick := func(sel uint32) (int64, bool) {
-			if len(liveOrder) == 0 {
-				return 0, false
-			}
-			return liveOrder[int(sel)%len(liveOrder)], true
-		}
-		drop := func(tag int64) {
-			delete(live, tag)
-			for i, v := range liveOrder {
-				if v == tag {
-					liveOrder = append(liveOrder[:i], liveOrder[i+1:]...)
-					break
-				}
-			}
-		}
-		schedule := func(delay Time) {
-			tag := nextTag
-			nextTag++
-			at := s.Now() + delay
-			id := s.At(at, rec, tag)
-			ref.add(at, seq, tag)
-			seq++
-			live[tag] = id
-			liveOrder = append(liveOrder, tag)
-		}
-		checkStep := func() bool {
-			before := len(rec.log)
-			did := s.step()
-			want, ok := ref.popMin()
-			if did != ok {
-				t.Logf("step dispatched=%v, reference had event=%v", did, ok)
-				return false
-			}
-			if !ok {
-				return true
-			}
-			drop(want.tag)
-			if len(rec.log) != before+1 {
-				t.Logf("step logged %d dispatches, want 1", len(rec.log)-before)
-				return false
-			}
-			got := rec.log[len(rec.log)-1]
-			if got.tag != want.tag || got.at != want.at {
-				t.Logf("dispatched (tag=%d at=%v), want (tag=%d at=%v)",
-					got.tag, got.at, want.tag, want.at)
-				return false
-			}
-			return true
-		}
+// spanEdges are the delays where an event changes sides between the
+// timing wheel and the far heap.
+var spanEdges = [...]Time{0, wheelSize - 1, wheelSize, wheelSize + 1, 7*wheelSize + 3}
 
-		for _, op := range ops {
-			sel := op >> 3
-			switch op % 8 {
-			case 0, 1, 2: // schedule with a small pseudo-random delay
-				schedule(Time(sel % 97))
-			case 3: // cancel a live event; both sides must agree
-				if tag, ok := pick(sel); ok {
-					if !s.Cancel(live[tag]) {
-						t.Logf("Cancel of live tag %d returned false", tag)
-						return false
-					}
-					if !ref.cancel(tag) {
-						t.Logf("reference missing live tag %d", tag)
-						return false
-					}
-					stale := live[tag]
-					drop(tag)
-					if s.Cancel(stale) {
-						t.Logf("second Cancel of tag %d returned true", tag)
-						return false
-					}
-				}
-			case 4: // reschedule: cancel + schedule at a fresh time
-				if tag, ok := pick(sel); ok {
-					s.Cancel(live[tag])
-					ref.cancel(tag)
-					drop(tag)
-					schedule(Time(sel % 131))
-				}
-			case 5, 6: // dispatch one event
-				if !checkStep() {
-					return false
-				}
-			case 7: // canceling the zero ID is always a no-op
-				if s.Cancel(EventID{}) {
-					t.Log("Cancel of zero EventID returned true")
-					return false
-				}
-			}
-			if s.Len() != len(ref.evs) {
-				t.Logf("Len() = %d, reference holds %d", s.Len(), len(ref.evs))
-				return false
-			}
+// kernelRefMismatch drives ops through both the kernel and the reference
+// scheduler: schedules near, at the span edges, anywhere up to nine
+// spans ahead and at Never; cancels and reschedules; single steps; and
+// RunUntil deadlines that fall between occupied buckets, on an event or
+// past the span. It requires identical dispatch sequences (tags and
+// timestamps), identical Cancel outcomes and clocks, and correct
+// staleness of spent EventIDs, and describes the first difference ("" if
+// there is none).
+func kernelRefMismatch(ops []uint32) string {
+	s := NewScheduler()
+	rec := &tagRecorder{s: s}
+	ref := &refSched{}
+	live := make(map[int64]EventID)
+	liveOrder := []int64{} // deterministic pick among live tags
+	liveAt := make(map[int64]Time)
+	var nextTag int64
+	var seq uint64 // mirrors the kernel's per-At sequence counter
+
+	pick := func(sel uint32) (int64, bool) {
+		if len(liveOrder) == 0 {
+			return 0, false
 		}
-		// Drain both schedulers completely and compare the tails.
-		for {
-			want, ok := ref.popMin()
-			did := s.step()
-			if did != ok {
-				t.Logf("drain: dispatched=%v, reference=%v", did, ok)
-				return false
-			}
-			if !ok {
+		return liveOrder[int(sel)%len(liveOrder)], true
+	}
+	drop := func(tag int64) {
+		delete(live, tag)
+		delete(liveAt, tag)
+		for i, v := range liveOrder {
+			if v == tag {
+				liveOrder = append(liveOrder[:i], liveOrder[i+1:]...)
 				break
 			}
-			got := rec.log[len(rec.log)-1]
-			if got.tag != want.tag || got.at != want.at {
-				t.Logf("drain dispatched (tag=%d at=%v), want (tag=%d at=%v)",
-					got.tag, got.at, want.tag, want.at)
-				return false
+		}
+	}
+	schedule := func(delay Time) {
+		tag := nextTag
+		nextTag++
+		at := AddSat(s.Now(), delay)
+		id := s.At(at, rec, tag)
+		ref.add(at, seq, tag)
+		seq++
+		live[tag] = id
+		liveAt[tag] = at
+		liveOrder = append(liveOrder, tag)
+	}
+	// checkLast compares the kernel's latest dispatch with want.
+	checkLast := func(want refEv) string {
+		got := rec.log[len(rec.log)-1]
+		if got.tag != want.tag || got.at != want.at {
+			return fmt.Sprintf("dispatched (tag=%d at=%v), want (tag=%d at=%v)",
+				got.tag, got.at, want.tag, want.at)
+		}
+		return ""
+	}
+	checkStep := func() string {
+		before := len(rec.log)
+		did := s.step()
+		want, ok := ref.popMin()
+		if did != ok {
+			return fmt.Sprintf("step dispatched=%v, reference had event=%v", did, ok)
+		}
+		if !ok {
+			return ""
+		}
+		drop(want.tag)
+		if len(rec.log) != before+1 {
+			return fmt.Sprintf("step logged %d dispatches, want 1", len(rec.log)-before)
+		}
+		return checkLast(want)
+	}
+	runUntil := func(deadline Time) string {
+		now := s.Now()
+		before := len(rec.log)
+		s.RunUntil(deadline)
+		got := rec.log[before:]
+		for i := 0; ; i++ {
+			want, ok := ref.peekMin()
+			if !ok || want.at > deadline {
+				if i != len(got) {
+					return fmt.Sprintf("RunUntil(%v) dispatched %d events, want %d", deadline, len(got), i)
+				}
+				break
+			}
+			ref.popMin()
+			drop(want.tag)
+			if i >= len(got) {
+				return fmt.Sprintf("RunUntil(%v) stopped after %d events; next want (tag=%d at=%v)",
+					deadline, len(got), want.tag, want.at)
+			}
+			if got[i].tag != want.tag || got[i].at != want.at {
+				return fmt.Sprintf("RunUntil(%v) dispatch %d: (tag=%d at=%v), want (tag=%d at=%v)",
+					deadline, i, got[i].tag, got[i].at, want.tag, want.at)
 			}
 		}
-		return s.Len() == 0
+		if want := max(now, deadline); s.Now() != want {
+			return fmt.Sprintf("RunUntil(%v) left the clock at %v, want %v", deadline, s.Now(), want)
+		}
+		return ""
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+
+	for _, op := range ops {
+		sel := op >> opSelShift
+		var bad string
+		switch op % opKinds {
+		case 0, 1, 2, 3: // schedule with a small pseudo-random delay
+			schedule(Time(sel % 97))
+		case 4: // schedule on either side of the wheel span
+			schedule(spanEdges[sel%uint32(len(spanEdges))])
+		case 5: // schedule anywhere up to nine spans ahead
+			schedule(Time(sel % (9 * wheelSize)))
+		case 6: // a delay that saturates at Never
+			schedule(Never - Time(sel%4))
+		case 7: // cancel a live event; both sides must agree
+			if tag, ok := pick(sel); ok {
+				if !s.Cancel(live[tag]) {
+					return fmt.Sprintf("Cancel of live tag %d returned false", tag)
+				}
+				if !ref.cancel(tag) {
+					return fmt.Sprintf("reference missing live tag %d", tag)
+				}
+				stale := live[tag]
+				drop(tag)
+				if s.Cancel(stale) {
+					return fmt.Sprintf("second Cancel of tag %d returned true", tag)
+				}
+			}
+		case 8: // reschedule: cancel + schedule at a fresh time
+			if tag, ok := pick(sel); ok {
+				s.Cancel(live[tag])
+				ref.cancel(tag)
+				drop(tag)
+				schedule(Time(sel % (3 * wheelSize)))
+			}
+		case 9, 10, 11, 12: // dispatch one event
+			bad = checkStep()
+		case 13: // canceling the zero ID is always a no-op
+			if s.Cancel(EventID{}) {
+				return "Cancel of zero EventID returned true"
+			}
+		case 14: // a deadline between buckets or past the span
+			bad = runUntil(AddSat(s.Now(), Time(sel%(3*wheelSize))))
+		case 15: // a deadline just before, on or just after a live event
+			if tag, ok := pick(sel); ok {
+				d := AddSat(liveAt[tag], Time(sel/7%3)) - 1
+				bad = runUntil(max(d, s.Now()))
+			}
+		}
+		if bad != "" {
+			return bad
+		}
+		if s.Len() != len(ref.evs) {
+			return fmt.Sprintf("Len() = %d, reference holds %d", s.Len(), len(ref.evs))
+		}
+	}
+	// Drain both schedulers completely and compare the tails.
+	for {
+		want, ok := ref.popMin()
+		did := s.step()
+		if did != ok {
+			return fmt.Sprintf("drain: dispatched=%v, reference=%v", did, ok)
+		}
+		if !ok {
+			break
+		}
+		if bad := checkLast(want); bad != "" {
+			return "drain " + bad
+		}
+	}
+	if s.Len() != 0 {
+		return fmt.Sprintf("drained kernel reports Len() = %d", s.Len())
+	}
+	return ""
+}
+
+// TestKernelMatchesReferenceProperty runs random op sequences through
+// kernelRefMismatch.
+func TestKernelMatchesReferenceProperty(t *testing.T) {
+	f := func(ops []uint32) bool {
+		if bad := kernelRefMismatch(ops); bad != "" {
+			t.Log(bad)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzKernelOrder decodes the input into kernelRefMismatch ops, four
+// little-endian bytes each, so the fuzzer can reach any delay, deadline
+// and interleaving the op set expresses.
+//
+//	go test -run '^$' -fuzz FuzzKernelOrder -fuzztime 1m ./internal/sim
+func FuzzKernelOrder(f *testing.F) {
+	op := func(kind, sel uint32) []byte {
+		return binary.LittleEndian.AppendUint32(nil, sel<<opSelShift|kind)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	f.Add([]byte{})
+	// A far event at 3 spans, a final RunUntil jump to within one span
+	// of it, then a wheel event one span minus 1 ps later that must not
+	// overtake it.
+	f.Add(cat(op(5, 3*wheelSize), op(14, 2*wheelSize+100), op(4, 1), op(9, 0), op(9, 0)))
+	// A far event 1 ps past the span, a wheel event 1 ps short of it,
+	// and a near event scheduled after the step between them.
+	f.Add(cat(op(4, 3), op(4, 1), op(9, 0), op(0, 5), op(9, 0), op(9, 0)))
+	// Every span edge, a Never event and a deadline past them all.
+	f.Add(cat(op(4, 0), op(4, 1), op(4, 2), op(4, 3), op(4, 4), op(6, 0), op(14, 3*wheelSize-1)))
+	// Cancel and reschedule across the span.
+	f.Add(cat(op(5, 2*wheelSize), op(0, 10), op(7, 0), op(8, 1), op(15, 7), op(10, 0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps = 512 // the reference is quadratic
+		ops := make([]uint32, 0, min(len(data)/4, maxOps))
+		for len(data) >= 4 && len(ops) < maxOps {
+			ops = append(ops, binary.LittleEndian.Uint32(data))
+			data = data[4:]
+		}
+		if bad := kernelRefMismatch(ops); bad != "" {
+			t.Fatal(bad)
+		}
+	})
 }
 
 // TestPending covers the EventID liveness probe across fire and cancel.
@@ -291,7 +413,8 @@ func BenchmarkKernelScheduleDispatch(b *testing.B) {
 }
 
 // fanChainHandler keeps many events pending at once with varied delays,
-// exercising real heap sifting instead of the depth-1 chain.
+// exercising shared buckets and the occupancy scan instead of the
+// depth-1 chain.
 type fanChainHandler struct {
 	s    *Scheduler
 	left int
@@ -305,8 +428,8 @@ func (h *fanChainHandler) OnEvent(arg int64) {
 }
 
 // BenchmarkKernelScheduleDispatchFanout measures schedule + dispatch with
-// 64 interleaved chains (a 64-deep heap in steady state). Must report 0
-// allocs/op.
+// 64 interleaved chains (64 events pending in steady state, spread over
+// the first 97 ps of the wheel). Must report 0 allocs/op.
 func BenchmarkKernelScheduleDispatchFanout(b *testing.B) {
 	s := NewScheduler()
 	h := &fanChainHandler{s: s, left: b.N}
@@ -334,5 +457,59 @@ func BenchmarkKernelCancel(b *testing.B) {
 		j := i % window
 		s.Cancel(ids[j])
 		ids[j] = s.At(Time(j+1), &nop, 0)
+	}
+}
+
+// farChainHandler reschedules itself at least one wheel span ahead, so
+// every event is queued on the far heap and migrates into the wheel
+// before it dispatches.
+type farChainHandler struct {
+	s    *Scheduler
+	left int
+}
+
+func (h *farChainHandler) OnEvent(arg int64) {
+	if h.left > 0 {
+		h.left--
+		h.s.In(wheelSize+Time(arg*37)%(3*wheelSize), h, arg)
+	}
+}
+
+// BenchmarkKernelScheduleDispatchFar measures schedule + migration +
+// dispatch with 64 interleaved chains whose every hop is at least one
+// wheel span long. Must report 0 allocs/op.
+func BenchmarkKernelScheduleDispatchFar(b *testing.B) {
+	s := NewScheduler()
+	h := &farChainHandler{s: s, left: b.N}
+	for i := 0; i < 64; i++ {
+		s.At(Time(i), h, int64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
+// TestKernelFarPathAllocFree pins the far path at zero allocations once
+// the slab and heap have grown: far scheduling, migration into the wheel
+// on every clock advance (step and the final RunUntil jump), and Cancel
+// of a far event.
+func TestKernelFarPathAllocFree(t *testing.T) {
+	s := NewScheduler()
+	h := &farChainHandler{s: s, left: 1 << 30}
+	for i := 0; i < 64; i++ {
+		s.At(Time(i), h, int64(i))
+	}
+	var nop nopHandler
+	s.RunUntil(64 * wheelSize) // warm up
+	migrated := s.Executed()
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Cancel(s.In(2*wheelSize, &nop, 0))
+		s.RunUntil(s.Now() + 4*wheelSize + 7)
+	})
+	if allocs != 0 {
+		t.Errorf("far path: %v allocs/run, want 0", allocs)
+	}
+	if s.Executed() == migrated {
+		t.Error("no far event dispatched during the measured runs")
 	}
 }

@@ -9,7 +9,7 @@
 // mailbox rings that the coordinator drains at the window barriers.
 //
 // Window computation is adaptive. At each barrier the coordinator knows
-// every shard's earliest pending event time next[i] (heap head and
+// every shard's earliest pending event time next[i] (queue head and
 // undelivered mailbox arrivals). A naive fence would stop everyone at
 // minNext+lookahead; instead the coordinator computes, per shard, the
 // earliest time any OTHER shard's activity could reach it — including
@@ -513,17 +513,15 @@ func (g *ShardGroup) RunUntil(deadline Time) {
 		}
 		g.stats.Barriers++
 
-		// safeAt: the earliest pending event anywhere — heap heads and
+		// safeAt: the earliest pending event anywhere — queue heads and
 		// queued cross-shard arrivals. Every logged dispatch strictly
 		// before it is final and may merge into the global order.
 		safeAt := Never
 		mailPending := false
 		backlog := 0
 		for i, s := range g.shards {
-			if len(s.heap) > 0 {
-				if at := s.slots[s.heap[0]].at; at < safeAt {
-					safeAt = at
-				}
+			if at := s.peekAt(); at < safeAt {
+				safeAt = at
 			}
 			backlog += len(s.shard.dlog) - s.shard.merged
 			for j := range g.mail[i] {
@@ -546,7 +544,7 @@ func (g *ShardGroup) RunUntil(deadline Time) {
 		if done {
 			for _, s := range g.shards {
 				if s.now < deadline {
-					s.now = deadline
+					s.advance(deadline)
 				}
 			}
 			if g.now < deadline {
@@ -606,10 +604,7 @@ func (g *ShardGroup) computeHorizons(deadline Time) Time {
 	k := len(g.shards)
 	minNext := Never
 	for i, s := range g.shards {
-		n := Never
-		if len(s.heap) > 0 {
-			n = s.slots[s.heap[0]].at
-		}
+		n := s.peekAt()
 		if h := g.heldMin[i]; h < n {
 			n = h
 		}
@@ -798,13 +793,18 @@ func (g *ShardGroup) mergeTo(safeAt Time) {
 // resolveFresh rewrites pending provisional sequences whose creators
 // merged this barrier to their resolved ordinals, keeping the rest for a
 // later barrier. Resolution only decreases keys (provBase exceeds every
-// resolved ordinal), so each rewrite is a single decrease-key siftUp.
+// resolved ordinal), and it preserves this scheduler's order: keys
+// resolved at earlier barriers carry smaller ordinals, and same-shard
+// provisional order is ordinal order. The decrease-key — siftUp for a
+// far event, unlink and re-insert for a wheel event — therefore leaves
+// each event in place; it is kept so queue order never rests on that
+// argument.
 func (s *Scheduler) resolveFresh() {
 	sh := s.shard
 	keep := sh.fresh[:0]
 	for _, fr := range sh.fresh {
 		sl := &s.slots[fr.idx]
-		if sl.gen != fr.gen || sl.heapIdx < 0 {
+		if sl.gen != fr.gen || sl.heapIdx == slotFree {
 			continue // dispatched or canceled
 		}
 		c := sl.seq >> childBits
@@ -817,7 +817,12 @@ func (s *Scheduler) resolveFresh() {
 			continue
 		}
 		sl.seq = sh.resolved[local]<<childBits | sl.seq&childMask
-		s.siftUp(int(sl.heapIdx))
+		if sl.heapIdx == slotWheel {
+			s.unlink(fr.idx)
+			s.insert(fr.idx)
+		} else {
+			s.siftUp(int(sl.heapIdx))
+		}
 	}
 	sh.fresh = keep
 }
@@ -874,19 +879,10 @@ func (s *Scheduler) insertAt(at Time, seq uint64, h Handler, arg int64) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: cross-shard arrival at %v before now %v", at, s.now))
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1})
-		idx = int32(len(s.slots) - 1)
-	}
+	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.at, sl.seq, sl.h, sl.arg = at, seq, h, arg
-	sl.heapIdx = int32(len(s.heap))
-	s.heap = append(s.heap, idx)
-	s.siftUp(len(s.heap) - 1)
+	s.insert(idx)
 }
 
 // DispatchIndex returns the absolute per-shard index of the dispatch

@@ -57,6 +57,11 @@ type tmodel struct {
 	nodes   []*tnode
 	shardOf []int
 	pairs   bool // non-uniform per-pair lookahead floors
+	// span widens every cross floor by a wheel span and sends a quarter
+	// of the local events one to three spans ahead, so mailbox arrivals
+	// and resolved provisional events land in wheel buckets and on the
+	// far heap alike.
+	span bool
 	// serial mode: sched set, group nil. Sharded: group set.
 	sched *Scheduler
 	group *ShardGroup
@@ -67,10 +72,14 @@ type tmodel struct {
 // crossFloor returns the delay floor for a send between two shard
 // regions (identical in serial and sharded mode by construction).
 func (m *tmodel) crossFloor(a, b int) Time {
+	f := testLookahead
 	if m.pairs {
-		return pairLookahead(a, b)
+		f = pairLookahead(a, b)
 	}
-	return testLookahead
+	if m.span {
+		f += wheelSize
+	}
+	return f
 }
 
 type tnode struct {
@@ -111,6 +120,8 @@ func (n *tnode) OnEvent(arg int64) {
 		crossShard := m.shardOf[target.id] != m.shardOf[n.id]
 		if crossShard {
 			delay += m.crossFloor(m.shardOf[n.id], m.shardOf[target.id])
+		} else if m.span && n.r.next()%4 == 0 {
+			delay += Time(1+n.r.next()%3) * wheelSize
 		}
 		childArg := int64(n.r.next() % 1000)
 		if m.group != nil && crossShard {
@@ -139,15 +150,20 @@ func (n *tnode) OnEvent(arg int64) {
 // the identical logical model. With `pairs` the cross floors are the
 // non-uniform pairLookahead matrix, registered on the group via
 // SetLookahead, so the adaptive horizon computation takes its general
-// fixpoint path instead of the uniform fast path.
-func buildModel(seed uint64, nNodes, k, budget int, sharded, pairs bool) *tmodel {
-	m := &tmodel{shardOf: make([]int, nNodes), pairs: pairs}
+// fixpoint path instead of the uniform fast path. With `span` the model
+// schedules across the wheel span (see tmodel.span).
+func buildModel(seed uint64, nNodes, k, budget int, sharded, pairs, span bool) *tmodel {
+	m := &tmodel{shardOf: make([]int, nNodes), pairs: pairs, span: span}
 	shards := k
 	if !sharded {
 		shards = 1
 		m.sched = NewScheduler()
 	} else {
-		m.group = NewShardGroup(k, testLookahead)
+		floor := testLookahead
+		if span {
+			floor += wheelSize
+		}
+		m.group = NewShardGroup(k, floor)
 		m.cross = make([][]*RemoteRef, k)
 		for i := 0; i < k; i++ {
 			m.cross[i] = make([]*RemoteRef, k)
@@ -155,7 +171,7 @@ func buildModel(seed uint64, nNodes, k, budget int, sharded, pairs bool) *tmodel
 				if i != j {
 					m.cross[i][j] = m.group.Cross(i, j)
 					if pairs {
-						m.group.SetLookahead(i, j, pairLookahead(i, j))
+						m.group.SetLookahead(i, j, m.crossFloor(i, j))
 					}
 				}
 			}
@@ -195,8 +211,8 @@ func (m *tmodel) run(deadline Time, chunks int) {
 // dispatches, replay order, clock or stats differ from the serial
 // reference want, or "" if they match. It reports instead of failing so
 // it can run off the test goroutine.
-func shardedMismatch(seed uint64, k int, pairs bool, deadline Time, chunks int, want []dispatchLogEntry) string {
-	m := buildModel(seed, 9, k, 40, true, pairs)
+func shardedMismatch(seed uint64, k int, pairs, span bool, deadline Time, chunks int, want []dispatchLogEntry) string {
+	m := buildModel(seed, 9, k, 40, true, pairs, span)
 	defer m.group.Close()
 
 	// Reconstruct the global order from the replay callback.
@@ -270,7 +286,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 				if pairs && k == 1 {
 					continue // no cross edges, identical to uniform
 				}
-				serial := buildModel(seed, 9, k, 40, false, pairs)
+				serial := buildModel(seed, 9, k, 40, false, pairs, false)
 				serial.run(deadline, 1)
 				want := serial.logs[0]
 				if len(want) == 0 {
@@ -285,7 +301,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 							seed, k, chunks, pairs, par)
 						t.Run(name, func(t *testing.T) {
 							if !par {
-								if bad := shardedMismatch(seed, k, pairs, deadline, chunks, want); bad != "" {
+								if bad := shardedMismatch(seed, k, pairs, false, deadline, chunks, want); bad != "" {
 									t.Fatal(bad)
 								}
 								return
@@ -296,7 +312,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 								wg.Add(1)
 								go func() {
 									defer wg.Done()
-									bad[i] = shardedMismatch(seed, k, pairs, deadline, chunks, want)
+									bad[i] = shardedMismatch(seed, k, pairs, false, deadline, chunks, want)
 								}()
 							}
 							wg.Wait()
@@ -307,6 +323,37 @@ func TestShardedMatchesSerial(t *testing.T) {
 							}
 						})
 					}
+				}
+			}
+		}
+	}
+}
+
+// The sharded-equals-serial property across the timing wheel's span:
+// every cross-shard lookahead exceeds wheelSize and a quarter of the
+// local events go one to three spans ahead, so barrier deliveries
+// (insertAt) and provisional-sequence rewrites (resolveFresh) hit both
+// wheel buckets and the far heap, and each shard's clock jumps and
+// migrates far events at window ends.
+func TestShardedMatchesSerialAcrossWheelSpan(t *testing.T) {
+	const deadline = Time(20_000_000)
+	for _, seed := range []uint64{1, 2, 3, 17, 99} {
+		for _, k := range []int{2, 3, 4, 8} {
+			for _, pairs := range []bool{false, true} {
+				serial := buildModel(seed, 9, k, 40, false, pairs, true)
+				serial.run(deadline, 1)
+				want := serial.logs[0]
+				if len(want) == 0 || serial.sched.Len() != 0 {
+					t.Fatalf("seed %d: serial model dispatched %d events and left %d pending",
+						seed, len(want), serial.sched.Len())
+				}
+				for _, chunks := range []int{1, 3, 40} {
+					name := fmt.Sprintf("seed=%d/shards=%d/chunks=%d/pairs=%v", seed, k, chunks, pairs)
+					t.Run(name, func(t *testing.T) {
+						if bad := shardedMismatch(seed, k, pairs, true, deadline, chunks, want); bad != "" {
+							t.Fatal(bad)
+						}
+					})
 				}
 			}
 		}

@@ -2,19 +2,38 @@
 // with picosecond time resolution.
 //
 // The kernel is a zero-allocation event scheduler: pending events are
-// value-typed records in a flat slab, ordered by an index-based 4-ary
-// min-heap, with a free-list recycling slab slots. An event is a
-// (Handler, int64 payload) pair — the component being simulated is its
-// own handler and the payload selects the action — so steady-state
-// scheduling and dispatch perform no heap allocations and create no
-// garbage. Sequence numbers make the execution order of simultaneous
-// events deterministic (FIFO among equal timestamps), which in turn makes
-// every experiment in this repository reproducible bit-for-bit.
+// value-typed records in a flat slab, with a free-list recycling slab
+// slots. An event is a (Handler, int64 payload) pair — the component
+// being simulated is its own handler and the payload selects the action —
+// so steady-state scheduling and dispatch perform no heap allocations and
+// create no garbage. Sequence numbers make the execution order of
+// simultaneous events deterministic (FIFO among equal timestamps), which
+// in turn makes every experiment in this repository reproducible
+// bit-for-bit.
+//
+// Pending events are ordered by a timing wheel (a calendar queue, Brown,
+// CACM 1988) with one bucket per picosecond over the next wheelSize
+// picoseconds, backed by a 4-ary min-heap for events further out. The
+// split follows the measured profile of a handshake model: on the serial
+// paper-window MoT runs 99.5% of At calls land less than 512 ps past Now
+// (45% exactly 50 ps), about 22 events are pending, and a heap-only
+// queue spent about half the CPU time in siftDown's comparison branches.
+// In the wheel, scheduling is a bucket append and finding the next event
+// is a bitmap scan. Injector gaps, retransmission timers and Never
+// wait in the far heap and migrate into the wheel as the clock comes
+// within one span of them.
+//
+// The wheel invariant: every wheel event satisfies now <= at <
+// now+wheelSize, so each bucket holds events of exactly one timestamp and
+// its FIFO order is (at, seq) order. Serial At appends (sequence numbers
+// only grow), and every clock advance migrates the far events that fall
+// inside the new span into their buckets, in heap order, before any At
+// can reach those buckets.
 //
 // Asynchronous NoC models are built on top of this kernel by scheduling
 // request/acknowledge toggle events between handshake components: each
 // channel and node implements Handler once and schedules itself with
-// At/In, paying only a slab write and a heap sift per toggle.
+// At/In, paying only a slab write and a bucket append per toggle.
 //
 // The closure-based Schedule/After entry points remain for cold paths
 // (tests, per-packet timers, replay harnesses); they allocate one adapter
@@ -24,6 +43,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a simulation timestamp in picoseconds.
@@ -110,35 +130,65 @@ type EventID struct {
 // Pending reports whether id still refers to a queued event in s.
 func (s *Scheduler) Pending(id EventID) bool {
 	return id.gen != 0 && int(id.slot) < len(s.slots) &&
-		s.slots[id.slot].gen == id.gen && s.slots[id.slot].heapIdx >= 0
+		s.slots[id.slot].gen == id.gen && s.slots[id.slot].heapIdx != slotFree
 }
 
-// slot is one slab entry: an event record plus its heap backlink.
+// Slot states stored in slot.heapIdx besides far-heap positions (>= 0).
+const (
+	slotFree  int32 = -1 // on the free list
+	slotWheel int32 = -2 // queued in a wheel bucket
+)
+
+// slot is one slab entry: an event record plus its queue links.
 type slot struct {
 	at  Time
 	seq uint64
 	h   Handler
 	arg int64
-	// heapIdx is the event's position in the heap array, -1 when the
-	// slot is free.
+	// heapIdx is the event's position in the far heap, slotWheel while
+	// it waits in a wheel bucket, and slotFree when the slot is free.
 	heapIdx int32
+	// next links a wheel event to its successor in the bucket FIFO; it
+	// is meaningless at the bucket's tail and outside the wheel.
+	next int32
 	// gen advances on every release so stale EventIDs cannot cancel a
 	// recycled slot. It is never zero (the zero EventID is invalid).
 	gen uint32
 }
 
+const (
+	// wheelSize is the wheel span in picoseconds, one bucket each. It
+	// covers the gate, wire and handshake delays that make up almost
+	// every event; anything further ahead waits in the far heap.
+	wheelSize  = 1024
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// bucket is one wheel bucket: a FIFO of slots linked through slot.next.
+// head and tail are meaningful only while the bucket's occupancy bit is
+// set, so the zero value is an empty wheel.
+type bucket struct{ head, tail int32 }
+
 // Scheduler is a single-threaded discrete-event scheduler.
 // The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
 	now Time
-	// slots is the event slab; heap holds slot indices ordered as an
-	// implicit 4-ary min-heap by (at, seq); free lists recycled slots.
-	// All three grow to the high-water mark of concurrently pending
-	// events and are then reused forever: steady-state scheduling
-	// allocates nothing.
+	// slots is the event slab and free lists recycled slots. Both grow
+	// to the high-water mark of concurrently pending events and are then
+	// reused forever: steady-state scheduling allocates nothing.
 	slots []slot
-	heap  []int32
 	free  []int32
+
+	// wheel holds the events less than wheelSize ahead of now, in bucket
+	// at&wheelMask; occ has one bit set per non-empty bucket, and
+	// wheelLen counts the wheel's events.
+	wheel    [wheelSize]bucket
+	occ      [wheelWords]uint64
+	wheelLen int
+	// heap holds the far events (at >= now+wheelSize when queued) as
+	// slot indices in an implicit 4-ary min-heap by (at, seq).
+	heap []int32
 
 	nextSeq uint64
 	// executed counts events dispatched since construction.
@@ -160,7 +210,7 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of pending events.
-func (s *Scheduler) Len() int { return len(s.heap) }
+func (s *Scheduler) Len() int { return s.wheelLen + len(s.heap) }
 
 // Executed returns the total number of events dispatched so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
@@ -177,14 +227,7 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1})
-		idx = int32(len(s.slots) - 1)
-	}
+	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.at, sl.h, sl.arg = at, h, arg
 	if sh := s.shard; sh != nil {
@@ -194,13 +237,18 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 		if sl.seq>>childBits >= provBase {
 			sh.fresh = append(sh.fresh, freshRef{idx: idx, gen: sl.gen})
 		}
+		s.insert(idx)
 	} else {
+		// Sequence numbers only grow, so the event queues behind every
+		// pending event at its timestamp.
 		sl.seq = s.nextSeq
 		s.nextSeq++
+		if at-s.now >= wheelSize {
+			s.pushFar(idx)
+		} else {
+			s.wheelAppend(idx, at)
+		}
 	}
-	sl.heapIdx = int32(len(s.heap))
-	s.heap = append(s.heap, idx)
-	s.siftUp(len(s.heap) - 1)
 	return EventID{slot: idx, gen: sl.gen}
 }
 
@@ -243,12 +291,28 @@ func (s *Scheduler) Cancel(id EventID) bool {
 		return false
 	}
 	sl := &s.slots[id.slot]
-	if sl.gen != id.gen || sl.heapIdx < 0 {
+	if sl.gen != id.gen || sl.heapIdx == slotFree {
 		return false
 	}
-	s.removeAt(int(sl.heapIdx))
+	if sl.heapIdx == slotWheel {
+		s.unlink(id.slot)
+	} else {
+		s.removeAt(int(sl.heapIdx))
+	}
 	s.release(id.slot)
 	return true
+}
+
+// alloc takes a slot from the free list, growing the slab when it is
+// empty.
+func (s *Scheduler) alloc() int32 {
+	if n := len(s.free); n > 0 {
+		idx := s.free[n-1]
+		s.free = s.free[:n-1]
+		return idx
+	}
+	s.slots = append(s.slots, slot{gen: 1})
+	return int32(len(s.slots) - 1)
 }
 
 // release returns a slot to the free list, advancing its generation so
@@ -256,12 +320,130 @@ func (s *Scheduler) Cancel(id EventID) bool {
 func (s *Scheduler) release(idx int32) {
 	sl := &s.slots[idx]
 	sl.h = nil // drop the handler reference; slots outlive events
-	sl.heapIdx = -1
+	sl.heapIdx = slotFree
 	sl.gen++
 	if sl.gen == 0 {
 		sl.gen = 1 // skip the invalid generation on wraparound
 	}
 	s.free = append(s.free, idx)
+}
+
+// wheelAppend links slot idx, due at at, at the tail of its bucket.
+func (s *Scheduler) wheelAppend(idx int32, at Time) {
+	s.slots[idx].heapIdx = slotWheel
+	b := int(at) & wheelMask
+	bk := &s.wheel[b]
+	if w, bit := &s.occ[b>>6], uint64(1)<<(b&63); *w&bit == 0 {
+		*w |= bit
+		bk.head = idx
+	} else {
+		s.slots[bk.tail].next = idx
+	}
+	bk.tail = idx
+	s.wheelLen++
+}
+
+// insert queues slot idx at its (at, seq) position. Sharded schedulers
+// use it: a cross-shard arrival can precede events already queued at its
+// timestamp (its creator may have dispatched before theirs), so it walks
+// its bucket from the head unless it belongs at the tail.
+func (s *Scheduler) insert(idx int32) {
+	sl := &s.slots[idx]
+	if sl.at-s.now >= wheelSize {
+		s.pushFar(idx)
+		return
+	}
+	b := int(sl.at) & wheelMask
+	bk := &s.wheel[b]
+	if s.occ[b>>6]&(uint64(1)<<(b&63)) == 0 || s.slots[bk.tail].seq < sl.seq {
+		s.wheelAppend(idx, sl.at)
+		return
+	}
+	sl.heapIdx = slotWheel
+	s.wheelLen++
+	if s.slots[bk.head].seq > sl.seq {
+		sl.next = bk.head
+		bk.head = idx
+		return
+	}
+	// The tail sorts after idx, so the walk stops before it.
+	p := bk.head
+	for s.slots[s.slots[p].next].seq < sl.seq {
+		p = s.slots[p].next
+	}
+	sl.next = s.slots[p].next
+	s.slots[p].next = idx
+}
+
+// unlink removes wheel slot idx from its bucket, walking from the head
+// (buckets are short; only Cancel and sharded decrease-keys get here).
+func (s *Scheduler) unlink(idx int32) {
+	b := int(s.slots[idx].at) & wheelMask
+	bk := &s.wheel[b]
+	s.wheelLen--
+	if bk.head == idx {
+		if bk.tail == idx {
+			s.occ[b>>6] &^= uint64(1) << (b & 63)
+		} else {
+			bk.head = s.slots[idx].next
+		}
+		return
+	}
+	p := bk.head
+	for s.slots[p].next != idx {
+		p = s.slots[p].next
+	}
+	s.slots[p].next = s.slots[idx].next
+	if bk.tail == idx {
+		bk.tail = p
+	}
+}
+
+// firstBucket returns the bucket holding the earliest wheel event; the
+// wheel must not be empty. The span [now, now+wheelSize) wraps around
+// the bucket array, so the scan starts at now's bucket and wraps.
+func (s *Scheduler) firstBucket() int {
+	start := int(s.now) & wheelMask
+	w := start >> 6
+	word := s.occ[w] &^ (uint64(1)<<(start&63) - 1)
+	for word == 0 {
+		w = (w + 1) & (wheelWords - 1)
+		word = s.occ[w]
+	}
+	return (w<<6 | bits.TrailingZeros64(word)) & wheelMask
+}
+
+// peekAt returns the earliest pending timestamp, or Never when nothing
+// is pending. By the wheel invariant every far event lies beyond every
+// wheel event.
+func (s *Scheduler) peekAt() Time {
+	if s.wheelLen > 0 {
+		return s.slots[s.wheel[s.firstBucket()].head].at
+	}
+	if len(s.heap) > 0 {
+		return s.slots[s.heap[0]].at
+	}
+	return Never
+}
+
+// advance moves the clock forward to t and restores the wheel invariant:
+// far events that now fall inside the span migrate into their buckets in
+// heap order. No wheel event shares their timestamp yet — one could only
+// have been queued once the clock came within a span of it, and the
+// advance that brought the clock there migrated the far event first — so
+// appending keeps every bucket in (at, seq) order. Every clock change
+// goes through here.
+func (s *Scheduler) advance(t Time) {
+	s.now = t
+	for len(s.heap) > 0 {
+		idx := s.heap[0]
+		at := s.slots[idx].at
+		if at-t >= wheelSize {
+			return
+		}
+		s.removeAt(0)
+		s.wheelAppend(idx, at)
+	}
 }
 
 // less orders slab entries by (at, seq): time first, schedule order among
@@ -271,11 +453,17 @@ func (s *Scheduler) less(a, b int32) bool {
 	return sa.at < sb.at || (sa.at == sb.at && sa.seq < sb.seq)
 }
 
-// heapArity is the branching factor. A 4-ary heap halves the tree depth
-// of a binary heap and keeps each node's children in one or two cache
-// lines of the flat index array, which measures faster for the short,
-// churning queues a handshake simulation produces.
+// heapArity is the far heap's branching factor: a 4-ary heap halves the
+// tree depth of a binary heap and keeps each node's children in one or
+// two cache lines of the flat index array.
 const heapArity = 4
+
+// pushFar queues slot idx on the far heap.
+func (s *Scheduler) pushFar(idx int32) {
+	s.slots[idx].heapIdx = int32(len(s.heap))
+	s.heap = append(s.heap, idx)
+	s.siftUp(len(s.heap) - 1)
+}
 
 // siftUp restores heap order from position i toward the root.
 func (s *Scheduler) siftUp(i int) {
@@ -350,21 +538,41 @@ func (s *Scheduler) Stop() { s.stopped = true }
 
 // step dispatches the earliest pending event, advancing time.
 // It reports whether an event was dispatched.
-func (s *Scheduler) step() bool {
-	if len(s.heap) == 0 {
+func (s *Scheduler) step() bool { return s.stepUntil(Never) }
+
+// stepUntil dispatches the earliest pending event if its timestamp is at
+// most limit, advancing time, and reports whether it did.
+func (s *Scheduler) stepUntil(limit Time) bool {
+	var idx int32
+	if s.wheelLen > 0 {
+		b := s.firstBucket()
+		bk := &s.wheel[b]
+		idx = bk.head
+		at := s.slots[idx].at
+		if at > limit {
+			return false
+		}
+		if idx == bk.tail {
+			s.occ[b>>6] &^= uint64(1) << (b & 63)
+		} else {
+			bk.head = s.slots[idx].next
+		}
+		s.wheelLen--
+		if at != s.now {
+			s.advance(at)
+		}
+	} else if len(s.heap) > 0 {
+		idx = s.heap[0]
+		at := s.slots[idx].at
+		if at > limit {
+			return false
+		}
+		s.removeAt(0)
+		s.advance(at)
+	} else {
 		return false
 	}
-	idx := s.heap[0]
-	last := len(s.heap) - 1
-	li := s.heap[last]
-	s.heap = s.heap[:last]
-	if last > 0 {
-		s.heap[0] = li
-		s.slots[li].heapIdx = 0
-		s.siftDown(0)
-	}
 	sl := &s.slots[idx]
-	s.now = sl.at
 	if sh := s.shard; sh != nil {
 		sh.beginDispatch(sl.at, sl.seq)
 	}
@@ -389,13 +597,9 @@ func (s *Scheduler) Run() {
 // beyond the deadline remain queued.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) == 0 || s.slots[s.heap[0]].at > deadline {
-			break
-		}
-		s.step()
+	for !s.stopped && s.stepUntil(deadline) {
 	}
 	if !s.stopped && s.now < deadline {
-		s.now = deadline
+		s.advance(deadline)
 	}
 }
