@@ -24,8 +24,12 @@ const faninFIFO = 2
 // changes here (Section 2).
 //
 // Arbitration is wormhole-granular: the header that wins the mutex locks
-// the output port for its whole packet; the tail releases it. Ties between
-// simultaneous headers break round-robin, modeling a fair mutex.
+// the output port for its whole packet; the tail releases it. Headers
+// that arrive at the same picosecond do not tie: the first OnFlit to
+// dispatch forwards at once, so the kernel's FIFO order among
+// simultaneous events picks the winner, and that dispatch order is part
+// of every result. Round-robin only decides between headers that both
+// waited out the cycle gap, modeling a fair mutex.
 type Fanin struct {
 	sched *sim.Scheduler
 	t     timing.Node
@@ -59,6 +63,13 @@ type Fanin struct {
 	// cycle (grant path + acknowledge generation).
 	nextAllowed sim.Time
 	retryArmed  bool
+	// ackIn is the last scheduled evFiAckIn, due at nextAllowed. When the
+	// retry would dispatch right after it (sim.Scheduler.LastAt),
+	// retryFused is set instead of scheduling evFiRetry, and the ack-in
+	// handler runs the retry: the dispatch order is the same with one
+	// queue round trip fewer.
+	ackIn      sim.EventID
+	retryFused bool
 
 	// OnForward observes each flit forwarded toward the destination.
 	OnForward func(f packet.Flit)
@@ -120,7 +131,11 @@ func (n *Fanin) tryForward() {
 	if now := n.sched.Now(); now < n.nextAllowed {
 		if !n.retryArmed {
 			n.retryArmed = true
-			n.sched.In(n.nextAllowed-now, n, evFiRetry)
+			if n.sched.LastAt(n.ackIn, n.nextAllowed) {
+				n.retryFused = true
+			} else {
+				n.sched.In(n.nextAllowed-now, n, evFiRetry)
+			}
 		}
 		return
 	}
@@ -172,11 +187,20 @@ func (n *Fanin) OnEvent(arg int64) {
 		if n.OnForward != nil {
 			n.OnForward(f)
 		}
-		n.sched.In(n.t.AckDelay, n, evArg(evFiAckIn, evPort(arg)))
+		n.ackIn = n.sched.In(n.t.AckDelay, n, evArg(evFiAckIn, evPort(arg)))
 		n.pump()
 		n.tryForward()
 	case evFiAckIn:
 		n.in[evPort(arg)].Ack()
+		// The fused retry belongs to the ack-in recorded in ackIn, which
+		// stops being pending once it dispatches; an older ack-in still
+		// in flight leaves it alone.
+		if n.retryFused && !n.sched.Pending(n.ackIn) {
+			n.sched.Fused()
+			n.retryFused = false
+			n.retryArmed = false
+			n.tryForward()
+		}
 	}
 }
 

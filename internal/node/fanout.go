@@ -355,7 +355,7 @@ func (n *Fanout) tryCommit() {
 	for p := 0; p < 2; p++ {
 		if n.need[p] {
 			n.need[p] = false
-			n.fifo[p][(n.fifoHead[p]+n.fifoLen[p])%n.cap] = n.cur
+			n.fifo[p][n.wrap(n.fifoHead[p]+n.fifoLen[p])] = n.cur
 			n.fifoLen[p]++
 			ports++
 		}
@@ -378,6 +378,16 @@ func (n *Fanout) tryCommit() {
 	n.pump(1)
 }
 
+// wrap reduces a FIFO position in [0, 2*cap) to a ring index. The
+// capacity is known only at run time, so a compare replaces the integer
+// division of i % cap on every flit-hop.
+func (n *Fanout) wrap(i int) int {
+	if i >= n.cap {
+		i -= n.cap
+	}
+	return i
+}
+
 // pump drives the head of one port FIFO onto the wire when the port is
 // idle.
 func (n *Fanout) pump(p int) {
@@ -386,7 +396,7 @@ func (n *Fanout) pump(p int) {
 	}
 	f := n.fifo[p][n.fifoHead[p]]
 	n.fifo[p][n.fifoHead[p]] = packet.Flit{} // drop the Pkt reference
-	n.fifoHead[p] = (n.fifoHead[p] + 1) % n.cap
+	n.fifoHead[p] = n.wrap(n.fifoHead[p] + 1)
 	n.fifoLen[p]--
 	n.outBusy[p] = true
 	n.out[p].Send(f)
@@ -413,7 +423,7 @@ func (n *Fanout) InputPending() (packet.Flit, bool) { return n.cur, n.hasCur }
 // allocation-free form keeps the end-of-run quiescence check cheap).
 func (n *Fanout) EachQueued(p topology.Port, fn func(packet.Flit)) {
 	for i := 0; i < n.fifoLen[p]; i++ {
-		fn(n.fifo[p][(n.fifoHead[p]+i)%n.cap])
+		fn(n.fifo[p][n.wrap(n.fifoHead[p]+i)])
 	}
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 
 	"asyncnoc/internal/packet"
@@ -630,5 +631,77 @@ func TestFaninAsymmetricLoadNoStarvation(t *testing.T) {
 	}
 	if pos < 0 || pos > 2 {
 		t.Errorf("lone packet granted at position %d (starved)", pos)
+	}
+}
+
+// faninGapRun sends a one-flit packet on port 0 at 0 and another on port
+// 1 at 240 ps, so the second arrives (250 ps) inside the cycle gap after
+// the first grant (200 ps, next grant allowed at 306 ps). outFwd is the
+// output channel's flight time. It returns the OnForward times, each
+// driver's acknowledge times, the number of events queued right after
+// the first grant and the dispatch count.
+func faninGapRun(t *testing.T, outFwd sim.Time) (fwd []sim.Time, acks [2][]sim.Time, queued int, executed uint64) {
+	t.Helper()
+	r := newFaninRig(t)
+	if tm := r.n.Timing(); tm.FwdHeader != 190 || tm.AckDelay != 106 {
+		t.Fatalf("fanin timing %v/%v, the pinned times assume 190ps/106ps", tm.FwdHeader, tm.AckDelay)
+	}
+	r.n.OutputChannel().FwdDelay = outFwd
+	r.n.OnForward = func(packet.Flit) { fwd = append(fwd, r.sched.Now()) }
+	a := &packet.Packet{ID: 1, Length: 1}
+	b := &packet.Packet{ID: 2, Length: 1}
+	r.drv[0].queue = a.Flits()
+	r.drv[1].queue = b.Flits()
+	r.sched.Schedule(0, r.drv[0].pump)
+	r.sched.Schedule(240, r.drv[1].pump)
+	r.sched.RunUntil(200)
+	queued = r.sched.Len()
+	r.sched.Run()
+	if len(r.out.got) != 2 || r.out.got[1].f.Pkt != b {
+		t.Fatalf("output got %d flits, want packet 1 then 2", len(r.out.got))
+	}
+	return fwd, [2][]sim.Time{r.drv[0].acks, r.drv[1].acks}, queued, r.sched.Executed()
+}
+
+// checkFaninGap pins the forward and acknowledge times both retry paths
+// share, and the 18 events they count (two of them retries).
+func checkFaninGap(t *testing.T, fwd []sim.Time, acks [2][]sim.Time, executed uint64) {
+	t.Helper()
+	if want := []sim.Time{200, 496}; !slices.Equal(fwd, want) {
+		t.Errorf("forwards at %v, want %v", fwd, want)
+	}
+	if want := [2][]sim.Time{{316}, {612}}; !slices.Equal(acks[0], want[0]) || !slices.Equal(acks[1], want[1]) {
+		t.Errorf("driver acks at %v, want %v", acks, want)
+	}
+	if executed != 18 {
+		t.Errorf("Executed() = %d, want 18", executed)
+	}
+}
+
+// TestFaninRetryFusedIntoAckIn: a flit that arrives in the cycle gap
+// forwards at nextAllowed, the instant its predecessor's ack-in fires,
+// and the retry runs inside that ack-in instead of as its own event.
+// After the first grant only the ack-in, the output delivery and port
+// 1's send are queued; a separate retry timer would be a fourth. Both
+// grants' retries fuse (the second finds nothing to forward), and
+// Executed still counts them.
+func TestFaninRetryFusedIntoAckIn(t *testing.T) {
+	fwd, acks, queued, executed := faninGapRun(t, chFwd)
+	checkFaninGap(t, fwd, acks, executed)
+	if queued != 3 {
+		t.Errorf("%d events queued after the first grant, want 3 (no retry event)", queued)
+	}
+}
+
+// TestFaninRetryKeptBehindLaterEvent: when the output channel's flight
+// time equals the fanin's ack delay, each grant queues the output
+// delivery at nextAllowed behind the ack-in, so a retry there would no
+// longer run right after the ack-in. The separate retry event is kept,
+// and the forwards, acknowledges and event count match the fused run's.
+func TestFaninRetryKeptBehindLaterEvent(t *testing.T) {
+	fwd, acks, queued, executed := faninGapRun(t, 106)
+	checkFaninGap(t, fwd, acks, executed)
+	if queued != 4 {
+		t.Errorf("%d events queued after the first grant, want 4 (with the retry)", queued)
 	}
 }

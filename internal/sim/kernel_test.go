@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +26,21 @@ type refSched struct{ evs []refEv }
 
 func (r *refSched) add(at Time, seq uint64, tag int64) {
 	r.evs = append(r.evs, refEv{at: at, seq: seq, tag: tag})
+}
+
+// lastAt reports whether tag is pending and no pending event shares its
+// timestamp with a larger sequence number.
+func (r *refSched) lastAt(tag int64) bool {
+	i := slices.IndexFunc(r.evs, func(e refEv) bool { return e.tag == tag })
+	if i < 0 {
+		return false
+	}
+	for _, e := range r.evs {
+		if e.at == r.evs[i].at && e.seq > r.evs[i].seq {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *refSched) cancel(tag int64) bool {
@@ -100,12 +116,14 @@ var spanEdges = [...]Time{0, wheelSize - 1, wheelSize, wheelSize + 1, 7*wheelSiz
 
 // kernelRefMismatch drives ops through both the kernel and the reference
 // scheduler: schedules near, at the span edges, anywhere up to nine
-// spans ahead and at Never; cancels and reschedules; single steps; and
-// RunUntil deadlines that fall between occupied buckets, on an event or
-// past the span. It requires identical dispatch sequences (tags and
-// timestamps), identical Cancel outcomes and clocks, and correct
-// staleness of spent EventIDs, and describes the first difference ("" if
-// there is none).
+// spans ahead and at Never, through At and In alternately; cancels and
+// reschedules; single steps; RunUntil deadlines that fall between
+// occupied buckets, on an event or past the span; and LastAt queries. It
+// requires identical dispatch sequences (tags and timestamps), identical
+// Cancel outcomes and clocks, correct staleness of spent EventIDs, and
+// that LastAt holds exactly for a wheel event that is the reference's
+// last pending event at its time, and describes the first difference
+// ("" if there is none).
 func kernelRefMismatch(ops []uint32) string {
 	s := NewScheduler()
 	rec := &tagRecorder{s: s}
@@ -115,6 +133,10 @@ func kernelRefMismatch(ops []uint32) string {
 	liveAt := make(map[int64]Time)
 	var nextTag int64
 	var seq uint64 // mirrors the kernel's per-At sequence counter
+	// spent is the ID of the most recently dispatched or canceled event,
+	// spentAt its timestamp.
+	var spent EventID
+	var spentAt Time
 
 	pick := func(sel uint32) (int64, bool) {
 		if len(liveOrder) == 0 {
@@ -123,6 +145,7 @@ func kernelRefMismatch(ops []uint32) string {
 		return liveOrder[int(sel)%len(liveOrder)], true
 	}
 	drop := func(tag int64) {
+		spent, spentAt = live[tag], liveAt[tag]
 		delete(live, tag)
 		delete(liveAt, tag)
 		for i, v := range liveOrder {
@@ -136,7 +159,12 @@ func kernelRefMismatch(ops []uint32) string {
 		tag := nextTag
 		nextTag++
 		at := AddSat(s.Now(), delay)
-		id := s.At(at, rec, tag)
+		var id EventID
+		if tag%2 == 0 {
+			id = s.At(at, rec, tag)
+		} else {
+			id = s.In(delay, rec, tag)
+		}
 		ref.add(at, seq, tag)
 		seq++
 		live[tag] = id
@@ -167,6 +195,19 @@ func kernelRefMismatch(ops []uint32) string {
 			return fmt.Sprintf("step logged %d dispatches, want 1", len(rec.log)-before)
 		}
 		return checkLast(want)
+	}
+	// checkLastAt compares LastAt for a live tag with the reference; the
+	// far heap never answers true, and neither does any other timestamp.
+	checkLastAt := func(tag int64) string {
+		id, at := live[tag], liveAt[tag]
+		want := at-s.Now() < wheelSize && ref.lastAt(tag)
+		if got := s.LastAt(id, at); got != want {
+			return fmt.Sprintf("LastAt(tag=%d at=%v) = %v at now=%v, want %v", tag, at, got, s.Now(), want)
+		}
+		if s.LastAt(id, at^1) {
+			return fmt.Sprintf("LastAt(tag=%d) true at %v, event is at %v", tag, at^1, at)
+		}
+		return ""
 	}
 	runUntil := func(deadline Time) string {
 		now := s.Now()
@@ -231,8 +272,30 @@ func kernelRefMismatch(ops []uint32) string {
 				drop(tag)
 				schedule(Time(sel % (3 * wheelSize)))
 			}
-		case 9, 10, 11, 12: // dispatch one event
+		case 9, 10, 11: // dispatch one event
 			bad = checkStep()
+		case 12: // LastAt on a zero, spent or live ID
+			switch sel % 4 {
+			case 0:
+				if s.LastAt(EventID{}, s.Now()) {
+					return "LastAt of zero EventID returned true"
+				}
+			case 1:
+				if s.LastAt(spent, spentAt) {
+					return fmt.Sprintf("LastAt of spent ID at %v returned true", spentAt)
+				}
+			case 2: // the live event's bucket gains a later entry
+				if tag, ok := pick(sel >> 2); ok {
+					schedule(liveAt[tag] - s.Now())
+					if bad = checkLastAt(tag); bad == "" {
+						bad = checkLastAt(nextTag - 1)
+					}
+				}
+			case 3:
+				if tag, ok := pick(sel >> 2); ok {
+					bad = checkLastAt(tag)
+				}
+			}
 		case 13: // canceling the zero ID is always a no-op
 			if s.Cancel(EventID{}) {
 				return "Cancel of zero EventID returned true"
@@ -378,6 +441,13 @@ func TestInOverflowSaturates(t *testing.T) {
 	s.RunUntil(Never - 1)
 	if !s.Pending(id) {
 		t.Error("event at Never dispatched before the deadline Never-1")
+	}
+	// A short delay within a span of Never saturates too.
+	id2 := s.In(5, &nop, 0)
+	s.Run()
+	if s.Pending(id) || s.Pending(id2) || s.Now() != Never {
+		t.Errorf("after Run: pending %v/%v, clock %v; want both dispatched at Never",
+			s.Pending(id), s.Pending(id2), s.Now())
 	}
 }
 

@@ -822,6 +822,7 @@ func (s *Scheduler) resolveFresh() {
 			s.insert(fr.idx)
 		} else {
 			s.siftUp(int(sl.heapIdx))
+			s.refreshFar()
 		}
 	}
 	sh.fresh = keep

@@ -377,6 +377,27 @@ func TestShardGroupIdle(t *testing.T) {
 	}
 }
 
+// TestLastAtShardedFalse pins LastAt to false on a shard's scheduler,
+// even for the only event at its time: a mailbox arrival is inserted by
+// sequence and can land behind it.
+func TestLastAtShardedFalse(t *testing.T) {
+	g := NewShardGroup(2, testLookahead)
+	defer g.Close()
+	s := g.Shard(0)
+	var nop nopHandler
+	id := s.In(5, &nop, 0)
+	if !s.Pending(id) {
+		t.Fatal("event not pending")
+	}
+	if s.LastAt(id, 5) {
+		t.Error("LastAt on a sharded scheduler returned true")
+	}
+	serial := NewScheduler()
+	if sid := serial.In(5, &nop, 0); !serial.LastAt(sid, 5) {
+		t.Error("LastAt on the same serial schedule returned false")
+	}
+}
+
 func TestCrossShardLookaheadViolationPanics(t *testing.T) {
 	g := NewShardGroup(2, 50)
 	defer g.Close()

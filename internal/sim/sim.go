@@ -30,6 +30,22 @@
 // inside the new span into their buckets, in heap order, before any At
 // can reach those buckets.
 //
+// Three fast paths rest on the invariant, none of which changes the
+// dispatch order. A serial In within the span skips the general At and
+// goes straight to a bucket append (wheelPush, which At's serial wheel
+// branch shares). The far heap's earliest timestamp is cached, so a
+// clock advance with nothing to migrate is one comparison. And the run
+// loop derives the head event's time from its bucket index, without
+// loading the slot, before it checks the time against the deadline.
+//
+// LastAt exposes one more consequence of the FIFO buckets: an event that
+// is its bucket's tail is followed, at its timestamp, by whatever is
+// scheduled there next, and by nothing else, ever. A component can then
+// run a follow-up action at the end of that event's handler instead of
+// scheduling it as an event of its own, and report it with Fused so that
+// Executed still counts it; the fanin node does so with its
+// handshake-cycle retry (internal/node).
+//
 // Asynchronous NoC models are built on top of this kernel by scheduling
 // request/acknowledge toggle events between handshake components: each
 // channel and node implements Handler once and schedules itself with
@@ -187,8 +203,11 @@ type Scheduler struct {
 	occ      [wheelWords]uint64
 	wheelLen int
 	// heap holds the far events (at >= now+wheelSize when queued) as
-	// slot indices in an implicit 4-ary min-heap by (at, seq).
-	heap []int32
+	// slot indices in an implicit 4-ary min-heap by (at, seq); farAt
+	// caches its root's timestamp, Never when it is empty, so a clock
+	// advance with nothing to migrate costs one comparison.
+	heap  []int32
+	farAt Time
 
 	nextSeq uint64
 	// executed counts events dispatched since construction.
@@ -203,7 +222,7 @@ type Scheduler struct {
 
 // NewScheduler returns an empty scheduler at time zero.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	return &Scheduler{farAt: Never}
 }
 
 // Now returns the current simulation time.
@@ -212,7 +231,8 @@ func (s *Scheduler) Now() Time { return s.now }
 // Len returns the number of pending events.
 func (s *Scheduler) Len() int { return s.wheelLen + len(s.heap) }
 
-// Executed returns the total number of events dispatched so far.
+// Executed returns the total number of events dispatched so far,
+// including those a handler ran in place (Fused).
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // At enqueues h to be dispatched with arg at absolute time at. Scheduling
@@ -227,6 +247,9 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
+	if s.shard == nil && at-s.now < wheelSize {
+		return s.wheelPush(at, h, arg)
+	}
 	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.at, sl.h, sl.arg = at, h, arg
@@ -239,28 +262,69 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 		}
 		s.insert(idx)
 	} else {
-		// Sequence numbers only grow, so the event queues behind every
-		// pending event at its timestamp.
 		sl.seq = s.nextSeq
 		s.nextSeq++
-		if at-s.now >= wheelSize {
-			s.pushFar(idx)
-		} else {
-			s.wheelAppend(idx, at)
-		}
+		s.pushFar(idx)
 	}
 	return EventID{slot: idx, gen: sl.gen}
 }
 
 // In enqueues h to be dispatched with arg after delay picoseconds,
 // saturating at Never on overflow (an event at Never is beyond every
-// finite RunUntil deadline). The zero-allocation hot path.
+// finite RunUntil deadline). The zero-allocation hot path: a serial
+// scheduler puts a delay inside the wheel span straight into its bucket.
 func (s *Scheduler) In(delay Time, h Handler, arg int64) EventID {
+	// A negative delay fails the unsigned compare, and within a span of
+	// Never the sum could overflow; both take the checked path.
+	if uint64(delay) < wheelSize && s.now < Never-wheelSize && s.shard == nil {
+		if h == nil {
+			panic("sim: schedule with nil handler")
+		}
+		return s.wheelPush(s.now+delay, h, arg)
+	}
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
 	return s.At(AddSat(s.now, delay), h, arg)
 }
+
+// wheelPush queues a serial event at at, which must lie inside the wheel
+// span. Sequence numbers only grow, so the event queues behind every
+// pending event at its timestamp.
+func (s *Scheduler) wheelPush(at Time, h Handler, arg int64) EventID {
+	idx := s.alloc()
+	sl := &s.slots[idx]
+	sl.at, sl.h, sl.arg = at, h, arg
+	sl.seq = s.nextSeq
+	s.nextSeq++
+	s.wheelAppend(idx, at)
+	return EventID{slot: idx, gen: sl.gen}
+}
+
+// LastAt reports whether id is pending in the wheel at exactly at and is
+// the tail of its bucket, on a serial scheduler. When it holds, an event
+// scheduled at at now dispatches immediately after id, and nothing can
+// later come between them: every later event gets a larger sequence
+// number and queues behind both, and no far event shares a wheel
+// event's timestamp. A component can then run that event's work at the
+// end of id's handler instead, and report it with Fused. Sharded
+// schedulers always report false: mailbox arrivals are inserted by
+// sequence and can land between.
+func (s *Scheduler) LastAt(id EventID, at Time) bool {
+	if s.shard != nil || !s.Pending(id) {
+		return false
+	}
+	sl := &s.slots[id.slot]
+	return sl.heapIdx == slotWheel && sl.at == at && s.wheel[int(at)&wheelMask].tail == id.slot
+}
+
+// Fused counts one event that the handler now dispatching ran in place,
+// at its end, instead of scheduling it, as a true LastAt allows. Executed
+// then reads exactly as if the event had been dispatched: event budgets
+// keep their meaning, and a serial run reports the count a sharded run
+// of the same model reports, where LastAt is false and the event is
+// dispatched.
+func (s *Scheduler) Fused() { s.executed++ }
 
 // funcEvent adapts a captured closure to Handler — the compatibility path
 // for cold call sites; each Schedule/After allocates one.
@@ -420,10 +484,7 @@ func (s *Scheduler) peekAt() Time {
 	if s.wheelLen > 0 {
 		return s.slots[s.wheel[s.firstBucket()].head].at
 	}
-	if len(s.heap) > 0 {
-		return s.slots[s.heap[0]].at
-	}
-	return Never
+	return s.farAt
 }
 
 // advance moves the clock forward to t and restores the wheel invariant:
@@ -435,14 +496,19 @@ func (s *Scheduler) peekAt() Time {
 // goes through here.
 func (s *Scheduler) advance(t Time) {
 	s.now = t
-	for len(s.heap) > 0 {
+	if s.farAt-t < wheelSize {
+		s.migrate()
+	}
+}
+
+// migrate moves the far events inside the span into their buckets.
+// farAt is Never on an empty heap, and Never-now < wheelSize once the
+// clock comes within a span of Never, so the loop also checks the heap.
+func (s *Scheduler) migrate() {
+	for s.farAt-s.now < wheelSize && len(s.heap) > 0 {
 		idx := s.heap[0]
-		at := s.slots[idx].at
-		if at-t >= wheelSize {
-			return
-		}
 		s.removeAt(0)
-		s.wheelAppend(idx, at)
+		s.wheelAppend(idx, s.slots[idx].at)
 	}
 }
 
@@ -463,6 +529,16 @@ func (s *Scheduler) pushFar(idx int32) {
 	s.slots[idx].heapIdx = int32(len(s.heap))
 	s.heap = append(s.heap, idx)
 	s.siftUp(len(s.heap) - 1)
+	s.refreshFar()
+}
+
+// refreshFar recomputes farAt after the heap's root may have changed.
+func (s *Scheduler) refreshFar() {
+	if len(s.heap) == 0 {
+		s.farAt = Never
+		return
+	}
+	s.farAt = s.slots[s.heap[0]].at
 }
 
 // siftUp restores heap order from position i toward the root.
@@ -522,14 +598,14 @@ func (s *Scheduler) removeAt(i int) {
 	last := len(s.heap) - 1
 	li := s.heap[last]
 	s.heap = s.heap[:last]
-	if i == last {
-		return
+	if i != last {
+		s.heap[i] = li
+		s.slots[li].heapIdx = int32(i)
+		if !s.siftDown(i) {
+			s.siftUp(i)
+		}
 	}
-	s.heap[i] = li
-	s.slots[li].heapIdx = int32(i)
-	if !s.siftDown(i) {
-		s.siftUp(i)
-	}
+	s.refreshFar()
 }
 
 // Stop makes the currently running Run/RunUntil loop return after the
@@ -546,12 +622,15 @@ func (s *Scheduler) stepUntil(limit Time) bool {
 	var idx int32
 	if s.wheelLen > 0 {
 		b := s.firstBucket()
-		bk := &s.wheel[b]
-		idx = bk.head
-		at := s.slots[idx].at
+		// By the wheel invariant bucket b holds the one timestamp in
+		// [now, now+wheelSize) that maps to it, so the head's time needs
+		// no slot load before the limit check.
+		at := s.now + Time((b-int(s.now))&wheelMask)
 		if at > limit {
 			return false
 		}
+		bk := &s.wheel[b]
+		idx = bk.head
 		if idx == bk.tail {
 			s.occ[b>>6] &^= uint64(1) << (b & 63)
 		} else {
@@ -562,11 +641,11 @@ func (s *Scheduler) stepUntil(limit Time) bool {
 			s.advance(at)
 		}
 	} else if len(s.heap) > 0 {
-		idx = s.heap[0]
-		at := s.slots[idx].at
+		at := s.farAt
 		if at > limit {
 			return false
 		}
+		idx = s.heap[0]
 		s.removeAt(0)
 		s.advance(at)
 	} else {
