@@ -65,7 +65,8 @@ obs-smoke:
 # on a >10% wall-clock or any allocs/op regression against
 # bench/baseline.json. benchstat, when installed, prints a nicer delta
 # report (advisory, like lint). After a legitimate improvement refresh
-# the baseline with `make bench-smoke BENCHGUARD_FLAGS=-update`.
+# the baseline with `make bench-smoke BENCHGUARD_FLAGS=-update`. The
+# machine-readable report (benchguard -json) goes to bin/bench_report.json.
 BENCHGUARD_FLAGS ?=
 bench-smoke:
 	@mkdir -p bin
@@ -74,7 +75,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNITransaction|BenchmarkStrategy' -benchmem ./internal/network | tee bin/bench_ni.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkFig6aLatency' -benchtime 1x -benchmem . | tee bin/bench_fig6a.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkChipletHierarchy' -benchtime 1x -benchmem . | tee bin/bench_chiplet.txt
-	./bin/benchguard -baseline bench/baseline.json -json bench/BENCH_shard.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt
+	./bin/benchguard -baseline bench/baseline.json -json bin/bench_report.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt; \
 	fi
@@ -98,9 +99,11 @@ service-smoke:
 # may panic or hang. It also fuzzes the event kernel itself: byte
 # strings become schedule (any delay, past the timing wheel's span and
 # at Never), cancel, step and RunUntil operations whose dispatch order
-# must match a naive reference scheduler. The targets after the store cap
-# input minimization at 200 runs: most of their binaries link the whole
-# simulator, and an uncapped minimization can eat the 10 s budget.
+# must match a naive reference scheduler, and the saturation verdict: a
+# drawn probe that stops at its verdict must agree with its full run.
+# The targets after the store cap input minimization at 200 runs: most
+# of their binaries link the whole simulator, and an uncapped
+# minimization can eat the 10 s budget.
 # Longer campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m ./internal/store
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
@@ -110,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecBuild -fuzztime 10s -fuzzminimizetime 200x ./internal/network
 	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s -fuzzminimizetime 200x ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzSatVerdict -fuzztime 10s -fuzzminimizetime 200x ./internal/core
 
 # test-routing is the scheme-shootout shard: the routing package (the
 # Strategy interface and all five multicast schemes) runs alone with a

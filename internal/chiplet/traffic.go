@@ -33,6 +33,13 @@ type UniformRandom struct {
 // Name implements traffic.Benchmark.
 func (UniformRandom) Name() string { return "UniformRandom" }
 
+// GoString renders the benchmark by value, the parameters behind P
+// included, so equal benchmarks print alike whatever P's address
+// (core.JobKey hashes this form).
+func (b UniformRandom) GoString() string {
+	return fmt.Sprintf("chiplet.UniformRandom{P:%s, DieN:%d}", paramsGoString(b.P), b.DieN)
+}
+
 // NextDests implements traffic.Benchmark by panicking; the destination
 // space does not fit one mask.
 func (b UniformRandom) NextDests(int, *rng.Source) packet.DestSet { return panicFlat(b.Name()) }
@@ -58,6 +65,19 @@ type Multicast struct {
 
 // Name implements traffic.Benchmark.
 func (b Multicast) Name() string { return fmt.Sprintf("Multicast%d", int(b.Frac*100+0.5)) }
+
+// GoString renders the benchmark by value (see UniformRandom.GoString).
+func (b Multicast) GoString() string {
+	return fmt.Sprintf("chiplet.Multicast{P:%s, DieN:%d, Frac:%#v}", paramsGoString(b.P), b.DieN, b.Frac)
+}
+
+// paramsGoString renders composition parameters by value.
+func paramsGoString(p *Params) string {
+	if p == nil {
+		return "nil"
+	}
+	return fmt.Sprintf("&%#v", *p)
+}
 
 // NextDests implements traffic.Benchmark by panicking.
 func (b Multicast) NextDests(int, *rng.Source) packet.DestSet { return panicFlat(b.Name()) }

@@ -101,6 +101,19 @@ type ResultStore interface {
 	Stats() StoreStats
 }
 
+// VerdictStore is implemented by a ResultStore that also keeps the
+// verdicts of saturation probes, so that a search repeated in another
+// process simulates nothing: a probe that stopped at its verdict has
+// no RunResult to store. Keys are digests of the job key and the
+// criterion, in a namespace of their own, and the same rules apply as
+// for results (safe for concurrent use, a corrupt entry is a miss,
+// PutVerdict is best-effort). The engine finds the methods by a type
+// assertion on its store.
+type VerdictStore interface {
+	GetVerdict(key string) (saturated, ok bool)
+	PutVerdict(key string, saturated bool)
+}
+
 // RemoteRunner executes one simulation somewhere else (typically an
 // asyncnocd server wrapped by the service client). Returning an error
 // that matches ErrRemoteUnavailable makes the engine fall back to local
@@ -137,6 +150,11 @@ type Engine struct {
 
 	hits, misses uint64
 
+	// verdicts memoizes the verdicts of saturation probes that have no
+	// RunResult in the memo, and holds the probes in flight (see
+	// Engine.probe).
+	verdicts map[verdictKey]*verdictEntry
+
 	// store, when non-nil, is the persistent layer consulted on a memo
 	// miss (read-through) and populated after each successful compute
 	// (write-behind). remote, when non-nil, replaces local computation.
@@ -158,11 +176,12 @@ func NewEngine(workers int) *Engine {
 		workers = DefaultWorkers()
 	}
 	return &Engine{
-		workers: workers,
-		sem:     make(chan struct{}, workers),
-		memo:    make(map[string]*memoEntry),
-		order:   list.New(),
-		cap:     DefaultMemoCapacity,
+		workers:  workers,
+		sem:      make(chan struct{}, workers),
+		memo:     make(map[string]*memoEntry),
+		verdicts: make(map[verdictKey]*verdictEntry),
+		order:    list.New(),
+		cap:      DefaultMemoCapacity,
 	}
 }
 
@@ -177,6 +196,9 @@ func (e *Engine) SetMemoCapacity(n int) {
 	defer e.mu.Unlock()
 	e.cap = n
 	e.evictLocked()
+	if len(e.verdicts) > n {
+		clear(e.verdicts)
+	}
 }
 
 // SetStore layers a persistent result store behind the memo: memo
@@ -324,6 +346,12 @@ func (e *Engine) RunContext(ctx context.Context, spec network.Spec, cfg RunConfi
 // RunSource is RunContext that also reports where the result came from
 // (the service labels store- and memo-served responses with it).
 func (e *Engine) RunSource(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
+	return e.RunKeyed(ctx, JobKey(spec, cfg), spec, cfg)
+}
+
+// RunKeyed is RunSource for a caller that already holds the job's key,
+// which must equal JobKey(spec, cfg).
+func (e *Engine) RunKeyed(ctx context.Context, key string, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
 	// JobKey ignores Shards, so a memo or store hit from a serial run of
 	// the same key would otherwise hide this rejection.
 	if err := checkShards(spec, cfg); err != nil {
@@ -337,32 +365,25 @@ func (e *Engine) RunSource(ctx context.Context, spec network.Spec, cfg RunConfig
 		res, err := e.simulate(ctx, spec, cfg)
 		return res, SourceComputed, err
 	}
-	key := JobKey(spec, cfg)
-	ent, compute := e.claim(key)
+	ent, compute := e.claim(key, true)
 	if !compute {
-		select {
-		case <-ent.done:
-			return ent.res, SourceMemo, ent.err
-		case <-ctx.Done():
-			return RunResult{}, SourceMemo, ctx.Err()
-		}
+		res, err := await(ctx, ent)
+		return res, SourceMemo, err
 	}
 	// Read through to the persistent store before paying for a pool
 	// slot: a disk hit costs microseconds and the in-flight entry
 	// already deduplicates concurrent lookups of the same key.
-	if st := e.Store(); st != nil {
-		if res, ok := st.Get(key); ok {
-			ent.res = res
-			e.finish(ent)
-			return res, SourceStore, nil
-		}
+	if res, ok := e.fromStore(key); ok {
+		ent.res = res
+		e.finish(ent)
+		return res, SourceStore, nil
 	}
 	// Remote execution does not hold a local pool slot: the server
 	// applies its own admission control, and the point of delegating is
 	// to fan out past local capacity. An unavailable server degrades to
 	// local computation.
 	remote := false
-	if rr := e.loadRemote(); rr != nil {
+	if rr := e.Remote(); rr != nil {
 		ent.res, ent.err = rr(ctx, spec, cfg)
 		remote = ent.err == nil || !errors.Is(ent.err, ErrRemoteUnavailable)
 	}
@@ -372,26 +393,66 @@ func (e *Engine) RunSource(ctx context.Context, spec network.Spec, cfg RunConfig
 		ent.res, ent.err = e.simulate(ctx, spec, cfg)
 	}
 	e.finish(ent)
-	// Write behind; a failed write is the store's to count, not the run's.
-	if st := e.Store(); st != nil && ent.err == nil {
-		st.Put(key, ent.res)
+	if ent.err == nil {
+		e.toStore(key, ent.res)
 	}
 	return ent.res, SourceComputed, ent.err
 }
 
-// simulate runs one simulation under a pool slot, or fails with
-// ctx.Err() if ctx ends while it waits for one.
-func (e *Engine) simulate(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
+// await waits for ent's final result, or fails with ctx.Err() if ctx
+// ends first.
+func await(ctx context.Context, ent *memoEntry) (RunResult, error) {
 	select {
-	case e.sem <- struct{}{}:
+	case <-ent.done:
+		return ent.res, ent.err
 	case <-ctx.Done():
 		return RunResult{}, ctx.Err()
 	}
-	defer func() { <-e.sem }()
+}
+
+// fromStore reads key's result through from the persistent store.
+func (e *Engine) fromStore(key string) (RunResult, bool) {
+	if st := e.Store(); st != nil {
+		return st.Get(key)
+	}
+	return RunResult{}, false
+}
+
+// toStore writes a computed result behind to the persistent store; a
+// failed write is the store's to count, not the run's.
+func (e *Engine) toStore(key string, res RunResult) {
+	if st := e.Store(); st != nil {
+		st.Put(key, res)
+	}
+}
+
+// simulate runs one simulation under a pool slot, or fails with
+// ctx.Err() if ctx ends while it waits for one.
+func (e *Engine) simulate(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunResult, err error) {
+	if err := e.acquire(ctx); err != nil {
+		return RunResult{}, err
+	}
+	defer e.releaseSlot()
 	e.started.Add(1)
 	defer e.completed.Add(1)
-	return runSafely(ctx, spec, cfg)
+	err = protect(spec.Name, func() (err error) {
+		res, err = RunContext(ctx, spec, cfg)
+		return err
+	})
+	return res, err
 }
+
+// acquire takes a pool slot, or fails with ctx.Err() if ctx ends first.
+func (e *Engine) acquire(ctx context.Context) error {
+	select {
+	case e.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (e *Engine) releaseSlot() { <-e.sem }
 
 // finish publishes a final entry to its waiters. A canceled computation
 // leaves the memo again, so the key is not poisoned with a cancellation
@@ -411,43 +472,72 @@ func (e *Engine) finish(ent *memoEntry) {
 	e.evictLocked()
 }
 
-// loadRemote returns the remote delegate (nil when none).
-func (e *Engine) loadRemote() RemoteRunner {
+// Remote returns the remote delegate (nil when none).
+func (e *Engine) Remote() RemoteRunner {
 	if p := e.remote.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-// runSafely converts a worker panic into a *PanicError: one poisoned job
-// must fail alone, not kill the pool or take sibling results with it.
-// (Typed protocol violations are already recovered one level down, in
-// RunContext's RecoverViolations handler.)
-func runSafely(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunResult, err error) {
+// protect runs fn at the run boundary: a typed protocol violation
+// becomes a *ProtocolError and any other panic a *PanicError, so one
+// poisoned job fails alone instead of killing the pool or taking
+// sibling results with it.
+func protect(name string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Network: spec.Name, Value: r, Stack: debug.Stack()}
+			err = &PanicError{Network: name, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return RunContext(ctx, spec, cfg)
+	defer RecoverViolations(name, &err)
+	return fn()
 }
 
 // claim looks the key up, registering a fresh in-flight entry on a miss.
-// It reports whether the caller must compute the entry.
-func (e *Engine) claim(key string) (*memoEntry, bool) {
+// It reports whether the caller must compute the entry. count adds the
+// lookup to the hit and miss counts; a saturation probe resuming its
+// suspended run does not count it again.
+func (e *Engine) claim(key string, count bool) (*memoEntry, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ent, ok := e.memo[key]; ok {
-		e.hits++
+		if count {
+			e.hits++
+		}
 		e.order.MoveToFront(ent.elem)
 		return ent, false
 	}
-	e.misses++
+	if count {
+		e.misses++
+	}
+	ent := e.insertLocked(key)
+	e.evictLocked()
+	return ent, true
+}
+
+// insertLocked enters an in-flight entry for key at the front of the
+// LRU order.
+func (e *Engine) insertLocked(key string) *memoEntry {
 	ent := &memoEntry{key: key, done: make(chan struct{})}
 	ent.elem = e.order.PushFront(ent)
 	e.memo[key] = ent
+	return ent
+}
+
+// memoize enters a result obtained without a claim (a saturation probe
+// that ran to its end, or a probe's result read from the store) into the
+// memo, unless the key is already there.
+func (e *Engine) memoize(key string, res RunResult) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, ok := e.memo[key]; ok {
+		return
+	}
+	ent := e.insertLocked(key)
+	ent.res = res
+	close(ent.done)
 	e.evictLocked()
-	return ent, true
 }
 
 // RunJobs executes every job through the pool and returns the results in

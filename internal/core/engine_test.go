@@ -2,10 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
 )
@@ -157,6 +160,54 @@ func TestJobKey(t *testing.T) {
 	}
 	if JobKey(other, base) == key {
 		t.Error("different specs share a key")
+	}
+}
+
+// TestJobKeyPinned: the keys of the six paper benchmarks are the ones
+// earlier versions wrote, so persistent stores stay warm.
+func TestJobKeyPinned(t *testing.T) {
+	want := map[string]string{
+		"UniformRandom":    "c86d82b8ee8eb648755b2a235eae333b447038af43a5def0a773a3955c449452",
+		"Shuffle":          "de113d913f61a29e33b61edaeeb38ef76e8626237925ba29aed84578f0bb2845",
+		"Hotspot":          "0c2bb3a2addb4b42ce21de9e7f0ef1cd2d0ae0ce8c6a9563e2cf6f80f48a138c",
+		"Multicast5":       "c9755340ac6403f1cee3ab6fbda5c2f9398e119f99875f8eaffecacfcd06f526",
+		"Multicast10":      "3dacab274aa4fb2aae77373994ed6655a53b30bc8b62671a70590bf7caba1371",
+		"Multicast_static": "4e5f08f3c82d5d99d86a5b4e43c96d4df63355b281df71508854761dac01163c",
+	}
+	spec := OptHybridSpeculative(8)
+	for _, b := range traffic.StandardSuite(8) {
+		cfg := RunConfig{Bench: b, LoadGFs: 0.4, Seed: 2016,
+			Warmup: 120 * sim.Nanosecond, Measure: 400 * sim.Nanosecond, Drain: 300 * sim.Nanosecond}
+		if got := JobKey(spec, cfg); got != want[b.Name()] {
+			t.Errorf("%s: key %s, want %s", b.Name(), got, want[b.Name()])
+		}
+	}
+}
+
+// TestJobKeyChipletByValue: a chiplet benchmark holds its composition
+// parameters by pointer, and its key depends on their values, not on
+// their address.
+func TestJobKeyChipletByValue(t *testing.T) {
+	spec := WithChiplet(OptHybridSpeculative(4), chiplet.Default(2, 2))
+	cfg := func(p *chiplet.Params, name string) RunConfig {
+		b, err := chiplet.ByName(p, 4, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunConfig{Bench: b, LoadGFs: 0.3, Seed: 1,
+			Warmup: 100 * sim.Nanosecond, Measure: 300 * sim.Nanosecond, Drain: 600 * sim.Nanosecond}
+	}
+	for _, name := range []string{"UniformRandom", "Multicast10"} {
+		a, b := cfg(chiplet.Default(2, 2), name), cfg(chiplet.Default(2, 2), name)
+		if JobKey(spec, a) != JobKey(spec, b) {
+			t.Errorf("%s: equal chiplet benchmarks hash differently", name)
+		}
+		if s := fmt.Sprintf("%#v", a.Bench); strings.Contains(s, "0x") {
+			t.Errorf("%s: benchmark key form %s holds an address", name, s)
+		}
+		if JobKey(spec, a) == JobKey(spec, cfg(chiplet.Parallel(2, 2), name)) {
+			t.Errorf("%s: benchmarks over different link parameters share a key", name)
+		}
 	}
 }
 

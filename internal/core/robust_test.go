@@ -14,14 +14,37 @@ import (
 	"asyncnoc/internal/traffic"
 )
 
-// fakeStore is an in-memory ResultStore for engine-level tests.
+// fakeStore is an in-memory ResultStore and VerdictStore for
+// engine-level tests.
 type fakeStore struct {
-	mu      sync.Mutex
-	entries map[string]RunResult
-	stats   StoreStats
+	mu       sync.Mutex
+	entries  map[string]RunResult
+	verdicts map[string]bool
+	stats    StoreStats
 }
 
-func newFakeStore() *fakeStore { return &fakeStore{entries: make(map[string]RunResult)} }
+func newFakeStore() *fakeStore {
+	return &fakeStore{entries: make(map[string]RunResult), verdicts: make(map[string]bool)}
+}
+
+func (f *fakeStore) GetVerdict(key string) (saturated, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	saturated, ok = f.verdicts[key]
+	if ok {
+		f.stats.Hits++
+	} else {
+		f.stats.Misses++
+	}
+	return saturated, ok
+}
+
+func (f *fakeStore) PutVerdict(key string, saturated bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.verdicts[key] = saturated
+	f.stats.Writes++
+}
 
 func (f *fakeStore) Get(key string) (RunResult, bool) {
 	f.mu.Lock()

@@ -242,15 +242,40 @@ func Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
 // ctx between event batches and aborts with ctx.Err() once it is done.
 func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunResult, err error) {
 	defer RecoverViolations(spec.Name, &err)
-	nw, err := Build(spec, cfg)
+	r, err := startRun(spec, cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	if g := nw.Group(); g != nil {
-		defer g.Close()
-	}
-	if err := attachInstruments(nw, cfg.Instruments); err != nil {
+	defer r.close()
+	if err := attachInstruments(r.nw, cfg.Instruments); err != nil {
 		return RunResult{}, err
+	}
+	if _, err := r.g.run(ctx, nil); err != nil {
+		_ = finishInstruments(cfg.Instruments) // best effort on an aborted run
+		return RunResult{}, err
+	}
+	res = r.collect()
+	if err := finishInstruments(cfg.Instruments); err != nil {
+		return res, err
+	}
+	return res, nil
+}
+
+// motRun is one built MoT network between Build and collect: its
+// harness and the watchdog loop driving it, which a saturation probe
+// stops at a chunk boundary and may resume later.
+type motRun struct {
+	cfg RunConfig
+	nw  *network.Network
+	h   harness
+	g   guard
+}
+
+// startRun builds spec armed for cfg, with its watchdog loop set up.
+func startRun(spec network.Spec, cfg RunConfig) (*motRun, error) {
+	nw, err := Build(spec, cfg)
+	if err != nil {
+		return nil, err
 	}
 	total := runSpan(cfg)
 	maxEvents := cfg.MaxEvents
@@ -266,16 +291,24 @@ func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunR
 			maxEvents *= mul
 		}
 	}
-	h := motHarness(nw)
-	if err := h.runGuarded(ctx, total, maxEvents); err != nil {
-		_ = finishInstruments(cfg.Instruments) // best effort on an aborted run
-		return RunResult{}, err
+	r := &motRun{cfg: cfg, nw: nw, h: motHarness(nw)}
+	r.g = r.h.guard(total, maxEvents)
+	return r, nil
+}
+
+// verdict is c's verdict on the run so far (metrics.Recorder.Verdict).
+// It is sound only for single-die networks (see Engine.probe).
+func (r *motRun) verdict(c metrics.SatCriterion) metrics.Verdict {
+	return r.h.rec.Verdict(c, r.h.clock.Now(), r.g.total)
+}
+
+func (r *motRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.cfg.LoadGFs) }
+
+// close ends a sharded run's group.
+func (r *motRun) close() {
+	if g := r.nw.Group(); g != nil {
+		g.Close()
 	}
-	res = h.collect(cfg.Bench.Name(), cfg.LoadGFs)
-	if err := finishInstruments(cfg.Instruments); err != nil {
-		return res, err
-	}
-	return res, nil
 }
 
 // RunMesh executes one 2D-mesh simulation through the same path as
@@ -398,64 +431,104 @@ type holdStreak struct {
 	count int
 }
 
-// runGuarded drives the clock to `total` simulated picoseconds under
-// the watchdog. Without a context deadline or event budget it is the
-// plain single RunUntil of the original harness (bit-identical); with
-// either, the same event sequence is dispatched in bounded chunks so the
-// run can abort between batches. In both modes quiescence with flits
-// still held in the fabric is diagnosed as a deadlock.
+// guard is the watchdog loop of one run: it drives the clock to total
+// under the event budget, the context and (on fault-enabled networks)
+// the wedged-link watch. It keeps its position between calls, so a run
+// stopped at a chunk boundary resumes exactly where it left off.
+type guard struct {
+	h         *harness
+	total     sim.Time
+	maxEvents uint64
+	// t is the last chunk boundary reached (0 before the first call);
+	// step is advance's adaptive step, and streaks the wedged-link
+	// watch's per-channel hold counts.
+	t, chunk, step sim.Time
+	watchHolds     bool
+	streaks        map[int]holdStreak
+}
+
+// guard returns the watchdog loop that drives h to total.
+func (h *harness) guard(total sim.Time, maxEvents uint64) guard {
+	chunk := max(total/watchdogChunks, 1)
+	// With faults enabled, watch for wedged links: injection runs for
+	// the whole span, so a stuck channel never quiesces the event queue
+	// — instead it pins one flit in one channel forever. Fault specs
+	// never shard, so this only ever runs on one scheduler.
+	watch := h.nw != nil && h.nw.FaultStats() != nil
+	return guard{
+		h: h, total: total, maxEvents: maxEvents,
+		chunk: chunk, step: min(chunk, sim.Nanosecond), watchHolds: watch,
+	}
+}
+
+// runGuarded drives the clock to `total` simulated picoseconds under the
+// watchdog (see guard.run).
 func (h *harness) runGuarded(ctx context.Context, total sim.Time, maxEvents uint64) error {
-	clk := h.clock
-	if ctx.Done() == nil && maxEvents == 0 {
-		clk.RunUntil(total)
+	g := h.guard(total, maxEvents)
+	_, err := g.run(ctx, nil)
+	return err
+}
+
+// run drives the clock on toward total. Without a context deadline,
+// event budget or stop rule it is the plain single RunUntil of the
+// original harness (bit-identical); with any of them, the same event
+// sequence is dispatched in watchdogChunks chunks so the run can abort
+// between batches. stop, when non-nil, is consulted at every chunk
+// boundary short of the end: when it returns true, run returns
+// stopped=true with the run suspended at that boundary, and a later
+// call continues it. In both modes, quiescence at the end with flits
+// still held in the fabric is diagnosed as a deadlock.
+func (g *guard) run(ctx context.Context, stop func() bool) (stopped bool, err error) {
+	clk := g.h.clock
+	if g.t == 0 && ctx.Done() == nil && g.maxEvents == 0 && stop == nil {
+		clk.RunUntil(g.total)
 	} else {
-		chunk := total / watchdogChunks
-		if chunk < 1 {
-			chunk = 1
-		}
-		// With faults enabled, watch for wedged links: injection runs for
-		// the whole span, so a stuck channel never quiesces the event
-		// queue — instead it pins one flit in one channel forever. Fault
-		// specs never shard, so this only ever runs on one scheduler.
-		watchHolds := h.nw != nil && h.nw.FaultStats() != nil
-		streaks := make(map[int]holdStreak)
-		step := min(chunk, sim.Nanosecond)
-		for t := chunk; ; t = sim.AddSat(t, chunk) {
-			if t > total {
-				t = total
+		for {
+			g.t = min(sim.AddSat(g.t, g.chunk), g.total)
+			if err := g.h.advance(ctx, g.t, g.maxEvents, &g.step); err != nil {
+				return false, err
 			}
-			if err := h.advance(ctx, t, maxEvents, &step); err != nil {
-				return err
-			}
-			if watchHolds {
-				next := make(map[int]holdStreak)
-				for _, hold := range h.nw.ChannelHolds() {
-					s := streaks[hold.Chan]
-					if s.hold == hold {
-						s.count++
-					} else {
-						s = holdStreak{hold: hold, count: 1}
-					}
-					if s.count >= heldBoundaries {
-						return &DeadlockError{Network: h.name, At: clk.Now(), Stuck: h.nw.StuckFlits()}
-					}
-					next[hold.Chan] = s
+			if g.watchHolds {
+				if err := g.watch(); err != nil {
+					return false, err
 				}
-				streaks = next
 			}
-			if t >= total || clk.Len() == 0 {
+			if g.t >= g.total || clk.Len() == 0 {
 				break
 			}
+			if stop != nil && stop() {
+				return true, nil
+			}
 		}
-		if clk.Now() < total {
-			clk.RunUntil(total) // advance the clock past an early quiescence
-		}
-	}
-	if clk.Len() == 0 && h.nw != nil {
-		if stuck := h.nw.StuckFlits(); len(stuck) > 0 {
-			return &DeadlockError{Network: h.name, At: clk.Now(), Stuck: stuck}
+		if clk.Now() < g.total {
+			clk.RunUntil(g.total) // advance the clock past an early quiescence
 		}
 	}
+	if clk.Len() == 0 && g.h.nw != nil {
+		if stuck := g.h.nw.StuckFlits(); len(stuck) > 0 {
+			return false, &DeadlockError{Network: g.h.name, At: clk.Now(), Stuck: stuck}
+		}
+	}
+	return false, nil
+}
+
+// watch updates the wedged-link streaks at a chunk boundary and reports
+// a flit held by one channel for heldBoundaries boundaries as a deadlock.
+func (g *guard) watch() error {
+	next := make(map[int]holdStreak)
+	for _, hold := range g.h.nw.ChannelHolds() {
+		s := g.streaks[hold.Chan]
+		if s.hold == hold {
+			s.count++
+		} else {
+			s = holdStreak{hold: hold, count: 1}
+		}
+		if s.count >= heldBoundaries {
+			return &DeadlockError{Network: g.h.name, At: g.h.clock.Now(), Stuck: g.h.nw.StuckFlits()}
+		}
+		next[hold.Chan] = s
+	}
+	g.streaks = next
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 )
 
@@ -13,8 +14,12 @@ import (
 //
 // Saturation is detected the standard way: the offered load at which the
 // average latency diverges past LatencyFactor times the zero-load latency,
-// or at which the network stops completing its measured packets. The
-// boundary is located by doubling then bisection on the offered load.
+// or at which the network stops completing its measured packets
+// (metrics.SatCriterion). The boundary is located by doubling then
+// bisection on the offered load. Only the zero-load probe and the final
+// boundary need a full measurement; every other probe needs only its
+// verdict, and the engine stops simulating it once the verdict is
+// certain (see Engine.Saturation).
 type SatConfig struct {
 	// Base supplies benchmark, seed, and windows; its LoadGFs is ignored.
 	Base RunConfig
@@ -106,10 +111,25 @@ func Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
 
 // Saturation runs the saturation search through the engine. The search
 // is a plain bisection: each probe decides the next, so one search
-// occupies one pool slot at a time, and every probe is memoized.
-// Parallelism comes from running independent searches side by side
-// (Prefetch in internal/experiments, one goroutine per network in
-// cmd/loadsweep), never from guessing the next probe.
+// occupies one pool slot at a time. Parallelism comes from running
+// independent searches side by side (Prefetch in internal/experiments,
+// one goroutine per network in cmd/loadsweep), never from guessing the
+// next probe.
+//
+// A probe needs only its verdict, so the engine stops a probe's
+// simulation at the first watchdog chunk boundary after the
+// measurement window at which the verdict is certain (see
+// metrics.Recorder.Verdict), and keeps the verdict in an in-memory memo
+// and, when the store is a VerdictStore, in the store. Such a probe
+// never publishes a RunResult to the memo or the store; a probe whose
+// verdict stays open runs to its end and publishes as any run does. The current stable boundary probe stays suspended, holding
+// its network but no pool slot, and runs on to its end only if it is
+// the final boundary, so the SatResult is exactly that of a search
+// over full runs (SaturationWith over Run). A run error (event budget,
+// deadlock, ctx) that a full run would raise only after its verdict is
+// certain does not abort the search, unless that probe is the final
+// boundary. Instrumented probes, probes for a remote delegate and
+// probes of chiplet compositions run to their end.
 func (e *Engine) Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
 	return e.SaturationContext(context.Background(), spec, cfg)
 }
@@ -117,17 +137,60 @@ func (e *Engine) Saturation(spec network.Spec, cfg SatConfig) (SatResult, error)
 // SaturationContext is Saturation with cancellation: every probe runs
 // under ctx, so an abandoned search stops issuing new simulations.
 func (e *Engine) SaturationContext(ctx context.Context, spec network.Spec, cfg SatConfig) (SatResult, error) {
-	return saturationSearch(ctx, spec.Name, cfg, func(load float64) (RunResult, error) {
-		c := cfg.Base
-		c.LoadGFs = load
-		return e.RunContext(ctx, spec, c)
-	})
+	return saturationSearch(ctx, spec.Name, cfg, engineProber{e: e, ctx: ctx, spec: spec, base: cfg.Base})
 }
 
 // SaturationWith runs the saturation search against an arbitrary serial
 // runner (the mesh substrate reuses it); name labels error messages.
+// Every probe is a full run.
 func SaturationWith(name string, cfg SatConfig, run func(load float64) (RunResult, error)) (SatResult, error) {
-	return saturationSearch(context.Background(), name, cfg, run)
+	return saturationSearch(context.Background(), name, cfg, runProber(run))
+}
+
+// prober answers the search's questions about offered loads.
+type prober interface {
+	// full runs one load to its end: the zero-load probe, whose
+	// latency anchors the criterion.
+	full(load float64) (RunResult, error)
+	// probe answers whether one load saturates under c.
+	probe(load float64, c metrics.SatCriterion) (satProbe, error)
+}
+
+// satProbe is one answered probe.
+type satProbe interface {
+	saturated() bool
+	// result returns the full measurement of a stable probe's load,
+	// running a suspended simulation on to its end.
+	result() (RunResult, error)
+	// release drops whatever the probe still holds.
+	release()
+}
+
+// doneProbe is a probe answered by a full run's result.
+type doneProbe struct {
+	res RunResult
+	sat bool
+}
+
+func finished(res RunResult, c metrics.SatCriterion) doneProbe {
+	return doneProbe{res: res, sat: c.Saturated(res.Completion, res.AvgLatencyNs)}
+}
+
+func (p doneProbe) saturated() bool            { return p.sat }
+func (p doneProbe) result() (RunResult, error) { return p.res, nil }
+func (doneProbe) release()                     {}
+
+// runProber adapts a full-run runner: every probe runs to its end.
+type runProber func(load float64) (RunResult, error)
+
+func (run runProber) full(load float64) (RunResult, error) { return run(load) }
+
+func (run runProber) probe(load float64, c metrics.SatCriterion) (satProbe, error) {
+	res, err := run(load)
+	if err != nil {
+		return nil, err
+	}
+	return finished(res, c), nil
 }
 
 // saturationSearch is the search loop shared by every entry point. It
@@ -138,7 +201,7 @@ func SaturationWith(name string, cfg SatConfig, run func(load float64) (RunResul
 // cancellation, so without the explicit checks an abandoned search
 // would happily run to completion. A canceled search returns a
 // *CanceledError that unwraps to ctx.Err().
-func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(load float64) (RunResult, error)) (SatResult, error) {
+func saturationSearch(ctx context.Context, name string, cfg SatConfig, pr prober) (SatResult, error) {
 	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
 		return SatResult{}, err
@@ -149,33 +212,56 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(
 	if ctx.Err() != nil {
 		return canceled("saturation zero-load probe")
 	}
-	zero, err := run(cfg.ZeroLoadGFs)
+	zero, err := pr.full(cfg.ZeroLoadGFs)
 	if err != nil {
 		return SatResult{}, err
 	}
 	if zero.MeasuredPackets == 0 || zero.Completion == 0 {
 		return SatResult{}, fmt.Errorf("core: zero-load probe of %s measured no packets; widen the windows", name)
 	}
-	saturated := func(r RunResult) bool {
-		return r.Completion < cfg.MinCompletion ||
-			r.AvgLatencyNs > cfg.LatencyFactor*zero.AvgLatencyNs
+	crit := metrics.SatCriterion{
+		MaxLatencyNs:  cfg.LatencyFactor * zero.AvgLatencyNs,
+		MinCompletion: cfg.MinCompletion,
 	}
 
 	lo, hi := 0.0, cfg.StartLoad
-	var loRes RunResult
+	// loP answers the highest stable load so far; it is released when a
+	// higher stable load replaces it and on every early return.
+	var loP satProbe
+	defer func() {
+		if loP != nil {
+			loP.release()
+		}
+	}()
+	// probe answers one load and reports whether it saturated; a stable
+	// load becomes the new lower bound.
+	probe := func(load float64) (bool, error) {
+		p, err := pr.probe(load, crit)
+		if err != nil {
+			return false, err
+		}
+		if p.saturated() {
+			p.release()
+			return true, nil
+		}
+		if loP != nil {
+			loP.release()
+		}
+		lo, loP = load, p
+		return false, nil
+	}
 	// Grow hi until it saturates (or the cap is hit).
 	for {
 		if ctx.Err() != nil {
 			return canceled("saturation grow")
 		}
-		r, err := run(hi)
+		sat, err := probe(hi)
 		if err != nil {
 			return SatResult{}, err
 		}
-		if saturated(r) {
+		if sat {
 			break
 		}
-		lo, loRes = hi, r
 		if hi >= cfg.MaxLoad {
 			cfg.Iters = 0 // never saturated within the cap: report the cap
 			break
@@ -188,20 +274,21 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, run func(
 			return canceled(fmt.Sprintf("saturation bisect iteration %d/%d", i+1, cfg.Iters))
 		}
 		mid := (lo + hi) / 2
-		r, err := run(mid)
+		sat, err := probe(mid)
 		if err != nil {
 			return SatResult{}, err
 		}
-		if saturated(r) {
+		if sat {
 			hi = mid
-		} else {
-			lo, loRes = mid, r
 		}
 	}
+	loRes := zero
 	if lo == 0 {
 		// Even StartLoad saturated and bisection never found a stable
 		// point above zero; fall back to the zero-load probe.
-		lo, loRes = cfg.ZeroLoadGFs, zero
+		lo = cfg.ZeroLoadGFs
+	} else if loRes, err = loP.result(); err != nil {
+		return SatResult{}, err
 	}
 	return SatResult{
 		Network:           name,

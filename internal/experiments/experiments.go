@@ -158,10 +158,19 @@ func (s *Suite) Sat(spec network.Spec, bench traffic.Benchmark) (core.SatResult,
 
 // Prefetch computes the saturation results of all (spec, bench) pairs
 // concurrently — each search's simulations run on the engine's pool — so
-// subsequent table builds hit the memo. The returned error is the first
-// failing pair's in (spec, bench) order.
+// subsequent table builds hit the memo. A local search occupies at most
+// one pool slot and holds its suspended stable boundary (a whole
+// network) between probes, so at most a pool's worth of searches run at
+// once: more would only queue, each holding its network. Searches served
+// by a remote delegate hold neither, and all run at once. The returned
+// error is the first failing pair's in (spec, bench) order.
 func (s *Suite) Prefetch(specs []network.Spec, benches []traffic.Benchmark) error {
 	errs := make([]error, len(specs)*len(benches))
+	limit := len(errs)
+	if eng := s.Engine(); eng.Remote() == nil {
+		limit = eng.Workers()
+	}
+	running := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		for j, bench := range benches {
@@ -169,6 +178,8 @@ func (s *Suite) Prefetch(specs []network.Spec, benches []traffic.Benchmark) erro
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				running <- struct{}{}
+				defer func() { <-running }()
 				if _, err := s.Sat(spec, bench); err != nil {
 					errs[i*len(benches)+j] = fmt.Errorf("%s/%s: %w", spec.Name, bench.Name(), err)
 				}

@@ -6,6 +6,9 @@
 package metrics
 
 import (
+	"math"
+	"slices"
+
 	"asyncnoc/internal/fault"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/pool"
@@ -17,10 +20,16 @@ import (
 // state — it holds no reference to the packet itself, so delivery tracking
 // never keeps a pooled packet alive or reads one after it recycles.
 type pktStat struct {
-	arrived  packet.DestSet
-	measured bool
-	done     bool
+	arrived packet.DestSet
+	// created is the creation time of a packet injected inside the
+	// measurement window, and unmeasured for every other packet.
+	created sim.Time
 }
+
+// unmeasured marks a tracked packet created outside the window.
+const unmeasured sim.Time = -1
+
+func (st *pktStat) measured() bool { return st.created != unmeasured }
 
 // Recorder accumulates the measurements of one simulation run.
 //
@@ -41,6 +50,13 @@ type Recorder struct {
 	// whenever a new sample lands (summaryN trails len(latenciesNs)).
 	summary  *stats.Summary
 	summaryN int
+
+	// Verdict's scratch, untouched by runs that never ask for one: the
+	// running sum of the first verdictN latency samples, and the
+	// creation times of the pending measured packets.
+	verdictSum     float64
+	verdictN       int
+	verdictPending []sim.Time
 
 	// lossTolerant accepts header arrivals of unregistered packets:
 	// with the fault layer's retry budget, a packet can be written off
@@ -128,11 +144,12 @@ func (r *Recorder) PacketCreated(p *packet.Packet, now sim.Time) {
 		panic(fault.Violationf("metrics", "packet %d registered twice", p.ID))
 	}
 	h, st := r.pktSlab.Alloc()
-	st.measured = r.inWindow(now)
-	r.pktIdx.Put(p.ID, h)
-	if st.measured {
+	st.created = unmeasured
+	if r.inWindow(now) {
+		st.created = now
 		r.measuredCreated++
 	}
+	r.pktIdx.Put(p.ID, h)
 }
 
 // logicalOf resolves a serial clone to its registered parent packet.
@@ -168,9 +185,8 @@ func (r *Recorder) HeaderArrived(p *packet.Packet, dest int, now sim.Time) {
 			logical.ID, dest, logical.Dests))
 	}
 	st.arrived = st.arrived.Add(dest)
-	if st.arrived == logical.Dests && !st.done {
-		st.done = true
-		if st.measured {
+	if st.arrived == logical.Dests {
+		if st.measured() {
 			r.measuredDone++
 			lat := sim.Time(int64(now) - logical.CreatedAt).Nanoseconds()
 			r.latenciesNs = append(r.latenciesNs, lat)
@@ -200,7 +216,7 @@ func (r *Recorder) PacketLost(p *packet.Packet, now sim.Time) {
 	if !ok {
 		return // already complete, or a sibling clone was lost first
 	}
-	measured := r.pktSlab.Get(h).measured
+	measured := r.pktSlab.Get(h).measured()
 	r.pktIdx.Delete(logical.ID)
 	r.pktSlab.Free(h)
 	r.lostPackets++
@@ -369,4 +385,131 @@ func (r *Recorder) CompletionRate() float64 {
 		return 1
 	}
 	return float64(r.measuredDone) / float64(r.measuredCreated)
+}
+
+// SatCriterion is the saturation test of one offered load: the run
+// saturates when fewer than MinCompletion of its measured packets
+// complete, or when their mean latency exceeds MaxLatencyNs (the search
+// sets it to LatencyFactor times the zero-load latency).
+type SatCriterion struct {
+	MaxLatencyNs  float64
+	MinCompletion float64
+}
+
+// Saturated applies the criterion to a finished run's completion rate
+// (CompletionRate) and mean latency (0 when nothing completed).
+func (c SatCriterion) Saturated(completion, avgLatencyNs float64) bool {
+	return completion < c.MinCompletion || avgLatencyNs > c.MaxLatencyNs
+}
+
+// Verdict is what a SatCriterion will say about a run that has not
+// finished yet.
+type Verdict uint8
+
+const (
+	// Undecided: some way the run could still end goes either way.
+	Undecided Verdict = iota
+	// Stable: every way the run could end passes the criterion.
+	Stable
+	// SaturatedVerdict: every way the run could end fails it.
+	SaturatedVerdict
+)
+
+func (v Verdict) String() string {
+	switch v {
+	case Stable:
+		return "stable"
+	case SaturatedVerdict:
+		return "saturated"
+	}
+	return "undecided"
+}
+
+// verdictMargin is the relative margin a latency bound must clear the
+// threshold by: the bounds add samples in another order than the final
+// mean does, so a bound within rounding of the threshold decides nothing.
+const verdictMargin = 1e-9
+
+// Verdict bounds the criterion's verdict on this run, observed at time
+// now, for a run whose last dispatch is at end. It decides only after
+// the window has closed (now >= WindowEnd): from then on no packet joins
+// the measured set, so the final completion rate and mean latency
+// depend only on which of the still-pending measured packets complete
+// and when. Each pending packet created at c (the time PacketCreated
+// was given, from which its latency counts) either never completes or
+// completes with a latency in [now - c, end - c]. The verdict is
+// Stable or SaturatedVerdict only if it holds for every such outcome;
+// completion is compared exactly as CompletionRate computes it, latency
+// with the relative margin verdictMargin.
+//
+// The caller guarantees that every measured packet is registered by
+// now (on a chiplet composition a die-to-die leg registers when it
+// reaches its target die, so this does not hold there).
+//
+// The query walks the pending packets, so it costs O(p log p) for p
+// pending; a run that never calls it pays nothing for it.
+func (r *Recorder) Verdict(c SatCriterion, now, end sim.Time) Verdict {
+	if now < r.WindowEnd {
+		return Undecided
+	}
+	for _, lat := range r.latenciesNs[r.verdictN:] {
+		r.verdictSum += lat
+	}
+	r.verdictN = len(r.latenciesNs)
+	pend := r.verdictPending[:0]
+	r.pktSlab.Each(func(st *pktStat) {
+		if st.measured() {
+			pend = append(pend, st.created)
+		}
+	})
+	slices.Sort(pend) // oldest first
+	r.verdictPending = pend
+
+	created, done, m := r.measuredCreated, r.measuredDone, len(pend)
+	completion := func(k int) float64 {
+		if created == 0 {
+			return 1
+		}
+		return float64(done+k) / float64(created)
+	}
+	mean := func(sum float64, k int) float64 {
+		if done+k == 0 {
+			return 0
+		}
+		return sum / float64(done+k)
+	}
+	margin := verdictMargin * math.Abs(c.MaxLatencyNs)
+
+	// Saturated if, for every count k of further completions, too few
+	// complete or even the k fastest possible (the newest packets, each
+	// completing right now) leave the mean above the threshold.
+	saturated := true
+	sum := r.verdictSum
+	for k := 0; k <= m && saturated; k++ {
+		if k > 0 {
+			sum += (now - pend[m-k]).Nanoseconds()
+		}
+		if completion(k) >= c.MinCompletion && !(mean(sum, k) > c.MaxLatencyNs+margin) {
+			saturated = false
+		}
+	}
+	if saturated {
+		return SaturatedVerdict
+	}
+	// Stable if enough have completed already and even the k slowest
+	// possible (the oldest packets, each completing at the end) keep
+	// the mean at or under the threshold, for every k.
+	if completion(0) < c.MinCompletion {
+		return Undecided
+	}
+	sum = r.verdictSum
+	for k := 0; k <= m; k++ {
+		if k > 0 {
+			sum += (end - pend[k-1]).Nanoseconds()
+		}
+		if !(mean(sum, k) <= c.MaxLatencyNs-margin) {
+			return Undecided
+		}
+	}
+	return Stable
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"testing"
+	"unsafe"
 
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/sim"
@@ -376,4 +377,87 @@ func TestP95(t *testing.T) {
 	if !ok || p95 < 95 || p95 > 96 {
 		t.Errorf("P95 = %v, want ~95", p95)
 	}
+}
+
+// TestVerdictBounds walks one recorder through the verdict's cases:
+// nothing decided before the window closes, a pending packet's latency
+// bounded by [now - created, end - created], and completion compared
+// exactly.
+func TestVerdictBounds(t *testing.T) {
+	// Window [0, 1000) ps; the run ends at 3000 ps.
+	const end = 3000
+	mk := func() (*Recorder, *packet.Packet) {
+		r := NewRecorder()
+		r.SetWindow(0, 1000)
+		done := mkPkt(1, packet.Dest(0), 0)
+		r.PacketCreated(done, 0)
+		r.HeaderArrived(done, 0, 1000) // 1 ns
+		pending := mkPkt(2, packet.Dest(1), 500)
+		r.PacketCreated(pending, 500)
+		return r, pending
+	}
+	cases := []struct {
+		name string
+		crit SatCriterion
+		now  sim.Time
+		want Verdict
+	}{
+		{"window open", SatCriterion{MaxLatencyNs: 100, MinCompletion: 0.5}, 999, Undecided},
+		// Pending latency in [0.5, 2.5] ns: the mean stays in [0.75, 1.75].
+		{"stable below any outcome", SatCriterion{MaxLatencyNs: 1.76, MinCompletion: 0.5}, 1000, Stable},
+		{"bound within the margin", SatCriterion{MaxLatencyNs: 1.75, MinCompletion: 0.5}, 1000, Undecided},
+		{"stable needs the end bound", SatCriterion{MaxLatencyNs: 1.7, MinCompletion: 0.5}, 1000, Undecided},
+		{"saturated above any outcome", SatCriterion{MaxLatencyNs: 0.74, MinCompletion: 0.5}, 1000, SaturatedVerdict},
+		// With completion 1/2 failing, the pending packet must complete:
+		// by now = 2000 its latency is at least 1.5 ns (mean >= 1.25).
+		{"lower bound grows with now", SatCriterion{MaxLatencyNs: 1.2, MinCompletion: 0.6}, 2000, SaturatedVerdict},
+		{"lower bound not yet past", SatCriterion{MaxLatencyNs: 1.2, MinCompletion: 0.6}, 1800, Undecided},
+		{"never completing passes", SatCriterion{MaxLatencyNs: 1.2, MinCompletion: 0.5}, 2000, Undecided},
+		// Completion 1/2 now, 2/2 if the pending packet completes.
+		{"completion may still pass", SatCriterion{MaxLatencyNs: 100, MinCompletion: 1}, 1000, Undecided},
+		{"completion already fails every way", SatCriterion{MaxLatencyNs: 100, MinCompletion: 1.5}, 1000, SaturatedVerdict},
+	}
+	for _, c := range cases {
+		r, _ := mk()
+		if got := r.Verdict(c.crit, c.now, end); got != c.want {
+			t.Errorf("%s: verdict %v, want %v", c.name, got, c.want)
+		}
+	}
+	// Once the pending packet completes, the verdict is the criterion on
+	// the final figures, up to the latency margin.
+	r, p := mk()
+	r.HeaderArrived(p, 1, 2500) // 2 ns: mean 1.5 ns, completion 1
+	for _, c := range []struct {
+		crit SatCriterion
+		want Verdict
+	}{
+		{SatCriterion{MaxLatencyNs: 1.5 * (1 + 1e-8), MinCompletion: 1}, Stable},
+		{SatCriterion{MaxLatencyNs: 1.5 * (1 - 1e-12), MinCompletion: 1}, Undecided},
+		{SatCriterion{MaxLatencyNs: 1.4, MinCompletion: 1}, SaturatedVerdict},
+	} {
+		if got := r.Verdict(c.crit, 2600, end); got != c.want {
+			t.Errorf("completed run, %+v: verdict %v, want %v", c.crit, got, c.want)
+		}
+		if c.want != Undecided && (c.want == SaturatedVerdict) != c.crit.Saturated(r.CompletionRate(), mustAvg(t, r)) {
+			t.Errorf("completed run, %+v: verdict disagrees with the criterion", c.crit)
+		}
+	}
+}
+
+// TestPktStatSize: the creation time the verdict reads lives in the slot
+// that held the measured flag, so runs that never ask for a verdict keep
+// 16-byte tracking records.
+func TestPktStatSize(t *testing.T) {
+	if n := unsafe.Sizeof(pktStat{}); n != 16 {
+		t.Fatalf("pktStat is %d bytes, want 16", n)
+	}
+}
+
+func mustAvg(t *testing.T, r *Recorder) float64 {
+	t.Helper()
+	avg, ok := r.AvgLatencyNs()
+	if !ok {
+		t.Fatal("no latency samples")
+	}
+	return avg
 }

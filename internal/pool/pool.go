@@ -128,6 +128,15 @@ func (s *Slab[T]) Free(h Handle) bool {
 // Live returns the number of currently allocated slots.
 func (s *Slab[T]) Live() int { return s.live }
 
+// Each calls fn on every live slot's value, in slot order.
+func (s *Slab[T]) Each(fn func(*T)) {
+	for i := range s.slots {
+		if s.slots[i].live {
+			fn(&s.slots[i].v)
+		}
+	}
+}
+
 // IDMap is an open-addressing hash index from non-zero uint64 keys
 // (packet IDs) to Handles. Unlike a Go map it performs no per-entry
 // allocation and reaches a steady state after growing to its high-water

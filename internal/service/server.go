@@ -197,7 +197,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.deadline(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	res, src, err := s.Engine.RunSource(ctx, req.Spec, cfg)
+	res, src, err := s.Engine.RunKeyed(ctx, key, req.Spec, cfg)
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/core"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
@@ -93,6 +94,39 @@ func TestServiceRunCacheHit(t *testing.T) {
 	}
 	if _, ok, err := c.Job(ctx, strings.Repeat("0", 64)); err != nil || ok {
 		t.Fatalf("unknown key: ok=%v err=%v, want miss without error", ok, err)
+	}
+}
+
+// TestServiceChipletRunCached: a repeated chiplet job is served from the
+// cache under the same key. Each request decodes its own composition
+// parameters, so the key must not depend on where they live.
+func TestServiceChipletRunCached(t *testing.T) {
+	srv, c, _ := newTestService(t, nil)
+	spec, err := core.SpecByName(4, core.NameOptHybridSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := RunRequest{
+		Spec: core.WithChiplet(spec, chiplet.Default(2, 2)), Bench: "Multicast10", LoadGFs: 0.3, Seed: 5,
+		WarmupPs: int64(40 * sim.Nanosecond), MeasurePs: int64(160 * sim.Nanosecond), DrainPs: int64(80 * sim.Nanosecond),
+	}
+	ctx := context.Background()
+	first, err := c.RunJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.RunJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Cached || second.Key != first.Key {
+		t.Fatalf("repeated chiplet job: cached=%v, keys %s vs %s", second.Cached, second.Key, first.Key)
+	}
+	if second.Result != first.Result {
+		t.Fatal("cached chiplet result differs")
+	}
+	if n := srv.Engine.Snapshot().Started; n != 1 {
+		t.Fatalf("engine simulated %d runs, want 1", n)
 	}
 }
 

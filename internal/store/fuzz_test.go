@@ -1,16 +1,17 @@
 package store
 
 import (
+	"strconv"
 	"testing"
 
 	"asyncnoc/internal/core"
 )
 
-// FuzzStoreDecode hammers the entry decoder with arbitrary bytes: it
-// must never panic, and any input it accepts must round-trip through
-// Encode back to an equivalent entry (acceptance implies integrity —
-// the whole point of the frame is that damaged bytes are rejected, so
-// an accepted entry must be a faithful encoding).
+// FuzzStoreDecode hammers the result and verdict decoders with
+// arbitrary bytes: they must never panic, and any input one accepts
+// must round-trip back to an equivalent entry (acceptance implies
+// integrity — the whole point of the frame is that damaged bytes are
+// rejected, so an accepted entry must be a faithful encoding).
 func FuzzStoreDecode(f *testing.F) {
 	seed, err := Encode(core.RunResult{
 		Network: "OptHybridSpeculative", Benchmark: "Multicast10",
@@ -28,7 +29,14 @@ func FuzzStoreDecode(f *testing.F) {
 	flip := append([]byte{}, seed...)
 	flip[len(flip)-1] ^= 0xff
 	f.Add(flip)
+	f.Add(frame(verdictMagic, []byte("true")))
+	f.Add(frame(verdictMagic, []byte("1")))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if sat, err := decodeVerdict(data); err == nil {
+			if re := frame(verdictMagic, strconv.AppendBool(nil, sat)); string(re) != string(data) {
+				t.Fatalf("accepted verdict is not canonical:\n in: %x\nout: %x", data, re)
+			}
+		}
 		res, err := Decode(data)
 		if err != nil {
 			return

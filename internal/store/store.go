@@ -11,6 +11,12 @@
 // served. A store that loses power mid-write recovers to a fully
 // functional state on the next Open with zero manual intervention.
 //
+// Beside results, the store keeps saturation-probe verdicts
+// (core.VerdictStore): one file per verdict key with its own suffix and
+// magic, framed and written the same way, so a saturation search
+// repeated in another process is answered from disk even for probes
+// that stopped before their end.
+//
 // Writes are behind-the-read-path: Put enqueues onto a bounded pool of
 // background writers and degrades to a synchronous write when the pool
 // is busy, so cache persistence never drops entries and never grows an
@@ -27,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,13 +43,15 @@ import (
 )
 
 // Entry framing: a fixed magic, the payload length, and a CRC-32C
-// (Castagnoli) of the payload, followed by the canonical JSON encoding
-// of the RunResult. The length makes truncation detectable even when
-// the torn tail happens to CRC-match a prefix; the magic rejects
-// foreign files dropped into the cache directory.
+// (Castagnoli) of the payload, followed by the payload: the canonical
+// JSON encoding of the RunResult, or "true"/"false" for a verdict. The
+// length makes truncation detectable even when the torn tail happens to
+// CRC-match a prefix; the magic rejects foreign files dropped into the
+// cache directory.
 const (
-	magic      = "ANOCRS1\n"
-	headerSize = len(magic) + 4 + 4 // magic + length + crc
+	magic        = "ANOCRS1\n"
+	verdictMagic = "ANOCSV1\n"
+	headerSize   = len(magic) + 4 + 4 // magic + length + crc
 )
 
 // castagnoli is the CRC-32C table (same polynomial the flit-level fault
@@ -56,11 +65,16 @@ func Encode(res core.RunResult) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encode: %w", err)
 	}
+	return frame(magic, payload), nil
+}
+
+// frame prefixes payload with the entry header.
+func frame(magic string, payload []byte) []byte {
 	buf := make([]byte, 0, headerSize+len(payload))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...), nil
+	return append(buf, payload...)
 }
 
 // Decode parses and verifies a store entry. Any framing violation —
@@ -69,20 +83,9 @@ func Encode(res core.RunResult) ([]byte, error) {
 // as a cache miss and deletes the entry (self-healing).
 func Decode(data []byte) (core.RunResult, error) {
 	var zero core.RunResult
-	if len(data) < headerSize {
-		return zero, fmt.Errorf("store: entry truncated: %d bytes < %d-byte header", len(data), headerSize)
-	}
-	if !bytes.Equal(data[:len(magic)], []byte(magic)) {
-		return zero, fmt.Errorf("store: bad magic %q", data[:len(magic)])
-	}
-	length := binary.LittleEndian.Uint32(data[len(magic):])
-	sum := binary.LittleEndian.Uint32(data[len(magic)+4:])
-	payload := data[headerSize:]
-	if uint32(len(payload)) != length {
-		return zero, fmt.Errorf("store: payload length %d != declared %d", len(payload), length)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != sum {
-		return zero, fmt.Errorf("store: checksum mismatch: %08x != %08x", got, sum)
+	payload, err := unframe(magic, data)
+	if err != nil {
+		return zero, err
 	}
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
@@ -93,12 +96,58 @@ func Decode(data []byte) (core.RunResult, error) {
 	return res, nil
 }
 
+// unframe verifies an entry's header and returns its payload.
+func unframe(magic string, data []byte) ([]byte, error) {
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("store: entry truncated: %d bytes < %d-byte header", len(data), headerSize)
+	}
+	if !bytes.Equal(data[:len(magic)], []byte(magic)) {
+		return nil, fmt.Errorf("store: bad magic %q", data[:len(magic)])
+	}
+	length := binary.LittleEndian.Uint32(data[len(magic):])
+	sum := binary.LittleEndian.Uint32(data[len(magic)+4:])
+	payload := data[headerSize:]
+	if uint32(len(payload)) != length {
+		return nil, fmt.Errorf("store: payload length %d != declared %d", len(payload), length)
+	}
+	if got := crc32.Checksum(payload, castagnoli); got != sum {
+		return nil, fmt.Errorf("store: checksum mismatch: %08x != %08x", got, sum)
+	}
+	return payload, nil
+}
+
+// decodeVerdict parses and verifies a verdict entry.
+func decodeVerdict(data []byte) (bool, error) {
+	payload, err := unframe(verdictMagic, data)
+	if err != nil {
+		return false, err
+	}
+	switch string(payload) {
+	case "true":
+		return true, nil
+	case "false":
+		return false, nil
+	}
+	return false, fmt.Errorf("store: verdict payload %q", payload)
+}
+
 // tmpPrefix marks in-progress writes; leftovers from a crashed process
 // are swept on Open and ignored by reads (they never match a job key).
 const tmpPrefix = ".tmp-"
 
-// entrySuffix is the on-disk extension of committed entries.
-const entrySuffix = ".res"
+// entrySuffix and verdictSuffix are the on-disk extensions of committed
+// results and verdicts.
+const (
+	entrySuffix   = ".res"
+	verdictSuffix = ".sat"
+)
+
+// committed reports whether a directory entry is a committed result or
+// verdict.
+func committed(name string) bool {
+	return (strings.HasSuffix(name, entrySuffix) || strings.HasSuffix(name, verdictSuffix)) &&
+		!strings.HasPrefix(name, tmpPrefix)
+}
 
 // defaultWriters bounds the write-behind pool; beyond it, Put degrades
 // to a synchronous write instead of queueing without bound.
@@ -170,26 +219,47 @@ func validKey(key string) bool {
 	return true
 }
 
-func (s *Store) path(key string) string { return filepath.Join(s.dir, key+entrySuffix) }
+// path is the file of the entry name in the cache directory.
+func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
 
 // Get looks a job key up. A missing file is a plain miss; a present but
 // corrupt or truncated entry is counted, deleted, and reported as a
 // miss so the caller recomputes — the store never serves bad data.
 func (s *Store) Get(key string) (core.RunResult, bool) {
+	var res core.RunResult
+	ok := s.get(key, entrySuffix, func(data []byte) (err error) {
+		res, err = Decode(data)
+		return err
+	})
+	return res, ok
+}
+
+// GetVerdict looks a verdict key up (core.VerdictStore), under the same
+// rules and counters as Get.
+func (s *Store) GetVerdict(key string) (saturated, ok bool) {
+	ok = s.get(key, verdictSuffix, func(data []byte) (err error) {
+		saturated, err = decodeVerdict(data)
+		return err
+	})
+	return saturated, ok
+}
+
+// get reads the entry key+suffix and hands it to decode.
+func (s *Store) get(key, suffix string, decode func([]byte) error) bool {
 	if !validKey(key) {
-		return core.RunResult{}, false
+		return false
 	}
-	data, err := os.ReadFile(s.path(key))
+	path := s.path(key + suffix)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		s.count(func(st *core.StoreStats) { st.Misses++ })
-		return core.RunResult{}, false
+		return false
 	}
-	res, err := Decode(data)
-	if err != nil {
+	if err := decode(data); err != nil {
 		// Self-heal: drop the bad entry so the next write replaces it.
-		os.Remove(s.path(key)) //nolint:errcheck // best effort
+		os.Remove(path) //nolint:errcheck // best effort
 		s.count(func(st *core.StoreStats) { st.Misses++; st.Corrupt++ })
-		return core.RunResult{}, false
+		return false
 	}
 	s.count(func(st *core.StoreStats) { st.Hits++ })
 	// Touch the entry so the size-budget GC sees it as recently used.
@@ -198,9 +268,9 @@ func (s *Store) Get(key string) (core.RunResult, bool) {
 	// reader uses mtime, which this also keeps fresh).
 	if s.maxBytes.Load() > 0 {
 		now := time.Now()
-		os.Chtimes(s.path(key), now, now) //nolint:errcheck // best effort
+		os.Chtimes(path, now, now) //nolint:errcheck // best effort
 	}
-	return res, true
+	return true
 }
 
 // SetMaxBytes sets the eviction budget: whenever the committed entries
@@ -246,7 +316,7 @@ func (s *Store) sweep() {
 	var total int64
 	for _, de := range des {
 		name := de.Name()
-		if !strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, tmpPrefix) {
+		if !committed(name) {
 			continue
 		}
 		fi, err := de.Info()
@@ -263,7 +333,7 @@ func (s *Store) sweep() {
 			if total <= max {
 				break
 			}
-			if err := os.Remove(filepath.Join(s.dir, e.name)); err != nil {
+			if err := os.Remove(s.path(e.name)); err != nil {
 				continue
 			}
 			total -= e.size
@@ -291,6 +361,20 @@ func (s *Store) Put(key string, res core.RunResult) {
 		s.count(func(st *core.StoreStats) { st.WriteErrors++ })
 		return
 	}
+	s.put(key+entrySuffix, data)
+}
+
+// PutVerdict persists a verdict under its key (core.VerdictStore), like
+// Put.
+func (s *Store) PutVerdict(key string, saturated bool) {
+	if !validKey(key) {
+		return
+	}
+	s.put(key+verdictSuffix, frame(verdictMagic, strconv.AppendBool(nil, saturated)))
+}
+
+// put commits the entry file name on a background writer or inline.
+func (s *Store) put(name string, data []byte) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -302,12 +386,12 @@ func (s *Store) Put(key string, res core.RunResult) {
 	case s.slots <- struct{}{}:
 		go func() {
 			defer s.pending.Done()
-			s.write(key, data)
+			s.write(name, data)
 			<-s.slots
 		}()
 	default:
 		defer s.pending.Done()
-		s.write(key, data)
+		s.write(name, data)
 	}
 }
 
@@ -315,9 +399,9 @@ func (s *Store) Put(key string, res core.RunResult) {
 // full write, fsync, rename onto the final name, best-effort directory
 // sync. A reader (this process or another sharing the directory) sees
 // either no entry or a complete one — never a torn write.
-func (s *Store) write(key string, data []byte) {
+func (s *Store) write(name string, data []byte) {
 	fail := func() { s.count(func(st *core.StoreStats) { st.WriteErrors++ }) }
-	f, err := os.CreateTemp(s.dir, tmpPrefix+key+"-*")
+	f, err := os.CreateTemp(s.dir, tmpPrefix+name+"-*")
 	if err != nil {
 		fail()
 		return
@@ -340,7 +424,7 @@ func (s *Store) write(key string, data []byte) {
 		fail()
 		return
 	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
+	if err := os.Rename(tmp, s.path(name)); err != nil {
 		os.Remove(tmp) //nolint:errcheck
 		fail()
 		return
@@ -392,7 +476,8 @@ func (s *Store) count(f func(*core.StoreStats)) {
 	s.stats.Unlock()
 }
 
-// Len counts committed entries (diagnostics and tests).
+// Len counts committed entries, results and verdicts (diagnostics and
+// tests).
 func (s *Store) Len() (int, error) {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -400,7 +485,7 @@ func (s *Store) Len() (int, error) {
 	}
 	n := 0
 	for _, de := range des {
-		if strings.HasSuffix(de.Name(), entrySuffix) && !strings.HasPrefix(de.Name(), tmpPrefix) {
+		if committed(de.Name()) {
 			n++
 		}
 	}

@@ -301,11 +301,11 @@ func TestStoreEvictionOldestFirst(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i, k := range keys {
 		ts := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(s.path(k), ts, ts); err != nil {
+		if err := os.Chtimes(s.path(k+entrySuffix), ts, ts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fi, err := os.Stat(s.path(keys[0]))
+	fi, err := os.Stat(s.path(keys[0] + entrySuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestStoreEvictionBoundsWritePath(t *testing.T) {
 	probe := fmt.Sprintf("%064x", 0xfade)
 	s.Put(probe, res)
 	s.Flush()
-	fi, err := os.Stat(s.path(probe))
+	fi, err := os.Stat(s.path(probe + entrySuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,5 +368,85 @@ func TestStoreEvictionBoundsWritePath(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreVerdicts: verdicts round-trip apart from results, and a
+// damaged verdict entry is a counted, deleted miss like a damaged result.
+func TestStoreVerdicts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat, stable := fmt.Sprintf("%064x", 1), fmt.Sprintf("%064x", 2)
+	s.PutVerdict(sat, true)
+	s.PutVerdict(stable, false)
+	s.PutVerdict("../escape", true)
+	s.Flush()
+	if got, ok := s.GetVerdict(sat); !ok || !got {
+		t.Fatalf("saturated verdict read back as %v, %v", got, ok)
+	}
+	if got, ok := s.GetVerdict(stable); !ok || got {
+		t.Fatalf("stable verdict read back as %v, %v", got, ok)
+	}
+	if _, ok := s.Get(sat); ok {
+		t.Fatal("a verdict key served a result")
+	}
+	if n, err := s.Len(); err != nil || n != 2 {
+		t.Fatalf("Len = %d, %v; want the 2 verdicts", n, err)
+	}
+	path := filepath.Join(dir, stable+verdictSuffix)
+	if err := os.WriteFile(path, frame(magic, []byte("false")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetVerdict(stable); ok {
+		t.Fatal("a verdict framed as a result was served")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("damaged verdict entry not deleted: %v", err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Hits != 2 || st.Misses != 2 || st.Writes != 2 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestStoreServesRepeatedSaturation: a saturation search repeated by a
+// new engine over the reopened store (another process sharing the
+// cache) simulates nothing and misses nothing, though most of its
+// probes stopped at their verdicts the first time.
+func TestStoreServesRepeatedSaturation(t *testing.T) {
+	dir := t.TempDir()
+	spec := core.OptHybridSpeculative(8)
+	cfg := core.SatConfig{
+		Base: core.RunConfig{Bench: traffic.Multicast{N: 8, Frac: 0.10}, Seed: 2016,
+			Warmup: 120 * sim.Nanosecond, Measure: 400 * sim.Nanosecond, Drain: 300 * sim.Nanosecond},
+		Iters: 7,
+	}
+	search := func() ([]byte, core.EngineSnapshot) {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := core.NewEngine(2)
+		e.SetStore(s)
+		res, err := e.Saturation(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		out, _ := json.Marshal(res)
+		return out, e.Snapshot()
+	}
+	cold, coldSnap := search()
+	warm, warmSnap := search()
+	if string(cold) != string(warm) {
+		t.Fatalf("warm search differs:\n%s\nvs\n%s", warm, cold)
+	}
+	if coldSnap.Started == 0 {
+		t.Fatal("the cold search simulated nothing")
+	}
+	if warmSnap.Started != 0 || warmSnap.Store.Misses != 0 || warmSnap.Store.Hits == 0 {
+		t.Fatalf("warm search: %d simulations, store %+v", warmSnap.Started, warmSnap.Store)
 	}
 }
