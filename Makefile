@@ -44,8 +44,10 @@ soak:
 # saturation search writes the JSONL flit trace at two worker-pool
 # sizes, jsontrace -validate schema-checks it, and cmp proves the trace
 # is byte-identical regardless of parallelism (the determinism
-# guarantee of DESIGN.md section 9). Byte-identity across scheduler
-# shard counts is gated by shard-determinism.
+# guarantee of DESIGN.md section 9). A traced fault run with a one-retry
+# budget must also validate and carry retransmit and drop events.
+# Byte-identity across scheduler shard counts is gated by
+# shard-determinism.
 obs-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/motsim ./cmd/motsim
@@ -54,7 +56,11 @@ obs-smoke:
 	./bin/motsim -sat -workers 4 -trace-out bin/trace_w4.jsonl >/dev/null
 	./bin/jsontrace -validate bin/trace_w1.jsonl
 	cmp bin/trace_w1.jsonl bin/trace_w4.jsonl
-	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers"
+	./bin/motsim -faults 1e-2 -fault-retries 1 -trace-out bin/trace_faults.jsonl >/dev/null
+	./bin/jsontrace -validate bin/trace_faults.jsonl
+	grep -q '"kind":"retransmit"' bin/trace_faults.jsonl
+	grep -q '"kind":"drop"' bin/trace_faults.jsonl
+	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers; fault trace valid with retransmit and drop events"
 
 # bench-smoke guards the simulation hot path: the kernel micro-benchmarks,
 # the NI transaction path, and the per-scheme strategy planning paths

@@ -108,9 +108,7 @@ func main() {
 		check(err)
 		emit("chiplet_hierarchy", ct)
 		fmt.Printf("regenerated chiplet experiments in %.1fs\n", time.Since(start).Seconds())
-		hits, misses := s.Engine().Stats()
-		fmt.Fprintf(os.Stderr, "engine: %d unique simulations, %d memo hits, %d workers\n",
-			misses, hits, s.Engine().Workers())
+		printEngineStats(s.Engine())
 		return
 	}
 
@@ -170,10 +168,17 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("regenerated all experiments in %.1fs\n", time.Since(start).Seconds())
-	hits, misses := s.Engine().Stats()
-	fmt.Fprintf(os.Stderr, "engine: %d unique simulations, %d memo hits, %d workers\n",
-		misses, hits, s.Engine().Workers())
-	if snap := s.Engine().Snapshot(); snap.HasStore {
+	printEngineStats(s.Engine())
+}
+
+// printEngineStats reports on stderr how many simulations actually ran
+// beside the memo's hits and misses (a miss the store served runs
+// nothing), and the store's counters when one is attached.
+func printEngineStats(e *asyncnoc.Engine) {
+	snap := e.Snapshot()
+	fmt.Fprintf(os.Stderr, "engine: %d simulations, %d memo hits, %d memo misses, %d workers\n",
+		snap.Started, snap.Hits, snap.Misses, snap.Workers)
+	if snap.HasStore {
 		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d corrupt healed, %d writes (%d errors)\n",
 			snap.Store.Hits, snap.Store.Misses, snap.Store.Corrupt,
 			snap.Store.Writes, snap.Store.WriteErrors)

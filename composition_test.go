@@ -1,0 +1,106 @@
+package asyncnoc_test
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"asyncnoc"
+)
+
+// TestCompositionMatrix crosses the run surface's independent options at
+// CI scale: single-die MoT and a 2x2 composition of radix-4 dies, each
+// with the fault layer off and on, plus a 4x4 mesh (which has no fault
+// layer), under all five routing strategies, with instruments off and on.
+// Every cell either runs and delivers packets or fails with an error that
+// names the rejected field: the fault layer is single-die only, and
+// instruments attach to MoT networks only.
+func TestCompositionMatrix(t *testing.T) {
+	faultCfg := asyncnoc.FaultConfig{Seed: 3, CorruptRate: 1e-3, DropRate: 1e-3}
+	type topo struct {
+		name   string
+		faults []bool
+		// build returns the cell's spec and benchmark, and the field the
+		// run must reject ("" when it must run).
+		build func(strategy string, faults, instrumented bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error)
+	}
+	topos := []topo{
+		{"mot", []bool{false, true}, func(strategy string, faults, _ bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error) {
+			spec := asyncnoc.WithStrategy(asyncnoc.OptHybridSpeculative(8), strategy)
+			if faults {
+				spec.Faults = faultCfg
+			}
+			bench, err := asyncnoc.BenchmarkByName(8, "Multicast10")
+			return spec, "", bench, err
+		}},
+		{"chiplet2x2of4", []bool{false, true}, func(strategy string, faults, _ bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error) {
+			spec := asyncnoc.WithChiplet(asyncnoc.WithStrategy(asyncnoc.OptHybridSpeculative(4), strategy), asyncnoc.ChipletSerial(2, 2))
+			rejected := ""
+			if faults {
+				spec.Faults = faultCfg
+				rejected = "Faults"
+			}
+			bench, err := asyncnoc.ChipletBenchmarkByName(spec.Chiplet, spec.N, "Multicast10")
+			return spec, rejected, bench, err
+		}},
+		{"mesh4x4", []bool{false}, func(strategy string, _, instrumented bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error) {
+			spec := asyncnoc.MeshTree(4, 4)
+			spec.Strategy = strategy
+			rejected := ""
+			if instrumented {
+				rejected = "Instruments"
+			}
+			bench, err := asyncnoc.BenchmarkByName(16, "Multicast10")
+			return spec, rejected, bench, err
+		}},
+	}
+	for _, tp := range topos {
+		for _, faults := range tp.faults {
+			for _, strategy := range asyncnoc.StrategyNames() {
+				for _, instrumented := range []bool{false, true} {
+					name := fmt.Sprintf("%s/faults=%v/%s/instruments=%v", tp.name, faults, strategy, instrumented)
+					t.Run(name, func(t *testing.T) {
+						ts, rejected, bench, err := tp.build(strategy, faults, instrumented)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg := asyncnoc.RunConfig{
+							Bench: bench, LoadGFs: 0.2, Seed: 5,
+							Warmup:  100 * asyncnoc.Nanosecond,
+							Measure: 300 * asyncnoc.Nanosecond,
+							Drain:   300 * asyncnoc.Nanosecond,
+						}
+						tr := &asyncnoc.TraceInstrument{Out: io.Discard}
+						if instrumented {
+							cfg.Instruments = []asyncnoc.Instrument{tr}
+						}
+						res, err := asyncnoc.RunTopology(ts, cfg)
+						if rejected != "" {
+							if err == nil || !strings.Contains(err.Error(), rejected) {
+								t.Fatalf("got %v, want an error naming %s", err, rejected)
+							}
+							// RunConfig fields are rejected with a *ConfigError;
+							// Spec fields by the spec's validation.
+							var ce *asyncnoc.ConfigError
+							if rejected == "Instruments" && (!errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != rejected) {
+								t.Errorf("got %v, want a *ConfigError naming only %s", err, rejected)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.MeasuredPackets == 0 || res.Completion == 0 {
+							t.Errorf("%d measured packets, completion %v", res.MeasuredPackets, res.Completion)
+						}
+						if instrumented && (tr.Sink == nil || tr.Sink.Events() == 0) {
+							t.Error("the trace instrument saw no events")
+						}
+					})
+				}
+			}
+		}
+	}
+}

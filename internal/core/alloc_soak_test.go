@@ -4,22 +4,32 @@ import (
 	"runtime"
 	"testing"
 
+	"asyncnoc/internal/fault"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
 )
 
 // TestSteadyStateAllocSoak is the pooled memory model's soak guarantee: a
-// long fault-free run allocates only while the per-run pools grow to
-// their high-water marks, so the second half of the run must be close to
+// long run allocates only while the per-run pools grow to their
+// high-water marks, so the second half of the run must be close to
 // allocation-free. The bound is loose enough for a late ring or slab
 // doubling but orders of magnitude below per-packet allocation (the
-// second half injects tens of thousands of packets). Skipped with -short.
+// second half injects tens of thousands of packets). The +faults
+// subtests hold fault runs, whose corrupt and dropped flits are
+// retransmitted, to the same bound. Skipped with -short.
 func TestSteadyStateAllocSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc soak skipped with -short")
 	}
+	var specs []network.Spec
 	for _, spec := range AllSpecs(8) {
-		spec := spec
+		specs = append(specs, spec)
+		spec.Name += "+faults"
+		spec.Faults = fault.Config{Seed: 1, CorruptRate: 1e-3, DropRate: 1e-3}
+		specs = append(specs, spec)
+	}
+	for _, spec := range specs {
 		t.Run(spec.Name, func(t *testing.T) {
 			cfg := RunConfig{
 				Bench: traffic.Multicast{N: 8, Frac: 0.10}, LoadGFs: 0.25, Seed: 1,

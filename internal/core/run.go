@@ -326,7 +326,8 @@ func RunMesh(ctx context.Context, spec mesh.Spec, cfg RunConfig) (res RunResult,
 		return RunResult{}, err
 	}
 	if len(cfg.Instruments) > 0 {
-		return RunResult{}, fmt.Errorf("mesh %s: RunConfig.Instruments is not supported on the mesh topology", spec.Name)
+		return RunResult{}, &ConfigError{Fields: []FieldError{{Field: "Instruments",
+			Reason: fmt.Sprintf("%d instrument(s) requested, but mesh %s has no MoT network to attach them to", len(cfg.Instruments), spec.Name)}}}
 	}
 	m, err := mesh.New(spec)
 	if err != nil {

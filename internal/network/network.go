@@ -177,7 +177,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("network %s: %w", s.Name, err)
 		}
 		if s.Faults.Enabled() {
-			return fmt.Errorf("network %s: the fault layer is unsupported on chiplet compositions", s.Name)
+			return fmt.Errorf("network %s: Faults: the fault layer is unsupported on chiplet compositions", s.Name)
 		}
 	}
 	if s.N > 0 && s.PacketLen > maxBuildCost/(s.Dies()*s.N*s.N)-8 {
@@ -273,17 +273,6 @@ type Network struct {
 
 	nextID uint64
 
-	// pooling enables the per-run packet freelist. It is on for every
-	// fault-free network: each packet carries a live-copy refcount
-	// (materialized flits, plus one per fanout replication, minus each
-	// delivery and throttle absorption), and the packet recycles the
-	// instant the count hits zero — by then no flit in any queue,
-	// channel, or node references it. The fault layer breaks copy
-	// conservation (drops, wedged links, retry write-offs with
-	// stragglers in flight), so fault runs simply keep allocating.
-	// The freelists themselves live on the accounting contexts.
-	pooling bool
-
 	// acct is the serial accounting context: every side effect applies
 	// directly through it. Sharded networks instead carry one context
 	// per shard in rts, deferring effects for barrier replay (shard.go).
@@ -370,7 +359,6 @@ func New(spec Spec) (*Network, error) {
 	nw.Sched = sched
 	nw.Meter = power.NewMeter(sched.Now)
 	nw.acct.init(nw, sched, nil)
-	nw.pooling = !spec.Faults.Enabled()
 	if spec.Faults.Enabled() {
 		// The injector must exist before build(): every channel draws its
 		// fault stream in wiring order.
@@ -398,13 +386,13 @@ func ownerOf(p *packet.Packet) int {
 	return p.Src
 }
 
-// releaseCopy retires one live flit copy of p (a delivery or a throttle
-// absorption). When the last copy dies the packet returns to the
-// freelist of its owning context — the context that allocates it — and
-// a serial clone's death also retires one clone reference of its
-// logical parent. Callers invoke it after all other uses of the flit in
-// the same event (recorder, meter, trace), so no recycled packet is ever
-// read through a stale flit.
+// releaseCopy drops one reference to p: a retired flit copy, the end of
+// the fault-mode retransmission tracker's hold, or a serial clone's
+// death (which also drops one of its parent's). At zero no flit, channel
+// or tracker references p, and it returns to the freelist of its owning
+// context — the context that allocates it (DESIGN.md §11 lists every
+// fate). Callers invoke it after all other uses of the packet in the
+// same event, so no recycled packet is ever read through a stale flit.
 func (nw *Network) releaseCopy(p *packet.Packet) {
 	p.Refs--
 	if p.Refs != 0 {
@@ -454,6 +442,7 @@ func (nw *Network) channel(a *actx, dst node.Sink, dstPort int, src node.AckTarg
 		SrcPort:  srcPort,
 	}
 	ch.OnTraverse = func(packet.Flit) { a.meterChannel() }
+	ch.OnRetire = func(f packet.Flit) { a.release(f.Pkt) }
 	if nw.inj != nil {
 		ch.Faults = nw.inj.Channel()
 		nw.chans = append(nw.chans, ch)
@@ -527,13 +516,10 @@ func (nw *Network) build() {
 				if nw.Trace != nil {
 					a.trace(TraceEvent{Kind: TraceForward, At: now, Flit: f, Tree: tree, Heap: heap, Ports: ports})
 				}
-				if nw.pooling {
-					// A replication turns one live copy into `ports`.
-					// Applied eagerly even when sharded: every increment
-					// of a packet's refcount happens on its source tree's
-					// shard (see shard.go).
-					f.Pkt.Refs += int32(ports - 1)
-				}
+				// A replication turns one live copy into `ports`. Applied
+				// eagerly even when sharded: every increment of a packet's
+				// refcount happens on its source tree's shard (shard.go).
+				f.Pkt.Refs += int32(ports - 1)
 			}
 			fo.OnAbsorb = func(f packet.Flit) {
 				now := a.sched.Now()
@@ -541,9 +527,6 @@ func (nw *Network) build() {
 				a.recThrottled(level, now)
 				if nw.Trace != nil {
 					a.trace(TraceEvent{Kind: TraceThrottle, At: now, Flit: f, Tree: tree, Heap: heap})
-				}
-				if nw.pooling {
-					a.release(f.Pkt)
 				}
 			}
 			nw.fanouts[t][k] = fo
@@ -626,10 +609,9 @@ func (nw *Network) build() {
 // interface. A single-packet plan covering the whole set rides the
 // logical packet itself; any expansion (the serial baseline always, and
 // every partitioning strategy) injects one clone per plan, each linked
-// to the logical parent for delivery accounting. On a fault-free network
-// the returned packet is pool-owned: it recycles as soon as its last
-// flit copy is delivered or absorbed, so callers must not read it after
-// advancing the scheduler.
+// to the logical parent for delivery accounting. The returned packet is
+// pool-owned: it recycles as soon as its last reference is released, so
+// callers must not read it after advancing the scheduler.
 func (nw *Network) Inject(src int, dests packet.DestSet) (*packet.Packet, error) {
 	if nw.Spec.Chiplet != nil {
 		return nil, fmt.Errorf("network %s: flat Inject cannot address a chiplet composition; use InjectWide", nw.Spec.Name)
@@ -717,9 +699,7 @@ func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created s
 	}
 	// Expanded plan: the logical parent's refcount holds one reference
 	// per clone; it recycles when its last clone does.
-	if nw.pooling {
-		p.Refs = int32(len(plans))
-	}
+	p.Refs = int32(len(plans))
 	for i := range plans {
 		clone := a.allocPacket()
 		a.assignID(clone)
@@ -939,14 +919,13 @@ type SourceNI struct {
 	queue pool.Ring[packet.Flit]
 	busy  bool
 
-	// txSlab tracks unacknowledged packets (fault mode only, gated by
-	// txOn). Timer events carry the raw slot index; the invariant that
+	// txSlab tracks unacknowledged packets (fault mode only). Timer
+	// events carry the raw slot index; the invariant that
 	// makes that safe is cancel-before-free: confirm cancels the timer
 	// before freeing the slot, and a firing timeout either frees without
 	// rearming or rearms while the slot is still live, so a pending
 	// timer's slot is always the occupant it was armed for.
 	txSlab pool.Slab[txState]
-	txOn   bool
 }
 
 // txState is one tracked packet awaiting end-to-end acknowledgment.
@@ -958,19 +937,20 @@ type txState struct {
 }
 
 func newSourceNI(nw *Network, src int) *SourceNI {
-	return &SourceNI{nw: nw, a: nw.actxFor(src), src: src, txOn: nw.inj != nil}
+	return &SourceNI{nw: nw, a: nw.actxFor(src), src: src}
 }
 
 func (ni *SourceNI) enqueue(p *packet.Packet) {
-	if ni.txOn {
+	// The packet's initial refcount is its materialized flits, plus the
+	// tracker's hold in fault mode.
+	p.Refs = int32(p.Length)
+	if ni.nw.inj != nil {
 		h, st := ni.txSlab.Alloc()
 		st.pkt = p
 		st.outstanding = p.Dests
 		p.TxSlot = h
+		p.Refs++
 		ni.arm(h.Index(), st)
-	} else if ni.nw.pooling {
-		// The packet's initial refcount is its materialized flits.
-		p.Refs = int32(p.Length)
 	}
 	ni.pushFlits(p, 0)
 	ni.pump()
@@ -1008,17 +988,21 @@ func (ni *SourceNI) timeout(slot int32) {
 		// can never complete, and soak runs must not accumulate it.
 		ni.nw.Rec.PacketLost(pkt, ni.a.sched.Now())
 		if ni.nw.Trace != nil {
-			ni.nw.Trace(TraceEvent{Kind: TraceDrop, At: ni.a.sched.Now(),
+			ni.a.trace(TraceEvent{Kind: TraceDrop, At: ni.a.sched.Now(),
 				Flit: packet.Flit{Pkt: pkt, Attempt: attempts}})
 		}
+		// The tracker's hold ends; copies of the last attempt still in
+		// flight keep the packet live until they die.
+		ni.a.release(pkt)
 		return
 	}
 	st.attempts++
 	stats.Retries++
 	if ni.nw.Trace != nil {
-		ni.nw.Trace(TraceEvent{Kind: TraceRetransmit, At: ni.a.sched.Now(),
+		ni.a.trace(TraceEvent{Kind: TraceRetransmit, At: ni.a.sched.Now(),
 			Flit: packet.Flit{Pkt: st.pkt, Attempt: st.attempts}})
 	}
+	st.pkt.Refs += int32(st.pkt.Length)
 	ni.pushFlits(st.pkt, st.attempts)
 	ni.arm(slot, st)
 	ni.pump()
@@ -1035,7 +1019,9 @@ func (ni *SourceNI) confirm(h pool.Handle, dest int) {
 	st.outstanding &^= packet.Dest(dest)
 	if st.outstanding.Empty() {
 		ni.a.sched.Cancel(st.timer)
+		pkt := st.pkt
 		ni.txSlab.Free(h)
+		ni.a.release(pkt)
 	}
 }
 
@@ -1077,25 +1063,19 @@ type SinkNI struct {
 	dest int
 	in   *node.Channel
 
-	// rxSlab/rxIdx deduplicate per-packet flit arrivals by index bitmask
-	// (fault mode only, gated by rxOn). Entries are never freed — exactly
-	// the retention the map they replace had, so a late straggler from a
-	// written-off packet still deduplicates correctly.
-	rxOn   bool
-	rxSlab pool.Slab[rxState]
-	rxIdx  pool.IDMap
+	// rxGot/rxIdx deduplicate per-packet flit arrivals by a bitmask over
+	// the flit indices received clean (fault mode only). Entries are
+	// never freed — exactly the retention the map they replace had, so a
+	// late straggler from a written-off packet still deduplicates
+	// correctly.
+	rxGot pool.Slab[uint64]
+	rxIdx pool.IDMap
 
 	// acks queues matured end-to-end acknowledges. Every ack matures
 	// after the same constant delay, so the scheduler fires evSinkEndAck
 	// events in push order and a FIFO carries the (source, tx handle)
 	// payload without a per-ack closure.
 	acks pool.Ring[endAck]
-}
-
-// rxState is one packet's receive progress at a destination.
-type rxState struct {
-	got   uint64 // bitmask over flit indices received clean
-	acked bool   // end-to-end acknowledge already scheduled
 }
 
 // endAck is one pending end-to-end delivery acknowledge.
@@ -1105,18 +1085,18 @@ type endAck struct {
 }
 
 func newSinkNI(nw *Network, dest int) *SinkNI {
-	return &SinkNI{nw: nw, a: nw.actxFor(dest), dest: dest, rxOn: nw.inj != nil}
+	return &SinkNI{nw: nw, a: nw.actxFor(dest), dest: dest}
 }
 
-// rxStateFor returns the receive progress for packet id, creating it on
-// first arrival.
-func (ni *SinkNI) rxStateFor(id uint64) *rxState {
+// rxGotFor returns the received-flit bitmask of packet id, creating it
+// on first arrival.
+func (ni *SinkNI) rxGotFor(id uint64) *uint64 {
 	if h, ok := ni.rxIdx.Get(id); ok {
-		return ni.rxSlab.Get(h)
+		return ni.rxGot.Get(h)
 	}
-	h, st := ni.rxSlab.Alloc()
+	h, got := ni.rxGot.Alloc()
 	ni.rxIdx.Put(id, h)
-	return st
+	return got
 }
 
 // OnEvent implements sim.Handler: the sink interface's timer events.
@@ -1130,13 +1110,18 @@ func (ni *SinkNI) OnEvent(arg int64) {
 	}
 }
 
-// OnFlit implements node.Sink.
+// OnFlit implements node.Sink. Every physical arrival is metered, traced
+// and acknowledged at the link level; with the fault layer enabled the
+// delivery accounting only counts arrivals accept admits. The arriving
+// copy then retires with the input channel's handshake.
 func (ni *SinkNI) OnFlit(_ int, f packet.Flit) {
 	now := ni.a.sched.Now()
 	ni.a.meterInterface()
-	if !ni.rxOn {
-		// Fault layer disabled: the legacy path, bit-identical to the
-		// pre-fault model.
+	if ni.nw.Trace != nil {
+		ni.a.trace(TraceEvent{Kind: TraceDeliver, At: now, Flit: f, Dest: ni.dest})
+	}
+	ni.a.sched.In(timing.SinkAck, ni, evSinkConsume)
+	if ni.nw.inj == nil || ni.accept(f) {
 		ni.a.recDelivered(now, f.Pkt.D2DHops > 0)
 		if f.IsHeader() {
 			// The recorder tracks die-local destination masks, so membership
@@ -1144,43 +1129,31 @@ func (ni *SinkNI) OnFlit(_ int, f packet.Flit) {
 			// to ni.dest on single-die networks).
 			ni.a.recHeader(f.Pkt, ni.dest%ni.nw.Spec.N, now)
 		}
-		if ni.nw.Trace != nil {
-			ni.a.trace(TraceEvent{Kind: TraceDeliver, At: now, Flit: f, Dest: ni.dest})
-		}
-		ni.a.sched.In(timing.SinkAck, ni, evSinkConsume)
-		if ni.nw.pooling {
-			// Last use of the flit in this event: recorder, trace, and
-			// ack are done, so the delivered copy can retire.
-			ni.a.release(f.Pkt)
-		}
-		return
 	}
-	// Fault mode: the physical arrival is always traced and acknowledged
-	// at the link level, but accounting accepts each (packet, flit index)
-	// exactly once and only when the CRC checks out.
-	if ni.nw.Trace != nil {
-		ni.nw.Trace(TraceEvent{Kind: TraceDeliver, At: now, Flit: f, Dest: ni.dest})
-	}
-	ni.a.sched.In(timing.SinkAck, ni, evSinkConsume)
+	ni.in.Retire()
+}
+
+// accept is the receiver half of the recovery protocol: it admits each
+// (packet, flit index) exactly once and only when the CRC checks out, and
+// schedules the end-to-end acknowledge when it admits the packet's last
+// missing flit. Corrupt copies are recovered by retransmission, and
+// duplicates come from one.
+func (ni *SinkNI) accept(f packet.Flit) bool {
 	if !f.CheckCRC() {
-		return // corrupted in flight; recovered by retransmission
+		return false
 	}
-	st := ni.rxStateFor(f.Pkt.ID)
+	got := ni.rxGotFor(f.Pkt.ID)
 	bit := uint64(1) << uint(f.Index)
-	if st.got&bit != 0 {
-		return // duplicate from a retransmission
+	if *got&bit != 0 {
+		return false
 	}
-	st.got |= bit
+	*got |= bit
 	if f.Attempt > 0 {
 		ni.nw.inj.Stats.RecoveredFlits++
 	}
-	ni.nw.Rec.FlitDelivered(now, false)
-	if f.IsHeader() {
-		ni.nw.Rec.HeaderArrived(f.Pkt, ni.dest, now)
-	}
-	if !st.acked && st.got == uint64(1)<<uint(f.Pkt.Length)-1 {
-		st.acked = true
+	if *got == uint64(1)<<uint(f.Pkt.Length)-1 {
 		ni.acks.Push(endAck{src: f.Pkt.Src, h: f.Pkt.TxSlot})
 		ni.a.sched.In(sim.Time(ni.nw.inj.Config().AckDelayPs), ni, evSinkEndAck)
 	}
+	return true
 }

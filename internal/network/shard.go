@@ -382,9 +382,10 @@ func ShardLookahead(p timing.Protocol) sim.Time {
 // events are die-to-die flights (lookahead = the D2D hop time, which
 // dominates the wire flights). Requires 2 <= k <= spec.MaxShards() and
 // the fault layer disabled. The per-channel fault streams are seeded in
-// build order and would shard fine, but fault-mode SinkNI.OnFlit writes
-// the recorder and trace directly instead of through the per-shard actx,
-// and its end-to-end acknowledgement confirms at another tree's
+// build order and would shard fine, but the receiver deduplicates by
+// packet ID, which sharded runs assign only at the barrier; a write-off
+// updates the recorder directly, the fault counters are shared by every
+// tree, and an end-to-end acknowledgement confirms at another tree's
 // SourceNI. internal/core clamps k to MaxShards and rejects Shards > 1
 // on a fault-enabled spec with a *ConfigError.
 //
@@ -405,7 +406,6 @@ func NewSharded(spec Spec, k int) (*Network, error) {
 	group := sim.NewShardGroup(k, sim.Time(spec.ShardLookaheadPs()))
 	nw.group = group
 	nw.Meter = power.NewMeter(func() sim.Time { return nw.replayAt })
-	nw.pooling = true
 	nw.shardOf = make([]int, spec.Terminals())
 	for t := range nw.shardOf {
 		if spec.Chiplet != nil {

@@ -78,6 +78,11 @@ type Channel struct {
 	// OnTraverse, when set, observes every flit that enters the wire
 	// (energy accounting and tracing).
 	OnTraverse func(f packet.Flit)
+	// OnRetire, when set, observes each flit that died in this channel's
+	// handshake (Retire, or a payload dropped on the wire) once the
+	// credit returns: until then the channel still holds the flit
+	// (InFlightFlit), so a diagnostic never reads a retired one.
+	OnRetire func(f packet.Flit)
 	// Faults, when set, draws a deterministic per-traversal fault
 	// decision for every Send (see internal/fault).
 	Faults *fault.ChannelFaults
@@ -92,6 +97,7 @@ type Channel struct {
 
 	inFlight bool
 	acked    bool
+	retired  bool
 	cur      packet.Flit
 
 	faulted    bool
@@ -117,7 +123,7 @@ func (c *Channel) Send(f packet.Flit) {
 			"send of %v while %v in flight", f, c.cur))
 	}
 	c.inFlight = true
-	c.acked = false
+	c.acked, c.retired = false, false
 	c.cur = f
 	c.sends++
 	if c.faulted && c.sends > c.faultAfter {
@@ -136,6 +142,7 @@ func (c *Channel) Send(f packet.Flit) {
 			if c.OnTraverse != nil {
 				c.OnTraverse(f)
 			}
+			c.retired = true
 			c.Sched.In(c.FwdDelay+c.AckDelay, c, evChanCredit)
 			return
 		}
@@ -163,6 +170,9 @@ func (c *Channel) OnEvent(arg int64) {
 	case evChanDeliver:
 		c.Dst.OnFlit(c.DstPort, c.cur)
 	case evChanCredit:
+		if c.retired && c.OnRetire != nil {
+			c.OnRetire(c.cur)
+		}
 		c.inFlight = false
 		if c.Src != nil {
 			c.Src.OnAck(c.SrcPort)
@@ -184,6 +194,10 @@ func (c *Channel) Ack() {
 	}
 	c.Sched.In(c.AckDelay, c, evChanCredit)
 }
+
+// Retire marks the flit in flight as consumed for good by the receiver
+// (a sink delivery or a throttle absorption); see OnRetire.
+func (c *Channel) Retire() { c.retired = true }
 
 // Busy reports whether a flit is in flight (sent but not yet acknowledged
 // back to the sender).

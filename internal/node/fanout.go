@@ -237,6 +237,7 @@ func (n *Fanout) OnFlit(port int, f packet.Flit) {
 		if n.OnAbsorb != nil {
 			n.OnAbsorb(f)
 		}
+		n.in.Retire()
 		n.sched.In(n.t.ThrottleAck, n, evFoAckIn)
 		return
 	}
