@@ -11,12 +11,14 @@
 // runs one MoT die, chiplet:WxH composes a WxH interposer mesh of
 // radix -n MoT dies (hierarchical benchmarks only; results carry an
 // intra-die versus die-to-die breakout), and mesh:WxH runs an
-// asynchronous 2D mesh of XY routers. With -sat the tool searches for
-// the saturation throughput instead of running at a fixed load; the
-// search bisects on the offered load, one probe at a time, through the
-// experiment engine (-workers, or the ASYNCNOC_WORKERS environment
-// variable; default GOMAXPROCS) and finds the same boundary at any pool
-// size.
+// asynchronous 2D mesh of XY routers (plain fixed-load runs under
+// -strategy; -network, -n, -sat, -dests, the instrument flags and
+// every -fault* flag are rejected by name). With -sat the tool
+// searches for the saturation throughput instead of running at a fixed
+// load; the search bisects on the offered load, one probe at a time,
+// through the experiment engine (-workers, or the ASYNCNOC_WORKERS
+// environment variable; default GOMAXPROCS) and finds the same boundary
+// at any pool size.
 //
 // The -faults flag family enables the deterministic fault-injection
 // layer with end-to-end CRC-checked retransmission:
@@ -114,14 +116,15 @@ func main() {
 	}
 
 	if sel.Kind == "mesh" {
-		if *sat || *util || *hist || *draw || *vcdPath != "" || *traceOut != "" || *dests != "" {
-			fatal(fmt.Errorf("-topology mesh:%dx%d supports only plain fixed-load runs", sel.W, sel.H))
+		spec, err := sel.MeshSpec(*strategy, flag.CommandLine)
+		if err != nil {
+			fatal(err)
 		}
 		bench, err := sel.Bench(*n, *benchName)
 		if err != nil {
 			fatal(err)
 		}
-		res, err := asyncnoc.RunTopology(sel.MeshSpec(), asyncnoc.RunConfig{
+		res, err := asyncnoc.RunTopology(spec, asyncnoc.RunConfig{
 			Bench:     bench,
 			LoadGFs:   *load,
 			Seed:      *seed,

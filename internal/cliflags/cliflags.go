@@ -87,7 +87,31 @@ func (t Topology) Bench(n int, name string) (asyncnoc.Benchmark, error) {
 	return asyncnoc.BenchmarkByName(n, name)
 }
 
-// MeshSpec returns the asynchronous 2D mesh spec of a "mesh" selection.
-func (t Topology) MeshSpec() asyncnoc.MeshSpec {
-	return asyncnoc.MeshTree(t.W, t.H)
+// meshUnsupported names the flags a mesh run cannot honour besides the
+// fault flags (every -fault*): the mesh has one architecture, no die
+// radix (its W*H tiles are the terminals), no instruments, no fixed
+// destination sets and no saturation search.
+var meshUnsupported = map[string]bool{
+	"network": true, "n": true, "sat": true, "util": true, "hist": true,
+	"draw": true, "vcd": true, "trace-out": true, "dests": true,
+}
+
+// MeshSpec returns the asynchronous 2D mesh spec of a "mesh" selection
+// under the named routing strategy (empty = the mesh's default). fs is
+// the parsed command line: a flag set on it that a mesh run cannot
+// honour is an error naming the flag, never a silent no-op.
+func (t Topology) MeshSpec(strategy string, fs *flag.FlagSet) (asyncnoc.MeshSpec, error) {
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		if meshUnsupported[f.Name] || strings.HasPrefix(f.Name, "fault") {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) > 0 {
+		return asyncnoc.MeshSpec{}, fmt.Errorf("-topology mesh:%dx%d supports only plain fixed-load runs; unsupported: %s",
+			t.W, t.H, strings.Join(bad, ", "))
+	}
+	spec := asyncnoc.MeshTree(t.W, t.H)
+	spec.Strategy = strategy
+	return spec, nil
 }

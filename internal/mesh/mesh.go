@@ -12,6 +12,11 @@
 // joining). Serial mode instead expands a multicast into XY unicasts —
 // the same serial-vs-tree comparison the paper runs on the MoT.
 //
+// The mesh owns no multicast partitioning: Inject plans through the
+// spec's routing.Strategy on a mask-routed routing.Fabric that the Mesh
+// itself describes (its snake Hamiltonian order and XY link cost), so
+// every registered scheme runs here exactly as on the MoT.
+//
 // Deadlock freedom mirrors the MoT argument (DESIGN.md): XY ordering
 // makes channel dependencies acyclic, output locks are acquired
 // all-or-nothing at the header, and virtual-cut-through reservation
@@ -21,7 +26,6 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
 
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/node"
@@ -55,10 +59,12 @@ type Spec struct {
 	// scheme); otherwise multicast is tree-based with replication.
 	Serial bool
 	// Strategy names the multicast routing scheme that partitions
-	// injections (see routing.StrategyNames). Empty keeps the spec's
-	// default: serial unicasts when Serial, one tree-routed packet
-	// otherwise. The mesh Hamiltonian order is the boustrophedon (snake)
-	// tile order, and DPM merge costs count XY-tree link traversals.
+	// injections (see routing.StrategyNames). Empty selects
+	// routing.StrategyFor's default: serial unicasts when Serial, one
+	// tree-routed packet otherwise (the mesh has no speculation, so both
+	// tree schemes plan that one packet). The mesh Hamiltonian order is
+	// the boustrophedon (snake) tile order, and DPM merge costs count
+	// XY-tree link traversals.
 	Strategy string
 }
 
@@ -70,10 +76,8 @@ func (s Spec) Validate() error {
 	if s.PacketLen < 1 {
 		return fmt.Errorf("mesh %s: packet length %d < 1", s.Name, s.PacketLen)
 	}
-	if s.Strategy != "" {
-		if _, err := routing.StrategyByName(s.Strategy); err != nil {
-			return fmt.Errorf("mesh %s: %w", s.Name, err)
-		}
+	if _, err := routing.StrategyFor(s.Strategy, s.Serial); err != nil {
+		return fmt.Errorf("mesh %s: %w", s.Name, err)
 	}
 	return nil
 }
@@ -114,6 +118,13 @@ type Mesh struct {
 	sources []*sourceNI
 	sinks   []*sinkNI
 	nextID  uint64
+
+	// strat plans every injection on fabric, whose Mask is the mesh;
+	// plans collects one injection's plan through emit.
+	strat  routing.Strategy
+	fabric routing.Fabric
+	plans  []routing.Plan
+	emit   func(routing.Plan)
 }
 
 // New builds a mesh network.
@@ -128,6 +139,10 @@ func New(spec Spec) (*Mesh, error) {
 		Rec:   metrics.NewRecorder(),
 		Meter: power.NewMeter(sched.Now),
 	}
+	// Validate() vetted the name.
+	m.strat, _ = routing.StrategyFor(spec.Strategy, spec.Serial)
+	m.fabric = routing.Fabric{Serial: spec.Serial, Mask: m}
+	m.emit = func(p routing.Plan) { m.plans = append(m.plans, p) }
 	m.build()
 	return m, nil
 }
@@ -233,10 +248,14 @@ func (m *Mesh) build() {
 	}
 }
 
-// snakePos returns a tile's position on the mesh's Hamiltonian path: the
-// boustrophedon (snake) order that walks each row alternately left-to-
-// right and right-to-left, so consecutive positions are mesh neighbors.
-func (m *Mesh) snakePos(d int) int {
+// Terminals implements routing.MaskRouted: the tile count.
+func (m *Mesh) Terminals() int { return m.Spec.Tiles() }
+
+// PathPos implements routing.MaskRouted: a tile's position on the
+// mesh's Hamiltonian path, the boustrophedon (snake) order that walks
+// each row alternately left-to-right and right-to-left, so consecutive
+// positions are mesh neighbors.
+func (m *Mesh) PathPos(d int) int {
 	x, y := m.Coord(d)
 	if y%2 == 1 {
 		x = m.Spec.W - 1 - x
@@ -244,64 +263,13 @@ func (m *Mesh) snakePos(d int) int {
 	return y*m.Spec.W + x
 }
 
-// meshChain is one ordered delivery group of a planned injection.
-type meshChain struct {
-	dests packet.DestSet
-	desc  bool // serial expansion walks the snake order backwards
-}
-
-// chains partitions one injection under the spec's strategy, in
-// delivery order.
-func (m *Mesh) chains(src int, dests packet.DestSet) []meshChain {
-	name := m.Spec.Strategy
-	if name == "" {
-		if m.Spec.Serial {
-			name = routing.SerialUnicastName
-		} else {
-			name = routing.TreeMulticastName
-		}
-	}
-	switch name {
-	case routing.SerialUnicastName:
-		out := make([]meshChain, 0, dests.Count())
-		dests.ForEach(func(d int) { out = append(out, meshChain{dests: packet.Dest(d)}) })
-		return out
-	case routing.PathBasedName:
-		up, down := routing.PathSplit(m.snakePos, m.snakePos(src), dests)
-		var out []meshChain
-		if !up.Empty() {
-			out = append(out, meshChain{dests: up})
-		}
-		if !down.Empty() {
-			out = append(out, meshChain{dests: down, desc: true})
-		}
-		return out
-	case routing.DPMName:
-		parts := make([]packet.DestSet, 0, dests.Count())
-		dests.ForEach(func(d int) { parts = append(parts, packet.Dest(d)) })
-		sort.Slice(parts, func(i, j int) bool {
-			return m.snakePos(parts[i].First()) < m.snakePos(parts[j].First())
-		})
-		parts = routing.MergeAdjacent(parts, func(s packet.DestSet) int { return m.xyLinks(src, s) })
-		out := make([]meshChain, len(parts))
-		for i, part := range parts {
-			out[i] = meshChain{dests: part}
-		}
-		return out
-	default:
-		// TreeMulticast and SpeculativeMulticast: the mesh has no
-		// speculation, both are the single destination-encoded packet.
-		return []meshChain{{dests: dests}}
-	}
-}
-
-// xyLinks counts the link traversals (router-to-router plus delivery
-// locals) of delivering dests from src: the XY multicast tree's links on
-// the tree fabric, the sum of the unicast XY paths — which share nothing
-// physically — in serial mode. The source's injection link is common to
-// every plan and excluded, so a merge that shares no links is never an
-// improvement.
-func (m *Mesh) xyLinks(src int, dests packet.DestSet) int {
+// LinkCost implements routing.MaskRouted: it counts the link traversals
+// (router-to-router plus delivery locals) of delivering dests from src:
+// the XY multicast tree's links on the tree fabric, the sum of the
+// unicast XY paths — which share nothing physically — in serial mode.
+// The source's injection link is common to every plan and excluded, so
+// a merge that shares no links is never an improvement.
+func (m *Mesh) LinkCost(src int, dests packet.DestSet) int {
 	sx, sy := m.Coord(src)
 	if m.Spec.Serial {
 		total := 0
@@ -344,34 +312,15 @@ func absInt(v int) int {
 	return v
 }
 
-// snakeOrdered returns the set's members ordered by snake position,
-// reversed when desc is set (injection planning; cold path).
-func (m *Mesh) snakeOrdered(s packet.DestSet, desc bool) []int {
-	ds := s.Members()
-	sort.Slice(ds, func(i, j int) bool {
-		if desc {
-			return m.snakePos(ds[i]) > m.snakePos(ds[j])
-		}
-		return m.snakePos(ds[i]) < m.snakePos(ds[j])
-	})
-	return ds
-}
-
 // Inject creates a logical packet from tile src to dests at the current
-// simulation time, partitioned under the spec's routing strategy: a
-// single-partition plan covering the whole set rides the logical packet
-// itself (except serial multicasts, which always expand into per-
-// destination unicast clones), every other plan injects one clone per
-// physical packet linked to the logical parent.
+// simulation time, planned under the spec's routing strategy: a plan of
+// one packet covering the whole set rides the logical packet itself,
+// every other plan injects one clone per physical packet linked to the
+// logical parent.
 func (m *Mesh) Inject(src int, dests packet.DestSet) (*packet.Packet, error) {
-	if src < 0 || src >= m.Spec.Tiles() {
-		return nil, fmt.Errorf("mesh %s: source %d out of range", m.Spec.Name, src)
-	}
-	if dests.Empty() {
-		return nil, fmt.Errorf("mesh %s: empty destination set", m.Spec.Name)
-	}
-	if extra := dests &^ packet.Range(0, m.Spec.Tiles()); !extra.Empty() {
-		return nil, fmt.Errorf("mesh %s: destinations %v out of range", m.Spec.Name, extra)
+	m.plans = m.plans[:0]
+	if err := m.strat.Plan(m.fabric, src, dests, m.emit); err != nil {
+		return nil, fmt.Errorf("mesh %s: %w", m.Spec.Name, err)
 	}
 	now := m.Sched.Now()
 	m.nextID++
@@ -380,26 +329,16 @@ func (m *Mesh) Inject(src int, dests packet.DestSet) (*packet.Packet, error) {
 		Length: m.Spec.PacketLen, CreatedAt: int64(now),
 	}
 	m.Rec.PacketCreated(p, now)
-	chains := m.chains(src, dests)
-	if len(chains) == 1 && chains[0].dests == dests && !(m.Spec.Serial && dests.Count() > 1) {
+	if len(m.plans) == 1 && m.plans[0].Dests == dests {
 		m.sources[src].enqueue(p)
 		return p, nil
 	}
-	clone := func(sub packet.DestSet) {
+	for _, pl := range m.plans {
 		m.nextID++
 		m.sources[src].enqueue(&packet.Packet{
-			ID: m.nextID, Src: src, Dests: sub,
+			ID: m.nextID, Src: src, Dests: pl.Dests,
 			Length: m.Spec.PacketLen, Parent: p, CreatedAt: int64(now),
 		})
-	}
-	for _, c := range chains {
-		if !m.Spec.Serial {
-			clone(c.dests)
-			continue
-		}
-		for _, d := range m.snakeOrdered(c.dests, c.desc) {
-			clone(packet.Dest(d))
-		}
 	}
 	return p, nil
 }

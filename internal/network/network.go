@@ -11,6 +11,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
@@ -157,10 +158,8 @@ func (s Spec) Validate() error {
 	if !s.Serial && s.NonSpecKind == node.Baseline {
 		return fmt.Errorf("network %s: baseline fanout nodes cannot route multicast", s.Name)
 	}
-	if s.Strategy != "" {
-		if _, err := routing.StrategyByName(s.Strategy); err != nil {
-			return fmt.Errorf("network %s: %w", s.Name, err)
-		}
+	if _, err := routing.StrategyFor(s.Strategy, s.Serial); err != nil {
+		return fmt.Errorf("network %s: %w", s.Name, err)
 	}
 	if err := s.Faults.Validate(s.N); err != nil {
 		return fmt.Errorf("network %s: %w", s.Name, err)
@@ -266,8 +265,7 @@ type Network struct {
 	// sample flit occupancy (fault mode only).
 	chans []*node.Channel
 
-	// strat plans every injection and decodes every header against
-	// fabric.
+	// strat plans every injection against fabric.
 	strat  routing.Strategy
 	fabric routing.Fabric
 
@@ -329,11 +327,8 @@ func newBase(spec Spec) (*Network, error) {
 		nw.Rec.SetHierarchy(true)
 	}
 	nw.fabric = routing.Fabric{Placement: pl, Serial: spec.Serial}
-	nw.strat = routing.DefaultStrategy(spec.Serial)
-	if spec.Strategy != "" {
-		// Validate() vetted the name.
-		nw.strat, _ = routing.StrategyByName(spec.Strategy)
-	}
+	// Validate() vetted the name.
+	nw.strat, _ = routing.StrategyFor(spec.Strategy, spec.Serial)
 	return nw, nil
 }
 
@@ -391,12 +386,16 @@ func ownerOf(p *packet.Packet) int {
 // death (which also drops one of its parent's). At zero no flit, channel
 // or tracker references p, and it returns to the freelist of its owning
 // context — the context that allocates it (DESIGN.md §11 lists every
-// fate). Callers invoke it after all other uses of the packet in the
-// same event, so no recycled packet is ever read through a stale flit.
+// fate); in fault mode its receive-dedup entries go too. Callers invoke
+// it after all other uses of the packet in the same event, so no
+// recycled packet is ever read through a stale flit.
 func (nw *Network) releaseCopy(p *packet.Packet) {
 	p.Refs--
 	if p.Refs != 0 {
 		return
+	}
+	if nw.inj != nil {
+		nw.forgetRx(p)
 	}
 	parent := p.Parent
 	fc := nw.actxFor(ownerOf(p))
@@ -410,10 +409,17 @@ func (nw *Network) releaseCopy(p *packet.Packet) {
 	}
 }
 
-// decodeSym is the fanout nodes' route decode, delegated to the
-// network's routing strategy.
-func (nw *Network) decodeSym(heap int, route uint64) routing.Symbol {
-	return nw.strat.Decode(nw.fabric, heap, route)
+// forgetRx frees the receive-dedup entries p left at its destinations'
+// sinks. p has no reference left, so no copy of it can still arrive
+// (fault runs are single-die: p.Dests index the sinks directly).
+func (nw *Network) forgetRx(p *packet.Packet) {
+	for v := uint64(p.Dests); v != 0; v &= v - 1 {
+		ni := nw.sinks[bits.TrailingZeros64(v)]
+		if h, ok := ni.rxIdx.Get(p.ID); ok {
+			ni.rxGot.Free(h)
+			ni.rxIdx.Delete(p.ID)
+		}
+	}
 }
 
 // kindFor returns the node behavior for heap position k.
@@ -503,7 +509,6 @@ func (nw *Network) build() {
 		nw.fanins[t] = make([]*node.Fanin, n)
 		for k := 1; k < n; k++ {
 			fo := node.NewFanout(a.sched, nw.kindFor(k), t, k, nw.Placement, fifoCap, nw.Spec.Protocol)
-			fo.SetDecoder(nw.decodeSym)
 			if nw.Spec.SyncPeriod > 0 {
 				fo.Clock(nw.Spec.SyncPeriod)
 			}
@@ -810,12 +815,6 @@ func (fl *d2dFlight) OnEvent(int64) {
 // SourceQueueLen returns the backlog (in flits) of one source interface.
 func (nw *Network) SourceQueueLen(src int) int { return nw.sources[src].queue.Len() }
 
-// FaultFanoutChannel arms a stuck-at fault on one fanout output channel
-// after `after` successful flits (failure injection for tests).
-func (nw *Network) FaultFanoutChannel(tree, heap int, port topology.Port, after int) {
-	nw.fanouts[tree][heap].OutputChannel(port).Fault(after)
-}
-
 // Fanout exposes one fanout node (tests and diagnostics).
 func (nw *Network) Fanout(tree, heap int) *node.Fanout { return nw.fanouts[tree][heap] }
 
@@ -1064,10 +1063,11 @@ type SinkNI struct {
 	in   *node.Channel
 
 	// rxGot/rxIdx deduplicate per-packet flit arrivals by a bitmask over
-	// the flit indices received clean (fault mode only). Entries are
-	// never freed — exactly the retention the map they replace had, so a
-	// late straggler from a written-off packet still deduplicates
-	// correctly.
+	// the flit indices received clean (fault mode only). A packet's
+	// entries live until its last reference is released (forgetRx):
+	// stragglers of a written-off packet still hold it, so they still
+	// deduplicate, and the state stays bounded by the packets live at
+	// once.
 	rxGot pool.Slab[uint64]
 	rxIdx pool.IDMap
 

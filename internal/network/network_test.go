@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asyncnoc/internal/chiplet"
+	"asyncnoc/internal/fault"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
@@ -656,15 +657,16 @@ func TestEnergyEventsWithSpeculation(t *testing.T) {
 // of the network is unaffected) and localizable (the subtree below the
 // fault goes quiet).
 func TestFaultInjection(t *testing.T) {
-	nw, err := New(basicNonSpec(8))
+	spec := basicNonSpec(8)
+	// Kill tree 0's node-2 top output (the only path to dests 0 and 1)
+	// after one flit.
+	spec.Faults = fault.Config{Stuck: []fault.Stuck{{Tree: 0, Heap: 2, Port: int(topology.Top), After: 1}}}
+	nw, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Rec.SetWindow(0, 1<<62)
 	u := AttachUtilization(nw)
-	// Kill tree 0's node-2 top output (the only path to dests 0 and 1)
-	// after one flit.
-	nw.FaultFanoutChannel(0, 2, topology.Top, 1)
 	for d := 0; d < 8; d++ {
 		if _, err := nw.Inject(0, packet.Dest(d)); err != nil {
 			t.Fatal(err)

@@ -260,6 +260,70 @@ func TestTxSlabRecycling(t *testing.T) {
 	}
 }
 
+// TestRxDedupBounded drives 5,000 packets through an 8x8 OptHybrid
+// network at corrupt+drop 1e-3 and samples the sinks' receive-dedup
+// state at every injection: it may hold entries only for the
+// destinations of packets still referenced, and none once the run
+// quiesces. Entries that outlived their packet would grow with the run
+// (thousands of them by its end).
+func TestRxDedupBounded(t *testing.T) {
+	spec := optHybrid(8)
+	spec.Faults = fault.Config{Seed: 3, CorruptRate: 1e-3, DropRate: 1e-3}
+	nw, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Rec.SetWindow(0, 1<<62)
+	seen := make(map[*packet.Packet]bool)
+	nw.Trace = func(ev TraceEvent) { seen[ev.Flit.Pkt] = true }
+	entries := func() int {
+		n := 0
+		for _, ni := range nw.sinks {
+			if ni.rxIdx.Len() != ni.rxGot.Live() {
+				t.Fatalf("sink %d: %d indexed entries, %d slab slots", ni.dest, ni.rxIdx.Len(), ni.rxGot.Live())
+			}
+			n += ni.rxIdx.Len()
+		}
+		return n
+	}
+	peak := 0
+	r := rand.New(rand.NewSource(11))
+	at := sim.Time(0)
+	for i := 0; i < 5000; i++ {
+		at += sim.Time(r.Intn(1000))
+		src := r.Intn(8)
+		dests := packet.Dest(r.Intn(8))
+		if r.Intn(10) == 0 {
+			dests = packet.DestSet(r.Uint64()&0xff) | dests
+		}
+		nw.Sched.Schedule(at, func() {
+			live := 0
+			for p := range seen {
+				if p.Refs > 0 {
+					live += p.Dests.Count()
+				}
+			}
+			if n := entries(); n > live {
+				t.Fatalf("%d dedup entries for %d live (packet, destination) pairs", n, live)
+			} else if n > peak {
+				peak = n
+			}
+			if _, err := nw.Inject(src, dests); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	nw.Sched.Run()
+	fs := nw.FaultStats()
+	if fs.Corrupted == 0 || fs.Dropped == 0 || fs.Retries == 0 {
+		t.Fatalf("the run exercised no recovery: %+v", *fs)
+	}
+	if n := entries(); n != 0 {
+		t.Errorf("%d dedup entries left after quiescence", n)
+	}
+	t.Logf("peak %d dedup entries; %d corrupted, %d dropped, %d retries", peak, fs.Corrupted, fs.Dropped, fs.Retries)
+}
+
 // TestRetiredFlitsStayLiveInTheirChannel samples every fault channel
 // every 10 ps of a write-off workload: the flit a channel holds must
 // still name the packet it was sent with. A delivered, absorbed or

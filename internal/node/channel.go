@@ -99,21 +99,6 @@ type Channel struct {
 	acked    bool
 	retired  bool
 	cur      packet.Flit
-
-	faulted    bool
-	faultAfter int
-	sends      int
-}
-
-// Fault arms a stuck-at fault: the channel delivers its first `after`
-// flits normally, then wedges — subsequent flits neither arrive nor get
-// acknowledged, stalling the upstream stage forever. Used by the
-// failure-injection tests to verify that losses are observable (packets
-// stop completing) and localizable (activity counters go quiet below
-// the fault).
-func (c *Channel) Fault(after int) {
-	c.faulted = true
-	c.faultAfter = after
 }
 
 // Send drives a flit onto the channel.
@@ -125,15 +110,11 @@ func (c *Channel) Send(f packet.Flit) {
 	c.inFlight = true
 	c.acked, c.retired = false, false
 	c.cur = f
-	c.sends++
-	if c.faulted && c.sends > c.faultAfter {
-		return // wedged: the flit vanishes, the ack never comes
-	}
 	fwd := c.FwdDelay
 	if c.Faults != nil {
 		d := c.Faults.Next(f.Kind() == packet.Body)
 		if d.Stuck {
-			return // wedged by the fault schedule (see Fault above)
+			return // wedged: the flit vanishes, the ack never comes
 		}
 		if d.Drop {
 			// The payload bundle glitches away but the self-timed link

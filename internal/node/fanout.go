@@ -91,7 +91,9 @@ type Fanout struct {
 	// Identity within the network: the source tree it belongs to and
 	// its 1-based heap index, used for source-route field lookup.
 	Tree, Heap int
-	placement  *topology.Placement
+	// fab is the routing view of the node's fabric: its placement, and
+	// whether it is the serial baseline (nodes of kind Baseline).
+	fab routing.Fabric
 
 	in      *Channel // input channel (acked by this node)
 	out     [2]*Channel
@@ -122,13 +124,6 @@ type Fanout struct {
 	nextAllowed sim.Time
 	retryArmed  bool
 
-	// decode maps the node's heap index and a header's packed route word
-	// to its forwarding directive. NewFanout installs the placement
-	// default; the network overrides it with the routing strategy's
-	// decode (the two agree for every registered strategy — the override
-	// keeps the node honest to whatever scheme encoded the header).
-	decode RouteDecoder
-
 	// Per-packet routing state captured at the header.
 	storedSym routing.Symbol
 	liveDirs  [2]bool // opt-spec: directions with downstream addressing activity
@@ -150,49 +145,16 @@ func NewFanout(sched *sim.Scheduler, kind Kind, tree, heap int, pl *topology.Pla
 		panic(fmt.Sprintf("node: fanout FIFO capacity %d < 1", fifoCap))
 	}
 	backing := make([]packet.Flit, 2*fifoCap)
-	n := &Fanout{
-		sched:     sched,
-		kind:      kind,
-		t:         timing.MustByName(kind.NetlistName()).ForProtocol(proto),
-		Tree:      tree,
-		Heap:      heap,
-		placement: pl,
-		cap:       fifoCap,
-		fifo:      [2][]packet.Flit{backing[:fifoCap:fifoCap], backing[fifoCap:]},
+	return &Fanout{
+		sched: sched,
+		kind:  kind,
+		t:     timing.MustByName(kind.NetlistName()).ForProtocol(proto),
+		Tree:  tree,
+		Heap:  heap,
+		fab:   routing.Fabric{Placement: pl, Serial: kind == Baseline},
+		cap:   fifoCap,
+		fifo:  [2][]packet.Flit{backing[:fifoCap:fifoCap], backing[fifoCap:]},
 	}
-	if kind == Baseline {
-		n.decode = n.baselineDecode
-	} else {
-		n.decode = n.placementDecode
-	}
-	return n
-}
-
-// RouteDecoder maps one node's heap index and a packet's packed route
-// word to the 2-bit forwarding directive the node applies.
-type RouteDecoder func(heap int, route uint64) routing.Symbol
-
-// SetDecoder installs a routing strategy's per-node decode in place of
-// the placement-derived default; a nil decoder keeps the default.
-func (n *Fanout) SetDecoder(d RouteDecoder) {
-	if d != nil {
-		n.decode = d
-	}
-}
-
-// baselineDecode reads the 1-bit-per-level unicast path field of the
-// serial baseline.
-func (n *Fanout) baselineDecode(heap int, route uint64) routing.Symbol {
-	if routing.BaselinePort(route, n.placement.MoT().LevelOf(heap)) == topology.Top {
-		return routing.SymTop
-	}
-	return routing.SymBottom
-}
-
-// placementDecode reads the placement's 2-bit multicast field
-// (speculative nodes broadcast).
-func (n *Fanout) placementDecode(heap int, route uint64) routing.Symbol {
-	return routing.NodeSymbol(n.placement, heap, route)
 }
 
 // Clock reconfigures the node as one stage of a synchronous pipeline
@@ -272,7 +234,7 @@ func (n *Fanout) route(f packet.Flit) (dirs [2]bool, fwd sim.Time, absorb bool) 
 		// 1-bit source routing; the Address Storage Unit holds the
 		// header's bit for the body and tail flits.
 		if hdr {
-			n.storedSym = n.decode(n.Heap, f.Pkt.Route)
+			n.storedSym = routing.DecodeSymbol(n.fab, n.Heap, f.Pkt.Route)
 		}
 		dirs[topology.Top] = n.storedSym.Wants(topology.Top)
 		dirs[topology.Bottom] = n.storedSym.Wants(topology.Bottom)
@@ -285,7 +247,7 @@ func (n *Fanout) route(f packet.Flit) (dirs [2]bool, fwd sim.Time, absorb bool) 
 		// 2-bit source routing with throttle; the optimized variant
 		// fast-forwards body/tail flits on pre-allocated channels.
 		if hdr {
-			n.storedSym = n.decode(n.Heap, f.Pkt.Route)
+			n.storedSym = routing.DecodeSymbol(n.fab, n.Heap, f.Pkt.Route)
 		} else if n.kind == OptNonSpec {
 			fwd = n.t.FwdBody
 		}
@@ -299,7 +261,7 @@ func (n *Fanout) route(f packet.Flit) (dirs [2]bool, fwd sim.Time, absorb bool) 
 		// Headers and tails broadcast (the ports are normally
 		// transparent); the header's address activity marks the live
 		// directions used for the body flits.
-		m := n.placement.MoT()
+		m := n.fab.MoT()
 		if hdr {
 			for p := topology.Top; p <= topology.Bottom; p++ {
 				n.liveDirs[p] = !f.Pkt.Dests.Intersect(m.SubtreeDests(m.Child(n.Heap, p))).Empty()

@@ -8,11 +8,10 @@ import (
 	"asyncnoc/internal/topology"
 )
 
-// This file promotes the package's encode/decode functions into a
-// pluggable Strategy layer (ROADMAP item 3): a multicast scheme decides
-// how one logical destination set becomes physical packets (the plan),
-// how a fanout node decodes a packed route word, and what header width
-// the scheme costs. Five schemes are registered:
+// This file promotes the package's encode functions into a pluggable
+// Strategy layer (ROADMAP item 3): a multicast scheme decides how one
+// logical destination set becomes physical packets (the plan) and what
+// header width the scheme costs. Five schemes are registered:
 //
 //   - SerialUnicast: one unicast packet per destination, in ascending
 //     order — the paper's serial baseline, now available on every fabric.
@@ -31,21 +30,72 @@ import (
 //     adjacent partitions while the merged plan costs fewer link
 //     traversals than the parts separately.
 //
-// All schemes share one per-node decode: the fabric's nodes read 2-bit
-// route fields (or 1-bit path fields on the serial baseline) exactly as
-// before, so a strategy changes packet structure, never node hardware.
+// Every fanout node decodes one way (DecodeSymbol): it reads its 2-bit
+// route field (or its 1-bit path field on the serial baseline), so a
+// strategy changes packet structure, never node hardware.
 
 // Fabric is the routing-relevant description of a network: its
-// speculation placement (which also carries the MoT geometry) and
-// whether it is the serial baseline whose nodes decode 1-bit unicast
-// path routes.
+// speculation placement (which also carries the MoT geometry), whether
+// it is the serial baseline whose nodes decode 1-bit unicast path
+// routes, and — for a fabric whose routers read the destination mask
+// instead of a route word — that fabric's path order and link cost.
 type Fabric struct {
 	Placement *topology.Placement
 	Serial    bool
+	// Mask, when set, plans for a mask-routed fabric (the 2D mesh): its
+	// plans carry no route word, its Hamiltonian order and link cost
+	// come from Mask, and Placement is unused. Nil means the MoT.
+	Mask MaskRouted
+}
+
+// MaskRouted describes a fabric whose routers forward by the packet's
+// destination mask.
+type MaskRouted interface {
+	// Terminals is the fabric's terminal count.
+	Terminals() int
+	// PathPos is terminal d's position on the fabric's Hamiltonian path.
+	PathPos(d int) int
+	// LinkCost counts the link traversals of delivering dests from src
+	// in one packet (in unicasts on the serial fabric), excluding the
+	// source's injection link.
+	LinkCost(src int, dests packet.DestSet) int
 }
 
 // MoT returns the fabric's tree geometry.
 func (f Fabric) MoT() *topology.MoT { return f.Placement.MoT() }
+
+// terminals is the fabric's terminal count.
+func (f Fabric) terminals() int {
+	if f.Mask != nil {
+		return f.Mask.Terminals()
+	}
+	return f.MoT().N
+}
+
+// pathPos is terminal d's Hamiltonian position: the index order itself
+// on the MoT.
+func (f Fabric) pathPos(d int) int {
+	if f.Mask != nil {
+		return f.Mask.PathPos(d)
+	}
+	return d
+}
+
+// pathOrder returns the set's members in Hamiltonian order, filling buf.
+func (f Fabric) pathOrder(s packet.DestSet, buf *[64]int) []int {
+	ds := buf[:0]
+	for v := uint64(s); v != 0; v &= v - 1 {
+		ds = append(ds, bits.TrailingZeros64(v))
+	}
+	if f.Mask != nil {
+		for i := 1; i < len(ds); i++ {
+			for j := i; j > 0 && f.Mask.PathPos(ds[j]) < f.Mask.PathPos(ds[j-1]); j-- {
+				ds[j], ds[j-1] = ds[j-1], ds[j]
+			}
+		}
+	}
+	return ds
+}
 
 // Plan is one physical packet of a strategy's expansion of a logical
 // multicast: the destination subset it covers and its packed route word.
@@ -62,11 +112,9 @@ type Strategy interface {
 	// emit once per packet in injection order. Implementations validate
 	// src and dests against the fabric before emitting anything.
 	Plan(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error
-	// Decode returns the forwarding directive fanout node heap applies
-	// to a route word produced by Plan.
-	Decode(f Fabric, heap int, route uint64) Symbol
-	// HeaderBits is the scheme's per-packet header address width on the
-	// fabric, extending the Section 5.2(d) cost comparison.
+	// HeaderBits is the scheme's per-packet header address width on a
+	// MoT fabric (Mask nil), extending the Section 5.2(d) cost
+	// comparison.
 	HeaderBits(f Fabric) int
 }
 
@@ -79,9 +127,10 @@ const (
 	DPMName                  = "DPM"
 )
 
-// DecodeSymbol is the shared per-node decode every registered strategy
-// uses: baseline nodes read their 1-bit path field, multicast fabrics
-// read the placement's 2-bit field (speculative nodes broadcast).
+// DecodeSymbol is the one per-node decode of every route word a
+// strategy plans on a MoT: baseline nodes read their 1-bit path field,
+// multicast fabrics read the placement's 2-bit field (speculative nodes
+// broadcast).
 func DecodeSymbol(f Fabric, heap int, route uint64) Symbol {
 	if f.Serial {
 		if BaselinePort(route, f.MoT().LevelOf(heap)) == topology.Top {
@@ -92,56 +141,53 @@ func DecodeSymbol(f Fabric, heap int, route uint64) Symbol {
 	return NodeSymbol(f.Placement, heap, route)
 }
 
-// forEachDesc visits the set's destinations in descending order (the
-// "down" chain of path-based delivery walks the Hamiltonian order
-// backwards).
-func forEachDesc(s packet.DestSet, fn func(d int)) {
-	for v := uint64(s); v != 0; {
-		d := bits.Len64(v) - 1
-		v &^= 1 << uint(d)
-		fn(d)
-	}
-}
-
 // emitChain expands one ordered delivery group into physical packets:
 // on the serial fabric every member becomes its own unicast packet in
-// chain order (descending when desc is set), elsewhere the whole group
-// rides one tree-encoded packet.
+// Hamiltonian order (descending when desc is set), elsewhere the whole
+// group rides one packet.
 func emitChain(f Fabric, dests packet.DestSet, desc bool, emit func(Plan)) error {
 	if dests.Empty() {
 		return nil
 	}
 	if !f.Serial {
-		route, err := EncodeMulticast(f.Placement, dests)
-		if err != nil {
+		return emitPlan(f, dests, emit)
+	}
+	var buf [64]int
+	ds := f.pathOrder(dests, &buf)
+	for i := range ds {
+		d := ds[i]
+		if desc {
+			d = ds[len(ds)-1-i]
+		}
+		if err := emitPlan(f, packet.Dest(d), emit); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// emitPlan emits one packet for dests with its route word: the tree
+// encoding on the MoT, the unicast path on the serial MoT, and none on a
+// mask-routed fabric, whose routers read the destination mask.
+func emitPlan(f Fabric, dests packet.DestSet, emit func(Plan)) error {
+	var route uint64
+	var err error
+	switch {
+	case f.Mask != nil:
+	case f.Serial:
+		route, err = EncodeBaseline(f.MoT(), dests.First())
+	default:
+		route, err = EncodeMulticast(f.Placement, dests)
+	}
+	if err == nil {
 		emit(Plan{Dests: dests, Route: route})
-		return nil
 	}
-	var encErr error
-	one := func(d int) {
-		if encErr != nil {
-			return
-		}
-		route, err := EncodeBaseline(f.MoT(), d)
-		if err != nil {
-			encErr = err
-			return
-		}
-		emit(Plan{Dests: packet.Dest(d), Route: route})
-	}
-	if desc {
-		forEachDesc(dests, one)
-	} else {
-		dests.ForEach(one)
-	}
-	return encErr
+	return err
 }
 
 // validatePlan rejects the argument errors every scheme shares.
 func validatePlan(f Fabric, src int, dests packet.DestSet) error {
-	n := f.MoT().N
+	n := f.terminals()
 	if src < 0 || src >= n {
 		return fmt.Errorf("routing: source %d outside [0,%d)", src, n)
 	}
@@ -154,8 +200,8 @@ func validatePlan(f Fabric, src int, dests packet.DestSet) error {
 	return nil
 }
 
-// scheme implements Strategy over two closures; all registered schemes
-// share DecodeSymbol, so only planning and header cost vary.
+// scheme implements Strategy over two closures: planning and header
+// cost are all that vary between registered schemes.
 type scheme struct {
 	name string
 	plan func(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error
@@ -173,11 +219,6 @@ func (s *scheme) Plan(f Fabric, src int, dests packet.DestSet, emit func(Plan)) 
 	return s.plan(f, src, dests, emit)
 }
 
-// Decode implements Strategy.
-func (s *scheme) Decode(f Fabric, heap int, route uint64) Symbol {
-	return DecodeSymbol(f, heap, route)
-}
-
 // HeaderBits implements Strategy. The serial baseline always carries the
 // 1-bit-per-level unicast path regardless of scheme.
 func (s *scheme) HeaderBits(f Fabric) int {
@@ -187,30 +228,29 @@ func (s *scheme) HeaderBits(f Fabric) int {
 	return s.bits(f)
 }
 
-// PathSplit partitions a destination set for dual-path delivery around
+// pathSplit partitions a destination set for dual-path delivery around
 // the source's Hamiltonian position: up holds the destinations at or
-// after the source on the path, down the rest. pos maps a destination to
-// its path position; srcPos is the source's. On the MoT the Hamiltonian
-// order is the destination index order itself (pos is identity); the 2D
-// mesh substrate passes its snake order.
-func PathSplit(pos func(d int) int, srcPos int, dests packet.DestSet) (up, down packet.DestSet) {
-	dests.ForEach(func(d int) {
-		if pos(d) >= srcPos {
+// after the source on the fabric's path, down the rest.
+func pathSplit(f Fabric, src int, dests packet.DestSet) (up, down packet.DestSet) {
+	srcPos := f.pathPos(src)
+	for v := uint64(dests); v != 0; v &= v - 1 {
+		d := bits.TrailingZeros64(v)
+		if f.pathPos(d) >= srcPos {
 			up = up.Add(d)
 		} else {
 			down = down.Add(d)
 		}
-	})
+	}
 	return up, down
 }
 
-// MergeAdjacent is the Dynamic Partition Merging core: given partitions
+// mergeAdjacent is the Dynamic Partition Merging core: given partitions
 // in Hamiltonian order, repeatedly merge an adjacent pair whenever the
 // merged partition's plan is strictly cheaper than the two parts
 // separately, until no merge improves. Ties do not merge — a merge that
 // saves nothing only serializes deliveries behind one header. The input
 // slice is consumed.
-func MergeAdjacent(parts []packet.DestSet, cost func(packet.DestSet) int) []packet.DestSet {
+func mergeAdjacent(parts []packet.DestSet, cost func(packet.DestSet) int) []packet.DestSet {
 	for merged := true; merged; {
 		merged = false
 		for i := 0; i+1 < len(parts); i++ {
@@ -226,7 +266,7 @@ func MergeAdjacent(parts []packet.DestSet, cost func(packet.DestSet) int) []pack
 	return parts
 }
 
-// LinkCost counts the fanout-tree link traversals the destination set
+// LinkCost counts the MoT fanout-tree link traversals the destination set
 // costs on the fabric: the links of the decode walk from the tree root,
 // including the wasted broadcasts of speculative nodes (an off-path copy
 // still crosses the link that carries it to the addressable node that
@@ -305,7 +345,7 @@ var (
 	pathBased = &scheme{
 		name: PathBasedName,
 		plan: func(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error {
-			up, down := PathSplit(func(d int) int { return d }, src, dests)
+			up, down := pathSplit(f, src, dests)
 			if err := emitChain(f, up, false, emit); err != nil {
 				return err
 			}
@@ -321,11 +361,19 @@ var (
 
 	dpm = &scheme{
 		name: DPMName,
-		plan: func(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
+		plan: func(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error {
+			var order [64]int
 			var buf [64]packet.DestSet
 			parts := buf[:0]
-			dests.ForEach(func(d int) { parts = append(parts, packet.Dest(d)) })
-			parts = MergeAdjacent(parts, func(s packet.DestSet) int { return LinkCost(f, s) })
+			for _, d := range f.pathOrder(dests, &order) {
+				parts = append(parts, packet.Dest(d))
+			}
+			parts = mergeAdjacent(parts, func(s packet.DestSet) int {
+				if f.Mask != nil {
+					return f.Mask.LinkCost(src, s)
+				}
+				return LinkCost(f, s)
+			})
 			for _, part := range parts {
 				if err := emitChain(f, part, false, emit); err != nil {
 					return err
@@ -367,13 +415,18 @@ func StrategyByName(name string) (Strategy, error) {
 	return nil, fmt.Errorf("routing: unknown strategy %q (have %v)", name, StrategyNames())
 }
 
-// DefaultStrategy returns the scheme a fabric uses when the spec names
-// none: the serial baseline expands multicasts into ascending unicasts,
-// every other architecture uses the paper's simplified speculative
-// multicast. Both reproduce the pre-strategy behavior bit-identically.
-func DefaultStrategy(serial bool) Strategy {
-	if serial {
-		return serialUnicast
+// StrategyFor resolves a spec's strategy name. An empty name selects the
+// fabric's default: the serial baseline expands multicasts into
+// ascending unicasts, every other fabric uses the paper's simplified
+// speculative multicast. Both reproduce the pre-strategy behavior
+// bit-identically.
+func StrategyFor(name string, serial bool) (Strategy, error) {
+	switch {
+	case name != "":
+		return StrategyByName(name)
+	case serial:
+		return serialUnicast, nil
+	default:
+		return speculativeMulticast, nil
 	}
-	return speculativeMulticast
 }

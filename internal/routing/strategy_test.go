@@ -25,14 +25,14 @@ func fabricFor(t *testing.T, n int, sc topology.Scheme, serial bool) Fabric {
 }
 
 // strategyWalk replays a planned packet through the fanout tree using the
-// strategy's own Decode, returning the delivered destination set. It is
-// the per-plan oracle of the differential property test.
-func strategyWalk(f Fabric, s Strategy, route uint64) packet.DestSet {
+// nodes' decode, returning the delivered destination set. It is the
+// per-plan oracle of the differential property test.
+func strategyWalk(f Fabric, route uint64) packet.DestSet {
 	m := f.MoT()
 	var delivered packet.DestSet
 	var walk func(k int)
 	walk = func(k int) {
-		sym := s.Decode(f, k, route)
+		sym := DecodeSymbol(f, k, route)
 		for _, port := range []topology.Port{topology.Top, topology.Bottom} {
 			if !sym.Wants(port) {
 				continue
@@ -69,7 +69,7 @@ func TestStrategyPlanDelivery(t *testing.T) {
 					ok = false
 				}
 				union |= pl.Dests
-				if got := strategyWalk(f, s, pl.Route); got != pl.Dests {
+				if got := strategyWalk(f, pl.Route); got != pl.Dests {
 					t.Logf("seed %d %s: plan %v decoded to %v", seed, s.Name(), pl.Dests, got)
 					ok = false
 				}
@@ -98,26 +98,32 @@ func TestStrategyPlanDelivery(t *testing.T) {
 }
 
 // TestStrategyValidation: every scheme rejects a bad source, an empty
-// set, and out-of-range destinations without emitting anything.
+// set, and out-of-range destinations without emitting anything, on the
+// MoT and on a mask-routed fabric (which has no placement: its own
+// terminal count bounds both).
 func TestStrategyValidation(t *testing.T) {
-	f := fabricFor(t, 8, topology.Hybrid, false)
-	cases := []struct {
-		name  string
-		src   int
-		dests packet.DestSet
-	}{
-		{"source too low", -1, packet.Dest(0)},
-		{"source too high", 8, packet.Dest(0)},
-		{"empty set", 0, 0},
-		{"dest out of range", 0, packet.Dest(9)},
-	}
-	for _, s := range Strategies() {
-		for _, c := range cases {
-			err := s.Plan(f, c.src, c.dests, func(Plan) {
-				t.Errorf("%s/%s: emitted a plan despite invalid input", s.Name(), c.name)
-			})
-			if err == nil {
-				t.Errorf("%s/%s: expected error, got nil", s.Name(), c.name)
+	for _, fab := range []struct {
+		f Fabric
+		n int
+	}{{fabricFor(t, 8, topology.Hybrid, false), 8}, {snakeGrid(3, 5, false), 15}} {
+		cases := []struct {
+			name  string
+			src   int
+			dests packet.DestSet
+		}{
+			{"source too low", -1, packet.Dest(0)},
+			{"source too high", fab.n, packet.Dest(0)},
+			{"empty set", 0, 0},
+			{"dest out of range", 0, packet.Dest(fab.n)},
+		}
+		for _, s := range Strategies() {
+			for _, c := range cases {
+				err := s.Plan(fab.f, c.src, c.dests, func(Plan) {
+					t.Errorf("%s/%s/n=%d: emitted a plan despite invalid input", s.Name(), c.name, fab.n)
+				})
+				if err == nil {
+					t.Errorf("%s/%s/n=%d: expected error, got nil", s.Name(), c.name, fab.n)
+				}
 			}
 		}
 	}
@@ -167,20 +173,21 @@ func TestHeaderBitsGolden(t *testing.T) {
 }
 
 // TestPathSplit: destinations at or after the source's path position go
-// up, the rest down, under both the identity order and a custom one.
+// up, the rest down, under both the MoT's identity order and a mask
+// fabric's own one.
 func TestPathSplit(t *testing.T) {
-	identity := func(d int) int { return d }
-	up, down := PathSplit(identity, 3, packet.Dests(0, 1, 3, 5))
+	mot := fabricFor(t, 8, topology.Hybrid, false)
+	up, down := pathSplit(mot, 3, packet.Dests(0, 1, 3, 5))
 	if up != packet.Dests(3, 5) || down != packet.Dests(0, 1) {
 		t.Errorf("identity split: up=%v down=%v, want up={3,5} down={0,1}", up, down)
 	}
-	// Reversed order flips the partitions (position 7-d, source at pos 4).
-	rev := func(d int) int { return 7 - d }
-	up, down = PathSplit(rev, 4, packet.Dests(0, 1, 3, 5))
+	// Reversed order flips the partitions (position 7-d, source 3 at pos 4).
+	rev := Fabric{Mask: testMask{n: 8, pos: func(d int) int { return 7 - d }}}
+	up, down = pathSplit(rev, 3, packet.Dests(0, 1, 3, 5))
 	if up != packet.Dests(0, 1, 3) || down != packet.Dest(5) {
 		t.Errorf("reversed split: up=%v down=%v, want up={0,1,3} down={5}", up, down)
 	}
-	up, down = PathSplit(identity, 0, packet.Dests(0, 7))
+	up, down = pathSplit(mot, 0, packet.Dests(0, 7))
 	if up != packet.Dests(0, 7) || !down.Empty() {
 		t.Errorf("all-up split: up=%v down=%v", up, down)
 	}
@@ -193,11 +200,11 @@ func TestMergeAdjacent(t *testing.T) {
 		return []packet.DestSet{packet.Dest(0), packet.Dest(1), packet.Dest(2)}
 	}
 	constant := func(packet.DestSet) int { return 5 } // merged 5 < 10 separate
-	if got := MergeAdjacent(parts(), constant); len(got) != 1 || got[0] != packet.Dests(0, 1, 2) {
+	if got := mergeAdjacent(parts(), constant); len(got) != 1 || got[0] != packet.Dests(0, 1, 2) {
 		t.Errorf("subadditive: got %v, want one merged partition", got)
 	}
 	additive := func(s packet.DestSet) int { return s.Count() } // merged == separate
-	if got := MergeAdjacent(parts(), additive); len(got) != 3 {
+	if got := mergeAdjacent(parts(), additive); len(got) != 3 {
 		t.Errorf("additive (tie): got %d partitions, want 3 (ties must not merge)", len(got))
 	}
 	// Only the first pair is cheaper together.
@@ -207,7 +214,7 @@ func TestMergeAdjacent(t *testing.T) {
 		}
 		return s.Count() * 2
 	}
-	if got := MergeAdjacent(parts(), pairOnly); len(got) != 2 || got[0] != packet.Dests(0, 1) {
+	if got := mergeAdjacent(parts(), pairOnly); len(got) != 2 || got[0] != packet.Dests(0, 1) {
 		t.Errorf("partial: got %v, want [{0,1} {2}]", got)
 	}
 }
@@ -363,11 +370,22 @@ func TestStrategyRegistry(t *testing.T) {
 	if _, err := StrategyByName("Bogus"); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
 		t.Errorf("StrategyByName(Bogus) error = %v, want unknown-strategy error", err)
 	}
-	if got := DefaultStrategy(true).Name(); got != SerialUnicastName {
-		t.Errorf("DefaultStrategy(serial) = %s, want %s", got, SerialUnicastName)
+	for _, c := range []struct {
+		name   string
+		serial bool
+		want   string
+	}{
+		{"", true, SerialUnicastName},
+		{"", false, SpeculativeMulticastName},
+		{DPMName, true, DPMName},
+		{TreeMulticastName, false, TreeMulticastName},
+	} {
+		if s, err := StrategyFor(c.name, c.serial); err != nil || s.Name() != c.want {
+			t.Errorf("StrategyFor(%q, %v) = %v, %v; want %s", c.name, c.serial, s, err, c.want)
+		}
 	}
-	if got := DefaultStrategy(false).Name(); got != SpeculativeMulticastName {
-		t.Errorf("DefaultStrategy(multicast) = %s, want %s", got, SpeculativeMulticastName)
+	if _, err := StrategyFor("Bogus", false); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Errorf("StrategyFor(Bogus) error = %v, want unknown-strategy error", err)
 	}
 }
 
