@@ -105,8 +105,10 @@ service-smoke:
 # may panic or hang. It also fuzzes the event kernel itself: byte
 # strings become schedule (any delay, past the timing wheel's span and
 # at Never), cancel, step and RunUntil operations whose dispatch order
-# must match a naive reference scheduler, and the saturation verdict: a
-# drawn probe that stops at its verdict must agree with its full run.
+# must match a naive reference scheduler, the saturation verdict (a
+# drawn probe that stops at its verdict must agree with its full run)
+# and the final-result stop (a drawn run that stops once its result is
+# final must equal its full-span run).
 # The targets after the store cap input minimization at 200 runs: most
 # of their binaries link the whole simulator, and an uncapped
 # minimization can eat the 10 s budget.
@@ -120,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s -fuzzminimizetime 200x ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSatVerdict -fuzztime 10s -fuzzminimizetime 200x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzFinalCut -fuzztime 10s -fuzzminimizetime 200x ./internal/core
 
 # test-routing is the scheme-shootout shard: the routing package (the
 # Strategy interface and all five multicast schemes) runs with a

@@ -172,12 +172,13 @@ func main() {
 }
 
 // printEngineStats reports on stderr how many simulations actually ran
-// beside the memo's hits and misses (a miss the store served runs
-// nothing), and the store's counters when one is attached.
+// and how many of those stopped once their result was final, beside the
+// memo's hits and misses (a miss the store served runs nothing), and the
+// store's counters when one is attached.
 func printEngineStats(e *asyncnoc.Engine) {
 	snap := e.Snapshot()
-	fmt.Fprintf(os.Stderr, "engine: %d simulations, %d memo hits, %d memo misses, %d workers\n",
-		snap.Started, snap.Hits, snap.Misses, snap.Workers)
+	fmt.Fprintf(os.Stderr, "engine: %d simulations, %d stopped at a final result, %d memo hits, %d memo misses, %d workers\n",
+		snap.Started, snap.FinalStops, snap.Hits, snap.Misses, snap.Workers)
 	if snap.HasStore {
 		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d corrupt healed, %d writes (%d errors)\n",
 			snap.Store.Hits, snap.Store.Misses, snap.Store.Corrupt,

@@ -162,11 +162,12 @@ type Engine struct {
 	store  atomic.Pointer[ResultStore]
 	remote atomic.Pointer[RemoteRunner]
 
-	// started/completed count unique (non-memoized) local computations;
+	// started/completed count unique (non-memoized) local computations,
+	// and finalStops those among them that stopped at a final result;
 	// remoteRuns counts jobs served by the remote delegate. All are
 	// atomics so the monitoring endpoint can sample progress without
 	// contending on the engine lock.
-	started, completed, remoteRuns atomic.Uint64
+	started, completed, finalStops, remoteRuns atomic.Uint64
 }
 
 // NewEngine returns an engine with the given pool size; workers <= 0
@@ -250,6 +251,10 @@ type EngineSnapshot struct {
 	// Started and Completed count unique local simulations begun and
 	// finished; Started-Completed simulations are executing right now.
 	Started, Completed uint64
+	// FinalStops counts the simulations among Started that stopped at
+	// the first chunk boundary where their RunResult was final, short
+	// of their span (see RunContext).
+	FinalStops uint64
 	// RemoteRuns counts jobs served by the remote delegate (they never
 	// touch the local pool, so they are excluded from Started).
 	RemoteRuns uint64
@@ -285,6 +290,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		Misses:     misses,
 		Started:    e.started.Load(),
 		Completed:  e.completed.Load(),
+		FinalStops: e.finalStops.Load(),
 		RemoteRuns: e.remoteRuns.Load(),
 	}
 	if st := e.Store(); st != nil {
@@ -436,10 +442,19 @@ func (e *Engine) simulate(ctx context.Context, spec network.Spec, cfg RunConfig)
 	e.started.Add(1)
 	defer e.completed.Add(1)
 	err = protect(spec.Name, func() (err error) {
-		res, err = RunContext(ctx, spec, cfg)
+		var cut bool
+		res, cut, err = runContext(ctx, spec, cfg)
+		e.countCut(cut)
 		return err
 	})
 	return res, err
+}
+
+// countCut counts a simulation that stopped at its final result.
+func (e *Engine) countCut(cut bool) {
+	if cut {
+		e.finalStops.Add(1)
+	}
 }
 
 // acquire takes a pool slot, or fails with ctx.Err() if ctx ends first.

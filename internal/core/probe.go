@@ -60,7 +60,8 @@ type verdictEntry struct {
 // probe answers whether cfg's load saturates under c. In order, it is
 // answered by the job's full result in the memo, by the verdict memo,
 // by the persistent store (a stored verdict, then a stored result), or
-// by a simulation that stops as soon as the verdict is certain. A
+// by a simulation that stops as soon as the verdict is certain or the
+// result is final (see RunContext). A
 // result computed or in flight in the memo, and a verdict being
 // decided by another search, are shared as claim shares results, and
 // the hit and miss counts follow claim's rule: a miss is a probe the
@@ -149,7 +150,9 @@ func (e *Engine) settle(vk verdictKey, v *verdictEntry, p satProbe, keep bool, e
 }
 
 // decide answers a probe the memo could not. keep reports that the
-// answer is a verdict without a memoized result.
+// answer is a verdict without a memoized result. A simulation that
+// becomes final before its verdict is certain (its mean within the
+// verdict margin of the threshold) is published as a full run.
 func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, vk verdictKey) (p satProbe, keep bool, err error) {
 	vs, _ := e.Store().(VerdictStore)
 	if vs != nil {
@@ -175,15 +178,20 @@ func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, v
 		if r, err = startRun(spec, cfg); err != nil {
 			return err
 		}
+		final := r.finalStop()
 		stopped, err = r.g.run(ctx, func() bool {
 			v = r.verdict(vk.crit)
-			return v != metrics.Undecided
+			return v != metrics.Undecided || final != nil && final()
 		})
 		return err
 	})
+	// A probe that ran to its end, or stopped at a final result before
+	// its verdict was certain, has its full result.
+	full := !stopped || v == metrics.Undecided
 	var res RunResult
-	if err == nil && !stopped {
+	if err == nil && full {
 		res = r.collect()
+		e.countCut(stopped)
 	}
 	e.releaseSlot()
 	e.completed.Add(1)
@@ -193,8 +201,9 @@ func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, v
 		}
 		return nil, false, err
 	}
-	if !stopped {
-		// Undecided to the end: a full run, published as any run is.
+	if full {
+		// Undecided to the end or to a final result: a full run,
+		// published as any run is.
 		r.close()
 		e.memoize(vk.job, res)
 		e.toStore(vk.job, res)
@@ -254,10 +263,12 @@ func (p *engineProbe) result() (RunResult, error) {
 	}
 	if ent.err = p.e.acquire(p.ctx); ent.err == nil {
 		ent.err = protect(p.spec.Name, func() error {
-			if _, err := r.g.run(p.ctx, nil); err != nil {
+			cut, err := r.g.run(p.ctx, r.finalStop())
+			if err != nil {
 				return err
 			}
 			ent.res = r.collect()
+			p.e.countCut(cut)
 			return nil
 		})
 		p.e.releaseSlot()

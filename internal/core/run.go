@@ -40,7 +40,10 @@ type RunConfig struct {
 	// MaxEvents is the watchdog's event budget: a run dispatching more
 	// events aborts with a LivelockError. Zero selects no explicit
 	// budget; runs with faults enabled then get a generous automatic
-	// backstop (see Run).
+	// backstop (see Run). A run whose result became final before the
+	// budget ran out stops there and returns that result (see
+	// RunContext), so a budget a full-span run would exceed only in its
+	// drain does not fail the run.
 	MaxEvents uint64
 	// Shards partitions the network into this many regions, each driven
 	// by its own scheduler shard under conservative lookahead (see
@@ -240,25 +243,40 @@ func Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
 
 // RunContext is Run with cancellation: the simulation is checked against
 // ctx between event batches and aborts with ctx.Err() once it is done.
-func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunResult, err error) {
+//
+// The run stops at the first watchdog chunk boundary where its result is
+// final (the window has closed and every measured packet has arrived):
+// from there on no RunResult field can change, so the result equals the
+// full-span run's. An event-budget, deadlock or context error that the
+// full span would raise only after that point therefore no longer fails
+// the run. Instrumented runs, fault-enabled specs and chiplet
+// compositions run their full span (see motRun.finalStop).
+func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
+	res, _, err := runContext(ctx, spec, cfg)
+	return res, err
+}
+
+// runContext is RunContext that also reports whether the run stopped at
+// a final result short of its span.
+func runContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunResult, cut bool, err error) {
 	defer RecoverViolations(spec.Name, &err)
 	r, err := startRun(spec, cfg)
 	if err != nil {
-		return RunResult{}, err
+		return RunResult{}, false, err
 	}
 	defer r.close()
 	if err := attachInstruments(r.nw, cfg.Instruments); err != nil {
-		return RunResult{}, err
+		return RunResult{}, false, err
 	}
-	if _, err := r.g.run(ctx, nil); err != nil {
+	if cut, err = r.g.run(ctx, r.finalStop()); err != nil {
 		_ = finishInstruments(cfg.Instruments) // best effort on an aborted run
-		return RunResult{}, err
+		return RunResult{}, false, err
 	}
 	res = r.collect()
 	if err := finishInstruments(cfg.Instruments); err != nil {
-		return res, err
+		return res, cut, err
 	}
-	return res, nil
+	return res, cut, nil
 }
 
 // motRun is one built MoT network between Build and collect: its
@@ -304,6 +322,19 @@ func (r *motRun) verdict(c metrics.SatCriterion) metrics.Verdict {
 
 func (r *motRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.cfg.LoadGFs) }
 
+// finalStop is the stop rule of a full run (harness.final), or nil for a
+// run that must cover its whole span: an instrumented run (its traces,
+// waveforms and counters see every event), a fault-enabled spec (its
+// FaultStats count over the whole span) and a chiplet composition (a
+// die-to-die leg registers only when it reaches its target die, so the
+// measured set is not final when the window closes).
+func (r *motRun) finalStop() func() bool {
+	if len(r.cfg.Instruments) > 0 || r.nw.Spec.Faults.Enabled() || r.nw.Spec.Chiplet != nil {
+		return nil
+	}
+	return r.h.final
+}
+
 // close ends a sharded run's group.
 func (r *motRun) close() {
 	if g := r.nw.Group(); g != nil {
@@ -333,12 +364,10 @@ func RunMesh(ctx context.Context, spec mesh.Spec, cfg RunConfig) (res RunResult,
 	if err != nil {
 		return RunResult{}, err
 	}
-	h := harness{
-		fab: meshFabric{m}, name: spec.Name, terms: spec.Tiles(), packetLen: spec.PacketLen,
-		clock: m.Sched, rec: m.Rec, meter: m.Meter,
-	}
+	h := meshHarness(m)
 	h.arm(cfg, nil)
-	if err := h.runGuarded(ctx, runSpan(cfg), cfg.MaxEvents); err != nil {
+	g := h.guard(runSpan(cfg), cfg.MaxEvents)
+	if _, err := g.run(ctx, h.final); err != nil {
 		return RunResult{}, err
 	}
 	return h.collect(cfg.Bench.Name(), cfg.LoadGFs), nil
@@ -405,6 +434,14 @@ func motHarness(nw *network.Network) harness {
 	return h
 }
 
+// meshHarness wraps a built 2D mesh.
+func meshHarness(m *mesh.Mesh) harness {
+	return harness{
+		fab: meshFabric{m}, name: m.Spec.Name, terms: m.Spec.Tiles(), packetLen: m.Spec.PacketLen,
+		clock: m.Sched, rec: m.Rec, meter: m.Meter,
+	}
+}
+
 // maxReserve caps the recorder's pre-sizing in packets, well above the
 // largest paper-scale run.
 const maxReserve = 1 << 20
@@ -462,12 +499,17 @@ func (h *harness) guard(total sim.Time, maxEvents uint64) guard {
 	}
 }
 
-// runGuarded drives the clock to `total` simulated picoseconds under the
-// watchdog (see guard.run).
-func (h *harness) runGuarded(ctx context.Context, total sim.Time, maxEvents uint64) error {
-	g := h.guard(total, maxEvents)
-	_, err := g.run(ctx, nil)
-	return err
+// final reports that the run's RunResult can no longer change: the
+// measurement window has closed, so no packet joins the measured set and
+// no flit delivery, fanout movement or energy is counted any more
+// (Recorder and Meter count only inside the window), and every measured
+// packet has completed, so no latency sample is pending. The rest of the
+// drain cannot move the result. The caller guarantees that every
+// measured packet registers at its creation (not so on a chiplet
+// composition) and that nothing it reports counts past the window (not
+// so for the fault layer's counters).
+func (h *harness) final() bool {
+	return h.clock.Now() >= h.rec.WindowEnd && h.rec.MeasuredCompleted() == h.rec.MeasuredCreated()
 }
 
 // run drives the clock on toward total. Without a context deadline,

@@ -158,7 +158,8 @@ func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResu
 		nw.Sched.At(ordered[i].At, rp, int64(i))
 	}
 	h := motHarness(nw)
-	if err := h.runGuarded(context.Background(), end, 0); err != nil {
+	g := h.guard(end, 0)
+	if _, err := g.run(context.Background(), nil); err != nil {
 		return RunResult{}, err
 	}
 	return h.collect("schedule", 0), nil

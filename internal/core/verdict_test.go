@@ -330,24 +330,31 @@ type verdictCase struct {
 	near float64
 }
 
-// drawVerdictCase turns nine bytes into a case: an architecture, a
-// benchmark, a seed, a load, windows of at most a few hundred
-// nanoseconds, a latency factor and a completion floor, half of the
-// time placed near the full run's own figures.
-func drawVerdictCase(b [9]byte) verdictCase {
+// drawRun turns seven bytes into one 8x8 run: an architecture, a
+// benchmark, a seed, a load in [0.05, 2.55] GF/s and windows of at most
+// about 700 ns in all.
+func drawRun(b [7]byte) (network.Spec, RunConfig) {
 	specs := []string{NameBaseline, NameBasicNonSpec, NameBasicHybridSpec, NameOptHybridSpec, NameOptNonSpec, NameOptAllSpec}
 	spec, _ := SpecByName(8, specs[int(b[0])%len(specs)])
 	suite := traffic.StandardSuite(8)
+	return spec, RunConfig{
+		Bench:   suite[int(b[1])%len(suite)],
+		Seed:    uint64(b[2]) + 1,
+		LoadGFs: 0.05 + float64(b[3])/255*2.5,
+		Warmup:  sim.Time(20+int(b[4])%100) * sim.Nanosecond,
+		Measure: sim.Time(40+int(b[5])%260) * sim.Nanosecond,
+		Drain:   sim.Time(int(b[6])%300) * sim.Nanosecond,
+	}
+}
+
+// drawVerdictCase turns nine bytes into a case: a run (drawRun), a
+// latency factor and a completion floor, half of the time placed near
+// the full run's own figures.
+func drawVerdictCase(b [9]byte) verdictCase {
+	spec, cfg := drawRun([7]byte(b[:7]))
 	c := verdictCase{
-		spec: spec,
-		cfg: RunConfig{
-			Bench:   suite[int(b[1])%len(suite)],
-			Seed:    uint64(b[2]) + 1,
-			LoadGFs: 0.05 + float64(b[3])/255*2.5,
-			Warmup:  sim.Time(20+int(b[4])%100) * sim.Nanosecond,
-			Measure: sim.Time(40+int(b[5])%260) * sim.Nanosecond,
-			Drain:   sim.Time(int(b[6])%300) * sim.Nanosecond,
-		},
+		spec:   spec,
+		cfg:    cfg,
 		factor: 1.2 + float64(b[7]%16)*0.4,
 		minCo:  []float64{0.5, 0.8, 0.92, 0.99, 1}[int(b[7]/16)%5],
 	}

@@ -34,7 +34,8 @@ var (
 				"memo_hits": s.Hits, "memo_misses": s.Misses,
 				"memo_hit_rate": s.HitRate(),
 				"started":       s.Started, "completed": s.Completed,
-				"in_flight": s.InFlight(), "remote_runs": s.RemoteRuns,
+				"final_stops": s.FinalStops,
+				"in_flight":   s.InFlight(), "remote_runs": s.RemoteRuns,
 			}
 			if s.HasStore {
 				out["store"] = map[string]any{
