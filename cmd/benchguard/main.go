@@ -8,12 +8,16 @@
 //     (the kernel's steady-state guarantee), a non-zero baseline fails
 //     above -alloc-tolerance (absorbing runtime noise in end-to-end runs).
 //
-// Multiple samples of one benchmark are averaged. Benchmarks missing from
-// the input are reported but do not fail the gate, so partial runs can be
-// checked; an input matching nothing fails. -update rewrites the baseline
-// with the observed numbers instead of checking.
+// Each benchmark is judged by the median of its samples, so one
+// descheduled sample of a `go test -count N` run does not decide the
+// gate; every row prints the sample count and the ns/op range. -count N
+// requires at least N samples of every checked benchmark (fewer fail),
+// so a single reading can never stand in for a median. Benchmarks
+// missing from the input are reported but do not fail the gate, so
+// partial runs can be checked; an input matching nothing fails. -update
+// rewrites the baseline with the observed medians instead of checking.
 //
-// -json PATH additionally writes the observed numbers as
+// -json PATH additionally writes the observed medians as
 // machine-readable JSON, pass or fail.
 //
 // Machines differ, so the committed baseline is a ratchet for one
@@ -31,6 +35,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -49,10 +54,30 @@ type Baseline struct {
 	PrePRReference map[string]Entry `json:"pre_pr_reference,omitempty"`
 }
 
-// sample accumulates observed runs of one benchmark.
+// sample collects the observed runs of one benchmark.
 type sample struct {
-	ns, allocs float64
-	count      int
+	ns, allocs []float64
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count); xs is not modified.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+func (s *sample) nsPerOp() float64     { return median(s.ns) }
+func (s *sample) allocsPerOp() float64 { return median(s.allocs) }
+
+// spread renders the sample count and the ns/op range.
+func (s *sample) spread() string {
+	lo, hi := slices.Min(s.ns), slices.Max(s.ns)
+	return fmt.Sprintf("n=%d %.4g..%.4g", len(s.ns), lo, hi)
 }
 
 // benchLine matches one result line; the -N GOMAXPROCS suffix is folded
@@ -68,6 +93,7 @@ func main() {
 	allocTol := flag.Float64("alloc-tolerance", 0.01, "allowed relative allocs/op regression (non-zero baselines)")
 	update := flag.Bool("update", false, "rewrite the baseline with observed numbers instead of checking")
 	jsonPath := flag.String("json", "", "also write observed numbers as JSON to this path")
+	count := flag.Int("count", 1, "minimum samples per checked benchmark (judged by their median)")
 	flag.Parse()
 
 	samples, err := parseInputs(flag.Args())
@@ -83,7 +109,7 @@ func main() {
 		fatal(err)
 	}
 	if *update {
-		printDeltaTable(base, samples, *tolerance, *allocTol)
+		printDeltaTable(base, samples, *tolerance, *allocTol, *count)
 		if err := writeBaseline(*baselinePath, base, samples); err != nil {
 			fatal(err)
 		}
@@ -94,7 +120,7 @@ func main() {
 		return
 	}
 
-	checked, failed := printDeltaTable(base, samples, *tolerance, *allocTol)
+	checked, failed := printDeltaTable(base, samples, *tolerance, *allocTol, *count)
 	if err := writeJSON(*jsonPath, samples); err != nil {
 		fatal(err)
 	}
@@ -115,6 +141,7 @@ func writeJSON(path string, samples map[string]*sample) error {
 	type obs struct {
 		NsPerOp     float64 `json:"ns_per_op"`
 		AllocsPerOp float64 `json:"allocs_per_op"`
+		Samples     int     `json:"samples"`
 	}
 	out := struct {
 		NumCPU     int            `json:"num_cpu"`
@@ -127,8 +154,9 @@ func writeJSON(path string, samples map[string]*sample) error {
 	}
 	for name, s := range samples {
 		out.Benchmarks[name] = obs{
-			NsPerOp:     s.ns / float64(s.count),
-			AllocsPerOp: s.allocs / float64(s.count),
+			NsPerOp:     s.nsPerOp(),
+			AllocsPerOp: s.allocsPerOp(),
+			Samples:     len(s.ns),
 		}
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
@@ -139,18 +167,19 @@ func writeJSON(path string, samples map[string]*sample) error {
 }
 
 // printDeltaTable reports every baseline benchmark as one row — old vs
-// observed vs the gate threshold, for both ns/op and allocs/op — and
-// returns how many were checked and how many regressed. It prints on
-// pass, fail, and update alike, so improvements are as visible as
-// regressions.
-func printDeltaTable(base *Baseline, samples map[string]*sample, tolerance, allocTol float64) (checked, failed int) {
+// observed median vs the gate threshold, for both ns/op and allocs/op,
+// and the samples behind the median — and returns how many were
+// checked and how many regressed. A benchmark with fewer than count
+// samples fails. It prints on pass, fail, and update alike, so
+// improvements are as visible as regressions.
+func printDeltaTable(base *Baseline, samples map[string]*sample, tolerance, allocTol float64, count int) (checked, failed int) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("benchguard: %-38s %32s  %32s  %s\n", "benchmark",
-		"ns/op old -> new (limit)", "allocs/op old -> new (limit)", "status")
+	fmt.Printf("benchguard: %-38s %32s  %32s  %-24s %s\n", "benchmark",
+		"ns/op old -> new (limit)", "allocs/op old -> new (limit)", "samples ns/op range", "status")
 	for _, name := range names {
 		want := base.Benchmarks[name]
 		s, ok := samples[name]
@@ -159,13 +188,16 @@ func printDeltaTable(base *Baseline, samples map[string]*sample, tolerance, allo
 			continue
 		}
 		checked++
-		ns := s.ns / float64(s.count)
-		allocs := s.allocs / float64(s.count)
+		ns := s.nsPerOp()
+		allocs := s.allocsPerOp()
 		nsLimit := want.NsPerOp * (1 + tolerance)
 		// A zero-alloc baseline is exact: any allocation at all fails.
 		allocLimit := want.AllocsPerOp * (1 + allocTol)
 		status := "ok"
 		switch {
+		case len(s.ns) < count:
+			status = fmt.Sprintf("FAIL %d sample(s), -count wants %d", len(s.ns), count)
+			failed++
 		case ns > nsLimit:
 			status = "FAIL wall clock"
 			failed++
@@ -176,10 +208,10 @@ func printDeltaTable(base *Baseline, samples map[string]*sample, tolerance, allo
 			status = "FAIL allocs"
 			failed++
 		}
-		fmt.Printf("benchguard: %-38s %32s  %32s  %s\n", name,
+		fmt.Printf("benchguard: %-38s %32s  %32s  %-24s %s\n", name,
 			deltaCell(want.NsPerOp, ns, nsLimit),
 			deltaCell(want.AllocsPerOp, allocs, allocLimit),
-			status)
+			s.spread(), status)
 	}
 	return checked, failed
 }
@@ -216,9 +248,8 @@ func parseInputs(paths []string) (map[string]*sample, error) {
 				s = &sample{}
 				samples[m[1]] = s
 			}
-			s.ns += ns
-			s.allocs += allocs
-			s.count++
+			s.ns = append(s.ns, ns)
+			s.allocs = append(s.allocs, allocs)
 		}
 		return sc.Err()
 	}
@@ -260,8 +291,8 @@ func readBaseline(path string) (*Baseline, error) {
 func writeBaseline(path string, base *Baseline, samples map[string]*sample) error {
 	for name, s := range samples {
 		base.Benchmarks[name] = Entry{
-			NsPerOp:     s.ns / float64(s.count),
-			AllocsPerOp: s.allocs / float64(s.count),
+			NsPerOp:     s.nsPerOp(),
+			AllocsPerOp: s.allocsPerOp(),
 		}
 	}
 	data, err := json.MarshalIndent(base, "", "  ")

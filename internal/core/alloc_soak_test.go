@@ -52,3 +52,40 @@ func TestSteadyStateAllocSoak(t *testing.T) {
 		})
 	}
 }
+
+// TestTrackingMemoryIndependentOfSpan: per-packet delivery tracking
+// grows to the run's in-flight high-water mark, not to its span, so
+// building the same network for a 10x longer measurement window may
+// allocate only the larger latency buffer up front — 8 bytes per extra
+// expected measured packet, with the injector's 9/8 headroom.
+func TestTrackingMemoryIndependentOfSpan(t *testing.T) {
+	spec := AllSpecs(8)[len(AllSpecs(8))-1]
+	short := RunConfig{
+		Bench: traffic.Multicast{N: 8, Frac: 0.10}, LoadGFs: 0.25, Seed: 1,
+		Warmup: 320 * sim.Nanosecond, Measure: 3200 * sim.Nanosecond,
+		Drain: 800 * sim.Nanosecond,
+	}
+	long := short
+	long.Measure *= 10
+	built := func(cfg RunConfig) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nw, err := Build(spec, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(nw)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	built(short) // first use initializes package-level tables
+	base, grown := built(short), built(long)
+	meanGapPs := float64(spec.PacketLen) / short.LoadGFs * 1000
+	extraPackets := float64(long.Measure-short.Measure) / meanGapPs * float64(spec.N) * 9 / 8
+	// The slack covers size-class and page rounding of the buffer.
+	limit := uint64(8*extraPackets) + 16<<10
+	if grown > base+limit {
+		t.Errorf("%s: Build allocated %d B for Measure %v and %d B for %v; the longer window may add at most %d B",
+			spec.Name, base, short.Measure, grown, long.Measure, limit)
+	}
+}

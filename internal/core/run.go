@@ -442,8 +442,8 @@ func meshHarness(m *mesh.Mesh) harness {
 	}
 }
 
-// maxReserve caps the recorder's pre-sizing in packets, well above the
-// largest paper-scale run.
+// maxReserve caps the recorder's latency-buffer pre-sizing in packets,
+// well above the largest paper-scale measurement window.
 const maxReserve = 1 << 20
 
 // watchdogChunks is the granularity of the guarded run loop: the budget
@@ -676,13 +676,13 @@ func (h *harness) arm(cfg RunConfig, wide traffic.WideBenchmark) {
 	// Mean packet inter-arrival in ps: PacketLen flits at LoadGFs
 	// flits/ns per source.
 	meanGapPs := float64(h.packetLen) / cfg.LoadGFs * 1000
-	// Pre-size the recorder from the injection schedule: open-loop
-	// Poisson processes inject span/meanGap packets each in expectation.
-	// The 9/8 headroom absorbs ordinary Poisson fluctuation; an
-	// underestimate only costs amortized growth, so maxReserve caps what
-	// an absurd window (any span a service request names) allocates up
-	// front.
-	expected := float64(injectUntil) / meanGapPs * float64(h.terms)
+	// Size the latency buffer from the injection schedule: open-loop
+	// Poisson processes create window/meanGap measured packets each in
+	// expectation. The 9/8 headroom absorbs ordinary Poisson
+	// fluctuation; an underestimate only costs amortized growth, so
+	// maxReserve caps what an absurd window (any span a service request
+	// names) allocates up front.
+	expected := float64(windowEnd-cfg.Warmup) / meanGapPs * float64(h.terms)
 	h.rec.Reserve(int(min(expected*9/8, maxReserve)) + h.terms)
 	root := rng.New(cfg.Seed)
 	for s := 0; s < h.terms; s++ {

@@ -148,7 +148,7 @@ func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResu
 		return RunResult{}, err
 	}
 	end := sim.AddSat(sched.End(), drain)
-	nw.Rec.Reserve(len(sched)) // the schedule's packet count is exact
+	nw.Rec.Reserve(len(sched)) // every scheduled packet is measured
 	nw.Rec.SetWindow(0, end)
 	nw.Meter.SetWindow(0, end)
 	ordered := append(Schedule(nil), sched...)

@@ -30,6 +30,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"asyncnoc/internal/rng"
 )
@@ -128,6 +129,10 @@ func (c Config) Validate(n int) error {
 	}
 	if c.JitterMaxPs < 0 || c.RetryTimeoutPs < 0 || c.MaxBackoffPs < 0 || c.AckDelayPs < 0 || c.MaxRetries < 0 {
 		return fmt.Errorf("fault: negative protocol parameter")
+	}
+	if c.MaxRetries > math.MaxInt32 {
+		return fmt.Errorf("fault: retry budget %d exceeds %d (a flit carries its attempt number as an int32)",
+			c.MaxRetries, math.MaxInt32)
 	}
 	for i, s := range c.Stuck {
 		if s.Tree < 0 || s.Tree >= n {

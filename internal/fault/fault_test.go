@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,8 @@ func TestConfigValidate(t *testing.T) {
 		{"corrupt rate above one", Config{CorruptRate: 1.5}, "corrupt rate"},
 		{"negative drop rate", Config{DropRate: -0.1}, "drop rate"},
 		{"negative retries", Config{MaxRetries: -1}, "negative protocol parameter"},
+		{"retry budget at the int32 limit", Config{MaxRetries: math.MaxInt32}, ""},
+		{"retry budget overflows the flit's attempt", Config{MaxRetries: math.MaxInt32 + 1}, "int32"},
 		{"negative timeout", Config{RetryTimeoutPs: -1}, "negative protocol parameter"},
 		{"valid stuck", Config{Stuck: []Stuck{{Tree: 7, Heap: 7, Port: 1, After: 3}}}, ""},
 		{"stuck tree out of range", Config{Stuck: []Stuck{{Tree: 8, Heap: 1}}}, "tree 8"},

@@ -189,9 +189,17 @@ func (m *Mesh) channel(dst node.Sink, dstPort int, src node.AckTarget, srcPort i
 		Src:      src,
 		SrcPort:  srcPort,
 	}
-	ch.OnTraverse = func(packet.Flit) { m.Meter.Channel() }
+	ch.Hooks = wireHooks{m}
 	return ch
 }
+
+// wireHooks charges every link traversal to the mesh's meter; one value
+// serves every channel. Mesh packets are not pooled, so a retired flit
+// needs nothing.
+type wireHooks struct{ m *Mesh }
+
+func (h wireHooks) ChannelTraversed(packet.Flit) { h.m.Meter.Channel() }
+func (wireHooks) ChannelRetired(packet.Flit)     {}
 
 func (m *Mesh) build() {
 	w, h := m.Spec.W, m.Spec.H

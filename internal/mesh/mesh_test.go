@@ -3,6 +3,7 @@ package mesh
 import (
 	"testing"
 
+	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
 )
@@ -206,13 +207,7 @@ func TestWormholeNoInterleaving(t *testing.T) {
 	// ordering through a custom channel observer on the sink link.
 	var order []uint64
 	snk := m.sinks[3]
-	prev := snk.in.OnTraverse
-	snk.in.OnTraverse = func(f packet.Flit) {
-		if prev != nil {
-			prev(f)
-		}
-		order = append(order, f.Pkt.ID)
-	}
+	snk.in.Hooks = traverseTap{snk.in.Hooks, func(f packet.Flit) { order = append(order, f.Pkt.ID) }}
 	if _, err := m.Inject(0, packet.Dest(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,4 +284,15 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+// traverseTap chains fn after a channel's own traversal hook.
+type traverseTap struct {
+	node.ChannelHooks
+	fn func(packet.Flit)
+}
+
+func (t traverseTap) ChannelTraversed(f packet.Flit) {
+	t.ChannelHooks.ChannelTraversed(f)
+	t.fn(f)
 }

@@ -95,21 +95,19 @@ func NewRecorder() *Recorder {
 	return &Recorder{WindowEnd: sim.Never}
 }
 
-// Reserve pre-sizes the per-packet tracking pools and the latency sample
-// buffer for a run expected to inject `packets` logical packets, so a run
-// matching its injection schedule performs no tracking growth at all.
-// Underestimates are safe — the structures grow on demand as before.
-func (r *Recorder) Reserve(packets int) {
-	if packets <= 0 {
+// Reserve sizes the latency sample buffer for a run expected to
+// complete `measured` packets created inside the measurement window, so
+// a run matching its injection schedule never regrows it. The
+// per-packet tracking pools are not pre-sized: each completed or lost
+// packet's slot recycles, so they grow only to the run's in-flight
+// high-water mark. Underestimates are safe — the buffer grows on demand.
+func (r *Recorder) Reserve(measured int) {
+	if measured <= 0 || cap(r.latenciesNs) >= measured {
 		return
 	}
-	r.pktSlab.Reserve(packets)
-	r.pktIdx.Reserve(packets)
-	if cap(r.latenciesNs) < packets {
-		grown := make([]float64, len(r.latenciesNs), packets)
-		copy(grown, r.latenciesNs)
-		r.latenciesNs = grown
-	}
+	grown := make([]float64, len(r.latenciesNs), measured)
+	copy(grown, r.latenciesNs)
+	r.latenciesNs = grown
 }
 
 // SetWindow fixes the measurement window.

@@ -29,43 +29,33 @@ func (l *energyLedger) attach(nw *Network) {
 	model := nw.Meter.Model
 	n := nw.Spec.N
 	wire := func(ch *node.Channel, interfaceSide *int64) {
-		old := ch.OnTraverse
-		ch.OnTraverse = func(f packet.Flit) {
-			if old != nil {
-				old(f)
-			}
+		ch.Hooks = traverseTap{ch.Hooks, func(packet.Flit) {
 			l.channelFlights++
 			if interfaceSide != nil {
 				*interfaceSide++
 			}
-		}
+		}}
 	}
 	for t := 0; t < n; t++ {
 		wire(nw.sources[t].out, &l.sourceSends)
 		for k := 1; k < n; k++ {
 			fo := nw.fanouts[t][k]
 			area := fo.Timing().AreaUm2
-			oldFwd := fo.OnForward
-			fo.OnForward = func(f packet.Flit, ports int) {
-				oldFwd(f, ports)
-				l.nodePJ += area * model.PJPerUm2 *
-					(model.InputFraction + model.PortFraction*float64(ports))
-			}
-			oldAbs := fo.OnAbsorb
-			fo.OnAbsorb = func(f packet.Flit) {
-				oldAbs(f)
-				l.nodePJ += area * model.PJPerUm2 * model.InputFraction
+			fo.Hooks = fanoutTap{fo.Hooks,
+				func(ports int) {
+					l.nodePJ += area * model.PJPerUm2 *
+						(model.InputFraction + model.PortFraction*float64(ports))
+				},
+				func() { l.nodePJ += area * model.PJPerUm2 * model.InputFraction },
 			}
 			for _, p := range []topology.Port{topology.Top, topology.Bottom} {
 				wire(fo.OutputChannel(p), nil)
 			}
 			fi := nw.fanins[t][k]
 			fiArea := fi.Timing().AreaUm2
-			oldFiFwd := fi.OnForward
-			fi.OnForward = func(f packet.Flit) {
-				oldFiFwd(f)
+			fi.Hooks = faninTap{fi.Hooks, func() {
 				l.nodePJ += fiArea * model.PJPerUm2 * (model.InputFraction + model.PortFraction)
-			}
+			}}
 			if k == 1 {
 				wire(fi.OutputChannel(), &l.sinkArrives)
 			} else {
@@ -73,6 +63,45 @@ func (l *energyLedger) attach(nw *Network) {
 			}
 		}
 	}
+}
+
+// traverseTap chains fn after a channel's own traversal hook.
+type traverseTap struct {
+	node.ChannelHooks
+	fn func(packet.Flit)
+}
+
+func (t traverseTap) ChannelTraversed(f packet.Flit) {
+	t.ChannelHooks.ChannelTraversed(f)
+	t.fn(f)
+}
+
+// fanoutTap chains fwd/abs after a fanout node's own hooks.
+type fanoutTap struct {
+	node.FanoutHooks
+	fwd func(ports int)
+	abs func()
+}
+
+func (t fanoutTap) FanoutForwarded(n *node.Fanout, f packet.Flit, ports int) {
+	t.FanoutHooks.FanoutForwarded(n, f, ports)
+	t.fwd(ports)
+}
+
+func (t fanoutTap) FanoutAbsorbed(n *node.Fanout, f packet.Flit) {
+	t.FanoutHooks.FanoutAbsorbed(n, f)
+	t.abs()
+}
+
+// faninTap chains fwd after a fanin node's own hook.
+type faninTap struct {
+	node.FaninHooks
+	fwd func()
+}
+
+func (t faninTap) FaninForwarded(n *node.Fanin, f packet.Flit) {
+	t.FaninHooks.FaninForwarded(n, f)
+	t.fwd()
 }
 
 // totalPJ reconstructs the network energy from the ledger alone.

@@ -447,13 +447,55 @@ func (nw *Network) channel(a *actx, dst node.Sink, dstPort int, src node.AckTarg
 		Src:      src,
 		SrcPort:  srcPort,
 	}
-	ch.OnTraverse = func(packet.Flit) { a.meterChannel() }
-	ch.OnRetire = func(f packet.Flit) { a.release(f.Pkt) }
+	ch.Hooks = a
 	if nw.inj != nil {
 		ch.Faults = nw.inj.Channel()
 		nw.chans = append(nw.chans, ch)
 	}
 	return ch
+}
+
+// The accounting context is the one hooks value of every channel and
+// node it owns (node.ChannelHooks, FanoutHooks, FaninHooks): wiring
+// builds no closure, and each hook is one interface call on the hot
+// path. The node passes itself, so its identity and area are read
+// where the effect is applied.
+
+// ChannelTraversed charges one wire traversal.
+func (a *actx) ChannelTraversed(packet.Flit) { a.meterChannel() }
+
+// ChannelRetired drops the reference of a flit copy that died in the
+// channel's handshake.
+func (a *actx) ChannelRetired(f packet.Flit) { a.release(f.Pkt) }
+
+// FanoutForwarded charges, counts and traces a fanout commit to `ports`
+// output channels.
+func (a *actx) FanoutForwarded(n *node.Fanout, f packet.Flit, ports int) {
+	now := a.sched.Now()
+	a.meterForward(n.Timing().AreaUm2, ports)
+	a.recForwarded(a.nw.MoT.LevelOf(n.Heap), now)
+	if a.nw.Trace != nil {
+		a.trace(TraceEvent{Kind: TraceForward, At: now, Flit: f, Tree: n.Tree, Heap: n.Heap, Ports: ports})
+	}
+	// A replication turns one live copy into `ports`. Applied eagerly
+	// even when sharded: every increment of a packet's refcount happens
+	// on its source tree's shard (shard.go).
+	f.Pkt.Refs += int32(ports - 1)
+}
+
+// FanoutAbsorbed charges, counts and traces a throttled flit.
+func (a *actx) FanoutAbsorbed(n *node.Fanout, f packet.Flit) {
+	now := a.sched.Now()
+	a.meterAbsorb(n.Timing().AreaUm2)
+	a.recThrottled(a.nw.MoT.LevelOf(n.Heap), now)
+	if a.nw.Trace != nil {
+		a.trace(TraceEvent{Kind: TraceThrottle, At: now, Flit: f, Tree: n.Tree, Heap: n.Heap})
+	}
+}
+
+// FaninForwarded charges a fanin grant.
+func (a *actx) FaninForwarded(n *node.Fanin, _ packet.Flit) {
+	a.meterForward(n.Timing().AreaUm2, 1)
 }
 
 // ChannelHold identifies a flit occupying one channel at a sampling
@@ -476,7 +518,7 @@ func (nw *Network) ChannelHolds() []ChannelHold {
 	var holds []ChannelHold
 	for i, ch := range nw.chans {
 		if f, ok := ch.InFlightFlit(); ok {
-			holds = append(holds, ChannelHold{Chan: i, Pkt: f.Pkt.ID, Index: f.Index, Attempt: f.Attempt})
+			holds = append(holds, ChannelHold{Chan: i, Pkt: f.Pkt.ID, Index: int(f.Index), Attempt: int(f.Attempt)})
 		}
 	}
 	return holds
@@ -512,36 +554,14 @@ func (nw *Network) build() {
 			if nw.Spec.SyncPeriod > 0 {
 				fo.Clock(nw.Spec.SyncPeriod)
 			}
-			tree, heap, area := t, k, fo.Timing().AreaUm2
-			level := nw.MoT.LevelOf(k)
-			fo.OnForward = func(f packet.Flit, ports int) {
-				now := a.sched.Now()
-				a.meterForward(area, ports)
-				a.recForwarded(level, now)
-				if nw.Trace != nil {
-					a.trace(TraceEvent{Kind: TraceForward, At: now, Flit: f, Tree: tree, Heap: heap, Ports: ports})
-				}
-				// A replication turns one live copy into `ports`. Applied
-				// eagerly even when sharded: every increment of a packet's
-				// refcount happens on its source tree's shard (shard.go).
-				f.Pkt.Refs += int32(ports - 1)
-			}
-			fo.OnAbsorb = func(f packet.Flit) {
-				now := a.sched.Now()
-				a.meterAbsorb(area)
-				a.recThrottled(level, now)
-				if nw.Trace != nil {
-					a.trace(TraceEvent{Kind: TraceThrottle, At: now, Flit: f, Tree: tree, Heap: heap})
-				}
-			}
+			fo.Hooks = a
 			nw.fanouts[t][k] = fo
 
 			fi := node.NewFanin(a.sched, t, k, nw.Spec.Protocol)
 			if nw.Spec.SyncPeriod > 0 {
 				fi.Clock(nw.Spec.SyncPeriod)
 			}
-			fiArea := fi.Timing().AreaUm2
-			fi.OnForward = func(packet.Flit) { a.meterForward(fiArea, 1) }
+			fi.Hooks = a
 			nw.fanins[t][k] = fi
 		}
 		nw.sources[t] = newSourceNI(nw, t)
@@ -960,7 +980,7 @@ func (ni *SourceNI) enqueue(p *packet.Packet) {
 func (ni *SourceNI) pushFlits(p *packet.Packet, attempt int) {
 	for i := 0; i < p.Length; i++ {
 		f := p.FlitAt(i)
-		f.Attempt = attempt
+		f.Attempt = int32(attempt)
 		ni.queue.Push(f)
 	}
 }
@@ -988,7 +1008,7 @@ func (ni *SourceNI) timeout(slot int32) {
 		ni.nw.Rec.PacketLost(pkt, ni.a.sched.Now())
 		if ni.nw.Trace != nil {
 			ni.a.trace(TraceEvent{Kind: TraceDrop, At: ni.a.sched.Now(),
-				Flit: packet.Flit{Pkt: pkt, Attempt: attempts}})
+				Flit: packet.Flit{Pkt: pkt, Attempt: int32(attempts)}})
 		}
 		// The tracker's hold ends; copies of the last attempt still in
 		// flight keep the packet live until they die.
@@ -999,7 +1019,7 @@ func (ni *SourceNI) timeout(slot int32) {
 	stats.Retries++
 	if ni.nw.Trace != nil {
 		ni.a.trace(TraceEvent{Kind: TraceRetransmit, At: ni.a.sched.Now(),
-			Flit: packet.Flit{Pkt: st.pkt, Attempt: st.attempts}})
+			Flit: packet.Flit{Pkt: st.pkt, Attempt: int32(st.attempts)}})
 	}
 	st.pkt.Refs += int32(st.pkt.Length)
 	ni.pushFlits(st.pkt, st.attempts)

@@ -341,11 +341,7 @@ func TestRetiredFlitsStayLiveInTheirChannel(t *testing.T) {
 		}
 		sent := make([]uint64, len(nw.chans))
 		for i, ch := range nw.chans {
-			i, traverse := i, ch.OnTraverse
-			ch.OnTraverse = func(f packet.Flit) {
-				sent[i] = f.Pkt.ID
-				traverse(f)
-			}
+			ch.Hooks = traverseTap{ch.Hooks, func(f packet.Flit) { sent[i] = f.Pkt.ID }}
 		}
 		r := rand.New(rand.NewSource(11))
 		for i, at := 0, sim.Time(0); i < 300; i++ {

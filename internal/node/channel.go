@@ -58,6 +58,18 @@ type AckTarget interface {
 	OnAck(port int)
 }
 
+// ChannelHooks receives a channel's accounting side effects (energy,
+// tracing, packet release).
+type ChannelHooks interface {
+	// ChannelTraversed observes every flit that enters the wire.
+	ChannelTraversed(f packet.Flit)
+	// ChannelRetired observes each flit that died in the channel's
+	// handshake (Retire, or a payload dropped on the wire) once the
+	// credit returns: until then the channel still holds the flit
+	// (InFlightFlit), so a diagnostic never reads a retired one.
+	ChannelRetired(f packet.Flit)
+}
+
 // Channel is a point-to-point two-phase bundled-data link. The sender
 // toggles the request wire with the data bundle (Send); the receiver
 // toggles the acknowledge wire (Ack) to return credit. At most one flit is
@@ -75,14 +87,10 @@ type Channel struct {
 	// Src receives acknowledges on SrcPort.
 	Src     AckTarget
 	SrcPort int
-	// OnTraverse, when set, observes every flit that enters the wire
-	// (energy accounting and tracing).
-	OnTraverse func(f packet.Flit)
-	// OnRetire, when set, observes each flit that died in this channel's
-	// handshake (Retire, or a payload dropped on the wire) once the
-	// credit returns: until then the channel still holds the flit
-	// (InFlightFlit), so a diagnostic never reads a retired one.
-	OnRetire func(f packet.Flit)
+	// Hooks, when set, receives the channel's accounting side effects.
+	// One value serves every channel of an accounting context, so wiring
+	// a channel builds no closure.
+	Hooks ChannelHooks
 	// Faults, when set, draws a deterministic per-traversal fault
 	// decision for every Send (see internal/fault).
 	Faults *fault.ChannelFaults
@@ -120,23 +128,23 @@ func (c *Channel) Send(f packet.Flit) {
 			// The payload bundle glitches away but the self-timed link
 			// completes the handshake: the receiver never sees the flit,
 			// the sender gets its credit back after the full round trip.
-			if c.OnTraverse != nil {
-				c.OnTraverse(f)
+			if c.Hooks != nil {
+				c.Hooks.ChannelTraversed(f)
 			}
 			c.retired = true
 			c.Sched.In(c.FwdDelay+c.AckDelay, c, evChanCredit)
 			return
 		}
 		if d.CorruptBit >= 0 {
-			f.Payload ^= 1 << uint(d.CorruptBit)
+			f.Flip ^= 1 << uint(d.CorruptBit)
 			// The wire now carries the corrupted bundle; the delivery
 			// event below reads the flit back from cur.
 			c.cur = f
 		}
 		fwd += sim.Time(d.JitterPs)
 	}
-	if c.OnTraverse != nil {
-		c.OnTraverse(f)
+	if c.Hooks != nil {
+		c.Hooks.ChannelTraversed(f)
 	}
 	if c.Fwd != nil {
 		c.Fwd.Send(fwd, c, evChanDeliver)
@@ -151,8 +159,8 @@ func (c *Channel) OnEvent(arg int64) {
 	case evChanDeliver:
 		c.Dst.OnFlit(c.DstPort, c.cur)
 	case evChanCredit:
-		if c.retired && c.OnRetire != nil {
-			c.OnRetire(c.cur)
+		if c.retired && c.Hooks != nil {
+			c.Hooks.ChannelRetired(c.cur)
 		}
 		c.inFlight = false
 		if c.Src != nil {
@@ -177,7 +185,8 @@ func (c *Channel) Ack() {
 }
 
 // Retire marks the flit in flight as consumed for good by the receiver
-// (a sink delivery or a throttle absorption); see OnRetire.
+// (a sink delivery or a throttle absorption); see
+// ChannelHooks.ChannelRetired.
 func (c *Channel) Retire() { c.retired = true }
 
 // Busy reports whether a flit is in flight (sent but not yet acknowledged

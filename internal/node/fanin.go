@@ -71,8 +71,16 @@ type Fanin struct {
 	ackIn      sim.EventID
 	retryFused bool
 
-	// OnForward observes each flit forwarded toward the destination.
-	OnForward func(f packet.Flit)
+	// Hooks, when set, receives the node's accounting side effects; one
+	// value serves every node of an accounting context.
+	Hooks FaninHooks
+}
+
+// FaninHooks receives a fanin node's accounting side effects.
+type FaninHooks interface {
+	// FaninForwarded observes each flit forwarded toward the
+	// destination.
+	FaninForwarded(n *Fanin, f packet.Flit)
 }
 
 // NewFanin creates a fanin node.
@@ -184,8 +192,8 @@ func (n *Fanin) OnEvent(arg int64) {
 		n.forwarding = false
 		n.fifo[(n.fifoHead+n.fifoLen)%faninFIFO] = f
 		n.fifoLen++
-		if n.OnForward != nil {
-			n.OnForward(f)
+		if n.Hooks != nil {
+			n.Hooks.FaninForwarded(n, f)
 		}
 		n.ackIn = n.sched.In(n.t.AckDelay, n, evArg(evFiAckIn, evPort(arg)))
 		n.pump()

@@ -70,6 +70,18 @@ func (k Kind) NetlistName() string {
 // IsSpeculative reports whether the kind always broadcasts headers.
 func (k Kind) IsSpeculative() bool { return k == Spec || k == OptSpec }
 
+// FanoutHooks receives a fanout node's accounting side effects. The node
+// passes itself, so one hooks value reads each node's identity and area
+// without a per-node closure.
+type FanoutHooks interface {
+	// FanoutForwarded observes a flit committed to `ports` output
+	// channels.
+	FanoutForwarded(n *Fanout, f packet.Flit, ports int)
+	// FanoutAbsorbed observes a throttled/blocked flit consumed by the
+	// node.
+	FanoutAbsorbed(n *Fanout, f packet.Flit)
+}
+
 // Fanout is one fanout (routing) node instance.
 //
 // Each output port carries a small FIFO (the multicast networks use two
@@ -128,11 +140,9 @@ type Fanout struct {
 	storedSym routing.Symbol
 	liveDirs  [2]bool // opt-spec: directions with downstream addressing activity
 
-	// Hooks (set by the network; may be nil).
-	// OnForward observes a flit committed to `ports` output channels.
-	OnForward func(f packet.Flit, ports int)
-	// OnAbsorb observes a throttled/blocked flit consumed by this node.
-	OnAbsorb func(f packet.Flit)
+	// Hooks, when set, receives the node's accounting side effects; one
+	// value serves every node of an accounting context.
+	Hooks FanoutHooks
 }
 
 // NewFanout creates a fanout node of the given kind for heap position
@@ -196,8 +206,8 @@ func (n *Fanout) OnFlit(port int, f packet.Flit) {
 	if absorb {
 		// Throttle: complete the input handshake directly from the
 		// Input Channel Monitor; the flit never reaches the ports.
-		if n.OnAbsorb != nil {
-			n.OnAbsorb(f)
+		if n.Hooks != nil {
+			n.Hooks.FanoutAbsorbed(n, f)
 		}
 		n.in.Retire()
 		n.sched.In(n.t.ThrottleAck, n, evFoAckIn)
@@ -323,8 +333,8 @@ func (n *Fanout) tryCommit() {
 			ports++
 		}
 	}
-	if n.OnForward != nil {
-		n.OnForward(n.cur, ports)
+	if n.Hooks != nil {
+		n.Hooks.FanoutForwarded(n, n.cur, ports)
 	}
 	// The handshake control loop (request path + acknowledge
 	// generation) must complete before the next flit can commit.

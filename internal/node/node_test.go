@@ -93,9 +93,13 @@ func newRigCap(t *testing.T, kind Kind, heap int, scheme topology.Scheme, fifoCa
 		n.ConnectOutput(topology.Port(p), out)
 		r.sinks[p] = s
 	}
-	n.OnAbsorb = func(f packet.Flit) { r.absorb = append(r.absorb, f) }
+	n.Hooks = r
 	return r
 }
+
+// The rig observes a fanout node's absorptions.
+func (r *rig) FanoutForwarded(*Fanout, packet.Flit, int) {}
+func (r *rig) FanoutAbsorbed(_ *Fanout, f packet.Flit)   { r.absorb = append(r.absorb, f) }
 
 func (r *rig) inject(p *packet.Packet) {
 	r.drv.queue = append(r.drv.queue, p.Flits()...)
@@ -647,7 +651,7 @@ func faninGapRun(t *testing.T, outFwd sim.Time) (fwd []sim.Time, acks [2][]sim.T
 		t.Fatalf("fanin timing %v/%v, the pinned times assume 190ps/106ps", tm.FwdHeader, tm.AckDelay)
 	}
 	r.n.OutputChannel().FwdDelay = outFwd
-	r.n.OnForward = func(packet.Flit) { fwd = append(fwd, r.sched.Now()) }
+	r.n.Hooks = faninForwardFunc(func() { fwd = append(fwd, r.sched.Now()) })
 	a := &packet.Packet{ID: 1, Length: 1}
 	b := &packet.Packet{ID: 2, Length: 1}
 	r.drv[0].queue = a.Flits()
@@ -705,3 +709,8 @@ func TestFaninRetryKeptBehindLaterEvent(t *testing.T) {
 		t.Errorf("%d events queued after the first grant, want 4 (with the retry)", queued)
 	}
 }
+
+// faninForwardFunc observes a fanin node's grants.
+type faninForwardFunc func()
+
+func (fn faninForwardFunc) FaninForwarded(*Fanin, packet.Flit) { fn() }

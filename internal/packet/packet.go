@@ -180,28 +180,33 @@ type Packet struct {
 // IsMulticast reports whether the packet addresses more than one destination.
 func (p *Packet) IsMulticast() bool { return p.Dests.Count() > 1 }
 
-// Flit is one transfer unit on a channel.
+// Flit is one transfer unit on a channel: 32 bytes, so every fanout
+// FIFO slot, fanin buffer, NI ring slot and channel register holds one
+// in half a cache line. A flit is a position in its packet; the data
+// bundle it carries is derived from that identity (payloadFor), not
+// stored, and only a fault run's corruption mask travels with it.
 type Flit struct {
 	Pkt *Packet
-	// Index is the flit position within the packet, 0-based.
-	Index int
 	// Branch is the per-branch destination subset used by
 	// destination-encoded routing (the 2D-mesh substrate prunes the
 	// header's destination mask at every replication). Zero means the
 	// full Pkt.Dests applies (source-routed MoT networks never prune).
 	Branch DestSet
-	// Payload models the flit's data bundle: a deterministic function of
-	// (packet ID, flit index) filled at flit materialization. Transient
-	// link faults flip payload bits; routing and handshake fields are
-	// conservatively assumed protected.
-	Payload uint64
-	// CRC is the CRC-32C checksum of Payload computed by the source
-	// network interface; the destination interface recomputes it to
-	// detect in-flight corruption.
-	CRC uint32
+	// Flip is the mask of payload bits a transient link fault inverted
+	// in flight (zero on a clean copy). The modeled payload is
+	// payloadFor(Pkt.ID, Index) ^ Flip and its checksum is sealed over
+	// the clean payload at the source, so CheckCRC needs no stored
+	// copy of either; routing and handshake fields are conservatively
+	// assumed protected.
+	Flip uint64
+	// Index is the flit position within the packet, 0-based. int32 is
+	// ample: Spec.Validate's build-memory guard bounds PacketLen far
+	// below 2^31.
+	Index int32
 	// Attempt is the retransmission attempt that produced this copy
-	// (0 = first transmission).
-	Attempt int
+	// (0 = first transmission); fault.Config.Validate bounds the retry
+	// budget to fit.
+	Attempt int32
 }
 
 // crcTable is the Castagnoli polynomial table used for flit checksums.
@@ -230,9 +235,18 @@ func payloadCRC(payload uint64) uint32 {
 	return ^crc
 }
 
-// CheckCRC reports whether the flit's payload still matches its checksum
-// — false after an in-flight payload corruption.
-func (f Flit) CheckCRC() bool { return payloadCRC(f.Payload) == f.CRC }
+// CheckCRC reports whether the flit's payload still matches the CRC-32C
+// checksum the source sealed over it — false after an in-flight
+// corruption the checksum detects. A clean copy (Flip == 0) matches
+// without computing anything; a corrupted one recomputes both sides, so
+// the decision is exactly that of a stored checksum.
+func (f Flit) CheckCRC() bool {
+	if f.Flip == 0 {
+		return true
+	}
+	payload := payloadFor(f.Pkt.ID, int(f.Index))
+	return payloadCRC(payload^f.Flip) == payloadCRC(payload)
+}
 
 // BranchDests returns the destination set this flit copy is responsible
 // for: the pruned branch subset if set, the packet's full set otherwise.
@@ -248,7 +262,7 @@ func (f Flit) Kind() FlitKind {
 	switch {
 	case f.Index == 0:
 		return Header
-	case f.Index == f.Pkt.Length-1:
+	case int(f.Index) == f.Pkt.Length-1:
 		return Tail
 	default:
 		return Body
@@ -260,25 +274,23 @@ func (f Flit) IsHeader() bool { return f.Index == 0 }
 
 // IsTail reports whether this is the last flit. A 1-flit packet's single
 // flit is both header and tail.
-func (f Flit) IsTail() bool { return f.Index == f.Pkt.Length-1 }
+func (f Flit) IsTail() bool { return int(f.Index) == f.Pkt.Length-1 }
 
 // String renders the flit for traces.
 func (f Flit) String() string {
 	return fmt.Sprintf("pkt%d[%d/%d:%s]", f.Pkt.ID, f.Index, f.Pkt.Length, f.Kind())
 }
 
-// FlitAt materializes the i-th flit of the packet (0-based) with its
-// payload sealed under the CRC-32C checksum. It does not allocate; the
-// network interfaces materialize flits one at a time straight into their
-// ring queues instead of building a slice per packet.
+// FlitAt materializes the i-th flit of the packet (0-based). It does
+// not allocate; the network interfaces materialize flits one at a time
+// straight into their ring queues instead of building a slice per
+// packet.
 func (p *Packet) FlitAt(i int) Flit {
-	payload := payloadFor(p.ID, i)
-	return Flit{Pkt: p, Index: i, Payload: payload, CRC: payloadCRC(payload)}
+	return Flit{Pkt: p, Index: int32(i)}
 }
 
-// Flits materializes all flits of the packet in order, with payloads
-// sealed under their CRC-32C checksums (tests and cold paths; hot paths
-// use FlitAt).
+// Flits materializes all flits of the packet in order (tests and cold
+// paths; hot paths use FlitAt).
 func (p *Packet) Flits() []Flit {
 	out := make([]Flit, p.Length)
 	for i := range out {

@@ -3,8 +3,10 @@ package packet
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDestSetBasics(t *testing.T) {
@@ -223,4 +225,40 @@ func TestFlitAtMatchesFlits(t *testing.T) {
 		t.Errorf("FlitAt allocated %v times per run", n)
 	}
 	_ = sink
+}
+
+// TestFlitSize pins the flit layout: every FIFO slot, fanin buffer, NI
+// ring slot and channel register holds one, so growth shows up in every
+// run's memory.
+func TestFlitSize(t *testing.T) {
+	if n := unsafe.Sizeof(Flit{}); n != 32 {
+		t.Fatalf("Flit is %d bytes, want 32", n)
+	}
+}
+
+// Property: the derived checksum test decides exactly like a stored
+// one. A reference flit carries its payload and the CRC-32C sealed over
+// it at materialization; each link fault flips one payload bit (a bit
+// may flip twice, cancelling). CheckCRC on the corruption mask must
+// agree with recomputing the reference's stored checksum.
+func TestCheckCRCMatchesStoredChecksum(t *testing.T) {
+	r := rand.New(rand.NewSource(2016))
+	for trial := 0; trial < 20000; trial++ {
+		p := &Packet{ID: r.Uint64(), Length: 1 + r.Intn(63)}
+		i := r.Intn(p.Length)
+		f := p.FlitAt(i)
+		payload := payloadFor(p.ID, i)
+		crc := payloadCRC(payload)
+		if !f.CheckCRC() {
+			t.Fatalf("clean flit %v fails its checksum", f)
+		}
+		for flips := 1 + r.Intn(3); flips > 0; flips-- {
+			bit := uint64(1) << uint(r.Intn(64))
+			payload ^= bit
+			f.Flip ^= bit
+		}
+		if got, want := f.CheckCRC(), payloadCRC(payload) == crc; got != want {
+			t.Fatalf("pkt %d flit %d flip %#x: CheckCRC %v, stored checksum says %v", p.ID, i, f.Flip, got, want)
+		}
+	}
 }

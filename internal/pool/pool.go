@@ -50,20 +50,6 @@ type Slab[T any] struct {
 	live  int
 }
 
-// Reserve grows the slab's capacity so the next n Alloc calls need no
-// backing-array growth (free-listed slots are recycled first).
-func (s *Slab[T]) Reserve(n int) {
-	fresh := n - len(s.free)
-	if fresh <= 0 {
-		return
-	}
-	if need := len(s.slots) + fresh; need > cap(s.slots) {
-		grown := make([]slabSlot[T], len(s.slots), need)
-		copy(grown, s.slots)
-		s.slots = grown
-	}
-}
-
 // Alloc returns a handle to a zeroed slot and a pointer to its value.
 // The pointer is valid only until the next Alloc.
 func (s *Slab[T]) Alloc() (Handle, *T) {
@@ -151,17 +137,6 @@ type IDMap struct {
 
 // minIDMapSize keeps the first growth from thrashing tiny tables.
 const minIDMapSize = 16
-
-// Reserve sizes the table so at least n entries fit without regrowth.
-func (m *IDMap) Reserve(n int) {
-	need := minIDMapSize
-	for need*3 < n*4 { // grow while need < n/0.75
-		need *= 2
-	}
-	if need > len(m.keys) {
-		m.rehash(need)
-	}
-}
 
 // Len returns the number of stored entries.
 func (m *IDMap) Len() int { return m.n }
@@ -308,14 +283,6 @@ func (r *Ring[T]) At(i int) T {
 		panic("pool: Ring index out of range")
 	}
 	return r.buf[(r.head+i)%len(r.buf)]
-}
-
-// Reserve grows the backing array so at least n elements fit without
-// further growth.
-func (r *Ring[T]) Reserve(n int) {
-	if n > len(r.buf) {
-		r.grow(n)
-	}
 }
 
 // grow reallocates the backing array to hold at least need elements,

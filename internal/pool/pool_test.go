@@ -69,23 +69,6 @@ func TestSlabAllocZeroesSlot(t *testing.T) {
 	}
 }
 
-func TestSlabReserveNoGrowth(t *testing.T) {
-	var s Slab[int]
-	s.Reserve(100)
-	if n := testing.AllocsPerRun(10, func() {
-		hs := make([]Handle, 0, 100)
-		for i := 0; i < 100; i++ {
-			h, _ := s.Alloc()
-			hs = append(hs, h)
-		}
-		for _, h := range hs {
-			s.Free(h)
-		}
-	}); n > 1 { // the handle slice itself
-		t.Fatalf("reserved slab allocated %v times per run", n)
-	}
-}
-
 func TestIDMapBasic(t *testing.T) {
 	var m IDMap
 	if _, ok := m.Get(1); ok {
@@ -147,7 +130,6 @@ func TestIDMapVsMap(t *testing.T) {
 
 func TestIDMapSteadyStateAllocFree(t *testing.T) {
 	var m IDMap
-	m.Reserve(64)
 	if n := testing.AllocsPerRun(100, func() {
 		for k := uint64(1); k <= 32; k++ {
 			m.Put(k, Handle{idx: int32(k), gen: 1})
@@ -182,7 +164,6 @@ func TestRingFIFOAndWraparound(t *testing.T) {
 
 func TestRingSteadyStateAllocFree(t *testing.T) {
 	var r Ring[int]
-	r.Reserve(64)
 	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 48; i++ {
 			r.Push(i)
