@@ -76,6 +76,10 @@ obs-smoke:
 # reports (benchguard -json) go to bin/bench_report_micro.json and
 # bin/bench_report.json.
 BENCHGUARD_FLAGS ?=
+# Each `go test | tee` line must fail the target when go test fails (a
+# panicking benchmark), not exit with tee's status.
+bench-smoke: SHELL := /bin/bash
+bench-smoke: .SHELLFLAGS := -o pipefail -c
 bench-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/benchguard ./cmd/benchguard

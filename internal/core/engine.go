@@ -3,8 +3,10 @@
 //
 // Every simulation in this model is a pure function of (network spec,
 // run configuration): all randomness flows from RunConfig.Seed and each
-// run owns its scheduler, recorder, and meter. That purity makes two
-// things safe that the serial harness could not exploit:
+// run owns its scheduler, recorder, and meter while it runs (a later
+// run of the same spec may build on their storage, never on their
+// values; see netCache). That purity makes two things safe that the
+// serial harness could not exploit:
 //
 //   - parallel fan-out: independent runs execute concurrently on a
 //     bounded pool without changing any result, and
@@ -26,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -162,6 +165,10 @@ type Engine struct {
 	store  atomic.Pointer[ResultStore]
 	remote atomic.Pointer[RemoteRunner]
 
+	// nets holds the networks of finished runs for reuse by later runs
+	// of the same spec (see netCache).
+	nets netCache
+
 	// started/completed count unique (non-memoized) local computations,
 	// and finalStops those among them that stopped at a final result;
 	// remoteRuns counts jobs served by the remote delegate. All are
@@ -183,6 +190,50 @@ func NewEngine(workers int) *Engine {
 		verdicts: make(map[verdictKey]*verdictEntry),
 		order:    list.New(),
 		cap:      DefaultMemoCapacity,
+		nets:     netCache{limit: workers},
+	}
+}
+
+// netCache holds networks of finished runs, each keyed by its spec's
+// CanonicalKey, for the engine's next runs of the same spec: a run
+// builds on a cached network's storage instead of allocating its own
+// (network.Rebuild). It keeps at most limit networks, the engine's
+// worker count, and drops the oldest beyond that. Only storage crosses
+// runs this way, never a value: see motRun.close for which networks
+// enter it, and DESIGN.md §11.
+type netCache struct {
+	mu    sync.Mutex
+	limit int
+	nets  []cachedNet // oldest first
+}
+
+// cachedNet is one closed network and its spec's key.
+type cachedNet struct {
+	key string
+	nw  *network.Network
+}
+
+// take removes and returns the newest cached network of key, or nil.
+func (c *netCache) take(key string) *network.Network {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := len(c.nets) - 1; i >= 0; i-- {
+		if c.nets[i].key == key {
+			nw := c.nets[i].nw
+			c.nets = slices.Delete(c.nets, i, i+1)
+			return nw
+		}
+	}
+	return nil
+}
+
+// put caches nw under key, dropping the oldest network over the limit.
+func (c *netCache) put(key string, nw *network.Network) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nets = append(c.nets, cachedNet{key: key, nw: nw})
+	if len(c.nets) > c.limit {
+		c.nets = slices.Delete(c.nets, 0, 1)
 	}
 }
 
@@ -443,7 +494,7 @@ func (e *Engine) simulate(ctx context.Context, spec network.Spec, cfg RunConfig)
 	defer e.completed.Add(1)
 	err = protect(spec.Name, func() (err error) {
 		var cut bool
-		res, cut, err = runContext(ctx, spec, cfg)
+		res, cut, err = runContext(ctx, spec, cfg, &e.nets)
 		e.countCut(cut)
 		return err
 	})

@@ -46,12 +46,18 @@ func paperWindows(cfg RunConfig) RunConfig {
 	return cfg
 }
 
-// checkFinalCut runs cfg as RunContext does and over its whole span,
-// requires equal results, and reports whether the run stopped at its
-// final result.
+// finalCutNets is the network cache of every run checkFinalCut checks:
+// each builds on the storage an earlier check left, of its own spec or
+// (after an eviction) none, while its instrumented reference always
+// builds fresh.
+var finalCutNets = netCache{limit: 2}
+
+// checkFinalCut runs cfg as an engine's RunContext does and over its
+// whole span, requires equal results, and reports whether the run
+// stopped at its final result.
 func checkFinalCut(t testing.TB, spec network.Spec, cfg RunConfig) (RunResult, bool) {
 	t.Helper()
-	got, cut, err := runContext(context.Background(), spec, cfg)
+	got, cut, err := runContext(context.Background(), spec, cfg, &finalCutNets)
 	if err != nil {
 		t.Fatalf("%s: %v", describeRun(spec.Name, cfg), err)
 	}
@@ -190,7 +196,7 @@ func TestFinalCutMatchesFullRuns(t *testing.T) {
 func TestBudgetExceededOnlyInDrain(t *testing.T) {
 	spec := OptHybridSpeculative(8)
 	cfg := quickWindows(RunConfig{Bench: traffic.UniformRandom{N: 8}, LoadGFs: 0.4, Seed: 2016})
-	r, err := startRun(spec, cfg)
+	r, err := startRun(spec, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, v
 		v       metrics.Verdict
 	)
 	err = protect(spec.Name, func() (err error) {
-		if r, err = startRun(spec, cfg); err != nil {
+		if r, err = startRun(spec, cfg, &e.nets); err != nil {
 			return err
 		}
 		final := r.finalStop()
@@ -193,23 +193,22 @@ func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, v
 		res = r.collect()
 		e.countCut(stopped)
 	}
+	// Every run but a suspended stable probe is over.
+	if r != nil && (err != nil || full || v == metrics.SaturatedVerdict) {
+		r.close(err == nil)
+	}
 	e.releaseSlot()
 	e.completed.Add(1)
 	if err != nil {
-		if r != nil {
-			r.close()
-		}
 		return nil, false, err
 	}
 	if full {
 		// Undecided to the end or to a final result: a full run,
 		// published as any run is.
-		r.close()
 		e.memoize(vk.job, res)
 		e.toStore(vk.job, res)
 		p, keep = finished(res, vk.crit), false
 	} else if v == metrics.SaturatedVerdict {
-		r.close()
 		p, keep = doneProbe{sat: true}, true
 	} else {
 		p, keep = &engineProbe{e: e, ctx: ctx, spec: spec, cfg: cfg, key: vk.job, run: r}, true
@@ -273,6 +272,11 @@ func (p *engineProbe) result() (RunResult, error) {
 		})
 		p.e.releaseSlot()
 	}
+	if ent.err != nil {
+		// A failed run's network is not reused.
+		r.close(false)
+		p.run = nil
+	}
 	p.e.finish(ent)
 	if ent.err == nil {
 		p.e.toStore(p.key, ent.res)
@@ -280,10 +284,10 @@ func (p *engineProbe) result() (RunResult, error) {
 	return ent.res, ent.err
 }
 
-// release drops the suspended simulation's network.
+// release ends the suspended simulation, which ran without an error.
 func (p *engineProbe) release() {
 	if p.run != nil {
-		p.run.close()
+		p.run.close(true)
 		p.run = nil
 	}
 }

@@ -252,19 +252,24 @@ func Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
 // the run. Instrumented runs, fault-enabled specs and chiplet
 // compositions run their full span (see motRun.finalStop).
 func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
-	res, _, err := runContext(ctx, spec, cfg)
+	res, _, err := runContext(ctx, spec, cfg, nil)
 	return res, err
 }
 
 // runContext is RunContext that also reports whether the run stopped at
-// a final result short of its span.
-func runContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunResult, cut bool, err error) {
+// a final result short of its span. nets, when non-nil, supplies the
+// network's storage and takes it back after a clean run (see
+// motRun.close).
+func runContext(ctx context.Context, spec network.Spec, cfg RunConfig, nets *netCache) (res RunResult, cut bool, err error) {
 	defer RecoverViolations(spec.Name, &err)
-	r, err := startRun(spec, cfg)
+	r, err := startRun(spec, cfg, nets)
 	if err != nil {
 		return RunResult{}, false, err
 	}
-	defer r.close()
+	// Only a run that returns its result hands its network on: a panic
+	// or an error leaves clean false.
+	clean := false
+	defer func() { r.close(clean) }()
 	if err := attachInstruments(r.nw, cfg.Instruments); err != nil {
 		return RunResult{}, false, err
 	}
@@ -276,6 +281,7 @@ func runContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunR
 	if err := finishInstruments(cfg.Instruments); err != nil {
 		return res, cut, err
 	}
+	clean = true
 	return res, cut, nil
 }
 
@@ -287,11 +293,26 @@ type motRun struct {
 	nw  *network.Network
 	h   harness
 	g   guard
+	// nets takes the network back when the run closes cleanly, under
+	// key, the spec's CanonicalKey; nil when it is never reused.
+	nets *netCache
+	key  string
 }
 
-// startRun builds spec armed for cfg, with its watchdog loop set up.
-func startRun(spec network.Spec, cfg RunConfig) (*motRun, error) {
-	nw, err := Build(spec, cfg)
+// startRun builds spec armed for cfg, with its watchdog loop set up. A
+// serial, uninstrumented run builds on the storage of a network nets
+// holds for the same spec, if any, and returns its network there when
+// it closes cleanly; nets may be nil.
+func startRun(spec network.Spec, cfg RunConfig, nets *netCache) (*motRun, error) {
+	var prev *network.Network
+	key := ""
+	if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
+		key = spec.CanonicalKey()
+		prev = nets.take(key)
+	} else {
+		nets = nil
+	}
+	nw, err := build(spec, cfg, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +330,7 @@ func startRun(spec network.Spec, cfg RunConfig) (*motRun, error) {
 			maxEvents *= mul
 		}
 	}
-	r := &motRun{cfg: cfg, nw: nw, h: motHarness(nw)}
+	r := &motRun{cfg: cfg, nw: nw, h: motHarness(nw), nets: nets, key: key}
 	r.g = r.h.guard(total, maxEvents)
 	return r, nil
 }
@@ -335,11 +356,18 @@ func (r *motRun) finalStop() func() bool {
 	return r.h.final
 }
 
-// close ends a sharded run's group.
-func (r *motRun) close() {
+// close ends the run: a sharded run's group closes, and the network of
+// a clean run (one that returned its result, or a probe that stopped at
+// its verdict) goes back to nets for the next run of its spec. Nothing
+// of the run survives in it: the next build rewrites every component
+// (network.Rebuild). The run must not be used afterwards.
+func (r *motRun) close(clean bool) {
 	if g := r.nw.Group(); g != nil {
 		g.Close()
+	} else if clean && r.nets != nil {
+		r.nets.put(r.key, r.nw)
 	}
+	r.nw = nil
 }
 
 // RunMesh executes one 2D-mesh simulation through the same path as
@@ -603,15 +631,19 @@ func (h *harness) advance(ctx context.Context, t sim.Time, maxEvents uint64, ste
 	}
 }
 
-// newNetwork builds spec serial or, for shards > 1, partitioned into at
-// most spec.MaxShards() shards (one tree per shard on a single die, one
-// die per shard on a chiplet composition — the finest useful
-// partitions). Callers reject fault-enabled specs first (checkShards).
-func newNetwork(spec network.Spec, shards int) (*network.Network, error) {
-	if shards <= 1 {
-		return network.New(spec)
+// newNetwork builds spec serial, on prev's storage when prev is not nil,
+// or, for shards > 1, partitioned into at most spec.MaxShards() shards
+// (one tree per shard on a single die, one die per shard on a chiplet
+// composition — the finest useful partitions). Callers reject
+// fault-enabled specs first (checkShards).
+func newNetwork(spec network.Spec, shards int, prev *network.Network) (*network.Network, error) {
+	switch {
+	case shards > 1:
+		return network.NewSharded(spec, min(shards, spec.MaxShards()))
+	case prev != nil:
+		return network.Rebuild(prev, spec)
 	}
-	return network.NewSharded(spec, min(shards, spec.MaxShards()))
+	return network.New(spec)
 }
 
 // serialOnly rejects Shards > 1 on a run that executes on one scheduler
@@ -641,6 +673,11 @@ func checkShards(spec network.Spec, cfg RunConfig) error {
 // network.NewSharded): drive it with Group().RunUntil and Close the
 // group when done — RunContext does both.
 func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
+	return build(spec, cfg, nil)
+}
+
+// build is Build on prev's storage (see newNetwork).
+func build(spec network.Spec, cfg RunConfig, prev *network.Network) (*network.Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -656,7 +693,7 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 		}
 		wide = w
 	}
-	nw, err := newNetwork(spec, cfg.Shards)
+	nw, err := newNetwork(spec, cfg.Shards, prev)
 	if err != nil {
 		return nil, err
 	}

@@ -389,7 +389,7 @@ func checkVerdict(t testing.TB, c verdictCase) metrics.Verdict {
 		minCo = min(1, full.Completion*(1+c.near))
 	}
 	crit := metrics.SatCriterion{MaxLatencyNs: factor * zero.AvgLatencyNs, MinCompletion: minCo}
-	r, err := startRun(c.spec, c.cfg)
+	r, err := startRun(c.spec, c.cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

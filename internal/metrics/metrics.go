@@ -95,6 +95,25 @@ func NewRecorder() *Recorder {
 	return &Recorder{WindowEnd: sim.Never}
 }
 
+// Reset returns the recorder to the state NewRecorder returns, keeping
+// the capacity of its buffers and pools for the next run.
+func (r *Recorder) Reset() {
+	slab, idx := r.pktSlab, r.pktIdx
+	slab.Reset()
+	idx.Reset()
+	*r = Recorder{
+		WindowEnd:      sim.Never,
+		pktSlab:        slab,
+		pktIdx:         idx,
+		latenciesNs:    r.latenciesNs[:0],
+		verdictPending: r.verdictPending[:0],
+		latIntraNs:     r.latIntraNs[:0],
+		latD2DNs:       r.latD2DNs[:0],
+		levelForwards:  r.levelForwards[:0],
+		levelThrottles: r.levelThrottles[:0],
+	}
+}
+
 // Reserve sizes the latency sample buffer for a run expected to
 // complete `measured` packets created inside the measurement window, so
 // a run matching its injection schedule never regrows it. The
@@ -127,8 +146,19 @@ func (r *Recorder) SetHierarchy(on bool) { r.hierarchy = on }
 // SetLevels sizes the per-level fanout utilization counters for a
 // network with `levels` fanout tree levels.
 func (r *Recorder) SetLevels(levels int) {
-	r.levelForwards = make([]int64, levels)
-	r.levelThrottles = make([]int64, levels)
+	r.levelForwards = zeroed(r.levelForwards, levels)
+	r.levelThrottles = zeroed(r.levelThrottles, levels)
+}
+
+// zeroed returns n zero counters, on s's storage when it is large
+// enough.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (r *Recorder) inWindow(t sim.Time) bool {
@@ -238,7 +268,7 @@ func (r *Recorder) FlitDelivered(now sim.Time, d2d bool) {
 // FanoutForwarded counts one flit committed to output ports by a fanout
 // node at the given tree level (root = 0).
 func (r *Recorder) FanoutForwarded(level int, now sim.Time) {
-	if r.levelForwards != nil && r.inWindow(now) {
+	if len(r.levelForwards) != 0 && r.inWindow(now) {
 		r.levelForwards[level]++
 	}
 }
@@ -246,7 +276,7 @@ func (r *Recorder) FanoutForwarded(level int, now sim.Time) {
 // FanoutThrottled counts one redundant (speculative) flit absorbed by a
 // fanout node at the given tree level.
 func (r *Recorder) FanoutThrottled(level int, now sim.Time) {
-	if r.levelThrottles != nil && r.inWindow(now) {
+	if len(r.levelThrottles) != 0 && r.inWindow(now) {
 		r.levelThrottles[level]++
 	}
 }

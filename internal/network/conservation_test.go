@@ -39,7 +39,7 @@ func (l *energyLedger) attach(nw *Network) {
 	for t := 0; t < n; t++ {
 		wire(nw.sources[t].out, &l.sourceSends)
 		for k := 1; k < n; k++ {
-			fo := nw.fanouts[t][k]
+			fo := nw.fanout(t, k)
 			area := fo.Timing().AreaUm2
 			fo.Hooks = fanoutTap{fo.Hooks,
 				func(ports int) {
@@ -51,7 +51,7 @@ func (l *energyLedger) attach(nw *Network) {
 			for _, p := range []topology.Port{topology.Top, topology.Bottom} {
 				wire(fo.OutputChannel(p), nil)
 			}
-			fi := nw.fanins[t][k]
+			fi := nw.fanin(t, k)
 			fiArea := fi.Timing().AreaUm2
 			fi.Hooks = faninTap{fi.Hooks, func() {
 				l.nodePJ += fiArea * model.PJPerUm2 * (model.InputFraction + model.PortFraction)

@@ -12,6 +12,7 @@ package network
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
@@ -250,14 +251,21 @@ type Network struct {
 	// Trace, when set, observes inject/forward/throttle/deliver events.
 	Trace func(TraceEvent)
 
-	sources []*SourceNI
-	sinks   []*SinkNI
-	fanouts [][]*node.Fanout // [tree][heap 1..N-1]; tree = die*N + local
-	fanins  [][]*node.Fanin  // [tree][heap 1..N-1]
+	// Every component lives in one slice per kind, written in place by
+	// build: fanouts and fanins hold N-1 nodes per tree (heap k of tree
+	// t = die*N + local is element t*(N-1)+k-1, see fanout and fanin),
+	// links every channel in wiring order, and fifos the output FIFO
+	// backing of every fanout. Rebuild keeps their storage.
+	sources []SourceNI
+	sinks   []SinkNI
+	fanouts []node.Fanout
+	fanins  []node.Fanin
+	links   []node.Channel
+	fifos   []packet.Flit
 
 	// egress holds one die-to-die gateway per die (chiplet compositions
-	// only, nil otherwise).
-	egress []*d2dEgress
+	// only, empty otherwise).
+	egress []d2dEgress
 
 	// inj owns the fault schedule; nil when Spec.Faults is disabled.
 	inj *fault.Injector
@@ -292,15 +300,19 @@ func (nw *Network) FaultStats() *fault.Stats {
 	return &nw.inj.Stats
 }
 
-// newBase constructs the scheduler-independent skeleton shared by New
-// and NewSharded: topology, placement, recorder, and routing strategy.
-func newBase(spec Spec) (*Network, error) {
+// base validates spec and writes the scheduler-independent skeleton
+// shared by New, Rebuild and NewSharded into nw: topology, placement,
+// recorder, and routing strategy. Every field of nw is rewritten. Only
+// storage carries over, emptied: the component slices, the fault
+// channel list, the recorder and the accounting context's buffers (a
+// new network has none); build resets the scheduler and meter.
+func (nw *Network) base(spec Spec) error {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	m, err := topology.New(spec.N)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var pl *topology.Placement
 	switch {
@@ -314,22 +326,41 @@ func newBase(spec Spec) (*Network, error) {
 		pl, err = topology.ForScheme(m, spec.Scheme)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nw := &Network{
+	rec := nw.Rec
+	if rec == nil {
+		rec = metrics.NewRecorder()
+	} else {
+		rec.Reset()
+	}
+	pktFree := nw.acct.pktFree
+	clear(pktFree[:cap(pktFree)])
+	*nw = Network{
 		Spec:      spec,
+		Sched:     nw.Sched,
 		MoT:       m,
 		Placement: pl,
-		Rec:       metrics.NewRecorder(),
+		Rec:       rec,
+		Meter:     nw.Meter,
+		sources:   nw.sources,
+		sinks:     nw.sinks,
+		fanouts:   nw.fanouts,
+		fanins:    nw.fanins,
+		links:     nw.links,
+		fifos:     nw.fifos,
+		egress:    nw.egress,
+		chans:     nw.chans[:0],
+		fabric:    routing.Fabric{Placement: pl, Serial: spec.Serial},
+		acct:      actx{planBuf: nw.acct.planBuf[:0], pktFree: pktFree[:0]},
 	}
 	nw.Rec.SetLevels(m.Levels)
 	if spec.Chiplet != nil {
 		nw.Rec.SetHierarchy(true)
 	}
-	nw.fabric = routing.Fabric{Placement: pl, Serial: spec.Serial}
 	// Validate() vetted the name.
 	nw.strat, _ = routing.StrategyFor(spec.Strategy, spec.Serial)
-	return nw, nil
+	return nil
 }
 
 // applySyncBackground charges the synchronous comparison point's clock
@@ -345,15 +376,28 @@ func (nw *Network) applySyncBackground() {
 
 // New builds a network instance with its own scheduler, recorder, and
 // energy meter.
-func New(spec Spec) (*Network, error) {
-	nw, err := newBase(spec)
-	if err != nil {
+func New(spec Spec) (*Network, error) { return Rebuild(new(Network), spec) }
+
+// Rebuild builds spec on the storage of nw, a serial network whose run
+// has ended and that nothing references any more, and returns it. The
+// result is in exactly the state New(spec) returns: every component is
+// written as a whole value, and only the capacity of nw's component
+// slices, pools and buffers carries over. On an error nw is unusable.
+func Rebuild(nw *Network, spec Spec) (*Network, error) {
+	if nw.group != nil {
+		panic("network: Rebuild of a sharded network")
+	}
+	if err := nw.base(spec); err != nil {
 		return nil, err
 	}
-	sched := sim.NewScheduler()
-	nw.Sched = sched
-	nw.Meter = power.NewMeter(sched.Now)
-	nw.acct.init(nw, sched, nil)
+	if nw.Sched == nil {
+		nw.Sched = sim.NewScheduler()
+		nw.Meter = power.NewMeter(nw.Sched.Now)
+	} else {
+		nw.Sched.Reset()
+		nw.Meter.Reset()
+	}
+	nw.acct.init(nw, nw.Sched, nil)
 	if spec.Faults.Enabled() {
 		// The injector must exist before build(): every channel draws its
 		// fault stream in wiring order.
@@ -365,7 +409,7 @@ func New(spec Spec) (*Network, error) {
 	}
 	nw.build()
 	for _, st := range spec.Faults.Stuck {
-		nw.fanouts[st.Tree][st.Heap].OutputChannel(topology.Port(st.Port)).Faults.SetStuck(st.After)
+		nw.fanout(st.Tree, st.Heap).OutputChannel(topology.Port(st.Port)).Faults.SetStuck(st.After)
 	}
 	nw.applySyncBackground()
 	return nw, nil
@@ -414,7 +458,7 @@ func (nw *Network) releaseCopy(p *packet.Packet) {
 // (fault runs are single-die: p.Dests index the sinks directly).
 func (nw *Network) forgetRx(p *packet.Packet) {
 	for v := uint64(p.Dests); v != 0; v &= v - 1 {
-		ni := nw.sinks[bits.TrailingZeros64(v)]
+		ni := &nw.sinks[bits.TrailingZeros64(v)]
 		if h, ok := ni.rxIdx.Get(p.ID); ok {
 			ni.rxGot.Free(h)
 			ni.rxIdx.Delete(p.ID)
@@ -438,7 +482,8 @@ func (nw *Network) kindFor(k int) node.Kind {
 // its shard, so both the deliver event and the traversal energy charge
 // originate there.
 func (nw *Network) channel(a *actx, dst node.Sink, dstPort int, src node.AckTarget, srcPort int) *node.Channel {
-	ch := &node.Channel{
+	// build reserved every link: the append never moves the slice.
+	nw.links = append(nw.links, node.Channel{
 		Sched:    a.sched,
 		FwdDelay: timing.ChannelFwd,
 		AckDelay: timing.ChannelAckFor(nw.Spec.Protocol),
@@ -446,8 +491,9 @@ func (nw *Network) channel(a *actx, dst node.Sink, dstPort int, src node.AckTarg
 		DstPort:  dstPort,
 		Src:      src,
 		SrcPort:  srcPort,
-	}
-	ch.Hooks = a
+		Hooks:    a,
+	})
+	ch := &nw.links[len(nw.links)-1]
 	if nw.inj != nil {
 		ch.Faults = nw.inj.Channel()
 		nw.chans = append(nw.chans, ch)
@@ -532,10 +578,7 @@ func (nw *Network) ChannelHolds() []ChannelHold {
 func (nw *Network) build() {
 	n := nw.Spec.N
 	terms := nw.Spec.Terminals()
-	nw.fanouts = make([][]*node.Fanout, terms)
-	nw.fanins = make([][]*node.Fanin, terms)
-	nw.sources = make([]*SourceNI, terms)
-	nw.sinks = make([]*SinkNI, terms)
+	nodes := terms * (n - 1)
 	// Multicast-capable networks decouple replication branches with a
 	// two-packet FIFO per output port (see node.Fanout): headers reserve
 	// a full packet of space (virtual cut-through), and the second
@@ -545,44 +588,52 @@ func (nw *Network) build() {
 	if nw.Spec.Serial {
 		fifoCap = 1
 	}
+	nw.fanouts = resize(nw.fanouts, nodes)
+	nw.fanins = resize(nw.fanins, nodes)
+	nw.fifos = resize(nw.fifos, nodes*2*fifoCap)
+	nw.sources = resize(nw.sources, terms)
+	nw.sinks = resize(nw.sinks, terms)
+	// Per tree: the root link, two output links per fanout node, N-2
+	// internal fanin links and the sink link.
+	links := terms * (3*n - 2)
+	nw.links = slices.Grow(nw.links[:0], links)
 	for t := 0; t < terms; t++ {
 		a := nw.actxFor(t)
-		nw.fanouts[t] = make([]*node.Fanout, n)
-		nw.fanins[t] = make([]*node.Fanin, n)
 		for k := 1; k < n; k++ {
-			fo := node.NewFanout(a.sched, nw.kindFor(k), t, k, nw.Placement, fifoCap, nw.Spec.Protocol)
+			i := t*(n-1) + k - 1
+			fo := &nw.fanouts[i]
+			fo.Init(a.sched, nw.kindFor(k), t, k, nw.Placement, nw.fifos[2*fifoCap*i:2*fifoCap*(i+1):2*fifoCap*(i+1)], nw.Spec.Protocol)
 			if nw.Spec.SyncPeriod > 0 {
 				fo.Clock(nw.Spec.SyncPeriod)
 			}
 			fo.Hooks = a
-			nw.fanouts[t][k] = fo
 
-			fi := node.NewFanin(a.sched, t, k, nw.Spec.Protocol)
+			fi := &nw.fanins[i]
+			fi.Init(a.sched, t, k, nw.Spec.Protocol)
 			if nw.Spec.SyncPeriod > 0 {
 				fi.Clock(nw.Spec.SyncPeriod)
 			}
 			fi.Hooks = a
-			nw.fanins[t][k] = fi
 		}
-		nw.sources[t] = newSourceNI(nw, t)
-		nw.sinks[t] = newSinkNI(nw, t)
+		nw.sources[t].init(nw, t)
+		nw.sinks[t].init(nw, t)
 	}
 	// Wire the channels.
 	for t := 0; t < terms; t++ {
 		a := nw.actxFor(t)
 		die, lt := t/n, t%n
 		// Source NI -> fanout root.
-		root := nw.channel(a, nw.fanouts[t][1], 0, nw.sources[t], 0)
+		root := nw.channel(a, nw.fanout(t, 1), 0, &nw.sources[t], 0)
 		nw.sources[t].out = root
-		nw.fanouts[t][1].ConnectInput(root)
+		nw.fanout(t, 1).ConnectInput(root)
 		for k := 1; k < n; k++ {
 			for _, p := range []topology.Port{topology.Top, topology.Bottom} {
 				c := nw.MoT.Child(k, p)
 				if c < n {
 					// Internal fanout link.
-					ch := nw.channel(a, nw.fanouts[t][c], 0, nw.fanouts[t][k], int(p))
-					nw.fanouts[t][k].ConnectOutput(p, ch)
-					nw.fanouts[t][c].ConnectInput(ch)
+					ch := nw.channel(a, nw.fanout(t, c), 0, nw.fanout(t, k), int(p))
+					nw.fanout(t, k).ConnectOutput(p, ch)
+					nw.fanout(t, c).ConnectInput(ch)
 				} else {
 					// Leaf crossing: fanout tree t, leaf for local dest
 					// d, enters the same die's fanin tree d at the leaf
@@ -597,36 +648,55 @@ func (nw *Network) build() {
 					gd := die*n + d
 					fiHeap := (n + lt) / 2
 					fiPort := (n + lt) % 2
-					ch := nw.channel(a, nw.fanins[gd][fiHeap], fiPort, nw.fanouts[t][k], int(p))
+					ch := nw.channel(a, nw.fanin(gd, fiHeap), fiPort, nw.fanout(t, k), int(p))
 					if nw.shardOf != nil {
 						if st, sd := nw.shardOf[t], nw.shardOf[gd]; st != sd {
 							ch.Fwd = nw.group.Cross(st, sd)
 							ch.Back = nw.group.Cross(sd, st)
 						}
 					}
-					nw.fanouts[t][k].ConnectOutput(p, ch)
-					nw.fanins[gd][fiHeap].ConnectInput(fiPort, ch)
+					nw.fanout(t, k).ConnectOutput(p, ch)
+					nw.fanin(gd, fiHeap).ConnectInput(fiPort, ch)
 				}
 			}
 		}
 		// Fanin internal links (leaves toward root) and root -> sink.
 		for k := n - 1; k >= 2; k-- {
 			parent, via := nw.MoT.Parent(k)
-			ch := nw.channel(a, nw.fanins[t][parent], int(via), nw.fanins[t][k], 0)
-			nw.fanins[t][k].ConnectOutput(ch)
-			nw.fanins[t][parent].ConnectInput(int(via), ch)
+			ch := nw.channel(a, nw.fanin(t, parent), int(via), nw.fanin(t, k), 0)
+			nw.fanin(t, k).ConnectOutput(ch)
+			nw.fanin(t, parent).ConnectInput(int(via), ch)
 		}
-		sinkCh := nw.channel(a, nw.sinks[t], 0, nw.fanins[t][1], 0)
-		nw.fanins[t][1].ConnectOutput(sinkCh)
+		sinkCh := nw.channel(a, &nw.sinks[t], 0, nw.fanin(t, 1), 0)
+		nw.fanin(t, 1).ConnectOutput(sinkCh)
 		nw.sinks[t].in = sinkCh
 	}
+	if len(nw.links) != links {
+		panic(fmt.Sprintf("network: wired %d links, reserved %d", len(nw.links), links))
+	}
+	nw.egress = resize(nw.egress, 0)
 	if nw.Spec.Chiplet != nil {
-		nw.egress = make([]*d2dEgress, nw.Spec.Dies())
+		nw.egress = resize(nw.egress, nw.Spec.Dies())
 		for die := range nw.egress {
-			nw.egress[die] = newD2DEgress(nw, die)
+			nw.egress[die].init(nw, die)
 		}
 	}
 }
+
+// resize returns s with length n, on its own storage when the capacity
+// suffices. Callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fanout returns heap node k of fanout tree t.
+func (nw *Network) fanout(t, k int) *node.Fanout { return &nw.fanouts[t*(nw.Spec.N-1)+k-1] }
+
+// fanin returns heap node k of fanin tree t.
+func (nw *Network) fanin(t, k int) *node.Fanin { return &nw.fanins[t*(nw.Spec.N-1)+k-1] }
 
 // Inject creates a logical packet from src to dests at the current
 // simulation time, plans it under the network's routing strategy, and
@@ -766,8 +836,11 @@ type d2dEgress struct {
 	busy  bool
 }
 
-func newD2DEgress(nw *Network, die int) *d2dEgress {
-	return &d2dEgress{nw: nw, a: nw.actxFor(die * nw.Spec.N), die: die}
+// init builds the gateway of die in place, keeping its queue's storage.
+func (eg *d2dEgress) init(nw *Network, die int) {
+	q := eg.queue
+	q.Reset()
+	*eg = d2dEgress{nw: nw, a: nw.actxFor(die * nw.Spec.N), die: die, queue: q}
 }
 
 func (eg *d2dEgress) push(l d2dLeg) {
@@ -836,10 +909,10 @@ func (fl *d2dFlight) OnEvent(int64) {
 func (nw *Network) SourceQueueLen(src int) int { return nw.sources[src].queue.Len() }
 
 // Fanout exposes one fanout node (tests and diagnostics).
-func (nw *Network) Fanout(tree, heap int) *node.Fanout { return nw.fanouts[tree][heap] }
+func (nw *Network) Fanout(tree, heap int) *node.Fanout { return nw.fanout(tree, heap) }
 
 // Fanin exposes one fanin node (tests and diagnostics).
-func (nw *Network) Fanin(tree, heap int) *node.Fanin { return nw.fanins[tree][heap] }
+func (nw *Network) Fanin(tree, heap int) *node.Fanin { return nw.fanin(tree, heap) }
 
 // StuckFlit locates one flit held somewhere in the network fabric.
 type StuckFlit struct {
@@ -874,7 +947,7 @@ func (nw *Network) StuckFlits() []StuckFlit {
 			add(fmt.Sprintf("channel source %d -> fanout %d/1", t, t), f)
 		}
 		for k := 1; k < n; k++ {
-			fo := nw.fanouts[t][k]
+			fo := nw.fanout(t, k)
 			if f, ok := fo.InputPending(); ok {
 				add(fmt.Sprintf("fanout %d/%d input", t, k), f)
 			}
@@ -886,7 +959,7 @@ func (nw *Network) StuckFlits() []StuckFlit {
 					add(fmt.Sprintf("channel fanout %d/%d.%s", t, k, portNames[p]), f)
 				}
 			}
-			fi := nw.fanins[t][k]
+			fi := nw.fanin(t, k)
 			for port := 0; port < 2; port++ {
 				if f, ok := fi.PendingFlit(port); ok {
 					add(fmt.Sprintf("fanin %d/%d input %d", t, k, port), f)
@@ -955,8 +1028,13 @@ type txState struct {
 	timer       sim.EventID
 }
 
-func newSourceNI(nw *Network, src int) *SourceNI {
-	return &SourceNI{nw: nw, a: nw.actxFor(src), src: src}
+// init builds the interface of terminal src in place, keeping the
+// storage of its queue and tracker.
+func (ni *SourceNI) init(nw *Network, src int) {
+	q, tx := ni.queue, ni.txSlab
+	q.Reset()
+	tx.Reset()
+	*ni = SourceNI{nw: nw, a: nw.actxFor(src), src: src, queue: q, txSlab: tx}
 }
 
 func (ni *SourceNI) enqueue(p *packet.Packet) {
@@ -1104,8 +1182,14 @@ type endAck struct {
 	h   pool.Handle // the packet's tx-slab handle at its source
 }
 
-func newSinkNI(nw *Network, dest int) *SinkNI {
-	return &SinkNI{nw: nw, a: nw.actxFor(dest), dest: dest}
+// init builds the interface of terminal dest in place, keeping the
+// storage of its dedup state and acknowledge queue.
+func (ni *SinkNI) init(nw *Network, dest int) {
+	got, idx, acks := ni.rxGot, ni.rxIdx, ni.acks
+	got.Reset()
+	idx.Reset()
+	acks.Reset()
+	*ni = SinkNI{nw: nw, a: nw.actxFor(dest), dest: dest, rxGot: got, rxIdx: idx, acks: acks}
 }
 
 // rxGotFor returns the received-flit bitmask of packet id, creating it

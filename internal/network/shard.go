@@ -399,8 +399,8 @@ func NewSharded(spec Spec, k int) (*Network, error) {
 	if maxK := spec.MaxShards(); k < 2 || k > maxK {
 		return nil, fmt.Errorf("network %s: shard count %d outside [2, %d]", spec.Name, k, maxK)
 	}
-	nw, err := newBase(spec)
-	if err != nil {
+	nw := new(Network)
+	if err := nw.base(spec); err != nil {
 		return nil, err
 	}
 	group := sim.NewShardGroup(k, sim.Time(spec.ShardLookaheadPs()))

@@ -83,9 +83,10 @@ type FaninHooks interface {
 	FaninForwarded(n *Fanin, f packet.Flit)
 }
 
-// NewFanin creates a fanin node.
-func NewFanin(sched *sim.Scheduler, tree, heap int, proto timing.Protocol) *Fanin {
-	return &Fanin{
+// Init builds a fanin node in place for heap position (tree, heap),
+// writing the whole node.
+func (n *Fanin) Init(sched *sim.Scheduler, tree, heap int, proto timing.Protocol) {
+	*n = Fanin{
 		sched:   sched,
 		t:       timing.MustByName(netlist.FaninNode).ForProtocol(proto),
 		Tree:    tree,

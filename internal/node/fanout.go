@@ -145,17 +145,21 @@ type Fanout struct {
 	Hooks FanoutHooks
 }
 
-// NewFanout creates a fanout node of the given kind for heap position
-// (tree, heap) under the network's speculation placement. fifoCap is the
-// per-output-port buffer depth in flits; multicast-capable networks use
-// twice the packet length (full branch decoupling with overlap), the
-// serial baseline uses 1. proto selects the handshake protocol.
-func NewFanout(sched *sim.Scheduler, kind Kind, tree, heap int, pl *topology.Placement, fifoCap int, proto timing.Protocol) *Fanout {
-	if fifoCap < 1 {
-		panic(fmt.Sprintf("node: fanout FIFO capacity %d < 1", fifoCap))
+// Init builds a fanout node of the given kind in place for heap
+// position (tree, heap) under the network's speculation placement, over
+// fifo: the backing of its two output FIFOs, twice the per-port depth in
+// flits. Multicast-capable networks use a depth of twice the packet
+// length (full branch decoupling with overlap), the serial baseline 1.
+// proto selects the handshake protocol. Init writes the whole node and
+// clears fifo, so storage left by an earlier run holds nothing
+// afterwards.
+func (n *Fanout) Init(sched *sim.Scheduler, kind Kind, tree, heap int, pl *topology.Placement, fifo []packet.Flit, proto timing.Protocol) {
+	fifoCap := len(fifo) / 2
+	if fifoCap < 1 || len(fifo) != 2*fifoCap {
+		panic(fmt.Sprintf("node: fanout FIFO backing of %d flits is not two ports of at least one", len(fifo)))
 	}
-	backing := make([]packet.Flit, 2*fifoCap)
-	return &Fanout{
+	clear(fifo)
+	*n = Fanout{
 		sched: sched,
 		kind:  kind,
 		t:     timing.MustByName(kind.NetlistName()).ForProtocol(proto),
@@ -163,7 +167,7 @@ func NewFanout(sched *sim.Scheduler, kind Kind, tree, heap int, pl *topology.Pla
 		Heap:  heap,
 		fab:   routing.Fabric{Placement: pl, Serial: kind == Baseline},
 		cap:   fifoCap,
-		fifo:  [2][]packet.Flit{backing[:fifoCap:fifoCap], backing[fifoCap:]},
+		fifo:  [2][]packet.Flit{fifo[:fifoCap:fifoCap], fifo[fifoCap:]},
 	}
 }
 

@@ -80,7 +80,8 @@ func newRigCap(t *testing.T, kind Kind, heap int, scheme topology.Scheme, fifoCa
 	sched := sim.NewScheduler()
 	m := topology.MustNew(8)
 	pl := topology.MustForScheme(m, scheme)
-	n := NewFanout(sched, kind, 0, heap, pl, fifoCap, timing.TwoPhase)
+	n := new(Fanout)
+	n.Init(sched, kind, 0, heap, pl, make([]packet.Flit, 2*fifoCap), timing.TwoPhase)
 	r := &rig{sched: sched, n: n}
 	r.drv = &driver{sched: sched}
 	in := &Channel{Sched: sched, FwdDelay: chFwd, AckDelay: chAck, Dst: n, Src: r.drv}
@@ -403,7 +404,8 @@ type faninRig struct {
 func newFaninRig(t *testing.T) *faninRig {
 	t.Helper()
 	sched := sim.NewScheduler()
-	n := NewFanin(sched, 0, 1, timing.TwoPhase)
+	n := new(Fanin)
+	n.Init(sched, 0, 1, timing.TwoPhase)
 	r := &faninRig{sched: sched, n: n}
 	for p := 0; p < 2; p++ {
 		d := &driver{sched: sched}
@@ -502,7 +504,8 @@ func BenchmarkFanoutFiveFlitPacket(b *testing.B) {
 	sched := sim.NewScheduler()
 	m := topology.MustNew(8)
 	pl := topology.MustForScheme(m, topology.NonSpeculative)
-	n := NewFanout(sched, OptNonSpec, 0, 1, pl, 5, timing.TwoPhase)
+	n := new(Fanout)
+	n.Init(sched, OptNonSpec, 0, 1, pl, make([]packet.Flit, 10), timing.TwoPhase)
 	drv := &driver{sched: sched}
 	in := &Channel{Sched: sched, FwdDelay: chFwd, AckDelay: chAck, Dst: n, Src: drv}
 	drv.ch = in

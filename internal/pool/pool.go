@@ -6,7 +6,8 @@
 // growable ring buffer for FIFO queues that reuse their backing arrays.
 //
 // All three types grow to the high-water mark of their run and are then
-// reused without further allocation. They are strictly single-goroutine
+// reused without further allocation; Reset empties one and keeps its
+// storage for a later run. They are strictly single-goroutine
 // structures, like everything else inside one simulation run; worker
 // pools parallelize across runs, each of which owns its own pools.
 package pool
@@ -114,6 +115,14 @@ func (s *Slab[T]) Free(h Handle) bool {
 // Live returns the number of currently allocated slots.
 func (s *Slab[T]) Live() int { return s.live }
 
+// Reset frees every slot at once and returns the slab to the state of
+// its zero value, keeping the capacity of its storage: the next Alloc
+// hands out slot 0 at generation 1, as on a new slab.
+func (s *Slab[T]) Reset() {
+	clear(s.slots)
+	*s = Slab[T]{slots: s.slots[:0], free: s.free[:0]}
+}
+
 // Each calls fn on every live slot's value, in slot order.
 func (s *Slab[T]) Each(fn func(*T)) {
 	for i := range s.slots {
@@ -140,6 +149,13 @@ const minIDMapSize = 16
 
 // Len returns the number of stored entries.
 func (m *IDMap) Len() int { return m.n }
+
+// Reset removes every entry, keeping the table's size.
+func (m *IDMap) Reset() {
+	clear(m.keys)
+	clear(m.vals)
+	m.n = 0
+}
 
 // Get returns the handle stored under key and whether it exists.
 func (m *IDMap) Get(key uint64) (Handle, bool) {
@@ -254,6 +270,12 @@ type Ring[T any] struct {
 
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }
+
+// Reset empties the ring, keeping its backing array.
+func (r *Ring[T]) Reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
 
 // Push appends v at the tail, growing the backing array if full.
 func (r *Ring[T]) Push(v T) {

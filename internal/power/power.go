@@ -76,6 +76,12 @@ func NewMeter(now func() sim.Time) *Meter {
 	return &Meter{Model: DefaultModel(), Now: now, WindowEnd: sim.Never}
 }
 
+// Reset returns the meter to the state NewMeter returns, on the same
+// clock.
+func (m *Meter) Reset() {
+	*m = Meter{Model: DefaultModel(), Now: m.Now, WindowEnd: sim.Never}
+}
+
 // SetWindow bounds the accounted interval.
 func (m *Meter) SetWindow(start, end sim.Time) {
 	m.WindowStart, m.WindowEnd = start, end

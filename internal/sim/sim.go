@@ -225,6 +225,20 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{farAt: Never}
 }
 
+// Reset drops every pending event and returns a serial scheduler to the
+// state NewScheduler returns: time zero, sequence numbers and the
+// executed count from zero, slots allocated from index 0 at generation
+// 1. The slab, its free list and the far heap keep their capacity, so a
+// run on a reset scheduler allocates nothing until it outgrows the one
+// before.
+func (s *Scheduler) Reset() {
+	if s.shard != nil {
+		panic("sim: Reset of a shard scheduler")
+	}
+	clear(s.slots) // drop handler references
+	*s = Scheduler{slots: s.slots[:0], free: s.free[:0], heap: s.heap[:0], farAt: Never}
+}
+
 // Now returns the current simulation time.
 func (s *Scheduler) Now() Time { return s.now }
 
