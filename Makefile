@@ -66,10 +66,11 @@ obs-smoke:
 # the NI transaction path, and the per-scheme strategy planning paths
 # (all of which must stay zero-alloc) run five times each and are judged
 # by their medians (benchguard -count 5 also fails one that brought fewer
-# samples); the end-to-end Fig6a regeneration — serial and at 8 scheduler
-# shards (the BenchmarkFig6aLatency pattern matches both) — and the
-# chiplet table run once. benchguard fails the target on a >10%
-# wall-clock or any allocs/op regression against bench/baseline.json.
+# samples); the end-to-end Fig6a regeneration (serial and at 8 scheduler
+# shards: the BenchmarkFig6aLatency pattern matches both), the chiplet
+# table and the four 4x4 mesh runs (BenchmarkMeshRun) run once.
+# benchguard fails the target on a >10% wall-clock or any allocs/op
+# regression against bench/baseline.json.
 # benchstat, when installed, prints a nicer delta report (advisory, like
 # lint). After a legitimate improvement refresh the baseline with
 # `make bench-smoke BENCHGUARD_FLAGS=-update`. The machine-readable
@@ -87,10 +88,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNITransaction|BenchmarkStrategy' -benchmem -count 5 ./internal/network | tee bin/bench_ni.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkFig6aLatency' -benchtime 1x -benchmem . | tee bin/bench_fig6a.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkChipletHierarchy' -benchtime 1x -benchmem . | tee bin/bench_chiplet.txt
+	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkMeshRun' -benchtime 1x -benchmem . | tee bin/bench_mesh.txt
 	./bin/benchguard -count 5 -baseline bench/baseline.json -json bin/bench_report_micro.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt
-	./bin/benchguard -baseline bench/baseline.json -json bin/bench_report.json $(BENCHGUARD_FLAGS) bin/bench_fig6a.txt bin/bench_chiplet.txt
+	./bin/benchguard -baseline bench/baseline.json -json bin/bench_report.json $(BENCHGUARD_FLAGS) bin/bench_fig6a.txt bin/bench_chiplet.txt bin/bench_mesh.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt; \
+		benchstat bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt bin/bench_mesh.txt; \
 	fi
 
 # service-smoke exercises simulation-as-a-service end to end: asyncnocd

@@ -52,6 +52,24 @@ func BenchmarkChipletHierarchy(b *testing.B) {
 	b.Log("\n" + out.Format())
 }
 
+// BenchmarkMeshRun runs the four 4x4 mesh simulations of the nocbench
+// fabrics workload: tree and serial multicast, each under UniformRandom
+// and Multicast10, at 0.2 GF/s per tile over the paper's windows.
+func BenchmarkMeshRun(b *testing.B) {
+	benches := []asyncnoc.Benchmark{asyncnoc.UniformRandom(16), asyncnoc.MulticastFraction(16, 0.10)}
+	for i := 0; i < b.N; i++ {
+		for _, spec := range []asyncnoc.MeshSpec{asyncnoc.MeshTree(4, 4), asyncnoc.MeshSerial(4, 4)} {
+			for _, bench := range benches {
+				cfg := asyncnoc.DefaultRunConfig(16)
+				cfg.Bench, cfg.LoadGFs, cfg.Seed = bench, 0.2, 2016
+				if _, err := asyncnoc.RunMesh(spec, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkFig6aLatency regenerates the contribution-trajectory latency
 // figure (Fig. 6a): Baseline vs BasicNonSpeculative vs the two hybrids,
 // six benchmarks, at 25% of each network's saturation.

@@ -27,9 +27,11 @@ package mesh
 import (
 	"fmt"
 
+	"asyncnoc/internal/fault"
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
+	"asyncnoc/internal/pool"
 	"asyncnoc/internal/power"
 	"asyncnoc/internal/routing"
 	"asyncnoc/internal/sim"
@@ -125,6 +127,11 @@ type Mesh struct {
 	fabric routing.Fabric
 	plans  []routing.Plan
 	emit   func(routing.Plan)
+
+	// pktFree is the packet freelist (see release); allocated counts
+	// the packets ever taken from the heap.
+	pktFree   []*packet.Packet
+	allocated int
 }
 
 // New builds a mesh network.
@@ -194,8 +201,8 @@ func (m *Mesh) channel(dst node.Sink, dstPort int, src node.AckTarget, srcPort i
 }
 
 // wireHooks charges every link traversal to the mesh's meter; one value
-// serves every channel. Mesh packets are not pooled, so a retired flit
-// needs nothing.
+// serves every channel. A mesh sink releases its copy at delivery (no
+// link is ever told to retire one), so ChannelRetired has nothing to do.
 type wireHooks struct{ m *Mesh }
 
 func (h wireHooks) ChannelTraversed(packet.Flit) { h.m.Meter.Channel() }
@@ -324,35 +331,66 @@ func absInt(v int) int {
 // simulation time, planned under the spec's routing strategy: a plan of
 // one packet covering the whole set rides the logical packet itself,
 // every other plan injects one clone per physical packet linked to the
-// logical parent.
+// logical parent. Packets are recycled, so the returned packet is valid
+// only until its last copy has been delivered.
 func (m *Mesh) Inject(src int, dests packet.DestSet) (*packet.Packet, error) {
 	m.plans = m.plans[:0]
 	if err := m.strat.Plan(m.fabric, src, dests, m.emit); err != nil {
 		return nil, fmt.Errorf("mesh %s: %w", m.Spec.Name, err)
 	}
 	now := m.Sched.Now()
-	m.nextID++
-	p := &packet.Packet{
-		ID: m.nextID, Src: src, Dests: dests,
-		Length: m.Spec.PacketLen, CreatedAt: int64(now),
-	}
+	p := m.newPacket(src, dests, now)
 	m.Rec.PacketCreated(p, now)
 	if len(m.plans) == 1 && m.plans[0].Dests == dests {
 		m.sources[src].enqueue(p)
 		return p, nil
 	}
+	// Expanded plan: the logical parent holds one reference per clone.
+	p.Refs = int32(len(m.plans))
 	for _, pl := range m.plans {
-		m.nextID++
-		m.sources[src].enqueue(&packet.Packet{
-			ID: m.nextID, Src: src, Dests: pl.Dests,
-			Length: m.Spec.PacketLen, Parent: p, CreatedAt: int64(now),
-		})
+		c := m.newPacket(src, pl.Dests, now)
+		c.Parent = p
+		m.sources[src].enqueue(c)
 	}
 	return p, nil
 }
 
+// newPacket takes a packet from the freelist (or the heap while the
+// pool grows) and stamps it with the next packet ID.
+func (m *Mesh) newPacket(src int, dests packet.DestSet, now sim.Time) *packet.Packet {
+	var p *packet.Packet
+	if n := len(m.pktFree); n > 0 {
+		p = m.pktFree[n-1]
+		m.pktFree = m.pktFree[:n-1]
+	} else {
+		p = new(packet.Packet)
+		m.allocated++
+	}
+	m.nextID++
+	*p = packet.Packet{ID: m.nextID, Src: src, Dests: dests, Length: m.Spec.PacketLen, CreatedAt: int64(now)}
+	return p
+}
+
+// release drops one reference to p: a flit copy delivered by a sink, or
+// a serial clone's death, which also drops one of its parent's. At zero
+// nothing reads p and it returns to the freelist (DESIGN.md §11 lists
+// the fates).
+func (m *Mesh) release(p *packet.Packet) {
+	for p != nil {
+		p.Refs--
+		if p.Refs > 0 {
+			return
+		}
+		if p.Refs < 0 {
+			panic(fault.Violationf("mesh "+m.Spec.Name, "packet %d released with no reference left", p.ID))
+		}
+		m.pktFree = append(m.pktFree, p)
+		p = p.Parent
+	}
+}
+
 // SourceQueueLen returns one tile's injection backlog in flits.
-func (m *Mesh) SourceQueueLen(t int) int { return len(m.sources[t].queue) }
+func (m *Mesh) SourceQueueLen(t int) int { return m.sources[t].queue.Len() }
 
 // Router exposes one router (tests and diagnostics).
 func (m *Mesh) Router(t int) *Router { return m.routers[t] }
@@ -362,21 +400,25 @@ type sourceNI struct {
 	mesh  *Mesh
 	tile  int
 	out   *node.Channel
-	queue []packet.Flit
+	queue pool.Ring[packet.Flit]
 	busy  bool
 }
 
+// enqueue materializes the packet's flits one at a time straight into
+// the ring, one reference each.
 func (ni *sourceNI) enqueue(p *packet.Packet) {
-	ni.queue = append(ni.queue, p.Flits()...)
+	p.Refs = int32(p.Length)
+	for i := 0; i < p.Length; i++ {
+		ni.queue.Push(p.FlitAt(i))
+	}
 	ni.pump()
 }
 
 func (ni *sourceNI) pump() {
-	if ni.busy || len(ni.queue) == 0 {
+	if ni.busy || ni.queue.Len() == 0 {
 		return
 	}
-	f := ni.queue[0]
-	ni.queue = ni.queue[1:]
+	f := ni.queue.Pop()
 	ni.busy = true
 	ni.mesh.Meter.Interface()
 	ni.out.Send(f)
@@ -409,6 +451,7 @@ func (ni *sinkNI) OnFlit(_ int, f packet.Flit) {
 	if f.IsHeader() {
 		ni.mesh.Rec.HeaderArrived(f.Pkt, ni.tile, now)
 	}
+	ni.mesh.release(f.Pkt)
 	ni.mesh.Sched.In(timing.SinkAck, ni, 0)
 }
 

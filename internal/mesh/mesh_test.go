@@ -6,6 +6,7 @@ import (
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
+	"asyncnoc/internal/sim"
 )
 
 func treeSpec(w, h int) Spec {
@@ -179,6 +180,13 @@ func TestBroadcastFloodStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	broadcastFlood(t, m)
+}
+
+// broadcastFlood has every tile of a 4x4 mesh broadcast to all 16 tiles
+// 25 times at once and requires every broadcast delivered.
+func broadcastFlood(t *testing.T, m *Mesh) {
+	t.Helper()
 	m.Rec.SetWindow(0, 1<<62)
 	total := 0
 	for round := 0; round < 25; round++ {
@@ -192,6 +200,75 @@ func TestBroadcastFloodStress(t *testing.T) {
 	m.Sched.Run()
 	if m.Rec.MeasuredCompleted() != total {
 		t.Fatalf("broadcast flood: %d/%d delivered (deadlock?)", m.Rec.MeasuredCompleted(), total)
+	}
+}
+
+// TestMeshPacketConservation checks the mesh's reference counts: once a
+// run has drained, every packet the mesh allocated is back on its
+// freelist exactly once with no reference left. A missing replication
+// reference frees a packet while copies still fly (release panics at
+// the first negative count); a missing release leaves packets off the
+// list.
+func TestMeshPacketConservation(t *testing.T) {
+	pathBased, dpm := treeSpec(4, 4), treeSpec(4, 4)
+	pathBased.Strategy, dpm.Strategy = "PathBased", "DPM"
+	for _, spec := range []Spec{treeSpec(4, 4), serialSpec(4, 4), pathBased, dpm} {
+		m, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Rec.SetWindow(0, 1<<62)
+		r := rng.New(7)
+		total := 0
+		for burst := 0; burst < 200; burst++ {
+			for i := 0; i < 4; i++ {
+				dests := packet.Dest(r.Intn(16))
+				if r.Bool(0.3) {
+					for dests.Count() < 2 {
+						dests |= packet.DestSet(r.Uint64()) & packet.Range(0, 16)
+					}
+				}
+				if _, err := m.Inject(r.Intn(16), dests); err != nil {
+					t.Fatal(err)
+				}
+				total++
+			}
+			m.Sched.RunUntil(m.Sched.Now() + 2*sim.Nanosecond)
+		}
+		m.Sched.Run()
+		if m.Rec.MeasuredCompleted() != total {
+			t.Fatalf("%s/%s: %d/%d delivered", spec.Name, spec.Strategy, m.Rec.MeasuredCompleted(), total)
+		}
+		checkConserved(t, m, spec.Name+"/"+spec.Strategy)
+		if m.allocated >= int(m.nextID) {
+			t.Errorf("%s/%s: %d packets allocated for %d created: nothing recycled",
+				spec.Name, spec.Strategy, m.allocated, m.nextID)
+		}
+	}
+	m, err := New(treeSpec(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	broadcastFlood(t, m)
+	checkConserved(t, m, "broadcast flood")
+}
+
+// checkConserved requires every packet m allocated to sit on its
+// freelist once, with a zero refcount.
+func checkConserved(t *testing.T, m *Mesh, name string) {
+	t.Helper()
+	if len(m.pktFree) != m.allocated {
+		t.Errorf("%s: %d of %d allocated packets on the freelist", name, len(m.pktFree), m.allocated)
+	}
+	seen := make(map[*packet.Packet]bool, len(m.pktFree))
+	for _, p := range m.pktFree {
+		if seen[p] {
+			t.Fatalf("%s: packet %d on the freelist twice", name, p.ID)
+		}
+		seen[p] = true
+		if p.Refs != 0 {
+			t.Errorf("%s: free packet %d holds %d references", name, p.ID, p.Refs)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"asyncnoc/internal/netlist"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
+	"asyncnoc/internal/pool"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/timing"
 )
@@ -49,7 +50,7 @@ type Router struct {
 	out [numPorts]*node.Channel
 	cap int
 
-	fifo     [numPorts][]packet.Flit
+	fifo     [numPorts]pool.Ring[packet.Flit]
 	outBusy  [numPorts]bool
 	outOwner [numPorts]int // input index owning the output, -1 free
 
@@ -156,10 +157,10 @@ func (r *Router) tryCommit(i int) {
 		if r.outOwner[o] != -1 && r.outOwner[o] != i {
 			return // locked by another worm; retried on release
 		}
-		if f.IsHeader() && r.outOwner[o] != i && r.cap-len(r.fifo[o]) < space {
+		if f.IsHeader() && r.outOwner[o] != i && r.cap-r.fifo[o].Len() < space {
 			return
 		}
-		if r.cap-len(r.fifo[o]) < 1 {
+		if r.cap-r.fifo[o].Len() < 1 {
 			return
 		}
 	}
@@ -172,10 +173,14 @@ func (r *Router) tryCommit(i int) {
 		r.outOwner[o] = i
 		branch := f
 		branch.Branch = r.inSub[i][o]
-		r.fifo[o] = append(r.fifo[o], branch)
+		r.fifo[o].Push(branch)
 		ports++
 	}
 	r.mesh.Meter.NodeForward(r.t.AreaUm2, ports)
+	// The input's copy travels with one branch; each further branch is
+	// a new copy. The input slot drops its pointer.
+	f.Pkt.Refs += int32(ports - 1)
+	r.inCur[i] = packet.Flit{}
 	if f.IsTail() {
 		for o := 0; o < numPorts; o++ {
 			if outs&(1<<uint(o)) != 0 {
@@ -203,11 +208,10 @@ func (r *Router) tryCommit(i int) {
 
 // pump drives one output FIFO head onto the wire.
 func (r *Router) pump(o int) {
-	if r.outBusy[o] || len(r.fifo[o]) == 0 {
+	if r.outBusy[o] || r.fifo[o].Len() == 0 {
 		return
 	}
-	f := r.fifo[o][0]
-	r.fifo[o] = r.fifo[o][1:]
+	f := r.fifo[o].Pop()
 	r.outBusy[o] = true
 	r.out[o].Send(f)
 }

@@ -7,6 +7,7 @@ package mesh_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"asyncnoc/internal/core"
@@ -193,5 +194,36 @@ func TestMeshContextCancel(t *testing.T) {
 	_, err := core.RunMesh(ctx, treeSpec(4, 4), paperCfg(traffic.UniformRandom{N: 16}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// A mesh run allocates its in-flight working set, not its traffic:
+// packets recycle through the mesh's freelist and the router and NI
+// queues are rings, so a window ten times the paper's allocates no more
+// than the recorder's latency buffer adds.
+func TestMeshMemoryIndependentOfSpan(t *testing.T) {
+	const limit = 1 << 20
+	// The first build derives the router timing from its netlist once
+	// per process; keep that out of the measured runs.
+	if _, err := mesh.New(treeSpec(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
+		cfg := paperCfg(traffic.Multicast{N: 16, Frac: 0.10})
+		cfg.Measure = 32 * sim.Microsecond
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := run(spec, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completion != 1 {
+			t.Errorf("%s: completion %v", spec.Name, res.Completion)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s: a %v measure window allocated %d bytes, want <= %d",
+				spec.Name, cfg.Measure, got, limit)
+		}
 	}
 }

@@ -168,7 +168,7 @@ type Packet struct {
 	D2DHops uint8
 
 	// Refs and TxSlot are per-run pool bookkeeping managed by the owning
-	// network (see internal/network): Refs counts the packet's live flit
+	// network (see internal/network and internal/mesh): Refs counts the packet's live flit
 	// copies in the fabric (materialized minus delivered/absorbed; for a
 	// serial-multicast parent, its outstanding clones) so the packet can
 	// be recycled the instant the last copy dies, and TxSlot is the
