@@ -66,9 +66,8 @@ obs-smoke:
 # the NI transaction path, and the per-scheme strategy planning paths
 # (all of which must stay zero-alloc) run five times each and are judged
 # by their medians (benchguard -count 5 also fails one that brought fewer
-# samples); the end-to-end Fig6a regeneration (serial and at 8 scheduler
-# shards: the BenchmarkFig6aLatency pattern matches both), the chiplet
-# table and the four 4x4 mesh runs (BenchmarkMeshRun) run once.
+# samples); the end-to-end Fig6a regeneration, the chiplet table and
+# the four 4x4 mesh runs (BenchmarkMeshRun) run once.
 # benchguard fails the target on a >10% wall-clock or any allocs/op
 # regression against bench/baseline.json.
 # benchstat, when installed, prints a nicer delta report (advisory, like
@@ -148,23 +147,23 @@ test-routing:
 	awk -v t="$$total" 'BEGIN { exit (t >= 90.0) ? 0 : 1 }' || \
 		{ echo "test-routing: coverage $$total% below the 90% gate"; exit 1; }
 
-# shard-determinism pins the intra-run sharding contract (DESIGN.md
-# section 14): every architecture x routing strategy, single-die and
-# chiplet-composed, produces identical results and byte-identical JSONL
-# traces at 1, 2, 4, and 8 scheduler shards. The same tests also run
-# under the race detector as part of the race target; this pass keeps
-# the gate explicit and cheap to re-run.
+# shard-determinism pins the die-sharding contract (DESIGN.md section
+# 14): every architecture x routing strategy, composed as a chiplet
+# system with one region of whole dies per shard, produces identical
+# results and byte-identical JSONL traces at 1, 2, 4, and 8 scheduler
+# shards. It is the only target that runs these tests outside the race
+# detector's pass over the whole suite (the race target).
 shard-determinism:
 	$(GO) test -run 'TestShardDeterminism|TestChipletShardDeterminism' -count=1 .
 
 # chiplet-smoke runs the hierarchical composition end to end: the golden
-# 2x2-of-4x4 table and the composed shard-determinism contract (all five
-# routing schemes at 1/2/4/8 shards, results and traces), then one traced
-# motsim run of the same composition whose JSONL trace — die-to-die
-# crossings included — must pass the jsontrace schema check.
+# 2x2-of-4x4 table, then one traced motsim run of the same composition
+# whose JSONL trace — die-to-die crossings included — must pass the
+# jsontrace schema check. Its shard determinism is pinned by
+# shard-determinism.
 chiplet-smoke:
 	@mkdir -p bin
-	$(GO) test -run 'TestChipletGolden2x2of4x4|TestChipletShardDeterminism' -count=1 .
+	$(GO) test -run 'TestChipletGolden2x2of4x4' -count=1 .
 	$(GO) build -o bin/motsim ./cmd/motsim
 	$(GO) build -o bin/jsontrace ./examples/jsontrace
 	./bin/motsim -topology chiplet:2x2 -n 4 -bench Multicast10 -load 0.3 -seed 2016 \

@@ -132,8 +132,8 @@ type UtilizationInstrument = network.UtilizationInstrument
 type TraceInstrument = obs.TraceInstrument
 
 // ShardStatsInstrument captures the shard group's window/barrier
-// counters from one sharded run (RunConfig.Shards > 1); after the run
-// its Stats method returns them.
+// counters from one sharded chiplet run (RunConfig.Shards > 1); after
+// the run its Stats method returns them.
 type ShardStatsInstrument = core.ShardStatsInstrument
 
 // ShardStats holds a sharded run's window/barrier diagnostics.
@@ -398,9 +398,8 @@ func MeshSaturation(spec MeshSpec, cfg SatConfig) (SatResult, error) {
 // TopologySpec is the unified construction contract every network
 // description implements: NetworkSpec (a single MoT die or a chiplet
 // composition of dies) and MeshSpec (the 2D-mesh substrate). It exposes
-// the shared geometry and partitioning surface — terminal count,
-// canonical memo key, shard limits — so harnesses accept any topology
-// through one parameter.
+// the shared surface — name, terminal count, validation and canonical
+// memo key — so harnesses accept any topology through one parameter.
 type TopologySpec = topology.TopologySpec
 
 // ChipletParams describes the interposer of a mesh-of-MoT-chiplets

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"asyncnoc/internal/chiplet"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/timing"
@@ -131,20 +133,78 @@ func TestRunProducesMeasurements(t *testing.T) {
 	}
 }
 
+// composed2x2 is OptHybridSpeculative composed as a 2x2 interposer of
+// 4x4 dies, with the named hierarchical benchmark over it.
+func composed2x2(t testing.TB, bench string) (network.Spec, traffic.Benchmark) {
+	t.Helper()
+	p := chiplet.Default(2, 2)
+	b, err := chiplet.ByName(p, 4, bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return WithChiplet(OptHybridSpeculative(4), p), b
+}
+
+// checkRejectsShards requires Shards > 1 on spec, a single die, to be a
+// *ConfigError naming the field through Run, Build, the engine's
+// saturation search, and the engine even when a serial run of the same
+// job key is already memoized (JobKey ignores Shards, so the check must
+// precede the memo lookup).
+func checkRejectsShards(t *testing.T, spec network.Spec, cfg RunConfig) {
+	t.Helper()
+	sharded := cfg
+	sharded.Shards = 4
+	wantShardsErr := func(path string, err error) {
+		t.Helper()
+		var ce *ConfigError
+		if !errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != "Shards" {
+			t.Fatalf("%s: error %v (%T), want a *ConfigError naming Shards", path, err, err)
+		}
+	}
+	_, err := Run(spec, sharded)
+	wantShardsErr("Run", err)
+	_, err = Build(spec, sharded)
+	wantShardsErr("Build", err)
+
+	e := NewEngine(1)
+	if _, err := e.Run(spec, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if JobKey(spec, sharded) != JobKey(spec, cfg) {
+		t.Fatal("JobKey depends on Shards; the memo-hit case is not exercised")
+	}
+	_, err = e.Run(spec, sharded)
+	wantShardsErr("Engine.Run after a serial memo hit", err)
+	if hits, _ := e.Stats(); hits != 0 {
+		t.Errorf("rejected run consulted the memo (%d hits)", hits)
+	}
+	_, err = e.Saturation(spec, SatConfig{Base: sharded, Iters: 2})
+	wantShardsErr("Engine.Saturation", err)
+}
+
+// A run shards by die, so Shards > 1 on a fault-free single die is a
+// *ConfigError on every entry path.
+func TestSingleDieRejectsShards(t *testing.T) {
+	checkRejectsShards(t, OptHybridSpeculative(8), testCfg(traffic.UniformRandom{N: 8}, 0.3))
+}
+
 // A sharded run executes every window on the calling goroutine:
-// driving a 4-shard network with GOMAXPROCS >= 2 starts no goroutine.
+// driving a 4-shard composition with GOMAXPROCS >= 2 starts no
+// goroutine. The composition has four dies, so Build clamps the
+// requested 9 shards to 4.
 func TestShardedRunStartsNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
-	cfg := testCfg(traffic.UniformRandom{N: 8}, 0.3)
-	cfg.Shards = 4
+	spec, b := composed2x2(t, "UniformRandom")
+	cfg := testCfg(b, 0.3)
+	cfg.Shards = 9
 	before := runtime.NumGoroutine()
-	nw, err := Build(OptHybridSpeculative(8), cfg)
+	nw, err := Build(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := nw.Group()
 	if g == nil || g.Shards() != 4 {
-		t.Fatalf("Build with Shards: 4 returned group %v, want 4 shards", g)
+		t.Fatalf("Build with Shards: 9 on 4 dies returned group %v, want 4 shards", g)
 	}
 	defer g.Close()
 	g.RunUntil(runSpan(cfg))

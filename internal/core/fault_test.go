@@ -319,34 +319,9 @@ func TestFaultsDisabledLeavesCountersZero(t *testing.T) {
 	}
 }
 
-// Fault runs execute on one scheduler, so Shards > 1 on a fault-enabled
-// spec is a *ConfigError naming the field — through Run, and through the
-// engine even when a serial run of the same job key is already memoized
-// (JobKey ignores Shards, so the check must precede the memo lookup).
+// Fault specs are single-die, so they run on one scheduler: Shards > 1
+// on one is a *ConfigError naming the field on every entry path.
 func TestFaultSpecRejectsShards(t *testing.T) {
 	job := faultTestJobs(t)[0]
-	sharded := job.Cfg
-	sharded.Shards = 4
-	wantShardsErr := func(path string, err error) {
-		t.Helper()
-		var ce *ConfigError
-		if !errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != "Shards" {
-			t.Fatalf("%s: error %v (%T), want a *ConfigError naming Shards", path, err, err)
-		}
-	}
-	_, err := Run(job.Spec, sharded)
-	wantShardsErr("Run", err)
-
-	e := NewEngine(1)
-	if _, err := e.Run(job.Spec, job.Cfg); err != nil {
-		t.Fatal(err)
-	}
-	if JobKey(job.Spec, sharded) != JobKey(job.Spec, job.Cfg) {
-		t.Fatal("JobKey depends on Shards; the memo-hit case is not exercised")
-	}
-	_, err = e.Run(job.Spec, sharded)
-	wantShardsErr("Engine.Run after a serial memo hit", err)
-	if hits, _ := e.Stats(); hits != 0 {
-		t.Errorf("rejected run consulted the memo (%d hits)", hits)
-	}
+	checkRejectsShards(t, job.Spec, job.Cfg)
 }

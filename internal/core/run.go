@@ -45,13 +45,15 @@ type RunConfig struct {
 	// RunContext), so a budget a full-span run would exceed only in its
 	// drain does not fail the run.
 	MaxEvents uint64
-	// Shards partitions the network into this many regions, each driven
-	// by its own scheduler shard under conservative lookahead (see
-	// network.NewSharded). Results, goldens, and traces are byte-identical
-	// at any shard count, so the engine's memo keys deliberately ignore
-	// it. Values <= 1 select the serial engine; counts above
-	// spec.MaxShards() clamp to it. Fault-enabled specs and meshes run on
-	// one scheduler only, so Shards > 1 on them is a *ConfigError. No
+	// Shards partitions a chiplet composition into this many regions of
+	// whole dies, each driven by its own scheduler shard under
+	// conservative lookahead (see network.NewSharded). Results, goldens,
+	// and traces are byte-identical at any shard count, so the engine's
+	// memo keys deliberately ignore it. Values <= 1 select the serial
+	// engine; counts above spec.Dies() clamp to it. A single die
+	// (fault-enabled specs included) and a mesh run on one scheduler
+	// only, so Shards > 1 on them is a *ConfigError on every entry path,
+	// even when the engine holds a serial result of the same job key. No
 	// command-line tool sets it: sharding is slower than serial on every
 	// measured case and survives only for the determinism gates and the
 	// benchmark.
@@ -374,8 +376,8 @@ func (r *motRun) close(clean bool) {
 // RunContext: injectors, windows, the guarded loop and the collector are
 // shared, so MaxEvents and ctx bound a mesh run exactly like a MoT run.
 // The benchmark's destination space must equal the tile count. The mesh
-// runs on one scheduler (mesh.Spec.MaxShards is 1), so cfg.Shards > 1 is
-// rejected, and it has no observer surface for Instruments yet.
+// runs on one scheduler, so cfg.Shards > 1 is rejected, and it has no
+// observer surface for Instruments yet.
 func RunMesh(ctx context.Context, spec mesh.Spec, cfg RunConfig) (res RunResult, err error) {
 	defer RecoverViolations(spec.Name, &err)
 	if err := cfg.Validate(); err != nil {
@@ -519,7 +521,8 @@ func (h *harness) guard(total sim.Time, maxEvents uint64) guard {
 	// With faults enabled, watch for wedged links: injection runs for
 	// the whole span, so a stuck channel never quiesces the event queue
 	// — instead it pins one flit in one channel forever. Fault specs
-	// never shard, so this only ever runs on one scheduler.
+	// are single-die and never shard, so this only ever runs on one
+	// scheduler.
 	watch := h.nw != nil && h.nw.FaultStats() != nil
 	return guard{
 		h: h, total: total, maxEvents: maxEvents,
@@ -632,14 +635,13 @@ func (h *harness) advance(ctx context.Context, t sim.Time, maxEvents uint64, ste
 }
 
 // newNetwork builds spec serial, on prev's storage when prev is not nil,
-// or, for shards > 1, partitioned into at most spec.MaxShards() shards
-// (one tree per shard on a single die, one die per shard on a chiplet
-// composition — the finest useful partitions). Callers reject
-// fault-enabled specs first (checkShards).
+// or, for shards > 1, partitioned into at most spec.Dies() shards of
+// whole dies. Callers reject shards > 1 on a single die first
+// (checkShards).
 func newNetwork(spec network.Spec, shards int, prev *network.Network) (*network.Network, error) {
 	switch {
 	case shards > 1:
-		return network.NewSharded(spec, min(shards, spec.MaxShards()))
+		return network.NewSharded(spec, min(shards, spec.Dies()))
 	case prev != nil:
 		return network.Rebuild(prev, spec)
 	}
@@ -657,19 +659,20 @@ func serialOnly(shards int, what string) error {
 		Reason: fmt.Sprintf("%d shards requested, but %s runs on one scheduler", shards, what)}}}
 }
 
-// checkShards rejects Shards > 1 on a fault-enabled spec (see
-// network.NewSharded for why fault runs cannot shard).
+// checkShards rejects Shards > 1 on a single-die spec: a sharded run
+// partitions a chiplet composition by die. Fault-enabled specs are
+// always single-die (network.Spec.Validate).
 func checkShards(spec network.Spec, cfg RunConfig) error {
-	if !spec.Faults.Enabled() {
+	if spec.Chiplet != nil {
 		return nil
 	}
-	return serialOnly(cfg.Shards, "fault-enabled spec "+spec.Name)
+	return serialOnly(cfg.Shards, "single-die spec "+spec.Name)
 }
 
 // Build constructs the network with injection processes armed and
 // measurement windows set, but does not run it. Callers that need custom
 // instrumentation (tracing, stepping) use Build + Collect directly.
-// With cfg.Shards > 1 the network comes back sharded (see
+// With cfg.Shards > 1 a chiplet composition comes back sharded (see
 // network.NewSharded): drive it with Group().RunUntil and Close the
 // group when done — RunContext does both.
 func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
@@ -740,7 +743,7 @@ func (h *harness) arm(cfg RunConfig, wide traffic.WideBenchmark) {
 // injector drives one source's open-loop Poisson process: each event
 // injects a packet and re-arms itself after an exponential gap, stopping
 // once the drain window closes. It runs on its source's scheduler —
-// the source tree's shard in a sharded run.
+// the source die's shard in a sharded run.
 type injector struct {
 	fab         fabric
 	sched       *sim.Scheduler

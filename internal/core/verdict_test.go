@@ -61,7 +61,8 @@ func fakeStoreKeys(st *fakeStore) map[string]bool {
 // search over full runs, and keeps the engine's books: one simulation per
 // distinct probed load, none in flight afterwards, every claimed miss
 // completed, no early-stopped probe published as a result, and a repeated
-// search answered without simulating.
+// search answered without simulating. A sharded chiplet search returns
+// the serial chiplet search's SatResult.
 func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 36 saturation searches")
@@ -76,10 +77,6 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 			jobs = append(jobs, job{p.spec, quickSatConfig(p.bench, seed)})
 		}
 	}
-	sharded := quickSatConfig(traffic.Multicast{N: 8, Frac: 0.10}, 2016)
-	sharded.Base.Shards = 2
-	jobs = append(jobs, job{OptHybridSpeculative(8), sharded})
-
 	early := 0
 	for _, j := range jobs {
 		name := j.spec.Name + "/" + j.cfg.Base.Bench.Name()
@@ -103,8 +100,8 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 		a, _ := json.Marshal(want)
 		b, _ := json.Marshal(got)
 		if string(a) != string(b) {
-			t.Fatalf("%s (seed %d, shards %d): verdict search differs from full-run search:\n%s\nvs\n%s",
-				name, j.cfg.Base.Seed, j.cfg.Base.Shards, b, a)
+			t.Fatalf("%s (seed %d): verdict search differs from full-run search:\n%s\nvs\n%s",
+				name, j.cfg.Base.Seed, b, a)
 		}
 		snap := e.Snapshot()
 		if snap.Started != uint64(len(loads)) {
@@ -169,6 +166,26 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 	}
 	if early == 0 {
 		t.Error("no probe stopped at its verdict")
+	}
+
+	// Chiplet probes run their full span (Engine.probe), so this pair
+	// stores no verdicts; it checks only that sharding by die leaves the
+	// search's result unchanged.
+	spec, b := composed2x2(t, "Multicast10")
+	sc := quickSatConfig(b, 2016)
+	serial, err := NewEngine(2).Saturation(spec, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Base.Shards = 2
+	sharded, err := NewEngine(2).Saturation(spec, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(serial)
+	c, _ := json.Marshal(sharded)
+	if string(a) != string(c) {
+		t.Fatalf("%s: sharded search differs from the serial search:\n%s\nvs\n%s", spec.Name, c, a)
 	}
 }
 

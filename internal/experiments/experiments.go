@@ -89,11 +89,6 @@ type Suite struct {
 	// Workers bounds simulation parallelism (default: ASYNCNOC_WORKERS
 	// or GOMAXPROCS). Set before the first measurement call.
 	Workers int
-	// Shards partitions each individual run across this many scheduler
-	// shards (see core.RunConfig.Shards; results are identical at any
-	// count). Zero or one keeps runs serial — the engine already
-	// parallelizes across runs. Set before the first measurement call.
-	Shards int
 
 	mu   sync.Mutex
 	sats map[string]core.SatResult
@@ -132,7 +127,7 @@ func (s *Suite) Engine() *core.Engine {
 // satBase returns the saturation-search run template for a benchmark.
 func (s *Suite) satBase(bench traffic.Benchmark) core.RunConfig {
 	return core.RunConfig{
-		Bench: bench, Seed: s.Seed, Shards: s.Shards,
+		Bench: bench, Seed: s.Seed,
 		Warmup: s.SatWarmup, Measure: s.SatMeasure, Drain: s.SatDrain,
 	}
 }
@@ -205,7 +200,6 @@ func (s *Suite) latencyAtQuarter(spec network.Spec, bench traffic.Benchmark) (co
 	}
 	return core.RunConfig{
 		Bench: bench, Seed: s.Seed, LoadGFs: 0.25 * sat.SatLoadGFs,
-		Shards: s.Shards,
 		Warmup: s.LatWarmup, Measure: s.LatMeasure, Drain: s.LatDrain,
 	}, nil
 }
@@ -221,7 +215,6 @@ func (s *Suite) powerAtBaselineQuarter(spec network.Spec, bench traffic.Benchmar
 	}
 	return core.RunConfig{
 		Bench: bench, Seed: s.Seed, LoadGFs: 0.25 * sat.SatLoadGFs,
-		Shards: s.Shards,
 		Warmup: s.LatWarmup, Measure: s.LatMeasure, Drain: s.LatDrain,
 	}, nil
 }

@@ -93,14 +93,6 @@ func (s Spec) TopologyName() string { return s.Name }
 // Terminals implements topology.TopologySpec.
 func (s Spec) Terminals() int { return s.Tiles() }
 
-// ShardLookaheadPs implements topology.TopologySpec: the mesh engine is
-// serial-only, so it advertises no cross-shard lookahead.
-func (s Spec) ShardLookaheadPs() int64 { return 0 }
-
-// MaxShards implements topology.TopologySpec: the mesh substrate runs on
-// one scheduler.
-func (s Spec) MaxShards() int { return 1 }
-
 // CanonicalKey implements topology.TopologySpec: every behavioral field
 // participates, so equal keys mean replayed runs.
 func (s Spec) CanonicalKey() string {

@@ -91,31 +91,6 @@ func (s Spec) Terminals() int { return s.Dies() * s.N }
 // TopologyName implements topology.TopologySpec.
 func (s Spec) TopologyName() string { return s.Name }
 
-// MaxShards implements topology.TopologySpec: single-die networks shard
-// down to one tree pair per region, chiplet compositions to one die per
-// region (the natural Chandy-Misra partition — intra-die edges never
-// cross regions), and fault-layer networks run serial only.
-func (s Spec) MaxShards() int {
-	if s.Faults.Enabled() {
-		return 1
-	}
-	if s.Chiplet != nil {
-		return s.Chiplet.Dies()
-	}
-	return s.N
-}
-
-// ShardLookaheadPs implements topology.TopologySpec: the minimum delay
-// of any cross-region event. Die-partitioned chiplet runs only cross
-// regions on D2D flights (>= one hop), single-die runs on leaf-crossing
-// channels.
-func (s Spec) ShardLookaheadPs() int64 {
-	if s.Chiplet != nil {
-		return int64(s.Chiplet.HopPs)
-	}
-	return int64(ShardLookahead(s.Protocol))
-}
-
 // CanonicalKey implements topology.TopologySpec: a stable serialization
 // of every behavior-affecting field. The single-die form is
 // byte-identical to the historical engine memo key, so persistent
@@ -284,7 +259,7 @@ type Network struct {
 	// per shard in rts, deferring effects for barrier replay (shard.go).
 	acct    actx
 	group   *sim.ShardGroup
-	shardOf []int // tree -> shard; nil on serial networks
+	shardOf []int // die -> shard; nil on serial networks
 	rts     []*shardRT
 	// replayAt backs the sharded meter's Now() during barrier replay: it
 	// tracks the timestamp of the meter effect being applied.
@@ -637,24 +612,14 @@ func (nw *Network) build() {
 				} else {
 					// Leaf crossing: fanout tree t, leaf for local dest
 					// d, enters the same die's fanin tree d at the leaf
-					// slot for local source t%n. This is the only edge
-					// that can cross regions in a single-die sharded
-					// build; its deliver/credit events then route
-					// through the group's mailboxes. (Die-partitioned
-					// chiplet builds never cross here — both trees are
-					// on the die's shard — so the remote-endpoint check
-					// is a no-op for them.)
+					// slot for local source t%n. Both trees are on the
+					// die, so the channel stays on one scheduler even in
+					// a sharded build.
 					d := c - n
 					gd := die*n + d
 					fiHeap := (n + lt) / 2
 					fiPort := (n + lt) % 2
 					ch := nw.channel(a, nw.fanin(gd, fiHeap), fiPort, nw.fanout(t, k), int(p))
-					if nw.shardOf != nil {
-						if st, sd := nw.shardOf[t], nw.shardOf[gd]; st != sd {
-							ch.Fwd = nw.group.Cross(st, sd)
-							ch.Back = nw.group.Cross(sd, st)
-						}
-					}
 					nw.fanout(t, k).ConnectOutput(p, ch)
 					nw.fanin(gd, fiHeap).ConnectInput(fiPort, ch)
 				}
@@ -872,8 +837,7 @@ func (eg *d2dEgress) OnEvent(int64) {
 	fl := &d2dFlight{nw: eg.nw, leg: l, hops: hops}
 	delay := sim.Time(hops) * cp.HopPs
 	if nw := eg.nw; nw.shardOf != nil {
-		st, sd := nw.shardOf[eg.die*nw.Spec.N], nw.shardOf[l.dstDie*nw.Spec.N]
-		if st != sd {
+		if st, sd := nw.shardOf[eg.die], nw.shardOf[l.dstDie]; st != sd {
 			nw.group.Cross(st, sd).Send(delay, fl, 0)
 		} else {
 			eg.a.sched.In(delay, fl, 0)

@@ -1,10 +1,10 @@
-// Sharded execution of one network instance (see sim.ShardGroup for the
-// kernel-level protocol). The N fanout/fanin tree pairs are partitioned
-// into K contiguous regions; region i's trees, source, and sink run on
-// shard i's scheduler. The only edges between regions are the leaf
-// crossings from a fanout tree into another region's fanin tree, and the
-// crossing channels route their deliver/credit events through the group's
-// mailboxes (node.Channel.Fwd/Back).
+// Sharded execution of one chiplet composition (see sim.ShardGroup for
+// the kernel-level protocol). Whole dies are assigned to K contiguous
+// regions; region i's dies (their trees, sources, sinks and egress
+// gateways) run on shard i's scheduler. Every channel joins two nodes of
+// one die, so it stays on its die's scheduler; the only events between
+// regions are die-to-die flights, which cross through the group's
+// mailboxes (sim.ShardGroup.Cross).
 //
 // Determinism: the sim layer reproduces the serial dispatch order
 // exactly, but side effects inside a dispatch — floating-point energy
@@ -32,7 +32,6 @@ import (
 	"asyncnoc/internal/power"
 	"asyncnoc/internal/routing"
 	"asyncnoc/internal/sim"
-	"asyncnoc/internal/timing"
 )
 
 // effKind tags one deferred side effect.
@@ -254,7 +253,7 @@ func (a *actx) release(p *packet.Packet) {
 // assignID stamps the packet with the next global packet ID. Sharded
 // runs defer the assignment so IDs count up in merged serial injection
 // order; nothing on the window-time path reads the ID (the fault layer
-// does, which is one reason sharded runs require it disabled).
+// does, and it is single-die only).
 func (a *actx) assignID(p *packet.Packet) {
 	if a.rt == nil {
 		a.nw.nextID++
@@ -283,7 +282,7 @@ func (nw *Network) actxFor(t int) *actx {
 	if nw.shardOf == nil {
 		return &nw.acct
 	}
-	return &nw.rts[nw.shardOf[t]].ctx
+	return &nw.rts[nw.shardOf[t/nw.Spec.N]].ctx
 }
 
 // Group returns the shard group driving this network, or nil when it is
@@ -295,14 +294,6 @@ func (nw *Network) Group() *sim.ShardGroup { return nw.group }
 // network's only scheduler when serial, tree t's shard otherwise.
 // Injection processes for source t must arm themselves here.
 func (nw *Network) SchedFor(t int) *sim.Scheduler { return nw.actxFor(t).sched }
-
-// Shards returns the shard count (1 for a serial network).
-func (nw *Network) Shards() int {
-	if nw.group == nil {
-		return 1
-	}
-	return nw.group.Shards()
-}
 
 // applyDispatch is the group's sim.ReplayFunc: it applies the identified
 // dispatch's deferred effects in their original program order. The merge
@@ -360,85 +351,60 @@ func (nw *Network) applyEffect(e *effect) {
 	}
 }
 
-// ShardLookahead returns the conservative lookahead for the given
-// channel protocol: the minimum delay of any cross-region event, i.e.
-// the smaller of the forward and acknowledge wire flights of a crossing
-// channel.
-func ShardLookahead(p timing.Protocol) sim.Time {
-	la := timing.ChannelFwd
-	if ack := timing.ChannelAckFor(p); ack < la {
-		la = ack
-	}
-	return la
-}
-
-// NewSharded builds a network partitioned into k regions, each driven by
-// its own scheduler shard under conservative lookahead. On a single die,
-// tree t (its fanout tree, fanin tree, source, and sink) belongs to
-// region t*k/N, so regions are contiguous tree ranges and the only
-// cross-region edges are leaf crossings. On a chiplet composition whole
-// dies are assigned contiguously instead — die d to region d*k/Dies —
-// so every leaf crossing stays shard-local and the only cross-region
-// events are die-to-die flights (lookahead = the D2D hop time, which
-// dominates the wire flights). Requires 2 <= k <= spec.MaxShards() and
-// the fault layer disabled. The per-channel fault streams are seeded in
-// build order and would shard fine, but the receiver deduplicates by
-// packet ID, which sharded runs assign only at the barrier; a write-off
-// updates the recorder directly, the fault counters are shared by every
-// tree, and an end-to-end acknowledgement confirms at another tree's
-// SourceNI. internal/core clamps k to MaxShards and rejects Shards > 1
-// on a fault-enabled spec with a *ConfigError.
+// NewSharded builds a chiplet composition partitioned into k regions,
+// each driven by its own scheduler shard under conservative lookahead.
+// Whole dies are assigned contiguously, die d to region d*k/Dies, so
+// every channel stays inside its region and the only cross-region events
+// are die-to-die flights: the lookahead is the D2D hop time. Requires a
+// chiplet composition and 2 <= k <= spec.Dies(); internal/core clamps k
+// to Dies() and rejects Shards > 1 on a single die with a *ConfigError.
+// Compositions never enable the fault layer (Spec.Validate).
 //
 // Drive the result with Group().RunUntil — Sched is nil — and Close the
 // group when done. Results, goldens, and traces are byte-identical to
 // New(spec) driven to the same deadline.
 func NewSharded(spec Spec, k int) (*Network, error) {
-	if spec.Faults.Enabled() {
-		return nil, fmt.Errorf("network %s: sharded execution requires the fault layer disabled", spec.Name)
+	cp := spec.Chiplet
+	if cp == nil {
+		return nil, fmt.Errorf("network %s: sharded execution needs a chiplet composition", spec.Name)
 	}
-	if maxK := spec.MaxShards(); k < 2 || k > maxK {
-		return nil, fmt.Errorf("network %s: shard count %d outside [2, %d]", spec.Name, k, maxK)
+	dies := spec.Dies()
+	if k < 2 || k > dies {
+		return nil, fmt.Errorf("network %s: shard count %d outside [2, %d]", spec.Name, k, dies)
 	}
 	nw := new(Network)
 	if err := nw.base(spec); err != nil {
 		return nil, err
 	}
-	group := sim.NewShardGroup(k, sim.Time(spec.ShardLookaheadPs()))
+	group := sim.NewShardGroup(k, cp.HopPs)
 	nw.group = group
 	nw.Meter = power.NewMeter(func() sim.Time { return nw.replayAt })
-	nw.shardOf = make([]int, spec.Terminals())
-	for t := range nw.shardOf {
-		if spec.Chiplet != nil {
-			nw.shardOf[t] = (t / spec.N) * k / spec.Dies()
-		} else {
-			nw.shardOf[t] = t * k / spec.N
-		}
+	nw.shardOf = make([]int, dies)
+	for d := range nw.shardOf {
+		nw.shardOf[d] = d * k / dies
 	}
-	if cp := spec.Chiplet; cp != nil {
-		// Widen the pair lookaheads to the interposer distance: every
-		// event between shard regions a and b is a D2D flight of at least
-		// minHops(a,b) hops, so the adaptive horizon computation can run
-		// distant regions minHops*HopPs apart between barriers.
-		dies := spec.Dies()
-		minHops := make([]sim.Time, k*k)
-		for d1 := 0; d1 < dies; d1++ {
-			r1 := d1 * k / dies
-			for d2 := 0; d2 < dies; d2++ {
-				r2 := d2 * k / dies
-				if r1 == r2 {
-					continue
-				}
-				h := sim.Time(cp.Hops(d1, d2))
-				if cur := minHops[r1*k+r2]; cur == 0 || h < cur {
-					minHops[r1*k+r2] = h
-				}
+	// Widen the pair lookaheads to the interposer distance: every event
+	// between shard regions a and b is a D2D flight of at least
+	// minHops(a,b) hops, so the adaptive horizon computation can run
+	// distant regions minHops*HopPs apart between barriers.
+	minHops := make([]sim.Time, k*k)
+	for d1 := 0; d1 < dies; d1++ {
+		r1 := nw.shardOf[d1]
+		for d2 := 0; d2 < dies; d2++ {
+			r2 := nw.shardOf[d2]
+			if r1 == r2 {
+				continue
+			}
+			h := sim.Time(cp.Hops(d1, d2))
+			if cur := minHops[r1*k+r2]; cur == 0 || h < cur {
+				minHops[r1*k+r2] = h
 			}
 		}
-		for a := 0; a < k; a++ {
-			for b := 0; b < k; b++ {
-				if h := minHops[a*k+b]; h > 1 {
-					group.SetLookahead(a, b, h*cp.HopPs)
-				}
+	}
+	for a := 0; a < k; a++ {
+		for b := 0; b < k; b++ {
+			if h := minHops[a*k+b]; h > 1 {
+				group.SetLookahead(a, b, h*cp.HopPs)
 			}
 		}
 	}

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"testing"
 
+	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/topology"
 )
 
-// The network-level sharding property: a sharded build driven by
-// Group().RunUntil produces bit-identical traces, latency records, and
-// energy accounting to the serial build of the same spec under the same
-// injection schedule — including the exact floating-point meter state,
-// which only holds if the barrier replay applies every effect in serial
-// order.
+// The network-level sharding property: a sharded build of a chiplet
+// composition driven by Group().RunUntil produces bit-identical traces,
+// latency records, and energy accounting to the serial build of the same
+// spec under the same injection schedule — including the exact
+// floating-point meter state, which only holds if the barrier replay
+// applies every effect in serial order.
 
 // tinyRand is a deterministic PRNG local to this test.
 type tinyRand uint64
@@ -30,30 +31,40 @@ func (x *tinyRand) next() uint64 {
 }
 
 // shardTestInjector drives one source with a deterministic schedule of
-// multicast injections, mirroring core's injector shape: each event
-// injects once and re-arms on the source's own scheduler.
+// hierarchical multicast injections, mirroring core's injector shape:
+// each event injects once and re-arms on the source's own scheduler.
+// Most destinations are on the source's die; the rest cross the
+// interposer.
 type shardTestInjector struct {
 	nw    *Network
 	sched *sim.Scheduler
 	src   int
 	r     tinyRand
 	until sim.Time
+	byDie []packet.DestSet
 }
 
 func (in *shardTestInjector) OnEvent(int64) {
 	if in.sched.Now() >= in.until {
 		return
 	}
-	n := in.nw.Spec.N
-	var dests packet.DestSet
-	for dests.Empty() {
-		for d := 0; d < n; d++ {
-			if in.r.next()%4 == 0 {
-				dests = dests.Add(d)
+	n, srcDie := in.nw.Spec.N, in.src/in.nw.Spec.N
+	for picked := false; !picked; {
+		for die := range in.byDie {
+			in.byDie[die] = 0
+			odds := uint64(16)
+			if die == srcDie {
+				odds = 3
+			}
+			for d := 0; d < n; d++ {
+				if in.r.next()%odds == 0 {
+					in.byDie[die] = in.byDie[die].Add(d)
+					picked = true
+				}
 			}
 		}
 	}
-	if _, err := in.nw.Inject(in.src, dests); err != nil {
+	if err := in.nw.InjectWide(in.src, in.byDie); err != nil {
 		panic(err)
 	}
 	in.sched.In(sim.Time(500+in.r.next()%2000), in, 0)
@@ -68,9 +79,10 @@ func driveWorkload(t *testing.T, nw *Network, deadline sim.Time) []string {
 		log = append(log, fmt.Sprintf("%s t=%d tree=%d heap=%d ports=%d dest=%d pkt=%d idx=%d",
 			ev.Kind, int64(ev.At), ev.Tree, ev.Heap, ev.Ports, ev.Dest, ev.Flit.Pkt.ID, ev.Flit.Index))
 	}
-	for s := 0; s < nw.Spec.N; s++ {
+	for s := 0; s < nw.Spec.Terminals(); s++ {
 		a := nw.actxFor(s)
-		inj := &shardTestInjector{nw: nw, sched: a.sched, src: s, r: tinyRand(uint64(s)*2654435761 + 1), until: deadline * 3 / 4}
+		inj := &shardTestInjector{nw: nw, sched: a.sched, src: s, r: tinyRand(uint64(s)*2654435761 + 1),
+			until: deadline * 3 / 4, byDie: make([]packet.DestSet, nw.Spec.Dies())}
 		a.sched.In(sim.Time(100+50*s), inj, 0)
 	}
 	if g := nw.Group(); g != nil {
@@ -82,11 +94,14 @@ func driveWorkload(t *testing.T, nw *Network, deadline sim.Time) []string {
 	return log
 }
 
+// shardTestSpecs are two architectures composed as a 2x4 interposer of
+// 4x4 dies: eight dies, so every shard count up to 8 partitions them.
 func shardTestSpecs() []Spec {
 	return []Spec{
-		{Name: "Baseline", N: 8, PacketLen: 5, Serial: true, NonSpecKind: node.Baseline},
-		{Name: "OptHybrid", N: 8, PacketLen: 5, Scheme: topology.Hybrid,
-			SpecKind: node.OptSpec, NonSpecKind: node.OptNonSpec},
+		{Name: "Baseline", N: 4, PacketLen: 5, Serial: true, NonSpecKind: node.Baseline,
+			Chiplet: chiplet.Default(2, 4)},
+		{Name: "OptHybrid", N: 4, PacketLen: 5, Scheme: topology.Hybrid,
+			SpecKind: node.OptSpec, NonSpecKind: node.OptNonSpec, Chiplet: chiplet.Default(2, 4)},
 	}
 }
 
@@ -100,6 +115,9 @@ func TestShardedNetworkMatchesSerial(t *testing.T) {
 		wantLog := driveWorkload(t, serial, deadline)
 		if len(wantLog) < 100 {
 			t.Fatalf("%s: serial reference produced only %d trace events", spec.Name, len(wantLog))
+		}
+		if serial.Meter.D2DFlitHops() == 0 {
+			t.Fatalf("%s: serial reference sent nothing across the interposer", spec.Name)
 		}
 		for _, k := range []int{2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("%s/shards=%d", spec.Name, k), func(t *testing.T) {
@@ -158,8 +176,13 @@ func TestNewShardedRejectsBadConfigs(t *testing.T) {
 	if _, err := NewSharded(spec, 1); err == nil {
 		t.Fatal("shard count 1 accepted")
 	}
-	if _, err := NewSharded(spec, spec.N+1); err == nil {
-		t.Fatal("shard count > N accepted")
+	if _, err := NewSharded(spec, spec.Dies()+1); err == nil {
+		t.Fatal("shard count > Dies accepted")
+	}
+	single := spec
+	single.Chiplet = nil
+	if _, err := NewSharded(single, 2); err == nil {
+		t.Fatal("single-die spec accepted")
 	}
 	faulty := spec
 	faulty.Faults.CorruptRate = 0.5

@@ -94,14 +94,6 @@ type Channel struct {
 	// Faults, when set, draws a deterministic per-traversal fault
 	// decision for every Send (see internal/fault).
 	Faults *fault.ChannelFaults
-	// Fwd/Back, when set, mark this as a cross-shard link in a sharded
-	// run (see sim.ShardGroup): the deliver event crosses into the
-	// receiver's shard via Fwd, the credit event crosses back via Back.
-	// The channel's own state stays race-free because every hop of the
-	// handshake is at least one lookahead window away from the previous
-	// one, so accesses from the two shards are barrier-separated.
-	Fwd  *sim.RemoteRef
-	Back *sim.RemoteRef
 
 	inFlight bool
 	acked    bool
@@ -146,10 +138,6 @@ func (c *Channel) Send(f packet.Flit) {
 	if c.Hooks != nil {
 		c.Hooks.ChannelTraversed(f)
 	}
-	if c.Fwd != nil {
-		c.Fwd.Send(fwd, c, evChanDeliver)
-		return
-	}
 	c.Sched.In(fwd, c, evChanDeliver)
 }
 
@@ -177,10 +165,6 @@ func (c *Channel) Ack() {
 			"ack without pending flit"))
 	}
 	c.acked = true
-	if c.Back != nil {
-		c.Back.Send(c.AckDelay, c, evChanCredit)
-		return
-	}
 	c.Sched.In(c.AckDelay, c, evChanCredit)
 }
 

@@ -7,12 +7,13 @@
 // for a fixed (spec, config) the event sequence — and therefore the
 // JSONL byte stream — is a pure function of the run. Worker pools
 // parallelize *across* runs, never within one, so traces are
-// byte-identical at any pool size. Sharded runs (RunConfig.Shards > 1)
-// preserve the same contract from *within* a run: trace emission is
-// deferred into per-shard effect logs and replayed single-threaded at
-// each lookahead barrier in the merged global (time, seq) dispatch
-// order, so the byte stream matches the serial run exactly at any shard
-// count (see network.NewSharded and DESIGN.md section 14).
+// byte-identical at any pool size. Sharded chiplet runs
+// (RunConfig.Shards > 1, one region of whole dies per shard) preserve
+// the same contract from *within* a run: trace emission is deferred
+// into per-shard effect logs and replayed single-threaded at each
+// lookahead barrier in the merged global (time, seq) dispatch order, so
+// the byte stream matches the serial run exactly at any shard count
+// (see network.NewSharded and DESIGN.md section 14).
 package obs
 
 import (

@@ -10,54 +10,28 @@ import (
 
 // Sharded runs are a pure execution-strategy choice: the same (spec,
 // config) pair must produce byte-identical results and JSONL traces at
-// any shard count. This pins that contract across every architecture
-// and routing strategy at shards 1, 2, 4, and 8.
-
-func shardDetCfg(n int) asyncnoc.RunConfig {
-	return asyncnoc.RunConfig{
-		Bench:   asyncnoc.MulticastFraction(n, 0.10),
-		LoadGFs: 0.4,
-		Seed:    2016,
-		Warmup:  100 * asyncnoc.Nanosecond,
-		Measure: 300 * asyncnoc.Nanosecond,
-		Drain:   300 * asyncnoc.Nanosecond,
-	}
-}
-
-// tracedRun executes one instrumented run at the given shard count and
-// returns the result plus the full JSONL trace.
-func tracedRun(t *testing.T, spec asyncnoc.NetworkSpec, shards int) (asyncnoc.RunResult, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	cfg := shardDetCfg(spec.N)
-	cfg.Shards = shards
-	cfg.Instruments = []asyncnoc.Instrument{&asyncnoc.TraceInstrument{Out: &buf}}
-	res, err := asyncnoc.Run(spec, cfg)
-	if err != nil {
-		t.Fatalf("%s shards=%d: %v", spec.Name, shards, err)
-	}
-	return res, buf.Bytes()
-}
+// any shard count. A run shards by die, so this pins that contract for
+// every architecture and routing strategy composed as a 2x2 interposer
+// of 4x4 dies, at shards 1, 2, and 4.
 
 func TestShardDeterminismAcrossArchitecturesAndStrategies(t *testing.T) {
-	const n = 8
 	var specs []asyncnoc.NetworkSpec
-	for _, spec := range asyncnoc.AllNetworks(n) {
+	for _, spec := range asyncnoc.AllNetworks(4) {
 		specs = append(specs, spec)
 		for _, strat := range asyncnoc.StrategyNames() {
 			specs = append(specs, asyncnoc.WithStrategy(spec, strat))
 		}
 	}
 	for _, spec := range specs {
-		spec := spec
+		composed := asyncnoc.WithChiplet(spec, asyncnoc.ChipletSerial(2, 2))
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			wantRes, wantTrace := tracedRun(t, spec, 1)
+			wantRes, wantTrace := chipletTracedRun(t, composed, 1)
 			if len(wantTrace) == 0 {
 				t.Fatal("serial reference produced an empty trace")
 			}
-			for _, k := range []int{2, 4, 8} {
-				gotRes, gotTrace := tracedRun(t, spec, k)
+			for _, k := range []int{2, 4} {
+				gotRes, gotTrace := chipletTracedRun(t, composed, k)
 				if gotRes != wantRes {
 					t.Errorf("shards=%d result diverged:\n got %+v\nwant %+v", k, gotRes, wantRes)
 				}
