@@ -45,7 +45,8 @@ soak:
 # sizes, jsontrace -validate schema-checks it, and cmp proves the trace
 # is byte-identical regardless of parallelism (the determinism
 # guarantee of DESIGN.md section 9). A traced fault run with a one-retry
-# budget must also validate and carry retransmit and drop events.
+# budget must also validate and carry retransmit and drop events, and
+# motsim -util must print its per-level table from the RunResult.
 # Byte-identity across scheduler shard counts is gated by
 # shard-determinism.
 obs-smoke:
@@ -60,7 +61,9 @@ obs-smoke:
 	./bin/jsontrace -validate bin/trace_faults.jsonl
 	grep -q '"kind":"retransmit"' bin/trace_faults.jsonl
 	grep -q '"kind":"drop"' bin/trace_faults.jsonl
-	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers; fault trace valid with retransmit and drop events"
+	./bin/motsim -util > bin/motsim_util.txt
+	grep -q '^redundant fraction: ' bin/motsim_util.txt
+	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers; fault trace valid with retransmit and drop events; -util table printed"
 
 # bench-smoke guards the simulation hot path: the kernel micro-benchmarks,
 # the NI transaction path, and the per-scheme strategy planning paths

@@ -123,10 +123,6 @@ type Instrument = core.Instrument
 // Dump into Out; after the run its Rec field holds the recorder.
 type VCDInstrument = network.VCDInstrument
 
-// UtilizationInstrument collects per-level fanout activity counters;
-// after the run its U field holds the populated Utilization.
-type UtilizationInstrument = network.UtilizationInstrument
-
 // TraceInstrument streams flit-lifecycle events as deterministic JSONL
 // into Out; after the run its Sink field exposes the event count.
 type TraceInstrument = obs.TraceInstrument
@@ -469,10 +465,6 @@ func RunSeeds(spec NetworkSpec, cfg RunConfig, seeds []uint64) (Replicated, erro
 	return core.RunSeeds(spec, cfg, seeds)
 }
 
-// Utilization holds per-level fanout activity counters; it quantifies how
-// local the speculation waste stays (the paper's "small local regions").
-type Utilization = network.Utilization
-
 // TraceSink streams a network's flit-lifecycle events as deterministic
 // JSON Lines (one object per event, fixed field order); for a fixed
 // (spec, config) the byte stream is identical across runs and across
@@ -547,9 +539,6 @@ type Client = service.Client
 
 // NewServiceClient returns a Client for the asyncnocd server at
 // baseURL (e.g. "http://localhost:8080") with the default retry policy.
-// Client.Runner adapts it into Engine.SetRemote's delegate; jobs the
-// API cannot express or a server that stays unreachable degrade to
-// local computation.
 func NewServiceClient(baseURL string) *Client { return service.NewClient(baseURL) }
 
 // RunRequest / RunResponse and SweepRequest / SweepResponse are the

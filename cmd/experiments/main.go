@@ -46,7 +46,6 @@ func main() {
 		n        = cliflags.N()
 		util     = flag.Bool("util", false, "also print the per-level fanout utilization table")
 		cache    = flag.String("cache-dir", "", "persistent result store directory (shared warm cache)")
-		server   = flag.String("server", "", "asyncnocd base URL (e.g. http://localhost:8080); runs execute remotely with local fallback")
 		httpAd   = flag.String("http", "", "serve live expvar counters and pprof on this address (e.g. :8090)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -65,10 +64,6 @@ func main() {
 		defer st.Close() //nolint:errcheck // Close only flushes; errors are counted
 		s.Engine().SetStore(st)
 		fmt.Fprintf(os.Stderr, "store: persistent cache at %s\n", st.Dir())
-	}
-	if *server != "" {
-		s.Engine().SetRemote(asyncnoc.NewServiceClient(*server).Runner())
-		fmt.Fprintf(os.Stderr, "server: submitting runs to %s (local fallback on failure)\n", *server)
 	}
 	if *cpuProf != "" {
 		stop, err := asyncnoc.StartCPUProfile(*cpuProf)

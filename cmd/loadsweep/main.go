@@ -32,7 +32,6 @@ func main() {
 		seed      = flag.Uint64("seed", 7, "random seed")
 		workers   = cliflags.Workers("simulation")
 		cache     = flag.String("cache-dir", "", "persistent result store directory (shared warm cache)")
-		server    = flag.String("server", "", "asyncnocd base URL; runs execute remotely with local fallback")
 		httpAddr  = flag.String("http", "", "serve live expvar counters and pprof on this address (e.g. :8090)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -48,10 +47,6 @@ func main() {
 		defer st.Close() //nolint:errcheck // Close only flushes; errors are counted
 		eng.SetStore(st)
 		fmt.Fprintf(os.Stderr, "store: persistent cache at %s\n", st.Dir())
-	}
-	if *server != "" {
-		eng.SetRemote(asyncnoc.NewServiceClient(*server).Runner())
-		fmt.Fprintf(os.Stderr, "server: submitting runs to %s (local fallback on failure)\n", *server)
 	}
 	if *cpuProf != "" {
 		stop, err := asyncnoc.StartCPUProfile(*cpuProf)

@@ -221,7 +221,7 @@ func main() {
 			// byte-identical across -workers values.
 			tcfg := cfg
 			tcfg.LoadGFs = res.SatLoadGFs
-			if _, err := runInstrumented(spec, tcfg, *traceOut, false, false, ""); err != nil {
+			if _, err := runInstrumented(spec, tcfg, *traceOut, false, ""); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("trace written:         %s\n", *traceOut)
@@ -230,8 +230,8 @@ func main() {
 	}
 
 	var res asyncnoc.RunResult
-	if *util || *hist || *vcdPath != "" || *traceOut != "" {
-		r, err := runInstrumented(spec, cfg, *traceOut, *util, *hist, *vcdPath)
+	if *hist || *vcdPath != "" || *traceOut != "" {
+		r, err := runInstrumented(spec, cfg, *traceOut, *hist, *vcdPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -250,6 +250,19 @@ func main() {
 		res = r
 	}
 	printResult(res, &spec)
+	if *util {
+		printUtilization(res)
+	}
+}
+
+// printUtilization prints the window-scoped per-level fanout forwards and
+// throttles of res and the network-wide redundant fraction.
+func printUtilization(res asyncnoc.RunResult) {
+	fmt.Printf("%-8s %12s %12s\n", "level", "forwards", "throttled")
+	for lvl := 0; lvl < res.Levels; lvl++ {
+		fmt.Printf("%-8d %12d %12d\n", lvl, res.ForwardsPerLevel[lvl], res.ThrottlesPerLevel[lvl])
+	}
+	fmt.Printf("redundant fraction: %.1f%%\n", 100*res.RedundantFraction)
 }
 
 // printResult prints the standard measurement block, the hierarchy
@@ -293,14 +306,9 @@ func (c *latencyCapture) Attach(nw *asyncnoc.Network) error { c.nw = nw; return 
 func (c *latencyCapture) Finish() error                     { return nil }
 
 // runInstrumented executes one run with the requested instruments riding
-// along in RunConfig.Instruments: a JSONL trace sink, per-level
-// utilization counters, a latency histogram, and/or a VCD dump.
-func runInstrumented(spec asyncnoc.NetworkSpec, cfg asyncnoc.RunConfig, tracePath string, util, hist bool, vcdPath string) (asyncnoc.RunResult, error) {
-	var uIns *asyncnoc.UtilizationInstrument
-	if util {
-		uIns = &asyncnoc.UtilizationInstrument{}
-		cfg.Instruments = append(cfg.Instruments, uIns)
-	}
+// along in RunConfig.Instruments: a JSONL trace sink, a latency
+// histogram, and/or a VCD dump.
+func runInstrumented(spec asyncnoc.NetworkSpec, cfg asyncnoc.RunConfig, tracePath string, hist bool, vcdPath string) (asyncnoc.RunResult, error) {
 	var traceFile *os.File
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -337,9 +345,6 @@ func runInstrumented(spec asyncnoc.NetworkSpec, cfg asyncnoc.RunConfig, tracePat
 		if err := vcdFile.Close(); err != nil {
 			return asyncnoc.RunResult{}, err
 		}
-	}
-	if uIns != nil {
-		fmt.Print(uIns.U.String())
 	}
 	if cap != nil {
 		if samples := cap.nw.Rec.LatenciesNs(); len(samples) > 0 {

@@ -63,13 +63,15 @@ func TestTraceInstrumentMatchesManualAttach(t *testing.T) {
 	}
 }
 
+// A VCD-instrumented run dumps its handshakes and still reports the
+// per-level fanout counters every RunResult carries.
 func TestVCDAndUtilizationInstruments(t *testing.T) {
 	var vcdOut bytes.Buffer
 	vi := &asyncnoc.VCDInstrument{Out: &vcdOut}
-	ui := &asyncnoc.UtilizationInstrument{}
 	cfg := shortCfg(8)
-	cfg.Instruments = []asyncnoc.Instrument{vi, ui}
-	if _, err := asyncnoc.Run(asyncnoc.OptHybridSpeculative(8), cfg); err != nil {
+	cfg.Instruments = []asyncnoc.Instrument{vi}
+	res, err := asyncnoc.Run(asyncnoc.OptHybridSpeculative(8), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if vi.Rec == nil || vcdOut.Len() == 0 {
@@ -78,8 +80,8 @@ func TestVCDAndUtilizationInstruments(t *testing.T) {
 	if !strings.Contains(vcdOut.String(), "$enddefinitions") {
 		t.Error("VCD dump missing header")
 	}
-	if ui.U == nil || ui.U.Delivered == 0 {
-		t.Error("UtilizationInstrument counted no deliveries")
+	if res.Levels == 0 || res.ForwardsPerLevel[0] == 0 {
+		t.Errorf("run counted no root forwards: levels %d, forwards %v", res.Levels, res.ForwardsPerLevel)
 	}
 }
 
@@ -159,7 +161,7 @@ func TestDefaultRunConfig(t *testing.T) {
 
 func TestMeshRejectsInstruments(t *testing.T) {
 	cfg := shortCfg(4)
-	cfg.Instruments = []asyncnoc.Instrument{&asyncnoc.UtilizationInstrument{}}
+	cfg.Instruments = []asyncnoc.Instrument{&asyncnoc.TraceInstrument{Out: &bytes.Buffer{}}}
 	if _, err := asyncnoc.RunMesh(asyncnoc.MeshTree(2, 2), cfg); err == nil {
 		t.Error("mesh run accepted instruments")
 	}

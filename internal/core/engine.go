@@ -117,17 +117,9 @@ type VerdictStore interface {
 	PutVerdict(key string, saturated bool)
 }
 
-// RemoteRunner executes one simulation somewhere else (typically an
-// asyncnocd server wrapped by the service client). Returning an error
-// that matches ErrRemoteUnavailable makes the engine fall back to local
-// computation — graceful degradation when the server is down, draining,
-// or cannot express the job; any other error (including ctx.Err()) is
-// the job's result.
+// RemoteRunner executes one simulation in place of the local pool. Its
+// result, error included, is the job's result.
 type RemoteRunner func(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error)
-
-// ErrRemoteUnavailable marks remote-execution failures that should
-// degrade to local computation instead of failing the job.
-var ErrRemoteUnavailable = errors.New("core: remote runner unavailable")
 
 // memoEntry is one memo slot. done is closed once res/err are final;
 // waiters block on it without holding the engine lock or a pool slot.
@@ -273,10 +265,9 @@ func (e *Engine) Store() ResultStore {
 	return nil
 }
 
-// SetRemote delegates computation to a remote runner (typically an
-// asyncnocd server via the service client). The memo and the persistent
-// store still apply in front of it; a delegate error matching
-// ErrRemoteUnavailable falls back to local computation. nil detaches.
+// SetRemote delegates computation to r. The memo and the persistent
+// store still apply in front of it, and an error from r fails the job.
+// nil detaches.
 func (e *Engine) SetRemote(r RemoteRunner) {
 	if r == nil {
 		e.remote.Store(nil)
@@ -435,16 +426,9 @@ func (e *Engine) RunKeyed(ctx context.Context, key string, spec network.Spec, cf
 		e.finish(ent)
 		return res, SourceStore, nil
 	}
-	// Remote execution does not hold a local pool slot: the server
-	// applies its own admission control, and the point of delegating is
-	// to fan out past local capacity. An unavailable server degrades to
-	// local computation.
-	remote := false
-	if rr := e.Remote(); rr != nil {
+	// A delegated job holds no local pool slot.
+	if rr := e.remoteRunner(); rr != nil {
 		ent.res, ent.err = rr(ctx, spec, cfg)
-		remote = ent.err == nil || !errors.Is(ent.err, ErrRemoteUnavailable)
-	}
-	if remote {
 		e.remoteRuns.Add(1)
 	} else {
 		ent.res, ent.err = e.simulate(ctx, spec, cfg)
@@ -538,8 +522,8 @@ func (e *Engine) finish(ent *memoEntry) {
 	e.evictLocked()
 }
 
-// Remote returns the remote delegate (nil when none).
-func (e *Engine) Remote() RemoteRunner {
+// remoteRunner returns the remote delegate (nil when none).
+func (e *Engine) remoteRunner() RemoteRunner {
 	if p := e.remote.Load(); p != nil {
 		return *p
 	}

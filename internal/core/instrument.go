@@ -15,10 +15,10 @@ import (
 //
 // Instruments ride along in RunConfig.Instruments, so every run entry
 // point (Run, RunContext, Engine.Run, RunSeeds, ...) can produce VCD
-// waveforms, JSONL traces, or utilization counters without the caller
-// dropping down to Build/Collect. Concrete implementations live next to
-// what they observe: network.VCDInstrument, network.UtilizationInstrument,
-// obs.TraceInstrument.
+// waveforms or JSONL traces without the caller dropping down to
+// Build/Collect. Concrete implementations live next to what they
+// observe: network.VCDInstrument, obs.TraceInstrument. Per-level fanout
+// counters need no instrument: every RunResult carries them.
 //
 // An instrumented run is never memoized: the engine executes it fresh so
 // the instrument observes a real simulation rather than a cached result.

@@ -72,7 +72,7 @@ type verdictEntry struct {
 // composition registers a die-to-die leg only when it reaches its
 // target die, so its measured set is not final when the window closes.
 func (e *Engine) probe(ctx context.Context, spec network.Spec, cfg RunConfig, c metrics.SatCriterion) (satProbe, error) {
-	if len(cfg.Instruments) > 0 || spec.Chiplet != nil || e.Remote() != nil {
+	if len(cfg.Instruments) > 0 || spec.Chiplet != nil || e.remoteRunner() != nil {
 		res, err := e.RunContext(ctx, spec, cfg)
 		if err != nil {
 			return nil, err

@@ -255,7 +255,8 @@ func TestSaturationCancelBetweenIterations(t *testing.T) {
 }
 
 // TestEngineRemoteDelegate: a remote runner serves results in place of
-// local computation; ErrRemoteUnavailable degrades to local compute.
+// local computation, and its error is the job's error: nothing is
+// simulated locally and nothing is written to the store.
 func TestEngineRemoteDelegate(t *testing.T) {
 	spec, cfg := robustTestJob(t, 31)
 	canned := RunResult{Network: spec.Name, Benchmark: cfg.Bench.Name(), MeasuredPackets: 42}
@@ -272,41 +273,25 @@ func TestEngineRemoteDelegate(t *testing.T) {
 		t.Fatalf("remote result not served: %+v", got)
 	}
 
-	// Unavailable remote: the engine computes locally and the result
-	// matches a plain local run.
-	want, err := NewEngine(2).Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	failed := errors.New("remote down")
+	st := newFakeStore()
 	e2 := NewEngine(2)
+	e2.SetStore(st)
 	calls := 0
 	e2.SetRemote(func(context.Context, network.Spec, RunConfig) (RunResult, error) {
 		calls++
-		return RunResult{}, ErrRemoteUnavailable
+		return RunResult{}, failed
 	})
-	got, err = e2.Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := e2.Run(spec, cfg); err != failed {
+		t.Fatalf("delegate error came back as %v, want %v", err, failed)
 	}
 	if calls != 1 {
 		t.Fatalf("remote called %d times, want 1", calls)
 	}
-	wantJSON, _ := json.Marshal(want)
-	gotJSON, _ := json.Marshal(got)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("local fallback differs from plain local run:\n%s\nvs\n%s", gotJSON, wantJSON)
+	if snap := e2.Snapshot(); snap.Started != 0 {
+		t.Fatalf("a failed delegate started %d local simulations", snap.Started)
 	}
-	// The fallback result still writes behind to an attached store.
-	st := newFakeStore()
-	e3 := NewEngine(2)
-	e3.SetStore(st)
-	e3.SetRemote(func(context.Context, network.Spec, RunConfig) (RunResult, error) {
-		return RunResult{}, ErrRemoteUnavailable
-	})
-	if _, err := e3.Run(spec, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if s := st.Stats(); s.Writes != 1 {
-		t.Fatalf("fallback result not written behind: %+v", s)
+	if s := st.Stats(); s.Writes != 0 {
+		t.Fatalf("a failed delegate wrote to the store: %+v", s)
 	}
 }

@@ -244,9 +244,6 @@ type Network struct {
 
 	// inj owns the fault schedule; nil when Spec.Faults is disabled.
 	inj *fault.Injector
-	// chans lists every channel in wiring order so the watchdog can
-	// sample flit occupancy (fault mode only).
-	chans []*node.Channel
 
 	// strat plans every injection against fabric.
 	strat  routing.Strategy
@@ -325,7 +322,6 @@ func (nw *Network) base(spec Spec) error {
 		links:     nw.links,
 		fifos:     nw.fifos,
 		egress:    nw.egress,
-		chans:     nw.chans[:0],
 		fabric:    routing.Fabric{Placement: pl, Serial: spec.Serial},
 		acct:      actx{planBuf: nw.acct.planBuf[:0], pktFree: pktFree[:0]},
 	}
@@ -471,7 +467,6 @@ func (nw *Network) channel(a *actx, dst node.Sink, dstPort int, src node.AckTarg
 	ch := &nw.links[len(nw.links)-1]
 	if nw.inj != nil {
 		ch.Faults = nw.inj.Channel()
-		nw.chans = append(nw.chans, ch)
 	}
 	return ch
 }
@@ -536,9 +531,12 @@ type ChannelHold struct {
 // the watchdog compares consecutive snapshots to detect wedged links
 // while traffic injection is still live.
 func (nw *Network) ChannelHolds() []ChannelHold {
+	if nw.inj == nil {
+		return nil
+	}
 	var holds []ChannelHold
-	for i, ch := range nw.chans {
-		if f, ok := ch.InFlightFlit(); ok {
+	for i := range nw.links {
+		if f, ok := nw.links[i].InFlightFlit(); ok {
 			holds = append(holds, ChannelHold{Chan: i, Pkt: f.Pkt.ID, Index: int(f.Index), Attempt: int(f.Attempt)})
 		}
 	}

@@ -339,8 +339,9 @@ func TestRetiredFlitsStayLiveInTheirChannel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sent := make([]uint64, len(nw.chans))
-		for i, ch := range nw.chans {
+		sent := make([]uint64, len(nw.links))
+		for i := range nw.links {
+			ch := &nw.links[i]
 			ch.Hooks = traverseTap{ch.Hooks, func(f packet.Flit) { sent[i] = f.Pkt.ID }}
 		}
 		r := rand.New(rand.NewSource(11))
@@ -356,8 +357,8 @@ func TestRetiredFlitsStayLiveInTheirChannel(t *testing.T) {
 		stale := 0
 		for nw.Sched.Len() > 0 {
 			nw.Sched.RunUntil(nw.Sched.Now() + 10)
-			for i, ch := range nw.chans {
-				if f, ok := ch.InFlightFlit(); ok && f.Pkt.ID != sent[i] {
+			for i := range nw.links {
+				if f, ok := nw.links[i].InFlightFlit(); ok && f.Pkt.ID != sent[i] {
 					stale++
 				}
 			}

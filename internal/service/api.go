@@ -74,8 +74,7 @@ func (r RunRequest) Config() (core.RunConfig, error) {
 
 // newRunRequest maps a local (spec, config) pair onto the wire shape.
 // Configurations the API cannot express (custom benchmark types,
-// instrumented runs) return an error; the engine's remote delegate
-// treats that as "run it locally instead".
+// instrumented runs) return an error.
 func newRunRequest(spec network.Spec, cfg core.RunConfig) (RunRequest, error) {
 	if len(cfg.Instruments) > 0 {
 		return RunRequest{}, fmt.Errorf("service: instrumented runs cannot execute remotely")

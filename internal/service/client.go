@@ -146,34 +146,6 @@ func (c *Client) Ready(ctx context.Context) error {
 	return c.getJSON(ctx, "/readyz", &h)
 }
 
-// Runner adapts the client into the engine's remote delegate: jobs the
-// API cannot express, an unreachable or persistently overloaded server,
-// and server-side deadline expiries all degrade to local computation
-// (the returned error matches core.ErrRemoteUnavailable); deterministic
-// simulation failures and local context cancellation are terminal.
-func (c *Client) Runner() core.RemoteRunner {
-	return func(ctx context.Context, spec network.Spec, cfg core.RunConfig) (core.RunResult, error) {
-		req, err := newRunRequest(spec, cfg)
-		if err != nil {
-			return core.RunResult{}, fmt.Errorf("%w: %v", core.ErrRemoteUnavailable, err)
-		}
-		resp, err := c.RunJob(ctx, req)
-		if err == nil {
-			return resp.Result, nil
-		}
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Kind == ErrKindSim {
-			// The simulation itself failed; it would fail identically
-			// anywhere, so do not burn local cycles re-discovering that.
-			return core.RunResult{}, fmt.Errorf("service: remote run failed: %s", apiErr.Msg)
-		}
-		if ctx.Err() != nil {
-			return core.RunResult{}, ctx.Err()
-		}
-		return core.RunResult{}, fmt.Errorf("%w: %v", core.ErrRemoteUnavailable, err)
-	}
-}
-
 // doJSON POSTs in as JSON to path and decodes the 2xx body into out,
 // retrying per the client policy. The request body is re-sent verbatim
 // on every attempt (it is a value, not a stream), so retries are safe.

@@ -342,46 +342,9 @@ func TestServiceSweep(t *testing.T) {
 	}
 }
 
-// TestClientRunnerFallback: with no server listening, the engine's
-// remote delegate degrades to local computation and the result matches
-// a plain local run.
-func TestClientRunnerFallback(t *testing.T) {
-	// A listener that is already closed: connection refused, fast.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	c := NewClient(dead.URL)
-	c.MaxAttempts = 2
-	c.BaseBackoff = time.Millisecond
-	c.MaxBackoff = 2 * time.Millisecond
-
-	req := testRunRequest(t, 10)
-	cfg, err := req.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Run(req.Spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(2)
-	eng.SetRemote(c.Runner())
-	got, err := eng.Run(req.Spec, cfg)
-	if err != nil {
-		t.Fatalf("no local fallback: %v", err)
-	}
-	a, _ := json.Marshal(want)
-	b, _ := json.Marshal(got)
-	if string(a) != string(b) {
-		t.Fatalf("fallback result differs from local run:\n%s\nvs\n%s", b, a)
-	}
-	if snap := eng.Snapshot(); snap.Started != 1 {
-		t.Fatalf("local fallback started %d simulations, want 1", snap.Started)
-	}
-}
-
-// TestClientRemoteMatchesLocal: the full remote path — engine delegating
-// to a live server — returns byte-identical results to a local run, and
-// the server's store ends up holding the entry.
+// TestClientRemoteMatchesLocal: Client.Run against a live server
+// returns a result byte-identical to a local core.Run of the same job,
+// and the server's store ends up holding the entry.
 func TestClientRemoteMatchesLocal(t *testing.T) {
 	_, c, st := newTestService(t, nil)
 	req := testRunRequest(t, 11)
@@ -393,19 +356,14 @@ func TestClientRemoteMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := core.NewEngine(2)
-	local.SetRemote(c.Runner())
-	got, err := local.Run(req.Spec, cfg)
+	got, err := c.Run(context.Background(), req.Spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(want)
-	b, _ := json.Marshal(got)
+	b, _ := json.Marshal(got.Result)
 	if string(a) != string(b) {
 		t.Fatalf("remote result differs from local:\n%s\nvs\n%s", b, a)
-	}
-	if snap := local.Snapshot(); snap.Started != 0 {
-		t.Fatalf("remote run started %d local simulations, want 0", snap.Started)
 	}
 	st.Flush()
 	if n, err := st.Len(); err != nil || n != 1 {
