@@ -46,7 +46,9 @@ soak:
 # is byte-identical regardless of parallelism (the determinism
 # guarantee of DESIGN.md section 9). A traced fault run with a one-retry
 # budget must also validate and carry retransmit and drop events, and
-# motsim -util must print its per-level table from the RunResult.
+# motsim -util must print its per-level table from the RunResult, at a
+# fixed load and at the saturation load of -sat, whose -hist must print
+# its histogram.
 # Byte-identity across scheduler shard counts is gated by
 # shard-determinism.
 obs-smoke:
@@ -63,7 +65,11 @@ obs-smoke:
 	grep -q '"kind":"drop"' bin/trace_faults.jsonl
 	./bin/motsim -util > bin/motsim_util.txt
 	grep -q '^redundant fraction: ' bin/motsim_util.txt
-	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers; fault trace valid with retransmit and drop events; -util table printed"
+	./bin/motsim -sat -util > bin/motsim_sat_util.txt
+	grep -q '^redundant fraction: ' bin/motsim_sat_util.txt
+	./bin/motsim -sat -hist > bin/motsim_sat_hist.txt
+	grep -q '^latency histogram (ns):' bin/motsim_sat_hist.txt
+	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers; fault trace valid with retransmit and drop events; -util table and -sat -util/-hist printed"
 
 # bench-smoke guards the simulation hot path: the kernel micro-benchmarks,
 # the NI transaction path, and the per-scheme strategy planning paths
@@ -139,12 +145,16 @@ fuzz-smoke:
 # Strategy interface and all five multicast schemes) runs with a
 # coverage gate — the strategy layer must keep >= 90% statement
 # coverage. The mesh, the layer's second client (it plans on a
-# mask-routed Fabric), runs beside it; the gate stays on the routing
-# package.
+# mask-routed Fabric), runs beside it, and one motsim mesh saturation
+# search runs it through the engine end to end; the gate stays on the
+# routing package.
 test-routing:
 	@mkdir -p bin
 	$(GO) test -coverprofile=bin/routing_cover.out ./internal/routing
 	$(GO) test ./internal/mesh
+	$(GO) build -o bin/motsim ./cmd/motsim
+	./bin/motsim -topology mesh:4x4 -sat -bench Multicast10 -measure 400 > bin/motsim_mesh_sat.txt
+	grep -q '^saturation load: ' bin/motsim_mesh_sat.txt
 	@total=$$($(GO) tool cover -func=bin/routing_cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "test-routing: internal/routing coverage $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit (t >= 90.0) ? 0 : 1 }' || \

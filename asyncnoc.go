@@ -265,15 +265,17 @@ func Benchmarks(n int) []Benchmark { return traffic.StandardSuite(n) }
 // BenchmarkByName resolves a benchmark reporting name.
 func BenchmarkByName(n int, name string) (Benchmark, error) { return traffic.ByName(n, name) }
 
-// Run executes one simulation and returns its measurements. Protocol
-// violations inside the model surface as *ProtocolError; a wedged or
-// runaway simulation aborts with *DeadlockError or *LivelockError.
-func Run(spec NetworkSpec, cfg RunConfig) (RunResult, error) { return core.Run(spec, cfg) }
+// Run executes one simulation of any topology (a NetworkSpec die or
+// chiplet composition, or a MeshSpec) and returns its measurements.
+// Protocol violations inside the model surface as *ProtocolError; a
+// wedged or runaway simulation aborts with *DeadlockError or
+// *LivelockError.
+func Run(ts TopologySpec, cfg RunConfig) (RunResult, error) { return core.Run(ts, cfg) }
 
 // RunContext is Run with cancellation: the simulation checks ctx between
 // event batches and aborts with ctx.Err() once it is done.
-func RunContext(ctx context.Context, spec NetworkSpec, cfg RunConfig) (RunResult, error) {
-	return core.RunContext(ctx, spec, cfg)
+func RunContext(ctx context.Context, ts TopologySpec, cfg RunConfig) (RunResult, error) {
+	return core.RunContext(ctx, ts, cfg)
 }
 
 // FaultConfig attaches a deterministic fault schedule (transient payload
@@ -335,7 +337,7 @@ func DefaultWorkers() int { return core.DefaultWorkers() }
 
 // JobKey returns the canonical hash of a (spec, config) pair; equal keys
 // identify runs that are deterministic replays of each other.
-func JobKey(spec NetworkSpec, cfg RunConfig) string { return core.JobKey(spec, cfg) }
+func JobKey(ts TopologySpec, cfg RunConfig) string { return core.JobKey(ts, cfg) }
 
 // Build constructs an instrumentable network with injection processes
 // armed and windows set; drive it with nw.Sched and extract measurements
@@ -354,10 +356,10 @@ type VCDRecorder = network.VCDRecorder
 // Collect extracts measurements from a finished instrumented run.
 func Collect(nw *Network, cfg RunConfig) RunResult { return core.Collect(nw, cfg) }
 
-// Saturation searches for the saturation throughput of one network under
-// one benchmark (Table 1).
-func Saturation(spec NetworkSpec, cfg SatConfig) (SatResult, error) {
-	return core.Saturation(spec, cfg)
+// Saturation searches for the saturation throughput of one network of
+// any topology under one benchmark (Table 1).
+func Saturation(ts TopologySpec, cfg SatConfig) (SatResult, error) {
+	return core.Saturation(ts, cfg)
 }
 
 // MeshSpec describes a 2D-mesh network — the paper's future-work
@@ -375,27 +377,16 @@ func MeshSerial(w, h int) MeshSpec {
 	return MeshSpec{Name: fmt.Sprintf("Mesh%dx%dSerial", w, h), W: w, H: h, PacketLen: core.DefaultPacketLen, Serial: true}
 }
 
-// RunMesh executes one mesh simulation through the same run path as
-// Run; the benchmark's destination space must equal w*h.
-func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) {
-	return core.RunMesh(context.Background(), spec, cfg)
-}
-
-// MeshSaturation searches for a mesh's saturation throughput under the
-// same latency-divergence criterion as Saturation.
-func MeshSaturation(spec MeshSpec, cfg SatConfig) (SatResult, error) {
-	return core.SaturationWith(spec.Name, cfg, func(load float64) (RunResult, error) {
-		c := cfg.Base
-		c.LoadGFs = load
-		return RunMesh(spec, c)
-	})
-}
+// RunMesh is Run on a mesh; the benchmark's destination space must
+// equal w*h.
+func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) { return Run(spec, cfg) }
 
 // TopologySpec is the unified construction contract every network
 // description implements: NetworkSpec (a single MoT die or a chiplet
 // composition of dies) and MeshSpec (the 2D-mesh substrate). It exposes
 // the shared surface — name, terminal count, validation and canonical
-// memo key — so harnesses accept any topology through one parameter.
+// memo key — so Run, Saturation and the Engine accept any topology
+// through one parameter.
 type TopologySpec = topology.TopologySpec
 
 // ChipletParams describes the interposer of a mesh-of-MoT-chiplets
@@ -422,20 +413,6 @@ func WithChiplet(s NetworkSpec, p *ChipletParams) NetworkSpec { return core.With
 // Multicast5, or Multicast10 over the composed destination space.
 func ChipletBenchmarkByName(p *ChipletParams, dieN int, name string) (Benchmark, error) {
 	return chiplet.ByName(p, dieN, name)
-}
-
-// RunTopology executes one simulation over the unified TopologySpec
-// surface, dispatching to the matching engine: Run for NetworkSpec
-// (single-die or chiplet-composed), RunMesh for MeshSpec.
-func RunTopology(ts TopologySpec, cfg RunConfig) (RunResult, error) {
-	switch s := ts.(type) {
-	case NetworkSpec:
-		return core.Run(s, cfg)
-	case MeshSpec:
-		return RunMesh(s, cfg)
-	default:
-		return RunResult{}, fmt.Errorf("asyncnoc: unsupported topology spec %T", ts)
-	}
 }
 
 // Injection is one entry of an explicit traffic schedule.

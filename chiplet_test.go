@@ -192,34 +192,6 @@ func TestChipletValidation(t *testing.T) {
 	}
 }
 
-// TestRunTopology exercises the unified dispatch surface with both spec
-// kinds.
-func TestRunTopology(t *testing.T) {
-	mot := asyncnoc.OptHybridSpeculative(4)
-	cfg := asyncnoc.RunConfig{
-		Bench:   asyncnoc.UniformRandom(4),
-		LoadGFs: 0.3,
-		Seed:    1,
-		Warmup:  50 * asyncnoc.Nanosecond,
-		Measure: 200 * asyncnoc.Nanosecond,
-		Drain:   200 * asyncnoc.Nanosecond,
-	}
-	res, err := asyncnoc.RunTopology(mot, cfg)
-	if err != nil || res.MeasuredPackets == 0 {
-		t.Fatalf("RunTopology(MoT): %v (%d packets)", err, res.MeasuredPackets)
-	}
-	res, err = asyncnoc.RunTopology(asyncnoc.MeshTree(2, 2), cfg)
-	if err != nil || res.MeasuredPackets == 0 {
-		t.Fatalf("RunTopology(mesh): %v (%d packets)", err, res.MeasuredPackets)
-	}
-	var ts asyncnoc.TopologySpec = asyncnoc.WithChiplet(mot, asyncnoc.ChipletSerial(2, 2))
-	ccfg := chipletCfg(t, ts.(asyncnoc.NetworkSpec))
-	res, err = asyncnoc.RunTopology(ts, ccfg)
-	if err != nil || res.D2DMeasuredPackets == 0 {
-		t.Fatalf("RunTopology(chiplet): %v (%d D2D packets)", err, res.D2DMeasuredPackets)
-	}
-}
-
 // TestChipletScale8x8of8x8 is the paper-scale deliverable: an 8x8
 // interposer of 8x8 MoT dies — 4096 terminals — run end-to-end under
 // all five routing strategies with per-hierarchy-level tables, byte

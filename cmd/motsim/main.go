@@ -11,14 +11,15 @@
 // runs one MoT die, chiplet:WxH composes a WxH interposer mesh of
 // radix -n MoT dies (hierarchical benchmarks only; results carry an
 // intra-die versus die-to-die breakout), and mesh:WxH runs an
-// asynchronous 2D mesh of XY routers (plain fixed-load runs under
-// -strategy; -network, -n, -sat, -dests, the instrument flags and
-// every -fault* flag are rejected by name). With -sat the tool
+// asynchronous 2D mesh of XY routers (fixed-load runs and -sat under
+// -strategy; -network, -n, -dests, -draw, -util, the instrument flags
+// and every -fault* flag are rejected by name). With -sat the tool
 // searches for the saturation throughput instead of running at a fixed
 // load; the search bisects on the offered load, one probe at a time,
 // through the experiment engine (-workers, or the ASYNCNOC_WORKERS
 // environment variable; default GOMAXPROCS) and finds the same boundary
-// at any pool size.
+// at any pool size. -util, -hist, -vcd and -trace-out then report the
+// run at the saturation load.
 //
 // The -faults flag family enables the deterministic fault-injection
 // layer with end-to-end CRC-checked retransmission:
@@ -115,77 +116,64 @@ func main() {
 		}()
 	}
 
+	// spec is the run's topology; mot is the same spec when it is a MoT
+	// die or chiplet composition, nil on a mesh.
+	var (
+		spec asyncnoc.TopologySpec
+		mot  *asyncnoc.NetworkSpec
+	)
 	if sel.Kind == "mesh" {
-		spec, err := sel.MeshSpec(*strategy, flag.CommandLine)
+		if spec, err = sel.MeshSpec(*strategy, flag.CommandLine); err != nil {
+			fatal(err)
+		}
+	} else {
+		ns, err := asyncnoc.NetworkByName(*n, *networkName)
 		if err != nil {
 			fatal(err)
 		}
-		bench, err := sel.Bench(*n, *benchName)
-		if err != nil {
-			fatal(err)
+		ns = sel.Compose(asyncnoc.WithStrategy(ns, *strategy))
+		if *faults > 0 {
+			ns.Faults.CorruptRate = *faults
+			ns.Faults.DropRate = *faults
 		}
-		res, err := asyncnoc.RunTopology(spec, asyncnoc.RunConfig{
-			Bench:     bench,
-			LoadGFs:   *load,
-			Seed:      *seed,
-			Warmup:    asyncnoc.Time(*warmup) * asyncnoc.Nanosecond,
-			Measure:   asyncnoc.Time(*measure) * asyncnoc.Nanosecond,
-			Drain:     asyncnoc.Time(*drain) * asyncnoc.Nanosecond,
-			MaxEvents: *maxEvents,
-		})
-		if err != nil {
-			fatal(err)
+		if *faultCorrupt > 0 {
+			ns.Faults.CorruptRate = *faultCorrupt
 		}
-		printResult(res, nil)
-		return
-	}
-
-	spec, err := asyncnoc.NetworkByName(*n, *networkName)
-	if err != nil {
-		fatal(err)
-	}
-	spec = asyncnoc.WithStrategy(spec, *strategy)
-	spec = sel.Compose(spec)
-	if *faults > 0 {
-		spec.Faults.CorruptRate = *faults
-		spec.Faults.DropRate = *faults
-	}
-	if *faultCorrupt > 0 {
-		spec.Faults.CorruptRate = *faultCorrupt
-	}
-	if *faultDrop > 0 {
-		spec.Faults.DropRate = *faultDrop
-	}
-	if *faultJitter > 0 {
-		spec.Faults.JitterRate = *faultJitter
-	}
-	spec.Faults.JitterMaxPs = *faultJitterPs
-	spec.Faults.MaxRetries = *faultRetries
-	spec.Faults.RetryTimeoutPs = *faultTimeout
-	if *faultStuck != "" {
-		stuck, err := parseStuck(*faultStuck)
-		if err != nil {
-			fatal(err)
+		if *faultDrop > 0 {
+			ns.Faults.DropRate = *faultDrop
 		}
-		spec.Faults.Stuck = stuck
-	}
-	if spec.Faults.Enabled() {
-		spec.Faults.Seed = *faultSeed
-	}
-	if *draw {
-		out, err := asyncnoc.DrawPlacement(spec)
-		if err != nil {
-			fatal(err)
+		if *faultJitter > 0 {
+			ns.Faults.JitterRate = *faultJitter
 		}
-		fmt.Print(out)
-		return
+		ns.Faults.JitterMaxPs = *faultJitterPs
+		ns.Faults.MaxRetries = *faultRetries
+		ns.Faults.RetryTimeoutPs = *faultTimeout
+		if *faultStuck != "" {
+			stuck, err := parseStuck(*faultStuck)
+			if err != nil {
+				fatal(err)
+			}
+			ns.Faults.Stuck = stuck
+		}
+		if ns.Faults.Enabled() {
+			ns.Faults.Seed = *faultSeed
+		}
+		if *draw {
+			out, err := asyncnoc.DrawPlacement(ns)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Print(out)
+			return
+		}
+		spec, mot = ns, &ns
 	}
 	bench, err := sel.Bench(*n, *benchName)
 	if err != nil {
 		fatal(err)
 	}
 	if *dests != "" {
-		if spec.Chiplet != nil {
+		if mot.Chiplet != nil {
 			fatal(fmt.Errorf("-dests cannot address a chiplet composition; use a hierarchical -bench"))
 		}
 		set, err := asyncnoc.ParseDests(*dests, *n)
@@ -204,52 +192,42 @@ func main() {
 		MaxEvents: *maxEvents,
 	}
 
-	if *sat {
-		res, err := asyncnoc.NewEngine(*workers).Saturation(spec, asyncnoc.SatConfig{Base: cfg})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("network:               %s\n", res.Network)
-		fmt.Printf("benchmark:             %s\n", res.Benchmark)
-		fmt.Printf("saturation load:       %.3f GF/s per source\n", res.SatLoadGFs)
-		fmt.Printf("saturation throughput: %.3f GF/s per source (delivered)\n", res.ThroughputGFs)
-		fmt.Printf("zero-load latency:     %.2f ns\n", res.ZeroLoadLatencyNs)
-		fmt.Printf("latency at saturation: %.2f ns\n", res.AtSaturation.AvgLatencyNs)
-		if *traceOut != "" {
-			// Trace one deterministic run at the saturation load: the
-			// engine finds the same load at any pool size, so the trace is
-			// byte-identical across -workers values.
-			tcfg := cfg
-			tcfg.LoadGFs = res.SatLoadGFs
-			if _, err := runInstrumented(spec, tcfg, *traceOut, false, ""); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("trace written:         %s\n", *traceOut)
-		}
-		return
-	}
-
 	var res asyncnoc.RunResult
-	if *hist || *vcdPath != "" || *traceOut != "" {
-		r, err := runInstrumented(spec, cfg, *traceOut, *hist, *vcdPath)
+	col := 18 // the value column of the "written" lines
+	if *sat {
+		sr, err := asyncnoc.NewEngine(*workers).Saturation(spec, asyncnoc.SatConfig{Base: cfg})
 		if err != nil {
 			fatal(err)
 		}
-		res = r
+		fmt.Printf("network:               %s\n", sr.Network)
+		fmt.Printf("benchmark:             %s\n", sr.Benchmark)
+		fmt.Printf("saturation load:       %.3f GF/s per source\n", sr.SatLoadGFs)
+		fmt.Printf("saturation throughput: %.3f GF/s per source (delivered)\n", sr.ThroughputGFs)
+		fmt.Printf("zero-load latency:     %.2f ns\n", sr.ZeroLoadLatencyNs)
+		fmt.Printf("latency at saturation: %.2f ns\n", sr.AtSaturation.AvgLatencyNs)
+		// -util, -hist, -vcd and -trace-out report the run at the
+		// saturation load: the engine finds the same load at any pool
+		// size, so traces are byte-identical across -workers values.
+		cfg.LoadGFs, res, col = sr.SatLoadGFs, sr.AtSaturation, 23
+	}
+	if *hist || *vcdPath != "" || *traceOut != "" {
+		if res, err = runInstrumented(spec, cfg, *traceOut, *hist, *vcdPath); err != nil {
+			fatal(err)
+		}
 		if *vcdPath != "" {
-			fmt.Printf("vcd written:      %s\n", *vcdPath)
+			fmt.Printf("%-*s%s\n", col, "vcd written:", *vcdPath)
 		}
 		if *traceOut != "" {
-			fmt.Printf("trace written:    %s\n", *traceOut)
+			fmt.Printf("%-*s%s\n", col, "trace written:", *traceOut)
 		}
-	} else {
-		r, err := asyncnoc.Run(spec, cfg)
-		if err != nil {
+	} else if !*sat {
+		if res, err = asyncnoc.Run(spec, cfg); err != nil {
 			fatal(err)
 		}
-		res = r
 	}
-	printResult(res, &spec)
+	if !*sat {
+		printResult(res, mot)
+	}
 	if *util {
 		printUtilization(res)
 	}
@@ -308,7 +286,7 @@ func (c *latencyCapture) Finish() error                     { return nil }
 // runInstrumented executes one run with the requested instruments riding
 // along in RunConfig.Instruments: a JSONL trace sink, a latency
 // histogram, and/or a VCD dump.
-func runInstrumented(spec asyncnoc.NetworkSpec, cfg asyncnoc.RunConfig, tracePath string, hist bool, vcdPath string) (asyncnoc.RunResult, error) {
+func runInstrumented(spec asyncnoc.TopologySpec, cfg asyncnoc.RunConfig, tracePath string, hist bool, vcdPath string) (asyncnoc.RunResult, error) {
 	var traceFile *os.File
 	if tracePath != "" {
 		f, err := os.Create(tracePath)

@@ -76,7 +76,7 @@ func TestCompositionMatrix(t *testing.T) {
 						if instrumented {
 							cfg.Instruments = []asyncnoc.Instrument{tr}
 						}
-						res, err := asyncnoc.RunTopology(ts, cfg)
+						res, err := asyncnoc.Run(ts, cfg)
 						if rejected != "" {
 							if err == nil || !strings.Contains(err.Error(), rejected) {
 								t.Fatalf("got %v, want an error naming %s", err, rejected)

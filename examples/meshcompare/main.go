@@ -39,25 +39,21 @@ func main() {
 			name, res.AvgLatencyNs, res.P95LatencyNs, res.ThroughputGFs, res.PowerMW)
 	}
 
-	for _, spec := range []asyncnoc.NetworkSpec{
+	for _, spec := range []asyncnoc.TopologySpec{
 		asyncnoc.Baseline(terminals),
 		asyncnoc.OptHybridSpeculative(terminals),
+		asyncnoc.MeshSerial(4, 4),
+		asyncnoc.MeshTree(4, 4),
 	} {
 		res, err := asyncnoc.Run(spec, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		row("MoT16 "+spec.Name, res)
-	}
-	for _, spec := range []asyncnoc.MeshSpec{
-		asyncnoc.MeshSerial(4, 4),
-		asyncnoc.MeshTree(4, 4),
-	} {
-		res, err := asyncnoc.RunMesh(spec, cfg)
-		if err != nil {
-			log.Fatal(err)
+		name := spec.TopologyName()
+		if _, mot := spec.(asyncnoc.NetworkSpec); mot {
+			name = "MoT16 " + name
 		}
-		row(spec.Name, res)
+		row(name, res)
 	}
 
 	fmt.Println("\nnotes:")

@@ -65,8 +65,8 @@ func ParseTopology(s string) (Topology, error) {
 }
 
 // Compose applies a chiplet selection to a single-die spec. For "mot"
-// the spec passes through; for "mesh" the caller must dispatch to the
-// mesh runner instead (see MeshSpec).
+// the spec passes through; a "mesh" selection has no single-die spec
+// (see MeshSpec).
 func (t Topology) Compose(spec asyncnoc.NetworkSpec) asyncnoc.NetworkSpec {
 	if t.Kind == "chiplet" {
 		return asyncnoc.WithChiplet(spec, asyncnoc.ChipletSerial(t.W, t.H))
@@ -89,10 +89,10 @@ func (t Topology) Bench(n int, name string) (asyncnoc.Benchmark, error) {
 
 // meshUnsupported names the flags a mesh run cannot honour besides the
 // fault flags (every -fault*): the mesh has one architecture, no die
-// radix (its W*H tiles are the terminals), no instruments, no fixed
-// destination sets and no saturation search.
+// radix (its W*H tiles are the terminals), no fanout levels, no
+// instruments and no fixed destination sets.
 var meshUnsupported = map[string]bool{
-	"network": true, "n": true, "sat": true, "util": true, "hist": true,
+	"network": true, "n": true, "util": true, "hist": true,
 	"draw": true, "vcd": true, "trace-out": true, "dests": true,
 }
 
@@ -108,7 +108,7 @@ func (t Topology) MeshSpec(strategy string, fs *flag.FlagSet) (asyncnoc.MeshSpec
 		}
 	})
 	if len(bad) > 0 {
-		return asyncnoc.MeshSpec{}, fmt.Errorf("-topology mesh:%dx%d supports only plain fixed-load runs; unsupported: %s",
+		return asyncnoc.MeshSpec{}, fmt.Errorf("-topology mesh:%dx%d supports only fixed-load runs and -sat; unsupported: %s",
 			t.W, t.H, strings.Join(bad, ", "))
 	}
 	spec := asyncnoc.MeshTree(t.W, t.H)

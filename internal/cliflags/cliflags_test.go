@@ -37,13 +37,13 @@ func TestMeshSpecFlags(t *testing.T) {
 	}{
 		{[]string{"-bench", "Multicast10", "-load", "0.3"}, ""},
 		{[]string{"-strategy", "DPM"}, ""},
+		{[]string{"-sat", "-strategy", "SerialUnicast"}, ""},
 		{[]string{"-network", "Baseline"}, "-network"},
 		{[]string{"-n", "32"}, "-n"},
 		{[]string{"-faults", "1e-2"}, "-faults"},
 		{[]string{"-fault-drop", "1e-3"}, "-fault-drop"},
 		{[]string{"-fault-seed", "7"}, "-fault-seed"},
 		{[]string{"-fault-stuck", "0/1/0@5"}, "-fault-stuck"},
-		{[]string{"-sat"}, "-sat"},
 		{[]string{"-dests", "1,2"}, "-dests"},
 		{[]string{"-trace-out", "t.jsonl"}, "-trace-out"},
 	} {

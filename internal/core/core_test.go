@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -316,10 +317,10 @@ func TestSatConfigValidate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Base = base
-			_, err := SaturationWith("probe", tc.cfg, func(float64) (RunResult, error) {
+			_, err := saturationSearch(context.Background(), "probe", tc.cfg, runProber(func(float64) (RunResult, error) {
 				t.Fatal("search simulated a probe despite an invalid configuration")
 				return RunResult{}, nil
-			})
+			}))
 			var ce *ConfigError
 			if !errors.As(err, &ce) {
 				t.Fatalf("error %v (%T), want *ConfigError", err, err)

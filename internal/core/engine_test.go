@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -9,7 +11,10 @@ import (
 	"testing"
 
 	"asyncnoc/internal/chiplet"
+	"asyncnoc/internal/mesh"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
+	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
@@ -163,6 +168,61 @@ func TestJobKey(t *testing.T) {
 	}
 }
 
+// TestEngineMeshJobs: a mesh job takes the engine path of a MoT job. A
+// repeated run is a memo hit returning Run's result, and the mesh's
+// keys never equal a MoT key. Shards > 1 stays a *ConfigError after a
+// serial memo hit, and a mesh job for a remote delegate is a
+// *ConfigError that never reaches it.
+func TestEngineMeshJobs(t *testing.T) {
+	tree := mesh.Spec{Name: "MeshTree", W: 4, H: 4, PacketLen: 5}
+	cfg := RunConfig{Bench: traffic.Multicast{N: 16, Frac: 0.10}, LoadGFs: 0.3, Seed: 9,
+		Warmup: 40 * sim.Nanosecond, Measure: 160 * sim.Nanosecond, Drain: 80 * sim.Nanosecond}
+	want, err := Run(tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(2)
+	for i := 0; i < 2; i++ {
+		if got, err := e.Run(tree, cfg); err != nil || got != want {
+			t.Fatalf("engine run %d: %v, result differs from Run:\n%+v\nvs\n%+v", i, err, got, want)
+		}
+	}
+	if hits, misses := e.Stats(); hits != 1 || misses != 1 || e.Snapshot().Started != 1 {
+		t.Errorf("two equal mesh runs: %d hits, %d misses, %d simulations; want 1, 1, 1", hits, misses, e.Snapshot().Started)
+	}
+
+	keys := map[string]string{}
+	for _, ts := range []topology.TopologySpec{
+		tree,
+		mesh.Spec{Name: "MeshSerial", W: 4, H: 4, PacketLen: 5, Serial: true},
+		mesh.Spec{Name: "MeshTree", W: 4, H: 4, PacketLen: 5, Strategy: "DPM"},
+		mesh.Spec{Name: "MeshTree", W: 8, H: 2, PacketLen: 5},
+		OptHybridSpeculative(16),
+		Baseline(16),
+		network.Spec{Name: tree.CanonicalKey(), N: 16, PacketLen: 5},
+	} {
+		k := JobKey(ts, cfg)
+		if prev, dup := keys[k]; dup {
+			t.Errorf("%s and %s share a job key", ts.CanonicalKey(), prev)
+		}
+		keys[k] = ts.CanonicalKey()
+	}
+
+	four := cfg
+	four.Shards = 4
+	var ce *ConfigError
+	if _, err := e.Run(tree, four); !errors.As(err, &ce) || ce.Fields[0].Field != "Shards" {
+		t.Errorf("Shards=4 on a memoized mesh job: %v, want a *ConfigError naming Shards", err)
+	}
+	e.SetRemote(func(context.Context, network.Spec, RunConfig) (RunResult, error) {
+		t.Error("a mesh job reached the remote delegate")
+		return RunResult{}, nil
+	})
+	if _, err := e.Run(tree, cfg); !errors.As(err, &ce) || ce.Fields[0].Field != "Spec" {
+		t.Errorf("mesh job on an engine with a delegate: %v, want a *ConfigError naming Spec", err)
+	}
+}
+
 // TestJobKeyPinned: the keys of the six paper benchmarks are the ones
 // earlier versions wrote, so persistent stores stay warm.
 func TestJobKeyPinned(t *testing.T) {
@@ -228,12 +288,7 @@ func TestEngineSaturationMatchesSerial(t *testing.T) {
 		Iters: 5,
 	}
 	loads := map[float64]bool{}
-	serial, err := SaturationWith(spec.Name, cfg, func(load float64) (RunResult, error) {
-		loads[load] = true
-		c := cfg.Base
-		c.LoadGFs = load
-		return Run(spec, c)
-	})
+	serial, err := fullRunSaturation(spec, cfg, func(load float64) { loads[load] = true })
 	if err != nil {
 		t.Fatal(err)
 	}

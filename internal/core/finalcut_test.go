@@ -159,7 +159,7 @@ func TestFinalCutMatchesFullRuns(t *testing.T) {
 		}
 	}
 
-	// 4x4 meshes through RunMesh.
+	// 4x4 meshes through Run.
 	for _, spec := range []mesh.Spec{
 		{Name: "MeshTree", W: 4, H: 4, PacketLen: 5},
 		{Name: "MeshSerial", W: 4, H: 4, PacketLen: 5, Serial: true},
@@ -167,13 +167,13 @@ func TestFinalCutMatchesFullRuns(t *testing.T) {
 		for _, bench := range []traffic.Benchmark{traffic.UniformRandom{N: 16}, traffic.Multicast{N: 16, Frac: 0.10}} {
 			cfg := RunConfig{Bench: bench, LoadGFs: 0.3, Seed: 9,
 				Warmup: 200 * sim.Nanosecond, Measure: 1000 * sim.Nanosecond, Drain: 600 * sim.Nanosecond}
-			got, err := RunMesh(context.Background(), spec, cfg)
+			got, err := Run(spec, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, _ := meshRun(t, spec, cfg, false)
 			if got != want {
-				t.Fatalf("%s: RunMesh differs from the full-span run:\n%+v\nvs\n%+v", describeRun(spec.Name, cfg), got, want)
+				t.Fatalf("%s: Run differs from the full-span run:\n%+v\nvs\n%+v", describeRun(spec.Name, cfg), got, want)
 			}
 			if _, cut := meshRun(t, spec, cfg, true); !cut {
 				t.Errorf("%s: mesh below saturation ran its whole span", describeRun(spec.Name, cfg))
@@ -182,7 +182,7 @@ func TestFinalCutMatchesFullRuns(t *testing.T) {
 	}
 
 	// A sharded chiplet run returns the serial one's result. Chiplet
-	// runs cover their whole span (motRun.finalStop), so neither stops
+	// runs cover their whole span (simRun.finalStop), so neither stops
 	// early.
 	spec, b := composed2x2(t, "Multicast10")
 	cfg := quickWindows(RunConfig{Bench: b, LoadGFs: 0.3, Seed: 2016})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 
 	"asyncnoc/internal/fault"
@@ -15,6 +16,7 @@ import (
 	"asyncnoc/internal/power"
 	"asyncnoc/internal/rng"
 	"asyncnoc/internal/sim"
+	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
@@ -236,11 +238,12 @@ type RunResult struct {
 	LostPackets    int
 }
 
-// Run executes one simulation and returns its measurements. Protocol
+// Run executes one simulation of any topology (a MoT die, a chiplet
+// composition or a 2D mesh) and returns its measurements. Protocol
 // violations inside the model surface as *ProtocolError; a wedged or
 // runaway simulation aborts with *DeadlockError or *LivelockError.
-func Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
-	return RunContext(context.Background(), spec, cfg)
+func Run(ts topology.TopologySpec, cfg RunConfig) (RunResult, error) {
+	return RunContext(context.Background(), ts, cfg)
 }
 
 // RunContext is Run with cancellation: the simulation is checked against
@@ -252,19 +255,19 @@ func Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
 // full-span run's. An event-budget, deadlock or context error that the
 // full span would raise only after that point therefore no longer fails
 // the run. Instrumented runs, fault-enabled specs and chiplet
-// compositions run their full span (see motRun.finalStop).
-func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
-	res, _, err := runContext(ctx, spec, cfg, nil)
+// compositions run their full span (see simRun.finalStop).
+func RunContext(ctx context.Context, ts topology.TopologySpec, cfg RunConfig) (RunResult, error) {
+	res, _, err := runContext(ctx, ts, cfg, nil)
 	return res, err
 }
 
 // runContext is RunContext that also reports whether the run stopped at
 // a final result short of its span. nets, when non-nil, supplies the
 // network's storage and takes it back after a clean run (see
-// motRun.close).
-func runContext(ctx context.Context, spec network.Spec, cfg RunConfig, nets *netCache) (res RunResult, cut bool, err error) {
-	defer RecoverViolations(spec.Name, &err)
-	r, err := startRun(spec, cfg, nets)
+// simRun.close).
+func runContext(ctx context.Context, ts topology.TopologySpec, cfg RunConfig, nets *netCache) (res RunResult, cut bool, err error) {
+	defer RecoverViolations(specName(ts), &err)
+	r, err := startRun(ts, cfg, nets)
 	if err != nil {
 		return RunResult{}, false, err
 	}
@@ -272,7 +275,7 @@ func runContext(ctx context.Context, spec network.Spec, cfg RunConfig, nets *net
 	// or an error leaves clean false.
 	clean := false
 	defer func() { r.close(clean) }()
-	if err := attachInstruments(r.nw, cfg.Instruments); err != nil {
+	if err := attachInstruments(r.h.nw, cfg.Instruments); err != nil {
 		return RunResult{}, false, err
 	}
 	if cut, err = r.g.run(ctx, r.finalStop()); err != nil {
@@ -287,12 +290,25 @@ func runContext(ctx context.Context, spec network.Spec, cfg RunConfig, nets *net
 	return res, cut, nil
 }
 
-// motRun is one built MoT network between Build and collect: its
-// harness and the watchdog loop driving it, which a saturation probe
-// stops at a chunk boundary and may resume later.
-type motRun struct {
+// specName is ts's reporting name. The engine reads a TopologySpec
+// through type switches, never through its methods: a call through the
+// interface would move every caller's spec to the heap, one allocation
+// per run.
+func specName(ts topology.TopologySpec) string {
+	switch s := ts.(type) {
+	case network.Spec:
+		return s.Name
+	case mesh.Spec:
+		return s.Name
+	}
+	return ""
+}
+
+// simRun is one built fabric between its build and collect: its harness
+// and the watchdog loop driving it, which a saturation probe stops at a
+// chunk boundary and may resume later.
+type simRun struct {
 	cfg RunConfig
-	nw  *network.Network
 	h   harness
 	g   guard
 	// nets takes the network back when the run closes cleanly, under
@@ -301,49 +317,64 @@ type motRun struct {
 	key  string
 }
 
-// startRun builds spec armed for cfg, with its watchdog loop set up. A
-// serial, uninstrumented run builds on the storage of a network nets
+// startRun builds ts armed for cfg, with its watchdog loop set up. A
+// serial, uninstrumented MoT run builds on the storage of a network nets
 // holds for the same spec, if any, and returns its network there when
-// it closes cleanly; nets may be nil.
-func startRun(spec network.Spec, cfg RunConfig, nets *netCache) (*motRun, error) {
-	var prev *network.Network
-	key := ""
-	if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
-		key = spec.CanonicalKey()
-		prev = nets.take(key)
-	} else {
-		nets = nil
-	}
-	nw, err := build(spec, cfg, prev)
-	if err != nil {
+// it closes cleanly; nets may be nil, and a mesh never uses it.
+func startRun(ts topology.TopologySpec, cfg RunConfig, nets *netCache) (*simRun, error) {
+	if err := checkRun(ts, cfg); err != nil {
 		return nil, err
 	}
-	total := runSpan(cfg)
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 && spec.Faults.Enabled() {
-		// Automatic backstop for fault runs: generous enough that any
-		// legitimate simulation fits with orders of magnitude to spare,
-		// tight enough to stop a retransmission storm. Saturate rather
-		// than wrap for absurdly long spans.
-		maxEvents = uint64(total)
-		if mul := uint64(spec.N) * 64; maxEvents > math.MaxUint64/mul {
-			maxEvents = math.MaxUint64
-		} else {
-			maxEvents *= mul
+	r := &simRun{cfg: cfg}
+	total, maxEvents := runSpan(cfg), cfg.MaxEvents
+	switch spec := ts.(type) {
+	case network.Spec:
+		var prev *network.Network
+		if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
+			r.nets, r.key = nets, spec.CanonicalKey()
+			prev = r.nets.take(r.key)
 		}
+		nw, err := build(spec, cfg, prev)
+		if err != nil {
+			return nil, err
+		}
+		r.h = motHarness(nw)
+		if maxEvents == 0 && spec.Faults.Enabled() {
+			// Automatic backstop for fault runs: generous enough that any
+			// legitimate simulation fits with orders of magnitude to spare,
+			// tight enough to stop a retransmission storm. Saturate rather
+			// than wrap for absurdly long spans.
+			maxEvents = uint64(total)
+			if mul := uint64(spec.N) * 64; maxEvents > math.MaxUint64/mul {
+				maxEvents = math.MaxUint64
+			} else {
+				maxEvents *= mul
+			}
+		}
+	case mesh.Spec:
+		if len(cfg.Instruments) > 0 {
+			return nil, &ConfigError{Fields: []FieldError{{Field: "Instruments",
+				Reason: fmt.Sprintf("%d instrument(s) requested, but mesh %s has no MoT network to attach them to", len(cfg.Instruments), spec.Name)}}}
+		}
+		m, err := mesh.New(spec)
+		if err != nil {
+			return nil, err
+		}
+		r.h = meshHarness(m)
+		r.h.arm(cfg, nil)
 	}
-	r := &motRun{cfg: cfg, nw: nw, h: motHarness(nw), nets: nets, key: key}
 	r.g = r.h.guard(total, maxEvents)
 	return r, nil
 }
 
 // verdict is c's verdict on the run so far (metrics.Recorder.Verdict).
-// It is sound only for single-die networks (see Engine.probe).
-func (r *motRun) verdict(c metrics.SatCriterion) metrics.Verdict {
+// It is sound only where every measured packet registers at its
+// creation, so not on a chiplet composition (see Engine.probe).
+func (r *simRun) verdict(c metrics.SatCriterion) metrics.Verdict {
 	return r.h.rec.Verdict(c, r.h.clock.Now(), r.g.total)
 }
 
-func (r *motRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.cfg.LoadGFs) }
+func (r *simRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.cfg.LoadGFs) }
 
 // finalStop is the stop rule of a full run (harness.final), or nil for a
 // run that must cover its whole span: an instrumented run (its traces,
@@ -351,8 +382,8 @@ func (r *motRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.
 // FaultStats count over the whole span) and a chiplet composition (a
 // die-to-die leg registers only when it reaches its target die, so the
 // measured set is not final when the window closes).
-func (r *motRun) finalStop() func() bool {
-	if len(r.cfg.Instruments) > 0 || r.nw.Spec.Faults.Enabled() || r.nw.Spec.Chiplet != nil {
+func (r *simRun) finalStop() func() bool {
+	if nw := r.h.nw; len(r.cfg.Instruments) > 0 || nw != nil && (nw.Spec.Faults.Enabled() || nw.Spec.Chiplet != nil) {
 		return nil
 	}
 	return r.h.final
@@ -363,44 +394,13 @@ func (r *motRun) finalStop() func() bool {
 // its verdict) goes back to nets for the next run of its spec. Nothing
 // of the run survives in it: the next build rewrites every component
 // (network.Rebuild). The run must not be used afterwards.
-func (r *motRun) close(clean bool) {
-	if g := r.nw.Group(); g != nil {
-		g.Close()
+func (r *simRun) close(clean bool) {
+	if nw := r.h.nw; nw != nil && nw.Group() != nil {
+		nw.Group().Close()
 	} else if clean && r.nets != nil {
-		r.nets.put(r.key, r.nw)
+		r.nets.put(r.key, nw)
 	}
-	r.nw = nil
-}
-
-// RunMesh executes one 2D-mesh simulation through the same path as
-// RunContext: injectors, windows, the guarded loop and the collector are
-// shared, so MaxEvents and ctx bound a mesh run exactly like a MoT run.
-// The benchmark's destination space must equal the tile count. The mesh
-// runs on one scheduler, so cfg.Shards > 1 is rejected, and it has no
-// observer surface for Instruments yet.
-func RunMesh(ctx context.Context, spec mesh.Spec, cfg RunConfig) (res RunResult, err error) {
-	defer RecoverViolations(spec.Name, &err)
-	if err := cfg.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	if err := serialOnly(cfg.Shards, "mesh "+spec.Name); err != nil {
-		return RunResult{}, err
-	}
-	if len(cfg.Instruments) > 0 {
-		return RunResult{}, &ConfigError{Fields: []FieldError{{Field: "Instruments",
-			Reason: fmt.Sprintf("%d instrument(s) requested, but mesh %s has no MoT network to attach them to", len(cfg.Instruments), spec.Name)}}}
-	}
-	m, err := mesh.New(spec)
-	if err != nil {
-		return RunResult{}, err
-	}
-	h := meshHarness(m)
-	h.arm(cfg, nil)
-	g := h.guard(runSpan(cfg), cfg.MaxEvents)
-	if _, err := g.run(ctx, h.final); err != nil {
-		return RunResult{}, err
-	}
-	return h.collect(cfg.Bench.Name(), cfg.LoadGFs), nil
+	r.h = harness{}
 }
 
 // runSpan is a run's simulated length: injection continues through the
@@ -420,21 +420,14 @@ type clock interface {
 }
 
 // fabric is the injection surface of one node/link network.
-// *network.Network (a MoT die or a chiplet composition) implements it
-// directly and meshFabric adapts the 2D mesh, so every topology shares
-// one injector.
+// *network.Network (a MoT die or a chiplet composition) and *mesh.Mesh
+// implement it, so every topology shares one injector.
 type fabric interface {
 	// SchedFor returns the scheduler source src's injector arms on.
 	SchedFor(src int) *sim.Scheduler
 	// Inject creates one packet from src at the current simulated time.
 	Inject(src int, dests packet.DestSet) (*packet.Packet, error)
 }
-
-// meshFabric adapts the mesh, whose tiles all share one scheduler.
-type meshFabric struct{ *mesh.Mesh }
-
-// SchedFor implements fabric.
-func (m meshFabric) SchedFor(int) *sim.Scheduler { return m.Sched }
 
 // harness is one built fabric as the run path sees it: the single
 // build/run/collect loop reads nothing else.
@@ -467,7 +460,7 @@ func motHarness(nw *network.Network) harness {
 // meshHarness wraps a built 2D mesh.
 func meshHarness(m *mesh.Mesh) harness {
 	return harness{
-		fab: meshFabric{m}, name: m.Spec.Name, terms: m.Spec.Tiles(), packetLen: m.Spec.PacketLen,
+		fab: m, name: m.Spec.Name, terms: m.Spec.Tiles(), packetLen: m.Spec.PacketLen,
 		clock: m.Sched, rec: m.Rec, meter: m.Meter,
 	}
 }
@@ -637,7 +630,7 @@ func (h *harness) advance(ctx context.Context, t sim.Time, maxEvents uint64, ste
 // newNetwork builds spec serial, on prev's storage when prev is not nil,
 // or, for shards > 1, partitioned into at most spec.Dies() shards of
 // whole dies. Callers reject shards > 1 on a single die first
-// (checkShards).
+// (checkSpec).
 func newNetwork(spec network.Spec, shards int, prev *network.Network) (*network.Network, error) {
 	switch {
 	case shards > 1:
@@ -648,25 +641,38 @@ func newNetwork(spec network.Spec, shards int, prev *network.Network) (*network.
 	return network.New(spec)
 }
 
-// serialOnly rejects Shards > 1 on a run that executes on one scheduler
-// only; what names the run. Running it serial instead would hide that
-// the requested partition never happened.
-func serialOnly(shards int, what string) error {
-	if shards <= 1 {
-		return nil
+// checkSpec rejects Shards > 1 on a run that executes on one
+// scheduler: a single die (fault-enabled specs are always single-die,
+// see network.Spec.Validate) or a mesh. A sharded run partitions a
+// chiplet composition by die; running serial instead would hide that the
+// requested partition never happened. It also rejects a spec type no
+// run path builds.
+func checkSpec(ts topology.TopologySpec, cfg RunConfig) error {
+	var what string
+	switch s := ts.(type) {
+	case network.Spec:
+		if s.Chiplet != nil || cfg.Shards <= 1 {
+			return nil
+		}
+		what = "single-die spec " + s.Name
+	case mesh.Spec:
+		if cfg.Shards <= 1 {
+			return nil
+		}
+		what = "mesh " + s.Name
+	default:
+		return fmt.Errorf("core: unsupported topology spec %v", reflect.TypeOf(ts))
 	}
 	return &ConfigError{Fields: []FieldError{{Field: "Shards",
-		Reason: fmt.Sprintf("%d shards requested, but %s runs on one scheduler", shards, what)}}}
+		Reason: fmt.Sprintf("%d shards requested, but %s runs on one scheduler", cfg.Shards, what)}}}
 }
 
-// checkShards rejects Shards > 1 on a single-die spec: a sharded run
-// partitions a chiplet composition by die. Fault-enabled specs are
-// always single-die (network.Spec.Validate).
-func checkShards(spec network.Spec, cfg RunConfig) error {
-	if spec.Chiplet != nil {
-		return nil
+// checkRun validates cfg, then checks it against ts (checkSpec).
+func checkRun(ts topology.TopologySpec, cfg RunConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	return serialOnly(cfg.Shards, "single-die spec "+spec.Name)
+	return checkSpec(ts, cfg)
 }
 
 // Build constructs the network with injection processes armed and
@@ -676,17 +682,15 @@ func checkShards(spec network.Spec, cfg RunConfig) error {
 // network.NewSharded): drive it with Group().RunUntil and Close the
 // group when done — RunContext does both.
 func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
+	if err := checkRun(spec, cfg); err != nil {
+		return nil, err
+	}
 	return build(spec, cfg, nil)
 }
 
-// build is Build on prev's storage (see newNetwork).
+// build is Build on prev's storage (see newNetwork), with cfg already
+// checked (checkRun).
 func build(spec network.Spec, cfg RunConfig, prev *network.Network) (*network.Network, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkShards(spec, cfg); err != nil {
-		return nil, err
-	}
 	var wide traffic.WideBenchmark
 	if spec.Chiplet != nil {
 		w, ok := cfg.Bench.(traffic.WideBenchmark)

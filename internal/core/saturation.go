@@ -7,7 +7,7 @@ import (
 	"math"
 
 	"asyncnoc/internal/metrics"
-	"asyncnoc/internal/network"
+	"asyncnoc/internal/topology"
 )
 
 // SatConfig parameterizes the saturation-throughput search of Table 1.
@@ -103,10 +103,10 @@ type SatResult struct {
 	AtSaturation RunResult
 }
 
-// Saturation searches for the saturation throughput of one network under
-// one benchmark on the shared default engine.
-func Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
-	return DefaultEngine().Saturation(spec, cfg)
+// Saturation searches for the saturation throughput of one network of
+// any topology under one benchmark on the shared default engine.
+func Saturation(ts topology.TopologySpec, cfg SatConfig) (SatResult, error) {
+	return DefaultEngine().Saturation(ts, cfg)
 }
 
 // Saturation runs the saturation search through the engine. The search
@@ -124,27 +124,21 @@ func Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
 // never publishes a RunResult to the memo or the store; a probe whose
 // verdict stays open runs to its end and publishes as any run does. The current stable boundary probe stays suspended, holding
 // its network but no pool slot, and runs on to its end only if it is
-// the final boundary, so the SatResult is exactly that of a search
-// over full runs (SaturationWith over Run). A run error (event budget,
-// deadlock, ctx) that a full run would raise only after its verdict is
-// certain does not abort the search, unless that probe is the final
-// boundary. Instrumented probes, probes for a remote delegate and
-// probes of chiplet compositions run to their end.
-func (e *Engine) Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
-	return e.SaturationContext(context.Background(), spec, cfg)
+// the final boundary, so the SatResult is exactly that of the same
+// search over full runs. A run error (event budget, deadlock, ctx) that
+// a full run would raise only after its verdict is certain does not
+// abort the search, unless that probe is the final boundary.
+// Instrumented probes, probes for a remote delegate and probes of
+// chiplet compositions run to their end. A mesh searches the same way
+// as a MoT die.
+func (e *Engine) Saturation(ts topology.TopologySpec, cfg SatConfig) (SatResult, error) {
+	return e.SaturationContext(context.Background(), ts, cfg)
 }
 
 // SaturationContext is Saturation with cancellation: every probe runs
 // under ctx, so an abandoned search stops issuing new simulations.
-func (e *Engine) SaturationContext(ctx context.Context, spec network.Spec, cfg SatConfig) (SatResult, error) {
-	return saturationSearch(ctx, spec.Name, cfg, engineProber{e: e, ctx: ctx, spec: spec, base: cfg.Base})
-}
-
-// SaturationWith runs the saturation search against an arbitrary serial
-// runner (the mesh substrate reuses it); name labels error messages.
-// Every probe is a full run.
-func SaturationWith(name string, cfg SatConfig, run func(load float64) (RunResult, error)) (SatResult, error) {
-	return saturationSearch(context.Background(), name, cfg, runProber(run))
+func (e *Engine) SaturationContext(ctx context.Context, ts topology.TopologySpec, cfg SatConfig) (SatResult, error) {
+	return saturationSearch(ctx, specName(ts), cfg, engineProber{e: e, ctx: ctx, ts: ts, base: cfg.Base})
 }
 
 // prober answers the search's questions about offered loads.
@@ -180,20 +174,7 @@ func (p doneProbe) saturated() bool            { return p.sat }
 func (p doneProbe) result() (RunResult, error) { return p.res, nil }
 func (doneProbe) release()                     {}
 
-// runProber adapts a full-run runner: every probe runs to its end.
-type runProber func(load float64) (RunResult, error)
-
-func (run runProber) full(load float64) (RunResult, error) { return run(load) }
-
-func (run runProber) probe(load float64, c metrics.SatCriterion) (satProbe, error) {
-	res, err := run(load)
-	if err != nil {
-		return nil, err
-	}
-	return finished(res, c), nil
-}
-
-// saturationSearch is the search loop shared by every entry point. It
+// saturationSearch is the search loop; name labels error messages. It
 // validates cfg before the first probe.
 //
 // ctx is consulted between iterations, not just inside each probe: on a

@@ -7,9 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
+	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
@@ -45,6 +47,33 @@ func quickSatConfig(bench traffic.Benchmark, seed uint64) SatConfig {
 	}
 }
 
+// runProber is the full-run reference the engine's search must
+// reproduce: every probe runs to its end.
+type runProber func(load float64) (RunResult, error)
+
+func (run runProber) full(load float64) (RunResult, error) { return run(load) }
+
+func (run runProber) probe(load float64, c metrics.SatCriterion) (satProbe, error) {
+	res, err := run(load)
+	if err != nil {
+		return nil, err
+	}
+	return finished(res, c), nil
+}
+
+// fullRunSaturation is cfg's search on ts over full runs through Run;
+// seen, when not nil, sees every probed load.
+func fullRunSaturation(ts topology.TopologySpec, cfg SatConfig, seen func(load float64)) (SatResult, error) {
+	return saturationSearch(context.Background(), specName(ts), cfg, runProber(func(load float64) (RunResult, error) {
+		if seen != nil {
+			seen(load)
+		}
+		c := cfg.Base
+		c.LoadGFs = load
+		return Run(ts, c)
+	}))
+}
+
 // fakeStoreKeys lists the keys a fakeStore holds.
 func fakeStoreKeys(st *fakeStore) map[string]bool {
 	st.mu.Lock()
@@ -61,14 +90,15 @@ func fakeStoreKeys(st *fakeStore) map[string]bool {
 // search over full runs, and keeps the engine's books: one simulation per
 // distinct probed load, none in flight afterwards, every claimed miss
 // completed, no early-stopped probe published as a result, and a repeated
-// search answered without simulating. A sharded chiplet search returns
-// the serial chiplet search's SatResult.
+// search answered without simulating. The 4x4 meshes search the same
+// way. A sharded chiplet search returns the serial chiplet search's
+// SatResult.
 func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 36 saturation searches")
+		t.Skip("runs 40 saturation searches")
 	}
 	type job struct {
-		spec network.Spec
+		spec topology.TopologySpec
 		cfg  SatConfig
 	}
 	var jobs []job
@@ -76,17 +106,18 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 		for _, p := range satTablePairs() {
 			jobs = append(jobs, job{p.spec, quickSatConfig(p.bench, seed)})
 		}
+		for _, spec := range []mesh.Spec{
+			{Name: "MeshTree", W: 4, H: 4, PacketLen: 5},
+			{Name: "MeshSerial", W: 4, H: 4, PacketLen: 5, Serial: true},
+		} {
+			jobs = append(jobs, job{spec, quickSatConfig(traffic.Multicast{N: 16, Frac: 0.10}, seed)})
+		}
 	}
 	early := 0
 	for _, j := range jobs {
-		name := j.spec.Name + "/" + j.cfg.Base.Bench.Name()
+		name := specName(j.spec) + "/" + j.cfg.Base.Bench.Name()
 		loads := map[float64]bool{}
-		want, err := SaturationWith(j.spec.Name, j.cfg, func(load float64) (RunResult, error) {
-			loads[load] = true
-			c := j.cfg.Base
-			c.LoadGFs = load
-			return Run(j.spec, c)
-		})
+		want, err := fullRunSaturation(j.spec, j.cfg, func(load float64) { loads[load] = true })
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -285,12 +316,7 @@ func TestConcurrentSearchesShareProbes(t *testing.T) {
 func probedLoads(t *testing.T, spec network.Spec, cfg SatConfig) []float64 {
 	t.Helper()
 	var loads []float64
-	if _, err := SaturationWith(spec.Name, cfg, func(load float64) (RunResult, error) {
-		loads = append(loads, load)
-		c := cfg.Base
-		c.LoadGFs = load
-		return Run(spec, c)
-	}); err != nil {
+	if _, err := fullRunSaturation(spec, cfg, func(load float64) { loads = append(loads, load) }); err != nil {
 		t.Fatal(err)
 	}
 	return loads

@@ -319,6 +319,10 @@ func absInt(v int) int {
 	return v
 }
 
+// SchedFor returns the scheduler tile src injects on: every tile shares
+// the mesh's one scheduler.
+func (m *Mesh) SchedFor(int) *sim.Scheduler { return m.Sched }
+
 // Inject creates a logical packet from tile src to dests at the current
 // simulation time, planned under the spec's routing strategy: a plan of
 // one packet covering the whole set rides the logical packet itself,

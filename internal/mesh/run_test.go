@@ -6,6 +6,9 @@ package mesh_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"testing"
@@ -25,7 +28,7 @@ func serialSpec(w, h int) mesh.Spec {
 }
 
 func run(spec mesh.Spec, cfg core.RunConfig) (core.RunResult, error) {
-	return core.RunMesh(context.Background(), spec, cfg)
+	return core.Run(spec, cfg)
 }
 
 func TestTreeBeatsSerialMulticastLatency(t *testing.T) {
@@ -116,11 +119,7 @@ func TestMeshSaturation(t *testing.T) {
 		Bench: traffic.Shuffle{N: 16}, Seed: 3,
 		Warmup: 100 * sim.Nanosecond, Measure: 350 * sim.Nanosecond, Drain: 300 * sim.Nanosecond,
 	}
-	sat, err := core.SaturationWith("MeshTree", core.SatConfig{Base: base, Iters: 6}, func(load float64) (core.RunResult, error) {
-		c := base
-		c.LoadGFs = load
-		return run(treeSpec(4, 4), c)
-	})
+	sat, err := core.NewEngine(1).Saturation(treeSpec(4, 4), core.SatConfig{Base: base, Iters: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +128,38 @@ func TestMeshSaturation(t *testing.T) {
 	}
 	if sat.AtSaturation.Completion < 0.92 {
 		t.Errorf("unstable point reported: %+v", sat.AtSaturation)
+	}
+}
+
+// TestMeshSaturationPinned locks the engine's mesh searches, whose
+// probes stop at their verdicts, to the SatResult JSON the same searches
+// returned when every probe ran to its end (digests of that JSON).
+func TestMeshSaturationPinned(t *testing.T) {
+	want := map[string]string{
+		"MeshTree/UniformRandom":   "43ac3295da90d783b158de0a05dc6f44675e3fe0d94fe62d48238f2ff9b163c0",
+		"MeshTree/Multicast10":     "7cc6c8b7666f66675028d523d67d7e285d8cfa72043f47beaba602879a92c0c4",
+		"MeshSerial/UniformRandom": "6437a7292cbc3d000671fdbb14dcff026ad59342a051fad57c2cd1ee0f8c5f39",
+		"MeshSerial/Multicast10":   "599afd779ef86586c7619496a8c2b71e6806964c7a64975316208528c602e818",
+	}
+	e := core.NewEngine(2)
+	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
+		for _, bench := range []traffic.Benchmark{traffic.UniformRandom{N: 16}, traffic.Multicast{N: 16, Frac: 0.10}} {
+			base := core.RunConfig{Bench: bench, Seed: 2016,
+				Warmup: 100 * sim.Nanosecond, Measure: 400 * sim.Nanosecond, Drain: 300 * sim.Nanosecond}
+			sat, err := e.Saturation(spec, core.SatConfig{Base: base, Iters: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(sat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(js)
+			name := spec.Name + "/" + bench.Name()
+			if got := hex.EncodeToString(sum[:]); got != want[name] {
+				t.Errorf("%s: SatResult digest %s, want %s:\n%s", name, got, want[name], js)
+			}
+		}
 	}
 }
 
@@ -191,7 +222,7 @@ func TestMeshEventBudget(t *testing.T) {
 func TestMeshContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := core.RunMesh(ctx, treeSpec(4, 4), paperCfg(traffic.UniformRandom{N: 16}))
+	_, err := core.RunContext(ctx, treeSpec(4, 4), paperCfg(traffic.UniformRandom{N: 16}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
