@@ -146,15 +146,23 @@ fuzz-smoke:
 # coverage gate — the strategy layer must keep >= 90% statement
 # coverage. The mesh, the layer's second client (it plans on a
 # mask-routed Fabric), runs beside it, and one motsim mesh saturation
-# search runs it through the engine end to end; the gate stays on the
+# search, one mesh schedule replay and one mesh load sweep run it through
+# the engine and the shared harness end to end; the gate stays on the
 # routing package.
 test-routing:
 	@mkdir -p bin
 	$(GO) test -coverprofile=bin/routing_cover.out ./internal/routing
 	$(GO) test ./internal/mesh
 	$(GO) build -o bin/motsim ./cmd/motsim
+	$(GO) build -o bin/replay ./cmd/replay
+	$(GO) build -o bin/loadsweep ./cmd/loadsweep
 	./bin/motsim -topology mesh:4x4 -sat -bench Multicast10 -measure 400 > bin/motsim_mesh_sat.txt
 	grep -q '^saturation load: ' bin/motsim_mesh_sat.txt
+	./bin/replay -topology mesh:4x4 -file cmd/replay/testdata/mesh4x4.csv > bin/replay_mesh.txt
+	grep -q '^completion:     100.0%' bin/replay_mesh.txt
+	./bin/loadsweep -topology mesh:4x4 -points 2 -bench Multicast10 > bin/loadsweep_mesh.txt
+	grep -q '^Mesh4x4Tree / Multicast10$$' bin/loadsweep_mesh.txt
+	grep -q '^      0.95 ' bin/loadsweep_mesh.txt
 	@total=$$($(GO) tool cover -func=bin/routing_cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "test-routing: internal/routing coverage $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit (t >= 90.0) ? 0 : 1 }' || \

@@ -324,7 +324,7 @@ type PanicError = core.PanicError
 // ASYNCNOC_WORKERS environment variable (default GOMAXPROCS).
 type Engine = core.Engine
 
-// Job is one engine work unit: a single simulation run.
+// Job is one engine work unit: a single simulation run of any topology.
 type Job = core.Job
 
 // NewEngine returns an engine with the given worker-pool size;
@@ -385,8 +385,9 @@ func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) { return Run(spec,
 // description implements: NetworkSpec (a single MoT die or a chiplet
 // composition of dies) and MeshSpec (the 2D-mesh substrate). It exposes
 // the shared surface — name, terminal count, validation and canonical
-// memo key — so Run, Saturation and the Engine accept any topology
-// through one parameter.
+// memo key — so Run, Saturation, LoadSweep, RunSeeds, RunSchedule and
+// the Engine (Job.Spec included) accept any topology through one
+// parameter.
 type TopologySpec = topology.TopologySpec
 
 // ChipletParams describes the interposer of a mesh-of-MoT-chiplets
@@ -427,19 +428,21 @@ func ParseSchedule(r io.Reader, name string, n int) (Schedule, error) {
 	return core.ParseSchedule(r, name, n)
 }
 
-// RunSchedule replays an explicit workload through a network and measures
-// every injected packet.
-func RunSchedule(spec NetworkSpec, sched Schedule, drain Time) (RunResult, error) {
-	return core.RunSchedule(spec, sched, drain)
+// RunSchedule replays an explicit workload through a MoT die or a 2D
+// mesh and measures every injected packet; a chiplet composition is
+// rejected (a schedule's flat destination mask cannot address it).
+func RunSchedule(ts TopologySpec, sched Schedule, drain Time) (RunResult, error) {
+	return core.RunSchedule(ts, sched, drain)
 }
 
 // Replicated aggregates one configuration over several seeds.
 type Replicated = core.Replicated
 
-// RunSeeds executes the configuration once per seed and aggregates mean
-// and standard deviation of the reported metrics.
-func RunSeeds(spec NetworkSpec, cfg RunConfig, seeds []uint64) (Replicated, error) {
-	return core.RunSeeds(spec, cfg, seeds)
+// RunSeeds executes the configuration once per seed on a network of any
+// topology and aggregates mean and standard deviation of the reported
+// metrics.
+func RunSeeds(ts TopologySpec, cfg RunConfig, seeds []uint64) (Replicated, error) {
+	return core.RunSeeds(ts, cfg, seeds)
 }
 
 // TraceSink streams a network's flit-lifecycle events as deterministic
@@ -535,11 +538,11 @@ type CanceledError = core.CanceledError
 // SweepPoint is one point of a latency-versus-offered-load curve.
 type SweepPoint = core.SweepPoint
 
-// LoadSweep measures the latency-throughput curve of one network under
-// one benchmark on a grid of load fractions up to maxFraction of the
-// network's saturation.
-func LoadSweep(spec NetworkSpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
-	return core.LoadSweep(spec, base, points, maxFraction)
+// LoadSweep measures the latency-throughput curve of one network of any
+// topology under one benchmark on a grid of load fractions up to
+// maxFraction of the network's saturation.
+func LoadSweep(ts TopologySpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
+	return core.LoadSweep(ts, base, points, maxFraction)
 }
 
 // NodeCost is one row of the paper's node-level results (Section 5.2(a)),

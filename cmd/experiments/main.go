@@ -45,12 +45,16 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 		n        = cliflags.N()
 		util     = flag.Bool("util", false, "also print the per-level fanout utilization table")
-		cache    = flag.String("cache-dir", "", "persistent result store directory (shared warm cache)")
-		httpAd   = flag.String("http", "", "serve live expvar counters and pprof on this address (e.g. :8090)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		engine   = cliflags.Engine()
+		profiles = cliflags.Profiles()
 	)
 	flag.Parse()
+
+	sel, err := cliflags.ParseTopology(*topology)
+	check(err)
+	// The hierarchy table has no utilization, fault-sweep or saturation
+	// diagnostics of its own.
+	check(sel.Check(flag.CommandLine, cliflags.Unsupported{Chiplet: []string{"util", "faults", "satloads"}}))
 
 	start := time.Now()
 	s := experiments.NewSuite(*quick)
@@ -58,27 +62,12 @@ func main() {
 	s.Seed = *seed
 	s.Workers = *workers
 
-	if *cache != "" {
-		st, err := asyncnoc.OpenStore(*cache)
-		check(err)
-		defer st.Close() //nolint:errcheck // Close only flushes; errors are counted
-		s.Engine().SetStore(st)
-		fmt.Fprintf(os.Stderr, "store: persistent cache at %s\n", st.Dir())
-	}
-	if *cpuProf != "" {
-		stop, err := asyncnoc.StartCPUProfile(*cpuProf)
-		check(err)
-		defer stop() //nolint:errcheck
-	}
-	if *memProf != "" {
-		defer func() { check(asyncnoc.WriteHeapProfile(*memProf)) }()
-	}
-	if *httpAd != "" {
-		mon, err := asyncnoc.StartMonitor(*httpAd, s.Engine(), nil)
-		check(err)
-		defer mon.Close()
-		fmt.Fprintf(os.Stderr, "monitor: http://%s/debug/vars\n", mon.Addr())
-	}
+	stop, err := profiles.Start("experiments")
+	check(err)
+	defer stop()
+	closeEngine, err := engine.Attach(s.Engine(), nil)
+	check(err)
+	defer closeEngine()
 
 	emit := func(name string, t *experiments.Table) {
 		fmt.Println(t.Format())
@@ -90,21 +79,25 @@ func main() {
 		}
 	}
 
-	sel, err := cliflags.ParseTopology(*topology)
-	check(err)
-	switch sel.Kind {
-	case "mesh":
-		check(fmt.Errorf("the evaluation suite measures MoT networks; -topology mesh:%dx%d is not supported", sel.W, sel.H))
-	case "chiplet":
-		// Hierarchy-table mode: instead of the paper's single-die tables,
-		// measure every architecture composed onto the interposer mesh and
-		// break the results out per hierarchy level.
-		ct, err := s.ChipletTable(asyncnoc.ChipletSerial(sel.W, sel.H))
-		check(err)
-		emit("chiplet_hierarchy", ct)
-		fmt.Printf("regenerated chiplet experiments in %.1fs\n", time.Since(start).Seconds())
-		printEngineStats(s.Engine())
-		return
+	// The selection resolved over the suite's headline network picks the
+	// mode: the paper's tables on one die, the hierarchy table on a
+	// composition's interposer, and no table on a mesh.
+	switch ts := sel.Spec(asyncnoc.OptHybridSpeculative(*n)).(type) {
+	case asyncnoc.MeshSpec:
+		check(fmt.Errorf("the evaluation suite measures MoT networks; -topology %s is not supported", sel))
+	case asyncnoc.NetworkSpec:
+		if ts.Chiplet != nil {
+			// Hierarchy-table mode: instead of the paper's single-die
+			// tables, measure every architecture composed onto the
+			// interposer mesh and break the results out per hierarchy
+			// level.
+			ct, err := s.ChipletTable(ts.Chiplet)
+			check(err)
+			emit("chiplet_hierarchy", ct)
+			fmt.Printf("regenerated chiplet experiments in %.1fs\n", time.Since(start).Seconds())
+			printEngineStats(s.Engine())
+			return
+		}
 	}
 
 	nodeTable, err := experiments.NodeLevel()
@@ -168,17 +161,12 @@ func main() {
 
 // printEngineStats reports on stderr how many simulations actually ran
 // and how many of those stopped once their result was final, beside the
-// memo's hits and misses (a miss the store served runs nothing), and the
-// store's counters when one is attached.
+// memo's hits and misses (a miss the store served runs nothing). The
+// store's counters follow when the engine flags close.
 func printEngineStats(e *asyncnoc.Engine) {
 	snap := e.Snapshot()
 	fmt.Fprintf(os.Stderr, "engine: %d simulations, %d stopped at a final result, %d memo hits, %d memo misses, %d workers\n",
 		snap.Started, snap.FinalStops, snap.Hits, snap.Misses, snap.Workers)
-	if snap.HasStore {
-		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d corrupt healed, %d writes (%d errors)\n",
-			snap.Store.Hits, snap.Store.Misses, snap.Store.Corrupt,
-			snap.Store.Writes, snap.Store.WriteErrors)
-	}
 }
 
 func check(err error) {

@@ -7,7 +7,15 @@
 // Every network's sweep runs concurrently on the shared parallel
 // experiment engine (-workers, or the ASYNCNOC_WORKERS environment
 // variable; default GOMAXPROCS); the curves print in -networks order and
-// are identical at any pool size.
+// are identical at any pool size; a network named twice sweeps once.
+//
+// The -topology flag selects the substrate: mot (default) sweeps single
+// MoT dies, chiplet:WxH composes each network onto a WxH interposer mesh
+// of radix -n dies (hierarchical benchmarks only), and mesh:WxH sweeps
+// an asynchronous 2D mesh of XY routers. The mesh has one architecture
+// and no die radix, so -networks and -n are rejected there by name:
+//
+//	loadsweep -topology mesh:4x4 -bench Multicast10 -points 4
 package main
 
 import (
@@ -31,54 +39,53 @@ func main() {
 		maxFrac   = flag.Float64("maxfrac", 0.95, "highest load as a fraction of saturation")
 		seed      = flag.Uint64("seed", 7, "random seed")
 		workers   = cliflags.Workers("simulation")
-		cache     = flag.String("cache-dir", "", "persistent result store directory (shared warm cache)")
-		httpAddr  = flag.String("http", "", "serve live expvar counters and pprof on this address (e.g. :8090)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		engine    = cliflags.Engine()
+		profiles  = cliflags.Profiles()
 	)
 	flag.Parse()
 
-	eng := asyncnoc.NewEngine(*workers)
-	if *cache != "" {
-		st, err := asyncnoc.OpenStore(*cache)
-		if err != nil {
-			fatal(err)
-		}
-		defer st.Close() //nolint:errcheck // Close only flushes; errors are counted
-		eng.SetStore(st)
-		fmt.Fprintf(os.Stderr, "store: persistent cache at %s\n", st.Dir())
-	}
-	if *cpuProf != "" {
-		stop, err := asyncnoc.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop() //nolint:errcheck
-	}
-	if *memProf != "" {
-		defer func() {
-			if err := asyncnoc.WriteHeapProfile(*memProf); err != nil {
-				fmt.Fprintln(os.Stderr, "loadsweep:", err)
-			}
-		}()
-	}
-	networkList := strings.Split(*networks, ",")
-	progress := asyncnoc.NewSweepProgress(len(networkList))
-	if *httpAddr != "" {
-		mon, err := asyncnoc.StartMonitor(*httpAddr, eng, progress)
-		if err != nil {
-			fatal(err)
-		}
-		defer mon.Close()
-		fmt.Fprintf(os.Stderr, "monitor: http://%s/debug/vars\n", mon.Addr())
-	}
 	sel, err := cliflags.ParseTopology(*topology)
 	if err != nil {
 		fatal(err)
 	}
-	if sel.Kind == "mesh" {
-		fatal(fmt.Errorf("loadsweep sweeps MoT networks; -topology mesh:%dx%d is not supported", sel.W, sel.H))
+	// The mesh has one architecture and no die radix.
+	if err := sel.Check(flag.CommandLine, cliflags.Unsupported{Mesh: []string{"networks", "n"}}); err != nil {
+		fatal(err)
 	}
+	// Each network name resolves to its run spec in flag order; a name
+	// whose spec an earlier name already resolved to (every name on a
+	// mesh, which has one architecture) sweeps once.
+	type sweep struct {
+		spec asyncnoc.TopologySpec
+		pts  []asyncnoc.SweepPoint
+		err  error
+	}
+	var sweeps []sweep
+	seen := map[string]bool{}
+	for _, name := range strings.Split(*networks, ",") {
+		ns, err := asyncnoc.NetworkByName(*n, strings.TrimSpace(name))
+		if err != nil {
+			sweeps = append(sweeps, sweep{err: err})
+			continue
+		}
+		spec := sel.Spec(ns)
+		if !seen[spec.TopologyName()] {
+			seen[spec.TopologyName()] = true
+			sweeps = append(sweeps, sweep{spec: spec})
+		}
+	}
+	eng := asyncnoc.NewEngine(*workers)
+	progress := asyncnoc.NewSweepProgress(len(sweeps))
+	stop, err := profiles.Start("loadsweep")
+	if err != nil {
+		fatal(err)
+	}
+	defer stop()
+	closeEngine, err := engine.Attach(eng, progress)
+	if err != nil {
+		fatal(err)
+	}
+	defer closeEngine()
 	bench, err := sel.Bench(*n, *benchName)
 	if err != nil {
 		fatal(err)
@@ -94,44 +101,29 @@ func main() {
 	// once is what keeps a multi-worker pool busy. Results print in flag
 	// order, and a failing network stops the output at its turn, exactly
 	// as a one-at-a-time loop would.
-	type sweep struct {
-		spec asyncnoc.NetworkSpec
-		pts  []asyncnoc.SweepPoint
-		err  error
-	}
-	sweeps := make([]sweep, len(networkList))
 	var wg sync.WaitGroup
-	for i, name := range networkList {
-		wg.Add(1)
-		go func(sw *sweep, name string) {
-			defer wg.Done()
-			spec, err := asyncnoc.NetworkByName(*n, strings.TrimSpace(name))
-			if err != nil {
-				sw.err = err
-				return
-			}
-			sw.spec = sel.Compose(spec)
-			sw.pts, sw.err = eng.LoadSweep(sw.spec, base, *points, *maxFrac)
-			progress.JobDone()
-		}(&sweeps[i], name)
+	for i := range sweeps {
+		if sw := &sweeps[i]; sw.err == nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sw.pts, sw.err = eng.LoadSweep(sw.spec, base, *points, *maxFrac)
+				progress.JobDone()
+			}()
+		}
 	}
 	wg.Wait()
 	for _, sw := range sweeps {
 		if sw.err != nil {
 			fatal(sw.err)
 		}
-		fmt.Printf("\n%s / %s\n", sw.spec.Name, bench.Name())
+		fmt.Printf("\n%s / %s\n", sw.spec.TopologyName(), bench.Name())
 		fmt.Printf("%10s %12s %12s %12s %10s\n", "frac sat", "load GF/s", "latency ns", "thr GF/s", "complete")
 		for _, p := range sw.pts {
 			fmt.Printf("%10.2f %12.3f %12.2f %12.3f %9.0f%%\n",
 				p.FractionOfSat, p.Result.LoadGFs, p.Result.AvgLatencyNs,
 				p.Result.ThroughputGFs, 100*p.Result.Completion)
 		}
-	}
-	if snap := eng.Snapshot(); snap.HasStore {
-		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d corrupt healed, %d writes (%d errors)\n",
-			snap.Store.Hits, snap.Store.Misses, snap.Store.Corrupt,
-			snap.Store.Writes, snap.Store.WriteErrors)
 	}
 }
 

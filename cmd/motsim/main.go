@@ -9,7 +9,8 @@
 // Loads are offered gigaflits per second per source; windows are in
 // nanoseconds. The -topology flag selects the substrate: mot (default)
 // runs one MoT die, chiplet:WxH composes a WxH interposer mesh of
-// radix -n MoT dies (hierarchical benchmarks only; results carry an
+// radix -n MoT dies (hierarchical benchmarks only and no fault layer, so
+// -dests and every -fault* flag are rejected by name; results carry an
 // intra-die versus die-to-die breakout), and mesh:WxH runs an
 // asynchronous 2D mesh of XY routers (fixed-load runs and -sat under
 // -strategy; -network, -n, -dests, -draw, -util, the instrument flags
@@ -64,8 +65,7 @@ func main() {
 		draw        = flag.Bool("draw", false, "print the fanout-tree placement diagram and exit")
 		hist        = flag.Bool("hist", false, "print a latency histogram after the run")
 		traceOut    = flag.String("trace-out", "", "stream the flit-lifecycle trace to this JSONL file (with -sat, traces the run at the saturation load)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		profiles    = cliflags.Profiles()
 
 		faults        = flag.Float64("faults", 0, "shorthand: corrupt AND drop rate per channel traversal")
 		faultCorrupt  = flag.Float64("fault-corrupt", 0, "payload bit-flip probability per channel traversal")
@@ -82,6 +82,16 @@ func main() {
 
 	sel, err := cliflags.ParseTopology(*topology)
 	if err != nil {
+		fatal(err)
+	}
+	// The mesh has one architecture, no die radix (its W*H tiles are the
+	// terminals), no fanout levels, no instruments, no fixed destination
+	// sets and no fault layer; a composition addresses its dies with
+	// hierarchical benchmarks and has no fault layer either.
+	if err := sel.Check(flag.CommandLine, cliflags.Unsupported{
+		Mesh:    []string{"network", "n", "util", "hist", "draw", "vcd", "trace-out", "dests", "fault*"},
+		Chiplet: []string{"dests", "fault*"},
+	}); err != nil {
 		fatal(err)
 	}
 
@@ -101,81 +111,57 @@ func main() {
 		return
 	}
 
-	if *cpuProfile != "" {
-		stop, err := asyncnoc.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop() //nolint:errcheck
+	stop, err := profiles.Start("motsim")
+	if err != nil {
+		fatal(err)
 	}
-	if *memProfile != "" {
-		defer func() {
-			if err := asyncnoc.WriteHeapProfile(*memProfile); err != nil {
-				fmt.Fprintln(os.Stderr, "motsim:", err)
-			}
-		}()
-	}
+	defer stop()
 
-	// spec is the run's topology; mot is the same spec when it is a MoT
-	// die or chiplet composition, nil on a mesh.
-	var (
-		spec asyncnoc.TopologySpec
-		mot  *asyncnoc.NetworkSpec
-	)
-	if sel.Kind == "mesh" {
-		if spec, err = sel.MeshSpec(*strategy, flag.CommandLine); err != nil {
-			fatal(err)
-		}
-	} else {
-		ns, err := asyncnoc.NetworkByName(*n, *networkName)
+	ns, err := asyncnoc.NetworkByName(*n, *networkName)
+	if err != nil {
+		fatal(err)
+	}
+	ns = asyncnoc.WithStrategy(ns, *strategy)
+	if *faults > 0 {
+		ns.Faults.CorruptRate = *faults
+		ns.Faults.DropRate = *faults
+	}
+	if *faultCorrupt > 0 {
+		ns.Faults.CorruptRate = *faultCorrupt
+	}
+	if *faultDrop > 0 {
+		ns.Faults.DropRate = *faultDrop
+	}
+	if *faultJitter > 0 {
+		ns.Faults.JitterRate = *faultJitter
+	}
+	ns.Faults.JitterMaxPs = *faultJitterPs
+	ns.Faults.MaxRetries = *faultRetries
+	ns.Faults.RetryTimeoutPs = *faultTimeout
+	if *faultStuck != "" {
+		stuck, err := parseStuck(*faultStuck)
 		if err != nil {
 			fatal(err)
 		}
-		ns = sel.Compose(asyncnoc.WithStrategy(ns, *strategy))
-		if *faults > 0 {
-			ns.Faults.CorruptRate = *faults
-			ns.Faults.DropRate = *faults
-		}
-		if *faultCorrupt > 0 {
-			ns.Faults.CorruptRate = *faultCorrupt
-		}
-		if *faultDrop > 0 {
-			ns.Faults.DropRate = *faultDrop
-		}
-		if *faultJitter > 0 {
-			ns.Faults.JitterRate = *faultJitter
-		}
-		ns.Faults.JitterMaxPs = *faultJitterPs
-		ns.Faults.MaxRetries = *faultRetries
-		ns.Faults.RetryTimeoutPs = *faultTimeout
-		if *faultStuck != "" {
-			stuck, err := parseStuck(*faultStuck)
-			if err != nil {
-				fatal(err)
-			}
-			ns.Faults.Stuck = stuck
-		}
-		if ns.Faults.Enabled() {
-			ns.Faults.Seed = *faultSeed
-		}
-		if *draw {
-			out, err := asyncnoc.DrawPlacement(ns)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(out)
-			return
-		}
-		spec, mot = ns, &ns
+		ns.Faults.Stuck = stuck
 	}
+	if ns.Faults.Enabled() {
+		ns.Faults.Seed = *faultSeed
+	}
+	if *draw {
+		out, err := asyncnoc.DrawPlacement(ns)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(out)
+		return
+	}
+	spec := sel.Spec(ns)
 	bench, err := sel.Bench(*n, *benchName)
 	if err != nil {
 		fatal(err)
 	}
 	if *dests != "" {
-		if mot.Chiplet != nil {
-			fatal(fmt.Errorf("-dests cannot address a chiplet composition; use a hierarchical -bench"))
-		}
 		set, err := asyncnoc.ParseDests(*dests, *n)
 		if err != nil {
 			fatal(err)
@@ -226,7 +212,7 @@ func main() {
 		}
 	}
 	if !*sat {
-		printResult(res, mot)
+		printResult(res, spec)
 	}
 	if *util {
 		printUtilization(res)
@@ -245,8 +231,8 @@ func printUtilization(res asyncnoc.RunResult) {
 
 // printResult prints the standard measurement block, the hierarchy
 // breakout for chiplet compositions, and the fault counters for fault
-// runs. spec is nil for topologies without a NetworkSpec (mesh).
-func printResult(res asyncnoc.RunResult, spec *asyncnoc.NetworkSpec) {
+// runs.
+func printResult(res asyncnoc.RunResult, ts asyncnoc.TopologySpec) {
 	fmt.Printf("network:          %s\n", res.Network)
 	fmt.Printf("benchmark:        %s\n", res.Benchmark)
 	fmt.Printf("offered load:     %.3f GF/s per source\n", res.LoadGFs)
@@ -257,7 +243,8 @@ func printResult(res asyncnoc.RunResult, spec *asyncnoc.NetworkSpec) {
 	fmt.Printf("throughput:       %.3f GF/s per source (delivered)\n", res.ThroughputGFs)
 	fmt.Printf("network power:    %.2f mW\n", res.PowerMW)
 	fmt.Printf("completion:       %.1f%% of %d measured packets\n", 100*res.Completion, res.MeasuredPackets)
-	if spec == nil {
+	spec, ok := ts.(asyncnoc.NetworkSpec)
+	if !ok {
 		return
 	}
 	if spec.Chiplet != nil {

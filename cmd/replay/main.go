@@ -8,9 +8,16 @@
 //	0.0,2,5
 //	1.5,0,1,4,6
 //
+// Sources and destinations are terminal numbers: 0..n-1 on an n x n MoT
+// die (-topology mot, the default), and the W*H tiles in row-major order
+// on a 2D mesh (-topology mesh:WxH, up to 64 tiles; -network and -n are
+// rejected there by name). A chiplet composition has no flat terminal
+// space, so its replay fails.
+//
 // Example:
 //
 //	replay -network OptHybridSpeculative -file workload.csv
+//	replay -topology mesh:4x4 -file workload.csv
 package main
 
 import (
@@ -29,39 +36,31 @@ func main() {
 		n           = cliflags.N()
 		file        = flag.String("file", "", "CSV schedule file (time_ns,src,dest[,dest...])")
 		drain       = flag.Int("drain", 2000, "extra simulated time after the last injection (ns)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		profiles    = cliflags.Profiles()
 	)
 	flag.Parse()
 	if *file == "" {
 		fatal(fmt.Errorf("need -file"))
 	}
-	// Flat schedules address one die's terminal space; composed and mesh
-	// topologies have no schedule format (see core.RunSchedule).
-	if sel, err := cliflags.ParseTopology(*topology); err != nil {
-		fatal(err)
-	} else if sel.Kind != "mot" {
-		fatal(fmt.Errorf("replay supports only -topology mot; a %s schedule has no CSV format", sel.Kind))
-	}
-	if *cpuProf != "" {
-		stop, err := asyncnoc.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop() //nolint:errcheck
-	}
-	if *memProf != "" {
-		defer func() {
-			if err := asyncnoc.WriteHeapProfile(*memProf); err != nil {
-				fmt.Fprintln(os.Stderr, "replay:", err)
-			}
-		}()
-	}
-	spec, err := asyncnoc.NetworkByName(*n, *networkName)
+	sel, err := cliflags.ParseTopology(*topology)
 	if err != nil {
 		fatal(err)
 	}
-	sched, err := parseSchedule(*file, *n)
+	// The mesh has one architecture and no die radix.
+	if err := sel.Check(flag.CommandLine, cliflags.Unsupported{Mesh: []string{"network", "n"}}); err != nil {
+		fatal(err)
+	}
+	stop, err := profiles.Start("replay")
+	if err != nil {
+		fatal(err)
+	}
+	defer stop()
+	ns, err := asyncnoc.NetworkByName(*n, *networkName)
+	if err != nil {
+		fatal(err)
+	}
+	spec := sel.Spec(ns)
+	sched, err := parseSchedule(*file, spec.Terminals())
 	if err != nil {
 		fatal(err)
 	}

@@ -1,13 +1,15 @@
-// Package cliflags holds the flag definitions and the -topology parser
-// shared by the command-line tools (motsim, experiments, loadsweep,
-// replay). Every tool registers the same flag names with the same help
-// strings and reports the same parse errors, so workflows transfer
+// Package cliflags holds the flag definitions, the -topology resolver and
+// the profiling and engine wiring shared by the command-line tools
+// (motsim, experiments, loadsweep, replay). Every tool registers the same
+// flag names with the same help strings, resolves -topology to its run
+// spec the same way and reports the same errors, so workflows transfer
 // between tools verbatim.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 
 	"asyncnoc"
@@ -64,14 +66,30 @@ func ParseTopology(s string) (Topology, error) {
 	return Topology{Kind: kind, W: w, H: h}, nil
 }
 
-// Compose applies a chiplet selection to a single-die spec. For "mot"
-// the spec passes through; a "mesh" selection has no single-die spec
-// (see MeshSpec).
-func (t Topology) Compose(spec asyncnoc.NetworkSpec) asyncnoc.NetworkSpec {
-	if t.Kind == "chiplet" {
-		return asyncnoc.WithChiplet(spec, asyncnoc.ChipletSerial(t.W, t.H))
+// String is the selection's canonical -topology spelling.
+func (t Topology) String() string {
+	if t.Kind == "mot" {
+		return t.Kind
 	}
-	return spec
+	return fmt.Sprintf("%s:%dx%d", t.Kind, t.W, t.H)
+}
+
+// Spec resolves the command's run spec from base, the single-die MoT spec
+// its -network, -n and -strategy flags name: mot runs base itself,
+// chiplet:WxH composes base onto a WxH interposer of serial die-to-die
+// links, and mesh:WxH is a WxH tree-multicast mesh under base's routing
+// strategy (the mesh has one architecture, and its W*H tiles are its
+// terminals).
+func (t Topology) Spec(base asyncnoc.NetworkSpec) asyncnoc.TopologySpec {
+	switch t.Kind {
+	case "chiplet":
+		return asyncnoc.WithChiplet(base, asyncnoc.ChipletSerial(t.W, t.H))
+	case "mesh":
+		spec := asyncnoc.MeshTree(t.W, t.H)
+		spec.Strategy = base.Strategy
+		return spec
+	}
+	return base
 }
 
 // Bench resolves a benchmark reporting name against the selection: the
@@ -87,31 +105,113 @@ func (t Topology) Bench(n int, name string) (asyncnoc.Benchmark, error) {
 	return asyncnoc.BenchmarkByName(n, name)
 }
 
-// meshUnsupported names the flags a mesh run cannot honour besides the
-// fault flags (every -fault*): the mesh has one architecture, no die
-// radix (its W*H tiles are the terminals), no fanout levels, no
-// instruments and no fixed destination sets.
-var meshUnsupported = map[string]bool{
-	"network": true, "n": true, "util": true, "hist": true,
-	"draw": true, "vcd": true, "trace-out": true, "dests": true,
+// Unsupported names, per topology, the flags a command cannot honour
+// there. A name ending in "*" stands for every flag with that prefix.
+type Unsupported struct {
+	Mesh, Chiplet []string
 }
 
-// MeshSpec returns the asynchronous 2D mesh spec of a "mesh" selection
-// under the named routing strategy (empty = the mesh's default). fs is
-// the parsed command line: a flag set on it that a mesh run cannot
-// honour is an error naming the flag, never a silent no-op.
-func (t Topology) MeshSpec(strategy string, fs *flag.FlagSet) (asyncnoc.MeshSpec, error) {
+// Check fails with an error naming each flag set on fs that the
+// selection cannot honour under u: a flag either acts or is rejected,
+// never silently ignored.
+func (t Topology) Check(fs *flag.FlagSet, u Unsupported) error {
+	var names []string
+	switch t.Kind {
+	case "mesh":
+		names = u.Mesh
+	case "chiplet":
+		names = u.Chiplet
+	}
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
-		if meshUnsupported[f.Name] || strings.HasPrefix(f.Name, "fault") {
-			bad = append(bad, "-"+f.Name)
+		for _, name := range names {
+			if prefix, ok := strings.CutSuffix(name, "*"); f.Name == name || ok && strings.HasPrefix(f.Name, prefix) {
+				bad = append(bad, "-"+f.Name)
+				return
+			}
 		}
 	})
 	if len(bad) > 0 {
-		return asyncnoc.MeshSpec{}, fmt.Errorf("-topology mesh:%dx%d supports only fixed-load runs and -sat; unsupported: %s",
-			t.W, t.H, strings.Join(bad, ", "))
+		return fmt.Errorf("-topology %s does not support %s", t, strings.Join(bad, ", "))
 	}
-	spec := asyncnoc.MeshTree(t.W, t.H)
-	spec.Strategy = strategy
-	return spec, nil
+	return nil
+}
+
+// Profiler is the shared -cpuprofile/-memprofile pair.
+type Profiler struct{ cpu, mem *string }
+
+// Profiles registers the shared -cpuprofile and -memprofile flags.
+func Profiles() *Profiler {
+	return &Profiler{
+		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: flag.String("memprofile", "", "write a heap profile to this file on exit"),
+	}
+}
+
+// Start begins the CPU profile -cpuprofile names, if any. The returned
+// stop, which the caller defers, writes the heap profile -memprofile
+// names, if any, then ends the CPU profile; a failed heap write is
+// reported on stderr under the tool's name.
+func (p *Profiler) Start(tool string) (stop func(), err error) {
+	stopCPU := func() error { return nil }
+	if *p.cpu != "" {
+		if stopCPU, err = asyncnoc.StartCPUProfile(*p.cpu); err != nil {
+			return nil, err
+		}
+	}
+	return func() {
+		if *p.mem != "" {
+			if err := asyncnoc.WriteHeapProfile(*p.mem); err != nil {
+				fmt.Fprintln(os.Stderr, tool+":", err)
+			}
+		}
+		stopCPU() //nolint:errcheck
+	}, nil
+}
+
+// EngineFlags is the shared -cache-dir/-http pair.
+type EngineFlags struct{ cacheDir, http *string }
+
+// Engine registers the shared -cache-dir and -http flags.
+func Engine() *EngineFlags {
+	return &EngineFlags{
+		cacheDir: flag.String("cache-dir", "", "persistent result store directory (shared warm cache)"),
+		http:     flag.String("http", "", "serve live expvar counters and pprof on this address (e.g. :8090)"),
+	}
+}
+
+// Attach puts the -cache-dir store behind e and serves the -http monitor
+// over e and progress (which may be nil), announcing each on stderr. The
+// returned close, which the caller defers, reports the store's counters
+// on stderr, flushes the store and stops the monitor.
+func (f *EngineFlags) Attach(e *asyncnoc.Engine, progress *asyncnoc.SweepProgress) (close func(), err error) {
+	var st *asyncnoc.Store
+	if *f.cacheDir != "" {
+		if st, err = asyncnoc.OpenStore(*f.cacheDir); err != nil {
+			return nil, err
+		}
+		e.SetStore(st)
+		fmt.Fprintf(os.Stderr, "store: persistent cache at %s\n", st.Dir())
+	}
+	var mon *asyncnoc.Monitor
+	if *f.http != "" {
+		if mon, err = asyncnoc.StartMonitor(*f.http, e, progress); err != nil {
+			if st != nil {
+				st.Close() //nolint:errcheck
+			}
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "monitor: http://%s/debug/vars\n", mon.Addr())
+	}
+	return func() {
+		if mon != nil {
+			mon.Close() //nolint:errcheck
+		}
+		if st != nil {
+			s := st.Stats()
+			fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d corrupt healed, %d writes (%d errors)\n",
+				s.Hits, s.Misses, s.Corrupt, s.Writes, s.WriteErrors)
+			st.Close() //nolint:errcheck // Close only flushes; errors are counted
+		}
+	}, nil
 }

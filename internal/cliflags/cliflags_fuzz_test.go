@@ -31,6 +31,9 @@ func FuzzParseTopology(f *testing.F) {
 		default:
 			t.Fatalf("ParseTopology(%q) = %+v: unknown kind", s, sel)
 		}
+		if sel.String() != canonical {
+			t.Fatalf("ParseTopology(%q) = %+v spells %q, want %q", s, sel, sel.String(), canonical)
+		}
 		if again, err := ParseTopology(canonical); err != nil || again != sel {
 			t.Fatalf("ParseTopology(%q) = %+v does not round-trip through %q: %+v, %v", s, sel, canonical, again, err)
 		}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"asyncnoc"
 )
 
 // motsimFlags registers the subset of motsim's flags the mesh check
@@ -27,41 +29,61 @@ func motsimFlags() *flag.FlagSet {
 	return fs
 }
 
-// TestMeshSpecFlags: a mesh run takes -strategy into its spec and
-// rejects, by name, every set flag it cannot honour.
+// TestMeshSpecFlags: a mesh selection resolves to a mesh spec under the
+// base spec's strategy, and Check rejects, by name, every set flag the
+// rules list for the mesh (a trailing "*" covering a prefix) while a
+// composition applies its own list.
 func TestMeshSpecFlags(t *testing.T) {
-	sel := Topology{Kind: "mesh", W: 4, H: 4}
+	rules := Unsupported{
+		Mesh:    []string{"network", "n", "dests", "trace-out", "fault*"},
+		Chiplet: []string{"dests"},
+	}
+	mesh := Topology{Kind: "mesh", W: 4, H: 4}
 	for _, c := range []struct {
+		sel  Topology
 		args []string
 		bad  string // "" = accepted
 	}{
-		{[]string{"-bench", "Multicast10", "-load", "0.3"}, ""},
-		{[]string{"-strategy", "DPM"}, ""},
-		{[]string{"-sat", "-strategy", "SerialUnicast"}, ""},
-		{[]string{"-network", "Baseline"}, "-network"},
-		{[]string{"-n", "32"}, "-n"},
-		{[]string{"-faults", "1e-2"}, "-faults"},
-		{[]string{"-fault-drop", "1e-3"}, "-fault-drop"},
-		{[]string{"-fault-seed", "7"}, "-fault-seed"},
-		{[]string{"-fault-stuck", "0/1/0@5"}, "-fault-stuck"},
-		{[]string{"-dests", "1,2"}, "-dests"},
-		{[]string{"-trace-out", "t.jsonl"}, "-trace-out"},
+		{mesh, []string{"-bench", "Multicast10", "-load", "0.3"}, ""},
+		{mesh, []string{"-strategy", "DPM"}, ""},
+		{mesh, []string{"-sat", "-strategy", "SerialUnicast"}, ""},
+		{mesh, []string{"-network", "Baseline"}, "-network"},
+		{mesh, []string{"-n", "32"}, "-n"},
+		{mesh, []string{"-faults", "1e-2"}, "-faults"},
+		{mesh, []string{"-fault-drop", "1e-3"}, "-fault-drop"},
+		{mesh, []string{"-fault-seed", "7"}, "-fault-seed"},
+		{mesh, []string{"-fault-stuck", "0/1/0@5"}, "-fault-stuck"},
+		{mesh, []string{"-dests", "1,2"}, "-dests"},
+		{mesh, []string{"-trace-out", "t.jsonl"}, "-trace-out"},
+		{Topology{Kind: "chiplet", W: 2, H: 2}, []string{"-dests", "1,2"}, "-dests"},
+		{Topology{Kind: "chiplet", W: 2, H: 2}, []string{"-faults", "1e-2", "-n", "4"}, ""},
+		{Topology{Kind: "mot"}, []string{"-dests", "1,2", "-faults", "1e-2"}, ""},
 	} {
 		fs := motsimFlags()
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}
-		spec, err := sel.MeshSpec(fs.Lookup("strategy").Value.String(), fs)
+		err := c.sel.Check(fs, rules)
 		if c.bad == "" {
 			if err != nil {
-				t.Errorf("%v: %v", c.args, err)
-			} else if want := fs.Lookup("strategy").Value.String(); spec.Strategy != want || spec.W != 4 || spec.H != 4 {
-				t.Errorf("%v: spec %+v, want a 4x4 mesh under strategy %q", c.args, spec, want)
+				t.Errorf("%v %v: %v", c.sel, c.args, err)
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(err.Error(), c.bad) {
-			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.bad)
+		if err == nil || !strings.Contains(err.Error(), c.bad) || !strings.Contains(err.Error(), c.sel.String()) {
+			t.Errorf("%v %v: error %v, want one naming %s and the topology", c.sel, c.args, err, c.bad)
 		}
+	}
+	base := asyncnoc.WithStrategy(asyncnoc.Baseline(8), "DPM")
+	spec, ok := mesh.Spec(base).(asyncnoc.MeshSpec)
+	if !ok || spec.Strategy != "DPM" || spec.W != 4 || spec.H != 4 {
+		t.Errorf("mesh:4x4 over %s resolved to %+v, want a 4x4 mesh under DPM", base.Name, spec)
+	}
+	if got := (Topology{Kind: "mot"}).Spec(base); got.CanonicalKey() != base.CanonicalKey() {
+		t.Errorf("mot resolved to %+v, want the base spec", got)
+	}
+	chip, ok := Topology{Kind: "chiplet", W: 2, H: 2}.Spec(base).(asyncnoc.NetworkSpec)
+	if !ok || chip.Chiplet == nil || chip.Chiplet.MeshW != 2 || chip.Chiplet.MeshH != 2 || chip.N != 8 {
+		t.Errorf("chiplet:2x2 resolved to %+v, want a 2x2 composition of the base die", chip)
 	}
 }

@@ -59,9 +59,10 @@ func DefaultWorkers() int {
 // simulations) fits comfortably.
 const DefaultMemoCapacity = 4096
 
-// Job is one unit of engine work: a single simulation run.
+// Job is one unit of engine work: a single simulation run of any
+// topology.
 type Job struct {
-	Spec network.Spec
+	Spec topology.TopologySpec
 	Cfg  RunConfig
 }
 

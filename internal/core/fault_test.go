@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
 	"asyncnoc/internal/sim"
@@ -194,7 +195,7 @@ func TestEngineRecoversWorkerPanic(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("panic error carries no stack trace")
 	}
-	if results[0].Network != good.Spec.Name || results[0].MeasuredPackets == 0 {
+	if results[0].Network != specName(good.Spec) || results[0].MeasuredPackets == 0 {
 		t.Errorf("sibling job lost its result: %+v", results[0])
 	}
 	// The pool is not poisoned: the good job still runs (memo hit or not).
@@ -323,5 +324,5 @@ func TestFaultsDisabledLeavesCountersZero(t *testing.T) {
 // on one is a *ConfigError naming the field on every entry path.
 func TestFaultSpecRejectsShards(t *testing.T) {
 	job := faultTestJobs(t)[0]
-	checkRejectsShards(t, job.Spec, job.Cfg)
+	checkRejectsShards(t, job.Spec.(network.Spec), job.Cfg)
 }

@@ -87,7 +87,9 @@ func meshRun(t testing.TB, spec mesh.Spec, cfg RunConfig, final bool) (RunResult
 		t.Fatal(err)
 	}
 	h := meshHarness(m)
-	h.arm(cfg, nil)
+	if err := h.arm(cfg); err != nil {
+		t.Fatal(err)
+	}
 	g := h.guard(runSpan(cfg), 0)
 	var stop func() bool
 	if final {

@@ -10,13 +10,14 @@ import (
 	"asyncnoc/internal/fault"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
+	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
 // freshRun runs cfg as an engine does (stopping at a final result), on
 // a network built fresh, and reports its dispatched event count.
-func freshRun(spec network.Spec, cfg RunConfig) (RunResult, uint64, error) {
-	r, err := startRun(spec, cfg, nil)
+func freshRun(ts topology.TopologySpec, cfg RunConfig) (RunResult, uint64, error) {
+	r, err := startRun(ts, cfg, nil)
 	if err != nil {
 		return RunResult{}, 0, err
 	}
@@ -177,7 +178,7 @@ func TestEngineReuseIsPure(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Errorf("%s: concurrent result on reused storage differs from a fresh build's:\n%+v\nvs\n%+v",
-				describeRun(j.Spec.Name, j.Cfg), got[i], want)
+				describeRun(specName(j.Spec), j.Cfg), got[i], want)
 		}
 	}
 }

@@ -327,18 +327,12 @@ func startRun(ts topology.TopologySpec, cfg RunConfig, nets *netCache) (*simRun,
 	}
 	r := &simRun{cfg: cfg}
 	total, maxEvents := runSpan(cfg), cfg.MaxEvents
-	switch spec := ts.(type) {
-	case network.Spec:
-		var prev *network.Network
+	var prev *network.Network
+	if spec, ok := ts.(network.Spec); ok {
 		if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
 			r.nets, r.key = nets, spec.CanonicalKey()
 			prev = r.nets.take(r.key)
 		}
-		nw, err := build(spec, cfg, prev)
-		if err != nil {
-			return nil, err
-		}
-		r.h = motHarness(nw)
 		if maxEvents == 0 && spec.Faults.Enabled() {
 			// Automatic backstop for fault runs: generous enough that any
 			// legitimate simulation fits with orders of magnitude to spare,
@@ -351,20 +345,42 @@ func startRun(ts topology.TopologySpec, cfg RunConfig, nets *netCache) (*simRun,
 				maxEvents *= mul
 			}
 		}
+	}
+	var err error
+	if r.h, err = newHarness(ts, cfg, prev); err != nil {
+		return nil, err
+	}
+	if err := r.h.arm(cfg); err != nil {
+		return nil, err
+	}
+	r.g = r.h.guard(total, maxEvents)
+	return r, nil
+}
+
+// newHarness builds the fabric of ts, not yet armed: a MoT spec through
+// newNetwork (cfg.Shards and prev as there), a mesh with mesh.New. Every
+// run entry builds here; startRun then arms Poisson injectors on the
+// fabric and RunSchedule its replayer.
+func newHarness(ts topology.TopologySpec, cfg RunConfig, prev *network.Network) (harness, error) {
+	switch spec := ts.(type) {
+	case network.Spec:
+		nw, err := newNetwork(spec, cfg.Shards, prev)
+		if err != nil {
+			return harness{}, err
+		}
+		return motHarness(nw), nil
 	case mesh.Spec:
 		if len(cfg.Instruments) > 0 {
-			return nil, &ConfigError{Fields: []FieldError{{Field: "Instruments",
+			return harness{}, &ConfigError{Fields: []FieldError{{Field: "Instruments",
 				Reason: fmt.Sprintf("%d instrument(s) requested, but mesh %s has no MoT network to attach them to", len(cfg.Instruments), spec.Name)}}}
 		}
 		m, err := mesh.New(spec)
 		if err != nil {
-			return nil, err
+			return harness{}, err
 		}
-		r.h = meshHarness(m)
-		r.h.arm(cfg, nil)
+		return meshHarness(m), nil
 	}
-	r.g = r.h.guard(total, maxEvents)
-	return r, nil
+	return harness{}, unsupportedSpec(ts)
 }
 
 // verdict is c's verdict on the run so far (metrics.Recorder.Verdict).
@@ -661,10 +677,15 @@ func checkSpec(ts topology.TopologySpec, cfg RunConfig) error {
 		}
 		what = "mesh " + s.Name
 	default:
-		return fmt.Errorf("core: unsupported topology spec %v", reflect.TypeOf(ts))
+		return unsupportedSpec(ts)
 	}
 	return &ConfigError{Fields: []FieldError{{Field: "Shards",
 		Reason: fmt.Sprintf("%d shards requested, but %s runs on one scheduler", cfg.Shards, what)}}}
+}
+
+// unsupportedSpec is the error for a spec type no run path builds.
+func unsupportedSpec(ts topology.TopologySpec) error {
+	return fmt.Errorf("core: unsupported topology spec %v", reflect.TypeOf(ts))
 }
 
 // checkRun validates cfg, then checks it against ts (checkSpec).
@@ -685,34 +706,30 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 	if err := checkRun(spec, cfg); err != nil {
 		return nil, err
 	}
-	return build(spec, cfg, nil)
-}
-
-// build is Build on prev's storage (see newNetwork), with cfg already
-// checked (checkRun).
-func build(spec network.Spec, cfg RunConfig, prev *network.Network) (*network.Network, error) {
-	var wide traffic.WideBenchmark
-	if spec.Chiplet != nil {
-		w, ok := cfg.Bench.(traffic.WideBenchmark)
-		if !ok {
-			return nil, fmt.Errorf("core: benchmark %s cannot address chiplet composition %s (needs traffic.WideBenchmark)",
-				cfg.Bench.Name(), spec.Name)
-		}
-		wide = w
-	}
-	nw, err := newNetwork(spec, cfg.Shards, prev)
+	h, err := newHarness(spec, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	h := motHarness(nw)
-	h.arm(cfg, wide)
-	return nw, nil
+	if err := h.arm(cfg); err != nil {
+		return nil, err
+	}
+	return h.nw, nil
 }
 
 // arm sets the measurement windows, pre-sizes the recorder, and starts
-// one open-loop Poisson injector per terminal. A non-nil wide benchmark
-// drives hierarchical injection over a chiplet composition of dies.
-func (h *harness) arm(cfg RunConfig, wide traffic.WideBenchmark) {
+// one open-loop Poisson injector per terminal. On a chiplet composition
+// of dies the benchmark must be a traffic.WideBenchmark, which drives
+// hierarchical injection.
+func (h *harness) arm(cfg RunConfig) error {
+	var wide traffic.WideBenchmark
+	if h.nw != nil && h.nw.Spec.Chiplet != nil {
+		w, ok := cfg.Bench.(traffic.WideBenchmark)
+		if !ok {
+			return fmt.Errorf("core: benchmark %s cannot address chiplet composition %s (needs traffic.WideBenchmark)",
+				cfg.Bench.Name(), h.name)
+		}
+		wide = w
+	}
 	windowEnd := sim.AddSat(cfg.Warmup, cfg.Measure)
 	h.rec.SetWindow(cfg.Warmup, windowEnd)
 	h.meter.SetWindow(cfg.Warmup, windowEnd)
@@ -742,6 +759,7 @@ func (h *harness) arm(cfg RunConfig, wide traffic.WideBenchmark) {
 		}
 		inj.sched.In(gap(inj.r, meanGapPs), inj, 0)
 	}
+	return nil
 }
 
 // injector drives one source's open-loop Poisson process: each event

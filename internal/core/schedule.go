@@ -13,6 +13,7 @@ import (
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/sim"
+	"asyncnoc/internal/topology"
 )
 
 // Injection is one entry of an explicit traffic schedule: at time At,
@@ -110,54 +111,54 @@ func (s Schedule) End() sim.Time {
 	return end
 }
 
-// replayer injects schedule entries through a network; the event payload
+// replayer injects schedule entries through a fabric; the event payload
 // is the entry's index in the time-ordered schedule.
 type replayer struct {
-	nw      *network.Network
+	fab     fabric
 	ordered Schedule
 }
 
 // OnEvent implements sim.Handler.
 func (rp *replayer) OnEvent(arg int64) {
 	inj := rp.ordered[arg]
-	if _, err := rp.nw.Inject(inj.Src, inj.Dests); err != nil {
+	if _, err := rp.fab.Inject(inj.Src, inj.Dests); err != nil {
 		panic(err) // schedule validated by RunSchedule
 	}
 }
 
-// RunSchedule replays an explicit schedule through a network and measures
-// every injected packet (the window spans the whole schedule). Drain
-// bounds the extra simulated time after the last injection; the run also
-// ends early once the event queue empties. Protocol violations surface
-// as *ProtocolError and a wedged replay as *DeadlockError.
-func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResult, err error) {
-	defer RecoverViolations(spec.Name, &err)
-	if spec.Chiplet != nil {
-		// Schedule entries address destinations with one flat mask, which
-		// cannot express a composed network's hierarchical space.
+// RunSchedule replays an explicit schedule through a MoT die or a 2D
+// mesh and measures every injected packet (the window spans the whole
+// schedule). Drain bounds the extra simulated time after the last
+// injection; the run also ends early once the event queue empties.
+// Protocol violations surface as *ProtocolError and a wedged replay as
+// *DeadlockError. A chiplet composition is rejected: schedule entries
+// address destinations with one flat mask, which cannot express a
+// composed network's hierarchical space.
+func RunSchedule(ts topology.TopologySpec, sched Schedule, drain sim.Time) (res RunResult, err error) {
+	defer RecoverViolations(specName(ts), &err)
+	if spec, ok := ts.(network.Spec); ok && spec.Chiplet != nil {
 		return RunResult{}, fmt.Errorf("core: schedule replay does not support chiplet composition %s", spec.Name)
-	}
-	if err := sched.Validate(spec.N); err != nil {
-		return RunResult{}, err
 	}
 	if drain < 0 {
 		return RunResult{}, fmt.Errorf("core: negative drain %v", drain)
 	}
-	nw, err := network.New(spec)
+	h, err := newHarness(ts, RunConfig{}, nil)
 	if err != nil {
 		return RunResult{}, err
 	}
+	if err := sched.Validate(h.terms); err != nil {
+		return RunResult{}, err
+	}
 	end := sim.AddSat(sched.End(), drain)
-	nw.Rec.Reserve(len(sched)) // every scheduled packet is measured
-	nw.Rec.SetWindow(0, end)
-	nw.Meter.SetWindow(0, end)
+	h.rec.Reserve(len(sched)) // every scheduled packet is measured
+	h.rec.SetWindow(0, end)
+	h.meter.SetWindow(0, end)
 	ordered := append(Schedule(nil), sched...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
-	rp := &replayer{nw: nw, ordered: ordered}
-	for i := range ordered {
-		nw.Sched.At(ordered[i].At, rp, int64(i))
+	rp := &replayer{fab: h.fab, ordered: ordered}
+	for i, inj := range ordered {
+		h.fab.SchedFor(inj.Src).At(inj.At, rp, int64(i))
 	}
-	h := motHarness(nw)
 	g := h.guard(end, 0)
 	if _, err := g.run(context.Background(), nil); err != nil {
 		return RunResult{}, err

@@ -42,8 +42,8 @@ func (s *Suite) ChipletTable(p *chiplet.Params) (*Table, error) {
 		Notes: []string{fmt.Sprintf("%dx%d interposer mesh of %dx%d MoT dies; D2D link: %d beat(s)/flit, %d ps/hop, %.2f pJ/beat/hop",
 			p.MeshW, p.MeshH, s.N, s.N, p.BeatsPerFlit(), int64(p.HopPs), p.BeatPJPerHop)},
 	}
-	for _, spec := range specs {
-		r := results[spec.Name+"|"+bench.Name()]
+	for i, spec := range specs {
+		r := results[i][0]
 		t.Rows = append(t.Rows, []string{
 			spec.Name,
 			fmt.Sprintf("%.2f", r.AvgLatencyNs),

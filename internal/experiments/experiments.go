@@ -215,13 +215,13 @@ func (s *Suite) powerAtBaselineQuarter(spec network.Spec, bench traffic.Benchmar
 }
 
 // runMatrix builds one run config per (spec, bench) pair, executes them
-// all on the engine, and collects the results keyed by pair. Coinciding
-// configs across matrices (e.g. a network appearing in both Fig. 6
-// tables) are engine memo hits.
+// all on the engine, and returns the results in job order: row i holds
+// specs[i]'s results, one per benchmark in order. Coinciding configs
+// across matrices (e.g. a network appearing in both Fig. 6 tables) are
+// engine memo hits.
 func (s *Suite) runMatrix(specs []network.Spec, benches []traffic.Benchmark,
-	cfgFor func(network.Spec, traffic.Benchmark) (core.RunConfig, error)) (map[string]core.RunResult, error) {
+	cfgFor func(network.Spec, traffic.Benchmark) (core.RunConfig, error)) ([][]core.RunResult, error) {
 	var jobs []core.Job
-	var keys []string
 	for _, spec := range specs {
 		for _, bench := range benches {
 			cfg, err := cfgFor(spec, bench)
@@ -229,18 +229,17 @@ func (s *Suite) runMatrix(specs []network.Spec, benches []traffic.Benchmark,
 				return nil, err
 			}
 			jobs = append(jobs, core.Job{Spec: spec, Cfg: cfg})
-			keys = append(keys, spec.Name+"|"+bench.Name())
 		}
 	}
 	runs, err := s.Engine().RunJobs(jobs)
 	if err != nil {
 		return nil, err
 	}
-	results := make(map[string]core.RunResult, len(runs))
-	for i, r := range runs {
-		results[keys[i]] = r
+	rows := make([][]core.RunResult, len(specs))
+	for i := range rows {
+		rows[i] = runs[i*len(benches) : (i+1)*len(benches)]
 	}
-	return results, nil
+	return rows, nil
 }
 
 // NodeLevel regenerates the Section 5.2(a) node-level results from the
@@ -373,10 +372,9 @@ func (s *Suite) latencyTable(title string, specs []network.Spec) (*Table, error)
 			"load = 25% of each network's own saturation throughput for the benchmark",
 		},
 	}
-	for _, spec := range specs {
+	for i, spec := range specs {
 		row := []string{spec.Name}
-		for _, bench := range benches {
-			r := results[spec.Name+"|"+bench.Name()]
+		for _, r := range results[i] {
 			row = append(row, fmt.Sprintf("%.2f", r.AvgLatencyNs))
 		}
 		t.Rows = append(t.Rows, row)
@@ -444,10 +442,9 @@ func (s *Suite) Table1Power() (*Table, error) {
 			"energy charged per handshake event, proportional to switched node area",
 		},
 	}
-	for _, spec := range specs {
+	for i, spec := range specs {
 		row := []string{spec.Name}
-		for _, bench := range benches {
-			r := results[spec.Name+"|"+bench.Name()]
+		for _, r := range results[i] {
 			row = append(row, fmt.Sprintf("%.1f", r.PowerMW))
 		}
 		t.Rows = append(t.Rows, row)
@@ -473,10 +470,7 @@ func (s *Suite) UtilizationTable() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var levels int
-	for _, r := range results {
-		levels = r.Levels
-	}
+	levels := results[0][0].Levels // every die of the suite has the same depth
 	cols := []string{"network"}
 	for l := 0; l < levels; l++ {
 		cols = append(cols, fmt.Sprintf("L%d fwd", l), fmt.Sprintf("L%d thr", l))
@@ -490,8 +484,8 @@ func (s *Suite) UtilizationTable() (*Table, error) {
 			"redundant = throttled / (forwarded + throttled): the locality of speculation waste",
 		},
 	}
-	for _, spec := range specs {
-		r := results[spec.Name+"|"+benches[0].Name()]
+	for i, spec := range specs {
+		r := results[i][0]
 		row := []string{spec.Name}
 		for l := 0; l < levels; l++ {
 			row = append(row,

@@ -62,7 +62,7 @@ func (s *Suite) FaultSweep(rates []float64) (*Table, error) {
 	}
 	for i, r := range results {
 		t.Rows = append(t.Rows, []string{
-			jobs[i].Spec.Name,
+			r.Network,
 			fmt.Sprintf("%.0e", rates[i%len(rates)]),
 			fmt.Sprintf("%d", r.FaultsInjected),
 			fmt.Sprintf("%d", r.Retries),

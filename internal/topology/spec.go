@@ -5,8 +5,9 @@ package topology
 // single-die or chiplet-composed — and mesh.Spec for the 2D mesh)
 // implement it, so harnesses, CLIs, and the service layer can hold "a
 // topology" without committing to a concrete world. Construction stays
-// with the owning package (each spec type has its own Build method);
-// the interface carries everything a generic driver needs:
+// with the run harness in package core, which builds either type behind
+// one type switch; the interface carries everything a generic driver
+// needs:
 //
 //   - Terminals: how many injection/delivery endpoints the built
 //     network exposes (sources == sinks), sizing benchmarks and
