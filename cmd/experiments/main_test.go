@@ -1,46 +1,13 @@
 package main
 
 import (
-	"errors"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"asyncnoc/internal/cliflags/clitest"
 )
 
-// mainEnv makes the test binary run the command's main with the
-// arguments after "--" instead of the tests.
-const mainEnv = "EXPERIMENTS_TEST_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(mainEnv) == "1" {
-		for i, arg := range os.Args {
-			if arg == "--" {
-				os.Args = append([]string{"experiments"}, os.Args[i+1:]...)
-				break
-			}
-		}
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runMain runs the command in a child process and returns its stderr
-// and exit code.
-func runMain(t *testing.T, args ...string) (string, int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
-	cmd.Env = append(os.Environ(), mainEnv+"=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
-		t.Fatal(err)
-	}
-	return stderr.String(), cmd.ProcessState.ExitCode()
-}
+func TestMain(m *testing.M) { clitest.Main(m, "experiments", main) }
 
 // TestTopologyRejectsUnsupportedFlags: the chiplet hierarchy table names
 // and rejects the suite's flags it cannot honour instead of ignoring
@@ -55,7 +22,7 @@ func TestTopologyRejectsUnsupportedFlags(t *testing.T) {
 		{[]string{"-quick", "-n", "4", "-topology", "chiplet:2x2", "-util"}, []string{"-util"}},
 		{[]string{"-quick", "-topology", "mesh:4x4"}, []string{"mesh:4x4 is not supported"}},
 	} {
-		stderr, code := runMain(t, c.args...)
+		stderr, code := clitest.Run(t, c.args...)
 		if code == 0 {
 			t.Errorf("%v exited 0, want a failure", c.args)
 		}

@@ -5,7 +5,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"asyncnoc/internal/cliflags/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, "replay", main) }
 
 func writeTemp(t *testing.T, content string) string {
 	t.Helper()
@@ -67,5 +71,32 @@ func TestParseScheduleRejectsCorruptInput(t *testing.T) {
 func TestParseScheduleMissingFile(t *testing.T) {
 	if _, err := parseSchedule(filepath.Join(t.TempDir(), "nope.csv"), 8); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestTopologyRejectsUnsupportedFlags: a mesh, which has one
+// architecture and no die radix, rejects -network and -n by name and
+// replays without them; a chiplet composition, which has no flat
+// terminal space, fails its replay.
+func TestTopologyRejectsUnsupportedFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-topology", "mesh:4x4", "-network", "Baseline"}, "replay: -topology mesh:4x4 does not support -network\n"},
+		{[]string{"-topology", "mesh:4x4", "-n", "32"}, "replay: -topology mesh:4x4 does not support -n\n"},
+		{[]string{"-topology", "mesh:4x4"}, ""},
+		{[]string{"-topology", "chiplet:2x2", "-n", "4"}, "replay: core: schedule replay does not support chiplet composition"},
+	} {
+		args := append(c.args, "-file", filepath.Join("testdata", "mesh4x4.csv"))
+		stderr, code := clitest.Run(t, args...)
+		switch {
+		case c.want == "":
+			if code != 0 {
+				t.Errorf("%v: exit %d, stderr %q", args, code, stderr)
+			}
+		case code == 0 || !strings.Contains(stderr, c.want):
+			t.Errorf("%v: exit %d, stderr %q, want a failure with %q", args, code, stderr, c.want)
+		}
 	}
 }

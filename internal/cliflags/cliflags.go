@@ -182,8 +182,8 @@ func Engine() *EngineFlags {
 
 // Attach puts the -cache-dir store behind e and serves the -http monitor
 // over e and progress (which may be nil), announcing each on stderr. The
-// returned close, which the caller defers, reports the store's counters
-// on stderr, flushes the store and stops the monitor.
+// returned close, which the caller defers, stops the monitor, flushes
+// the store and then reports its counters on stderr.
 func (f *EngineFlags) Attach(e *asyncnoc.Engine, progress *asyncnoc.SweepProgress) (close func(), err error) {
 	var st *asyncnoc.Store
 	if *f.cacheDir != "" {
@@ -208,10 +208,10 @@ func (f *EngineFlags) Attach(e *asyncnoc.Engine, progress *asyncnoc.SweepProgres
 			mon.Close() //nolint:errcheck
 		}
 		if st != nil {
+			st.Close() //nolint:errcheck // Close only flushes; errors are counted
 			s := st.Stats()
 			fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d corrupt healed, %d writes (%d errors)\n",
 				s.Hits, s.Misses, s.Corrupt, s.Writes, s.WriteErrors)
-			st.Close() //nolint:errcheck // Close only flushes; errors are counted
 		}
 	}, nil
 }
