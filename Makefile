@@ -178,19 +178,22 @@ shard-determinism:
 	$(GO) test -run 'TestShardDeterminism|TestChipletShardDeterminism' -count=1 .
 
 # chiplet-smoke runs the hierarchical composition end to end: the golden
-# 2x2-of-4x4 table, then one traced motsim run of the same composition
-# whose JSONL trace — die-to-die crossings included — must pass the
-# jsontrace schema check. Its shard determinism is pinned by
+# 2x2-of-4x4 table, the composition cases of the steady-state alloc
+# soak (a 2x2-of-8x8 run must stay allocation-free past its pools'
+# high-water marks), then one traced motsim run of the 2x2-of-4x4
+# composition whose JSONL trace — die-to-die crossings included — must
+# pass the jsontrace schema check. Its shard determinism is pinned by
 # shard-determinism.
 chiplet-smoke:
 	@mkdir -p bin
 	$(GO) test -run 'TestChipletGolden2x2of4x4' -count=1 .
+	$(GO) test -run 'TestSteadyStateAllocSoak/@2x2of8' -count=1 ./internal/core
 	$(GO) build -o bin/motsim ./cmd/motsim
 	$(GO) build -o bin/jsontrace ./examples/jsontrace
 	./bin/motsim -topology chiplet:2x2 -n 4 -bench Multicast10 -load 0.3 -seed 2016 \
 		-warmup 100 -measure 300 -drain 600 -trace-out bin/chiplet.jsonl >/dev/null
 	./bin/jsontrace -validate bin/chiplet.jsonl
-	@echo "chiplet-smoke: 2x2-of-4x4 golden table locked; composed CLI trace schema valid"
+	@echo "chiplet-smoke: 2x2-of-4x4 golden table locked; 2x2-of-8x8 soak allocation-free; composed CLI trace schema valid"
 
 # chiplet-scale is the paper-scale composed deliverable (manual; takes
 # minutes): an 8x8 interposer mesh of 8x8 MoT dies — 4096 terminals —

@@ -168,3 +168,58 @@ func TestMulticastRegionBounds(t *testing.T) {
 		t.Errorf("multicast fraction %.3f far from 0.10", frac)
 	}
 }
+
+// TestWideMulticastDrawInPlace: the multicast draw takes its die order
+// from a permutation built in the caller's byDie scratch, so it
+// allocates nothing, and it draws exactly what the draw over a fresh
+// permutation slice drew, with the generator left in the same state.
+func TestWideMulticastDrawInPlace(t *testing.T) {
+	p := Default(4, 4)
+	const dieN = 8
+	b := Multicast{P: p, DieN: dieN, Frac: 0.5}
+	reference := func(byDie []packet.DestSet, r *rng.Source) {
+		clear(byDie)
+		if !r.Bool(b.Frac) {
+			d := r.Intn(p.Dies() * dieN)
+			byDie[d/dieN] = packet.Dest(d % dieN)
+			return
+		}
+		for {
+			k := 1 + r.Intn(MaxMulticastDies)
+			// The historical rng.Perm(n): a fresh inside-out shuffle.
+			order := make([]int, p.Dies())
+			for i := range order {
+				j := r.Intn(i + 1)
+				order[i] = order[j]
+				order[j] = i
+			}
+			clear(byDie)
+			total := 0
+			for _, die := range order[:k] {
+				s := localSubset(dieN, r)
+				byDie[die] = s
+				total += s.Count()
+			}
+			if total >= 2 {
+				return
+			}
+		}
+	}
+	r1, r2 := rng.New(2016), rng.New(2016)
+	got, want := make([]packet.DestSet, p.Dies()), make([]packet.DestSet, p.Dies())
+	for i := 0; i < 2000; i++ {
+		b.NextWideDests(i%dieN, got, r1)
+		reference(want, r2)
+		for die := range got {
+			if got[die] != want[die] {
+				t.Fatalf("draw %d: die %d mask %v, reference %v", i, die, got[die], want[die])
+			}
+		}
+	}
+	if r1.Uint64() != r2.Uint64() {
+		t.Fatal("generator state diverged from the reference draw")
+	}
+	if n := testing.AllocsPerRun(200, func() { b.NextWideDests(0, got, r1) }); n != 0 {
+		t.Fatalf("NextWideDests allocated %v times per draw", n)
+	}
+}

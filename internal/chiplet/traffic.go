@@ -98,7 +98,13 @@ func (b Multicast) NextWideDests(_ int, byDie []packet.DestSet, r *rng.Source) {
 	}
 	for {
 		k := 1 + r.Intn(maxDies)
-		order := r.Perm(b.P.Dies())
+		// The die order is drawn in place: byDie holds the permutation
+		// until its first k entries are read out.
+		rng.Perm(r, byDie)
+		var order [MaxMulticastDies]int
+		for i := range order[:k] {
+			order[i] = int(byDie[i])
+		}
 		total := 0
 		for i := range byDie {
 			byDie[i] = 0

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
@@ -17,7 +18,9 @@ import (
 // doubling but orders of magnitude below per-packet allocation (the
 // second half injects tens of thousands of packets). The +faults
 // subtests hold fault runs, whose corrupt and dropped flits are
-// retransmitted, to the same bound. Skipped with -short.
+// retransmitted, to the same bound, and the composition subtests a 2x2
+// chiplet system of 8x8 dies under the wide benchmarks, whose
+// die-to-die legs cross the interposer. Skipped with -short.
 func TestSteadyStateAllocSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc soak skipped with -short")
@@ -29,27 +32,44 @@ func TestSteadyStateAllocSoak(t *testing.T) {
 		spec.Faults = fault.Config{Seed: 1, CorruptRate: 1e-3, DropRate: 1e-3}
 		specs = append(specs, spec)
 	}
+	cfg := RunConfig{
+		Bench: traffic.Multicast{N: 8, Frac: 0.10}, LoadGFs: 0.25, Seed: 1,
+		Warmup: 320 * sim.Nanosecond, Measure: 25600 * sim.Nanosecond,
+		Drain: 800 * sim.Nanosecond,
+	}
 	for _, spec := range specs {
-		t.Run(spec.Name, func(t *testing.T) {
-			cfg := RunConfig{
-				Bench: traffic.Multicast{N: 8, Frac: 0.10}, LoadGFs: 0.25, Seed: 1,
-				Warmup: 320 * sim.Nanosecond, Measure: 25600 * sim.Nanosecond,
-				Drain: 800 * sim.Nanosecond,
-			}
-			nw, err := Build(spec, cfg)
+		t.Run(spec.Name, func(t *testing.T) { soakSecondHalf(t, spec, cfg) })
+	}
+	p := chiplet.Default(2, 2)
+	composed := WithChiplet(OptHybridSpeculative(8), p)
+	for _, name := range []string{"UniformRandom", "Multicast10"} {
+		t.Run(composed.Name+"/"+name, func(t *testing.T) {
+			b, err := chiplet.ByName(p, 8, name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total := cfg.Warmup + cfg.Measure + cfg.Drain
-			nw.Sched.RunUntil(total / 2)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			nw.Sched.RunUntil(total)
-			runtime.ReadMemStats(&after)
-			if delta := after.Mallocs - before.Mallocs; delta > 500 {
-				t.Errorf("%s: %d allocations in the second half of the run, want ~0", spec.Name, delta)
-			}
+			wide := cfg
+			wide.Bench, wide.LoadGFs = b, 0.2
+			soakSecondHalf(t, composed, wide)
 		})
+	}
+}
+
+// soakSecondHalf builds spec for cfg, runs the first half of its span,
+// and fails when the second half allocates more than 500 times.
+func soakSecondHalf(t *testing.T, spec network.Spec, cfg RunConfig) {
+	nw, err := Build(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := cfg.Warmup + cfg.Measure + cfg.Drain
+	nw.Sched.RunUntil(total / 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nw.Sched.RunUntil(total)
+	runtime.ReadMemStats(&after)
+	if delta := after.Mallocs - before.Mallocs; delta > 500 {
+		t.Errorf("%s: %d allocations in the second half of the run, want ~0", spec.Name, delta)
 	}
 }
 

@@ -74,12 +74,11 @@ type Recorder struct {
 	measuredLost    int
 
 	// hierarchy arms the intra-die vs die-to-die breakout on chiplet
-	// compositions: completed packets also land a latency sample in the
-	// per-class slice (by Packet.D2DHops), and D2D flit deliveries are
-	// counted separately.
+	// compositions: bit i of d2dMarks is set when latency sample i
+	// belongs to a packet that crossed a die-to-die link (by
+	// Packet.D2DHops), and D2D flit deliveries are counted separately.
 	hierarchy       bool
-	latIntraNs      []float64
-	latD2DNs        []float64
+	d2dMarks        []uint64
 	d2dFlits        int64
 	measuredDoneD2D int
 
@@ -107,26 +106,37 @@ func (r *Recorder) Reset() {
 		pktIdx:         idx,
 		latenciesNs:    r.latenciesNs[:0],
 		verdictPending: r.verdictPending[:0],
-		latIntraNs:     r.latIntraNs[:0],
-		latD2DNs:       r.latD2DNs[:0],
+		d2dMarks:       r.d2dMarks[:0],
 		levelForwards:  r.levelForwards[:0],
 		levelThrottles: r.levelThrottles[:0],
 	}
 }
 
-// Reserve sizes the latency sample buffer for a run expected to
-// complete `measured` packets created inside the measurement window, so
-// a run matching its injection schedule never regrows it. The
-// per-packet tracking pools are not pre-sized: each completed or lost
-// packet's slot recycles, so they grow only to the run's in-flight
-// high-water mark. Underestimates are safe — the buffer grows on demand.
+// Reserve sizes the latency sample buffer (and, in hierarchy mode, its
+// D2D marks) for a run expected to complete `measured` packets created
+// inside the measurement window, so a run matching its injection
+// schedule never regrows it. The per-packet tracking pools are not
+// pre-sized: each completed or lost packet's slot recycles, so they
+// grow only to the run's in-flight high-water mark. Underestimates are
+// safe — the buffers grow on demand.
 func (r *Recorder) Reserve(measured int) {
-	if measured <= 0 || cap(r.latenciesNs) >= measured {
+	if measured <= 0 {
 		return
 	}
-	grown := make([]float64, len(r.latenciesNs), measured)
-	copy(grown, r.latenciesNs)
-	r.latenciesNs = grown
+	r.latenciesNs = reserve(r.latenciesNs, measured)
+	if r.hierarchy {
+		r.d2dMarks = reserve(r.d2dMarks, (measured+63)/64)
+	}
+}
+
+// reserve returns s with capacity for at least n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	grown := make([]T, len(s), n)
+	copy(grown, s)
+	return grown
 }
 
 // SetWindow fixes the measurement window.
@@ -217,13 +227,15 @@ func (r *Recorder) HeaderArrived(p *packet.Packet, dest int, now sim.Time) {
 		if st.measured() {
 			r.measuredDone++
 			lat := sim.Time(int64(now) - logical.CreatedAt).Nanoseconds()
+			i := len(r.latenciesNs)
 			r.latenciesNs = append(r.latenciesNs, lat)
 			if r.hierarchy {
+				if i%64 == 0 {
+					r.d2dMarks = append(r.d2dMarks, 0)
+				}
 				if logical.D2DHops > 0 {
 					r.measuredDoneD2D++
-					r.latD2DNs = append(r.latD2DNs, lat)
-				} else {
-					r.latIntraNs = append(r.latIntraNs, lat)
+					r.d2dMarks[i/64] |= 1 << (i % 64)
 				}
 			}
 		}
@@ -358,26 +370,34 @@ func (r *Recorder) D2DThroughputGFs(sources int) float64 {
 	return float64(r.d2dFlits) / window.Nanoseconds() / float64(sources)
 }
 
-// hierSummary summarizes one per-class latency sample set.
-func hierSummary(samples []float64) (avg, p95 float64, ok bool) {
-	if len(samples) == 0 {
+// hierSummary summarizes the latency samples of one hierarchy class
+// (d2d or intra-die) from one exact-size copy taken in completion order,
+// so the mean adds the class's samples in the order they landed.
+func (r *Recorder) hierSummary(d2d bool) (avg, p95 float64, ok bool) {
+	n := r.measuredDoneD2D
+	if !d2d {
+		n = len(r.latenciesNs) - n
+	}
+	if !r.hierarchy || n == 0 {
 		return 0, 0, false
 	}
-	s := stats.NewSummary(samples)
+	samples := make([]float64, 0, n)
+	for i, lat := range r.latenciesNs {
+		if (r.d2dMarks[i/64]>>(i%64)&1 == 1) == d2d {
+			samples = append(samples, lat)
+		}
+	}
+	s := stats.NewSummaryOwned(samples)
 	return s.Mean(), s.P95(), true
 }
 
 // IntraLatency returns the mean and P95 latency of completed measured
 // packets that stayed inside their source die (hierarchy mode only).
-func (r *Recorder) IntraLatency() (avg, p95 float64, ok bool) {
-	return hierSummary(r.latIntraNs)
-}
+func (r *Recorder) IntraLatency() (avg, p95 float64, ok bool) { return r.hierSummary(false) }
 
 // D2DLatency returns the mean and P95 latency of completed measured
 // packets that crossed at least one die-to-die link.
-func (r *Recorder) D2DLatency() (avg, p95 float64, ok bool) {
-	return hierSummary(r.latD2DNs)
-}
+func (r *Recorder) D2DLatency() (avg, p95 float64, ok bool) { return r.hierSummary(true) }
 
 // MeasuredCompletedD2D returns how many completed measured packets
 // crossed a die-to-die link.

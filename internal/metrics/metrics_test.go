@@ -6,6 +6,7 @@ import (
 
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/sim"
+	"asyncnoc/internal/stats"
 )
 
 func mkPkt(id uint64, dests packet.DestSet, created sim.Time) *packet.Packet {
@@ -460,4 +461,52 @@ func mustAvg(t *testing.T, r *Recorder) float64 {
 		t.Fatal("no latency samples")
 	}
 	return avg
+}
+
+// TestHierarchyClassSummaries: the intra-die and die-to-die summaries
+// read the one latency buffer through its D2D marks and equal summaries
+// of each class's samples kept in completion order, bit for bit; a
+// Reset recorder starts with no marks.
+func TestHierarchyClassSummaries(t *testing.T) {
+	r := NewRecorder()
+	for round := 0; round < 2; round++ {
+		r.Reset()
+		r.SetHierarchy(true)
+		r.SetWindow(0, sim.Never)
+		r.Reserve(50)
+		var intra, d2d []float64
+		for i := 1; i <= 300; i++ {
+			p := mkPkt(uint64(i), packet.Dest(0), sim.Time(i*7))
+			if i%3 == round {
+				p.D2DHops = uint8(1 + i%2)
+			}
+			r.PacketCreated(p, sim.Time(i*7))
+			at := sim.Time(i*7 + 1000 + (i*7919)%613)
+			r.HeaderArrived(p, 0, at)
+			lat := sim.Time(int64(at) - p.CreatedAt).Nanoseconds()
+			if p.D2DHops > 0 {
+				d2d = append(d2d, lat)
+			} else {
+				intra = append(intra, lat)
+			}
+		}
+		if got := r.MeasuredCompletedD2D(); got != len(d2d) {
+			t.Fatalf("round %d: %d D2D completions, want %d", round, got, len(d2d))
+		}
+		for _, c := range []struct {
+			name    string
+			get     func() (float64, float64, bool)
+			samples []float64
+		}{{"intra", r.IntraLatency, intra}, {"d2d", r.D2DLatency, d2d}} {
+			avg, p95, ok := c.get()
+			want := stats.NewSummary(c.samples)
+			if !ok || avg != want.Mean() || p95 != want.P95() {
+				t.Errorf("round %d %s: (%v, %v, %v), want (%v, %v, true)", round, c.name, avg, p95, ok, want.Mean(), want.P95())
+			}
+		}
+	}
+	r.Reset()
+	if _, _, ok := r.D2DLatency(); ok {
+		t.Error("D2DLatency reports samples after Reset")
+	}
 }

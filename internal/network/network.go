@@ -787,23 +787,30 @@ type d2dLeg struct {
 
 // d2dEgress is one die's die-to-die gateway: an output queue serialized
 // one packet at a time onto the interposer link (PacketLen flits at
-// FlitSerPs each), charging the D2D link energy and launching one
-// in-flight carrier per departure. It lives on its die's shard; the
-// hop-delayed arrival is the only event that crosses shard regions in a
+// FlitSerPs each), charging the D2D link energy at each departure. A
+// departed leg waits in the gateway's inflight slab until its
+// hop-delayed arrival event, whose argument is the leg's slot, re-injects
+// it at the target die. The gateway lives on its die's shard; that
+// arrival is the only event that crosses shard regions in a
 // die-partitioned build.
 type d2dEgress struct {
-	nw    *Network
-	a     *actx
-	die   int
-	queue pool.Ring[d2dLeg]
-	busy  bool
+	nw       *Network
+	a        *actx
+	die      int
+	queue    pool.Ring[d2dLeg]
+	busy     bool
+	inflight pool.Slab[d2dLeg]
+	arrive   d2dArrival
 }
 
-// init builds the gateway of die in place, keeping its queue's storage.
+// init builds the gateway of die in place, keeping the storage of its
+// queue and inflight slab.
 func (eg *d2dEgress) init(nw *Network, die int) {
-	q := eg.queue
+	q, fl := eg.queue, eg.inflight
 	q.Reset()
-	*eg = d2dEgress{nw: nw, a: nw.actxFor(die * nw.Spec.N), die: die, queue: q}
+	fl.Reset()
+	*eg = d2dEgress{nw: nw, a: nw.actxFor(die * nw.Spec.N), die: die, queue: q, inflight: fl}
+	eg.arrive.eg = eg
 }
 
 func (eg *d2dEgress) push(l d2dLeg) {
@@ -822,48 +829,51 @@ func (eg *d2dEgress) pump() {
 }
 
 // OnEvent implements sim.Handler: serialization of the head leg is
-// complete — charge the link energy, launch the in-flight carrier
-// toward its die, and free the link for the next leg.
+// complete — charge the link energy, park the leg in the inflight slab,
+// schedule its arrival at the target die, and free the link for the
+// next leg.
 func (eg *d2dEgress) OnEvent(int64) {
 	l := eg.queue.Pop()
 	cp := eg.nw.Spec.Chiplet
 	hops := cp.Hops(eg.die, l.dstDie)
 	flitHops := eg.nw.Spec.PacketLen * hops
 	eg.a.meterD2D(flitHops, float64(flitHops)*cp.FlitHopPJ())
-	// One fresh carrier per crossing: it becomes garbage after arrival,
-	// so concurrent crossings share no mutable state across shards.
-	fl := &d2dFlight{nw: eg.nw, leg: l, hops: hops}
+	// The target die's shard frees the slot this shard allocates. That
+	// needs no lock: every shard window runs inline on one goroutine
+	// (SetParallel(true) panics), so no two windows touch the slab at
+	// once, and the flight lasts at least HopPs, the group's lookahead,
+	// so the arrival runs in a later window than this departure.
+	h, slot := eg.inflight.Alloc()
+	*slot = l
 	delay := sim.Time(hops) * cp.HopPs
-	if nw := eg.nw; nw.shardOf != nil {
-		if st, sd := nw.shardOf[eg.die], nw.shardOf[l.dstDie]; st != sd {
-			nw.group.Cross(st, sd).Send(delay, fl, 0)
-		} else {
-			eg.a.sched.In(delay, fl, 0)
-		}
+	slotArg := int64(h.Index())
+	if nw := eg.nw; nw.shardOf != nil && nw.shardOf[eg.die] != nw.shardOf[l.dstDie] {
+		nw.group.Cross(nw.shardOf[eg.die], nw.shardOf[l.dstDie]).Send(delay, &eg.arrive, slotArg)
 	} else {
-		eg.a.sched.In(delay, fl, 0)
+		eg.a.sched.In(delay, &eg.arrive, slotArg)
 	}
 	eg.busy = false
 	eg.pump()
 }
 
-// d2dFlight is one packet crossing the interposer. Arrival re-injects
-// the leg into the target die's fanout fabric through a deterministic
-// anchor terminal: the target die's tree with the source's local index,
-// so ingress load spreads across the die exactly like the die's own
-// sources.
-type d2dFlight struct {
-	nw   *Network
-	leg  d2dLeg
-	hops int
-}
+// d2dArrival is the arrival handler of one gateway's legs, built with
+// the gateway; its event argument is the arriving leg's inflight slot.
+// Arrival re-injects the leg into the target die's fanout fabric
+// through a deterministic anchor terminal: the target die's tree with
+// the source's local index, so ingress load spreads across the die
+// exactly like the die's own sources.
+type d2dArrival struct{ eg *d2dEgress }
 
 // OnEvent implements sim.Handler (runs on the target die's shard).
-func (fl *d2dFlight) OnEvent(int64) {
-	nw := fl.nw
-	anchor := fl.leg.dstDie*nw.Spec.N + fl.leg.src%nw.Spec.N
-	if _, err := nw.injectLeg(anchor, fl.leg.src, fl.leg.dests, fl.leg.created, fl.hops); err != nil {
-		panic(fault.Violationf("network", "d2d ingress at die %d: %v", fl.leg.dstDie, err))
+func (ar *d2dArrival) OnEvent(slot int64) {
+	eg := ar.eg
+	l := *eg.inflight.At(int32(slot))
+	eg.inflight.FreeAt(int32(slot))
+	nw := eg.nw
+	anchor := l.dstDie*nw.Spec.N + l.src%nw.Spec.N
+	hops := nw.Spec.Chiplet.Hops(eg.die, l.dstDie)
+	if _, err := nw.injectLeg(anchor, l.src, l.dests, l.created, hops); err != nil {
+		panic(fault.Violationf("network", "d2d ingress at die %d: %v", l.dstDie, err))
 	}
 }
 

@@ -70,6 +70,17 @@ func (in *shardTestInjector) OnEvent(int64) {
 	in.sched.In(sim.Time(500+in.r.next()%2000), in, 0)
 }
 
+// armInjectors starts one shardTestInjector per source, injecting until
+// the given time.
+func armInjectors(nw *Network, until sim.Time) {
+	for s := 0; s < nw.Spec.Terminals(); s++ {
+		a := nw.actxFor(s)
+		inj := &shardTestInjector{nw: nw, sched: a.sched, src: s, r: tinyRand(uint64(s)*2654435761 + 1),
+			until: until, byDie: make([]packet.DestSet, nw.Spec.Dies())}
+		a.sched.In(sim.Time(100+50*s), inj, 0)
+	}
+}
+
 // driveWorkload attaches a trace collector and the per-source injectors,
 // runs to the deadline, and returns the trace log.
 func driveWorkload(t *testing.T, nw *Network, deadline sim.Time) []string {
@@ -79,12 +90,7 @@ func driveWorkload(t *testing.T, nw *Network, deadline sim.Time) []string {
 		log = append(log, fmt.Sprintf("%s t=%d tree=%d heap=%d ports=%d dest=%d pkt=%d idx=%d",
 			ev.Kind, int64(ev.At), ev.Tree, ev.Heap, ev.Ports, ev.Dest, ev.Flit.Pkt.ID, ev.Flit.Index))
 	}
-	for s := 0; s < nw.Spec.Terminals(); s++ {
-		a := nw.actxFor(s)
-		inj := &shardTestInjector{nw: nw, sched: a.sched, src: s, r: tinyRand(uint64(s)*2654435761 + 1),
-			until: deadline * 3 / 4, byDie: make([]packet.DestSet, nw.Spec.Dies())}
-		a.sched.In(sim.Time(100+50*s), inj, 0)
-	}
+	armInjectors(nw, deadline*3/4)
 	if g := nw.Group(); g != nil {
 		defer g.Close()
 		g.RunUntil(deadline)
@@ -164,6 +170,53 @@ func TestShardedNetworkMatchesSerial(t *testing.T) {
 				for _, p := range nw.freePackets() {
 					if p.Refs != 0 {
 						t.Fatalf("freelisted packet %d with refcount %d", p.ID, p.Refs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestD2DInflightDrains: a composition drained to an empty event queue
+// leaves no die-to-die leg behind, serial and sharded — every slot a
+// departure takes in its gateway's inflight slab is freed by the leg's
+// arrival, whichever shard runs it.
+func TestD2DInflightDrains(t *testing.T) {
+	const until = sim.Time(300_000)
+	for _, spec := range shardTestSpecs() {
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", spec.Name, k), func(t *testing.T) {
+				var nw *Network
+				var err error
+				if k == 1 {
+					nw, err = New(spec)
+				} else {
+					nw, err = NewSharded(spec, k)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				armInjectors(nw, until)
+				run, pending := nw.Sched.RunUntil, nw.Sched.Len
+				if g := nw.Group(); g != nil {
+					defer g.Close()
+					run, pending = g.RunUntil, g.Len
+				}
+				at := until
+				for ; pending() != 0 && at < 100*until; at += until {
+					run(at)
+				}
+				if pending() != 0 {
+					t.Fatalf("%d events still queued at %v", pending(), at)
+				}
+				if nw.Meter.D2DFlitHops() == 0 {
+					t.Fatal("nothing crossed the interposer")
+				}
+				for die := range nw.egress {
+					eg := &nw.egress[die]
+					if eg.queue.Len() != 0 || eg.inflight.Live() != 0 || eg.busy {
+						t.Errorf("die %d gateway: %d queued, %d in flight, busy %v after draining",
+							die, eg.queue.Len(), eg.inflight.Live(), eg.busy)
 					}
 				}
 			})

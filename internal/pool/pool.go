@@ -112,6 +112,15 @@ func (s *Slab[T]) Free(h Handle) bool {
 	return true
 }
 
+// FreeAt releases the slot at a raw index, the counterpart of At: an
+// event whose payload is a slot index frees it when it runs. It panics
+// when the slot is not live.
+func (s *Slab[T]) FreeAt(idx int32) {
+	if !s.Free(Handle{idx: idx, gen: s.slots[idx].gen}) {
+		panic("pool: FreeAt of a free slot")
+	}
+}
+
 // Live returns the number of currently allocated slots.
 func (s *Slab[T]) Live() int { return s.live }
 

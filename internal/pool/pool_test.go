@@ -44,6 +44,26 @@ func TestSlabAllocFreeRecycle(t *testing.T) {
 	}
 }
 
+func TestSlabFreeAt(t *testing.T) {
+	var s Slab[int]
+	h, v := s.Alloc()
+	*v = 5
+	s.FreeAt(h.Index())
+	if s.Live() != 0 || s.Get(h) != nil {
+		t.Fatalf("FreeAt left slot live: Live = %d", s.Live())
+	}
+	if h2, _ := s.Alloc(); h2.Index() != h.Index() || h2 == h {
+		t.Fatalf("FreeAt slot not recycled under a new generation: %v then %v", h, h2)
+	}
+	s.FreeAt(h.Index())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FreeAt of a free slot must panic")
+		}
+	}()
+	s.FreeAt(h.Index())
+}
+
 func TestSlabZeroHandle(t *testing.T) {
 	var s Slab[int]
 	var zero Handle

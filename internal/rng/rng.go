@@ -91,15 +91,16 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
+// Perm fills p in place with a random permutation of [0, len(p)): the
+// inside-out Fisher-Yates shuffle, drawing Intn(i+1) for i = 0, 1, ...,
+// len(p)-1. Callers pass scratch of any integer type wide enough for
+// len(p)-1, so a draw allocates nothing.
+func Perm[E ~int | ~uint64](r *Source, p []E) {
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]
-		p[j] = i
+		p[j] = E(i)
 	}
-	return p
 }
 
 // Split returns an independent generator derived from this one, for giving

@@ -87,11 +87,14 @@ type Summary struct {
 // NewSummary builds a summary of xs. The input is not retained or
 // mutated.
 func NewSummary(xs []float64) *Summary {
-	s := &Summary{
-		sorted: append([]float64(nil), xs...),
-		mean:   Mean(xs),
-		stddev: StdDev(xs),
-	}
+	return NewSummaryOwned(append([]float64(nil), xs...))
+}
+
+// NewSummaryOwned builds a summary of xs without copying it: the
+// summary takes ownership of xs and sorts it in place, so the caller
+// must not use xs afterwards.
+func NewSummaryOwned(xs []float64) *Summary {
+	s := &Summary{sorted: xs, mean: Mean(xs), stddev: StdDev(xs)}
 	sort.Float64s(s.sorted)
 	return s
 }
