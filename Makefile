@@ -148,7 +148,9 @@ fuzz-smoke:
 # mask-routed Fabric), runs beside it, and one motsim mesh saturation
 # search, one mesh schedule replay and one mesh load sweep run it through
 # the engine and the shared harness end to end; the gate stays on the
-# routing package.
+# routing package. The mesh search is traced at 1 and 4 workers: both
+# JSONL traces must pass the jsontrace schema check and be
+# byte-identical.
 test-routing:
 	@mkdir -p bin
 	$(GO) test -coverprofile=bin/routing_cover.out ./internal/routing
@@ -156,8 +158,13 @@ test-routing:
 	$(GO) build -o bin/motsim ./cmd/motsim
 	$(GO) build -o bin/replay ./cmd/replay
 	$(GO) build -o bin/loadsweep ./cmd/loadsweep
-	./bin/motsim -topology mesh:4x4 -sat -bench Multicast10 -measure 400 > bin/motsim_mesh_sat.txt
+	$(GO) build -o bin/jsontrace ./examples/jsontrace
+	./bin/motsim -topology mesh:4x4 -sat -bench Multicast10 -measure 400 -workers 1 -trace-out bin/mesh_sat_w1.jsonl > bin/motsim_mesh_sat.txt
 	grep -q '^saturation load: ' bin/motsim_mesh_sat.txt
+	./bin/motsim -topology mesh:4x4 -sat -bench Multicast10 -measure 400 -workers 4 -trace-out bin/mesh_sat_w4.jsonl > /dev/null
+	./bin/jsontrace -validate bin/mesh_sat_w1.jsonl
+	./bin/jsontrace -validate bin/mesh_sat_w4.jsonl
+	cmp bin/mesh_sat_w1.jsonl bin/mesh_sat_w4.jsonl
 	./bin/replay -topology mesh:4x4 -file cmd/replay/testdata/mesh4x4.csv > bin/replay_mesh.txt
 	grep -q '^completion:     100.0%' bin/replay_mesh.txt
 	./bin/loadsweep -topology mesh:4x4 -points 2 -bench Multicast10 > bin/loadsweep_mesh.txt

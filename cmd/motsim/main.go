@@ -13,8 +13,9 @@
 // -dests and every -fault* flag are rejected by name; results carry an
 // intra-die versus die-to-die breakout), and mesh:WxH runs an
 // asynchronous 2D mesh of XY routers (fixed-load runs and -sat under
-// -strategy; -network, -n, -dests, -draw, -util, the instrument flags
-// and every -fault* flag are rejected by name). With -sat the tool
+// -strategy, with -trace-out and -hist; -network, -n, -dests, -draw,
+// the MoT-tree views -util and -vcd, and every -fault* flag are rejected
+// by name). With -sat the tool
 // searches for the saturation throughput instead of running at a fixed
 // load; the search bisects on the offered load, one probe at a time,
 // through the experiment engine (-workers, or the ASYNCNOC_WORKERS
@@ -89,7 +90,7 @@ func main() {
 	// sets and no fault layer; a composition addresses its dies with
 	// hierarchical benchmarks and has no fault layer either.
 	if err := sel.Check(flag.CommandLine, cliflags.Unsupported{
-		Mesh:    []string{"network", "n", "util", "hist", "draw", "vcd", "trace-out", "dests", "fault*"},
+		Mesh:    []string{"network", "n", "util", "draw", "vcd", "dests", "fault*"},
 		Chiplet: []string{"dests", "fault*"},
 	}); err != nil {
 		fatal(err)

@@ -22,10 +22,10 @@ func TestTopologyRejectsUnsupportedFlags(t *testing.T) {
 		{"mesh:4x4", []string{"-network", "Baseline"}, "-network"},
 		{"mesh:4x4", []string{"-n", "32"}, "-n"},
 		{"mesh:4x4", []string{"-util"}, "-util"},
-		{"mesh:4x4", []string{"-hist"}, "-hist"},
+		{"mesh:4x4", []string{"-hist"}, ""},
 		{"mesh:4x4", []string{"-draw"}, "-draw"},
 		{"mesh:4x4", []string{"-vcd", "out.vcd"}, "-vcd"},
-		{"mesh:4x4", []string{"-trace-out", "t.jsonl"}, "-trace-out"},
+		{"mesh:4x4", []string{"-trace-out", "t.jsonl"}, ""},
 		{"mesh:4x4", []string{"-dests", "1,2"}, "-dests"},
 		{"mesh:4x4", []string{"-faults", "1e-2"}, "-faults"},
 		{"mesh:4x4", []string{"-fault-drop", "1e-3"}, "-fault-drop"},

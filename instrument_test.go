@@ -159,10 +159,43 @@ func TestDefaultRunConfig(t *testing.T) {
 	}
 }
 
-func TestMeshRejectsInstruments(t *testing.T) {
+// A mesh is a network like a MoT die: a trace instrument observes its
+// run without changing the result, and its forward events name the
+// router's tile with heap and level 0. A VCD dump, whose wires are
+// fanout-tree nodes, fails naming the mesh.
+func TestMeshInstruments(t *testing.T) {
+	spec := asyncnoc.MeshTree(2, 2)
+	want, err := asyncnoc.RunMesh(spec, shortCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
 	cfg := shortCfg(4)
-	cfg.Instruments = []asyncnoc.Instrument{&asyncnoc.TraceInstrument{Out: &bytes.Buffer{}}}
-	if _, err := asyncnoc.RunMesh(asyncnoc.MeshTree(2, 2), cfg); err == nil {
-		t.Error("mesh run accepted instruments")
+	cfg.Instruments = []asyncnoc.Instrument{&asyncnoc.TraceInstrument{Out: &trace}}
+	got, err := asyncnoc.RunMesh(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("the trace instrument changed the result:\n%+v\n%+v", got, want)
+	}
+	if _, err := obs.ValidateTrace(bytes.NewReader(trace.Bytes())); err != nil {
+		t.Fatalf("mesh trace fails the schema: %v", err)
+	}
+	forwards := 0
+	for _, line := range strings.Split(trace.String(), "\n") {
+		if strings.HasPrefix(line, `{"kind":"forward"`) {
+			forwards++
+			if !strings.Contains(line, `"heap":0,"level":0,`) {
+				t.Fatalf("mesh forward event %s: want heap 0, level 0", line)
+			}
+		}
+	}
+	if forwards == 0 {
+		t.Error("the mesh trace has no forward events")
+	}
+	cfg.Instruments = []asyncnoc.Instrument{&asyncnoc.VCDInstrument{Out: &bytes.Buffer{}}}
+	if _, err := asyncnoc.RunMesh(spec, cfg); err == nil || !strings.Contains(err.Error(), spec.Name) {
+		t.Errorf("VCD on a mesh: %v, want an error naming %s", err, spec.Name)
 	}
 }

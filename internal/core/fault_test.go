@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
@@ -141,6 +142,53 @@ func TestWatchdogDetectsWedge(t *testing.T) {
 	}
 	if res, err := Run(spec, cfg); err == nil {
 		t.Errorf("second run of the wedged spec succeeded: %+v", res)
+	}
+}
+
+// blackHole is a link receiver that takes a flit and never acknowledges
+// it: the link holds the flit for good.
+type blackHole struct{}
+
+func (blackHole) OnFlit(int, packet.Flit) {}
+
+// TestMeshDeadlockDiagnosed wedges one mesh link under a broadcast
+// burst: once the event queue has drained with flits still held, the
+// run fails with a *DeadlockError listing router and link locations, as
+// a wedged MoT die's does.
+func TestMeshDeadlockDiagnosed(t *testing.T) {
+	spec := mesh.Spec{Name: "MeshTree", W: 4, H: 4, PacketLen: DefaultPacketLen}
+	h, err := newHarness(spec, RunConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.nw.Router(5).OutputChannel(mesh.East).Dst = blackHole{}
+	end := 2 * sim.Microsecond
+	h.nw.Rec.SetWindow(0, end)
+	for src := 0; src < 16; src++ {
+		if _, err := h.nw.Inject(src, packet.Range(0, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := h.guard(end, 0)
+	_, err = g.run(context.Background(), nil)
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("wedged mesh returned %v, want *DeadlockError", err)
+	}
+	if dl.Network != spec.Name || dl.At != end {
+		t.Errorf("deadlock of %s at %v, want %s at %v", dl.Network, dl.At, spec.Name, end)
+	}
+	where := make(map[string]bool)
+	for _, st := range dl.Stuck {
+		where[strings.SplitN(st.Where, " ", 2)[0]] = true
+		if st.Where == "channel router 5.E" {
+			where["wedged link"] = true
+		}
+	}
+	for _, w := range []string{"router", "channel", "wedged link"} {
+		if !where[w] {
+			t.Errorf("diagnostic lists no %s location: %v", w, dl.Stuck)
+		}
 	}
 }
 

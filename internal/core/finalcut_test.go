@@ -82,11 +82,10 @@ func describeRun(name string, cfg RunConfig) string {
 // meshRun runs cfg on a mesh through the shared harness, under stop.
 func meshRun(t testing.TB, spec mesh.Spec, cfg RunConfig, final bool) (RunResult, bool) {
 	t.Helper()
-	m, err := mesh.New(spec)
+	h, err := newHarness(spec, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := meshHarness(m)
 	if err := h.arm(cfg); err != nil {
 		t.Fatal(err)
 	}

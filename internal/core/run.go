@@ -13,7 +13,6 @@ import (
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
-	"asyncnoc/internal/power"
 	"asyncnoc/internal/rng"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/topology"
@@ -357,37 +356,32 @@ func startRun(ts topology.TopologySpec, cfg RunConfig, nets *netCache) (*simRun,
 	return r, nil
 }
 
-// newHarness builds the fabric of ts, not yet armed: a MoT spec through
-// newNetwork (cfg.Shards and prev as there), a mesh with mesh.New. Every
-// run entry builds here; startRun then arms Poisson injectors on the
-// fabric and RunSchedule its replayer.
+// newHarness builds the network of ts, not yet armed: a MoT spec through
+// newNetwork (cfg.Shards and prev as there), a mesh with
+// network.NewMesh. Every run entry builds here; startRun then arms
+// Poisson injectors on the network and RunSchedule its replayer.
 func newHarness(ts topology.TopologySpec, cfg RunConfig, prev *network.Network) (harness, error) {
+	var nw *network.Network
+	var err error
 	switch spec := ts.(type) {
 	case network.Spec:
-		nw, err := newNetwork(spec, cfg.Shards, prev)
-		if err != nil {
-			return harness{}, err
-		}
-		return motHarness(nw), nil
+		nw, err = newNetwork(spec, cfg.Shards, prev)
 	case mesh.Spec:
-		if len(cfg.Instruments) > 0 {
-			return harness{}, &ConfigError{Fields: []FieldError{{Field: "Instruments",
-				Reason: fmt.Sprintf("%d instrument(s) requested, but mesh %s has no MoT network to attach them to", len(cfg.Instruments), spec.Name)}}}
-		}
-		m, err := mesh.New(spec)
-		if err != nil {
-			return harness{}, err
-		}
-		return meshHarness(m), nil
+		nw, err = network.NewMesh(spec)
+	default:
+		err = unsupportedSpec(ts)
 	}
-	return harness{}, unsupportedSpec(ts)
+	if err != nil {
+		return harness{}, err
+	}
+	return harnessFor(nw), nil
 }
 
 // verdict is c's verdict on the run so far (metrics.Recorder.Verdict).
 // It is sound only where every measured packet registers at its
 // creation, so not on a chiplet composition (see Engine.probe).
 func (r *simRun) verdict(c metrics.SatCriterion) metrics.Verdict {
-	return r.h.rec.Verdict(c, r.h.clock.Now(), r.g.total)
+	return r.h.nw.Rec.Verdict(c, r.h.clock.Now(), r.g.total)
 }
 
 func (r *simRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.cfg.LoadGFs) }
@@ -399,7 +393,7 @@ func (r *simRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.
 // die-to-die leg registers only when it reaches its target die, so the
 // measured set is not final when the window closes).
 func (r *simRun) finalStop() func() bool {
-	if nw := r.h.nw; len(r.cfg.Instruments) > 0 || nw != nil && (nw.Spec.Faults.Enabled() || nw.Spec.Chiplet != nil) {
+	if nw := r.h.nw; len(r.cfg.Instruments) > 0 || nw.Spec.Faults.Enabled() || nw.Spec.Chiplet != nil {
 		return nil
 	}
 	return r.h.final
@@ -411,7 +405,7 @@ func (r *simRun) finalStop() func() bool {
 // of the run survives in it: the next build rewrites every component
 // (network.Rebuild). The run must not be used afterwards.
 func (r *simRun) close(clean bool) {
-	if nw := r.h.nw; nw != nil && nw.Group() != nil {
+	if nw := r.h.nw; nw.Group() != nil {
 		nw.Group().Close()
 	} else if clean && r.nets != nil {
 		r.nets.put(r.key, nw)
@@ -435,50 +429,21 @@ type clock interface {
 	Executed() uint64
 }
 
-// fabric is the injection surface of one node/link network.
-// *network.Network (a MoT die or a chiplet composition) and *mesh.Mesh
-// implement it, so every topology shares one injector.
-type fabric interface {
-	// SchedFor returns the scheduler source src's injector arms on.
-	SchedFor(src int) *sim.Scheduler
-	// Inject creates one packet from src at the current simulated time.
-	Inject(src int, dests packet.DestSet) (*packet.Packet, error)
-}
-
-// harness is one built fabric as the run path sees it: the single
-// build/run/collect loop reads nothing else.
+// harness is one built network — a MoT die, a chiplet composition or a
+// 2D mesh — as the run path sees it: the single build/run/collect loop
+// reads nothing else.
 type harness struct {
-	fab       fabric
-	name      string
-	terms     int
-	packetLen int
-	clock     clock
-	rec       *metrics.Recorder
-	meter     *power.Meter
-	// nw is the MoT network behind fab, nil on a mesh: only the MoT has
-	// a fault layer, stuck-flit diagnostics, per-level fanout counters
-	// and die-to-die links.
-	nw *network.Network
+	nw    *network.Network
+	clock clock
 }
 
-// motHarness wraps a built MoT network, serial or sharded.
-func motHarness(nw *network.Network) harness {
-	h := harness{
-		fab: nw, name: nw.Spec.Name, terms: nw.Spec.Terminals(), packetLen: nw.Spec.PacketLen,
-		clock: nw.Sched, rec: nw.Rec, meter: nw.Meter, nw: nw,
-	}
+// harnessFor wraps a built network, serial or sharded.
+func harnessFor(nw *network.Network) harness {
+	h := harness{nw: nw, clock: nw.Sched}
 	if g := nw.Group(); g != nil {
 		h.clock = g
 	}
 	return h
-}
-
-// meshHarness wraps a built 2D mesh.
-func meshHarness(m *mesh.Mesh) harness {
-	return harness{
-		fab: m, name: m.Spec.Name, terms: m.Spec.Tiles(), packetLen: m.Spec.PacketLen,
-		clock: m.Sched, rec: m.Rec, meter: m.Meter,
-	}
 }
 
 // maxReserve caps the recorder's latency-buffer pre-sizing in packets,
@@ -532,7 +497,7 @@ func (h *harness) guard(total sim.Time, maxEvents uint64) guard {
 	// — instead it pins one flit in one channel forever. Fault specs
 	// are single-die and never shard, so this only ever runs on one
 	// scheduler.
-	watch := h.nw != nil && h.nw.FaultStats() != nil
+	watch := h.nw.FaultStats() != nil
 	return guard{
 		h: h, total: total, maxEvents: maxEvents,
 		chunk: chunk, step: min(chunk, sim.Nanosecond), watchHolds: watch,
@@ -549,7 +514,8 @@ func (h *harness) guard(total sim.Time, maxEvents uint64) guard {
 // composition) and that nothing it reports counts past the window (not
 // so for the fault layer's counters).
 func (h *harness) final() bool {
-	return h.clock.Now() >= h.rec.WindowEnd && h.rec.MeasuredCompleted() == h.rec.MeasuredCreated()
+	rec := h.nw.Rec
+	return h.clock.Now() >= rec.WindowEnd && rec.MeasuredCompleted() == rec.MeasuredCreated()
 }
 
 // run drives the clock on toward total. Without a context deadline,
@@ -587,9 +553,9 @@ func (g *guard) run(ctx context.Context, stop func() bool) (stopped bool, err er
 			clk.RunUntil(g.total) // advance the clock past an early quiescence
 		}
 	}
-	if clk.Len() == 0 && g.h.nw != nil {
+	if clk.Len() == 0 {
 		if stuck := g.h.nw.StuckFlits(); len(stuck) > 0 {
-			return false, &DeadlockError{Network: g.h.name, At: clk.Now(), Stuck: stuck}
+			return false, &DeadlockError{Network: g.h.nw.Spec.Name, At: clk.Now(), Stuck: stuck}
 		}
 	}
 	return false, nil
@@ -607,7 +573,7 @@ func (g *guard) watch() error {
 			s = holdStreak{hold: hold, count: 1}
 		}
 		if s.count >= heldBoundaries {
-			return &DeadlockError{Network: g.h.name, At: g.h.clock.Now(), Stuck: g.h.nw.StuckFlits()}
+			return &DeadlockError{Network: g.h.nw.Spec.Name, At: g.h.clock.Now(), Stuck: g.h.nw.StuckFlits()}
 		}
 		next[hold.Chan] = s
 	}
@@ -629,7 +595,7 @@ func (h *harness) advance(ctx context.Context, t sim.Time, maxEvents uint64, ste
 			return err
 		}
 		if maxEvents > 0 && clk.Executed() > maxEvents {
-			return &LivelockError{Network: h.name, Events: clk.Executed(), At: clk.Now()}
+			return &LivelockError{Network: h.nw.Spec.Name, Events: clk.Executed(), At: clk.Now()}
 		}
 		if clk.Now() >= t {
 			return nil
@@ -721,41 +687,43 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 // of dies the benchmark must be a traffic.WideBenchmark, which drives
 // hierarchical injection.
 func (h *harness) arm(cfg RunConfig) error {
+	spec := &h.nw.Spec
 	var wide traffic.WideBenchmark
-	if h.nw != nil && h.nw.Spec.Chiplet != nil {
+	if spec.Chiplet != nil {
 		w, ok := cfg.Bench.(traffic.WideBenchmark)
 		if !ok {
 			return fmt.Errorf("core: benchmark %s cannot address chiplet composition %s (needs traffic.WideBenchmark)",
-				cfg.Bench.Name(), h.name)
+				cfg.Bench.Name(), spec.Name)
 		}
 		wide = w
 	}
+	terms := spec.Terminals()
 	windowEnd := sim.AddSat(cfg.Warmup, cfg.Measure)
-	h.rec.SetWindow(cfg.Warmup, windowEnd)
-	h.meter.SetWindow(cfg.Warmup, windowEnd)
+	h.nw.Rec.SetWindow(cfg.Warmup, windowEnd)
+	h.nw.Meter.SetWindow(cfg.Warmup, windowEnd)
 	injectUntil := sim.AddSat(windowEnd, cfg.Drain)
 	// Mean packet inter-arrival in ps: PacketLen flits at LoadGFs
 	// flits/ns per source.
-	meanGapPs := float64(h.packetLen) / cfg.LoadGFs * 1000
+	meanGapPs := float64(spec.PacketLen) / cfg.LoadGFs * 1000
 	// Size the latency buffer from the injection schedule: open-loop
 	// Poisson processes create window/meanGap measured packets each in
 	// expectation. The 9/8 headroom absorbs ordinary Poisson
 	// fluctuation; an underestimate only costs amortized growth, so
 	// maxReserve caps what an absurd window (any span a service request
 	// names) allocates up front.
-	expected := float64(windowEnd-cfg.Warmup) / meanGapPs * float64(h.terms)
-	h.rec.Reserve(int(min(expected*9/8, maxReserve)) + h.terms)
+	expected := float64(windowEnd-cfg.Warmup) / meanGapPs * float64(terms)
+	h.nw.Rec.Reserve(int(min(expected*9/8, maxReserve)) + terms)
 	root := rng.New(cfg.Seed)
-	for s := 0; s < h.terms; s++ {
+	for s := 0; s < terms; s++ {
 		inj := &injector{
-			fab: h.fab, sched: h.fab.SchedFor(s), bench: cfg.Bench, src: s, r: root.Split(),
+			nw: h.nw, sched: h.nw.SchedFor(s), bench: cfg.Bench, src: s, r: root.Split(),
 			meanGapPs: meanGapPs, injectUntil: injectUntil,
 		}
 		if wide != nil {
 			// Per-injector destination buffer: injectors on different
 			// shards run concurrently, so the scratch space cannot be
 			// shared.
-			inj.wide, inj.byDie = wide, make([]packet.DestSet, h.nw.Spec.Dies())
+			inj.wide, inj.byDie = wide, make([]packet.DestSet, spec.Dies())
 		}
 		inj.sched.In(gap(inj.r, meanGapPs), inj, 0)
 	}
@@ -767,7 +735,7 @@ func (h *harness) arm(cfg RunConfig) error {
 // once the drain window closes. It runs on its source's scheduler —
 // the source die's shard in a sharded run.
 type injector struct {
-	fab         fabric
+	nw          *network.Network
 	sched       *sim.Scheduler
 	bench       traffic.Benchmark
 	src         int
@@ -775,10 +743,10 @@ type injector struct {
 	meanGapPs   float64
 	injectUntil sim.Time
 
-	// wide/byDie drive hierarchical injection on chiplet compositions
-	// (always a *network.Network): the benchmark fills one local
-	// destination mask per die into the injector-owned scratch buffer
-	// and the packet enters via InjectWide.
+	// wide/byDie drive hierarchical injection on chiplet compositions:
+	// the benchmark fills one local destination mask per die into the
+	// injector-owned scratch buffer and the packet enters via
+	// InjectWide.
 	wide  traffic.WideBenchmark
 	byDie []packet.DestSet
 }
@@ -790,10 +758,10 @@ func (in *injector) OnEvent(int64) {
 	}
 	if in.wide != nil {
 		in.wide.NextWideDests(in.src, in.byDie, in.r)
-		if err := in.fab.(*network.Network).InjectWide(in.src, in.byDie); err != nil {
+		if err := in.nw.InjectWide(in.src, in.byDie); err != nil {
 			panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
 		}
-	} else if _, err := in.fab.Inject(in.src, in.bench.NextDests(in.src, in.r)); err != nil {
+	} else if _, err := in.nw.Inject(in.src, in.bench.NextDests(in.src, in.r)); err != nil {
 		// A benchmark producing an invalid destination set is a
 		// protocol-level modeling bug; surface it as one.
 		panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
@@ -812,38 +780,37 @@ func gap(r *rng.Source, meanPs float64) sim.Time {
 
 // Collect extracts the run's measurements from a finished network.
 func Collect(nw *network.Network, cfg RunConfig) RunResult {
-	h := motHarness(nw)
+	h := harnessFor(nw)
 	return h.collect(cfg.Bench.Name(), cfg.LoadGFs)
 }
 
 // collect extracts a finished run's measurements; bench and load label
 // the result.
 func (h *harness) collect(bench string, load float64) RunResult {
+	nw := h.nw
 	res := RunResult{
-		Network:         h.name,
+		Network:         nw.Spec.Name,
 		Benchmark:       bench,
 		LoadGFs:         load,
-		ThroughputGFs:   h.rec.ThroughputGFs(h.terms),
-		PowerMW:         h.meter.PowerMW(),
-		Completion:      h.rec.CompletionRate(),
-		MeasuredPackets: h.rec.MeasuredCreated(),
+		ThroughputGFs:   h.nw.Rec.ThroughputGFs(nw.Spec.Terminals()),
+		PowerMW:         nw.Meter.PowerMW(),
+		Completion:      h.nw.Rec.CompletionRate(),
+		MeasuredPackets: h.nw.Rec.MeasuredCreated(),
 	}
-	if sum := h.rec.LatencySummary(); sum.Count() > 0 {
+	if sum := h.nw.Rec.LatencySummary(); sum.Count() > 0 {
 		// Sort-once summary: one sort serves all four latency figures.
 		res.AvgLatencyNs = sum.Mean()
 		res.P50LatencyNs = sum.P50()
 		res.P95LatencyNs = sum.P95()
 		res.P99LatencyNs = sum.P99()
 	}
-	res.LostMeasuredPackets = h.rec.MeasuredLost()
-	copy(res.ForwardsPerLevel[:], h.rec.ForwardsPerLevel())
-	copy(res.ThrottlesPerLevel[:], h.rec.ThrottlesPerLevel())
-	res.RedundantFraction = h.rec.RedundantFraction()
-	nw := h.nw
-	if nw == nil {
-		return res
+	res.LostMeasuredPackets = h.nw.Rec.MeasuredLost()
+	copy(res.ForwardsPerLevel[:], h.nw.Rec.ForwardsPerLevel())
+	copy(res.ThrottlesPerLevel[:], h.nw.Rec.ThrottlesPerLevel())
+	res.RedundantFraction = h.nw.Rec.RedundantFraction()
+	if nw.MoT != nil {
+		res.Levels = nw.MoT.Levels
 	}
-	res.Levels = nw.MoT.Levels
 	if nw.Spec.Chiplet != nil {
 		res.D2DMeasuredPackets = nw.Rec.MeasuredCompletedD2D()
 		if avg, p95, ok := nw.Rec.IntraLatency(); ok {

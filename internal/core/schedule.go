@@ -111,17 +111,17 @@ func (s Schedule) End() sim.Time {
 	return end
 }
 
-// replayer injects schedule entries through a fabric; the event payload
-// is the entry's index in the time-ordered schedule.
+// replayer injects schedule entries through a network; the event
+// payload is the entry's index in the time-ordered schedule.
 type replayer struct {
-	fab     fabric
+	nw      *network.Network
 	ordered Schedule
 }
 
 // OnEvent implements sim.Handler.
 func (rp *replayer) OnEvent(arg int64) {
 	inj := rp.ordered[arg]
-	if _, err := rp.fab.Inject(inj.Src, inj.Dests); err != nil {
+	if _, err := rp.nw.Inject(inj.Src, inj.Dests); err != nil {
 		panic(err) // schedule validated by RunSchedule
 	}
 }
@@ -146,18 +146,18 @@ func RunSchedule(ts topology.TopologySpec, sched Schedule, drain sim.Time) (res 
 	if err != nil {
 		return RunResult{}, err
 	}
-	if err := sched.Validate(h.terms); err != nil {
+	if err := sched.Validate(h.nw.Spec.Terminals()); err != nil {
 		return RunResult{}, err
 	}
 	end := sim.AddSat(sched.End(), drain)
-	h.rec.Reserve(len(sched)) // every scheduled packet is measured
-	h.rec.SetWindow(0, end)
-	h.meter.SetWindow(0, end)
+	h.nw.Rec.Reserve(len(sched)) // every scheduled packet is measured
+	h.nw.Rec.SetWindow(0, end)
+	h.nw.Meter.SetWindow(0, end)
 	ordered := append(Schedule(nil), sched...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
-	rp := &replayer{fab: h.fab, ordered: ordered}
+	rp := &replayer{nw: h.nw, ordered: ordered}
 	for i, inj := range ordered {
-		h.fab.SchedFor(inj.Src).At(inj.At, rp, int64(i))
+		h.nw.SchedFor(inj.Src).At(inj.At, rp, int64(i))
 	}
 	g := h.guard(end, 0)
 	if _, err := g.run(context.Background(), nil); err != nil {

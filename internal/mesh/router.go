@@ -28,6 +28,14 @@ func evArg(op, port int) int64 { return int64(port)<<8 | int64(op) }
 func evOp(arg int64) int   { return int(arg & 0xff) }
 func evPort(arg int64) int { return int(arg >> 8) }
 
+// Hooks receives a router's accounting side effects, as
+// node.FanoutHooks does a fanout node's: the router passes itself, so
+// one hooks value serves every router of a network.
+type Hooks interface {
+	// RouterForwarded observes a flit committed to `ports` output FIFOs.
+	RouterForwarded(r *Router, f packet.Flit, ports int)
+}
+
 // Router is one asynchronous five-port mesh router. Timing and area come
 // from the gate-level model (netlist.BuildMeshRouter): headers pay the
 // route-compute + arbitration + crossbar path, body flits ride the held
@@ -41,51 +49,70 @@ func evPort(arg int64) int { return int(arg >> 8) }
 // atomically (all-or-nothing), which, with XY dimension-order routing,
 // keeps the channel dependency graph acyclic.
 type Router struct {
-	mesh  *Mesh
 	sched *sim.Scheduler
+	grid  Grid
 	t     timing.Node
-	X, Y  int
+	// Tile is the router's terminal index, (X, Y) its coordinates.
+	Tile, X, Y int
 
-	in  [numPorts]*node.Channel
-	out [numPorts]*node.Channel
+	// Hooks, when set, receives the router's accounting side effects.
+	Hooks Hooks
+
+	in  [NumPorts]*node.Channel
+	out [NumPorts]*node.Channel
 	cap int
 
-	fifo     [numPorts]pool.Ring[packet.Flit]
-	outBusy  [numPorts]bool
-	outOwner [numPorts]int // input index owning the output, -1 free
+	fifo     [NumPorts]pool.Ring[packet.Flit]
+	outBusy  [NumPorts]bool
+	outOwner [NumPorts]int // input index owning the output, -1 free
 
-	inCur    [numPorts]packet.Flit
-	inHas    [numPorts]bool
-	inReady  [numPorts]bool // forward path elapsed, awaiting commit
-	inOuts   [numPorts]uint8
-	inSub    [numPorts][numPorts]packet.DestSet
-	stored   [numPorts]uint8
-	storedSb [numPorts][numPorts]packet.DestSet
+	inCur    [NumPorts]packet.Flit
+	inHas    [NumPorts]bool
+	inReady  [NumPorts]bool // forward path elapsed, awaiting commit
+	inOuts   [NumPorts]uint8
+	inSub    [NumPorts][NumPorts]packet.DestSet
+	stored   [NumPorts]uint8
+	storedSb [NumPorts][NumPorts]packet.DestSet
 
-	nextAllowed [numPorts]sim.Time
-	retryArmed  [numPorts]bool
+	nextAllowed [NumPorts]sim.Time
+	retryArmed  [NumPorts]bool
 }
 
-func newRouter(m *Mesh, x, y, fifoCap int) *Router {
-	r := &Router{
-		mesh:  m,
-		sched: m.Sched,
-		t:     timing.MustByName(netlist.MeshRouter),
-		X:     x,
-		Y:     y,
-		cap:   fifoCap,
-	}
+// Init builds the router of tile on grid g in place, with output FIFOs
+// of fifoCap flits. Init writes the whole router; wire its ports with
+// ConnectInput and ConnectOutput before the first event.
+func (r *Router) Init(sched *sim.Scheduler, g Grid, tile, fifoCap int) {
+	x, y := g.Coord(tile)
+	*r = Router{sched: sched, grid: g, t: timing.MustByName(netlist.MeshRouter), Tile: tile, X: x, Y: y, cap: fifoCap}
 	for p := range r.outOwner {
 		r.outOwner[p] = -1
 	}
-	return r
 }
 
 // Timing returns the router's derived parameters.
 func (r *Router) Timing() timing.Node { return r.t }
 
-func (r *Router) connectIn(p int, ch *node.Channel)  { r.in[p] = ch }
-func (r *Router) connectOut(p int, ch *node.Channel) { r.out[p] = ch }
+// ConnectInput attaches the channel arriving on port p.
+func (r *Router) ConnectInput(p int, ch *node.Channel) { r.in[p] = ch }
+
+// ConnectOutput attaches the channel leaving port p.
+func (r *Router) ConnectOutput(p int, ch *node.Channel) { r.out[p] = ch }
+
+// OutputChannel returns the channel leaving port p, nil on a mesh edge.
+func (r *Router) OutputChannel(p int) *node.Channel { return r.out[p] }
+
+// InputPending returns the flit held on input port p, not yet committed
+// to its outputs (stuck-flit diagnostics).
+func (r *Router) InputPending(p int) (packet.Flit, bool) { return r.inCur[p], r.inHas[p] }
+
+// EachQueued calls fn for every flit in output port p's FIFO, head
+// first (stuck-flit diagnostics).
+func (r *Router) EachQueued(p int, fn func(packet.Flit)) {
+	q := &r.fifo[p]
+	for i := 0; i < q.Len(); i++ {
+		fn(q.At(i))
+	}
+}
 
 // OnFlit implements node.Sink.
 func (r *Router) OnFlit(port int, f packet.Flit) {
@@ -99,7 +126,7 @@ func (r *Router) OnFlit(port int, f packet.Flit) {
 	fwd := r.t.FwdBody
 	if f.IsHeader() {
 		fwd = r.t.FwdHeader
-		mask, sub := r.mesh.routeOuts(r.X, r.Y, f.BranchDests())
+		mask, sub := r.grid.RouteOuts(r.X, r.Y, f.BranchDests())
 		r.inOuts[port] = mask
 		r.inSub[port] = sub
 		r.stored[port] = mask
@@ -150,7 +177,7 @@ func (r *Router) tryCommit(i int) {
 		}
 	}
 	// All-or-nothing feasibility check over every selected output.
-	for o := 0; o < numPorts; o++ {
+	for o := 0; o < NumPorts; o++ {
 		if outs&(1<<uint(o)) == 0 {
 			continue
 		}
@@ -166,7 +193,7 @@ func (r *Router) tryCommit(i int) {
 	}
 	// Commit: acquire locks, enqueue pruned copies, pump.
 	ports := 0
-	for o := 0; o < numPorts; o++ {
+	for o := 0; o < NumPorts; o++ {
 		if outs&(1<<uint(o)) == 0 {
 			continue
 		}
@@ -176,13 +203,15 @@ func (r *Router) tryCommit(i int) {
 		r.fifo[o].Push(branch)
 		ports++
 	}
-	r.mesh.Meter.NodeForward(r.t.AreaUm2, ports)
 	// The input's copy travels with one branch; each further branch is
-	// a new copy. The input slot drops its pointer.
-	f.Pkt.Refs += int32(ports - 1)
+	// a new copy, which the hooks count. The input slot drops its
+	// pointer.
+	if r.Hooks != nil {
+		r.Hooks.RouterForwarded(r, f, ports)
+	}
 	r.inCur[i] = packet.Flit{}
 	if f.IsTail() {
-		for o := 0; o < numPorts; o++ {
+		for o := 0; o < NumPorts; o++ {
 			if outs&(1<<uint(o)) != 0 {
 				r.outOwner[o] = -1
 			}
@@ -195,7 +224,7 @@ func (r *Router) tryCommit(i int) {
 	r.nextAllowed[i] = r.sched.Now() + cycle + r.t.AckDelay
 	r.inHas[i] = false
 	r.sched.In(r.t.AckDelay, r, evArg(evRtAckIn, i))
-	for o := 0; o < numPorts; o++ {
+	for o := 0; o < NumPorts; o++ {
 		if outs&(1<<uint(o)) != 0 {
 			r.pump(o)
 		}
@@ -224,7 +253,7 @@ func (r *Router) OnAck(o int) {
 }
 
 func (r *Router) retryAll() {
-	for i := 0; i < numPorts; i++ {
+	for i := 0; i < NumPorts; i++ {
 		if r.inHas[i] && r.inReady[i] {
 			r.tryCommit(i)
 		}

@@ -15,6 +15,7 @@ import (
 
 	"asyncnoc/internal/core"
 	"asyncnoc/internal/mesh"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
 )
@@ -236,7 +237,7 @@ func TestMeshMemoryIndependentOfSpan(t *testing.T) {
 	const limit = 1 << 20
 	// The first build derives the router timing from its netlist once
 	// per process; keep that out of the measured runs.
-	if _, err := mesh.New(treeSpec(4, 4)); err != nil {
+	if _, err := network.NewMesh(treeSpec(4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4)} {

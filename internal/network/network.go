@@ -1,7 +1,9 @@
 // Package network assembles complete asynchronous MoT NoC instances from
 // the behavioral node models: one fanout tree per source, one fanin tree
 // per destination, source and sink network interfaces, and the accounting
-// hooks (latency recorder, energy meter, optional trace).
+// hooks (latency recorder, energy meter, optional trace). NewMesh wires
+// the 2D mesh's routers (package mesh) with the same interfaces, packet
+// pool and hooks.
 //
 // The package also implements the serial-multicast expansion of the
 // Baseline network: a k-destination multicast injected there becomes k
@@ -16,6 +18,7 @@ import (
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
@@ -217,8 +220,10 @@ type TraceEvent struct {
 
 // Network is one simulated NoC instance.
 type Network struct {
-	Spec      Spec
-	Sched     *sim.Scheduler
+	Spec  Spec
+	Sched *sim.Scheduler
+	// MoT and Placement are the die geometry and speculation placement
+	// of a MoT build; both are nil on a mesh (NewMesh).
 	MoT       *topology.MoT
 	Placement *topology.Placement
 	Rec       *metrics.Recorder
@@ -237,6 +242,9 @@ type Network struct {
 	fanins  []node.Fanin
 	links   []node.Channel
 	fifos   []packet.Flit
+	// routers holds one router per tile on a mesh build (NewMesh) in
+	// place of the fanout and fanin trees; empty on a MoT.
+	routers []mesh.Router
 
 	// egress holds one die-to-die gateway per die (chiplet compositions
 	// only, empty otherwise).
@@ -732,6 +740,11 @@ func (nw *Network) InjectWide(src int, byDie []packet.DestSet) error {
 // byte-identical to the historical inline body.
 func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created sim.Time, hops int) (*packet.Packet, error) {
 	a := nw.actxFor(anchor)
+	// Plan first: a rejected destination set leaves no packet behind.
+	a.planBuf = a.planBuf[:0]
+	if err := nw.strat.Plan(nw.fabric, anchor%nw.Spec.N, dests, a.emitPlan); err != nil {
+		return nil, err
+	}
 	now := a.sched.Now()
 	p := a.allocPacket()
 	a.assignID(p)
@@ -744,10 +757,6 @@ func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created s
 	a.recCreated(p, created)
 	if nw.Trace != nil {
 		a.trace(TraceEvent{Kind: TraceInject, At: now, Flit: packet.Flit{Pkt: p}})
-	}
-	a.planBuf = a.planBuf[:0]
-	if err := nw.strat.Plan(nw.fabric, anchor%nw.Spec.N, dests, a.emitPlan); err != nil {
-		return nil, err
 	}
 	plans := a.planBuf
 	if !nw.Spec.Serial && len(plans) == 1 && plans[0].Dests == dests {
@@ -900,10 +909,11 @@ type StuckFlit struct {
 var portNames = map[topology.Port]string{topology.Top: "T", topology.Bottom: "B"}
 
 // StuckFlits walks every queue, node stage, and channel in deterministic
-// order and reports each flit still held inside the fabric. A healthy
-// network that has quiesced (empty event queue) holds none; a non-empty
-// result with an empty event queue is a deadlock, and the listed
-// locations are the watchdog's diagnostic.
+// order — fanout and fanin trees on a MoT, router inputs, FIFOs and
+// links on a mesh — and reports each flit still held inside the fabric.
+// A healthy network that has quiesced (empty event queue) holds none; a
+// non-empty result with an empty event queue is a deadlock, and the
+// listed locations are the watchdog's diagnostic.
 func (nw *Network) StuckFlits() []StuckFlit {
 	var out []StuckFlit
 	add := func(where string, f packet.Flit) {
@@ -914,6 +924,13 @@ func (nw *Network) StuckFlits() []StuckFlit {
 		q := &nw.sources[t].queue
 		for i := 0; i < q.Len(); i++ {
 			add(fmt.Sprintf("source %d queue", t), q.At(i))
+		}
+		if nw.MoT == nil {
+			if f, ok := nw.sources[t].out.InFlightFlit(); ok {
+				add(fmt.Sprintf("channel source %d -> router %d", t, t), f)
+			}
+			nw.routerStuck(t, add)
+			continue
 		}
 		if f, ok := nw.sources[t].out.InFlightFlit(); ok {
 			add(fmt.Sprintf("channel source %d -> fanout %d/1", t, t), f)

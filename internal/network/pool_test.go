@@ -176,7 +176,7 @@ func TestPacketPoolConservation(t *testing.T) {
 	} {
 		nw, _, seen := runPoolWorkload(t, spec)
 		free := make(map[*packet.Packet]bool)
-		for _, p := range nw.freePackets() {
+		for _, p := range nw.FreePackets() {
 			if p.Refs != 0 {
 				t.Errorf("%s: freelisted packet with refcount %d", spec.Name, p.Refs)
 			}

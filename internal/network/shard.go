@@ -263,10 +263,10 @@ func (a *actx) assignID(p *packet.Packet) {
 	a.push(effect{kind: effAssignID, pkt: p})
 }
 
-// freePackets concatenates every context's packet freelist (serial
+// FreePackets concatenates every context's packet freelist (serial
 // networks have one, sharded networks one per shard) — conservation
 // tests and diagnostics.
-func (nw *Network) freePackets() []*packet.Packet {
+func (nw *Network) FreePackets() []*packet.Packet {
 	if nw.shardOf == nil {
 		return nw.acct.pktFree
 	}

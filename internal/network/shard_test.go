@@ -167,7 +167,7 @@ func TestShardedNetworkMatchesSerial(t *testing.T) {
 					t.Fatalf("nextID %d, serial %d", nw.nextID, serial.nextID)
 				}
 				// Pool conservation holds per shard context.
-				for _, p := range nw.freePackets() {
+				for _, p := range nw.FreePackets() {
 					if p.Refs != 0 {
 						t.Fatalf("freelisted packet %d with refcount %d", p.ID, p.Refs)
 					}

@@ -24,6 +24,9 @@ type VCDRecorder struct {
 // called before the simulation runs; it chains any Trace callback already
 // installed. Call the returned recorder's Close after the run.
 func AttachVCD(nw *Network, out io.Writer) (*VCDRecorder, error) {
+	if nw.MoT == nil {
+		return nil, fmt.Errorf("network %s: a VCD dump has one wire per fanout node, and a mesh has no fanout trees", nw.Spec.Name)
+	}
 	rec := &VCDRecorder{
 		w:   vcd.NewWriter(out),
 		fwd: map[[2]int]*vcd.Var{},

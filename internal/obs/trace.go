@@ -38,7 +38,8 @@ import (
 //	{"kind":"drop","t":40000,"pkt":7,"src":2,"attempt":3}
 //
 // Timestamps are simulated picoseconds and non-decreasing. "level" is the
-// fanout tree level of the node (root = 0).
+// fanout tree level of the node (root = 0). On a 2D mesh a forward names
+// its router by tile in "tree", with "heap" and "level" 0.
 type TraceSink struct {
 	w      *bufio.Writer
 	events int64
@@ -55,9 +56,12 @@ func NewTraceSink(w io.Writer) *TraceSink {
 }
 
 // Attach chains the sink onto nw's trace callback, preserving any
-// already-installed observer (both run, existing first).
+// already-installed observer (both run, existing first). On a mesh,
+// which has no fanout trees, every forward reports level 0.
 func (s *TraceSink) Attach(nw *network.Network) {
-	s.levelOf = nw.MoT.LevelOf
+	if nw.MoT != nil {
+		s.levelOf = nw.MoT.LevelOf
+	}
 	prev := nw.Trace
 	nw.Trace = func(ev network.TraceEvent) {
 		if prev != nil {

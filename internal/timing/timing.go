@@ -75,44 +75,49 @@ const (
 )
 
 var (
-	once  sync.Once
-	table map[string]Node
+	mu    sync.Mutex
+	table = map[string]Node{}
 )
 
-func build() {
-	table = make(map[string]Node)
-	names := append(netlist.AllNodeNames(), netlist.MeshRouter)
-	for _, name := range names {
-		nl, err := netlist.Build(name)
-		if err != nil {
-			panic(err) // all names come from AllNodeNames
-		}
-		fwd := sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetReqOut0))
-		ack := sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetAckOut))
-		n := Node{
-			Name:      name,
-			AreaUm2:   nl.Area(),
-			FwdHeader: fwd,
-			FwdBody:   fwd,
-			AckDelay:  ack - fwd,
-		}
-		if nl.Net(netlist.NetReqOutFast) != nil {
-			n.FwdBody = sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetReqOutFast))
-		}
-		if nl.Net(netlist.NetAckFast) != nil {
-			n.ThrottleAck = sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetAckFast))
-		}
-		table[name] = n
-	}
-}
-
-// ByName returns the parameters of the named node type.
-func ByName(name string) (Node, error) {
-	once.Do(build)
-	n, ok := table[name]
-	if !ok {
+// derive builds the named node's netlist and reads its parameters off
+// the gate-level paths.
+func derive(name string) (Node, error) {
+	nl, err := netlist.Build(name)
+	if err != nil {
 		return Node{}, fmt.Errorf("timing: unknown node type %q", name)
 	}
+	fwd := sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetReqOut0))
+	ack := sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetAckOut))
+	n := Node{
+		Name:      name,
+		AreaUm2:   nl.Area(),
+		FwdHeader: fwd,
+		FwdBody:   fwd,
+		AckDelay:  ack - fwd,
+	}
+	if nl.Net(netlist.NetReqOutFast) != nil {
+		n.FwdBody = sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetReqOutFast))
+	}
+	if nl.Net(netlist.NetAckFast) != nil {
+		n.ThrottleAck = sim.Time(nl.MustPath(netlist.NetReqIn, netlist.NetAckFast))
+	}
+	return n, nil
+}
+
+// ByName returns the parameters of the named node type. Each type is
+// derived from its netlist on its first lookup in the process and
+// cached, so a run pays only for the node types it builds.
+func ByName(name string) (Node, error) {
+	mu.Lock()
+	defer mu.Unlock()
+	if n, ok := table[name]; ok {
+		return n, nil
+	}
+	n, err := derive(name)
+	if err != nil {
+		return Node{}, err
+	}
+	table[name] = n
 	return n, nil
 }
 

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"sync"
 	"testing"
 
 	"asyncnoc/internal/netlist"
@@ -78,4 +79,33 @@ func TestChannelConstantsPositive(t *testing.T) {
 	if ChannelFwd <= 0 || ChannelAck <= 0 || NICycle <= 0 || SinkAck <= 0 {
 		t.Error("non-positive channel constants")
 	}
+}
+
+// TestByNameConcurrent looks every node type up from several goroutines
+// at once, as engine workers building networks do: each type is derived
+// once and every caller reads the same parameters.
+func TestByNameConcurrent(t *testing.T) {
+	names := append(netlist.AllNodeNames(), netlist.MeshRouter)
+	want := make(map[string]Node, len(names))
+	for _, name := range names {
+		n, err := derive(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = n
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range names {
+				name := names[(i+g)%len(names)]
+				if n, err := ByName(name); err != nil || n != want[name] {
+					t.Errorf("%s: %+v, %v; want %+v", name, n, err, want[name])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
