@@ -105,10 +105,11 @@ bench-smoke:
 
 # service-smoke exercises simulation-as-a-service end to end: asyncnocd
 # starts on an ephemeral port over a temp cache dir, the same Fig6a-point
-# job is submitted twice (the second response must be a cache hit served
-# in < 10ms), SIGTERM must drain cleanly (exit 0, store flushed), and a
-# restart over the same cache dir must serve the job from disk without
-# recomputing (DESIGN.md section 13).
+# job is submitted twice, then the same job on a 4x4 mesh twice (each
+# second response must be a cache hit served in < 10ms), SIGTERM must
+# drain cleanly (exit 0, store flushed), and a restart over the same
+# cache dir must serve both jobs from disk without recomputing
+# (DESIGN.md section 13).
 service-smoke:
 	sh scripts/service_smoke.sh
 

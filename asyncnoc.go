@@ -47,7 +47,6 @@ import (
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/core"
 	"asyncnoc/internal/fault"
-	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/netlist"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/obs"
@@ -73,7 +72,10 @@ const (
 	Microsecond = sim.Microsecond
 )
 
-// NetworkSpec describes one network architecture instance.
+// NetworkSpec describes one network instance of any topology: a MoT
+// die, a chiplet composition of dies (its Chiplet field, see
+// WithChiplet) or a 2D mesh (its Mesh field, see MeshTree). Every run
+// entry, search and Engine job takes one.
 type NetworkSpec = network.Spec
 
 // Network is a built simulation instance (exposed for instrumented runs).
@@ -265,17 +267,17 @@ func Benchmarks(n int) []Benchmark { return traffic.StandardSuite(n) }
 // BenchmarkByName resolves a benchmark reporting name.
 func BenchmarkByName(n int, name string) (Benchmark, error) { return traffic.ByName(n, name) }
 
-// Run executes one simulation of any topology (a NetworkSpec die or
-// chiplet composition, or a MeshSpec) and returns its measurements.
+// Run executes one simulation of any topology (a MoT die, a chiplet
+// composition or a 2D mesh) and returns its measurements.
 // Protocol violations inside the model surface as *ProtocolError; a
 // wedged or runaway simulation aborts with *DeadlockError or
 // *LivelockError.
-func Run(ts TopologySpec, cfg RunConfig) (RunResult, error) { return core.Run(ts, cfg) }
+func Run(spec NetworkSpec, cfg RunConfig) (RunResult, error) { return core.Run(spec, cfg) }
 
 // RunContext is Run with cancellation: the simulation checks ctx between
 // event batches and aborts with ctx.Err() once it is done.
-func RunContext(ctx context.Context, ts TopologySpec, cfg RunConfig) (RunResult, error) {
-	return core.RunContext(ctx, ts, cfg)
+func RunContext(ctx context.Context, spec NetworkSpec, cfg RunConfig) (RunResult, error) {
+	return core.RunContext(ctx, spec, cfg)
 }
 
 // FaultConfig attaches a deterministic fault schedule (transient payload
@@ -337,7 +339,7 @@ func DefaultWorkers() int { return core.DefaultWorkers() }
 
 // JobKey returns the canonical hash of a (spec, config) pair; equal keys
 // identify runs that are deterministic replays of each other.
-func JobKey(ts TopologySpec, cfg RunConfig) string { return core.JobKey(ts, cfg) }
+func JobKey(spec NetworkSpec, cfg RunConfig) string { return core.JobKey(spec, cfg) }
 
 // Build constructs an instrumentable network with injection processes
 // armed and windows set; drive it with nw.Sched and extract measurements
@@ -358,37 +360,25 @@ func Collect(nw *Network, cfg RunConfig) RunResult { return core.Collect(nw, cfg
 
 // Saturation searches for the saturation throughput of one network of
 // any topology under one benchmark (Table 1).
-func Saturation(ts TopologySpec, cfg SatConfig) (SatResult, error) {
-	return core.Saturation(ts, cfg)
+func Saturation(spec NetworkSpec, cfg SatConfig) (SatResult, error) {
+	return core.Saturation(spec, cfg)
 }
 
-// MeshSpec describes a 2D-mesh network — the paper's future-work
-// topology, simulated with the same handshake-level machinery.
-type MeshSpec = mesh.Spec
+// MeshSpec is the NetworkSpec of a 2D mesh, the paper's future-work
+// topology; it remains as a name for existing callers.
+type MeshSpec = NetworkSpec
 
-// MeshTree returns a w x h mesh with XY tree-based multicast.
-func MeshTree(w, h int) MeshSpec {
-	return MeshSpec{Name: fmt.Sprintf("Mesh%dx%dTree", w, h), W: w, H: h, PacketLen: core.DefaultPacketLen}
-}
+// MeshTree returns a w x h mesh with XY tree-based multicast, and
+// MeshSerial one expanding multicast into serial XY unicasts (the
+// baseline scheme on the alternative topology).
+var (
+	MeshTree   = core.MeshTree
+	MeshSerial = core.MeshSerial
+)
 
-// MeshSerial returns a w x h mesh expanding multicast into serial XY
-// unicasts (the baseline scheme on the alternative topology).
-func MeshSerial(w, h int) MeshSpec {
-	return MeshSpec{Name: fmt.Sprintf("Mesh%dx%dSerial", w, h), W: w, H: h, PacketLen: core.DefaultPacketLen, Serial: true}
-}
-
-// RunMesh is Run on a mesh; the benchmark's destination space must
-// equal w*h.
-func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) { return Run(spec, cfg) }
-
-// TopologySpec is the unified construction contract every network
-// description implements: NetworkSpec (a single MoT die or a chiplet
-// composition of dies) and MeshSpec (the 2D-mesh substrate). It exposes
-// the shared surface — name, terminal count, validation and canonical
-// memo key — so Run, Saturation, LoadSweep, RunSeeds, RunSchedule and
-// the Engine (Job.Spec included) accept any topology through one
-// parameter.
-type TopologySpec = topology.TopologySpec
+// RunMesh is Run on a mesh, kept for existing callers; the benchmark's
+// destination space must equal w*h.
+func RunMesh(spec NetworkSpec, cfg RunConfig) (RunResult, error) { return Run(spec, cfg) }
 
 // ChipletParams describes the interposer of a mesh-of-MoT-chiplets
 // composition: W x H dies on a NoI mesh, with die-to-die channels
@@ -431,8 +421,8 @@ func ParseSchedule(r io.Reader, name string, n int) (Schedule, error) {
 // RunSchedule replays an explicit workload through a MoT die or a 2D
 // mesh and measures every injected packet; a chiplet composition is
 // rejected (a schedule's flat destination mask cannot address it).
-func RunSchedule(ts TopologySpec, sched Schedule, drain Time) (RunResult, error) {
-	return core.RunSchedule(ts, sched, drain)
+func RunSchedule(spec NetworkSpec, sched Schedule, drain Time) (RunResult, error) {
+	return core.RunSchedule(spec, sched, drain)
 }
 
 // Replicated aggregates one configuration over several seeds.
@@ -441,8 +431,8 @@ type Replicated = core.Replicated
 // RunSeeds executes the configuration once per seed on a network of any
 // topology and aggregates mean and standard deviation of the reported
 // metrics.
-func RunSeeds(ts TopologySpec, cfg RunConfig, seeds []uint64) (Replicated, error) {
-	return core.RunSeeds(ts, cfg, seeds)
+func RunSeeds(spec NetworkSpec, cfg RunConfig, seeds []uint64) (Replicated, error) {
+	return core.RunSeeds(spec, cfg, seeds)
 }
 
 // TraceSink streams a network's flit-lifecycle events as deterministic
@@ -541,8 +531,8 @@ type SweepPoint = core.SweepPoint
 // LoadSweep measures the latency-throughput curve of one network of any
 // topology under one benchmark on a grid of load fractions up to
 // maxFraction of the network's saturation.
-func LoadSweep(ts TopologySpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
-	return core.LoadSweep(ts, base, points, maxFraction)
+func LoadSweep(spec NetworkSpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
+	return core.LoadSweep(spec, base, points, maxFraction)
 }
 
 // NodeCost is one row of the paper's node-level results (Section 5.2(a)),
@@ -593,20 +583,9 @@ func FormatLatencyHistogram(samplesNs []float64, bins, barWidth int) string {
 
 // DrawPlacement renders the spec's fanout-tree speculation placement as
 // ASCII art (speculative nodes marked [S#], addressable ones (N#:f#)).
+// A mesh has no fanout trees and is an error.
 func DrawPlacement(spec NetworkSpec) (string, error) {
-	m, err := topology.New(spec.N)
-	if err != nil {
-		return "", err
-	}
-	var pl *topology.Placement
-	switch {
-	case spec.Serial:
-		pl, err = topology.ForScheme(m, topology.NonSpeculative)
-	case spec.SpecLevels != nil:
-		pl, err = topology.NewPlacement(m, spec.SpecLevels)
-	default:
-		pl, err = topology.ForScheme(m, spec.Scheme)
-	}
+	pl, err := spec.Placement()
 	if err != nil {
 		return "", err
 	}

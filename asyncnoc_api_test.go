@@ -1,10 +1,13 @@
 package asyncnoc_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"asyncnoc"
+	"asyncnoc/internal/analytic"
+	"asyncnoc/internal/network"
 )
 
 func TestAllNetworks(t *testing.T) {
@@ -175,4 +178,31 @@ func TestCustomBenchmark(t *testing.T) {
 	if res.ThroughputGFs < 0.35 {
 		t.Errorf("throughput %v does not reflect 2-way replication", res.ThroughputGFs)
 	}
+}
+
+// TestMoTToolsRejectMesh: the tools that read a MoT die's fanout trees
+// (the analytic model, the placement drawing and the VCD dump) return an
+// error naming a mesh spec instead of modelling a MoT of its tile count.
+func TestMoTToolsRejectMesh(t *testing.T) {
+	spec := asyncnoc.MeshTree(4, 4)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), spec.Name) || !strings.Contains(err.Error(), "mesh") {
+			t.Errorf("%s of %s: %v, want an error naming the mesh", what, spec.Name, err)
+		}
+	}
+	_, err := analytic.ZeroLoadLatency(spec, 0, 5)
+	check("ZeroLoadLatency", err)
+	_, err = analytic.StageCycles(spec)
+	check("StageCycles", err)
+	_, err = analytic.CapacityGFs(spec)
+	check("CapacityGFs", err)
+	_, err = asyncnoc.DrawPlacement(spec)
+	check("DrawPlacement", err)
+	nw, err := asyncnoc.NewNetwork(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = network.AttachVCD(nw, io.Discard)
+	check("AttachVCD", err)
 }

@@ -58,11 +58,11 @@ func BenchmarkChipletHierarchy(b *testing.B) {
 func BenchmarkMeshRun(b *testing.B) {
 	benches := []asyncnoc.Benchmark{asyncnoc.UniformRandom(16), asyncnoc.MulticastFraction(16, 0.10)}
 	for i := 0; i < b.N; i++ {
-		for _, spec := range []asyncnoc.MeshSpec{asyncnoc.MeshTree(4, 4), asyncnoc.MeshSerial(4, 4)} {
+		for _, spec := range []asyncnoc.NetworkSpec{asyncnoc.MeshTree(4, 4), asyncnoc.MeshSerial(4, 4)} {
 			for _, bench := range benches {
 				cfg := asyncnoc.DefaultRunConfig(16)
 				cfg.Bench, cfg.LoadGFs, cfg.Seed = bench, 0.2, 2016
-				if _, err := asyncnoc.RunMesh(spec, cfg); err != nil {
+				if _, err := asyncnoc.Run(spec, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

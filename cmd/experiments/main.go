@@ -82,22 +82,19 @@ func main() {
 	// The selection resolved over the suite's headline network picks the
 	// mode: the paper's tables on one die, the hierarchy table on a
 	// composition's interposer, and no table on a mesh.
-	switch ts := sel.Spec(asyncnoc.OptHybridSpeculative(*n)).(type) {
-	case asyncnoc.MeshSpec:
+	switch spec := sel.Spec(asyncnoc.OptHybridSpeculative(*n)); {
+	case spec.Mesh != nil:
 		check(fmt.Errorf("the evaluation suite measures MoT networks; -topology %s is not supported", sel))
-	case asyncnoc.NetworkSpec:
-		if ts.Chiplet != nil {
-			// Hierarchy-table mode: instead of the paper's single-die
-			// tables, measure every architecture composed onto the
-			// interposer mesh and break the results out per hierarchy
-			// level.
-			ct, err := s.ChipletTable(ts.Chiplet)
-			check(err)
-			emit("chiplet_hierarchy", ct)
-			fmt.Printf("regenerated chiplet experiments in %.1fs\n", time.Since(start).Seconds())
-			printEngineStats(s.Engine())
-			return
-		}
+	case spec.Chiplet != nil:
+		// Hierarchy-table mode: instead of the paper's single-die tables,
+		// measure every architecture composed onto the interposer mesh
+		// and break the results out per hierarchy level.
+		ct, err := s.ChipletTable(spec.Chiplet)
+		check(err)
+		emit("chiplet_hierarchy", ct)
+		fmt.Printf("regenerated chiplet experiments in %.1fs\n", time.Since(start).Seconds())
+		printEngineStats(s.Engine())
+		return
 	}
 
 	nodeTable, err := experiments.NodeLevel()

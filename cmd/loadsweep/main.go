@@ -56,7 +56,7 @@ func main() {
 	// whose spec an earlier name already resolved to (every name on a
 	// mesh, which has one architecture) sweeps once.
 	type sweep struct {
-		spec asyncnoc.TopologySpec
+		spec asyncnoc.NetworkSpec
 		pts  []asyncnoc.SweepPoint
 		err  error
 	}
@@ -69,8 +69,8 @@ func main() {
 			continue
 		}
 		spec := sel.Spec(ns)
-		if !seen[spec.TopologyName()] {
-			seen[spec.TopologyName()] = true
+		if !seen[spec.Name] {
+			seen[spec.Name] = true
 			sweeps = append(sweeps, sweep{spec: spec})
 		}
 	}
@@ -117,7 +117,7 @@ func main() {
 		if sw.err != nil {
 			fatal(sw.err)
 		}
-		fmt.Printf("\n%s / %s\n", sw.spec.TopologyName(), bench.Name())
+		fmt.Printf("\n%s / %s\n", sw.spec.Name, bench.Name())
 		fmt.Printf("%10s %12s %12s %12s %10s\n", "frac sat", "load GF/s", "latency ns", "thr GF/s", "complete")
 		for _, p := range sw.pts {
 			fmt.Printf("%10.2f %12.3f %12.2f %12.3f %9.0f%%\n",

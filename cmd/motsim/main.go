@@ -233,7 +233,7 @@ func printUtilization(res asyncnoc.RunResult) {
 // printResult prints the standard measurement block, the hierarchy
 // breakout for chiplet compositions, and the fault counters for fault
 // runs.
-func printResult(res asyncnoc.RunResult, ts asyncnoc.TopologySpec) {
+func printResult(res asyncnoc.RunResult, spec asyncnoc.NetworkSpec) {
 	fmt.Printf("network:          %s\n", res.Network)
 	fmt.Printf("benchmark:        %s\n", res.Benchmark)
 	fmt.Printf("offered load:     %.3f GF/s per source\n", res.LoadGFs)
@@ -244,10 +244,6 @@ func printResult(res asyncnoc.RunResult, ts asyncnoc.TopologySpec) {
 	fmt.Printf("throughput:       %.3f GF/s per source (delivered)\n", res.ThroughputGFs)
 	fmt.Printf("network power:    %.2f mW\n", res.PowerMW)
 	fmt.Printf("completion:       %.1f%% of %d measured packets\n", 100*res.Completion, res.MeasuredPackets)
-	spec, ok := ts.(asyncnoc.NetworkSpec)
-	if !ok {
-		return
-	}
 	if spec.Chiplet != nil {
 		fmt.Printf("intra-die:        %d packets, avg %.2f ns, p95 %.2f ns\n",
 			res.MeasuredPackets-res.D2DMeasuredPackets, res.AvgIntraLatencyNs, res.P95IntraLatencyNs)
@@ -274,7 +270,7 @@ func (c *latencyCapture) Finish() error                     { return nil }
 // runInstrumented executes one run with the requested instruments riding
 // along in RunConfig.Instruments: a JSONL trace sink, a latency
 // histogram, and/or a VCD dump.
-func runInstrumented(spec asyncnoc.TopologySpec, cfg asyncnoc.RunConfig, tracePath string, hist bool, vcdPath string) (asyncnoc.RunResult, error) {
+func runInstrumented(spec asyncnoc.NetworkSpec, cfg asyncnoc.RunConfig, tracePath string, hist bool, vcdPath string) (asyncnoc.RunResult, error) {
 	var traceFile *os.File
 	if tracePath != "" {
 		f, err := os.Create(tracePath)

@@ -18,21 +18,21 @@ type matrixTopo struct {
 	replays bool
 	// build returns the cell's spec and benchmark, and the field the run
 	// must reject ("" when it must run).
-	build func(strategy string, faults, instrumented bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error)
+	build func(strategy string, faults, instrumented bool) (asyncnoc.NetworkSpec, string, asyncnoc.Benchmark, error)
 }
 
 // TestCompositionMatrix crosses the run surface's independent options at
-// CI scale: single-die MoT and a 2x2 composition of radix-4 dies, each
-// with the fault layer off and on, plus a 4x4 mesh (which has no fault
-// layer), under all five routing strategies, with instruments off and on.
-// Every cell either runs and delivers packets or fails with an error that
-// names the rejected field: the fault layer is single-die only. An
+// CI scale: single-die MoT, a 2x2 composition of radix-4 dies and a 4x4
+// mesh, each with the fault layer off and on, under all five routing
+// strategies, with instruments off and on. Every cell either runs and
+// delivers packets or fails with an error that names the rejected field:
+// the fault layer is single-die MoT only. An
 // instrumented cell's trace instrument must see events. Each topology
 // also goes through the other run entries (checkRunEntries).
 func TestCompositionMatrix(t *testing.T) {
 	faultCfg := asyncnoc.FaultConfig{Seed: 3, CorruptRate: 1e-3, DropRate: 1e-3}
 	topos := []matrixTopo{
-		{"mot", []bool{false, true}, true, func(strategy string, faults, _ bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error) {
+		{"mot", []bool{false, true}, true, func(strategy string, faults, _ bool) (asyncnoc.NetworkSpec, string, asyncnoc.Benchmark, error) {
 			spec := asyncnoc.WithStrategy(asyncnoc.OptHybridSpeculative(8), strategy)
 			if faults {
 				spec.Faults = faultCfg
@@ -40,7 +40,7 @@ func TestCompositionMatrix(t *testing.T) {
 			bench, err := asyncnoc.BenchmarkByName(8, "Multicast10")
 			return spec, "", bench, err
 		}},
-		{"chiplet2x2of4", []bool{false, true}, false, func(strategy string, faults, _ bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error) {
+		{"chiplet2x2of4", []bool{false, true}, false, func(strategy string, faults, _ bool) (asyncnoc.NetworkSpec, string, asyncnoc.Benchmark, error) {
 			spec := asyncnoc.WithChiplet(asyncnoc.WithStrategy(asyncnoc.OptHybridSpeculative(4), strategy), asyncnoc.ChipletSerial(2, 2))
 			rejected := ""
 			if faults {
@@ -50,11 +50,16 @@ func TestCompositionMatrix(t *testing.T) {
 			bench, err := asyncnoc.ChipletBenchmarkByName(spec.Chiplet, spec.N, "Multicast10")
 			return spec, rejected, bench, err
 		}},
-		{"mesh4x4", []bool{false}, true, func(strategy string, _, _ bool) (asyncnoc.TopologySpec, string, asyncnoc.Benchmark, error) {
+		{"mesh4x4", []bool{false, true}, true, func(strategy string, faults, _ bool) (asyncnoc.NetworkSpec, string, asyncnoc.Benchmark, error) {
 			spec := asyncnoc.MeshTree(4, 4)
 			spec.Strategy = strategy
+			rejected := ""
+			if faults {
+				spec.Faults = faultCfg
+				rejected = "Faults"
+			}
 			bench, err := asyncnoc.BenchmarkByName(16, "Multicast10")
-			return spec, "", bench, err
+			return spec, rejected, bench, err
 		}},
 	}
 	for _, tp := range topos {
@@ -120,7 +125,7 @@ func checkRunEntries(t *testing.T, tp matrixTopo) {
 	if err != nil {
 		t.Fatalf("RunSeeds: %v", err)
 	}
-	if rep.Seeds != 2 || rep.Network != ts.TopologyName() || rep.MeanCompletion == 0 {
+	if rep.Seeds != 2 || rep.Network != ts.Name || rep.MeanCompletion == 0 {
 		t.Errorf("RunSeeds: %+v", rep)
 	}
 	pts, err := asyncnoc.LoadSweep(ts, cfg, 2, 0.5)

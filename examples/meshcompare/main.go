@@ -39,7 +39,7 @@ func main() {
 			name, res.AvgLatencyNs, res.P95LatencyNs, res.ThroughputGFs, res.PowerMW)
 	}
 
-	for _, spec := range []asyncnoc.TopologySpec{
+	for _, spec := range []asyncnoc.NetworkSpec{
 		asyncnoc.Baseline(terminals),
 		asyncnoc.OptHybridSpeculative(terminals),
 		asyncnoc.MeshSerial(4, 4),
@@ -49,8 +49,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		name := spec.TopologyName()
-		if _, mot := spec.(asyncnoc.NetworkSpec); mot {
+		name := spec.Name
+		if spec.Mesh == nil {
 			name = "MoT16 " + name
 		}
 		row(name, res)

@@ -1,8 +1,9 @@
 // Command servicesmoke is the client half of `make service-smoke`: it
-// submits the same Fig.6a-style job to a running asyncnocd twice and
-// asserts the service contract — the first run computes (or, with
-// -expect-warm, is served from the persistent store), the second is a
-// cache hit served fast (the handler never starts a simulation).
+// submits the same Fig.6a-style job to a running asyncnocd twice, then
+// the same job on a 4x4 mesh twice, and asserts the service contract for
+// each — the first run computes (or, with -expect-warm, is served from
+// the persistent store), the second is a cache hit served fast (the
+// handler never starts a simulation).
 //
 //	servicesmoke -server http://127.0.0.1:8080
 //
@@ -57,37 +58,50 @@ func main() {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	first, err := c.RunJob(ctx, smokeRequest())
+	for _, job := range []struct {
+		name string
+		req  asyncnoc.RunRequest
+	}{{"mot", smokeRequest()}, {"mesh", meshRequest()}} {
+		smoke(ctx, c, job.name, job.req, *warm, *hitMs)
+	}
+}
+
+// smoke submits req twice and asserts the service contract for it: the
+// first response computes (or, warm, is a store hit), the second is a
+// fast, byte-identical cache hit, and the committed entry is addressable
+// by its job key.
+func smoke(ctx context.Context, c *asyncnoc.Client, name string, req asyncnoc.RunRequest, warm bool, hitMs float64) {
+	first, err := c.RunJob(ctx, req)
 	if err != nil {
-		fatal(fmt.Errorf("first run: %w", err))
+		fatal(fmt.Errorf("%s: first run: %w", name, err))
 	}
 	// A fresh process has a cold memo: only the persistent store can
 	// serve its first response, which it must after a restart.
-	if first.Cached != *warm {
-		fatal(fmt.Errorf("first run in a fresh process reported cached=%v with -expect-warm=%v", first.Cached, *warm))
+	if first.Cached != warm {
+		fatal(fmt.Errorf("%s: first run in a fresh process reported cached=%v with -expect-warm=%v", name, first.Cached, warm))
 	}
-	if *warm && first.ElapsedMs >= *hitMs {
+	if warm && first.ElapsedMs >= hitMs {
 		// After a restart the memo is cold but the store is not: the
 		// first run must be a disk hit, not a recompute.
-		fatal(fmt.Errorf("restarted server recomputed (%.2fms); persistent store not serving", first.ElapsedMs))
+		fatal(fmt.Errorf("%s: restarted server recomputed (%.2fms); persistent store not serving", name, first.ElapsedMs))
 	}
-	fmt.Printf("service-smoke: first run %s in %.1fms (latency %.2fns)\n",
-		first.Key[:12], first.ElapsedMs, first.Result.AvgLatencyNs)
+	fmt.Printf("service-smoke: %s first run %s in %.1fms (latency %.2fns)\n",
+		name, first.Key[:12], first.ElapsedMs, first.Result.AvgLatencyNs)
 
-	second, err := c.RunJob(ctx, smokeRequest())
+	second, err := c.RunJob(ctx, req)
 	if err != nil {
-		fatal(fmt.Errorf("second run: %w", err))
+		fatal(fmt.Errorf("%s: second run: %w", name, err))
 	}
 	if !second.Cached {
-		fatal(fmt.Errorf("second identical run was not a cache hit"))
+		fatal(fmt.Errorf("%s: second identical run was not a cache hit", name))
 	}
-	if second.ElapsedMs >= *hitMs {
-		fatal(fmt.Errorf("cache hit took %.2fms, want < %.0fms", second.ElapsedMs, *hitMs))
+	if second.ElapsedMs >= hitMs {
+		fatal(fmt.Errorf("%s: cache hit took %.2fms, want < %.0fms", name, second.ElapsedMs, hitMs))
 	}
 	a, _ := json.Marshal(first.Result)
 	b, _ := json.Marshal(second.Result)
 	if string(a) != string(b) {
-		fatal(fmt.Errorf("cached result differs from computed result"))
+		fatal(fmt.Errorf("%s: cached result differs from computed result", name))
 	}
 
 	// The committed entry is addressable by its job key. Commits are
@@ -103,12 +117,12 @@ func main() {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if err != nil || !ok {
-		fatal(fmt.Errorf("GET /v1/jobs/%s: ok=%v err=%v", first.Key, ok, err))
+		fatal(fmt.Errorf("%s: GET /v1/jobs/%s: ok=%v err=%v", name, first.Key, ok, err))
 	} else if j, _ := json.Marshal(job.Result); string(j) != string(a) {
-		fatal(fmt.Errorf("stored entry differs from run response"))
+		fatal(fmt.Errorf("%s: stored entry differs from run response", name))
 	}
 
-	fmt.Printf("service-smoke: warm hit in %.2fms, byte-identical, addressable by key\n", second.ElapsedMs)
+	fmt.Printf("service-smoke: %s warm hit in %.2fms, byte-identical, addressable by key\n", name, second.ElapsedMs)
 }
 
 // smokeRequest is the canonical smoke job: one Fig.6a point on the
@@ -124,6 +138,14 @@ func smokeRequest() asyncnoc.RunRequest {
 		MeasurePs: int64(1200 * asyncnoc.Nanosecond),
 		DrainPs:   int64(600 * asyncnoc.Nanosecond),
 	}
+}
+
+// meshRequest is the smoke job on a 4x4 tree-multicast mesh: the same
+// benchmark and windows over its 16 tiles.
+func meshRequest() asyncnoc.RunRequest {
+	req := smokeRequest()
+	req.Spec = asyncnoc.MeshTree(4, 4)
+	return req
 }
 
 func fatal(err error) {

@@ -36,22 +36,6 @@ func kindFor(spec network.Spec, pl *topology.Placement, k int) node.Kind {
 	return spec.NonSpecKind
 }
 
-// placementOf mirrors network.New's placement resolution.
-func placementOf(spec network.Spec) (*topology.Placement, error) {
-	m, err := topology.New(spec.N)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case spec.Serial:
-		return topology.ForScheme(m, topology.NonSpeculative)
-	case spec.SpecLevels != nil:
-		return topology.NewPlacement(m, spec.SpecLevels)
-	default:
-		return topology.ForScheme(m, spec.Scheme)
-	}
-}
-
 // nodeTiming resolves the (protocol- and clock-adjusted) parameters of a
 // fanout kind under the spec.
 func nodeTiming(spec network.Spec, k node.Kind) timing.Node {
@@ -80,7 +64,7 @@ func ZeroLoadLatency(spec network.Spec, src, dest int) (sim.Time, error) {
 	if src < 0 || src >= spec.N || dest < 0 || dest >= spec.N {
 		return 0, fmt.Errorf("analytic: src/dest %d/%d out of range", src, dest)
 	}
-	pl, err := placementOf(spec)
+	pl, err := spec.Placement()
 	if err != nil {
 		return 0, err
 	}
@@ -124,7 +108,7 @@ func (s StageCycle) PacketAvgPs(packetLen int) float64 {
 // path: the source interface + root fanout stage, one entry per further
 // fanout level, and the fanin stage.
 func StageCycles(spec network.Spec) ([]StageCycle, error) {
-	pl, err := placementOf(spec)
+	pl, err := spec.Placement()
 	if err != nil {
 		return nil, err
 	}

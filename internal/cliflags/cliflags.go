@@ -80,7 +80,7 @@ func (t Topology) String() string {
 // links, and mesh:WxH is a WxH tree-multicast mesh under base's routing
 // strategy (the mesh has one architecture, and its W*H tiles are its
 // terminals).
-func (t Topology) Spec(base asyncnoc.NetworkSpec) asyncnoc.TopologySpec {
+func (t Topology) Spec(base asyncnoc.NetworkSpec) asyncnoc.NetworkSpec {
 	switch t.Kind {
 	case "chiplet":
 		return asyncnoc.WithChiplet(base, asyncnoc.ChipletSerial(t.W, t.H))

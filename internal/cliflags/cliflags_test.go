@@ -75,15 +75,15 @@ func TestMeshSpecFlags(t *testing.T) {
 		}
 	}
 	base := asyncnoc.WithStrategy(asyncnoc.Baseline(8), "DPM")
-	spec, ok := mesh.Spec(base).(asyncnoc.MeshSpec)
-	if !ok || spec.Strategy != "DPM" || spec.W != 4 || spec.H != 4 {
+	spec := Topology{Kind: "mesh", W: 4, H: 4}.Spec(base)
+	if spec.Mesh == nil || spec.Strategy != "DPM" || spec.Mesh.W != 4 || spec.Mesh.H != 4 || spec.N != 16 {
 		t.Errorf("mesh:4x4 over %s resolved to %+v, want a 4x4 mesh under DPM", base.Name, spec)
 	}
 	if got := (Topology{Kind: "mot"}).Spec(base); got.CanonicalKey() != base.CanonicalKey() {
 		t.Errorf("mot resolved to %+v, want the base spec", got)
 	}
-	chip, ok := Topology{Kind: "chiplet", W: 2, H: 2}.Spec(base).(asyncnoc.NetworkSpec)
-	if !ok || chip.Chiplet == nil || chip.Chiplet.MeshW != 2 || chip.Chiplet.MeshH != 2 || chip.N != 8 {
+	chip := Topology{Kind: "chiplet", W: 2, H: 2}.Spec(base)
+	if chip.Chiplet == nil || chip.Chiplet.MeshW != 2 || chip.Chiplet.MeshH != 2 || chip.N != 8 {
 		t.Errorf("chiplet:2x2 resolved to %+v, want a 2x2 composition of the base die", chip)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"asyncnoc/internal/chiplet"
+	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/netlist"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/node"
@@ -118,6 +119,21 @@ func AllSpecs(n int) []network.Spec {
 		Baseline(n), BasicNonSpeculative(n), BasicHybridSpeculative(n),
 		OptHybridSpeculative(n), OptNonSpeculative(n), OptAllSpeculative(n),
 	}
+}
+
+// MeshTree returns a w x h 2D mesh of asynchronous XY routers with
+// tree-based multicast: the paper's future-work topology.
+func MeshTree(w, h int) network.Spec {
+	return network.Spec{Name: fmt.Sprintf("Mesh%dx%dTree", w, h), N: w * h, PacketLen: DefaultPacketLen,
+		Mesh: &mesh.Size{W: w, H: h}}
+}
+
+// MeshSerial returns a w x h mesh expanding multicast into serial XY
+// unicasts (the baseline scheme on the alternative topology).
+func MeshSerial(w, h int) network.Spec {
+	s := MeshTree(w, h)
+	s.Name, s.Serial = fmt.Sprintf("Mesh%dx%dSerial", w, h), true
+	return s
 }
 
 // SyncClockMargin is the setup/skew/jitter margin added to the slowest

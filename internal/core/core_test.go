@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"asyncnoc/internal/chiplet"
+	"asyncnoc/internal/fault"
 	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/node"
@@ -573,7 +575,7 @@ func TestRunScheduleMesh(t *testing.T) {
 		{At: 500, Src: 6, Dests: 1<<6 | 1<<7},
 		{At: 1200, Src: 15, Dests: packet.Range(0, 16)},
 	}
-	spec := mesh.Spec{Name: "Mesh4x4Tree", W: 4, H: 4, PacketLen: DefaultPacketLen}
+	spec := MeshTree(4, 4)
 	res, err := RunSchedule(spec, sched, 2000*sim.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
@@ -590,6 +592,62 @@ func TestRunScheduleMesh(t *testing.T) {
 	}
 	if _, err := RunSchedule(spec, Schedule{{At: 0, Src: 16, Dests: 1}}, 0); err == nil {
 		t.Error("a source past the mesh's 16 tiles was accepted")
+	}
+}
+
+// TestMeshSpecFieldMatrix walks every network.Spec field on a 4x4 mesh
+// spec: setting the field either changes the mesh's result or makes
+// Validate fail with an error naming the field. A field added to Spec
+// without a row here fails the test.
+func TestMeshSpecFieldMatrix(t *testing.T) {
+	rows := map[string]struct {
+		set     func(*network.Spec)
+		rejects bool
+	}{
+		"Name":        {set: func(s *network.Spec) { s.Name = "Renamed" }},
+		"N":           {set: func(s *network.Spec) { s.N = 8 }, rejects: true},
+		"PacketLen":   {set: func(s *network.Spec) { s.PacketLen = 4 }},
+		"Scheme":      {set: func(s *network.Spec) { s.Scheme = topology.Hybrid }, rejects: true},
+		"SpecLevels":  {set: func(s *network.Spec) { s.SpecLevels = []bool{true, false, true, false} }, rejects: true},
+		"SpecKind":    {set: func(s *network.Spec) { s.SpecKind = node.OptSpec }, rejects: true},
+		"NonSpecKind": {set: func(s *network.Spec) { s.NonSpecKind = node.OptNonSpec }, rejects: true},
+		"Serial":      {set: func(s *network.Spec) { s.Serial = true }},
+		"Strategy":    {set: func(s *network.Spec) { s.Strategy = "DPM" }},
+		"Protocol":    {set: func(s *network.Spec) { s.Protocol = timing.FourPhase }, rejects: true},
+		"SyncPeriod":  {set: func(s *network.Spec) { s.SyncPeriod = 2 * sim.Nanosecond }, rejects: true},
+		"Faults":      {set: func(s *network.Spec) { s.Faults = fault.Config{Seed: 1, DropRate: 1e-3} }, rejects: true},
+		"Chiplet":     {set: func(s *network.Spec) { s.Chiplet = chiplet.Default(2, 2) }, rejects: true},
+		"Mesh":        {set: func(s *network.Spec) { s.Mesh = &mesh.Size{W: 8, H: 2} }},
+	}
+	cfg := quickWindows(RunConfig{Bench: traffic.Multicast{N: 16, Frac: 0.10}, LoadGFs: 0.3, Seed: 2016})
+	base, err := Run(MeshTree(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := reflect.TypeOf(network.Spec{})
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		row, ok := rows[name]
+		if !ok {
+			t.Errorf("Spec.%s has no row: does it act on a mesh, or does Validate reject it?", name)
+			continue
+		}
+		spec := MeshTree(4, 4)
+		row.set(&spec)
+		err := spec.Validate()
+		if row.rejects {
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s on a mesh: Validate returned %v, want an error naming the field", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s on a mesh: %v", name, err)
+			continue
+		}
+		if res, err := Run(spec, cfg); err != nil || res == base {
+			t.Errorf("%s on a mesh: err %v, and the result did not change", name, err)
+		}
 	}
 }
 

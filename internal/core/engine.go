@@ -25,7 +25,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -34,9 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/network"
-	"asyncnoc/internal/topology"
 )
 
 // WorkersEnv is the environment variable consulted for the default pool
@@ -62,7 +59,7 @@ const DefaultMemoCapacity = 4096
 // Job is one unit of engine work: a single simulation run of any
 // topology.
 type Job struct {
-	Spec topology.TopologySpec
+	Spec network.Spec
 	Cfg  RunConfig
 }
 
@@ -71,18 +68,17 @@ type Job struct {
 // config field participates, and the benchmark is serialized with its
 // concrete type and parameters (two benchmarks sharing a reporting name
 // but differing in, say, the hotspot destination hash differently).
-func JobKey(ts topology.TopologySpec, cfg RunConfig) string {
+func JobKey(spec network.Spec, cfg RunConfig) string {
 	h := sha256.New()
 	// A MoT spec contributes "spec|" and its CanonicalKey: byte-identical
 	// to the historical inline field list for single-die specs, so
 	// persistent stores written before the chiplet layer stay warm. A
 	// mesh's CanonicalKey starts "mesh|" instead, so no mesh key equals a
-	// MoT key. A type switch reads the spec (see specName).
-	switch s := ts.(type) {
-	case network.Spec:
-		fmt.Fprintf(h, "spec|%s", s.CanonicalKey())
-	case mesh.Spec:
-		io.WriteString(h, s.CanonicalKey())
+	// MoT key.
+	if spec.Mesh == nil {
+		fmt.Fprintf(h, "spec|%s", spec.CanonicalKey())
+	} else {
+		fmt.Fprint(h, spec.CanonicalKey())
 	}
 	fmt.Fprintf(h, "|cfg|%#v|%s|%d|%d|%d|%d|%d",
 		cfg.Bench, strconv.FormatFloat(cfg.LoadGFs, 'x', -1, 64),
@@ -129,8 +125,7 @@ type VerdictStore interface {
 }
 
 // RemoteRunner executes one simulation in place of the local pool. Its
-// result, error included, is the job's result. It runs MoT specs only:
-// a mesh job on an engine with a delegate is a *ConfigError.
+// result, error included, is the job's result.
 type RemoteRunner func(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error)
 
 // memoEntry is one memo slot. done is closed once res/err are final;
@@ -390,8 +385,8 @@ const (
 // result is shared, otherwise the run computes under a pool slot.
 // Determinism of the simulator makes the shared result identical to a
 // fresh computation.
-func (e *Engine) Run(ts topology.TopologySpec, cfg RunConfig) (RunResult, error) {
-	return e.RunContext(context.Background(), ts, cfg)
+func (e *Engine) Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
+	return e.RunContext(context.Background(), spec, cfg)
 }
 
 // RunContext is Run with cancellation. A caller abandoning a shared
@@ -399,38 +394,31 @@ func (e *Engine) Run(ts topology.TopologySpec, cfg RunConfig) (RunResult, error)
 // computation itself finishes for the other waiters; a computation
 // aborted by its own context is evicted from the memo so the key is not
 // poisoned with a cancellation error.
-func (e *Engine) RunContext(ctx context.Context, ts topology.TopologySpec, cfg RunConfig) (RunResult, error) {
-	res, _, err := e.RunSource(ctx, ts, cfg)
+func (e *Engine) RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
+	res, _, err := e.RunSource(ctx, spec, cfg)
 	return res, err
 }
 
 // RunSource is RunContext that also reports where the result came from
 // (the service labels store- and memo-served responses with it).
-func (e *Engine) RunSource(ctx context.Context, ts topology.TopologySpec, cfg RunConfig) (RunResult, Source, error) {
-	return e.RunKeyed(ctx, JobKey(ts, cfg), ts, cfg)
+func (e *Engine) RunSource(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
+	return e.RunKeyed(ctx, JobKey(spec, cfg), spec, cfg)
 }
 
 // RunKeyed is RunSource for a caller that already holds the job's key,
-// which must equal JobKey(ts, cfg).
-func (e *Engine) RunKeyed(ctx context.Context, key string, ts topology.TopologySpec, cfg RunConfig) (RunResult, Source, error) {
-	// JobKey ignores Shards and the delegate, so a memo or store hit
-	// would otherwise hide these rejections. The delegate runs MoT specs
-	// only, and running a mesh job locally instead would hide that it
-	// never reached the delegate.
-	if err := checkSpec(ts, cfg); err != nil {
+// which must equal JobKey(spec, cfg).
+func (e *Engine) RunKeyed(ctx context.Context, key string, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
+	// JobKey ignores Shards, so a memo or store hit would otherwise hide
+	// these rejections.
+	if err := checkSpec(spec, cfg); err != nil {
 		return RunResult{}, SourceComputed, err
-	}
-	rr := e.remoteRunner()
-	if s, ok := ts.(mesh.Spec); ok && rr != nil {
-		return RunResult{}, SourceComputed, &ConfigError{config: "job", Fields: []FieldError{{Field: "Spec",
-			Reason: fmt.Sprintf("mesh %s cannot run on the engine's remote delegate, which runs MoT specs only", s.Name)}}}
 	}
 	if len(cfg.Instruments) > 0 {
 		// Instrumented runs have observable side effects (waveforms,
 		// trace streams), so the memo must neither replay a cached result
 		// past the instruments nor share one computation among waiters
 		// that each expect their own instruments attached. Execute fresh.
-		res, err := e.simulate(ctx, ts, cfg)
+		res, err := e.simulate(ctx, spec, cfg)
 		return res, SourceComputed, err
 	}
 	ent, compute := e.claim(key, true)
@@ -447,11 +435,11 @@ func (e *Engine) RunKeyed(ctx context.Context, key string, ts topology.TopologyS
 		return res, SourceStore, nil
 	}
 	// A delegated job holds no local pool slot.
-	if rr != nil {
-		ent.res, ent.err = rr(ctx, ts.(network.Spec), cfg)
+	if rr := e.remoteRunner(); rr != nil {
+		ent.res, ent.err = rr(ctx, spec, cfg)
 		e.remoteRuns.Add(1)
 	} else {
-		ent.res, ent.err = e.simulate(ctx, ts, cfg)
+		ent.res, ent.err = e.simulate(ctx, spec, cfg)
 	}
 	e.finish(ent)
 	if ent.err == nil {
@@ -489,16 +477,16 @@ func (e *Engine) toStore(key string, res RunResult) {
 
 // simulate runs one simulation under a pool slot, or fails with
 // ctx.Err() if ctx ends while it waits for one.
-func (e *Engine) simulate(ctx context.Context, ts topology.TopologySpec, cfg RunConfig) (res RunResult, err error) {
+func (e *Engine) simulate(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunResult, err error) {
 	if err := e.acquire(ctx); err != nil {
 		return RunResult{}, err
 	}
 	defer e.releaseSlot()
 	e.started.Add(1)
 	defer e.completed.Add(1)
-	err = protect(specName(ts), func() (err error) {
+	err = protect(spec.Name, func() (err error) {
 		var cut bool
-		res, cut, err = runContext(ctx, ts, cfg, &e.nets)
+		res, cut, err = runContext(ctx, spec, cfg, &e.nets)
 		e.countCut(cut)
 		return err
 	})

@@ -11,10 +11,8 @@ import (
 	"testing"
 
 	"asyncnoc/internal/chiplet"
-	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
-	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
@@ -171,10 +169,10 @@ func TestJobKey(t *testing.T) {
 // TestEngineMeshJobs: a mesh job takes the engine path of a MoT job. A
 // repeated run is a memo hit returning Run's result, and the mesh's
 // keys never equal a MoT key. Shards > 1 stays a *ConfigError after a
-// serial memo hit, and a mesh job for a remote delegate is a
-// *ConfigError that never reaches it.
+// serial memo hit, and a mesh job on an engine with a remote delegate
+// runs there, as a MoT job does.
 func TestEngineMeshJobs(t *testing.T) {
-	tree := mesh.Spec{Name: "MeshTree", W: 4, H: 4, PacketLen: 5}
+	tree := MeshTree(4, 4)
 	cfg := RunConfig{Bench: traffic.Multicast{N: 16, Frac: 0.10}, LoadGFs: 0.3, Seed: 9,
 		Warmup: 40 * sim.Nanosecond, Measure: 160 * sim.Nanosecond, Drain: 80 * sim.Nanosecond}
 	want, err := Run(tree, cfg)
@@ -192,20 +190,20 @@ func TestEngineMeshJobs(t *testing.T) {
 	}
 
 	keys := map[string]string{}
-	for _, ts := range []topology.TopologySpec{
+	for _, spec := range []network.Spec{
 		tree,
-		mesh.Spec{Name: "MeshSerial", W: 4, H: 4, PacketLen: 5, Serial: true},
-		mesh.Spec{Name: "MeshTree", W: 4, H: 4, PacketLen: 5, Strategy: "DPM"},
-		mesh.Spec{Name: "MeshTree", W: 8, H: 2, PacketLen: 5},
+		MeshSerial(4, 4),
+		WithStrategy(tree, "DPM"),
+		MeshTree(8, 2),
 		OptHybridSpeculative(16),
 		Baseline(16),
-		network.Spec{Name: tree.CanonicalKey(), N: 16, PacketLen: 5},
+		{Name: tree.CanonicalKey(), N: 16, PacketLen: 5},
 	} {
-		k := JobKey(ts, cfg)
+		k := JobKey(spec, cfg)
 		if prev, dup := keys[k]; dup {
-			t.Errorf("%s and %s share a job key", ts.CanonicalKey(), prev)
+			t.Errorf("%s and %s share a job key", spec.CanonicalKey(), prev)
 		}
-		keys[k] = ts.CanonicalKey()
+		keys[k] = spec.CanonicalKey()
 	}
 
 	four := cfg
@@ -214,12 +212,15 @@ func TestEngineMeshJobs(t *testing.T) {
 	if _, err := e.Run(tree, four); !errors.As(err, &ce) || ce.Fields[0].Field != "Shards" {
 		t.Errorf("Shards=4 on a memoized mesh job: %v, want a *ConfigError naming Shards", err)
 	}
-	e.SetRemote(func(context.Context, network.Spec, RunConfig) (RunResult, error) {
-		t.Error("a mesh job reached the remote delegate")
-		return RunResult{}, nil
+	remote := NewEngine(1)
+	remote.SetRemote(func(_ context.Context, spec network.Spec, c RunConfig) (RunResult, error) {
+		return e.Run(spec, c)
 	})
-	if _, err := e.Run(tree, cfg); !errors.As(err, &ce) || ce.Fields[0].Field != "Spec" {
-		t.Errorf("mesh job on an engine with a delegate: %v, want a *ConfigError naming Spec", err)
+	if got, err := remote.Run(tree, cfg); err != nil || got != want {
+		t.Errorf("mesh job on an engine with a delegate: %v, result differs from Run:\n%+v\nvs\n%+v", err, got, want)
+	}
+	if n := remote.Snapshot().RemoteRuns; n != 1 {
+		t.Errorf("%d jobs reached the delegate, want 1", n)
 	}
 }
 
@@ -241,6 +242,11 @@ func TestJobKeyPinned(t *testing.T) {
 		if got := JobKey(spec, cfg); got != want[b.Name()] {
 			t.Errorf("%s: key %s, want %s", b.Name(), got, want[b.Name()])
 		}
+	}
+	// A mesh's key is the one its former spec type hashed.
+	cfg := RunConfig{Bench: traffic.Multicast{N: 16, Frac: 0.1}, LoadGFs: 0.3, Seed: 1, Warmup: 1, Measure: sim.Nanosecond}
+	if got, want := JobKey(MeshTree(4, 4), cfg), "747fe3997b8374ffa65769becf9f1974f6695a22b0d62c0ce153097d9c55bcf6"; got != want {
+		t.Errorf("mesh key %s, want %s", got, want)
 	}
 }
 

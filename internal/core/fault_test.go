@@ -156,8 +156,8 @@ func (blackHole) OnFlit(int, packet.Flit) {}
 // run fails with a *DeadlockError listing router and link locations, as
 // a wedged MoT die's does.
 func TestMeshDeadlockDiagnosed(t *testing.T) {
-	spec := mesh.Spec{Name: "MeshTree", W: 4, H: 4, PacketLen: DefaultPacketLen}
-	h, err := newHarness(spec, RunConfig{}, nil)
+	spec := MeshTree(4, 4)
+	h, err := newHarness(spec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +188,63 @@ func TestMeshDeadlockDiagnosed(t *testing.T) {
 	for _, w := range []string{"router", "channel", "wedged link"} {
 		if !where[w] {
 			t.Errorf("diagnostic lists no %s location: %v", w, dl.Stuck)
+		}
+	}
+}
+
+// wedgeLink is an instrument that wedges the east link of one mesh
+// router: its receiver takes a flit and never acknowledges it.
+type wedgeLink struct{ tile int }
+
+func (w wedgeLink) Attach(nw *network.Network) error {
+	nw.Router(w.tile).OutputChannel(mesh.East).Dst = blackHole{}
+	return nil
+}
+
+func (wedgeLink) Finish() error { return nil }
+
+// TestPoissonMeshDeadlockDiagnosed wedges one link of a 4x4 mesh under
+// Poisson traffic through Run: no injector event outlives the drain
+// window, so once the rest of the fabric has drained the event queue is
+// empty and the run fails with a *DeadlockError naming the link, instead
+// of returning a result with measured packets missing.
+func TestPoissonMeshDeadlockDiagnosed(t *testing.T) {
+	cfg := RunConfig{Bench: traffic.UniformRandom{N: 16}, LoadGFs: 0.3, Seed: 2016,
+		Warmup: 200 * sim.Nanosecond, Measure: 1000 * sim.Nanosecond, Drain: 3 * sim.Microsecond,
+		Instruments: []Instrument{wedgeLink{tile: 5}}}
+	res, err := Run(MeshTree(4, 4), cfg)
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("wedged mesh returned %v (completion %v), want *DeadlockError", err, res.Completion)
+	}
+	named := false
+	for _, st := range dl.Stuck {
+		named = named || st.Where == "channel router 5.E"
+	}
+	if !named {
+		t.Errorf("diagnostic does not name the wedged link: %v", dl.Stuck)
+	}
+}
+
+// TestStuckFlitsOfDrainedRunAllocatesNothing: every run whose event
+// queue empties ends with a StuckFlits walk, which on a healthy, drained
+// network finds nothing and allocates nothing.
+func TestStuckFlitsOfDrainedRunAllocatesNothing(t *testing.T) {
+	for _, spec := range []network.Spec{OptHybridSpeculative(8), MeshTree(4, 4)} {
+		nw, err := network.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nw.Inject(0, packet.Range(0, spec.N)); err != nil {
+			t.Fatal(err)
+		}
+		nw.Sched.Run()
+		if allocs := testing.AllocsPerRun(10, func() {
+			if len(nw.StuckFlits()) != 0 {
+				t.Fatalf("%s: a drained network holds flits", spec.Name)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: StuckFlits allocated %v times per walk", spec.Name, allocs)
 		}
 	}
 }
@@ -243,7 +300,7 @@ func TestEngineRecoversWorkerPanic(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("panic error carries no stack trace")
 	}
-	if results[0].Network != specName(good.Spec) || results[0].MeasuredPackets == 0 {
+	if results[0].Network != good.Spec.Name || results[0].MeasuredPackets == 0 {
 		t.Errorf("sibling job lost its result: %+v", results[0])
 	}
 	// The pool is not poisoned: the good job still runs (memo hit or not).
@@ -372,5 +429,5 @@ func TestFaultsDisabledLeavesCountersZero(t *testing.T) {
 // on one is a *ConfigError naming the field on every entry path.
 func TestFaultSpecRejectsShards(t *testing.T) {
 	job := faultTestJobs(t)[0]
-	checkRejectsShards(t, job.Spec.(network.Spec), job.Cfg)
+	checkRejectsShards(t, job.Spec, job.Cfg)
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
@@ -80,9 +79,9 @@ func describeRun(name string, cfg RunConfig) string {
 }
 
 // meshRun runs cfg on a mesh through the shared harness, under stop.
-func meshRun(t testing.TB, spec mesh.Spec, cfg RunConfig, final bool) (RunResult, bool) {
+func meshRun(t testing.TB, spec network.Spec, cfg RunConfig, final bool) (RunResult, bool) {
 	t.Helper()
-	h, err := newHarness(spec, cfg, nil)
+	h, err := newHarness(spec, cfg.Shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +160,7 @@ func TestFinalCutMatchesFullRuns(t *testing.T) {
 	}
 
 	// 4x4 meshes through Run.
-	for _, spec := range []mesh.Spec{
-		{Name: "MeshTree", W: 4, H: 4, PacketLen: 5},
-		{Name: "MeshSerial", W: 4, H: 4, PacketLen: 5, Serial: true},
-	} {
+	for _, spec := range []network.Spec{MeshTree(4, 4), MeshSerial(4, 4)} {
 		for _, bench := range []traffic.Benchmark{traffic.UniformRandom{N: 16}, traffic.Multicast{N: 16, Frac: 0.10}} {
 			cfg := RunConfig{Bench: bench, LoadGFs: 0.3, Seed: 9,
 				Warmup: 200 * sim.Nanosecond, Measure: 1000 * sim.Nanosecond, Drain: 600 * sim.Nanosecond}

@@ -9,14 +9,13 @@ import (
 
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
-	"asyncnoc/internal/topology"
 )
 
 // engineProber answers a saturation search's probes through an engine.
 type engineProber struct {
 	e    *Engine
 	ctx  context.Context
-	ts   topology.TopologySpec
+	spec network.Spec
 	base RunConfig
 }
 
@@ -27,11 +26,11 @@ func (p engineProber) config(load float64) RunConfig {
 }
 
 func (p engineProber) full(load float64) (RunResult, error) {
-	return p.e.RunContext(p.ctx, p.ts, p.config(load))
+	return p.e.RunContext(p.ctx, p.spec, p.config(load))
 }
 
 func (p engineProber) probe(load float64, c metrics.SatCriterion) (satProbe, error) {
-	return p.e.probe(p.ctx, p.ts, p.config(load), c)
+	return p.e.probe(p.ctx, p.spec, p.config(load), c)
 }
 
 // verdictKey names one probe's verdict: the job and the criterion.
@@ -73,18 +72,18 @@ type verdictEntry struct {
 // composition registers a die-to-die leg only when it reaches its
 // target die, so its measured set is not final when the window closes.
 // A MoT die and a mesh register every measured packet at its creation.
-func (e *Engine) probe(ctx context.Context, ts topology.TopologySpec, cfg RunConfig, c metrics.SatCriterion) (satProbe, error) {
-	if mot, _ := ts.(network.Spec); len(cfg.Instruments) > 0 || mot.Chiplet != nil || e.remoteRunner() != nil {
-		res, err := e.RunContext(ctx, ts, cfg)
+func (e *Engine) probe(ctx context.Context, spec network.Spec, cfg RunConfig, c metrics.SatCriterion) (satProbe, error) {
+	if len(cfg.Instruments) > 0 || spec.Chiplet != nil || e.remoteRunner() != nil {
+		res, err := e.RunContext(ctx, spec, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return finished(res, c), nil
 	}
-	if err := checkSpec(ts, cfg); err != nil {
+	if err := checkSpec(spec, cfg); err != nil {
 		return nil, err
 	}
-	vk := verdictKey{job: JobKey(ts, cfg), crit: c}
+	vk := verdictKey{job: JobKey(spec, cfg), crit: c}
 	ent, v, compute := e.claimVerdict(vk)
 	switch {
 	case ent != nil:
@@ -102,9 +101,9 @@ func (e *Engine) probe(ctx context.Context, ts topology.TopologySpec, cfg RunCon
 		if v.err != nil {
 			return nil, v.err
 		}
-		return e.decided(ctx, ts, cfg, vk.job, v.sat), nil
+		return e.decided(ctx, spec, cfg, vk.job, v.sat), nil
 	}
-	p, keep, err := e.decide(ctx, ts, cfg, vk)
+	p, keep, err := e.decide(ctx, spec, cfg, vk)
 	e.settle(vk, v, p, keep, err)
 	return p, err
 }
@@ -155,11 +154,11 @@ func (e *Engine) settle(vk verdictKey, v *verdictEntry, p satProbe, keep bool, e
 // answer is a verdict without a memoized result. A simulation that
 // becomes final before its verdict is certain (its mean within the
 // verdict margin of the threshold) is published as a full run.
-func (e *Engine) decide(ctx context.Context, ts topology.TopologySpec, cfg RunConfig, vk verdictKey) (p satProbe, keep bool, err error) {
+func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, vk verdictKey) (p satProbe, keep bool, err error) {
 	vs, _ := e.Store().(VerdictStore)
 	if vs != nil {
 		if sat, ok := vs.GetVerdict(vk.storeKey()); ok {
-			return e.decided(ctx, ts, cfg, vk.job, sat), true, nil
+			return e.decided(ctx, spec, cfg, vk.job, sat), true, nil
 		}
 	}
 	if res, ok := e.fromStore(vk.job); ok {
@@ -176,8 +175,8 @@ func (e *Engine) decide(ctx context.Context, ts topology.TopologySpec, cfg RunCo
 		stopped bool
 		v       metrics.Verdict
 	)
-	err = protect(specName(ts), func() (err error) {
-		if r, err = startRun(ts, cfg, &e.nets); err != nil {
+	err = protect(spec.Name, func() (err error) {
+		if r, err = startRun(spec, cfg, &e.nets); err != nil {
 			return err
 		}
 		final := r.finalStop()
@@ -213,7 +212,7 @@ func (e *Engine) decide(ctx context.Context, ts topology.TopologySpec, cfg RunCo
 	} else if v == metrics.SaturatedVerdict {
 		p, keep = doneProbe{sat: true}, true
 	} else {
-		p, keep = &engineProbe{e: e, ctx: ctx, ts: ts, cfg: cfg, key: vk.job, run: r}, true
+		p, keep = &engineProbe{e: e, ctx: ctx, spec: spec, cfg: cfg, key: vk.job, run: r}, true
 	}
 	// Every simulated probe leaves its verdict in the store, so that a
 	// repeated search reads one entry per probe.
@@ -224,21 +223,21 @@ func (e *Engine) decide(ctx context.Context, ts topology.TopologySpec, cfg RunCo
 }
 
 // decided is the probe for a verdict known without a simulation.
-func (e *Engine) decided(ctx context.Context, ts topology.TopologySpec, cfg RunConfig, key string, sat bool) satProbe {
+func (e *Engine) decided(ctx context.Context, spec network.Spec, cfg RunConfig, key string, sat bool) satProbe {
 	if sat {
 		return doneProbe{sat: true}
 	}
-	return &engineProbe{e: e, ctx: ctx, ts: ts, cfg: cfg, key: key}
+	return &engineProbe{e: e, ctx: ctx, spec: spec, cfg: cfg, key: key}
 }
 
 // engineProbe is a stable probe without a full result yet: either a
 // simulation suspended at its verdict, or a verdict known without one.
 type engineProbe struct {
-	e   *Engine
-	ctx context.Context
-	ts  topology.TopologySpec
-	cfg RunConfig
-	key string
+	e    *Engine
+	ctx  context.Context
+	spec network.Spec
+	cfg  RunConfig
+	key  string
 	// run is the suspended simulation (nil for a known verdict, and
 	// once released).
 	run *simRun
@@ -255,7 +254,7 @@ func (p *engineProbe) saturated() bool { return false }
 func (p *engineProbe) result() (RunResult, error) {
 	r := p.run
 	if r == nil {
-		return p.e.RunContext(p.ctx, p.ts, p.cfg)
+		return p.e.RunContext(p.ctx, p.spec, p.cfg)
 	}
 	defer p.release()
 	ent, compute := p.e.claim(p.key, false)
@@ -263,7 +262,7 @@ func (p *engineProbe) result() (RunResult, error) {
 		return await(p.ctx, ent)
 	}
 	if ent.err = p.e.acquire(p.ctx); ent.err == nil {
-		ent.err = protect(specName(p.ts), func() error {
+		ent.err = protect(p.spec.Name, func() error {
 			cut, err := r.g.run(p.ctx, r.finalStop())
 			if err != nil {
 				return err

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/stats"
-	"asyncnoc/internal/topology"
 )
 
 // Replicated aggregates a run configuration over several seeds: mean and
@@ -27,14 +27,14 @@ type Replicated struct {
 // RunSeeds executes the configuration once per seed (cfg.Seed is
 // replaced) on a network of any topology and aggregates the results, on
 // the shared default engine.
-func RunSeeds(ts topology.TopologySpec, cfg RunConfig, seeds []uint64) (Replicated, error) {
-	return DefaultEngine().RunSeeds(ts, cfg, seeds)
+func RunSeeds(spec network.Spec, cfg RunConfig, seeds []uint64) (Replicated, error) {
+	return DefaultEngine().RunSeeds(spec, cfg, seeds)
 }
 
 // RunSeeds executes the configuration once per seed (cfg.Seed is
 // replaced) concurrently on the pool and aggregates the results in seed
 // order, so the aggregate is independent of completion order.
-func (e *Engine) RunSeeds(ts topology.TopologySpec, cfg RunConfig, seeds []uint64) (Replicated, error) {
+func (e *Engine) RunSeeds(spec network.Spec, cfg RunConfig, seeds []uint64) (Replicated, error) {
 	if len(seeds) == 0 {
 		return Replicated{}, fmt.Errorf("core: RunSeeds needs at least one seed")
 	}
@@ -42,7 +42,7 @@ func (e *Engine) RunSeeds(ts topology.TopologySpec, cfg RunConfig, seeds []uint6
 	for i, seed := range seeds {
 		c := cfg
 		c.Seed = seed
-		jobs[i] = Job{Spec: ts, Cfg: c}
+		jobs[i] = Job{Spec: spec, Cfg: c}
 	}
 	results, err := e.RunJobs(jobs)
 	if err != nil {

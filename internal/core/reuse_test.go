@@ -10,14 +10,13 @@ import (
 	"asyncnoc/internal/fault"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
-	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
 // freshRun runs cfg as an engine does (stopping at a final result), on
 // a network built fresh, and reports its dispatched event count.
-func freshRun(ts topology.TopologySpec, cfg RunConfig) (RunResult, uint64, error) {
-	r, err := startRun(ts, cfg, nil)
+func freshRun(spec network.Spec, cfg RunConfig) (RunResult, uint64, error) {
+	r, err := startRun(spec, cfg, nil)
 	if err != nil {
 		return RunResult{}, 0, err
 	}
@@ -53,12 +52,12 @@ type reuseJob struct {
 }
 
 // reuseJobs is a mixed sequence in which, run in order on two workers,
-// ten runs find a network of their spec that an earlier run closed: the
-// eight nocbench mot-serial specs at two loads each, Baseline again
+// twelve runs find a network of their spec that an earlier run closed:
+// the eight nocbench mot-serial specs at two loads each, Baseline again
 // once its network has been evicted, a fault-enabled spec and a
-// ChipletSerial 2x2 composition of 4-terminal dies at two loads each,
-// and a run that fails its MaxEvents budget between two clean runs of
-// its spec.
+// ChipletSerial 2x2 composition of 4-terminal dies at two loads each, a
+// run that fails its MaxEvents budget between two clean runs of its
+// spec, and the 4x4 tree and serial meshes at two loads each.
 func reuseJobs(t testing.TB) []reuseJob {
 	quick := func(bench traffic.Benchmark, load float64) RunConfig {
 		return quickWindows(RunConfig{Bench: bench, LoadGFs: load, Seed: 2016})
@@ -99,6 +98,11 @@ func reuseJobs(t testing.TB) []reuseJob {
 		reuseJob{spec: OptNonSpeculative(8), cfg: quick(traffic.Shuffle{N: 8}, 0.4)},
 		reuseJob{spec: OptNonSpeculative(8), cfg: over, fails: true},
 		reuseJob{spec: OptNonSpeculative(8), cfg: quick(traffic.Shuffle{N: 8}, 0.6)})
+	for _, spec := range []network.Spec{MeshTree(4, 4), MeshSerial(4, 4)} {
+		jobs = append(jobs,
+			reuseJob{spec: spec, cfg: quick(traffic.UniformRandom{N: 16}, 0.3)},
+			reuseJob{spec: spec, cfg: quick(traffic.Multicast{N: 16, Frac: 0.10}, 0.5)})
+	}
 	return jobs
 }
 
@@ -156,8 +160,8 @@ func TestEngineReuseIsPure(t *testing.T) {
 	if len(e.nets.cached()) > e.Workers() {
 		t.Errorf("the cache holds %d networks, more than the %d workers", len(e.nets.cached()), e.Workers())
 	}
-	if reused != 10 {
-		t.Errorf("%d runs built on reused storage, want 10", reused)
+	if reused != 12 {
+		t.Errorf("%d runs built on reused storage, want 12", reused)
 	}
 
 	var jobs []Job
@@ -178,7 +182,7 @@ func TestEngineReuseIsPure(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Errorf("%s: concurrent result on reused storage differs from a fresh build's:\n%+v\nvs\n%+v",
-				describeRun(specName(j.Spec), j.Cfg), got[i], want)
+				describeRun(j.Spec.Name, j.Cfg), got[i], want)
 		}
 	}
 }
@@ -208,5 +212,35 @@ func TestEngineRunReusesNetworkStorage(t *testing.T) {
 				t.Errorf("%s load %v: the run allocated %d B, want at most %d", spec.Name, load, n, limit)
 			}
 		}
+	}
+}
+
+// TestEngineMeshSaturationReusesStorage: the probes of a mesh
+// saturation search build on the storage of the networks earlier probes
+// closed. The same search on an engine that caches no network returns
+// the same SatResult and allocates far more.
+func TestEngineMeshSaturationReusesStorage(t *testing.T) {
+	cfg := quickSatConfig(traffic.Multicast{N: 16, Frac: 0.10}, 2016)
+	search := func(cache int) (SatResult, uint64, uint64) {
+		e := NewEngine(1)
+		e.nets.limit = cache
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sat, err := e.Saturation(MeshTree(4, 4), cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sat, after.TotalAlloc - before.TotalAlloc, e.Snapshot().Started
+	}
+	search(1) // the first build derives the router timing once per process
+	got, reused, probes := search(1)
+	want, fresh, _ := search(0)
+	if got != want {
+		t.Fatalf("search on reused storage differs:\n%+v\nvs\n%+v", got, want)
+	}
+	// 11 probes: about 2.4 MB on fresh builds, 1.1 MB on reused storage.
+	if reused > fresh*2/3 {
+		t.Errorf("%d probes allocated %d B on reused storage, %d B on fresh builds", probes, reused, fresh)
 	}
 }

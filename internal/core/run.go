@@ -5,17 +5,14 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 
 	"asyncnoc/internal/fault"
-	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
 	"asyncnoc/internal/sim"
-	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
@@ -241,8 +238,8 @@ type RunResult struct {
 // composition or a 2D mesh) and returns its measurements. Protocol
 // violations inside the model surface as *ProtocolError; a wedged or
 // runaway simulation aborts with *DeadlockError or *LivelockError.
-func Run(ts topology.TopologySpec, cfg RunConfig) (RunResult, error) {
-	return RunContext(context.Background(), ts, cfg)
+func Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
+	return RunContext(context.Background(), spec, cfg)
 }
 
 // RunContext is Run with cancellation: the simulation is checked against
@@ -255,8 +252,8 @@ func Run(ts topology.TopologySpec, cfg RunConfig) (RunResult, error) {
 // full span would raise only after that point therefore no longer fails
 // the run. Instrumented runs, fault-enabled specs and chiplet
 // compositions run their full span (see simRun.finalStop).
-func RunContext(ctx context.Context, ts topology.TopologySpec, cfg RunConfig) (RunResult, error) {
-	res, _, err := runContext(ctx, ts, cfg, nil)
+func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
+	res, _, err := runContext(ctx, spec, cfg, nil)
 	return res, err
 }
 
@@ -264,9 +261,9 @@ func RunContext(ctx context.Context, ts topology.TopologySpec, cfg RunConfig) (R
 // a final result short of its span. nets, when non-nil, supplies the
 // network's storage and takes it back after a clean run (see
 // simRun.close).
-func runContext(ctx context.Context, ts topology.TopologySpec, cfg RunConfig, nets *netCache) (res RunResult, cut bool, err error) {
-	defer RecoverViolations(specName(ts), &err)
-	r, err := startRun(ts, cfg, nets)
+func runContext(ctx context.Context, spec network.Spec, cfg RunConfig, nets *netCache) (res RunResult, cut bool, err error) {
+	defer RecoverViolations(spec.Name, &err)
+	r, err := startRun(spec, cfg, nets)
 	if err != nil {
 		return RunResult{}, false, err
 	}
@@ -289,20 +286,6 @@ func runContext(ctx context.Context, ts topology.TopologySpec, cfg RunConfig, ne
 	return res, cut, nil
 }
 
-// specName is ts's reporting name. The engine reads a TopologySpec
-// through type switches, never through its methods: a call through the
-// interface would move every caller's spec to the heap, one allocation
-// per run.
-func specName(ts topology.TopologySpec) string {
-	switch s := ts.(type) {
-	case network.Spec:
-		return s.Name
-	case mesh.Spec:
-		return s.Name
-	}
-	return ""
-}
-
 // simRun is one built fabric between its build and collect: its harness
 // and the watchdog loop driving it, which a saturation probe stops at a
 // chunk boundary and may resume later.
@@ -316,37 +299,35 @@ type simRun struct {
 	key  string
 }
 
-// startRun builds ts armed for cfg, with its watchdog loop set up. A
-// serial, uninstrumented MoT run builds on the storage of a network nets
+// startRun builds spec armed for cfg, with its watchdog loop set up. A
+// serial, uninstrumented run builds on the storage of a network nets
 // holds for the same spec, if any, and returns its network there when
-// it closes cleanly; nets may be nil, and a mesh never uses it.
-func startRun(ts topology.TopologySpec, cfg RunConfig, nets *netCache) (*simRun, error) {
-	if err := checkRun(ts, cfg); err != nil {
+// it closes cleanly; nets may be nil.
+func startRun(spec network.Spec, cfg RunConfig, nets *netCache) (*simRun, error) {
+	if err := checkRun(spec, cfg); err != nil {
 		return nil, err
 	}
 	r := &simRun{cfg: cfg}
 	total, maxEvents := runSpan(cfg), cfg.MaxEvents
 	var prev *network.Network
-	if spec, ok := ts.(network.Spec); ok {
-		if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
-			r.nets, r.key = nets, spec.CanonicalKey()
-			prev = r.nets.take(r.key)
-		}
-		if maxEvents == 0 && spec.Faults.Enabled() {
-			// Automatic backstop for fault runs: generous enough that any
-			// legitimate simulation fits with orders of magnitude to spare,
-			// tight enough to stop a retransmission storm. Saturate rather
-			// than wrap for absurdly long spans.
-			maxEvents = uint64(total)
-			if mul := uint64(spec.N) * 64; maxEvents > math.MaxUint64/mul {
-				maxEvents = math.MaxUint64
-			} else {
-				maxEvents *= mul
-			}
+	if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
+		r.nets, r.key = nets, spec.CanonicalKey()
+		prev = r.nets.take(r.key)
+	}
+	if maxEvents == 0 && spec.Faults.Enabled() {
+		// Automatic backstop for fault runs: generous enough that any
+		// legitimate simulation fits with orders of magnitude to spare,
+		// tight enough to stop a retransmission storm. Saturate rather
+		// than wrap for absurdly long spans.
+		maxEvents = uint64(total)
+		if mul := uint64(spec.N) * 64; maxEvents > math.MaxUint64/mul {
+			maxEvents = math.MaxUint64
+		} else {
+			maxEvents *= mul
 		}
 	}
 	var err error
-	if r.h, err = newHarness(ts, cfg, prev); err != nil {
+	if r.h, err = newHarness(spec, cfg.Shards, prev); err != nil {
 		return nil, err
 	}
 	if err := r.h.arm(cfg); err != nil {
@@ -356,20 +337,22 @@ func startRun(ts topology.TopologySpec, cfg RunConfig, nets *netCache) (*simRun,
 	return r, nil
 }
 
-// newHarness builds the network of ts, not yet armed: a MoT spec through
-// newNetwork (cfg.Shards and prev as there), a mesh with
-// network.NewMesh. Every run entry builds here; startRun then arms
-// Poisson injectors on the network and RunSchedule its replayer.
-func newHarness(ts topology.TopologySpec, cfg RunConfig, prev *network.Network) (harness, error) {
+// newHarness builds the network of spec, not yet armed: serial, on
+// prev's storage when prev is not nil, or, for shards > 1, partitioned
+// into at most spec.Dies() shards of whole dies (callers reject
+// shards > 1 on a single scheduler first, see checkSpec). Every run
+// entry builds here; startRun then arms Poisson injectors on the
+// network and RunSchedule its replayer.
+func newHarness(spec network.Spec, shards int, prev *network.Network) (harness, error) {
 	var nw *network.Network
 	var err error
-	switch spec := ts.(type) {
-	case network.Spec:
-		nw, err = newNetwork(spec, cfg.Shards, prev)
-	case mesh.Spec:
-		nw, err = network.NewMesh(spec)
+	switch {
+	case shards > 1:
+		nw, err = network.NewSharded(spec, min(shards, spec.Dies()))
+	case prev != nil:
+		nw, err = network.Rebuild(prev, spec)
 	default:
-		err = unsupportedSpec(ts)
+		nw, err = network.New(spec)
 	}
 	if err != nil {
 		return harness{}, err
@@ -526,7 +509,8 @@ func (h *harness) final() bool {
 // boundary short of the end: when it returns true, run returns
 // stopped=true with the run suspended at that boundary, and a later
 // call continues it. In both modes, quiescence at the end with flits
-// still held in the fabric is diagnosed as a deadlock.
+// still held in the fabric is diagnosed as a deadlock; a run that ends
+// with events pending drains first (see drain).
 func (g *guard) run(ctx context.Context, stop func() bool) (stopped bool, err error) {
 	clk := g.h.clock
 	if g.t == 0 && ctx.Done() == nil && g.maxEvents == 0 && stop == nil {
@@ -553,12 +537,37 @@ func (g *guard) run(ctx context.Context, stop func() bool) (stopped bool, err er
 			clk.RunUntil(g.total) // advance the clock past an early quiescence
 		}
 	}
+	if clk.Len() > 0 {
+		g.drain()
+	}
 	if clk.Len() == 0 {
 		if stuck := g.h.nw.StuckFlits(); len(stuck) > 0 {
 			return false, &DeadlockError{Network: g.h.nw.Spec.Name, At: clk.Now(), Stuck: stuck}
 		}
 	}
 	return false, nil
+}
+
+// drain runs a finished run's fabric on, with no new traffic (no
+// injector event outlives the span), for at most one more chunk: a
+// wedge whose fabric still carried healthy traffic at the end then
+// quiesces and is diagnosed, while a saturated fabric keeps its backlog
+// and is left alone. The recorder closes and the trace is muted first,
+// so nothing the drain does reaches the run's result or its observers.
+// A fault-enabled network is not drained (its fault counters count to
+// the end, and watch finds its wedged links while it runs), nor is a
+// chiplet composition (its serial and sharded runs dispatch the same
+// events).
+func (g *guard) drain() {
+	nw := g.h.nw
+	if g.watchHolds || nw.Spec.Chiplet != nil {
+		return
+	}
+	nw.Rec.Close()
+	trace := nw.Trace
+	nw.Trace = nil
+	g.h.clock.RunUntil(sim.AddSat(g.total, g.chunk))
+	nw.Trace = trace
 }
 
 // watch updates the wedged-link streaks at a chunk boundary and reports
@@ -609,57 +618,34 @@ func (h *harness) advance(ctx context.Context, t sim.Time, maxEvents uint64, ste
 	}
 }
 
-// newNetwork builds spec serial, on prev's storage when prev is not nil,
-// or, for shards > 1, partitioned into at most spec.Dies() shards of
-// whole dies. Callers reject shards > 1 on a single die first
-// (checkSpec).
-func newNetwork(spec network.Spec, shards int, prev *network.Network) (*network.Network, error) {
-	switch {
-	case shards > 1:
-		return network.NewSharded(spec, min(shards, spec.Dies()))
-	case prev != nil:
-		return network.Rebuild(prev, spec)
+// checkSpec validates spec, then rejects Shards > 1 on a run that
+// executes on one scheduler: a single die (fault-enabled specs are
+// always single-die, see network.Spec.Validate) or a mesh. A sharded run
+// partitions a chiplet composition by die; running serial instead would
+// hide that the requested partition never happened. Engine lookups call
+// it before the memo: a mesh's job key leaves out the fields its spec
+// must not set, so an invalid mesh spec shares a valid one's key.
+func checkSpec(spec network.Spec, cfg RunConfig) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	return network.New(spec)
-}
-
-// checkSpec rejects Shards > 1 on a run that executes on one
-// scheduler: a single die (fault-enabled specs are always single-die,
-// see network.Spec.Validate) or a mesh. A sharded run partitions a
-// chiplet composition by die; running serial instead would hide that the
-// requested partition never happened. It also rejects a spec type no
-// run path builds.
-func checkSpec(ts topology.TopologySpec, cfg RunConfig) error {
-	var what string
-	switch s := ts.(type) {
-	case network.Spec:
-		if s.Chiplet != nil || cfg.Shards <= 1 {
-			return nil
-		}
-		what = "single-die spec " + s.Name
-	case mesh.Spec:
-		if cfg.Shards <= 1 {
-			return nil
-		}
-		what = "mesh " + s.Name
-	default:
-		return unsupportedSpec(ts)
+	if spec.Chiplet != nil || cfg.Shards <= 1 {
+		return nil
+	}
+	what := "single-die spec"
+	if spec.Mesh != nil {
+		what = "mesh"
 	}
 	return &ConfigError{Fields: []FieldError{{Field: "Shards",
-		Reason: fmt.Sprintf("%d shards requested, but %s runs on one scheduler", cfg.Shards, what)}}}
+		Reason: fmt.Sprintf("%d shards requested, but %s %s runs on one scheduler", cfg.Shards, what, spec.Name)}}}
 }
 
-// unsupportedSpec is the error for a spec type no run path builds.
-func unsupportedSpec(ts topology.TopologySpec) error {
-	return fmt.Errorf("core: unsupported topology spec %v", reflect.TypeOf(ts))
-}
-
-// checkRun validates cfg, then checks it against ts (checkSpec).
-func checkRun(ts topology.TopologySpec, cfg RunConfig) error {
+// checkRun validates cfg, then checks it against spec (checkSpec).
+func checkRun(spec network.Spec, cfg RunConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	return checkSpec(ts, cfg)
+	return checkSpec(spec, cfg)
 }
 
 // Build constructs the network with injection processes armed and
@@ -672,7 +658,7 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 	if err := checkRun(spec, cfg); err != nil {
 		return nil, err
 	}
-	h, err := newHarness(spec, cfg, nil)
+	h, err := newHarness(spec, cfg.Shards, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -725,15 +711,15 @@ func (h *harness) arm(cfg RunConfig) error {
 			// shared.
 			inj.wide, inj.byDie = wide, make([]packet.DestSet, spec.Dies())
 		}
-		inj.sched.In(gap(inj.r, meanGapPs), inj, 0)
+		inj.next()
 	}
 	return nil
 }
 
 // injector drives one source's open-loop Poisson process: each event
-// injects a packet and re-arms itself after an exponential gap, stopping
-// once the drain window closes. It runs on its source's scheduler —
-// the source die's shard in a sharded run.
+// injects a packet and re-arms itself after an exponential gap, as long
+// as the next event lands before the drain window closes. It runs on its
+// source's scheduler — the source die's shard in a sharded run.
 type injector struct {
 	nw          *network.Network
 	sched       *sim.Scheduler
@@ -753,9 +739,6 @@ type injector struct {
 
 // OnEvent implements sim.Handler.
 func (in *injector) OnEvent(int64) {
-	if in.sched.Now() >= in.injectUntil {
-		return
-	}
 	if in.wide != nil {
 		in.wide.NextWideDests(in.src, in.byDie, in.r)
 		if err := in.nw.InjectWide(in.src, in.byDie); err != nil {
@@ -766,7 +749,17 @@ func (in *injector) OnEvent(int64) {
 		// protocol-level modeling bug; surface it as one.
 		panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
 	}
-	in.sched.In(gap(in.r, in.meanGapPs), in, 0)
+	in.next()
+}
+
+// next draws the gap to the injector's next event and arms it, unless it
+// would land at or past injectUntil: no injector event outlives the
+// span, so a run whose fabric has drained quiesces at its end and a
+// wedged one is diagnosed there (guard.run).
+func (in *injector) next() {
+	if g := gap(in.r, in.meanGapPs); g < in.injectUntil-in.sched.Now() {
+		in.sched.In(g, in, 0)
+	}
 }
 
 // gap draws an exponential inter-arrival time of at least 1 ps.

@@ -7,7 +7,7 @@ import (
 	"math"
 
 	"asyncnoc/internal/metrics"
-	"asyncnoc/internal/topology"
+	"asyncnoc/internal/network"
 )
 
 // SatConfig parameterizes the saturation-throughput search of Table 1.
@@ -105,8 +105,8 @@ type SatResult struct {
 
 // Saturation searches for the saturation throughput of one network of
 // any topology under one benchmark on the shared default engine.
-func Saturation(ts topology.TopologySpec, cfg SatConfig) (SatResult, error) {
-	return DefaultEngine().Saturation(ts, cfg)
+func Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
+	return DefaultEngine().Saturation(spec, cfg)
 }
 
 // Saturation runs the saturation search through the engine. The search
@@ -131,14 +131,14 @@ func Saturation(ts topology.TopologySpec, cfg SatConfig) (SatResult, error) {
 // Instrumented probes, probes for a remote delegate and probes of
 // chiplet compositions run to their end. A mesh searches the same way
 // as a MoT die.
-func (e *Engine) Saturation(ts topology.TopologySpec, cfg SatConfig) (SatResult, error) {
-	return e.SaturationContext(context.Background(), ts, cfg)
+func (e *Engine) Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
+	return e.SaturationContext(context.Background(), spec, cfg)
 }
 
 // SaturationContext is Saturation with cancellation: every probe runs
 // under ctx, so an abandoned search stops issuing new simulations.
-func (e *Engine) SaturationContext(ctx context.Context, ts topology.TopologySpec, cfg SatConfig) (SatResult, error) {
-	return saturationSearch(ctx, specName(ts), cfg, engineProber{e: e, ctx: ctx, ts: ts, base: cfg.Base})
+func (e *Engine) SaturationContext(ctx context.Context, spec network.Spec, cfg SatConfig) (SatResult, error) {
+	return saturationSearch(ctx, spec.Name, cfg, engineProber{e: e, ctx: ctx, spec: spec, base: cfg.Base})
 }
 
 // prober answers the search's questions about offered loads.

@@ -13,7 +13,6 @@ import (
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/sim"
-	"asyncnoc/internal/topology"
 )
 
 // Injection is one entry of an explicit traffic schedule: at time At,
@@ -134,15 +133,15 @@ func (rp *replayer) OnEvent(arg int64) {
 // *DeadlockError. A chiplet composition is rejected: schedule entries
 // address destinations with one flat mask, which cannot express a
 // composed network's hierarchical space.
-func RunSchedule(ts topology.TopologySpec, sched Schedule, drain sim.Time) (res RunResult, err error) {
-	defer RecoverViolations(specName(ts), &err)
-	if spec, ok := ts.(network.Spec); ok && spec.Chiplet != nil {
+func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResult, err error) {
+	defer RecoverViolations(spec.Name, &err)
+	if spec.Chiplet != nil {
 		return RunResult{}, fmt.Errorf("core: schedule replay does not support chiplet composition %s", spec.Name)
 	}
 	if drain < 0 {
 		return RunResult{}, fmt.Errorf("core: negative drain %v", drain)
 	}
-	h, err := newHarness(ts, RunConfig{}, nil)
+	h, err := newHarness(spec, 0, nil)
 	if err != nil {
 		return RunResult{}, err
 	}

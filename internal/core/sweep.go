@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"asyncnoc/internal/topology"
+	"asyncnoc/internal/network"
 )
 
 // SweepPoint is one measurement of a latency-versus-offered-load curve.
@@ -30,25 +30,25 @@ func LoadGrid(satLoad float64, points int, maxFraction float64) []float64 {
 
 // LoadSweep measures the latency-throughput curve of one network of any
 // topology under one benchmark on the shared default engine.
-func LoadSweep(ts topology.TopologySpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
-	return DefaultEngine().LoadSweep(ts, base, points, maxFraction)
+func LoadSweep(spec network.Spec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
+	return DefaultEngine().LoadSweep(spec, base, points, maxFraction)
 }
 
 // LoadSweep measures the latency-throughput curve of one network under
 // one benchmark: a saturation search anchors the grid, then every grid
 // point runs concurrently on the pool. Grid points that coincide with
 // saturation probes (the anchor load in particular) are memo hits.
-func (e *Engine) LoadSweep(ts topology.TopologySpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
-	return e.LoadSweepContext(context.Background(), ts, base, points, maxFraction)
+func (e *Engine) LoadSweep(spec network.Spec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
+	return e.LoadSweepContext(context.Background(), spec, base, points, maxFraction)
 }
 
 // LoadSweepContext is LoadSweep with cancellation applied to the anchor
 // search and every grid point.
-func (e *Engine) LoadSweepContext(ctx context.Context, ts topology.TopologySpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
+func (e *Engine) LoadSweepContext(ctx context.Context, spec network.Spec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
 	if points < 1 {
 		return nil, fmt.Errorf("core: sweep needs at least one point")
 	}
-	sat, err := e.SaturationContext(ctx, ts, SatConfig{Base: base})
+	sat, err := e.SaturationContext(ctx, spec, SatConfig{Base: base})
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func (e *Engine) LoadSweepContext(ctx context.Context, ts topology.TopologySpec,
 	for i, load := range grid {
 		cfg := base
 		cfg.LoadGFs = load
-		jobs[i] = Job{Spec: ts, Cfg: cfg}
+		jobs[i] = Job{Spec: spec, Cfg: cfg}
 	}
 	results, err := e.RunJobsContext(ctx, jobs)
 	if err != nil {

@@ -7,11 +7,9 @@ import (
 	"sync"
 	"testing"
 
-	"asyncnoc/internal/mesh"
 	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
-	"asyncnoc/internal/topology"
 	"asyncnoc/internal/traffic"
 )
 
@@ -63,14 +61,14 @@ func (run runProber) probe(load float64, c metrics.SatCriterion) (satProbe, erro
 
 // fullRunSaturation is cfg's search on ts over full runs through Run;
 // seen, when not nil, sees every probed load.
-func fullRunSaturation(ts topology.TopologySpec, cfg SatConfig, seen func(load float64)) (SatResult, error) {
-	return saturationSearch(context.Background(), specName(ts), cfg, runProber(func(load float64) (RunResult, error) {
+func fullRunSaturation(spec network.Spec, cfg SatConfig, seen func(load float64)) (SatResult, error) {
+	return saturationSearch(context.Background(), spec.Name, cfg, runProber(func(load float64) (RunResult, error) {
 		if seen != nil {
 			seen(load)
 		}
 		c := cfg.Base
 		c.LoadGFs = load
-		return Run(ts, c)
+		return Run(spec, c)
 	}))
 }
 
@@ -98,7 +96,7 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 		t.Skip("runs 40 saturation searches")
 	}
 	type job struct {
-		spec topology.TopologySpec
+		spec network.Spec
 		cfg  SatConfig
 	}
 	var jobs []job
@@ -106,16 +104,13 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 		for _, p := range satTablePairs() {
 			jobs = append(jobs, job{p.spec, quickSatConfig(p.bench, seed)})
 		}
-		for _, spec := range []mesh.Spec{
-			{Name: "MeshTree", W: 4, H: 4, PacketLen: 5},
-			{Name: "MeshSerial", W: 4, H: 4, PacketLen: 5, Serial: true},
-		} {
+		for _, spec := range []network.Spec{MeshTree(4, 4), MeshSerial(4, 4)} {
 			jobs = append(jobs, job{spec, quickSatConfig(traffic.Multicast{N: 16, Frac: 0.10}, seed)})
 		}
 	}
 	early := 0
 	for _, j := range jobs {
-		name := specName(j.spec) + "/" + j.cfg.Base.Bench.Name()
+		name := j.spec.Name + "/" + j.cfg.Base.Bench.Name()
 		loads := map[float64]bool{}
 		want, err := fullRunSaturation(j.spec, j.cfg, func(load float64) { loads[load] = true })
 		if err != nil {

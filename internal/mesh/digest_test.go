@@ -9,6 +9,7 @@ import (
 
 	"asyncnoc/internal/core"
 	"asyncnoc/internal/mesh"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/routing"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
@@ -77,7 +78,8 @@ func TestMeshStrategyDigests(t *testing.T) {
 		for _, serial := range []bool{false, true} {
 			for _, strat := range append([]string{""}, routing.StrategyNames()...) {
 				for _, bench := range []traffic.Benchmark{traffic.UniformRandom{N: tiles}, traffic.Multicast{N: tiles, Frac: 0.10}} {
-					spec := mesh.Spec{Name: "Mesh", W: w, H: h, PacketLen: 5, Serial: serial, Strategy: strat}
+					spec := network.Spec{Name: "Mesh", N: tiles, PacketLen: 5, Serial: serial, Strategy: strat,
+						Mesh: &mesh.Size{W: w, H: h}}
 					name := fmt.Sprintf("%dx%d/serial=%v/%s/%s", w, h, serial, strat, bench.Name())
 					res, err := run(spec, core.RunConfig{
 						Bench: bench, LoadGFs: 0.25, Seed: 11,

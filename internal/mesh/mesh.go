@@ -1,10 +1,10 @@
 // Package mesh describes the paper's future-work topology: a 2D-mesh
 // asynchronous NoC with XY dimension-order routing and tree-based
-// (destination-encoded) multicast. It holds the mesh's spec, its XY
-// geometry (Grid) and its five-port Router; package network wires the
-// routers into a simulated network (network.NewMesh) with the same
-// network interfaces, packet pool, accounting and trace as the
-// Mesh-of-Trees networks.
+// (destination-encoded) multicast. It holds the mesh's size, its XY
+// geometry (Grid) and its five-port Router; a network spec whose Mesh
+// field is set builds the routers into a simulated network (package
+// network) with the same network interfaces, packet pool, accounting
+// and trace as the Mesh-of-Trees networks.
 //
 // Each tile carries an asynchronous five-port router whose timing and
 // area come from the gate-level model in internal/netlist (BuildMeshRouter).
@@ -28,11 +28,8 @@
 package mesh
 
 import (
-	"fmt"
-
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/routing"
-	"asyncnoc/internal/topology"
 )
 
 // Router port indices.
@@ -52,60 +49,11 @@ var portNames = [NumPorts]string{"N", "E", "S", "W", "L"}
 // PortName labels port p in diagnostics: N, E, S, W or L (local).
 func PortName(p int) string { return portNames[p] }
 
-// Spec describes one mesh network instance.
-type Spec struct {
-	// Name is the reporting name.
-	Name string
-	// W, H are the mesh dimensions; terminals are the W*H tiles.
+// Size is a mesh's dimensions: W columns by H rows of tiles, numbered
+// row by row (Grid.Tile). It is the Mesh field of a network spec.
+type Size struct {
 	W, H int
-	// PacketLen is flits per packet.
-	PacketLen int
-	// Serial expands multicast into serial XY unicasts (the baseline
-	// scheme); otherwise multicast is tree-based with replication.
-	Serial bool
-	// Strategy names the multicast routing scheme that partitions
-	// injections (see routing.StrategyNames). Empty selects
-	// routing.StrategyFor's default: serial unicasts when Serial, one
-	// tree-routed packet otherwise (the mesh has no speculation, so both
-	// tree schemes plan that one packet). The mesh Hamiltonian order is
-	// the boustrophedon (snake) tile order, and DPM merge costs count
-	// XY-tree link traversals.
-	Strategy string
 }
-
-// Validate checks the configuration.
-func (s Spec) Validate() error {
-	if s.W < 2 || s.H < 1 || s.W*s.H > 64 {
-		return fmt.Errorf("mesh %s: dimensions %dx%d unsupported (2..64 tiles)", s.Name, s.W, s.H)
-	}
-	if s.PacketLen < 1 {
-		return fmt.Errorf("mesh %s: packet length %d < 1", s.Name, s.PacketLen)
-	}
-	if _, err := routing.StrategyFor(s.Strategy, s.Serial); err != nil {
-		return fmt.Errorf("mesh %s: %w", s.Name, err)
-	}
-	return nil
-}
-
-// Tiles returns the terminal count.
-func (s Spec) Tiles() int { return s.W * s.H }
-
-// TopologyName implements topology.TopologySpec.
-func (s Spec) TopologyName() string { return s.Name }
-
-// Terminals implements topology.TopologySpec.
-func (s Spec) Terminals() int { return s.Tiles() }
-
-// CanonicalKey implements topology.TopologySpec: every behavioral field
-// participates, so equal keys mean replayed runs.
-func (s Spec) CanonicalKey() string {
-	return fmt.Sprintf("mesh|%s|%dx%d|%d|%v|%s", s.Name, s.W, s.H, s.PacketLen, s.Serial, s.Strategy)
-}
-
-var _ topology.TopologySpec = Spec{}
-
-// Grid returns the spec's geometry.
-func (s Spec) Grid() Grid { return Grid{W: s.W, H: s.H, Serial: s.Serial} }
 
 // Grid is the XY geometry of a W x H mesh: tile coordinates, each
 // router's output selection, and the routing.MaskRouted view the

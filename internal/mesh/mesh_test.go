@@ -1,7 +1,7 @@
 package mesh_test
 
 // Geometry and network-level mesh tests: they build the mesh through
-// network.NewMesh, which imports this package, so they live in the
+// package network, which imports this package, so they live in the
 // external test package.
 
 import (
@@ -16,9 +16,9 @@ import (
 )
 
 // newMesh builds spec with a measurement window covering every packet.
-func newMesh(t *testing.T, spec mesh.Spec) *network.Network {
+func newMesh(t *testing.T, spec network.Spec) *network.Network {
 	t.Helper()
-	nw, err := network.NewMesh(spec)
+	nw, err := network.New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,22 +30,23 @@ func TestSpecValidation(t *testing.T) {
 	if err := treeSpec(4, 4).Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
-	for _, s := range []mesh.Spec{
-		{W: 1, H: 1, PacketLen: 5},
-		{W: 9, H: 8, PacketLen: 5}, // 72 tiles > 64
-		{W: 4, H: 4, PacketLen: 0},
+	for _, s := range []network.Spec{
+		{N: 1, PacketLen: 5, Mesh: &mesh.Size{W: 1, H: 1}},
+		{N: 72, PacketLen: 5, Mesh: &mesh.Size{W: 9, H: 8}}, // 72 tiles > 64
+		{N: 16, PacketLen: 0, Mesh: &mesh.Size{W: 4, H: 4}},
+		{N: 8, PacketLen: 5, Mesh: &mesh.Size{W: 4, H: 4}}, // N is not the tile count
 	} {
 		if s.Validate() == nil {
 			t.Errorf("invalid spec accepted: %+v", s)
 		}
-		if _, err := network.NewMesh(s); err == nil {
-			t.Errorf("NewMesh built an invalid spec: %+v", s)
+		if _, err := network.New(s); err == nil {
+			t.Errorf("New built an invalid spec: %+v", s)
 		}
 	}
 }
 
 func TestCoordRoundTrip(t *testing.T) {
-	g := treeSpec(4, 3).Grid()
+	g := mesh.Grid{W: 4, H: 3}
 	for d := 0; d < 12; d++ {
 		x, y := g.Coord(d)
 		if g.Tile(x, y) != d {
@@ -58,7 +59,7 @@ func TestCoordRoundTrip(t *testing.T) {
 }
 
 func TestRouteOutsPartition(t *testing.T) {
-	g := treeSpec(4, 4).Grid()
+	g := mesh.Grid{W: 4, H: 4}
 	// From tile (1,1): dest (3,1) east, (0,1) west, (1,3) north, (1,0)
 	// south, (1,1) local.
 	dests := packet.Dests(g.Tile(3, 1), g.Tile(0, 1), g.Tile(1, 3), g.Tile(1, 0), g.Tile(1, 1))
@@ -86,7 +87,7 @@ func TestRouteOutsPartition(t *testing.T) {
 }
 
 func TestUnicastAllPairs4x4(t *testing.T) {
-	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
+	for _, spec := range []network.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
 		nw := newMesh(t, spec)
 		total := 0
 		for s := 0; s < 16; s++ {
@@ -106,9 +107,9 @@ func TestUnicastAllPairs4x4(t *testing.T) {
 
 func TestMulticastDeliveryProperty(t *testing.T) {
 	r := rng.New(31)
-	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4), treeSpec(8, 8), treeSpec(5, 3)} {
+	for _, spec := range []network.Spec{treeSpec(4, 4), serialSpec(4, 4), treeSpec(8, 8), treeSpec(5, 3)} {
 		nw := newMesh(t, spec)
-		tiles := spec.Tiles()
+		tiles := spec.N
 		total := 0
 		for trial := 0; trial < 100; trial++ {
 			var dests packet.DestSet
@@ -127,7 +128,7 @@ func TestMulticastDeliveryProperty(t *testing.T) {
 		nw.Sched.Run()
 		if nw.Rec.MeasuredCompleted() != total {
 			t.Errorf("%s %dx%d: %d/%d multicasts delivered",
-				spec.Name, spec.W, spec.H, nw.Rec.MeasuredCompleted(), total)
+				spec.Name, spec.Mesh.W, spec.Mesh.H, nw.Rec.MeasuredCompleted(), total)
 		}
 	}
 }
@@ -203,7 +204,7 @@ func injectFlood(t *testing.T, nw *network.Network) int {
 func TestMeshPacketConservation(t *testing.T) {
 	pathBased, dpm := treeSpec(4, 4), treeSpec(4, 4)
 	pathBased.Strategy, dpm.Strategy = "PathBased", "DPM"
-	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4), pathBased, dpm} {
+	for _, spec := range []network.Spec{treeSpec(4, 4), serialSpec(4, 4), pathBased, dpm} {
 		nw := newMesh(t, spec)
 		seen := tracePackets(nw)
 		r := rng.New(7)
@@ -323,7 +324,7 @@ func TestXYPathUniquenessProperty(t *testing.T) {
 	// XY dimension order: from any router, a destination maps to exactly
 	// one output port, and walking the ports reaches it in
 	// |dx|+|dy| hops.
-	g := treeSpec(5, 3).Grid()
+	g := mesh.Grid{W: 5, H: 3}
 	for s := 0; s < 15; s++ {
 		for d := 0; d < 15; d++ {
 			sx, sy := g.Coord(s)

@@ -79,11 +79,16 @@ type Router struct {
 }
 
 // Init builds the router of tile on grid g in place, with output FIFOs
-// of fifoCap flits. Init writes the whole router; wire its ports with
-// ConnectInput and ConnectOutput before the first event.
+// of fifoCap flits. Init writes the whole router, keeping only the
+// storage of its FIFOs (a rebuilt network reuses it); wire its ports
+// with ConnectInput and ConnectOutput before the first event.
 func (r *Router) Init(sched *sim.Scheduler, g Grid, tile, fifoCap int) {
 	x, y := g.Coord(tile)
-	*r = Router{sched: sched, grid: g, t: timing.MustByName(netlist.MeshRouter), Tile: tile, X: x, Y: y, cap: fifoCap}
+	fifo := r.fifo
+	for p := range fifo {
+		fifo[p].Reset()
+	}
+	*r = Router{sched: sched, grid: g, t: timing.MustByName(netlist.MeshRouter), Tile: tile, X: x, Y: y, cap: fifoCap, fifo: fifo}
 	for p := range r.outOwner {
 		r.outOwner[p] = -1
 	}

@@ -20,15 +20,17 @@ import (
 	"asyncnoc/internal/traffic"
 )
 
-func treeSpec(w, h int) mesh.Spec {
-	return mesh.Spec{Name: "MeshTree", W: w, H: h, PacketLen: 5}
+func treeSpec(w, h int) network.Spec {
+	return network.Spec{Name: "MeshTree", N: w * h, PacketLen: 5, Mesh: &mesh.Size{W: w, H: h}}
 }
 
-func serialSpec(w, h int) mesh.Spec {
-	return mesh.Spec{Name: "MeshSerial", W: w, H: h, PacketLen: 5, Serial: true}
+func serialSpec(w, h int) network.Spec {
+	s := treeSpec(w, h)
+	s.Name, s.Serial = "MeshSerial", true
+	return s
 }
 
-func run(spec mesh.Spec, cfg core.RunConfig) (core.RunResult, error) {
+func run(spec network.Spec, cfg core.RunConfig) (core.RunResult, error) {
 	return core.Run(spec, cfg)
 }
 
@@ -143,7 +145,7 @@ func TestMeshSaturationPinned(t *testing.T) {
 		"MeshSerial/Multicast10":   "599afd779ef86586c7619496a8c2b71e6806964c7a64975316208528c602e818",
 	}
 	e := core.NewEngine(2)
-	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
+	for _, spec := range []network.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
 		for _, bench := range []traffic.Benchmark{traffic.UniformRandom{N: 16}, traffic.Multicast{N: 16, Frac: 0.10}} {
 			base := core.RunConfig{Bench: bench, Seed: 2016,
 				Warmup: 100 * sim.Nanosecond, Measure: 400 * sim.Nanosecond, Drain: 300 * sim.Nanosecond}
@@ -178,7 +180,7 @@ func paperCfg(bench traffic.Benchmark) core.RunConfig {
 // unchanged, and adds the P50/P99 the old mesh harness never filled in.
 func TestMeshResultsPinned(t *testing.T) {
 	cases := []struct {
-		spec                 mesh.Spec
+		spec                 network.Spec
 		bench                traffic.Benchmark
 		avg, p95, thru, powr float64
 		packets              int
@@ -237,10 +239,10 @@ func TestMeshMemoryIndependentOfSpan(t *testing.T) {
 	const limit = 1 << 20
 	// The first build derives the router timing from its netlist once
 	// per process; keep that out of the measured runs.
-	if _, err := network.NewMesh(treeSpec(4, 4)); err != nil {
+	if _, err := network.New(treeSpec(4, 4)); err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []mesh.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
+	for _, spec := range []network.Spec{treeSpec(4, 4), serialSpec(4, 4)} {
 		cfg := paperCfg(traffic.Multicast{N: 16, Frac: 0.10})
 		cfg.Measure = 32 * sim.Microsecond
 		var before, after runtime.MemStats

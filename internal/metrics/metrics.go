@@ -67,6 +67,9 @@ type Recorder struct {
 	lossTolerant bool
 	lateHeaders  int
 
+	// closed ignores every later header arrival (see Close).
+	closed bool
+
 	deliveredFlits  int64
 	measuredCreated int
 	measuredDone    int
@@ -144,6 +147,11 @@ func (r *Recorder) SetWindow(start, end sim.Time) {
 	r.WindowStart, r.WindowEnd = start, end
 }
 
+// Close ends the run's recording: header arrivals after it change no
+// measurement. The run watchdog closes a finished run's recorder before
+// draining its fabric for a deadlock diagnosis. Reset reopens it.
+func (r *Recorder) Close() { r.closed = true }
+
 // SetLossTolerant arms fault-mode accounting: header arrivals of packets
 // already written off by PacketLost are counted as late stragglers
 // instead of panicking.
@@ -202,6 +210,9 @@ func logicalOf(p *packet.Packet) *packet.Packet {
 // serial clone of p) at destination dest. Duplicate deliveries indicate a
 // throttling failure and panic.
 func (r *Recorder) HeaderArrived(p *packet.Packet, dest int, now sim.Time) {
+	if r.closed {
+		return
+	}
 	logical := logicalOf(p)
 	h, ok := r.pktIdx.Get(logical.ID)
 	if !ok {

@@ -2,56 +2,27 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"asyncnoc/internal/mesh"
-	"asyncnoc/internal/metrics"
-	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
-	"asyncnoc/internal/power"
-	"asyncnoc/internal/routing"
-	"asyncnoc/internal/sim"
 )
 
-// NewMesh builds a 2D mesh (package mesh) as a network: one mesh.Router
-// per tile, wired with the same source and sink interfaces, links, packet
-// pool, accounting context and trace as a MoT die. Its Spec carries the
-// mesh's name, packet length, serial flag and strategy, with N its tile
-// count (one die of W*H terminals); MoT and Placement are nil. A mesh
-// always builds fresh and serial: it has no fault layer, shards or
-// Rebuild.
-func NewMesh(spec mesh.Spec) (*Network, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	sched := sim.NewScheduler()
-	g := spec.Grid()
-	nw := &Network{
-		Spec:   Spec{Name: spec.Name, N: spec.Tiles(), PacketLen: spec.PacketLen, Serial: spec.Serial, Strategy: spec.Strategy},
-		Sched:  sched,
-		Rec:    metrics.NewRecorder(),
-		Meter:  power.NewMeter(sched.Now),
-		fabric: routing.Fabric{Serial: spec.Serial, Mask: g},
-	}
-	// Validate() vetted the name.
-	nw.strat, _ = routing.StrategyFor(spec.Strategy, spec.Serial)
-	nw.acct.init(nw, sched, nil)
-	nw.buildMesh(g)
-	return nw, nil
-}
-
-// buildMesh instantiates every router and interface and wires the links:
-// a bidirectional pair on each mesh edge, then each tile's injection and
-// delivery link on the router's local port.
-func (nw *Network) buildMesh(g mesh.Grid) {
+// buildMesh instantiates every router and interface of a mesh spec and
+// wires the links: a bidirectional pair on each mesh edge, then each
+// tile's injection and delivery link on the router's local port. The
+// mesh has no fault layer and runs on one scheduler (Spec.Validate).
+func (nw *Network) buildMesh() {
+	g := nw.Spec.grid()
 	tiles := g.Terminals()
 	fifoCap := 2 * nw.Spec.PacketLen
 	if nw.Spec.Serial {
 		fifoCap = nw.Spec.PacketLen // unicast worms still need VCT headroom
 	}
 	a := &nw.acct
-	nw.routers = make([]mesh.Router, tiles)
-	nw.sources = make([]SourceNI, tiles)
-	nw.sinks = make([]SinkNI, tiles)
+	nw.routers = resize(nw.routers, tiles)
+	nw.sources = resize(nw.sources, tiles)
+	nw.sinks = resize(nw.sinks, tiles)
 	for t := range nw.routers {
 		nw.routers[t].Init(a.sched, g, t, fifoCap)
 		nw.routers[t].Hooks = a
@@ -59,7 +30,7 @@ func (nw *Network) buildMesh(g mesh.Grid) {
 		nw.sinks[t].init(nw, t)
 	}
 	links := 2*((g.W-1)*g.H+g.W*(g.H-1)) + 2*tiles
-	nw.links = make([]node.Channel, 0, links)
+	nw.links = slices.Grow(nw.links[:0], links)
 	// pair wires the links between neighbors r (port p) and s (port q).
 	pair := func(r *mesh.Router, p int, s *mesh.Router, q int) {
 		ch := nw.channel(a, s, q, r, p)

@@ -1,9 +1,9 @@
 // Package network assembles complete asynchronous MoT NoC instances from
 // the behavioral node models: one fanout tree per source, one fanin tree
 // per destination, source and sink network interfaces, and the accounting
-// hooks (latency recorder, energy meter, optional trace). NewMesh wires
-// the 2D mesh's routers (package mesh) with the same interfaces, packet
-// pool and hooks.
+// hooks (latency recorder, energy meter, optional trace). A spec with a
+// Mesh size wires the 2D mesh's routers (package mesh) instead, with the
+// same interfaces, packet pool and hooks.
 //
 // The package also implements the serial-multicast expansion of the
 // Baseline network: a k-destination multicast injected there becomes k
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
@@ -30,11 +31,12 @@ import (
 	"asyncnoc/internal/topology"
 )
 
-// Spec describes one network architecture.
+// Spec describes one network architecture: a MoT die, a chiplet
+// composition of dies (Chiplet) or a 2D mesh (Mesh).
 type Spec struct {
 	// Name is the reporting name (e.g. "OptHybridSpeculative").
 	Name string
-	// N is the MoT radix (terminals per side).
+	// N is the MoT radix (terminals per side), or a mesh's tile count.
 	N int
 	// PacketLen is the flits-per-packet (the paper uses 5).
 	PacketLen int
@@ -77,6 +79,14 @@ type Spec struct {
 	// the interposer hop by hop, and re-inject into the target die's
 	// fanout fabric. Nil builds the plain single-die network.
 	Chiplet *chiplet.Params
+	// Mesh, when non-nil, builds a W x H 2D mesh of XY routers (package
+	// mesh) in place of the MoT: N is its tile count, and only Name,
+	// PacketLen, Serial and Strategy configure it further (Validate
+	// rejects every other field). Serial expands multicast into XY
+	// unicasts; otherwise multicast is tree-based with replication at
+	// the routers, the mesh Hamiltonian order of the path-based schemes
+	// is the snake tile order, and DPM merge costs count XY-tree links.
+	Mesh *mesh.Size `json:",omitempty"`
 }
 
 // Dies returns the die count of the composition (1 when single-die).
@@ -91,15 +101,15 @@ func (s Spec) Dies() int {
 // Terminal g lives on die g/N at local index g%N.
 func (s Spec) Terminals() int { return s.Dies() * s.N }
 
-// TopologyName implements topology.TopologySpec.
-func (s Spec) TopologyName() string { return s.Name }
-
-// CanonicalKey implements topology.TopologySpec: a stable serialization
-// of every behavior-affecting field. The single-die form is
-// byte-identical to the historical engine memo key, so persistent
-// result stores stay warm across this API's introduction; chiplet
-// compositions append their parameters.
+// CanonicalKey is a stable serialization of every behavior-affecting
+// field. The single-die form is byte-identical to the historical engine
+// memo key, so persistent result stores stay warm across this API's
+// introduction; chiplet compositions append their parameters. A mesh
+// key starts "mesh|" and lists the fields a valid mesh spec may set.
 func (s Spec) CanonicalKey() string {
+	if s.Mesh != nil {
+		return fmt.Sprintf("mesh|%s|%dx%d|%d|%v|%s", s.Name, s.Mesh.W, s.Mesh.H, s.PacketLen, s.Serial, s.Strategy)
+	}
 	key := fmt.Sprintf("%s|%d|%d|%d|%v|%d|%d|%v|%s|%d|%d|%+v",
 		s.Name, s.N, s.PacketLen, s.Scheme, s.SpecLevels,
 		s.SpecKind, s.NonSpecKind, s.Serial, s.Strategy, s.Protocol, s.SyncPeriod,
@@ -109,9 +119,6 @@ func (s Spec) CanonicalKey() string {
 	}
 	return key
 }
-
-// Spec satisfies the unified topology-spec surface.
-var _ topology.TopologySpec = Spec{}
 
 // maxBuildCost bounds Dies × N² × (PacketLen + 8), which a build's
 // memory grows with: the node count grows with dies × radix², and each
@@ -125,6 +132,9 @@ const maxBuildCost = 64 * 64 * 64 * 16
 func (s Spec) Validate() error {
 	if s.PacketLen < 1 {
 		return fmt.Errorf("network %s: packet length %d < 1", s.Name, s.PacketLen)
+	}
+	if s.Mesh != nil {
+		return s.validateMesh()
 	}
 	for _, k := range []node.Kind{s.SpecKind, s.NonSpecKind} {
 		if k < node.Baseline || k > node.OptNonSpec {
@@ -163,6 +173,64 @@ func (s Spec) Validate() error {
 			s.Name, s.Dies(), s.N, s.PacketLen)
 	}
 	return nil
+}
+
+// validateMesh checks a mesh spec: W >= 2 columns, at most
+// packet.MaxDests tiles (a destination set's width) and N their count,
+// and none of the fields that configure MoT dies, compositions or the
+// fault layer, which a mesh cannot honour.
+func (s Spec) validateMesh() error {
+	w, h := s.Mesh.W, s.Mesh.H
+	if w < 2 || h < 1 || w > packet.MaxDests || h > packet.MaxDests || w*h > packet.MaxDests {
+		return fmt.Errorf("network %s: Mesh: %dx%d unsupported (2..%d tiles, W >= 2)", s.Name, w, h, packet.MaxDests)
+	}
+	if s.N != w*h {
+		return fmt.Errorf("network %s: N: %d terminals, but a %dx%d mesh has %d tiles", s.Name, s.N, w, h, w*h)
+	}
+	if _, err := routing.StrategyFor(s.Strategy, s.Serial); err != nil {
+		return fmt.Errorf("network %s: %w", s.Name, err)
+	}
+	var bad []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Scheme", s.Scheme != 0}, {"SpecLevels", s.SpecLevels != nil},
+		{"SpecKind", s.SpecKind != 0}, {"NonSpecKind", s.NonSpecKind != 0},
+		{"Protocol", s.Protocol != 0}, {"SyncPeriod", s.SyncPeriod != 0},
+		{"Faults", s.Faults.Enabled()}, {"Chiplet", s.Chiplet != nil},
+	} {
+		if f.set {
+			bad = append(bad, f.name)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("network %s: a mesh does not support %s", s.Name, strings.Join(bad, ", "))
+	}
+	return nil
+}
+
+// grid is a mesh spec's geometry.
+func (s Spec) grid() mesh.Grid { return mesh.Grid{W: s.Mesh.W, H: s.Mesh.H, Serial: s.Serial} }
+
+// Placement resolves a MoT spec's fanout-tree geometry and speculation
+// placement (the serial baseline has no speculation, so its placement
+// only provides tree geometry). A mesh has no fanout trees.
+func (s Spec) Placement() (*topology.Placement, error) {
+	if s.Mesh != nil {
+		return nil, fmt.Errorf("network %s: a %dx%d mesh has no fanout trees", s.Name, s.Mesh.W, s.Mesh.H)
+	}
+	m, err := topology.New(s.N)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case s.Serial:
+		return topology.ForScheme(m, topology.NonSpeculative)
+	case s.SpecLevels != nil:
+		return topology.NewPlacement(m, s.SpecLevels)
+	}
+	return topology.ForScheme(m, s.Scheme)
 }
 
 // TraceKind classifies trace events.
@@ -223,7 +291,7 @@ type Network struct {
 	Spec  Spec
 	Sched *sim.Scheduler
 	// MoT and Placement are the die geometry and speculation placement
-	// of a MoT build; both are nil on a mesh (NewMesh).
+	// of a MoT build; both are nil on a mesh.
 	MoT       *topology.MoT
 	Placement *topology.Placement
 	Rec       *metrics.Recorder
@@ -242,8 +310,8 @@ type Network struct {
 	fanins  []node.Fanin
 	links   []node.Channel
 	fifos   []packet.Flit
-	// routers holds one router per tile on a mesh build (NewMesh) in
-	// place of the fanout and fanin trees; empty on a MoT.
+	// routers holds one router per tile on a mesh build in place of the
+	// fanout and fanin trees; empty on a MoT.
 	routers []mesh.Router
 
 	// egress holds one die-to-die gateway per die (chiplet compositions
@@ -281,32 +349,29 @@ func (nw *Network) FaultStats() *fault.Stats {
 }
 
 // base validates spec and writes the scheduler-independent skeleton
-// shared by New, Rebuild and NewSharded into nw: topology, placement,
-// recorder, and routing strategy. Every field of nw is rewritten. Only
-// storage carries over, emptied: the component slices, the fault
-// channel list, the recorder and the accounting context's buffers (a
-// new network has none); build resets the scheduler and meter.
+// shared by New, Rebuild and NewSharded into nw: topology, placement
+// (none on a mesh), recorder, and routing strategy. Every field of nw
+// is rewritten. Only storage carries over, emptied: the component
+// slices, the fault channel list, the recorder and the accounting
+// context's buffers (a new network has none); build resets the
+// scheduler and meter.
 func (nw *Network) base(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	m, err := topology.New(spec.N)
-	if err != nil {
-		return err
-	}
+	var m *topology.MoT
 	var pl *topology.Placement
-	switch {
-	case spec.Serial:
-		// The baseline network has no speculation; the placement only
-		// provides tree geometry.
-		pl, err = topology.ForScheme(m, topology.NonSpeculative)
-	case spec.SpecLevels != nil:
-		pl, err = topology.NewPlacement(m, spec.SpecLevels)
-	default:
-		pl, err = topology.ForScheme(m, spec.Scheme)
-	}
-	if err != nil {
-		return err
+	levels := 0
+	fabric := routing.Fabric{Serial: spec.Serial}
+	if spec.Mesh != nil {
+		fabric.Mask = spec.grid()
+	} else {
+		var err error
+		if pl, err = spec.Placement(); err != nil {
+			return err
+		}
+		m = pl.MoT()
+		levels, fabric.Placement = m.Levels, pl
 	}
 	rec := nw.Rec
 	if rec == nil {
@@ -323,17 +388,18 @@ func (nw *Network) base(spec Spec) error {
 		Placement: pl,
 		Rec:       rec,
 		Meter:     nw.Meter,
-		sources:   nw.sources,
-		sinks:     nw.sinks,
-		fanouts:   nw.fanouts,
-		fanins:    nw.fanins,
-		links:     nw.links,
-		fifos:     nw.fifos,
-		egress:    nw.egress,
-		fabric:    routing.Fabric{Placement: pl, Serial: spec.Serial},
+		sources:   nw.sources[:0],
+		sinks:     nw.sinks[:0],
+		fanouts:   nw.fanouts[:0],
+		fanins:    nw.fanins[:0],
+		links:     nw.links[:0],
+		fifos:     nw.fifos[:0],
+		routers:   nw.routers[:0],
+		egress:    nw.egress[:0],
+		fabric:    fabric,
 		acct:      actx{planBuf: nw.acct.planBuf[:0], pktFree: pktFree[:0]},
 	}
-	nw.Rec.SetLevels(m.Levels)
+	nw.Rec.SetLevels(levels)
 	if spec.Chiplet != nil {
 		nw.Rec.SetHierarchy(true)
 	}
@@ -555,8 +621,13 @@ func (nw *Network) ChannelHolds() []ChannelHold {
 // chiplet composition the per-die structure repeats Terminals()/N times
 // — tree t belongs to die t/N at local index t%N — and every die also
 // gets its egress gateway; a single-die build reduces to the historical
-// wiring exactly (die 0, local == global).
+// wiring exactly (die 0, local == global). A mesh spec wires its routers
+// instead (buildMesh).
 func (nw *Network) build() {
+	if nw.Spec.Mesh != nil {
+		nw.buildMesh()
+		return
+	}
 	n := nw.Spec.N
 	terms := nw.Spec.Terminals()
 	nodes := terms * (n - 1)
@@ -645,7 +716,6 @@ func (nw *Network) build() {
 	if len(nw.links) != links {
 		panic(fmt.Sprintf("network: wired %d links, reserved %d", len(nw.links), links))
 	}
-	nw.egress = resize(nw.egress, 0)
 	if nw.Spec.Chiplet != nil {
 		nw.egress = resize(nw.egress, nw.Spec.Dies())
 		for die := range nw.egress {

@@ -6,6 +6,7 @@ import (
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/mesh"
 )
 
 // FuzzSpecBuild: any JSON-decoded Spec that Validate accepts must build
@@ -18,15 +19,22 @@ func FuzzSpecBuild(f *testing.F) {
 		Stuck: []fault.Stuck{{Tree: 1, Heap: 1, Port: 0, After: 3}}}
 	composed := optHybrid(4)
 	composed.Chiplet = chiplet.Default(2, 2)
-	for _, spec := range append(allSpecs(8), faulty, composed) {
+	tree := Spec{Name: "MeshTree", N: 16, PacketLen: 5, Mesh: &mesh.Size{W: 4, H: 4}}
+	for _, spec := range append(allSpecs(8), faulty, composed, tree) {
 		if _, err := New(spec); err != nil {
 			f.Fatalf("seed %s does not build: %v", spec.Name, err)
 		}
-		b, err := json.Marshal(spec)
-		if err != nil {
-			f.Fatal(err)
+		addSpecSeed(f, spec)
+	}
+	// Invalid mesh seeds: 65 tiles, and a fault layer on a mesh.
+	tooBig := Spec{Name: "Mesh13x5", N: 65, PacketLen: 5, Mesh: &mesh.Size{W: 13, H: 5}}
+	faultyMesh := tree
+	faultyMesh.Faults = faulty.Faults
+	for _, spec := range []Spec{tooBig, faultyMesh} {
+		if spec.Validate() == nil {
+			f.Fatalf("invalid seed %s validates", spec.Name)
 		}
-		f.Add(b)
+		addSpecSeed(f, spec)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec Spec
@@ -35,4 +43,13 @@ func FuzzSpecBuild(f *testing.F) {
 		}
 		_, _ = New(spec)
 	})
+}
+
+// addSpecSeed adds spec's JSON to the fuzz corpus.
+func addSpecSeed(f *testing.F, spec Spec) {
+	b, err := json.Marshal(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
 }

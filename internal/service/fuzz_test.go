@@ -29,9 +29,26 @@ func FuzzRunRequest(f *testing.F) {
 	faulty.Spec.Faults = fault.Config{Seed: 7, CorruptRate: 1e-3, DropRate: 1e-3}
 	composed := base(core.NameOptHybridSpec, 4)
 	composed.Spec = core.WithChiplet(composed.Spec, chiplet.Default(2, 2))
-	for _, req := range []RunRequest{base(core.NameOptHybridSpec, 8), faulty, composed} {
-		if _, err := req.Config(); err != nil {
-			f.Fatalf("seed %s is rejected: %v", req.Spec.Name, err)
+	meshReq := base(core.NameOptHybridSpec, 8)
+	meshReq.Spec = core.MeshTree(4, 4)
+	// Invalid mesh seeds: 65 tiles, and a fault layer on a mesh.
+	tooBig, faultyMesh := meshReq, meshReq
+	tooBig.Spec = core.MeshSerial(13, 5)
+	faultyMesh.Spec.Faults = faulty.Spec.Faults
+	for _, seed := range []struct {
+		req   RunRequest
+		valid bool
+	}{
+		{base(core.NameOptHybridSpec, 8), true}, {faulty, true}, {composed, true}, {meshReq, true},
+		{tooBig, false}, {faultyMesh, false},
+	} {
+		req := seed.req
+		_, err := req.Config()
+		if err == nil {
+			err = req.Spec.Validate()
+		}
+		if (err == nil) != seed.valid {
+			f.Fatalf("seed %s: valid %v, but Config and Validate return %v", req.Spec.Name, seed.valid, err)
 		}
 		b, err := json.Marshal(req)
 		if err != nil {

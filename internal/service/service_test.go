@@ -14,6 +14,7 @@ import (
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/core"
+	"asyncnoc/internal/fault"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/store"
@@ -127,6 +128,48 @@ func TestServiceChipletRunCached(t *testing.T) {
 	}
 	if n := srv.Engine.Snapshot().Started; n != 1 {
 		t.Fatalf("engine simulated %d runs, want 1", n)
+	}
+}
+
+// TestServiceMeshRun: a request whose spec carries a Mesh size runs on
+// the mesh, with its benchmark resolved over the tiles, byte-identical
+// to a local run and cached on repeat; a MoT spec's JSON has no Mesh
+// field; and an invalid mesh request is a 400 naming the field.
+func TestServiceMeshRun(t *testing.T) {
+	_, c, _ := newTestService(t, nil)
+	req := testRunRequest(t, 4)
+	if js, _ := json.Marshal(req.Spec); strings.Contains(string(js), "Mesh") {
+		t.Errorf("a MoT spec encodes a Mesh field: %s", js)
+	}
+	req.Spec = core.MeshTree(4, 4)
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Run(req.Spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, cached := range []bool{false, true} {
+		got, err := c.RunJob(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cached != cached || got.Result != want {
+			t.Errorf("mesh run %d: cached %v, result %+v; want cached %v, %+v", i, got.Cached, got.Result, cached, want)
+		}
+	}
+	tooBig := req
+	tooBig.Spec = core.MeshTree(13, 5)
+	faulty := req
+	faulty.Spec.Faults = fault.Config{Seed: 1, DropRate: 1e-3}
+	for field, bad := range map[string]RunRequest{"Mesh": tooBig, "Faults": faulty} {
+		_, err := c.RunJob(ctx, bad)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Msg, field) {
+			t.Errorf("invalid mesh request (%s): %v, want a 400 naming %s", field, err, field)
+		}
 	}
 }
 

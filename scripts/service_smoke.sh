@@ -3,10 +3,11 @@
 #
 #   1. build asyncnocd and the servicesmoke client
 #   2. start asyncnocd on an ephemeral port with a temp cache dir
-#   3. submit the same Fig.6a-point job twice (servicesmoke asserts the
-#      second response is a cache hit served in < 10ms)
+#   3. submit the same Fig.6a-point job twice, then the same job on a
+#      4x4 mesh twice (servicesmoke asserts each second response is a
+#      cache hit served in < 10ms)
 #   4. SIGTERM the server and assert a clean drain (exit 0, store flushed)
-#   5. restart over the same cache dir and assert the hit survives the
+#   5. restart over the same cache dir and assert both hits survive the
 #      restart (persistence, not just the in-memory memo)
 set -eu
 
@@ -69,4 +70,4 @@ start_server
 "$BIN/servicesmoke" -server "http://$ADDR" -expect-warm
 stop_server
 
-echo "service-smoke: OK (cold run, warm hit, clean drain, warm across restart)"
+echo "service-smoke: OK (MoT and mesh jobs: cold run, warm hit, clean drain, warm across restart)"
