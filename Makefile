@@ -124,9 +124,11 @@ service-smoke:
 # strings become schedule (any delay, past the timing wheel's span and
 # at Never), cancel, step and RunUntil operations whose dispatch order
 # must match a naive reference scheduler, the saturation verdict (a
-# drawn probe that stops at its verdict must agree with its full run)
-# and the final-result stop (a drawn run that stops once its result is
-# final must equal its full-span run).
+# drawn probe that stops at its verdict must agree with its full run),
+# the final-result stop (a drawn run that stops once its result is
+# final must equal its full-span run) and the engine's network cache (a
+# drawn sequence of runs, each rebuilt on the network of the one before,
+# must equal runs on fresh builds).
 # The targets after the store cap input minimization at 200 runs: most
 # of their binaries link the whole simulator, and an uncapped
 # minimization can eat the 10 s budget.
@@ -141,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSatVerdict -fuzztime 10s -fuzzminimizetime 200x ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFinalCut -fuzztime 10s -fuzzminimizetime 200x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzCrossSpecReuse -fuzztime 10s -fuzzminimizetime 200x ./internal/core
 
 # test-routing is the scheme-shootout shard: the routing package (the
 # Strategy interface and all five multicast schemes) runs with a

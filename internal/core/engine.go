@@ -4,9 +4,9 @@
 // Every simulation in this model is a pure function of (network spec,
 // run configuration): all randomness flows from RunConfig.Seed and each
 // run owns its scheduler, recorder, and meter while it runs (a later
-// run of the same spec may build on their storage, never on their
-// values; see netCache). That purity makes two things safe that the
-// serial harness could not exploit:
+// run may build on their storage, never on their values; see
+// netCache). That purity makes two things safe that the serial harness
+// could not exploit:
 //
 //   - parallel fan-out: independent runs execute concurrently on a
 //     bounded pool without changing any result, and
@@ -165,7 +165,7 @@ type Engine struct {
 	remote atomic.Pointer[RemoteRunner]
 
 	// nets holds the networks of finished runs for reuse by later runs
-	// of the same spec (see netCache).
+	// (see netCache).
 	nets netCache
 
 	// started/completed count unique (non-memoized) local computations,
@@ -193,44 +193,36 @@ func NewEngine(workers int) *Engine {
 	}
 }
 
-// netCache holds networks of finished runs, each keyed by its spec's
-// CanonicalKey, for the engine's next runs of the same spec: a run
-// builds on a cached network's storage instead of allocating its own
-// (network.Rebuild). It keeps at most limit networks, the engine's
-// worker count, and drops the oldest beyond that. Only storage crosses
-// runs this way, never a value: see simRun.close for which networks
-// enter it, and DESIGN.md §11.
+// netCache holds networks of finished runs for the engine's next runs:
+// a run builds on a cached network's storage instead of allocating its
+// own (network.Rebuild), whatever spec either was built for. It keeps at
+// most limit networks, the engine's worker count, and drops the oldest
+// beyond that. Only storage crosses runs this way, never a value: see
+// simRun.close for which networks enter it, and DESIGN.md §11.
 type netCache struct {
 	mu    sync.Mutex
 	limit int
-	nets  []cachedNet // oldest first
+	nets  []*network.Network // oldest first
 }
 
-// cachedNet is one closed network and its spec's key.
-type cachedNet struct {
-	key string
-	nw  *network.Network
-}
-
-// take removes and returns the newest cached network of key, or nil.
-func (c *netCache) take(key string) *network.Network {
+// take removes and returns the newest cached network, or nil.
+func (c *netCache) take() *network.Network {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := len(c.nets) - 1; i >= 0; i-- {
-		if c.nets[i].key == key {
-			nw := c.nets[i].nw
-			c.nets = slices.Delete(c.nets, i, i+1)
-			return nw
-		}
+	n := len(c.nets)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	nw := c.nets[n-1]
+	c.nets = slices.Delete(c.nets, n-1, n)
+	return nw
 }
 
-// put caches nw under key, dropping the oldest network over the limit.
-func (c *netCache) put(key string, nw *network.Network) {
+// put caches nw, dropping the oldest network over the limit.
+func (c *netCache) put(nw *network.Network) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nets = append(c.nets, cachedNet{key: key, nw: nw})
+	c.nets = append(c.nets, nw)
 	if len(c.nets) > c.limit {
 		c.nets = slices.Delete(c.nets, 0, 1)
 	}

@@ -46,9 +46,8 @@ func paperWindows(cfg RunConfig) RunConfig {
 }
 
 // finalCutNets is the network cache of every run checkFinalCut checks:
-// each builds on the storage an earlier check left, of its own spec or
-// (after an eviction) none, while its instrumented reference always
-// builds fresh.
+// each builds on the storage an earlier check left, whatever its spec,
+// while its instrumented reference always builds fresh.
 var finalCutNets = netCache{limit: 2}
 
 // checkFinalCut runs cfg as an engine's RunContext does and over its

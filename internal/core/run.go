@@ -293,16 +293,15 @@ type simRun struct {
 	cfg RunConfig
 	h   harness
 	g   guard
-	// nets takes the network back when the run closes cleanly, under
-	// key, the spec's CanonicalKey; nil when it is never reused.
+	// nets takes the network back when the run closes cleanly; nil when
+	// it is never reused.
 	nets *netCache
-	key  string
 }
 
 // startRun builds spec armed for cfg, with its watchdog loop set up. A
 // serial, uninstrumented run builds on the storage of a network nets
-// holds for the same spec, if any, and returns its network there when
-// it closes cleanly; nets may be nil.
+// holds, if any, and returns its network there when it closes cleanly;
+// nets may be nil.
 func startRun(spec network.Spec, cfg RunConfig, nets *netCache) (*simRun, error) {
 	if err := checkRun(spec, cfg); err != nil {
 		return nil, err
@@ -311,8 +310,8 @@ func startRun(spec network.Spec, cfg RunConfig, nets *netCache) (*simRun, error)
 	total, maxEvents := runSpan(cfg), cfg.MaxEvents
 	var prev *network.Network
 	if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
-		r.nets, r.key = nets, spec.CanonicalKey()
-		prev = r.nets.take(r.key)
+		r.nets = nets
+		prev = nets.take()
 	}
 	if maxEvents == 0 && spec.Faults.Enabled() {
 		// Automatic backstop for fault runs: generous enough that any
@@ -384,14 +383,14 @@ func (r *simRun) finalStop() func() bool {
 
 // close ends the run: a sharded run's group closes, and the network of
 // a clean run (one that returned its result, or a probe that stopped at
-// its verdict) goes back to nets for the next run of its spec. Nothing
-// of the run survives in it: the next build rewrites every component
+// its verdict) goes back to nets for the next run. Nothing of the run
+// survives in it: the next build rewrites every component
 // (network.Rebuild). The run must not be used afterwards.
 func (r *simRun) close(clean bool) {
 	if nw := r.h.nw; nw.Group() != nil {
 		nw.Group().Close()
 	} else if clean && r.nets != nil {
-		r.nets.put(r.key, nw)
+		r.nets.put(nw)
 	}
 	r.h = harness{}
 }

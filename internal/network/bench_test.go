@@ -8,7 +8,7 @@ import (
 
 // BenchmarkNITransaction pins the pooled NI hot path at zero steady-state
 // allocations: one op is a complete transaction — inject a unicast,
-// materialize its flits into the source ring, traverse the fabric, and
+// queue it at its source, send its flits, traverse the fabric, and
 // deliver/recycle at the sink. The warmup loop grows every pool (packet
 // freelist, source rings, recorder slab) to its high-water mark; after
 // ResetTimer the run must not touch the heap (gated at 0 allocs/op by

@@ -957,7 +957,14 @@ func (ar *d2dArrival) OnEvent(slot int64) {
 }
 
 // SourceQueueLen returns the backlog (in flits) of one source interface.
-func (nw *Network) SourceQueueLen(src int) int { return nw.sources[src].queue.Len() }
+func (nw *Network) SourceQueueLen(src int) int {
+	ni := &nw.sources[src]
+	n := -ni.next
+	for i := 0; i < ni.queue.Len(); i++ {
+		n += ni.queue.At(i).pkt.Length
+	}
+	return n
+}
 
 // Fanout exposes one fanout node (tests and diagnostics).
 func (nw *Network) Fanout(tree, heap int) *node.Fanout { return nw.fanout(tree, heap) }
@@ -991,9 +998,12 @@ func (nw *Network) StuckFlits() []StuckFlit {
 	}
 	n := nw.Spec.N
 	for t := 0; t < nw.Spec.Terminals(); t++ {
-		q := &nw.sources[t].queue
-		for i := 0; i < q.Len(); i++ {
-			add(fmt.Sprintf("source %d queue", t), q.At(i))
+		ni := &nw.sources[t]
+		for i, next := 0, ni.next; i < ni.queue.Len(); i, next = i+1, 0 {
+			e := ni.queue.At(i)
+			for ; next < e.pkt.Length; next++ {
+				add(fmt.Sprintf("source %d queue", t), e.flitAt(next))
+			}
 		}
 		if nw.MoT == nil {
 			if f, ok := nw.sources[t].out.InFlightFlit(); ok {
@@ -1059,15 +1069,20 @@ const (
 // and a per-attempt timer with capped exponential backoff re-injects the
 // whole packet until the retry budget runs out.
 //
-// All per-packet state lives in pooled storage: the flit queue is a ring
-// buffer and the retransmission tracker a slab keyed by the handle stored
-// in Packet.TxSlot, so a steady-state transaction allocates nothing.
+// All per-packet state lives in pooled storage: the queue is a ring
+// buffer of packet attempts and the retransmission tracker a slab keyed
+// by the handle stored in Packet.TxSlot, so a steady-state transaction
+// allocates nothing.
 type SourceNI struct {
-	nw    *Network
-	a     *actx
-	src   int
-	out   *node.Channel
-	queue pool.Ring[packet.Flit]
+	nw  *Network
+	a   *actx
+	src int
+	out *node.Channel
+	// queue holds one entry per queued packet attempt, and next is the
+	// index of the head entry's next flit: a flit is materialized only
+	// when pump sends it.
+	queue pool.Ring[queuedAttempt]
+	next  int
 	busy  bool
 
 	// txSlab tracks unacknowledged packets (fault mode only). Timer
@@ -1077,6 +1092,20 @@ type SourceNI struct {
 	// rearming or rearms while the slot is still live, so a pending
 	// timer's slot is always the occupant it was armed for.
 	txSlab pool.Slab[txState]
+}
+
+// queuedAttempt is one transmission attempt of a packet waiting in its
+// source queue.
+type queuedAttempt struct {
+	pkt     *packet.Packet
+	attempt int32
+}
+
+// flitAt materializes flit i of the attempt.
+func (q queuedAttempt) flitAt(i int) packet.Flit {
+	f := q.pkt.FlitAt(i)
+	f.Attempt = q.attempt
+	return f
 }
 
 // txState is one tracked packet awaiting end-to-end acknowledgment.
@@ -1097,8 +1126,9 @@ func (ni *SourceNI) init(nw *Network, src int) {
 }
 
 func (ni *SourceNI) enqueue(p *packet.Packet) {
-	// The packet's initial refcount is its materialized flits, plus the
-	// tracker's hold in fault mode.
+	// The packet's initial refcount is its flits, each holding one from
+	// its queue entry on until it dies, plus the tracker's hold in fault
+	// mode.
 	p.Refs = int32(p.Length)
 	if ni.nw.inj != nil {
 		h, st := ni.txSlab.Alloc()
@@ -1108,18 +1138,8 @@ func (ni *SourceNI) enqueue(p *packet.Packet) {
 		p.Refs++
 		ni.arm(h.Index(), st)
 	}
-	ni.pushFlits(p, 0)
+	ni.queue.Push(queuedAttempt{pkt: p})
 	ni.pump()
-}
-
-// pushFlits materializes the packet's flits one at a time straight into
-// the ring queue — no per-packet slice.
-func (ni *SourceNI) pushFlits(p *packet.Packet, attempt int) {
-	for i := 0; i < p.Length; i++ {
-		f := p.FlitAt(i)
-		f.Attempt = int32(attempt)
-		ni.queue.Push(f)
-	}
 }
 
 // arm schedules the retransmission timer for the packet's next attempt.
@@ -1159,7 +1179,7 @@ func (ni *SourceNI) timeout(slot int32) {
 			Flit: packet.Flit{Pkt: st.pkt, Attempt: int32(st.attempts)}})
 	}
 	st.pkt.Refs += int32(st.pkt.Length)
-	ni.pushFlits(st.pkt, st.attempts)
+	ni.queue.Push(queuedAttempt{pkt: st.pkt, attempt: int32(st.attempts)})
 	ni.arm(slot, st)
 	ni.pump()
 }
@@ -1185,7 +1205,12 @@ func (ni *SourceNI) pump() {
 	if ni.busy || ni.queue.Len() == 0 {
 		return
 	}
-	f := ni.queue.Pop()
+	head := ni.queue.At(0)
+	f := head.flitAt(ni.next)
+	if ni.next++; ni.next == head.pkt.Length {
+		ni.queue.Pop()
+		ni.next = 0
+	}
 	ni.busy = true
 	ni.a.meterInterface()
 	ni.out.Send(f)

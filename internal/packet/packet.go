@@ -168,11 +168,12 @@ type Packet struct {
 	D2DHops uint8
 
 	// Refs and TxSlot are per-run pool bookkeeping managed by the owning
-	// network (see internal/network and internal/mesh): Refs counts the packet's live flit
-	// copies in the fabric (materialized minus delivered/absorbed; for a
-	// serial-multicast parent, its outstanding clones) so the packet can
-	// be recycled the instant the last copy dies, and TxSlot is the
-	// source interface's retransmission-slot handle in fault mode.
+	// network (see internal/network and internal/mesh): Refs counts the
+	// packet's live flit copies, queued at the source or in the fabric
+	// (enqueued minus delivered/absorbed; for a serial-multicast parent,
+	// its outstanding clones) so the packet can be recycled the instant
+	// the last copy dies, and TxSlot is the source interface's
+	// retransmission-slot handle in fault mode.
 	Refs   int32
 	TxSlot pool.Handle
 }
@@ -282,9 +283,8 @@ func (f Flit) String() string {
 }
 
 // FlitAt materializes the i-th flit of the packet (0-based). It does
-// not allocate; the network interfaces materialize flits one at a time
-// straight into their ring queues instead of building a slice per
-// packet.
+// not allocate; a source interface queues packets and materializes each
+// flit only as it sends it, instead of building a slice per packet.
 func (p *Packet) FlitAt(i int) Flit {
 	return Flit{Pkt: p, Index: int32(i)}
 }

@@ -272,6 +272,8 @@ func (m *IDMap) rehash(size int) {
 // the NI injection queue's steady state — allocates only while growing
 // to its high-water occupancy. The zero value is ready to use.
 type Ring[T any] struct {
+	// buf's length is zero or a power of two (grow doubles from
+	// minRingSize), so a position wraps with a mask.
 	buf  []T
 	head int
 	n    int
@@ -291,7 +293,7 @@ func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.grow(r.n + 1)
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
@@ -303,7 +305,7 @@ func (r *Ring[T]) Pop() T {
 	v := r.buf[r.head]
 	var zero T
 	r.buf[r.head] = zero // drop pointers held by the vacated slot
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
 }
@@ -313,7 +315,7 @@ func (r *Ring[T]) At(i int) T {
 	if i < 0 || i >= r.n {
 		panic("pool: Ring index out of range")
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
 // grow reallocates the backing array to hold at least need elements,
@@ -328,7 +330,7 @@ func (r *Ring[T]) grow(need int) {
 	}
 	buf := make([]T, size)
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf = buf
 	r.head = 0

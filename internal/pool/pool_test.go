@@ -214,3 +214,42 @@ func TestRingGrowPreservesOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRingMatchesSliceQueue drives a ring and a plain slice queue with
+// the same random Push/Pop/At/Reset sequence: every read agrees, and the
+// backing array's length stays zero or a power of two, which the ring's
+// index mask relies on.
+func TestRingMatchesSliceQueue(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	var ring Ring[int]
+	var ref []int
+	for op := 0; op < 20000; op++ {
+		switch k := r.Intn(100); {
+		case k < 50:
+			ring.Push(op)
+			ref = append(ref, op)
+		case k < 85 && len(ref) > 0:
+			if got := ring.Pop(); got != ref[0] {
+				t.Fatalf("op %d: Pop = %d, want %d", op, got, ref[0])
+			}
+			ref = ref[1:]
+		case k < 99 && len(ref) > 0:
+			i := r.Intn(len(ref))
+			if got := ring.At(i); got != ref[i] {
+				t.Fatalf("op %d: At(%d) = %d, want %d", op, i, got, ref[i])
+			}
+		case k == 99:
+			ring.Reset()
+			ref = ref[:0]
+		}
+		if ring.Len() != len(ref) {
+			t.Fatalf("op %d: Len = %d, want %d", op, ring.Len(), len(ref))
+		}
+		if n := len(ring.buf); n&(n-1) != 0 {
+			t.Fatalf("op %d: backing array of %d elements is not a power of two", op, n)
+		}
+	}
+	if len(ring.buf) == 0 {
+		t.Fatal("the ring never grew")
+	}
+}
