@@ -73,10 +73,12 @@ obs-smoke:
 
 # bench-smoke guards the simulation hot path: the kernel micro-benchmarks,
 # the NI transaction path, and the per-scheme strategy planning paths
-# (all of which must stay zero-alloc) run five times each and are judged
-# by their medians (benchguard -count 5 also fails one that brought fewer
-# samples); the end-to-end Fig6a regeneration, the chiplet table and
-# the four 4x4 mesh runs (BenchmarkMeshRun) run once.
+# (all of which must stay zero-alloc), the engine's memo hit
+# (BenchmarkEngineMemoHit) and one memo-served asyncnocd request over
+# loopback (BenchmarkServiceWarmRequest) run five times each and are
+# judged by their medians (benchguard -count 5 also fails one that
+# brought fewer samples); the end-to-end Fig6a regeneration, the chiplet
+# table and the four 4x4 mesh runs (BenchmarkMeshRun) run once.
 # benchguard fails the target on a >10% wall-clock or any allocs/op
 # regression against bench/baseline.json.
 # benchstat, when installed, prints a nicer delta report (advisory, like
@@ -94,13 +96,15 @@ bench-smoke:
 	$(GO) build -o bin/benchguard ./cmd/benchguard
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem -count 5 ./internal/sim | tee bin/bench_kernel.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkNITransaction|BenchmarkStrategy' -benchmem -count 5 ./internal/network | tee bin/bench_ni.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineMemoHit' -benchmem -count 5 ./internal/core | tee bin/bench_memo.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkServiceWarmRequest' -benchmem -count 5 ./internal/service | tee bin/bench_service.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkFig6aLatency' -benchtime 1x -benchmem . | tee bin/bench_fig6a.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkChipletHierarchy' -benchtime 1x -benchmem . | tee bin/bench_chiplet.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkMeshRun' -benchtime 1x -benchmem . | tee bin/bench_mesh.txt
-	./bin/benchguard -count 5 -baseline bench/baseline.json -json bin/bench_report_micro.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt
+	./bin/benchguard -count 5 -baseline bench/baseline.json -json bin/bench_report_micro.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt bin/bench_memo.txt bin/bench_service.txt
 	./bin/benchguard -baseline bench/baseline.json -json bin/bench_report.json $(BENCHGUARD_FLAGS) bin/bench_fig6a.txt bin/bench_chiplet.txt bin/bench_mesh.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt bin/bench_mesh.txt; \
+		benchstat bin/bench_kernel.txt bin/bench_ni.txt bin/bench_memo.txt bin/bench_service.txt bin/bench_fig6a.txt bin/bench_chiplet.txt bin/bench_mesh.txt; \
 	fi
 
 # service-smoke exercises simulation-as-a-service end to end: asyncnocd
@@ -118,8 +122,9 @@ service-smoke:
 # re-encodes byte-identically), the replay schedule parser (an accepted
 # schedule passes Schedule.Validate), the -dests and -topology parsers
 # (an accepted value round-trips), a JSON network spec (a validated spec
-# builds) and a JSON service run request (an accepted request runs to a
-# result or an error under a 50k-event budget and a 2 s deadline). None
+# builds) and a JSON service run request (an accepted request's job key
+# equals the reference formula's, and the request runs to a result or an
+# error under a 50k-event budget and a 2 s deadline). None
 # may panic or hang. It also fuzzes the event kernel itself: byte
 # strings become schedule (any delay, past the timing wheel's span and
 # at Never), cancel, step and RunUntil operations whose dispatch order

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"asyncnoc/internal/network"
+	"asyncnoc/internal/sim"
 )
 
 // WorkersEnv is the environment variable consulted for the default pool
@@ -69,21 +70,29 @@ type Job struct {
 // concrete type and parameters (two benchmarks sharing a reporting name
 // but differing in, say, the hotspot destination hash differently).
 func JobKey(spec network.Spec, cfg RunConfig) string {
-	h := sha256.New()
-	// A MoT spec contributes "spec|" and its CanonicalKey: byte-identical
+	// The key text is built in one stack buffer and hashed at once. A
+	// MoT spec contributes "spec|" and its CanonicalKey: byte-identical
 	// to the historical inline field list for single-die specs, so
 	// persistent stores written before the chiplet layer stay warm. A
 	// mesh's CanonicalKey starts "mesh|" instead, so no mesh key equals a
 	// MoT key.
+	var buf [512]byte
+	b := buf[:0]
 	if spec.Mesh == nil {
-		fmt.Fprintf(h, "spec|%s", spec.CanonicalKey())
-	} else {
-		fmt.Fprint(h, spec.CanonicalKey())
+		b = append(b, "spec|"...)
 	}
-	fmt.Fprintf(h, "|cfg|%#v|%s|%d|%d|%d|%d|%d",
-		cfg.Bench, strconv.FormatFloat(cfg.LoadGFs, 'x', -1, 64),
-		cfg.Seed, cfg.Warmup, cfg.Measure, cfg.Drain, cfg.MaxEvents)
-	return hex.EncodeToString(h.Sum(nil))
+	b = spec.AppendCanonicalKey(b)
+	b = fmt.Appendf(b, "|cfg|%#v|", cfg.Bench)
+	b = strconv.AppendFloat(b, cfg.LoadGFs, 'x', -1, 64)
+	b = strconv.AppendUint(append(b, '|'), cfg.Seed, 10)
+	for _, t := range [...]sim.Time{cfg.Warmup, cfg.Measure, cfg.Drain} {
+		b = strconv.AppendInt(append(b, '|'), int64(t), 10)
+	}
+	b = strconv.AppendUint(append(b, '|'), cfg.MaxEvents, 10)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // StoreStats carries a persistent result store's health counters. Hits
@@ -440,9 +449,17 @@ func (e *Engine) RunKeyed(ctx context.Context, key string, spec network.Spec, cf
 	return ent.res, SourceComputed, ent.err
 }
 
-// await waits for ent's final result, or fails with ctx.Err() if ctx
-// ends first.
+// await returns ent's final result. A pending entry is waited for
+// unless ctx ends first (then ctx.Err()); a finished one answers at
+// once, whatever ctx's state: selecting on ctx.Done() too would
+// allocate the context's done channel on every memo hit, and under an
+// already-canceled context would pick between two ready cases at random.
 func await(ctx context.Context, ent *memoEntry) (RunResult, error) {
+	select {
+	case <-ent.done:
+		return ent.res, ent.err
+	default:
+	}
 	select {
 	case <-ent.done:
 		return ent.res, ent.err

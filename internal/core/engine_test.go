@@ -224,6 +224,56 @@ func TestEngineMeshJobs(t *testing.T) {
 	}
 }
 
+// TestMemoHitUnderCanceledContext: a finished memo entry answers even
+// when the caller's context is already canceled. Only a caller that
+// would wait on a pending entry gives up with ctx.Err().
+func TestMemoHitUnderCanceledContext(t *testing.T) {
+	e := NewEngine(1)
+	spec := OptHybridSpeculative(8)
+	cfg := RunConfig{Bench: traffic.Multicast{N: 8, Frac: 0.10}, LoadGFs: 0.3, Seed: 1,
+		Warmup: 40 * sim.Nanosecond, Measure: 160 * sim.Nanosecond, Drain: 80 * sim.Nanosecond}
+	want, err := e.Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	key := JobKey(spec, cfg)
+	failed := 0
+	for i := 0; i < 1000; i++ {
+		res, src, err := e.RunKeyed(ctx, key, spec, cfg)
+		if err != nil || src != SourceMemo || res != want {
+			failed++
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of 1000 memo hits under a canceled context failed or were not served from the memo", failed)
+	}
+}
+
+// BenchmarkEngineMemoHit: Engine.Run on a memoized key, the engine's
+// share of a warm service request (job key, memo lookup, result copy).
+func BenchmarkEngineMemoHit(b *testing.B) {
+	e := NewEngine(1)
+	spec := OptHybridSpeculative(8)
+	cfg := RunConfig{Bench: traffic.Multicast{N: 8, Frac: 0.10}, LoadGFs: 0.3, Seed: 1,
+		Warmup: 40 * sim.Nanosecond, Measure: 160 * sim.Nanosecond, Drain: 80 * sim.Nanosecond}
+	if _, err := e.Run(spec, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(spec, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if snap := e.Snapshot(); snap.Started != 1 {
+		b.Fatalf("%d simulations, want 1: the runs were not memo hits", snap.Started)
+	}
+}
+
 // TestJobKeyPinned: the keys of the six paper benchmarks are the ones
 // earlier versions wrote, so persistent stores stay warm.
 func TestJobKeyPinned(t *testing.T) {

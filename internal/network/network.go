@@ -106,18 +106,22 @@ func (s Spec) Terminals() int { return s.Dies() * s.N }
 // memo key, so persistent result stores stay warm across this API's
 // introduction; chiplet compositions append their parameters. A mesh
 // key starts "mesh|" and lists the fields a valid mesh spec may set.
-func (s Spec) CanonicalKey() string {
+func (s Spec) CanonicalKey() string { return string(s.AppendCanonicalKey(nil)) }
+
+// AppendCanonicalKey appends CanonicalKey's bytes to b, so a caller
+// hashing the key can build it in a buffer of its own.
+func (s Spec) AppendCanonicalKey(b []byte) []byte {
 	if s.Mesh != nil {
-		return fmt.Sprintf("mesh|%s|%dx%d|%d|%v|%s", s.Name, s.Mesh.W, s.Mesh.H, s.PacketLen, s.Serial, s.Strategy)
+		return fmt.Appendf(b, "mesh|%s|%dx%d|%d|%v|%s", s.Name, s.Mesh.W, s.Mesh.H, s.PacketLen, s.Serial, s.Strategy)
 	}
-	key := fmt.Sprintf("%s|%d|%d|%d|%v|%d|%d|%v|%s|%d|%d|%+v",
+	b = fmt.Appendf(b, "%s|%d|%d|%d|%v|%d|%d|%v|%s|%d|%d|%+v",
 		s.Name, s.N, s.PacketLen, s.Scheme, s.SpecLevels,
 		s.SpecKind, s.NonSpecKind, s.Serial, s.Strategy, s.Protocol, s.SyncPeriod,
 		s.Faults)
 	if s.Chiplet != nil {
-		key += fmt.Sprintf("|chiplet|%+v", *s.Chiplet)
+		b = fmt.Appendf(b, "|chiplet|%+v", *s.Chiplet)
 	}
-	return key
+	return b
 }
 
 // maxBuildCost bounds Dies × N² × (PacketLen + 8), which a build's

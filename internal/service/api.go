@@ -143,6 +143,7 @@ const (
 	ErrKindTimeout    = "timeout"     // per-request deadline expired
 	ErrKindSim        = "sim_error"   // the simulation itself failed (deterministic)
 	ErrKindNotFound   = "not_found"   // unknown job key
+	ErrKindInternal   = "internal"    // the server could not encode its response
 )
 
 // ErrorResponse is the JSON error body of every non-2xx response.

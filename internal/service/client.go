@@ -212,10 +212,14 @@ func (c *Client) retry(ctx context.Context, send func() (*http.Response, error),
 // that are not the API's JSON error shape).
 func decodeResponse(resp *http.Response, out any) *APIError {
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
+	// data aliases a pooled buffer, so nothing may keep it past return:
+	// json.Unmarshal copies what it decodes and string(data) copies too.
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBodyBytes)); err != nil {
 		return &APIError{Status: http.StatusBadGateway, Kind: "transport", Msg: "read response: " + err.Error()}
 	}
+	data := buf.Bytes()
 	if resp.StatusCode/100 == 2 {
 		if err := json.Unmarshal(data, out); err != nil {
 			return &APIError{Status: http.StatusBadGateway, Kind: "transport", Msg: "decode response: " + err.Error()}
@@ -231,6 +235,24 @@ func decodeResponse(resp *http.Response, out any) *APIError {
 		apiErr.retryAfter = ra
 	}
 	return apiErr
+}
+
+// bufPool recycles the buffers that hold one message body: the client
+// reads each response into one and the server encodes each response
+// into one. A buffer grown past maxPooledBuf (a long sweep) is dropped,
+// so one large body does not stay pinned in the pool.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 64 << 10
+
+func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() > maxPooledBuf {
+		return
+	}
+	b.Reset()
+	bufPool.Put(b)
 }
 
 // parseRetryAfter decodes a Retry-After header into the wait it asks

@@ -2,19 +2,51 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/core"
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
 )
 
+// referenceJobKey is the job key formula core.JobKey replaced (the same
+// reference as core's TestJobKeyMatchesReference): the canonical key
+// formatted into a string and the key text written into a streaming
+// hash. Stores written before the change hold keys of this form.
+func referenceJobKey(spec network.Spec, cfg core.RunConfig) string {
+	s := spec
+	var key string
+	if s.Mesh != nil {
+		key = fmt.Sprintf("mesh|%s|%dx%d|%d|%v|%s", s.Name, s.Mesh.W, s.Mesh.H, s.PacketLen, s.Serial, s.Strategy)
+	} else {
+		key = fmt.Sprintf("spec|%s|%d|%d|%d|%v|%d|%d|%v|%s|%d|%d|%+v",
+			s.Name, s.N, s.PacketLen, s.Scheme, s.SpecLevels,
+			s.SpecKind, s.NonSpecKind, s.Serial, s.Strategy, s.Protocol, s.SyncPeriod,
+			s.Faults)
+		if s.Chiplet != nil {
+			key += fmt.Sprintf("|chiplet|%+v", *s.Chiplet)
+		}
+	}
+	h := sha256.New()
+	fmt.Fprint(h, key)
+	fmt.Fprintf(h, "|cfg|%#v|%s|%d|%d|%d|%d|%d",
+		cfg.Bench, strconv.FormatFloat(cfg.LoadGFs, 'x', -1, 64),
+		cfg.Seed, cfg.Warmup, cfg.Measure, cfg.Drain, cfg.MaxEvents)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // FuzzRunRequest: a JSON request body that Config accepts must run to a
-// result or an error — never a panic or a hang. The event budget and a
-// short deadline bound each run, as the server's timeout would.
+// result or an error — never a panic or a hang — and its job key must
+// equal the reference formula's. The event budget and a short deadline
+// bound each run, as the server's timeout would.
 func FuzzRunRequest(f *testing.F) {
 	base := func(spec string, n int) RunRequest {
 		s, err := core.SpecByName(n, spec)
@@ -64,6 +96,9 @@ func FuzzRunRequest(f *testing.F) {
 		cfg, err := req.Config()
 		if err != nil {
 			return
+		}
+		if got, want := core.JobKey(req.Spec, cfg), referenceJobKey(req.Spec, cfg); got != want {
+			t.Fatalf("job key %s, want the reference formula's %s", got, want)
 		}
 		if cfg.MaxEvents == 0 || cfg.MaxEvents > 50_000 {
 			cfg.MaxEvents = 50_000

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -305,6 +306,9 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 	}
 }
 
+// decodeBody decodes the request body into v. The body must hold
+// exactly one JSON value: trailing data, a second value included, is a
+// bad request rather than silently ignored.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -312,13 +316,27 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeError(w, http.StatusBadRequest, ErrKindBadRequest, "decode request: "+err.Error())
 		return false
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, ErrKindBadRequest, "decode request: trailing data after the JSON value")
+		return false
+	}
 	return true
 }
 
+// writeJSON encodes v into a pooled buffer before it commits the
+// status, so a value that cannot be encoded (a NaN, say) answers 500
+// with an ErrorResponse instead of its status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(ErrorResponse{Kind: ErrKindInternal, Error: "encode response: " + err.Error()}) //nolint:errcheck // two strings always encode
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone: nothing to do
+	w.Write(buf.Bytes()) //nolint:errcheck // client gone: nothing to do
 }
 
 func writeError(w http.ResponseWriter, status int, kind, msg string) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -22,7 +23,7 @@ import (
 
 // testRunRequest builds a small, fast Fig.6a-style job (the same shape
 // the crash-recovery tests use).
-func testRunRequest(t *testing.T, seed uint64) RunRequest {
+func testRunRequest(t testing.TB, seed uint64) RunRequest {
 	t.Helper()
 	spec, err := core.SpecByName(8, core.NameOptHybridSpec)
 	if err != nil {
@@ -38,7 +39,7 @@ func testRunRequest(t *testing.T, seed uint64) RunRequest {
 
 // newTestService stands up a full stack: persistent store, engine,
 // server, httptest listener, and a client with fast retries.
-func newTestService(t *testing.T, tune func(*Server)) (*Server, *Client, *store.Store) {
+func newTestService(t testing.TB, tune func(*Server)) (*Server, *Client, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -364,6 +365,104 @@ func TestServiceBadRequest(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsTrailingData: a run or sweep body must hold exactly
+// one JSON value. Trailing garbage and a second request are bad
+// requests; trailing whitespace is not.
+func TestServiceRejectsTrailingData(t *testing.T) {
+	srv, _, _ := newTestService(t, nil)
+	h := srv.Handler()
+	run := testRunRequest(t, 12)
+	runBody, err := json.Marshal(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepBody, err := json.Marshal(SweepRequest{
+		Spec: run.Spec, Bench: run.Bench, Seed: run.Seed,
+		WarmupPs: run.WarmupPs, MeasurePs: run.MeasurePs, DrainPs: run.DrainPs,
+		Points: 1, MaxFraction: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) (int, ErrorResponse) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var e ErrorResponse
+		if rec.Code != http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s: status %d with a body that is no ErrorResponse: %q", path, rec.Code, rec.Body)
+			}
+		}
+		return rec.Code, e
+	}
+	for _, route := range []struct{ path, body string }{
+		{"/v1/run", string(runBody)},
+		{"/v1/sweep", string(sweepBody)},
+	} {
+		if code, e := post(route.path, route.body+"\n"); code != http.StatusOK {
+			t.Fatalf("%s: one value and a newline: status %d (%s), want 200", route.path, code, e.Error)
+		}
+		for _, trailing := range []string{"garbage", route.body} {
+			code, e := post(route.path, route.body+trailing)
+			if code != http.StatusBadRequest || e.Kind != ErrKindBadRequest {
+				t.Errorf("%s with trailing %.20q: status %d kind %q, want 400 %s", route.path, trailing, code, e.Kind, ErrKindBadRequest)
+			}
+		}
+	}
+}
+
+// TestWriteJSONEncodesBeforeStatus: a value that cannot be encoded
+// answers 500 with an ErrorResponse, not its status with an empty body.
+func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, RunResponse{ElapsedMs: math.NaN()})
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError || e.Kind != ErrKindInternal {
+		t.Fatalf("NaN response: status %d body %q (%v), want 500 with kind %s", rec.Code, rec.Body, err, ErrKindInternal)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusAccepted, RunResponse{Key: "k", ElapsedMs: 1.5})
+	var got RunResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusAccepted || got.Key != "k" || got.ElapsedMs != 1.5 {
+		t.Fatalf("plain response: status %d body %q (%v)", rec.Code, rec.Body, err)
+	}
+}
+
+// TestDecodeResponseKeepsNoPooledBytes: decoded values and error
+// messages stay intact after their read buffer goes back to the pool
+// and is overwritten by the next response.
+func TestDecodeResponseKeepsNoPooledBytes(t *testing.T) {
+	respond := func(status int, body string) *http.Response {
+		rec := httptest.NewRecorder()
+		rec.WriteHeader(status)
+		rec.WriteString(body) //nolint:errcheck
+		return rec.Result()
+	}
+	var first RunResponse
+	if err := decodeResponse(respond(http.StatusOK, `{"key":"aaaaaaaa"}`), &first); err != nil {
+		t.Fatal(err)
+	}
+	plain := decodeResponse(respond(http.StatusBadGateway, "upstream gone"), &RunResponse{})
+	var second RunResponse
+	if err := decodeResponse(respond(http.StatusOK, `{"key":"bbbbbbbb","elapsed_ms":2}`), &second); err != nil {
+		t.Fatal(err)
+	}
+	big := decodeResponse(respond(http.StatusBadGateway, strings.Repeat("x", 2*maxPooledBuf)), &RunResponse{})
+	decodeResponse(respond(http.StatusBadGateway, strings.Repeat("y", 4096)), &RunResponse{})
+	if first.Key != "aaaaaaaa" || second.Key != "bbbbbbbb" {
+		t.Errorf("decoded keys %q, %q changed after their buffer was reused", first.Key, second.Key)
+	}
+	if plain == nil || plain.Kind != "http" || plain.Msg != "upstream gone" {
+		t.Errorf("plain-text error %+v changed after its buffer was reused", plain)
+	}
+	if big == nil || big.Msg != strings.Repeat("x", 2*maxPooledBuf) {
+		t.Errorf("large error body not kept whole")
+	}
+}
+
 // TestServiceSweep: a sweep request returns the requested number of
 // curve points through the service path.
 func TestServiceSweep(t *testing.T) {
@@ -500,6 +599,29 @@ func TestParseRetryAfterForms(t *testing.T) {
 	for _, tc := range cases {
 		if got := parseRetryAfter(tc.in, now); got != tc.want {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkServiceWarmRequest: one memo-served RunJob per op, client
+// and server in process over loopback. It measures the HTTP/JSON path
+// and the engine's memo hit, not a simulation.
+func BenchmarkServiceWarmRequest(b *testing.B) {
+	_, c, _ := newTestService(b, nil)
+	req := testRunRequest(b, 3)
+	ctx := context.Background()
+	if _, err := c.RunJob(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := c.RunJob(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resp.Cached {
+			b.Fatal("warm request was not served from the memo")
 		}
 	}
 }
