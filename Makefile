@@ -98,9 +98,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNITransaction|BenchmarkStrategy' -benchmem -count 5 ./internal/network | tee bin/bench_ni.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineMemoHit' -benchmem -count 5 ./internal/core | tee bin/bench_memo.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkServiceWarmRequest' -benchmem -count 5 ./internal/service | tee bin/bench_service.txt
-	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkFig6aLatency' -benchtime 1x -benchmem . | tee bin/bench_fig6a.txt
-	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkChipletHierarchy' -benchtime 1x -benchmem . | tee bin/bench_chiplet.txt
-	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkMeshRun' -benchtime 1x -benchmem . | tee bin/bench_mesh.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFig6aLatency' -benchtime 1x -benchmem . | tee bin/bench_fig6a.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkChipletHierarchy' -benchtime 1x -benchmem . | tee bin/bench_chiplet.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkMeshRun' -benchtime 1x -benchmem . | tee bin/bench_mesh.txt
 	./bin/benchguard -count 5 -baseline bench/baseline.json -json bin/bench_report_micro.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt bin/bench_memo.txt bin/bench_service.txt
 	./bin/benchguard -baseline bench/baseline.json -json bin/bench_report.json $(BENCHGUARD_FLAGS) bin/bench_fig6a.txt bin/bench_chiplet.txt bin/bench_mesh.txt
 	@if command -v benchstat >/dev/null 2>&1; then \

@@ -322,20 +322,16 @@ type PanicError = core.PanicError
 // workers, deduplicates equal runs, and always returns results in job
 // order — outputs are bit-identical to serial execution. Saturation,
 // LoadSweep, and RunSeeds have Engine methods of the same shapes; the
-// package-level functions use a shared default engine sized by the
-// ASYNCNOC_WORKERS environment variable (default GOMAXPROCS).
+// package-level functions use a shared default engine of GOMAXPROCS
+// workers.
 type Engine = core.Engine
 
 // Job is one engine work unit: a single simulation run of any topology.
 type Job = core.Job
 
 // NewEngine returns an engine with the given worker-pool size;
-// workers <= 0 selects DefaultWorkers().
+// workers <= 0 selects GOMAXPROCS.
 func NewEngine(workers int) *Engine { return core.NewEngine(workers) }
-
-// DefaultWorkers resolves the default pool size: ASYNCNOC_WORKERS if set
-// to a positive integer, otherwise GOMAXPROCS.
-func DefaultWorkers() int { return core.DefaultWorkers() }
 
 // JobKey returns the canonical hash of a (spec, config) pair; equal keys
 // identify runs that are deterministic replays of each other.
@@ -483,8 +479,9 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 func WriteHeapProfile(path string) error { return obs.WriteHeapProfile(path) }
 
 // ResultStore is the persistent layer an Engine consults behind its
-// in-memory memo: a durable, checksum-verified map from job key to
-// RunResult shared across processes.
+// in-memory memos: a durable, checksum-verified map from job key to
+// RunResult, and from verdict key to saturation-probe verdict, shared
+// across processes.
 type ResultStore = core.ResultStore
 
 // StoreStats carries a persistent store's health counters (hits,

@@ -43,6 +43,7 @@ func BenchmarkChipletHierarchy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := suiteFor(b)
 		s.N = 4
+		s.Workers = 1
 		t, err := s.ChipletTable(asyncnoc.ChipletSerial(2, 2))
 		if err != nil {
 			b.Fatal(err)
@@ -77,6 +78,7 @@ func BenchmarkFig6aLatency(b *testing.B) {
 	var out *experiments.Table
 	for i := 0; i < b.N; i++ {
 		s := suiteFor(b)
+		s.Workers = 1
 		t, err := s.Fig6a()
 		if err != nil {
 			b.Fatal(err)

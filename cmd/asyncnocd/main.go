@@ -43,7 +43,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheDir   = flag.String("cache-dir", "", "persistent result store directory (empty = memo only)")
 		cacheMax   = flag.Int64("cache-max-bytes", 0, "cache size budget; least-recently-accessed entries are evicted beyond it (0 = unbounded)")
-		workers    = flag.Int("workers", 0, "simulation parallelism (0 = $ASYNCNOC_WORKERS or GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "simulation parallelism (0 = GOMAXPROCS)")
 		maxQueue   = flag.Int("max-queue", service.DefaultMaxQueue, "admitted-job bound; arrivals beyond it are shed with 429")
 		reqTimeout = flag.Duration("request-timeout", service.DefaultRequestTimeout, "per-request deadline")
 		drainTime  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")

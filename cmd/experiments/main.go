@@ -16,9 +16,8 @@
 // without it the paper-scale windows run in a few minutes.
 //
 // Independent simulations run through the shared experiment engine: a
-// bounded worker pool (-workers, or the ASYNCNOC_WORKERS environment
-// variable; default GOMAXPROCS) with a memo that computes measurement
-// points shared between tables only once. Results are consumed in
+// bounded worker pool (-workers; default GOMAXPROCS) with a memo that
+// computes measurement points shared between tables only once. Results are consumed in
 // deterministic order, so the tables are bit-identical at any pool size.
 package main
 

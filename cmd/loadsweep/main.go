@@ -5,9 +5,9 @@
 //	loadsweep -bench Multicast10 -points 8
 //
 // Every network's sweep runs concurrently on the shared parallel
-// experiment engine (-workers, or the ASYNCNOC_WORKERS environment
-// variable; default GOMAXPROCS); the curves print in -networks order and
-// are identical at any pool size; a network named twice sweeps once.
+// experiment engine (-workers; default GOMAXPROCS); the curves print in
+// -networks order and are identical at any pool size; a network named
+// twice sweeps once.
 //
 // The -topology flag selects the substrate: mot (default) sweeps single
 // MoT dies, chiplet:WxH composes each network onto a WxH interposer mesh

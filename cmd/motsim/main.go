@@ -18,9 +18,8 @@
 // by name). With -sat the tool
 // searches for the saturation throughput instead of running at a fixed
 // load; the search bisects on the offered load, one probe at a time,
-// through the experiment engine (-workers, or the ASYNCNOC_WORKERS
-// environment variable; default GOMAXPROCS) and finds the same boundary
-// at any pool size. -util, -hist, -vcd and -trace-out then report the
+// through the experiment engine (-workers; default GOMAXPROCS) and finds
+// the same boundary at any pool size. -util, -hist, -vcd and -trace-out then report the
 // run at the saturation load.
 //
 // The -faults flag family enables the deterministic fault-injection

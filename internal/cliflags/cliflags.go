@@ -24,7 +24,7 @@ func N() *int {
 // pool parallelizes (e.g. "simulation").
 func Workers(purpose string) *int {
 	return flag.Int("workers", 0,
-		purpose+" parallelism (0 = $ASYNCNOC_WORKERS or GOMAXPROCS)")
+		purpose+" parallelism (0 = GOMAXPROCS)")
 }
 
 // Dests registers the shared -dests flag for fixed destination sets.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -180,7 +179,7 @@ func checkRejectsShards(t *testing.T, spec network.Spec, cfg RunConfig) {
 	}
 	_, err = e.Run(spec, sharded)
 	wantShardsErr("Engine.Run after a serial memo hit", err)
-	if hits, _ := e.Stats(); hits != 0 {
+	if hits := e.Snapshot().Hits; hits != 0 {
 		t.Errorf("rejected run consulted the memo (%d hits)", hits)
 	}
 	_, err = e.Saturation(spec, SatConfig{Base: sharded, Iters: 2})
@@ -301,22 +300,12 @@ func TestSaturationSearch(t *testing.T) {
 // *ConfigError naming the field, before any probe is simulated.
 func TestSatConfigValidate(t *testing.T) {
 	base := RunConfig{Bench: traffic.UniformRandom{N: 8}, Seed: 1, Measure: 100 * sim.Nanosecond}
-	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name  string
 		cfg   SatConfig
 		field string
 	}{
-		{"NaN latency factor", SatConfig{LatencyFactor: nan}, "LatencyFactor"},
-		{"negative latency factor", SatConfig{LatencyFactor: -4}, "LatencyFactor"},
-		{"Inf min completion", SatConfig{MinCompletion: inf}, "MinCompletion"},
-		{"min completion above 1", SatConfig{MinCompletion: 1.5}, "MinCompletion"},
-		{"negative zero-load probe", SatConfig{ZeroLoadGFs: -0.05}, "ZeroLoadGFs"},
-		{"NaN start load", SatConfig{StartLoad: nan}, "StartLoad"},
-		{"-Inf max load", SatConfig{MaxLoad: math.Inf(-1)}, "MaxLoad"},
 		{"negative iters", SatConfig{Iters: -1}, "Iters"},
-		{"start above default cap", SatConfig{StartLoad: 20}, "StartLoad"},
-		{"default start above cap", SatConfig{MaxLoad: 0.3}, "StartLoad"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -337,8 +326,8 @@ func TestSatConfigValidate(t *testing.T) {
 			}
 		})
 	}
-	if err := (SatConfig{Base: base, StartLoad: 2, MaxLoad: 2}).Validate(); err != nil {
-		t.Errorf("StartLoad == MaxLoad rejected: %v", err)
+	if err := (SatConfig{Base: base}).Validate(); err != nil {
+		t.Errorf("default depth rejected: %v", err)
 	}
 	e := NewEngine(2)
 	if _, err := e.Saturation(Baseline(8), SatConfig{Base: base, Iters: -3}); err == nil {

@@ -19,13 +19,11 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -37,24 +35,9 @@ import (
 	"asyncnoc/internal/sim"
 )
 
-// WorkersEnv is the environment variable consulted for the default pool
-// size when a caller does not set one explicitly (flags win over env).
-const WorkersEnv = "ASYNCNOC_WORKERS"
-
-// DefaultWorkers resolves the default pool size: ASYNCNOC_WORKERS if set
-// to a positive integer, otherwise runtime.GOMAXPROCS(0).
-func DefaultWorkers() int {
-	if v := os.Getenv(WorkersEnv); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// DefaultMemoCapacity bounds the engine's result memo. A RunResult is a
-// few hundred bytes, so even the full evaluation suite (a few thousand
-// simulations) fits comfortably.
+// DefaultMemoCapacity bounds each of the engine's memos (results and
+// probe verdicts). A RunResult is a few hundred bytes, so even the full
+// evaluation suite (a few thousand simulations) fits comfortably.
 const DefaultMemoCapacity = 4096
 
 // Job is one unit of engine work: a single simulation run of any
@@ -89,6 +72,11 @@ func JobKey(spec network.Spec, cfg RunConfig) string {
 		b = strconv.AppendInt(append(b, '|'), int64(t), 10)
 	}
 	b = strconv.AppendUint(append(b, '|'), cfg.MaxEvents, 10)
+	return hexDigest(b)
+}
+
+// hexDigest returns the hex SHA-256 of b.
+func hexDigest(b []byte) string {
 	sum := sha256.Sum256(b)
 	var key [2 * sha256.Size]byte
 	hex.Encode(key[:], sum[:])
@@ -106,45 +94,173 @@ type StoreStats struct {
 	Evictions             uint64
 }
 
-// ResultStore is the persistent layer behind the in-memory memo: a
+// ResultStore is the persistent layer behind the in-memory memos: a
 // durable, checksum-verified map from job key to RunResult shared
-// across processes. Implementations must be safe for concurrent use,
-// must never return a result that fails verification (a corrupt entry
-// is a miss), and must treat Put as best-effort (a failed write only
-// costs a recompute). internal/store provides the file-backed
-// implementation; the interface lives here so the engine does not
-// depend on any particular persistence mechanism.
+// across processes. It also keeps the verdicts of saturation probes,
+// so that a search repeated in another process simulates nothing: a
+// probe that stopped at its verdict has no RunResult to store. Verdict
+// keys are digests of the job key and the criterion, in a namespace of
+// their own. Implementations must be safe for concurrent use, must
+// never return an entry that fails verification (a corrupt entry is a
+// miss), and must treat Put and PutVerdict as best-effort (a failed
+// write only costs a recompute). internal/store provides the
+// file-backed implementation; the interface lives here so the engine
+// does not depend on any particular persistence mechanism.
 type ResultStore interface {
 	Get(key string) (RunResult, bool)
 	Put(key string, res RunResult)
-	Stats() StoreStats
-}
-
-// VerdictStore is implemented by a ResultStore that also keeps the
-// verdicts of saturation probes, so that a search repeated in another
-// process simulates nothing: a probe that stopped at its verdict has
-// no RunResult to store. Keys are digests of the job key and the
-// criterion, in a namespace of their own, and the same rules apply as
-// for results (safe for concurrent use, a corrupt entry is a miss,
-// PutVerdict is best-effort). The engine finds the methods by a type
-// assertion on its store.
-type VerdictStore interface {
 	GetVerdict(key string) (saturated, ok bool)
 	PutVerdict(key string, saturated bool)
+	Stats() StoreStats
 }
 
 // RemoteRunner executes one simulation in place of the local pool. Its
 // result, error included, is the job's result.
 type RemoteRunner func(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error)
 
-// memoEntry is one memo slot. done is closed once res/err are final;
-// waiters block on it without holding the engine lock or a pool slot.
-type memoEntry struct {
-	key  string
-	res  RunResult
-	err  error
-	done chan struct{}
-	elem *list.Element
+// memo is a keyed LRU of computations. An entry is in flight until its
+// done channel closes; waiters block on it without holding the engine
+// lock or a pool slot. The engine keeps two: job results by job key,
+// and the verdicts of saturation probes that have no result in the
+// first (see Engine.probe). Both are guarded by Engine.mu, so a lookup
+// in both is one atomic step, and both are bounded by Engine.cap.
+type memo[K comparable, V any] struct {
+	entries map[K]*memoEntry[K, V]
+	// head and tail end the entries' LRU list: head is the most
+	// recently used.
+	head, tail *memoEntry[K, V]
+}
+
+// memoEntry is one memo slot; val and err are final once done is
+// closed. prev and next link the LRU list (prev is more recent); an
+// entry carries its own links so that it costs one allocation.
+type memoEntry[K comparable, V any] struct {
+	key        K
+	val        V
+	err        error
+	done       chan struct{}
+	prev, next *memoEntry[K, V]
+}
+
+// get returns key's entry, marking it most recently used.
+func (m *memo[K, V]) get(key K) (*memoEntry[K, V], bool) {
+	ent, ok := m.entries[key]
+	if ok && ent != m.head {
+		m.unlink(ent)
+		m.push(ent)
+	}
+	return ent, ok
+}
+
+// push links ent in as the most recently used entry.
+func (m *memo[K, V]) push(ent *memoEntry[K, V]) {
+	ent.prev, ent.next = nil, m.head
+	if m.head != nil {
+		m.head.prev = ent
+	} else {
+		m.tail = ent
+	}
+	m.head = ent
+}
+
+// unlink takes ent out of the LRU list.
+func (m *memo[K, V]) unlink(ent *memoEntry[K, V]) {
+	if ent.prev != nil {
+		ent.prev.next = ent.next
+	} else {
+		m.head = ent.next
+	}
+	if ent.next != nil {
+		ent.next.prev = ent.prev
+	} else {
+		m.tail = ent.prev
+	}
+}
+
+// claim is get that, on a miss, enters an in-flight entry for key at
+// the front of the LRU order and trims the memo to limit. It reports
+// whether the entry was found.
+func (m *memo[K, V]) claim(key K, limit int) (*memoEntry[K, V], bool) {
+	if ent, ok := m.get(key); ok {
+		return ent, true
+	}
+	ent := m.insert(key)
+	m.evict(limit)
+	return ent, false
+}
+
+// insert enters an in-flight entry for key at the front of the LRU
+// order.
+func (m *memo[K, V]) insert(key K) *memoEntry[K, V] {
+	if m.entries == nil {
+		m.entries = make(map[K]*memoEntry[K, V])
+	}
+	ent := &memoEntry[K, V]{key: key, done: make(chan struct{})}
+	m.push(ent)
+	m.entries[key] = ent
+	return ent
+}
+
+// remove drops ent, unless eviction already has.
+func (m *memo[K, V]) remove(ent *memoEntry[K, V]) {
+	if cur, ok := m.entries[ent.key]; ok && cur == ent {
+		m.unlink(ent)
+		delete(m.entries, ent.key)
+	}
+}
+
+// evict drops completed entries from the LRU tail until the memo holds
+// at most limit. In-flight entries are never evicted: waiters hold them
+// for deduplication.
+func (m *memo[K, V]) evict(limit int) {
+	for ent := m.tail; ent != nil && len(m.entries) > limit; {
+		prev := ent.prev
+		select {
+		case <-ent.done:
+			m.unlink(ent)
+			delete(m.entries, ent.key)
+		default:
+		}
+		ent = prev
+	}
+}
+
+// await returns ent's final value. A pending entry is waited for
+// unless ctx ends first (then ctx.Err()); a finished one answers at
+// once, whatever ctx's state: selecting on ctx.Done() too would
+// allocate the context's done channel on every memo hit, and under an
+// already-canceled context would pick between two ready cases at random.
+func (ent *memoEntry[K, V]) await(ctx context.Context) (V, error) {
+	select {
+	case <-ent.done:
+		return ent.val, ent.err
+	default:
+	}
+	select {
+	case <-ent.done:
+		return ent.val, ent.err
+	case <-ctx.Done():
+		var zero V
+		return zero, ctx.Err()
+	}
+}
+
+// finish publishes a final entry of m to its waiters. A canceled
+// computation leaves the memo again, so the key is not poisoned with a
+// cancellation error; any other error stays, as a result would. drop
+// removes the entry whatever its outcome. Then the capacity bound is
+// re-applied: eviction skips in-flight entries, so a SetMemoCapacity
+// shrink issued while computations were running could otherwise leave
+// the memo over budget forever.
+func finish[K comparable, V any](e *Engine, m *memo[K, V], ent *memoEntry[K, V], drop bool) {
+	close(ent.done)
+	canceled := errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if canceled || drop {
+		m.remove(ent)
+	}
+	m.evict(e.cap)
 }
 
 // Engine executes simulation runs on a bounded worker pool with a keyed
@@ -154,17 +270,12 @@ type Engine struct {
 	workers int
 	sem     chan struct{}
 
-	mu    sync.Mutex
-	memo  map[string]*memoEntry
-	order *list.List // front = most recently used
-	cap   int
+	mu       sync.Mutex
+	results  memo[string, RunResult]
+	verdicts memo[verdictKey, bool]
+	cap      int
 
 	hits, misses uint64
-
-	// verdicts memoizes the verdicts of saturation probes that have no
-	// RunResult in the memo, and holds the probes in flight (see
-	// Engine.probe).
-	verdicts map[verdictKey]*verdictEntry
 
 	// store, when non-nil, is the persistent layer consulted on a memo
 	// miss (read-through) and populated after each successful compute
@@ -186,19 +297,16 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the given pool size; workers <= 0
-// selects DefaultWorkers() (ASYNCNOC_WORKERS or GOMAXPROCS).
+// selects GOMAXPROCS.
 func NewEngine(workers int) *Engine {
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		workers:  workers,
-		sem:      make(chan struct{}, workers),
-		memo:     make(map[string]*memoEntry),
-		verdicts: make(map[verdictKey]*verdictEntry),
-		order:    list.New(),
-		cap:      DefaultMemoCapacity,
-		nets:     netCache{limit: workers},
+		workers: workers,
+		sem:     make(chan struct{}, workers),
+		cap:     DefaultMemoCapacity,
+		nets:    netCache{limit: workers},
 	}
 }
 
@@ -240,17 +348,15 @@ func (c *netCache) put(nw *network.Network) {
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// SetMemoCapacity rebounds the LRU memo (entries beyond the new capacity
-// are evicted oldest-first); capacity < 1 disables memoization of new
-// results.
+// SetMemoCapacity rebounds the LRU memos of results and verdicts
+// (completed entries beyond the new capacity are evicted oldest-first);
+// capacity < 1 disables memoization of new results and verdicts.
 func (e *Engine) SetMemoCapacity(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cap = n
-	e.evictLocked()
-	if len(e.verdicts) > n {
-		clear(e.verdicts)
-	}
+	e.results.evict(n)
+	e.verdicts.evict(n)
 }
 
 // SetStore layers a persistent result store behind the memo: memo
@@ -282,13 +388,6 @@ func (e *Engine) SetRemote(r RemoteRunner) {
 		return
 	}
 	e.remote.Store(&r)
-}
-
-// Stats returns the memo hit and miss counts (diagnostics and tests).
-func (e *Engine) Stats() (hits, misses uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits, e.misses
 }
 
 // EngineSnapshot is one sample of the engine's live progress counters.
@@ -350,23 +449,6 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	return snap
 }
 
-// evictLocked drops completed entries from the LRU tail until the memo
-// fits the capacity. In-flight entries are never evicted: waiters hold
-// them for deduplication.
-func (e *Engine) evictLocked() {
-	for el := e.order.Back(); el != nil && e.order.Len() > e.cap; {
-		prev := el.Prev()
-		ent := el.Value.(*memoEntry)
-		select {
-		case <-ent.done:
-			e.order.Remove(el)
-			delete(e.memo, ent.key)
-		default:
-		}
-		el = prev
-	}
-}
-
 // Source says where the engine found a run's result.
 type Source uint8
 
@@ -424,48 +506,29 @@ func (e *Engine) RunKeyed(ctx context.Context, key string, spec network.Spec, cf
 	}
 	ent, compute := e.claim(key, true)
 	if !compute {
-		res, err := await(ctx, ent)
+		res, err := ent.await(ctx)
 		return res, SourceMemo, err
 	}
 	// Read through to the persistent store before paying for a pool
 	// slot: a disk hit costs microseconds and the in-flight entry
 	// already deduplicates concurrent lookups of the same key.
 	if res, ok := e.fromStore(key); ok {
-		ent.res = res
-		e.finish(ent)
+		ent.val = res
+		finish(e, &e.results, ent, false)
 		return res, SourceStore, nil
 	}
 	// A delegated job holds no local pool slot.
 	if rr := e.remoteRunner(); rr != nil {
-		ent.res, ent.err = rr(ctx, spec, cfg)
+		ent.val, ent.err = rr(ctx, spec, cfg)
 		e.remoteRuns.Add(1)
 	} else {
-		ent.res, ent.err = e.simulate(ctx, spec, cfg)
+		ent.val, ent.err = e.simulate(ctx, spec, cfg)
 	}
-	e.finish(ent)
+	finish(e, &e.results, ent, false)
 	if ent.err == nil {
-		e.toStore(key, ent.res)
+		e.toStore(key, ent.val)
 	}
-	return ent.res, SourceComputed, ent.err
-}
-
-// await returns ent's final result. A pending entry is waited for
-// unless ctx ends first (then ctx.Err()); a finished one answers at
-// once, whatever ctx's state: selecting on ctx.Done() too would
-// allocate the context's done channel on every memo hit, and under an
-// already-canceled context would pick between two ready cases at random.
-func await(ctx context.Context, ent *memoEntry) (RunResult, error) {
-	select {
-	case <-ent.done:
-		return ent.res, ent.err
-	default:
-	}
-	select {
-	case <-ent.done:
-		return ent.res, ent.err
-	case <-ctx.Done():
-		return RunResult{}, ctx.Err()
-	}
+	return ent.val, SourceComputed, ent.err
 }
 
 // fromStore reads key's result through from the persistent store.
@@ -521,24 +584,6 @@ func (e *Engine) acquire(ctx context.Context) error {
 
 func (e *Engine) releaseSlot() { <-e.sem }
 
-// finish publishes a final entry to its waiters. A canceled computation
-// leaves the memo again, so the key is not poisoned with a cancellation
-// error. Then the capacity bound is re-applied: eviction skips in-flight
-// entries (see evictLocked), so a SetMemoCapacity shrink issued while
-// computations were running could otherwise leave the memo over budget
-// forever.
-func (e *Engine) finish(ent *memoEntry) {
-	close(ent.done)
-	canceled := errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.memo[ent.key]; canceled && ok && cur == ent {
-		e.order.Remove(ent.elem)
-		delete(e.memo, ent.key)
-	}
-	e.evictLocked()
-}
-
 // remoteRunner returns the remote delegate (nil when none).
 func (e *Engine) remoteRunner() RemoteRunner {
 	if p := e.remote.Load(); p != nil {
@@ -561,35 +606,27 @@ func protect(name string, fn func() error) (err error) {
 	return fn()
 }
 
-// claim looks the key up, registering a fresh in-flight entry on a miss.
-// It reports whether the caller must compute the entry. count adds the
-// lookup to the hit and miss counts; a saturation probe resuming its
-// suspended run does not count it again.
-func (e *Engine) claim(key string, count bool) (*memoEntry, bool) {
+// claim looks a job's result up, registering a fresh in-flight entry on
+// a miss. It reports whether the caller must compute the entry. count
+// adds the lookup to the hit and miss counts; a saturation probe
+// resuming its suspended run does not count it again.
+func (e *Engine) claim(key string, count bool) (*memoEntry[string, RunResult], bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ent, ok := e.memo[key]; ok {
-		if count {
-			e.hits++
-		}
-		e.order.MoveToFront(ent.elem)
-		return ent, false
-	}
+	ent, found := e.results.claim(key, e.cap)
 	if count {
-		e.misses++
+		e.count(found)
 	}
-	ent := e.insertLocked(key)
-	e.evictLocked()
-	return ent, true
+	return ent, !found
 }
 
-// insertLocked enters an in-flight entry for key at the front of the
-// LRU order.
-func (e *Engine) insertLocked(key string) *memoEntry {
-	ent := &memoEntry{key: key, done: make(chan struct{})}
-	ent.elem = e.order.PushFront(ent)
-	e.memo[key] = ent
-	return ent
+// count adds one memo lookup to the hit or the miss count.
+func (e *Engine) count(hit bool) {
+	if hit {
+		e.hits++
+	} else {
+		e.misses++
+	}
 }
 
 // memoize enters a result obtained without a claim (a saturation probe
@@ -598,13 +635,13 @@ func (e *Engine) insertLocked(key string) *memoEntry {
 func (e *Engine) memoize(key string, res RunResult) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.memo[key]; ok {
+	if _, ok := e.results.entries[key]; ok {
 		return
 	}
-	ent := e.insertLocked(key)
-	ent.res = res
+	ent := e.results.insert(key)
+	ent.val = res
 	close(ent.done)
-	e.evictLocked()
+	e.results.evict(e.cap)
 }
 
 // RunJobs executes every job through the pool and returns the results in
@@ -646,7 +683,7 @@ var (
 )
 
 // DefaultEngine returns the lazily constructed shared engine
-// (DefaultWorkers pool size, default memo capacity).
+// (GOMAXPROCS pool size, default memo capacity).
 func DefaultEngine() *Engine {
 	defaultEngineOnce.Do(func() { defaultEngine = NewEngine(0) })
 	return defaultEngine

@@ -76,7 +76,8 @@ func TestEngineMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := e.Stats()
+	snap := e.Snapshot()
+	hits, misses := snap.Hits, snap.Misses
 	unique := len(jobs) - 3 // three duplicates appended
 	if misses != uint64(unique) {
 		t.Errorf("computed %d unique runs, want %d", misses, unique)
@@ -88,7 +89,7 @@ func TestEngineMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses2 := e.Stats(); misses2 != uint64(unique) {
+	if misses2 := e.Snapshot().Misses; misses2 != uint64(unique) {
 		t.Errorf("second pass recomputed: %d misses, want %d", misses2, unique)
 	}
 	a, _ := json.Marshal(first)
@@ -114,7 +115,7 @@ func TestEngineInFlightDedup(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, misses := e.Stats(); misses != 1 {
+	if misses := e.Snapshot().Misses; misses != 1 {
 		t.Errorf("computed %d times, want 1", misses)
 	}
 }
@@ -185,8 +186,8 @@ func TestEngineMeshJobs(t *testing.T) {
 			t.Fatalf("engine run %d: %v, result differs from Run:\n%+v\nvs\n%+v", i, err, got, want)
 		}
 	}
-	if hits, misses := e.Stats(); hits != 1 || misses != 1 || e.Snapshot().Started != 1 {
-		t.Errorf("two equal mesh runs: %d hits, %d misses, %d simulations; want 1, 1, 1", hits, misses, e.Snapshot().Started)
+	if snap := e.Snapshot(); snap.Hits != 1 || snap.Misses != 1 || snap.Started != 1 {
+		t.Errorf("two equal mesh runs: %d hits, %d misses, %d simulations; want 1, 1, 1", snap.Hits, snap.Misses, snap.Started)
 	}
 
 	keys := map[string]string{}

@@ -10,6 +10,7 @@ import (
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
@@ -105,5 +106,59 @@ func TestJobKeyMatchesReference(t *testing.T) {
 	}
 	if n < 150 {
 		t.Fatalf("checked %d keys, want at least 150", n)
+	}
+}
+
+// referenceVerdictStoreKey is the verdict store key formula storeKey
+// replaced, kept as the differential reference: the key text written
+// into a streaming hash.
+func referenceVerdictStoreKey(k verdictKey) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "verdict|%s|%s|%s", k.job,
+		strconv.FormatFloat(k.crit.MaxLatencyNs, 'x', -1, 64),
+		strconv.FormatFloat(k.crit.MinCompletion, 'x', -1, 64))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestVerdictStoreKeyMatchesReference: verdict store keys give the
+// reference formula's bytes for MoT, mesh and chiplet jobs under the
+// paper's criterion and extreme ones, so verdicts stored by earlier
+// versions stay warm. One key, computed by the Fprintf form, is pinned as
+// a literal too.
+func TestVerdictStoreKeyMatchesReference(t *testing.T) {
+	cfg := RunConfig{Bench: traffic.Multicast{N: 8, Frac: 0.10}, LoadGFs: 0.35, Seed: 2016,
+		Warmup: 120 * sim.Nanosecond, Measure: 400 * sim.Nanosecond, Drain: 300 * sim.Nanosecond}
+	mesh := cfg
+	mesh.Bench = traffic.Multicast{N: 16, Frac: 0.10}
+	p := chiplet.Default(2, 2)
+	wide, err := chiplet.ByName(p, 4, "Multicast10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	composed := cfg
+	composed.Bench = wide
+	jobs := []string{
+		JobKey(OptHybridSpeculative(8), cfg),
+		JobKey(Baseline(8), RunConfig{Bench: traffic.Hotspot{N: 8, Hot: 0}, LoadGFs: 16, Seed: math.MaxUint64, MaxEvents: 50_000}),
+		JobKey(MeshTree(4, 4), mesh),
+		JobKey(WithChiplet(OptHybridSpeculative(4), p), composed),
+	}
+	crits := []metrics.SatCriterion{
+		{MaxLatencyNs: satLatencyFactor * 12.34375, MinCompletion: satMinCompletion},
+		{MaxLatencyNs: 0.1 + 0.2, MinCompletion: 1},
+		{MaxLatencyNs: math.Inf(1), MinCompletion: 0},
+		{MaxLatencyNs: 5e-324, MinCompletion: 0.5},
+	}
+	for _, job := range jobs {
+		for _, c := range crits {
+			k := verdictKey{job: job, crit: c}
+			if got, want := k.storeKey(), referenceVerdictStoreKey(k); got != want {
+				t.Errorf("job %s, criterion %+v: key %s, want %s", job, c, got, want)
+			}
+		}
+	}
+	const pinned = "e3ac36d5824cb42b42a7875662897425760df61d537afc5ef99caa70c3c94003"
+	if got := (verdictKey{job: jobs[0], crit: crits[0]}).storeKey(); got != pinned {
+		t.Errorf("paper-criterion verdict key %s, want %s", got, pinned)
 	}
 }

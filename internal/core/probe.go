@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"strconv"
 
 	"asyncnoc/internal/metrics"
@@ -39,33 +36,27 @@ type verdictKey struct {
 	crit metrics.SatCriterion
 }
 
-// storeKey is the verdict's key in a VerdictStore: a digest of the job
-// key and the criterion, which can never equal a job key.
+// storeKey is the verdict's key in a ResultStore: a digest of the job
+// key and the criterion, which can never equal a job key. Like JobKey
+// it hashes one stack buffer.
 func (k verdictKey) storeKey() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "verdict|%s|%s|%s", k.job,
-		strconv.FormatFloat(k.crit.MaxLatencyNs, 'x', -1, 64),
-		strconv.FormatFloat(k.crit.MinCompletion, 'x', -1, 64))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// verdictEntry is one verdict-memo slot. done is closed once sat/err
-// are final; waiters block on it as on a memoEntry.
-type verdictEntry struct {
-	sat  bool
-	err  error
-	done chan struct{}
+	var buf [160]byte
+	b := append(append(buf[:0], "verdict|"...), k.job...)
+	b = strconv.AppendFloat(append(b, '|'), k.crit.MaxLatencyNs, 'x', -1, 64)
+	b = strconv.AppendFloat(append(b, '|'), k.crit.MinCompletion, 'x', -1, 64)
+	return hexDigest(b)
 }
 
 // probe answers whether cfg's load saturates under c. In order, it is
 // answered by the job's full result in the memo, by the verdict memo,
 // by the persistent store (a stored verdict, then a stored result), or
 // by a simulation that stops as soon as the verdict is certain or the
-// result is final (see RunContext). A
-// result computed or in flight in the memo, and a verdict being
-// decided by another search, are shared as claim shares results, and
-// the hit and miss counts follow claim's rule: a miss is a probe the
-// memo could not answer.
+// result is final (see RunContext). A result computed or in flight in
+// the memo, and a verdict being decided by another search, are shared
+// as claim shares results, and the hit and miss counts follow claim's
+// rule: a miss is a probe the memo could not answer. A decided verdict
+// stays in the verdict memo under finish's rule, as a result does: a
+// canceled probe leaves it, a deterministic error stays.
 //
 // Instrumented jobs, jobs for a remote delegate and chiplet
 // compositions run to their end through RunContext. A chiplet
@@ -87,83 +78,59 @@ func (e *Engine) probe(ctx context.Context, spec network.Spec, cfg RunConfig, c 
 	ent, v, compute := e.claimVerdict(vk)
 	switch {
 	case ent != nil:
-		res, err := await(ctx, ent)
+		res, err := ent.await(ctx)
 		if err != nil {
 			return nil, err
 		}
 		return finished(res, c), nil
 	case !compute:
-		select {
-		case <-v.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		sat, err := v.await(ctx)
+		if err != nil {
+			return nil, err
 		}
-		if v.err != nil {
-			return nil, v.err
-		}
-		return e.decided(ctx, spec, cfg, vk.job, v.sat), nil
+		return e.decided(ctx, spec, cfg, vk.job, sat), nil
 	}
-	p, keep, err := e.decide(ctx, spec, cfg, vk)
-	e.settle(vk, v, p, keep, err)
+	p, memoized, err := e.decide(ctx, spec, cfg, vk)
+	if v.err = err; err == nil {
+		v.val = p.saturated()
+	}
+	// A job whose result is memoized answers its probes from the result.
+	finish(e, &e.verdicts, v, memoized)
 	return p, err
 }
 
 // claimVerdict is claim for a probe: under one lock it finds the job's
 // result (done or in flight) or the probe's verdict (decided or in
-// flight), and on a miss registers an in-flight verdict entry that the
-// caller must settle. The verdict memo holds at most the memo capacity
-// of entries and starts over when full.
-func (e *Engine) claimVerdict(vk verdictKey) (*memoEntry, *verdictEntry, bool) {
+// flight), and on a miss registers an in-flight verdict that the caller
+// must finish.
+func (e *Engine) claimVerdict(vk verdictKey) (*memoEntry[string, RunResult], *memoEntry[verdictKey, bool], bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ent, ok := e.memo[vk.job]; ok {
+	if ent, ok := e.results.get(vk.job); ok {
 		e.hits++
-		e.order.MoveToFront(ent.elem)
 		return ent, nil, false
 	}
-	if v, ok := e.verdicts[vk]; ok {
-		e.hits++
-		return nil, v, false
-	}
-	e.misses++
-	if len(e.verdicts) >= e.cap {
-		clear(e.verdicts)
-	}
-	v := &verdictEntry{done: make(chan struct{})}
-	e.verdicts[vk] = v
-	return nil, v, true
+	v, found := e.verdicts.claim(vk, e.cap)
+	e.count(found)
+	return nil, v, !found
 }
 
-// settle publishes a claimed probe's answer to its waiters. The verdict
-// memo keeps it only when keep is set (the job has no result in the
-// memo); an errored probe leaves it, as does any probe while the memo
-// is disabled.
-func (e *Engine) settle(vk verdictKey, v *verdictEntry, p satProbe, keep bool, err error) {
-	if v.err = err; err == nil {
-		v.sat = p.saturated()
-	}
-	close(v.done)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.verdicts[vk]; ok && cur == v && (err != nil || !keep || e.cap < 1) {
-		delete(e.verdicts, vk)
-	}
-}
-
-// decide answers a probe the memo could not. keep reports that the
-// answer is a verdict without a memoized result. A simulation that
-// becomes final before its verdict is certain (its mean within the
-// verdict margin of the threshold) is published as a full run.
-func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, vk verdictKey) (p satProbe, keep bool, err error) {
-	vs, _ := e.Store().(VerdictStore)
-	if vs != nil {
-		if sat, ok := vs.GetVerdict(vk.storeKey()); ok {
-			return e.decided(ctx, spec, cfg, vk.job, sat), true, nil
+// decide answers a probe the memo could not. memoized reports that the
+// job's full result entered the result memo. A simulation that becomes
+// final before its verdict is certain (its mean within the verdict
+// margin of the threshold) is published as a full run.
+func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, vk verdictKey) (p satProbe, memoized bool, err error) {
+	st := e.Store()
+	var sk string
+	if st != nil {
+		sk = vk.storeKey()
+		if sat, ok := st.GetVerdict(sk); ok {
+			return e.decided(ctx, spec, cfg, vk.job, sat), false, nil
 		}
-	}
-	if res, ok := e.fromStore(vk.job); ok {
-		e.memoize(vk.job, res)
-		return finished(res, vk.crit), false, nil
+		if res, ok := st.Get(vk.job); ok {
+			e.memoize(vk.job, res)
+			return finished(res, vk.crit), true, nil
+		}
 	}
 
 	if err := e.acquire(ctx); err != nil {
@@ -207,19 +174,21 @@ func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, v
 		// Undecided to the end or to a final result: a full run,
 		// published as any run is.
 		e.memoize(vk.job, res)
-		e.toStore(vk.job, res)
-		p, keep = finished(res, vk.crit), false
+		if st != nil {
+			st.Put(vk.job, res)
+		}
+		p, memoized = finished(res, vk.crit), true
 	} else if v == metrics.SaturatedVerdict {
-		p, keep = doneProbe{sat: true}, true
+		p = doneProbe{sat: true}
 	} else {
-		p, keep = &engineProbe{e: e, ctx: ctx, spec: spec, cfg: cfg, key: vk.job, run: r}, true
+		p = &engineProbe{e: e, ctx: ctx, spec: spec, cfg: cfg, key: vk.job, run: r}
 	}
 	// Every simulated probe leaves its verdict in the store, so that a
 	// repeated search reads one entry per probe.
-	if vs != nil {
-		vs.PutVerdict(vk.storeKey(), p.saturated())
+	if st != nil {
+		st.PutVerdict(sk, p.saturated())
 	}
-	return p, keep, nil
+	return p, memoized, nil
 }
 
 // decided is the probe for a verdict known without a simulation.
@@ -259,7 +228,7 @@ func (p *engineProbe) result() (RunResult, error) {
 	defer p.release()
 	ent, compute := p.e.claim(p.key, false)
 	if !compute {
-		return await(p.ctx, ent)
+		return ent.await(p.ctx)
 	}
 	if ent.err = p.e.acquire(p.ctx); ent.err == nil {
 		ent.err = protect(p.spec.Name, func() error {
@@ -267,7 +236,7 @@ func (p *engineProbe) result() (RunResult, error) {
 			if err != nil {
 				return err
 			}
-			ent.res = r.collect()
+			ent.val = r.collect()
 			p.e.countCut(cut)
 			return nil
 		})
@@ -278,11 +247,11 @@ func (p *engineProbe) result() (RunResult, error) {
 		r.close(false)
 		p.run = nil
 	}
-	p.e.finish(ent)
+	finish(p.e, &p.e.results, ent, false)
 	if ent.err == nil {
-		p.e.toStore(p.key, ent.res)
+		p.e.toStore(p.key, ent.val)
 	}
-	return ent.res, ent.err
+	return ent.val, ent.err
 }
 
 // release ends the suspended simulation, which ran without an error.

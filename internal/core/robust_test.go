@@ -9,13 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
 )
 
-// fakeStore is an in-memory ResultStore and VerdictStore for
-// engine-level tests.
+// fakeStore is an in-memory ResultStore for engine-level tests.
 type fakeStore struct {
 	mu       sync.Mutex
 	entries  map[string]RunResult
@@ -125,35 +125,52 @@ func TestEngineStoreReadThroughWriteBehind(t *testing.T) {
 	}
 }
 
-// TestEngineMemoShrinkKeepsInFlightDedup hammers one job key from many
-// goroutines while the memo capacity is concurrently shrunk to zero and
-// restored. An in-flight entry must never be evicted (its done channel
-// is still open), so every round deduplicates to exactly one unique
-// computation. The remote delegate doubles as a barrier that holds the
-// entry in flight until every claimant has arrived, making the
-// assertion deterministic. Run with -race in CI.
+// barrierStore is a fakeStore whose reads wait until the engine has
+// counted want memo lookups. Each claim counts one hit or miss, so by
+// then every claimant of the entry being read has either joined it or,
+// on a dedup bug, claimed one of its own.
+type barrierStore struct {
+	*fakeStore
+	e                   *Engine
+	want                atomic.Uint64
+	reads, verdictReads atomic.Uint64
+}
+
+func (b *barrierStore) wait() {
+	for {
+		if snap := b.e.Snapshot(); snap.Hits+snap.Misses >= b.want.Load() {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+func (b *barrierStore) Get(key string) (RunResult, bool) {
+	b.reads.Add(1)
+	b.wait()
+	return b.fakeStore.Get(key)
+}
+
+func (b *barrierStore) GetVerdict(key string) (saturated, ok bool) {
+	b.verdictReads.Add(1)
+	b.wait()
+	return b.fakeStore.GetVerdict(key)
+}
+
+// TestEngineMemoShrinkKeepsInFlightDedup hammers one job key and one
+// saturation probe from many goroutines while the memo capacity is
+// concurrently shrunk to zero and restored. An in-flight entry, result
+// or verdict, must never be evicted (its done channel is still open),
+// so every round deduplicates to exactly one store read of each. The
+// barrier store holds both entries in flight until every claimant has
+// arrived, making the assertion deterministic. Run with -race in CI.
 func TestEngineMemoShrinkKeepsInFlightDedup(t *testing.T) {
 	const rounds = 4
 	const claimants = 8
 	e := NewEngine(4)
-	var lookups atomic.Uint64 // memo lookups the in-flight entry must absorb
-	var computes atomic.Uint64
-	e.SetRemote(func(_ context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
-		computes.Add(1)
-		// Hold the entry in flight until every claimant of this round
-		// has gone through claim: each claim bumps hits+misses exactly
-		// once, so once the total reaches the expected lookup count, all
-		// claimants have either joined this entry or (on a dedup bug)
-		// started their own compute — deterministically, with the churn
-		// goroutine shrinking the memo the whole time.
-		for {
-			hits, misses := e.Stats()
-			if hits+misses >= lookups.Load() {
-				return RunResult{Network: spec.Name, Benchmark: cfg.Bench.Name(), LoadGFs: cfg.LoadGFs}, nil
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	})
+	st := &barrierStore{fakeStore: newFakeStore(), e: e}
+	e.SetStore(st)
+	crit := metrics.SatCriterion{MaxLatencyNs: 100, MinCompletion: 0.92}
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
@@ -174,37 +191,122 @@ func TestEngineMemoShrinkKeepsInFlightDedup(t *testing.T) {
 	}()
 	for round := 0; round < rounds; round++ {
 		spec, cfg := robustTestJob(t, uint64(100+round))
-		lookups.Store(uint64((round + 1) * claimants))
+		probeCfg := cfg
+		probeCfg.LoadGFs = 0.6
+		want := RunResult{Network: spec.Name, Benchmark: cfg.Bench.Name(), LoadGFs: cfg.LoadGFs}
+		st.Put(JobKey(spec, cfg), want)
+		st.PutVerdict(verdictKey{job: JobKey(spec, probeCfg), crit: crit}.storeKey(), true)
+		st.want.Store(uint64((round + 1) * 2 * claimants))
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var results [][]byte
 		for c := 0; c < claimants; c++ {
-			wg.Add(1)
+			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				res, err := e.Run(spec, cfg)
-				if err != nil {
-					t.Error(err)
+				if res, err := e.Run(spec, cfg); err != nil || res != want {
+					t.Errorf("round %d: run returned %+v, %v; want the stored result", round, res, err)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				p, err := e.probe(context.Background(), spec, probeCfg, crit)
+				if err != nil || !p.saturated() {
+					t.Errorf("round %d: probe returned %v, %v; want the stored saturated verdict", round, p, err)
 					return
 				}
-				b, _ := json.Marshal(res)
-				mu.Lock()
-				results = append(results, b)
-				mu.Unlock()
+				p.release()
 			}()
 		}
 		wg.Wait()
-		for _, b := range results {
-			if string(b) != string(results[0]) {
-				t.Fatalf("round %d: divergent results under concurrent shrink", round)
-			}
-		}
 	}
 	close(stop)
 	churn.Wait()
-	if got := computes.Load(); got != rounds {
-		t.Fatalf("unique computations = %d, want %d: an in-flight entry was evicted (lost dedup)", got, rounds)
+	if got := st.reads.Load(); got != rounds {
+		t.Errorf("result store reads = %d, want %d: an in-flight result was evicted (lost dedup)", got, rounds)
 	}
+	if got := st.verdictReads.Load(); got != rounds {
+		t.Errorf("verdict store reads = %d, want %d: an in-flight verdict was evicted (lost dedup)", got, rounds)
+	}
+}
+
+// TestEngineMemoCapacityBoundsVerdicts: SetMemoCapacity bounds completed
+// verdicts by the LRU rule it applies to completed results. The same
+// sequence of lookups, results on one engine and verdicts on another,
+// leaves the same entries: a shrink keeps the most recently used, a hit
+// refreshes an entry, each entry beyond the capacity evicts the least
+// recently used, and capacity 0 empties both. Results and verdicts are
+// served from a store, so nothing is simulated.
+func TestEngineMemoCapacityBoundsVerdicts(t *testing.T) {
+	spec, base := robustTestJob(t, 31)
+	crit := metrics.SatCriterion{MaxLatencyNs: 100, MinCompletion: 0.92}
+	st := newFakeStore()
+	var cfgs []RunConfig
+	var vks []verdictKey
+	for _, load := range []float64{0.1, 0.2, 0.3, 0.4} {
+		c := base
+		c.LoadGFs = load
+		cfgs = append(cfgs, c)
+		vks = append(vks, verdictKey{job: JobKey(spec, c), crit: crit})
+		st.Put(JobKey(spec, c), RunResult{Network: spec.Name, LoadGFs: load})
+		st.PutVerdict(vks[len(vks)-1].storeKey(), true)
+	}
+	res, ver := NewEngine(1), NewEngine(1)
+	res.SetStore(st)
+	ver.SetStore(st)
+	lookup := func(i int) {
+		t.Helper()
+		if _, err := res.Run(spec, cfgs[i]); err != nil {
+			t.Fatal(err)
+		}
+		p, err := ver.probe(context.Background(), spec, cfgs[i], crit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.release()
+	}
+	holds := func(step string, want ...int) {
+		t.Helper()
+		res.mu.Lock()
+		defer res.mu.Unlock()
+		ver.mu.Lock()
+		defer ver.mu.Unlock()
+		if len(res.results.entries) != len(want) || len(ver.verdicts.entries) != len(want) {
+			t.Fatalf("%s: %d results and %d verdicts memoized, want %d of each",
+				step, len(res.results.entries), len(ver.verdicts.entries), len(want))
+		}
+		for _, i := range want {
+			if _, ok := res.results.entries[vks[i].job]; !ok {
+				t.Errorf("%s: result %d was evicted", step, i)
+			}
+			if _, ok := ver.verdicts.entries[vks[i]]; !ok {
+				t.Errorf("%s: verdict %d was evicted", step, i)
+			}
+		}
+		if len(ver.results.entries) != 0 {
+			t.Errorf("%s: a store-served verdict memoized a result", step)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		lookup(i)
+	}
+	holds("three lookups", 0, 1, 2)
+	for _, e := range []*Engine{res, ver} {
+		e.SetMemoCapacity(2)
+	}
+	holds("shrink to 2", 1, 2)
+	lookup(1)
+	lookup(3)
+	holds("hit on 1, then 3", 1, 3)
+	lookup(0)
+	holds("0 again", 0, 3)
+	r, v := res.Snapshot(), ver.Snapshot()
+	if r.Hits != 1 || r.Misses != 5 || v.Hits != r.Hits || v.Misses != r.Misses || r.Started+v.Started != 0 {
+		t.Errorf("results: %d hits, %d misses; verdicts: %d hits, %d misses; %d simulations; want 1, 5 on both and none",
+			r.Hits, r.Misses, v.Hits, v.Misses, r.Started+v.Started)
+	}
+	for _, e := range []*Engine{res, ver} {
+		e.SetMemoCapacity(0)
+	}
+	holds("capacity 0")
 }
 
 // TestEngineShrinkAppliesOnCompletion: a capacity shrink issued while a

@@ -12,76 +12,39 @@ import (
 
 // SatConfig parameterizes the saturation-throughput search of Table 1.
 //
-// Saturation is detected the standard way: the offered load at which the
-// average latency diverges past LatencyFactor times the zero-load latency,
-// or at which the network stops completing its measured packets
-// (metrics.SatCriterion). The boundary is located by doubling then
-// bisection on the offered load. Only the zero-load probe and the final
-// boundary need a full measurement; every other probe needs only its
-// verdict, and the engine stops simulating it once the verdict is
-// certain (see Engine.Saturation).
+// Saturation is detected the paper's way: the offered load at which the
+// average latency diverges past 4 times the zero-load latency (measured
+// at 0.05 GF/s), or at which the network stops completing 92% of its
+// measured packets (metrics.SatCriterion). The boundary is located by
+// doubling from 0.4 GF/s up to 16 GF/s, then bisection on the offered
+// load. Only the zero-load probe and the final boundary need a
+// full measurement; every other probe needs only its verdict, and the
+// engine stops simulating it once the verdict is certain (see
+// Engine.Saturation).
 type SatConfig struct {
 	// Base supplies benchmark, seed, and windows; its LoadGFs is ignored.
 	Base RunConfig
-	// LatencyFactor is the divergence multiple over zero-load latency
-	// (default 4).
-	LatencyFactor float64
-	// MinCompletion is the fraction of measured packets that must
-	// complete for a load to count as stable (default 0.92).
-	MinCompletion float64
-	// ZeroLoadGFs is the probe load for the zero-load latency
-	// (default 0.05).
-	ZeroLoadGFs float64
-	// StartLoad seeds the upward search (default 0.4).
-	StartLoad float64
-	// MaxLoad caps the search (default 16).
-	MaxLoad float64
 	// Iters is the bisection depth (default 9, ~0.2% resolution).
 	Iters int
 }
 
-func (c *SatConfig) defaults() {
-	c.LatencyFactor = cmp.Or(c.LatencyFactor, 4)
-	c.MinCompletion = cmp.Or(c.MinCompletion, 0.92)
-	c.ZeroLoadGFs = cmp.Or(c.ZeroLoadGFs, 0.05)
-	c.StartLoad = cmp.Or(c.StartLoad, 0.4)
-	c.MaxLoad = cmp.Or(c.MaxLoad, 16)
-	c.Iters = cmp.Or(c.Iters, 9)
-}
+// The fixed criterion and search range of every saturation search.
+const (
+	satLatencyFactor = 4    // divergence multiple over zero-load latency
+	satMinCompletion = 0.92 // completed fraction of a stable load
+	satZeroLoadGFs   = 0.05 // probe load of the zero-load latency
+	satStartLoad     = 0.4  // first load of the upward search
+	satMaxLoad       = 16   // cap of the upward search
+	satIters         = 9    // default bisection depth
+)
 
-// Validate checks the configuration as the search will use it (zero
-// fields take their defaults first), aggregating every invalid field
-// into a single *ConfigError. The search calls it before its first
-// probe, so a bad configuration never costs a simulation.
+// Validate checks the configuration, reporting a negative Iters as a
+// *ConfigError. The search calls it before its first probe, so a bad
+// configuration never costs a simulation.
 func (c SatConfig) Validate() error {
-	c.defaults()
-	var fields []FieldError
-	add := func(field, format string, args ...any) {
-		fields = append(fields, FieldError{Field: field, Reason: fmt.Sprintf(format, args...)})
-	}
-	// finite reports (once) a NaN, infinite or negative field; the range
-	// checks below only look at fields that passed it.
-	finite := func(field string, v float64) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			add(field, "%v must be finite and not negative", v)
-			return false
-		}
-		return true
-	}
-	finite("LatencyFactor", c.LatencyFactor)
-	finite("ZeroLoadGFs", c.ZeroLoadGFs)
-	if finite("MinCompletion", c.MinCompletion) && c.MinCompletion > 1 {
-		add("MinCompletion", "completion fraction %v exceeds 1", c.MinCompletion)
-	}
-	startOK, maxOK := finite("StartLoad", c.StartLoad), finite("MaxLoad", c.MaxLoad)
-	if startOK && maxOK && c.StartLoad > c.MaxLoad {
-		add("StartLoad", "start load %v exceeds MaxLoad %v", c.StartLoad, c.MaxLoad)
-	}
 	if c.Iters < 0 {
-		add("Iters", "bisection depth %d must not be negative", c.Iters)
-	}
-	if len(fields) > 0 {
-		return &ConfigError{Fields: fields, config: "SatConfig"}
+		return &ConfigError{Fields: []FieldError{{Field: "Iters",
+			Reason: fmt.Sprintf("bisection depth %d must not be negative", c.Iters)}}, config: "SatConfig"}
 	}
 	return nil
 }
@@ -119,13 +82,13 @@ func Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
 // A probe needs only its verdict, so the engine stops a probe's
 // simulation at the first watchdog chunk boundary after the
 // measurement window at which the verdict is certain (see
-// metrics.Recorder.Verdict), and keeps the verdict in an in-memory memo
-// and, when the store is a VerdictStore, in the store. Such a probe
-// never publishes a RunResult to the memo or the store; a probe whose
-// verdict stays open runs to its end and publishes as any run does. The current stable boundary probe stays suspended, holding
-// its network but no pool slot, and runs on to its end only if it is
-// the final boundary, so the SatResult is exactly that of the same
-// search over full runs. A run error (event budget, deadlock, ctx) that
+// metrics.Recorder.Verdict), and keeps the verdict in its verdict memo
+// and in the store. Such a probe never publishes a RunResult to the
+// memo or the store; a probe whose verdict stays open runs to its end
+// and publishes as any run does. The current stable boundary probe
+// stays suspended, holding its network but no pool slot, and runs on to
+// its end only if it is the final boundary, so the SatResult is exactly
+// that of the same search over full runs. A run error (event budget, deadlock, ctx) that
 // a full run would raise only after its verdict is certain does not
 // abort the search, unless that probe is the final boundary.
 // Instrumented probes, probes for a remote delegate and probes of
@@ -183,17 +146,17 @@ func (doneProbe) release()                     {}
 // would happily run to completion. A canceled search returns a
 // *CanceledError that unwraps to ctx.Err().
 func saturationSearch(ctx context.Context, name string, cfg SatConfig, pr prober) (SatResult, error) {
-	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
 		return SatResult{}, err
 	}
+	iters := cmp.Or(cfg.Iters, satIters)
 	canceled := func(stage string) (SatResult, error) {
 		return SatResult{}, &CanceledError{Network: name, Stage: stage, Err: ctx.Err()}
 	}
 	if ctx.Err() != nil {
 		return canceled("saturation zero-load probe")
 	}
-	zero, err := pr.full(cfg.ZeroLoadGFs)
+	zero, err := pr.full(satZeroLoadGFs)
 	if err != nil {
 		return SatResult{}, err
 	}
@@ -201,11 +164,11 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, pr prober
 		return SatResult{}, fmt.Errorf("core: zero-load probe of %s measured no packets; widen the windows", name)
 	}
 	crit := metrics.SatCriterion{
-		MaxLatencyNs:  cfg.LatencyFactor * zero.AvgLatencyNs,
-		MinCompletion: cfg.MinCompletion,
+		MaxLatencyNs:  satLatencyFactor * zero.AvgLatencyNs,
+		MinCompletion: satMinCompletion,
 	}
 
-	lo, hi := 0.0, cfg.StartLoad
+	lo, hi := 0.0, satStartLoad
 	// loP answers the highest stable load so far; it is released when a
 	// higher stable load replaces it and on every early return.
 	var loP satProbe
@@ -243,16 +206,16 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, pr prober
 		if sat {
 			break
 		}
-		if hi >= cfg.MaxLoad {
-			cfg.Iters = 0 // never saturated within the cap: report the cap
+		if hi >= satMaxLoad {
+			iters = 0 // never saturated within the cap: report the cap
 			break
 		}
-		hi = math.Min(2*hi, cfg.MaxLoad)
+		hi = math.Min(2*hi, satMaxLoad)
 	}
 	// Bisect the boundary.
-	for i := 0; i < cfg.Iters; i++ {
+	for i := 0; i < iters; i++ {
 		if ctx.Err() != nil {
-			return canceled(fmt.Sprintf("saturation bisect iteration %d/%d", i+1, cfg.Iters))
+			return canceled(fmt.Sprintf("saturation bisect iteration %d/%d", i+1, iters))
 		}
 		mid := (lo + hi) / 2
 		sat, err := probe(mid)
@@ -265,9 +228,9 @@ func saturationSearch(ctx context.Context, name string, cfg SatConfig, pr prober
 	}
 	loRes := zero
 	if lo == 0 {
-		// Even StartLoad saturated and bisection never found a stable
+		// Even satStartLoad saturated and bisection never found a stable
 		// point above zero; fall back to the zero-load probe.
-		lo = cfg.ZeroLoadGFs
+		lo = satZeroLoadGFs
 	} else if loRes, err = loP.result(); err != nil {
 		return SatResult{}, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -141,21 +142,21 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 		final.LoadGFs = got.SatLoadGFs
 		finalKey := JobKey(j.spec, final)
 		resumed := 0
-		for vk := range e.verdicts {
+		for vk := range e.verdicts.entries {
 			if vk.job == finalKey {
 				resumed = 1 // the final boundary ran on to its end
 				continue
 			}
 			early++
-			if _, ok := e.memo[vk.job]; ok {
+			if _, ok := e.results.entries[vk.job]; ok {
 				t.Errorf("%s: an early-stopped probe is memoized as a result", name)
 			}
 			if stored[vk.job] {
 				t.Errorf("%s: an early-stopped probe was written to the store", name)
 			}
 		}
-		if len(stored)+len(e.verdicts)-resumed != len(loads) {
-			t.Errorf("%s: %d stored results and %d verdicts for %d probed loads", name, len(stored), len(e.verdicts), len(loads))
+		if len(stored)+len(e.verdicts.entries)-resumed != len(loads) {
+			t.Errorf("%s: %d stored results and %d verdicts for %d probed loads", name, len(stored), len(e.verdicts.entries), len(loads))
 		}
 		again, err := e.Saturation(j.spec, j.cfg)
 		if err != nil {
@@ -229,7 +230,7 @@ func TestEarlyStoppedProbeIsNeverServed(t *testing.T) {
 	final.LoadGFs = sat.SatLoadGFs
 	loads := probedLoads(t, spec, cfg)
 	checked := 0
-	for vk := range e.verdicts {
+	for vk := range e.verdicts.entries {
 		if vk.job == JobKey(spec, final) {
 			continue // the final boundary ran on to its end
 		}
@@ -354,6 +355,49 @@ func TestReleasedProbeDropsNetwork(t *testing.T) {
 	}
 	if ep, ok := p.(*engineProbe); !ok || ep.run != nil || p.saturated() || e.Snapshot().Started != 1 {
 		t.Fatalf("repeated probe was not a verdict-memo hit: %T %+v", p, p)
+	}
+}
+
+// TestProbeErrorsFollowTheResultRule: the verdict memo keeps a probe's
+// error as the result memo keeps a run's. A probe that fails
+// deterministically (here on its event budget) is answered from the
+// memo the second time, with the same error and no simulation; a
+// canceled probe leaves the memo, so the same probe asked again is
+// simulated.
+func TestProbeErrorsFollowTheResultRule(t *testing.T) {
+	spec, cfg := robustTestJob(t, 41)
+	crit := metrics.SatCriterion{MaxLatencyNs: 100, MinCompletion: 0.92}
+	e := NewEngine(1)
+	budget := cfg
+	budget.MaxEvents = 1000
+	_, first := e.probe(context.Background(), spec, budget, crit)
+	var le *LivelockError
+	if !errors.As(first, &le) {
+		t.Fatalf("probe over a 1000-event budget: %v, want a *LivelockError", first)
+	}
+	_, again := e.probe(context.Background(), spec, budget, crit)
+	if again != first {
+		t.Fatalf("repeated probe returned %v, want the memoized %v", again, first)
+	}
+	if snap := e.Snapshot(); snap.Started != 1 || snap.Hits != 1 || snap.Misses != 1 {
+		t.Fatalf("failed probe asked twice: %d simulations, %d hits, %d misses; want 1, 1, 1",
+			snap.Started, snap.Hits, snap.Misses)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.probe(ctx, spec, cfg, crit); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe under a canceled context: %v, want context.Canceled", err)
+	}
+	before := e.Snapshot()
+	p, err := e.probe(context.Background(), spec, cfg, crit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.release()
+	if after := e.Snapshot(); after.Started != before.Started+1 || after.Misses != 3 || after.Hits != 1 {
+		t.Fatalf("canceled probe asked again: %d new simulations, %d hits, %d misses; want 1, 1, 3",
+			after.Started-before.Started, after.Hits, after.Misses)
 	}
 }
 

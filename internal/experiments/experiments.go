@@ -86,8 +86,8 @@ type Suite struct {
 	LatWarmup, LatMeasure, LatDrain sim.Time
 	// SatIters is the bisection depth of the saturation search.
 	SatIters int
-	// Workers bounds simulation parallelism (default: ASYNCNOC_WORKERS
-	// or GOMAXPROCS). Set before the first measurement call.
+	// Workers bounds simulation parallelism (default GOMAXPROCS). Set
+	// before the first measurement call.
 	Workers int
 
 	mu   sync.Mutex

@@ -449,7 +449,7 @@ func (r *Recorder) CompletionRate() float64 {
 // SatCriterion is the saturation test of one offered load: the run
 // saturates when fewer than MinCompletion of its measured packets
 // complete, or when their mean latency exceeds MaxLatencyNs (the search
-// sets it to LatencyFactor times the zero-load latency).
+// sets it to 4 times the zero-load latency).
 type SatCriterion struct {
 	MaxLatencyNs  float64
 	MinCompletion float64

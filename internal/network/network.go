@@ -970,12 +970,6 @@ func (nw *Network) SourceQueueLen(src int) int {
 	return n
 }
 
-// Fanout exposes one fanout node (tests and diagnostics).
-func (nw *Network) Fanout(tree, heap int) *node.Fanout { return nw.fanout(tree, heap) }
-
-// Fanin exposes one fanin node (tests and diagnostics).
-func (nw *Network) Fanin(tree, heap int) *node.Fanin { return nw.fanin(tree, heap) }
-
 // StuckFlit locates one flit held somewhere in the network fabric.
 type StuckFlit struct {
 	// Where names the holding element, e.g. "channel fanout 3/2.T".

@@ -246,11 +246,3 @@ func (n *Fanin) EachQueued(fn func(packet.Flit)) {
 		fn(n.fifo[(n.fifoHead+i)%faninFIFO])
 	}
 }
-
-// PeekFIFO returns a copy of the output-buffer contents (deadlock
-// diagnostics and tests).
-func (n *Fanin) PeekFIFO() []packet.Flit {
-	out := make([]packet.Flit, 0, n.fifoLen)
-	n.EachQueued(func(f packet.Flit) { out = append(out, f) })
-	return out
-}

@@ -185,9 +185,6 @@ func (n *Fanout) Clock(period sim.Time) {
 	}
 }
 
-// Kind returns the node behavior.
-func (n *Fanout) Kind() Kind { return n.kind }
-
 // Timing returns the node's derived timing parameters.
 func (n *Fanout) Timing() timing.Node { return n.t }
 
@@ -402,12 +399,4 @@ func (n *Fanout) EachQueued(p topology.Port, fn func(packet.Flit)) {
 	for i := 0; i < n.fifoLen[p]; i++ {
 		fn(n.fifo[p][n.wrap(n.fifoHead[p]+i)])
 	}
-}
-
-// PeekFIFO returns a copy of one output-port FIFO's contents (deadlock
-// diagnostics and tests).
-func (n *Fanout) PeekFIFO(p topology.Port) []packet.Flit {
-	out := make([]packet.Flit, 0, n.fifoLen[p])
-	n.EachQueued(p, func(f packet.Flit) { out = append(out, f) })
-	return out
 }

@@ -146,10 +146,6 @@ func (m *Meter) D2D(flitHops int, pj float64) {
 // EnergyPJ returns the accumulated energy.
 func (m *Meter) EnergyPJ() float64 { return m.energyPJ }
 
-// D2DEnergyPJ returns the die-to-die link share of the accumulated
-// energy (zero on single-die networks).
-func (m *Meter) D2DEnergyPJ() float64 { return m.d2dPJ }
-
 // D2DFlitHops returns how many flit-hop D2D crossings were charged
 // inside the window.
 func (m *Meter) D2DFlitHops() int64 { return m.d2dFlitHops }

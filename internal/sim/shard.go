@@ -400,10 +400,6 @@ func NewShardGroup(k int, lookahead Time) *ShardGroup {
 // Shards returns the shard count.
 func (g *ShardGroup) Shards() int { return len(g.shards) }
 
-// Lookahead returns the group's lookahead floor (the NewShardGroup
-// value; individual pairs may be wider).
-func (g *ShardGroup) Lookahead() Time { return g.minLa }
-
 // SetLookahead declares that every event from shard src to shard dst is
 // delayed at least la (>= the group floor is typical; any positive value
 // is accepted and enforced on Send). Wider pair lookaheads let the
@@ -897,6 +893,3 @@ func (s *Scheduler) DispatchIndex() int {
 	}
 	return int(sh.dlogStart) + sh.curDispatch
 }
-
-// Sharded reports whether this scheduler is a ShardGroup member.
-func (s *Scheduler) Sharded() bool { return s.shard != nil }

@@ -78,9 +78,6 @@ const Never Time = 1<<63 - 1
 // Nanoseconds returns t expressed in (fractional) nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
-// IsNever reports whether t is the unreachable-future sentinel.
-func (t Time) IsNever() bool { return t == Never }
-
 // AddSat returns a+b saturated at Never: if either operand is Never, or
 // the sum of two non-negative operands overflows, the result is Never.
 // Deadline arithmetic (watchdog chunking, retransmission backoff) uses it

@@ -11,11 +11,10 @@
 // served. A store that loses power mid-write recovers to a fully
 // functional state on the next Open with zero manual intervention.
 //
-// Beside results, the store keeps saturation-probe verdicts
-// (core.VerdictStore): one file per verdict key with its own suffix and
-// magic, framed and written the same way, so a saturation search
-// repeated in another process is answered from disk even for probes
-// that stopped before their end.
+// Beside results, the store keeps saturation-probe verdicts: one file
+// per verdict key with its own suffix and magic, framed and written the
+// same way, so a saturation search repeated in another process is
+// answered from disk even for probes that stopped before their end.
 //
 // Writes are behind-the-read-path: Put enqueues onto a bounded pool of
 // background writers and degrades to a synchronous write when the pool
@@ -234,8 +233,8 @@ func (s *Store) Get(key string) (core.RunResult, bool) {
 	return res, ok
 }
 
-// GetVerdict looks a verdict key up (core.VerdictStore), under the same
-// rules and counters as Get.
+// GetVerdict looks a verdict key up, under the same rules and counters
+// as Get.
 func (s *Store) GetVerdict(key string) (saturated, ok bool) {
 	ok = s.get(key, verdictSuffix, func(data []byte) (err error) {
 		saturated, err = decodeVerdict(data)
@@ -287,9 +286,6 @@ func (s *Store) SetMaxBytes(max int64) {
 		s.sweep()
 	}
 }
-
-// MaxBytes returns the current eviction budget (0 = unbounded).
-func (s *Store) MaxBytes() int64 { return s.maxBytes.Load() }
 
 // sweep scans the cache directory and, when the committed bytes exceed
 // the budget, deletes oldest-access entries until the total fits. The
@@ -364,8 +360,7 @@ func (s *Store) Put(key string, res core.RunResult) {
 	s.put(key+entrySuffix, data)
 }
 
-// PutVerdict persists a verdict under its key (core.VerdictStore), like
-// Put.
+// PutVerdict persists a verdict under its key, like Put.
 func (s *Store) PutVerdict(key string, saturated bool) {
 	if !validKey(key) {
 		return

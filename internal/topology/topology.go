@@ -53,33 +53,14 @@ type MoT struct {
 	Levels int
 }
 
-// DefaultMaxRadix is the largest per-die radix New accepts unless the
-// limit is raised with SetMaxRadix. An n x n MoT instantiates ~2n^2
-// nodes plus channels and interfaces, so the default keeps a careless
-// flag value from allocating gigabytes; callers that really want a
-// huge single die can raise the ceiling explicitly.
-const DefaultMaxRadix = 1024
-
-// maxRadix is the current radix ceiling (see SetMaxRadix).
-var maxRadix = DefaultMaxRadix
-
-// MaxRadix returns the current ceiling on the per-tree radix accepted
-// by New.
-func MaxRadix() int { return maxRadix }
-
-// SetMaxRadix raises (or lowers) the radix ceiling and returns the
-// previous value. The limit exists only as a memory guard; correctness
-// does not depend on it.
-func SetMaxRadix(n int) int {
-	prev := maxRadix
-	if n >= 2 {
-		maxRadix = n
-	}
-	return prev
-}
+// maxRadix is the largest per-die radix New accepts. An n x n MoT
+// instantiates ~2n^2 nodes plus channels and interfaces, so the ceiling
+// keeps a careless flag value from allocating gigabytes; a larger
+// network is composed of smaller dies with a chiplet spec.
+const maxRadix = 1024
 
 // New constructs an n x n MoT. n must be a power of two, at least 2 and
-// at most MaxRadix() (default 1024).
+// at most 1024 (maxRadix).
 func New(n int) (*MoT, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("topology: n must be a power of two >= 2, got %d", n)
@@ -88,7 +69,7 @@ func New(n int) (*MoT, error) {
 		// ~2n(n-1) tree nodes, 2n interfaces, and ~4n^2 channel endpoints;
 		// at roughly 1 KiB of simulator state per element that is ~4n^2 KiB.
 		estMiB := float64(4*n*n) / 1024
-		return nil, fmt.Errorf("topology: n=%d exceeds the radix limit %d (an %dx%d MoT needs ~%.0f MiB of simulator state; raise the ceiling with topology.SetMaxRadix, or compose smaller dies with a chiplet spec)",
+		return nil, fmt.Errorf("topology: n=%d exceeds the radix limit %d (an %dx%d MoT needs ~%.0f MiB of simulator state; compose smaller dies with a chiplet spec)",
 			n, maxRadix, n, n, estMiB)
 	}
 	return &MoT{N: n, Levels: bits.TrailingZeros(uint(n))}, nil

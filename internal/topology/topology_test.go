@@ -8,12 +8,12 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 5, 6, 7, 65, 96, -8, 2 * DefaultMaxRadix} {
+	for _, n := range []int{0, 1, 3, 5, 6, 7, 65, 96, -8, 2 * maxRadix} {
 		if _, err := New(n); err == nil {
 			t.Errorf("New(%d) accepted invalid size", n)
 		}
 	}
-	for _, n := range []int{2, 4, 8, 16, 32, 64, 128, DefaultMaxRadix} {
+	for _, n := range []int{2, 4, 8, 16, 32, 64, 128, maxRadix} {
 		m, err := New(n)
 		if err != nil {
 			t.Fatalf("New(%d): %v", n, err)
@@ -21,25 +21,6 @@ func TestNewValidation(t *testing.T) {
 		if 1<<uint(m.Levels) != n {
 			t.Errorf("New(%d).Levels = %d", n, m.Levels)
 		}
-	}
-}
-
-func TestMaxRadixConfigurable(t *testing.T) {
-	prev := SetMaxRadix(64)
-	defer SetMaxRadix(prev)
-	if MaxRadix() != 64 {
-		t.Fatalf("MaxRadix() = %d after SetMaxRadix(64)", MaxRadix())
-	}
-	if _, err := New(128); err == nil {
-		t.Error("New(128) accepted size above the configured limit")
-	}
-	SetMaxRadix(128)
-	if _, err := New(128); err != nil {
-		t.Errorf("New(128) rejected after raising the limit: %v", err)
-	}
-	// Values below the minimum radix are ignored.
-	if SetMaxRadix(1); MaxRadix() != 128 {
-		t.Errorf("SetMaxRadix(1) changed the limit to %d", MaxRadix())
 	}
 }
 

@@ -134,9 +134,6 @@ func (v *Var) Set(val uint64) {
 // Toggle flips a 1-bit variable.
 func (v *Var) Toggle() { v.Set(v.last ^ 1) }
 
-// Value returns the variable's current value.
-func (v *Var) Value() uint64 { return v.last }
-
 func (w *Writer) emit(v *Var, val uint64) {
 	v.last = val
 	if v.width == 1 {
