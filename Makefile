@@ -7,7 +7,10 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet fails when gofmt would reformat any file, then runs go vet.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 test:

@@ -13,7 +13,7 @@ import (
 
 func satOf(b *testing.B, spec asyncnoc.NetworkSpec, bench asyncnoc.Benchmark) asyncnoc.SatResult {
 	b.Helper()
-	res, err := asyncnoc.Saturation(spec, asyncnoc.SatConfig{
+	res, err := asyncnoc.NewEngine(0).Saturation(spec, asyncnoc.SatConfig{
 		Base: asyncnoc.RunConfig{
 			Bench: bench, Seed: 7,
 			Warmup:  120 * asyncnoc.Nanosecond,
@@ -64,7 +64,10 @@ func BenchmarkAblationPacketLength(b *testing.B) {
 		for _, length := range []int{2, 5, 9} {
 			basic := asyncnoc.BasicNonSpeculative(8)
 			basic.PacketLen = length
-			opt := asyncnoc.OptNonSpeculative(8)
+			opt, err := asyncnoc.NetworkByName(8, "OptNonSpeculative")
+			if err != nil {
+				b.Fatal(err)
+			}
 			opt.PacketLen = length
 			sb := satOf(b, basic, bench)
 			so := satOf(b, opt, bench)

@@ -40,7 +40,6 @@
 package asyncnoc
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -115,7 +114,7 @@ type FieldError = core.FieldError
 // Instrument observes one simulation run: Attach hooks it onto the built
 // network before any event runs, Finish flushes it after the run.
 // Instruments ride along in RunConfig.Instruments through every run entry
-// point (Run, RunContext, Engine runs, RunSeeds, ...). Instrumented runs
+// point (Run, Engine runs and searches, ...). Instrumented runs
 // are always executed fresh — never served from the engine's result memo —
 // so the instruments observe a real simulation. Each instrument instance
 // should be used for a single run.
@@ -203,7 +202,9 @@ func levelString(levels []bool) string {
 }
 
 // Network constructors (Section 5.1 of the paper). n is the MoT radix
-// (a power of two in [2, 64]; the paper evaluates 8).
+// (a power of two in [2, 64]; the paper evaluates 8). The optimized
+// zero- and all-speculative extremes are reached through NetworkByName
+// and AllNetworks.
 var (
 	// Baseline is the serial-multicast unicast network [21].
 	Baseline = core.Baseline
@@ -214,10 +215,6 @@ var (
 	BasicHybridSpeculative = core.BasicHybridSpeculative
 	// OptHybridSpeculative adds the protocol optimizations.
 	OptHybridSpeculative = core.OptHybridSpeculative
-	// OptNonSpeculative is the optimized zero-speculation design point.
-	OptNonSpeculative = core.OptNonSpeculative
-	// OptAllSpeculative is the almost fully speculative extreme.
-	OptAllSpeculative = core.OptAllSpeculative
 )
 
 // AllNetworks returns the six architectures in reporting order.
@@ -241,11 +238,10 @@ func WithSynchronous(s NetworkSpec) NetworkSpec { return core.Synchronous(s) }
 // NetworkByName resolves a reporting name (e.g. "OptHybridSpeculative").
 func NetworkByName(n int, name string) (NetworkSpec, error) { return core.SpecByName(n, name) }
 
-// Benchmark constructors (Section 5.1).
+// UniformRandom returns the uniform random unicast benchmark (Section
+// 5.1). The paper's Shuffle and Multicast_static benchmarks are reached
+// through BenchmarkByName and Benchmarks.
 func UniformRandom(n int) Benchmark { return traffic.UniformRandom{N: n} }
-
-// Shuffle returns the bit-permutation benchmark.
-func Shuffle(n int) Benchmark { return traffic.Shuffle{N: n} }
 
 // Hotspot returns the single-hot-destination benchmark.
 func Hotspot(n, hot int) Benchmark { return traffic.Hotspot{N: n, Hot: hot} }
@@ -254,12 +250,6 @@ func Hotspot(n, hot int) Benchmark { return traffic.Hotspot{N: n, Hot: hot} }
 // (random destination subsets) at the given rate; 0.05 and 0.10 are the
 // paper's Multicast5 and Multicast10.
 func MulticastFraction(n int, frac float64) Benchmark { return traffic.Multicast{N: n, Frac: frac} }
-
-// MulticastStatic returns the benchmark where the first `sources` sources
-// send only multicast and the rest uniform random unicast.
-func MulticastStatic(n, sources int) Benchmark {
-	return traffic.MulticastStatic{N: n, Sources: sources}
-}
 
 // Benchmarks returns the paper's six benchmarks in reporting order.
 func Benchmarks(n int) []Benchmark { return traffic.StandardSuite(n) }
@@ -273,12 +263,6 @@ func BenchmarkByName(n int, name string) (Benchmark, error) { return traffic.ByN
 // wedged or runaway simulation aborts with *DeadlockError or
 // *LivelockError.
 func Run(spec NetworkSpec, cfg RunConfig) (RunResult, error) { return core.Run(spec, cfg) }
-
-// RunContext is Run with cancellation: the simulation checks ctx between
-// event batches and aborts with ctx.Err() once it is done.
-func RunContext(ctx context.Context, spec NetworkSpec, cfg RunConfig) (RunResult, error) {
-	return core.RunContext(ctx, spec, cfg)
-}
 
 // FaultConfig attaches a deterministic fault schedule (transient payload
 // corruption, body-flit drops, stuck channels, handshake jitter) and the
@@ -320,10 +304,9 @@ type PanicError = core.PanicError
 // keyed LRU result memo. Every simulation is a pure function of
 // (spec, config), so the engine fans independent runs out across
 // workers, deduplicates equal runs, and always returns results in job
-// order — outputs are bit-identical to serial execution. Saturation,
-// LoadSweep, and RunSeeds have Engine methods of the same shapes; the
-// package-level functions use a shared default engine of GOMAXPROCS
-// workers.
+// order — outputs are bit-identical to serial execution. The saturation
+// search (Table 1), load sweeps and seed replicas are Engine methods; a
+// caller builds its engine with NewEngine and owns the memo it fills.
 type Engine = core.Engine
 
 // Job is one engine work unit: a single simulation run of any topology.
@@ -354,12 +337,6 @@ type VCDRecorder = network.VCDRecorder
 // Collect extracts measurements from a finished instrumented run.
 func Collect(nw *Network, cfg RunConfig) RunResult { return core.Collect(nw, cfg) }
 
-// Saturation searches for the saturation throughput of one network of
-// any topology under one benchmark (Table 1).
-func Saturation(spec NetworkSpec, cfg SatConfig) (SatResult, error) {
-	return core.Saturation(spec, cfg)
-}
-
 // MeshSpec is the NetworkSpec of a 2D mesh, the paper's future-work
 // topology; it remains as a name for existing callers.
 type MeshSpec = NetworkSpec
@@ -385,10 +362,6 @@ type ChipletParams = chiplet.Params
 // ChipletSerial returns a w x h interposer with serialized (narrow)
 // die-to-die channels — the default off-chip assumption.
 func ChipletSerial(w, h int) *ChipletParams { return chiplet.Default(w, h) }
-
-// ChipletParallel returns a w x h interposer with full-width die-to-die
-// channels (one beat per flit).
-func ChipletParallel(w, h int) *ChipletParams { return chiplet.Parallel(w, h) }
 
 // WithChiplet composes a single-die architecture into a mesh of
 // identical dies behind the given interposer; the reporting name gains
@@ -424,13 +397,6 @@ func RunSchedule(spec NetworkSpec, sched Schedule, drain Time) (RunResult, error
 // Replicated aggregates one configuration over several seeds.
 type Replicated = core.Replicated
 
-// RunSeeds executes the configuration once per seed on a network of any
-// topology and aggregates mean and standard deviation of the reported
-// metrics.
-func RunSeeds(spec NetworkSpec, cfg RunConfig, seeds []uint64) (Replicated, error) {
-	return core.RunSeeds(spec, cfg, seeds)
-}
-
 // TraceSink streams a network's flit-lifecycle events as deterministic
 // JSON Lines (one object per event, fixed field order); for a fixed
 // (spec, config) the byte stream is identical across runs and across
@@ -440,14 +406,6 @@ type TraceSink = obs.TraceSink
 // ValidateTrace schema-checks a JSONL trace stream and returns the number
 // of events validated.
 func ValidateTrace(r io.Reader) (int, error) { return obs.ValidateTrace(r) }
-
-// LatencySummary is a sort-once descriptive summary (mean, stddev,
-// percentiles, histogram) of a sample set.
-type LatencySummary = stats.Summary
-
-// NewLatencySummary builds a summary of the samples (typically
-// latencies in ns); the input is copied, not retained.
-func NewLatencySummary(samples []float64) *LatencySummary { return stats.NewSummary(samples) }
 
 // Monitor is a live observability endpoint (expvar counters at
 // /debug/vars, pprof at /debug/pprof/) for long sweeps.
@@ -525,52 +483,12 @@ type CanceledError = core.CanceledError
 // SweepPoint is one point of a latency-versus-offered-load curve.
 type SweepPoint = core.SweepPoint
 
-// LoadSweep measures the latency-throughput curve of one network of any
-// topology under one benchmark on a grid of load fractions up to
-// maxFraction of the network's saturation.
-func LoadSweep(spec NetworkSpec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
-	return core.LoadSweep(spec, base, points, maxFraction)
-}
-
 // NodeCost is one row of the paper's node-level results (Section 5.2(a)),
 // regenerated from the gate-level netlists.
-type NodeCost struct {
-	// Name is the node design name.
-	Name string
-	// AreaUm2 is the pre-layout standard-cell area.
-	AreaUm2 float64
-	// ForwardPs is the request-in to request-out critical path.
-	ForwardPs int
-	// BodyForwardPs is the body-flit forward path (differs only on
-	// designs with a fast-forward mechanism).
-	BodyForwardPs int
-	// Cells is the placed instance count.
-	Cells int
-}
+type NodeCost = netlist.Cost
 
 // NodeCosts analyzes every node netlist and returns the node-level table.
-func NodeCosts() ([]NodeCost, error) {
-	var out []NodeCost
-	for _, name := range netlist.AllNodeNames() {
-		nl, err := netlist.Build(name)
-		if err != nil {
-			return nil, err
-		}
-		fwd := nl.MustPath(netlist.NetReqIn, netlist.NetReqOut0)
-		body := fwd
-		if nl.Net(netlist.NetReqOutFast) != nil {
-			body = nl.MustPath(netlist.NetReqIn, netlist.NetReqOutFast)
-		}
-		out = append(out, NodeCost{
-			Name:          name,
-			AreaUm2:       nl.Area(),
-			ForwardPs:     fwd,
-			BodyForwardPs: body,
-			Cells:         nl.CellCount(),
-		})
-	}
-	return out, nil
-}
+func NodeCosts() ([]NodeCost, error) { return netlist.Costs() }
 
 // FormatLatencyHistogram renders latency samples (ns) as an ASCII
 // histogram with `bins` buckets and bars up to barWidth characters.

@@ -38,11 +38,14 @@ func TestBenchmarksFacade(t *testing.T) {
 		t.Error(err)
 	}
 	if asyncnoc.UniformRandom(8).Name() != "UniformRandom" ||
-		asyncnoc.Shuffle(8).Name() != "Shuffle" ||
 		asyncnoc.Hotspot(8, 0).Name() != "Hotspot" ||
-		asyncnoc.MulticastFraction(8, 0.05).Name() != "Multicast5" ||
-		asyncnoc.MulticastStatic(8, 3).Name() != "Multicast_static" {
+		asyncnoc.MulticastFraction(8, 0.05).Name() != "Multicast5" {
 		t.Error("benchmark constructor names wrong")
+	}
+	for _, name := range []string{"Shuffle", "Multicast_static"} {
+		if b, err := asyncnoc.BenchmarkByName(8, name); err != nil || b.Name() != name {
+			t.Errorf("BenchmarkByName(%q) = %v, %v", name, b, err)
+		}
 	}
 }
 

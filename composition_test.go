@@ -107,9 +107,10 @@ func TestCompositionMatrix(t *testing.T) {
 }
 
 // checkRunEntries drives one topology's fault-free spec under its
-// default strategy through RunSeeds, LoadSweep and RunSchedule. Seed
-// replicas and sweeps run on every topology; a schedule runs where it
-// replays and is rejected with one error elsewhere.
+// default strategy through Engine.RunSeeds, Engine.LoadSweep and
+// RunSchedule. Seed replicas and sweeps run on every topology; a
+// schedule runs where it replays and is rejected with one error
+// elsewhere.
 func checkRunEntries(t *testing.T, tp matrixTopo) {
 	ts, _, bench, err := tp.build("", false, false)
 	if err != nil {
@@ -121,14 +122,15 @@ func checkRunEntries(t *testing.T, tp matrixTopo) {
 		Measure: 300 * asyncnoc.Nanosecond,
 		Drain:   300 * asyncnoc.Nanosecond,
 	}
-	rep, err := asyncnoc.RunSeeds(ts, cfg, []uint64{1, 2})
+	eng := asyncnoc.NewEngine(0)
+	rep, err := eng.RunSeeds(ts, cfg, []uint64{1, 2})
 	if err != nil {
 		t.Fatalf("RunSeeds: %v", err)
 	}
 	if rep.Seeds != 2 || rep.Network != ts.Name || rep.MeanCompletion == 0 {
 		t.Errorf("RunSeeds: %+v", rep)
 	}
-	pts, err := asyncnoc.LoadSweep(ts, cfg, 2, 0.5)
+	pts, err := eng.LoadSweep(ts, cfg, 2, 0.5)
 	if err != nil {
 		t.Fatalf("LoadSweep: %v", err)
 	}

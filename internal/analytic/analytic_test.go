@@ -140,7 +140,7 @@ func TestCapacityBoundsSaturation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sat, err := core.Saturation(spec, core.SatConfig{
+		sat, err := core.NewEngine(0).Saturation(spec, core.SatConfig{
 			Base: core.RunConfig{
 				Bench: traffic.Shuffle{N: 8}, Seed: 5,
 				Warmup: 100 * sim.Nanosecond, Measure: 400 * sim.Nanosecond, Drain: 300 * sim.Nanosecond,

@@ -280,7 +280,7 @@ func TestSaturationSearch(t *testing.T) {
 		Bench: traffic.Shuffle{N: 8}, Seed: 3,
 		Warmup: 100 * sim.Nanosecond, Measure: 300 * sim.Nanosecond, Drain: 250 * sim.Nanosecond,
 	}
-	sat, err := Saturation(Baseline(8), SatConfig{Base: base, Iters: 6})
+	sat, err := NewEngine(0).Saturation(Baseline(8), SatConfig{Base: base, Iters: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +350,9 @@ func TestSaturationHotspotIdenticalAcrossNetworks(t *testing.T) {
 		Warmup: 100 * sim.Nanosecond, Measure: 300 * sim.Nanosecond, Drain: 250 * sim.Nanosecond,
 	}
 	var loads []float64
+	e := NewEngine(0)
 	for _, spec := range AllSpecs(8) {
-		sat, err := Saturation(spec, SatConfig{Base: base, Iters: 6})
+		sat, err := e.Saturation(spec, SatConfig{Base: base, Iters: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +371,7 @@ func TestZeroLoadProbeFailure(t *testing.T) {
 		Bench: traffic.UniformRandom{N: 8}, Seed: 1,
 		Warmup: 1, Measure: 2, Drain: 1,
 	}
-	if _, err := Saturation(Baseline(8), SatConfig{Base: base}); err == nil {
+	if _, err := NewEngine(0).Saturation(Baseline(8), SatConfig{Base: base}); err == nil {
 		t.Error("unmeasurable windows accepted")
 	}
 }
@@ -399,7 +400,8 @@ func TestLoadSweepMonotoneLatency(t *testing.T) {
 		Bench: traffic.UniformRandom{N: 8}, Seed: 9,
 		Warmup: 100 * sim.Nanosecond, Measure: 400 * sim.Nanosecond, Drain: 300 * sim.Nanosecond,
 	}
-	pts, err := LoadSweep(OptHybridSpeculative(8), base, 4, 0.9)
+	e := NewEngine(0)
+	pts, err := e.LoadSweep(OptHybridSpeculative(8), base, 4, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +419,7 @@ func TestLoadSweepMonotoneLatency(t *testing.T) {
 				p.Result.ThroughputGFs, p.Result.LoadGFs)
 		}
 	}
-	if _, err := LoadSweep(Baseline(8), base, 0, 0.9); err == nil {
+	if _, err := e.LoadSweep(Baseline(8), base, 0, 0.9); err == nil {
 		t.Error("zero points accepted")
 	}
 }
@@ -430,13 +432,14 @@ func TestFourPhaseSlower(t *testing.T) {
 		Bench: traffic.Shuffle{N: 8}, Seed: 3,
 		Warmup: 100 * sim.Nanosecond, Measure: 300 * sim.Nanosecond, Drain: 250 * sim.Nanosecond,
 	}
-	two, err := Saturation(OptHybridSpeculative(8), SatConfig{Base: base, Iters: 6})
+	e := NewEngine(0)
+	two, err := e.Saturation(OptHybridSpeculative(8), SatConfig{Base: base, Iters: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fourSpec := OptHybridSpeculative(8)
 	fourSpec.Protocol = timing.FourPhase
-	four, err := Saturation(fourSpec, SatConfig{Base: base, Iters: 6})
+	four, err := e.Saturation(fourSpec, SatConfig{Base: base, Iters: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +455,8 @@ func TestFourPhaseSlower(t *testing.T) {
 
 func TestRunSeeds(t *testing.T) {
 	cfg := testCfg(traffic.UniformRandom{N: 8}, 0.3)
-	rep, err := RunSeeds(OptHybridSpeculative(8), cfg, []uint64{1, 2, 3})
+	e := NewEngine(0)
+	rep, err := e.RunSeeds(OptHybridSpeculative(8), cfg, []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +475,7 @@ func TestRunSeeds(t *testing.T) {
 	if re := rep.RelativeError(); re <= 0 || re > 0.5 {
 		t.Errorf("relative error %v implausible", re)
 	}
-	if _, err := RunSeeds(Baseline(8), cfg, nil); err == nil {
+	if _, err := e.RunSeeds(Baseline(8), cfg, nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
 }

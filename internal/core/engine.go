@@ -478,18 +478,14 @@ func (e *Engine) Run(spec network.Spec, cfg RunConfig) (RunResult, error) {
 // aborted by its own context is evicted from the memo so the key is not
 // poisoned with a cancellation error.
 func (e *Engine) RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, error) {
-	res, _, err := e.RunSource(ctx, spec, cfg)
+	res, _, err := e.RunKeyed(ctx, JobKey(spec, cfg), spec, cfg)
 	return res, err
 }
 
-// RunSource is RunContext that also reports where the result came from
-// (the service labels store- and memo-served responses with it).
-func (e *Engine) RunSource(ctx context.Context, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
-	return e.RunKeyed(ctx, JobKey(spec, cfg), spec, cfg)
-}
-
-// RunKeyed is RunSource for a caller that already holds the job's key,
-// which must equal JobKey(spec, cfg).
+// RunKeyed is RunContext for a caller that already holds the job's key,
+// which must equal JobKey(spec, cfg); it also reports where the result
+// came from (the service labels store- and memo-served responses with
+// it).
 func (e *Engine) RunKeyed(ctx context.Context, key string, spec network.Spec, cfg RunConfig) (RunResult, Source, error) {
 	// JobKey ignores Shards, so a memo or store hit would otherwise hide
 	// these rejections.
@@ -673,18 +669,4 @@ func (e *Engine) RunJobsContext(ctx context.Context, jobs []Job) ([]RunResult, e
 		}
 	}
 	return results, nil
-}
-
-// defaultEngine is the shared process-wide engine behind the package-
-// level Saturation, LoadSweep, and RunSeeds entry points.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the lazily constructed shared engine
-// (GOMAXPROCS pool size, default memo capacity).
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine(0) })
-	return defaultEngine
 }

@@ -274,7 +274,7 @@ func TestProbeFinalBeforeVerdict(t *testing.T) {
 	if s := e.Snapshot(); s.Started != 1 || s.FinalStops != 1 || s.InFlight() != 0 {
 		t.Fatalf("after the probe: %+v", s)
 	}
-	if got, src, err := e.RunSource(context.Background(), spec, cfg); err != nil || src != SourceMemo || got != want {
+	if got, src, err := e.RunKeyed(context.Background(), JobKey(spec, cfg), spec, cfg); err != nil || src != SourceMemo || got != want {
 		t.Fatalf("the probe's run is not in the memo: source %d, err %v", src, err)
 	}
 }

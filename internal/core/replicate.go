@@ -25,13 +25,6 @@ type Replicated struct {
 }
 
 // RunSeeds executes the configuration once per seed (cfg.Seed is
-// replaced) on a network of any topology and aggregates the results, on
-// the shared default engine.
-func RunSeeds(spec network.Spec, cfg RunConfig, seeds []uint64) (Replicated, error) {
-	return DefaultEngine().RunSeeds(spec, cfg, seeds)
-}
-
-// RunSeeds executes the configuration once per seed (cfg.Seed is
 // replaced) concurrently on the pool and aggregates the results in seed
 // order, so the aggregate is independent of completion order.
 func (e *Engine) RunSeeds(spec network.Spec, cfg RunConfig, seeds []uint64) (Replicated, error) {

@@ -209,7 +209,7 @@ func TestEngineRunReusesNetworkStorage(t *testing.T) {
 			cfg.LoadGFs = load
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, src, err := e.RunSource(context.Background(), spec, cfg)
+			_, src, err := e.RunKeyed(context.Background(), JobKey(spec, cfg), spec, cfg)
 			runtime.ReadMemStats(&after)
 			if err != nil || src != SourceComputed {
 				t.Fatalf("%s load %v: source %d, err %v", spec.Name, load, src, err)

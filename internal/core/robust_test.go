@@ -317,7 +317,7 @@ func TestEngineShrinkAppliesOnCompletion(t *testing.T) {
 	spec, cfg := robustTestJob(t, 55)
 	e.SetMemoCapacity(0)
 	for i := 0; i < 2; i++ {
-		_, src, err := e.RunSource(context.Background(), spec, cfg)
+		_, src, err := e.RunKeyed(context.Background(), JobKey(spec, cfg), spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

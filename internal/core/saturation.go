@@ -66,12 +66,6 @@ type SatResult struct {
 	AtSaturation RunResult
 }
 
-// Saturation searches for the saturation throughput of one network of
-// any topology under one benchmark on the shared default engine.
-func Saturation(spec network.Spec, cfg SatConfig) (SatResult, error) {
-	return DefaultEngine().Saturation(spec, cfg)
-}
-
 // Saturation runs the saturation search through the engine. The search
 // is a plain bisection: each probe decides the next, so one search
 // occupies one pool slot at a time. Parallelism comes from running

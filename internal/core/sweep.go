@@ -28,12 +28,6 @@ func LoadGrid(satLoad float64, points int, maxFraction float64) []float64 {
 	return out
 }
 
-// LoadSweep measures the latency-throughput curve of one network of any
-// topology under one benchmark on the shared default engine.
-func LoadSweep(spec network.Spec, base RunConfig, points int, maxFraction float64) ([]SweepPoint, error) {
-	return DefaultEngine().LoadSweep(spec, base, points, maxFraction)
-}
-
 // LoadSweep measures the latency-throughput curve of one network under
 // one benchmark: a saturation search anchors the grid, then every grid
 // point runs concurrently on the pool. Grid points that coincide with

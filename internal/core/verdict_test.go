@@ -217,7 +217,7 @@ func TestSaturationVerdictsMatchFullRuns(t *testing.T) {
 }
 
 // TestEarlyStoppedProbeIsNeverServed: a job whose probe stopped at its
-// verdict is simulated afresh by Run and RunSource, to the full result.
+// verdict is simulated afresh by Run and RunKeyed, to the full result.
 func TestEarlyStoppedProbeIsNeverServed(t *testing.T) {
 	spec := OptHybridSpeculative(8)
 	cfg := quickSatConfig(traffic.UniformRandom{N: 8}, 2016)
@@ -247,7 +247,7 @@ func TestEarlyStoppedProbeIsNeverServed(t *testing.T) {
 			t.Fatal("verdict key matches no probed load")
 		}
 		started := e.Snapshot().Started
-		got, src, err := e.RunSource(context.Background(), spec, c)
+		got, src, err := e.RunKeyed(context.Background(), JobKey(spec, c), spec, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -261,25 +261,20 @@ func NodeLevel() (*Table, error) {
 			"body-fwd is the body-flit fast path of the channel pre-allocating node",
 		},
 	}
-	for _, name := range netlist.AllNodeNames() {
-		nl, err := netlist.Build(name)
-		if err != nil {
-			return nil, err
-		}
-		fwd := nl.MustPath(netlist.NetReqIn, netlist.NetReqOut0)
-		body := fwd
-		if nl.Net(netlist.NetReqOutFast) != nil {
-			body = nl.MustPath(netlist.NetReqIn, netlist.NetReqOutFast)
-		}
-		p := paper[name]
+	costs, err := netlist.Costs()
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range costs {
+		p := paper[c.Name]
 		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%d", nl.CellCount()),
-			fmt.Sprintf("%.1f", nl.Area()),
+			c.Name,
+			fmt.Sprintf("%d", c.Cells),
+			fmt.Sprintf("%.1f", c.AreaUm2),
 			p[0],
-			fmt.Sprintf("%d", fwd),
+			fmt.Sprintf("%d", c.ForwardPs),
 			p[1],
-			fmt.Sprintf("%d", body),
+			fmt.Sprintf("%d", c.BodyForwardPs),
 		})
 	}
 	return t, nil

@@ -483,3 +483,37 @@ func AllNodeNames() []string {
 		OptSpecFanout, OptNonSpecFanout, FaninNode,
 	}
 }
+
+// Cost is one row of the paper's node-level results (Section 5.2(a)),
+// derived from a node's gate-level netlist.
+type Cost struct {
+	// Name is the node design name.
+	Name string
+	// AreaUm2 is the pre-layout standard-cell area.
+	AreaUm2 float64
+	// ForwardPs is the request-in to request-out critical path.
+	ForwardPs int
+	// BodyForwardPs is the body-flit forward path (differs only on
+	// designs with a fast-forward mechanism).
+	BodyForwardPs int
+	// Cells is the placed instance count.
+	Cells int
+}
+
+// Costs analyzes every node of AllNodeNames, in that order.
+func Costs() ([]Cost, error) {
+	var out []Cost
+	for _, name := range AllNodeNames() {
+		nl, err := Build(name)
+		if err != nil {
+			return nil, err
+		}
+		fwd := nl.MustPath(NetReqIn, NetReqOut0)
+		body := fwd
+		if nl.Net(NetReqOutFast) != nil {
+			body = nl.MustPath(NetReqIn, NetReqOutFast)
+		}
+		out = append(out, Cost{Name: name, AreaUm2: nl.Area(), ForwardPs: fwd, BodyForwardPs: body, Cells: nl.CellCount()})
+	}
+	return out, nil
+}

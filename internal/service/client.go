@@ -62,18 +62,11 @@ type Client struct {
 	BaseURL string
 	// HTTPClient overrides http.DefaultClient (tests, custom transports).
 	HTTPClient *http.Client
-	// MaxAttempts, BaseBackoff, MaxBackoff override the defaults above
-	// when positive.
-	MaxAttempts int
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Rand, when set, supplies the backoff jitter from a per-instance
-	// source (deterministic tests, seeded replay) instead of the
-	// process-global one. Accesses are serialized internally, so the
-	// client stays safe for concurrent use either way.
-	Rand *rand.Rand
-
-	randMu sync.Mutex
+	// maxAttempts, baseBackoff and maxBackoff override the defaults
+	// above when positive.
+	maxAttempts int
+	baseBackoff time.Duration
+	maxBackoff  time.Duration
 }
 
 // NewClient returns a client for the server at baseURL with default
@@ -83,7 +76,7 @@ func NewClient(baseURL string) *Client {
 }
 
 func (c *Client) policy() (attempts int, base, max time.Duration, hc *http.Client) {
-	attempts, base, max, hc = c.MaxAttempts, c.BaseBackoff, c.MaxBackoff, c.HTTPClient
+	attempts, base, max, hc = c.maxAttempts, c.baseBackoff, c.maxBackoff, c.HTTPClient
 	if attempts <= 0 {
 		attempts = DefaultMaxAttempts
 	}
@@ -142,8 +135,15 @@ func (c *Client) Job(ctx context.Context, key string) (RunResponse, bool, error)
 // Ready probes GET /readyz once (no retries): nil means the server is
 // admitting jobs.
 func (c *Client) Ready(ctx context.Context) error {
+	resp, err := c.get(ctx, "/readyz")
+	if err != nil {
+		return err
+	}
 	var h HealthResponse
-	return c.getJSON(ctx, "/readyz", &h)
+	if apiErr := decodeResponse(resp, &h); apiErr != nil {
+		return apiErr
+	}
+	return nil
 }
 
 // doJSON POSTs in as JSON to path and decodes the 2xx body into out,
@@ -165,16 +165,19 @@ func (c *Client) doJSON(ctx context.Context, path string, in, out any) error {
 	}, out)
 }
 
-// getJSON GETs path once-with-retries and decodes the 2xx body into out.
+// getJSON GETs path with retries and decodes the 2xx body into out.
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	return c.retry(ctx, func() (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		_, _, _, hc := c.policy()
-		return hc.Do(req)
-	}, out)
+	return c.retry(ctx, func() (*http.Response, error) { return c.get(ctx, path) }, out)
+}
+
+// get sends one GET of path.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	_, _, _, hc := c.policy()
+	return hc.Do(req)
 }
 
 // retry drives one logical request through the backoff loop.
@@ -183,7 +186,7 @@ func (c *Client) retry(ctx context.Context, send func() (*http.Response, error),
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if err := sleep(ctx, c.backoffDelay(attempt-1, base, max, lastErr)); err != nil {
+			if err := sleep(ctx, backoffDelay(attempt-1, base, max, lastErr)); err != nil {
 				return err
 			}
 		}
@@ -281,12 +284,12 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 // backoffDelay computes the sleep before retry number attempt (0-based):
 // capped exponential with jitter in [50%, 100%], raised to the server's
 // Retry-After hint when that is longer (but still capped).
-func (c *Client) backoffDelay(attempt int, base, max time.Duration, lastErr error) time.Duration {
+func backoffDelay(attempt int, base, max time.Duration, lastErr error) time.Duration {
 	d := base << uint(attempt)
 	if d > max || d <= 0 { // <= 0: shift overflow
 		d = max
 	}
-	d = d/2 + time.Duration(c.jitter(int64(d/2)+1))
+	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 	var apiErr *APIError
 	if errors.As(lastErr, &apiErr) && apiErr.retryAfter > d {
 		d = apiErr.retryAfter
@@ -295,17 +298,6 @@ func (c *Client) backoffDelay(attempt int, base, max time.Duration, lastErr erro
 		}
 	}
 	return d
-}
-
-// jitter draws a uniform value in [0, n) from the client's injected
-// source when one is set, else from the process-global one.
-func (c *Client) jitter(n int64) int64 {
-	if c.Rand == nil {
-		return rand.Int63n(n)
-	}
-	c.randMu.Lock()
-	defer c.randMu.Unlock()
-	return c.Rand.Int63n(n)
 }
 
 // sleep waits for d or until ctx is done, whichever is first.

@@ -49,11 +49,12 @@ type Server struct {
 	// Store, when non-nil, serves GET /v1/jobs/{key} lookups. It is
 	// normally the same store attached to Engine.
 	Store core.ResultStore
-	// MaxQueue, RequestTimeout, RetryAfter override the defaults above
-	// when positive.
+	// MaxQueue and RequestTimeout override the defaults above when
+	// positive.
 	MaxQueue       int
 	RequestTimeout time.Duration
-	RetryAfter     time.Duration
+	// retryAfter overrides DefaultRetryAfter when positive.
+	retryAfter time.Duration
 
 	queue    chan struct{}
 	draining atomic.Bool
@@ -70,7 +71,7 @@ func NewServer(engine *core.Engine, st core.ResultStore) *Server {
 }
 
 func (s *Server) limits() (maxQueue int, timeout, retryAfter time.Duration) {
-	maxQueue, timeout, retryAfter = s.MaxQueue, s.RequestTimeout, s.RetryAfter
+	maxQueue, timeout, retryAfter = s.MaxQueue, s.RequestTimeout, s.retryAfter
 	if maxQueue <= 0 {
 		maxQueue = DefaultMaxQueue
 	}

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,8 +55,8 @@ func newTestService(t testing.TB, tune func(*Server)) (*Server, *Client, *store.
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { st.Close() }) //nolint:errcheck
 	c := NewClient(hs.URL)
-	c.BaseBackoff = 2 * time.Millisecond
-	c.MaxBackoff = 20 * time.Millisecond
+	c.baseBackoff = 2 * time.Millisecond
+	c.maxBackoff = 20 * time.Millisecond
 	return srv, c, st
 }
 
@@ -216,7 +216,7 @@ func TestServiceSheddingAndClientRetry(t *testing.T) {
 	var srv *Server
 	srv, c, _ := newTestService(t, func(s *Server) {
 		s.MaxQueue = 1
-		s.RetryAfter = 1900 * time.Millisecond // fractional: the header must round up
+		s.retryAfter = 1900 * time.Millisecond // fractional: the header must round up
 		s.Engine.SetRemote(func(_ context.Context, spec network.Spec, cfg core.RunConfig) (core.RunResult, error) {
 			<-release
 			return core.RunResult{Network: spec.Name, Benchmark: cfg.Bench.Name(), LoadGFs: cfg.LoadGFs}, nil
@@ -281,7 +281,7 @@ func TestServiceSheddingAndClientRetry(t *testing.T) {
 // next request on the same engine succeeds).
 func TestServiceDeadline(t *testing.T) {
 	srv, c, _ := newTestService(t, nil)
-	c.MaxAttempts = 1 // 504 is retryable; keep the test to one attempt
+	c.maxAttempts = 1 // 504 is retryable; keep the test to one attempt
 	req := testRunRequest(t, 5)
 	req.MeasurePs = int64(400000 * sim.Nanosecond) // heavy enough to outlive 1ms
 	req.TimeoutMs = 1
@@ -338,6 +338,26 @@ func TestServiceDrain(t *testing.T) {
 	}
 	if snap := srv.Snapshot(); snap.Refused != 1 {
 		t.Fatalf("refused counter = %d, want 1", snap.Refused)
+	}
+}
+
+// TestReadyProbesOnce: Ready sends exactly one GET /readyz against a
+// server that keeps answering 503, and returns that answer at once
+// instead of backing off through the retry policy.
+func TestReadyProbesOnce(t *testing.T) {
+	var probes atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		probes.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer hs.Close()
+	err := NewClient(hs.URL).Ready(context.Background())
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+		t.Fatalf("Ready against a draining server: %v, want a 503 *APIError", err)
+	}
+	if n := probes.Load(); n != 1 {
+		t.Fatalf("Ready sent %d requests, want 1", n)
 	}
 }
 
@@ -516,11 +536,10 @@ func TestClientRemoteMatchesLocal(t *testing.T) {
 // TestBackoffDelayPolicy: capped exponential with jitter in [50%, 100%],
 // raised to the server's Retry-After hint but never past the cap.
 func TestBackoffDelayPolicy(t *testing.T) {
-	c := new(Client)
 	base, max := 100*time.Millisecond, time.Second
 	for attempt := 0; attempt < 12; attempt++ {
 		for i := 0; i < 50; i++ {
-			d := c.backoffDelay(attempt, base, max, nil)
+			d := backoffDelay(attempt, base, max, nil)
 			full := base << uint(attempt)
 			if full > max || full <= 0 {
 				full = max
@@ -531,50 +550,12 @@ func TestBackoffDelayPolicy(t *testing.T) {
 		}
 	}
 	hint := &APIError{Status: 429, retryAfter: 10 * time.Second}
-	if d := c.backoffDelay(0, base, max, hint); d != max {
+	if d := backoffDelay(0, base, max, hint); d != max {
 		t.Fatalf("Retry-After hint not capped: %v, want %v", d, max)
 	}
 	short := &APIError{Status: 429, retryAfter: time.Millisecond}
-	if d := c.backoffDelay(3, base, max, short); d < (base<<3)/2 {
+	if d := backoffDelay(3, base, max, short); d < (base<<3)/2 {
 		t.Fatalf("short Retry-After lowered the backoff: %v", d)
-	}
-}
-
-// TestBackoffDeterministicWithInjectedRand: a client carrying its own
-// seeded jitter source produces a reproducible backoff sequence, and
-// two equally seeded clients agree delay for delay.
-func TestBackoffDeterministicWithInjectedRand(t *testing.T) {
-	base, max := 100*time.Millisecond, time.Second
-	seq := func() []time.Duration {
-		c := &Client{Rand: rand.New(rand.NewSource(42))}
-		var ds []time.Duration
-		for attempt := 0; attempt < 8; attempt++ {
-			ds = append(ds, c.backoffDelay(attempt, base, max, nil))
-		}
-		return ds
-	}
-	a, b := seq(), seq()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("attempt %d: %v != %v; equally seeded clients diverged", i, a[i], b[i])
-		}
-		full := base << uint(i)
-		if full > max || full <= 0 {
-			full = max
-		}
-		if a[i] < full/2 || a[i] > full {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v]", i, a[i], full/2, full)
-		}
-	}
-	other := &Client{Rand: rand.New(rand.NewSource(43))}
-	diverged := false
-	for attempt := 0; attempt < 8; attempt++ {
-		if other.backoffDelay(attempt, base, max, nil) != a[attempt] {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Fatal("differently seeded clients produced identical jitter sequences")
 	}
 }
 
