@@ -331,9 +331,6 @@ func Build(spec NetworkSpec, cfg RunConfig) (*Network, error) { return core.Buil
 // harnesses).
 func NewNetwork(spec NetworkSpec) (*Network, error) { return network.New(spec) }
 
-// VCDRecorder dumps handshake activity as an IEEE 1364 Value Change Dump.
-type VCDRecorder = network.VCDRecorder
-
 // Collect extracts measurements from a finished instrumented run.
 func Collect(nw *Network, cfg RunConfig) RunResult { return core.Collect(nw, cfg) }
 

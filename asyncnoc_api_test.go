@@ -7,7 +7,6 @@ import (
 
 	"asyncnoc"
 	"asyncnoc/internal/analytic"
-	"asyncnoc/internal/network"
 )
 
 func TestAllNetworks(t *testing.T) {
@@ -206,6 +205,5 @@ func TestMoTToolsRejectMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = network.AttachVCD(nw, io.Discard)
-	check("AttachVCD", err)
+	check("VCDInstrument.Attach", (&asyncnoc.VCDInstrument{Out: io.Discard}).Attach(nw))
 }

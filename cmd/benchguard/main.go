@@ -46,12 +46,10 @@ type Entry struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Baseline is the checked-in gate file. PrePRReference preserves
-// historical numbers for documentation; it is never checked against.
+// Baseline is the checked-in gate file.
 type Baseline struct {
-	Note           string           `json:"note,omitempty"`
-	Benchmarks     map[string]Entry `json:"benchmarks"`
-	PrePRReference map[string]Entry `json:"pre_pr_reference,omitempty"`
+	Note       string           `json:"note,omitempty"`
+	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
 // sample collects the observed runs of one benchmark.

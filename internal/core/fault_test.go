@@ -157,20 +157,18 @@ func (blackHole) OnFlit(int, packet.Flit) {}
 // a wedged MoT die's does.
 func TestMeshDeadlockDiagnosed(t *testing.T) {
 	spec := MeshTree(4, 4)
-	h, err := newHarness(spec, 0, nil)
-	if err != nil {
+	end := 2 * sim.Microsecond
+	var r simRun
+	if err := r.build(spec, RunConfig{Measure: end}, nil); err != nil {
 		t.Fatal(err)
 	}
-	h.nw.Router(5).OutputChannel(mesh.East).Dst = blackHole{}
-	end := 2 * sim.Microsecond
-	h.nw.Rec.SetWindow(0, end)
+	r.nw.Router(5).OutputChannel(mesh.East).Dst = blackHole{}
 	for src := 0; src < 16; src++ {
-		if _, err := h.nw.Inject(src, packet.Range(0, 16)); err != nil {
+		if _, err := r.nw.Inject(src, packet.Range(0, 16)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g := h.guard(end, 0)
-	_, err = g.run(context.Background(), nil)
+	_, err := r.run(context.Background(), nil)
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("wedged mesh returned %v, want *DeadlockError", err)

@@ -77,26 +77,23 @@ func describeRun(name string, cfg RunConfig) string {
 		name, cfg.Bench.Name(), cfg.LoadGFs, cfg.Seed, cfg.Warmup, cfg.Measure, cfg.Drain, cfg.Shards)
 }
 
-// meshRun runs cfg on a mesh through the shared harness, under stop.
+// meshRun runs cfg on a mesh through the run loop, stopping at its
+// final result when final is set.
 func meshRun(t testing.TB, spec network.Spec, cfg RunConfig, final bool) (RunResult, bool) {
 	t.Helper()
-	h, err := newHarness(spec, cfg.Shards, nil)
+	r, err := startRun(spec, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.arm(cfg); err != nil {
-		t.Fatal(err)
-	}
-	g := h.guard(runSpan(cfg), 0)
 	var stop func() bool
 	if final {
-		stop = h.final
+		stop = r.final
 	}
-	cut, err := g.run(context.Background(), stop)
+	cut, err := r.run(context.Background(), stop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h.collect(cfg.Bench.Name(), cfg.LoadGFs), cut
+	return Collect(r.nw, cfg), cut
 }
 
 // TestFinalCutMatchesFullRuns: a run that stops at the first chunk
@@ -200,11 +197,11 @@ func TestBudgetExceededOnlyInDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopped, err := r.g.run(context.Background(), r.finalStop())
+	stopped, err := r.run(context.Background(), r.finalStop())
 	if err != nil || !stopped {
 		t.Fatalf("run did not stop at its final result: stopped %v, err %v", stopped, err)
 	}
-	budget := r.h.clock.Executed()
+	budget := r.clock.Executed()
 	want, cut := checkFinalCut(t, spec, cfg)
 	if !cut {
 		t.Fatal("run did not stop at its final result")

@@ -147,7 +147,7 @@ func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, v
 			return err
 		}
 		final := r.finalStop()
-		stopped, err = r.g.run(ctx, func() bool {
+		stopped, err = r.run(ctx, func() bool {
 			v = r.verdict(vk.crit)
 			return v != metrics.Undecided || final != nil && final()
 		})
@@ -158,7 +158,7 @@ func (e *Engine) decide(ctx context.Context, spec network.Spec, cfg RunConfig, v
 	full := !stopped || v == metrics.Undecided
 	var res RunResult
 	if err == nil && full {
-		res = r.collect()
+		res = Collect(r.nw, r.cfg)
 		e.countCut(stopped)
 	}
 	// Every run but a suspended stable probe is over.
@@ -232,11 +232,11 @@ func (p *engineProbe) result() (RunResult, error) {
 	}
 	if ent.err = p.e.acquire(p.ctx); ent.err == nil {
 		ent.err = protect(p.spec.Name, func() error {
-			cut, err := r.g.run(p.ctx, r.finalStop())
+			cut, err := r.run(p.ctx, r.finalStop())
 			if err != nil {
 				return err
 			}
-			ent.val = r.collect()
+			ent.val = Collect(r.nw, r.cfg)
 			p.e.countCut(cut)
 			return nil
 		})

@@ -22,10 +22,10 @@ func freshRun(spec network.Spec, cfg RunConfig) (RunResult, *network.Network, er
 	if err != nil {
 		return RunResult{}, nil, err
 	}
-	if _, err := r.g.run(context.Background(), r.finalStop()); err != nil {
+	if _, err := r.run(context.Background(), r.finalStop()); err != nil {
 		return RunResult{}, nil, err
 	}
-	return r.collect(), r.h.nw, nil
+	return Collect(r.nw, r.cfg), r.nw, nil
 }
 
 // breakouts reports which of the recorder's per-hierarchy latency

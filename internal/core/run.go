@@ -271,14 +271,14 @@ func runContext(ctx context.Context, spec network.Spec, cfg RunConfig, nets *net
 	// or an error leaves clean false.
 	clean := false
 	defer func() { r.close(clean) }()
-	if err := attachInstruments(r.h.nw, cfg.Instruments); err != nil {
+	if err := attachInstruments(r.nw, cfg.Instruments); err != nil {
 		return RunResult{}, false, err
 	}
-	if cut, err = r.g.run(ctx, r.finalStop()); err != nil {
+	if cut, err = r.run(ctx, r.finalStop()); err != nil {
 		_ = finishInstruments(cfg.Instruments) // best effort on an aborted run
 		return RunResult{}, false, err
 	}
-	res = r.collect()
+	res = Collect(r.nw, cfg)
 	if err := finishInstruments(cfg.Instruments); err != nil {
 		return res, cut, err
 	}
@@ -286,99 +286,129 @@ func runContext(ctx context.Context, spec network.Spec, cfg RunConfig, nets *net
 	return res, cut, nil
 }
 
-// simRun is one built fabric between its build and collect: its harness
-// and the watchdog loop driving it, which a saturation probe stops at a
-// chunk boundary and may resume later.
+// simRun is one built fabric — a MoT die, a chiplet composition or a 2D
+// mesh — from its build to its collect, with the watchdog loop that
+// drives its clock to the end of the span under the event budget, the
+// context and (on fault-enabled networks) the wedged-link watch. The
+// loop keeps its position between calls, so a run stopped at a chunk
+// boundary (a saturation probe at its verdict) resumes exactly where it
+// left off.
 type simRun struct {
-	cfg RunConfig
-	h   harness
-	g   guard
+	cfg   RunConfig
+	nw    *network.Network
+	clock clock
 	// nets takes the network back when the run closes cleanly; nil when
 	// it is never reused.
 	nets *netCache
+
+	total     sim.Time
+	maxEvents uint64
+	// t is the last chunk boundary reached (0 before the first call);
+	// step is advance's adaptive step, and streaks the wedged-link
+	// watch's per-channel hold counts.
+	t, chunk, step sim.Time
+	watchHolds     bool
+	streaks        map[int]holdStreak
 }
 
-// startRun builds spec armed for cfg, with its watchdog loop set up. A
-// serial, uninstrumented run builds on the storage of a network nets
-// holds, if any, and returns its network there when it closes cleanly;
-// nets may be nil.
+// startRun validates cfg against spec and returns the run built and
+// armed for it (simRun.start).
 func startRun(spec network.Spec, cfg RunConfig, nets *netCache) (*simRun, error) {
-	if err := checkRun(spec, cfg); err != nil {
+	r := new(simRun)
+	if err := r.start(spec, cfg, nets); err != nil {
 		return nil, err
 	}
-	r := &simRun{cfg: cfg}
-	total, maxEvents := runSpan(cfg), cfg.MaxEvents
+	return r, nil
+}
+
+// start validates cfg against spec, builds r for it (simRun.build) and
+// arms it: one Poisson injector per terminal (see arm).
+func (r *simRun) start(spec network.Spec, cfg RunConfig, nets *netCache) error {
+	if err := checkRun(spec, cfg); err != nil {
+		return err
+	}
+	if err := r.build(spec, cfg, nets); err != nil {
+		return err
+	}
+	return r.arm()
+}
+
+// build builds the network of spec into r with cfg's measurement
+// windows set but no traffic, and sets r's watchdog loop to drive it
+// over cfg's span (runSpan). Every run is built here; start then arms
+// Poisson injectors on the network and RunSchedule its replayer. The
+// network is serial, or, for cfg.Shards > 1, partitioned into at most
+// spec.Dies() shards of whole dies (callers reject Shards > 1 on a
+// single scheduler first, see checkSpec). A serial, uninstrumented run
+// builds on the storage of a network nets holds, if any, and returns its
+// network there when it closes cleanly; nets may be nil.
+func (r *simRun) build(spec network.Spec, cfg RunConfig, nets *netCache) error {
+	*r = simRun{cfg: cfg, total: runSpan(cfg), maxEvents: cfg.MaxEvents}
 	var prev *network.Network
 	if nets != nil && cfg.Shards <= 1 && len(cfg.Instruments) == 0 {
 		r.nets = nets
 		prev = nets.take()
 	}
-	if maxEvents == 0 && spec.Faults.Enabled() {
+	var err error
+	switch {
+	case cfg.Shards > 1:
+		r.nw, err = network.NewSharded(spec, min(cfg.Shards, spec.Dies()))
+	case prev != nil:
+		r.nw, err = network.Rebuild(prev, spec)
+	default:
+		r.nw, err = network.New(spec)
+	}
+	if err != nil {
+		return err
+	}
+	r.clock = r.nw.Sched
+	if g := r.nw.Group(); g != nil {
+		r.clock = g
+	}
+	windowEnd := sim.AddSat(cfg.Warmup, cfg.Measure)
+	r.nw.Rec.SetWindow(cfg.Warmup, windowEnd)
+	r.nw.Meter.SetWindow(cfg.Warmup, windowEnd)
+	if r.maxEvents == 0 && spec.Faults.Enabled() {
 		// Automatic backstop for fault runs: generous enough that any
 		// legitimate simulation fits with orders of magnitude to spare,
 		// tight enough to stop a retransmission storm. Saturate rather
 		// than wrap for absurdly long spans.
-		maxEvents = uint64(total)
-		if mul := uint64(spec.N) * 64; maxEvents > math.MaxUint64/mul {
-			maxEvents = math.MaxUint64
+		r.maxEvents = uint64(r.total)
+		if mul := uint64(spec.N) * 64; r.maxEvents > math.MaxUint64/mul {
+			r.maxEvents = math.MaxUint64
 		} else {
-			maxEvents *= mul
+			r.maxEvents *= mul
 		}
 	}
-	var err error
-	if r.h, err = newHarness(spec, cfg.Shards, prev); err != nil {
-		return nil, err
-	}
-	if err := r.h.arm(cfg); err != nil {
-		return nil, err
-	}
-	r.g = r.h.guard(total, maxEvents)
-	return r, nil
-}
-
-// newHarness builds the network of spec, not yet armed: serial, on
-// prev's storage when prev is not nil, or, for shards > 1, partitioned
-// into at most spec.Dies() shards of whole dies (callers reject
-// shards > 1 on a single scheduler first, see checkSpec). Every run
-// entry builds here; startRun then arms Poisson injectors on the
-// network and RunSchedule its replayer.
-func newHarness(spec network.Spec, shards int, prev *network.Network) (harness, error) {
-	var nw *network.Network
-	var err error
-	switch {
-	case shards > 1:
-		nw, err = network.NewSharded(spec, min(shards, spec.Dies()))
-	case prev != nil:
-		nw, err = network.Rebuild(prev, spec)
-	default:
-		nw, err = network.New(spec)
-	}
-	if err != nil {
-		return harness{}, err
-	}
-	return harnessFor(nw), nil
+	r.chunk = max(r.total/watchdogChunks, 1)
+	r.step = min(r.chunk, sim.Nanosecond)
+	// With faults enabled, watch for wedged links: injection runs for
+	// the whole span, so a stuck channel never quiesces the event queue
+	// — instead it pins one flit in one channel forever. Fault specs
+	// are single-die and never shard, so this only ever runs on one
+	// scheduler.
+	r.watchHolds = r.nw.FaultStats() != nil
+	return nil
 }
 
 // verdict is c's verdict on the run so far (metrics.Recorder.Verdict).
 // It is sound only where every measured packet registers at its
 // creation, so not on a chiplet composition (see Engine.probe).
 func (r *simRun) verdict(c metrics.SatCriterion) metrics.Verdict {
-	return r.h.nw.Rec.Verdict(c, r.h.clock.Now(), r.g.total)
+	return r.nw.Rec.Verdict(c, r.clock.Now(), r.total)
 }
 
-func (r *simRun) collect() RunResult { return r.h.collect(r.cfg.Bench.Name(), r.cfg.LoadGFs) }
-
-// finalStop is the stop rule of a full run (harness.final), or nil for a
+// finalStop is the stop rule of a full run (simRun.final), or nil for a
 // run that must cover its whole span: an instrumented run (its traces,
 // waveforms and counters see every event), a fault-enabled spec (its
 // FaultStats count over the whole span) and a chiplet composition (a
 // die-to-die leg registers only when it reaches its target die, so the
 // measured set is not final when the window closes).
 func (r *simRun) finalStop() func() bool {
-	if nw := r.h.nw; len(r.cfg.Instruments) > 0 || nw.Spec.Faults.Enabled() || nw.Spec.Chiplet != nil {
+	if len(r.cfg.Instruments) > 0 || r.nw.Spec.Faults.Enabled() || r.nw.Spec.Chiplet != nil {
 		return nil
 	}
-	return r.h.final
+	return r.final
 }
 
 // close ends the run: a sharded run's group closes, and the network of
@@ -387,12 +417,12 @@ func (r *simRun) finalStop() func() bool {
 // survives in it: the next build rewrites every component
 // (network.Rebuild). The run must not be used afterwards.
 func (r *simRun) close(clean bool) {
-	if nw := r.h.nw; nw.Group() != nil {
-		nw.Group().Close()
+	if g := r.nw.Group(); g != nil {
+		g.Close()
 	} else if clean && r.nets != nil {
-		r.nets.put(nw)
+		r.nets.put(r.nw)
 	}
-	r.h = harness{}
+	r.nw, r.clock = nil, nil
 }
 
 // runSpan is a run's simulated length: injection continues through the
@@ -411,23 +441,6 @@ type clock interface {
 	Executed() uint64
 }
 
-// harness is one built network — a MoT die, a chiplet composition or a
-// 2D mesh — as the run path sees it: the single build/run/collect loop
-// reads nothing else.
-type harness struct {
-	nw    *network.Network
-	clock clock
-}
-
-// harnessFor wraps a built network, serial or sharded.
-func harnessFor(nw *network.Network) harness {
-	h := harness{nw: nw, clock: nw.Sched}
-	if g := nw.Group(); g != nil {
-		h.clock = g
-	}
-	return h
-}
-
 // maxReserve caps the recorder's latency-buffer pre-sizing in packets,
 // well above the largest paper-scale measurement window.
 const maxReserve = 1 << 20
@@ -437,7 +450,7 @@ const maxReserve = 1 << 20
 const watchdogChunks = 64
 
 // stepEvents is the watchdog's wall-time granularity in dispatched
-// events (see harness.advance).
+// events (see simRun.advance).
 const stepEvents = 1 << 16
 
 // heldBoundaries is the wedge threshold: a flit occupying the same
@@ -455,37 +468,6 @@ type holdStreak struct {
 	count int
 }
 
-// guard is the watchdog loop of one run: it drives the clock to total
-// under the event budget, the context and (on fault-enabled networks)
-// the wedged-link watch. It keeps its position between calls, so a run
-// stopped at a chunk boundary resumes exactly where it left off.
-type guard struct {
-	h         *harness
-	total     sim.Time
-	maxEvents uint64
-	// t is the last chunk boundary reached (0 before the first call);
-	// step is advance's adaptive step, and streaks the wedged-link
-	// watch's per-channel hold counts.
-	t, chunk, step sim.Time
-	watchHolds     bool
-	streaks        map[int]holdStreak
-}
-
-// guard returns the watchdog loop that drives h to total.
-func (h *harness) guard(total sim.Time, maxEvents uint64) guard {
-	chunk := max(total/watchdogChunks, 1)
-	// With faults enabled, watch for wedged links: injection runs for
-	// the whole span, so a stuck channel never quiesces the event queue
-	// — instead it pins one flit in one channel forever. Fault specs
-	// are single-die and never shard, so this only ever runs on one
-	// scheduler.
-	watch := h.nw.FaultStats() != nil
-	return guard{
-		h: h, total: total, maxEvents: maxEvents,
-		chunk: chunk, step: min(chunk, sim.Nanosecond), watchHolds: watch,
-	}
-}
-
 // final reports that the run's RunResult can no longer change: the
 // measurement window has closed, so no packet joins the measured set and
 // no flit delivery, fanout movement or energy is counted any more
@@ -495,53 +477,53 @@ func (h *harness) guard(total sim.Time, maxEvents uint64) guard {
 // measured packet registers at its creation (not so on a chiplet
 // composition) and that nothing it reports counts past the window (not
 // so for the fault layer's counters).
-func (h *harness) final() bool {
-	rec := h.nw.Rec
-	return h.clock.Now() >= rec.WindowEnd && rec.MeasuredCompleted() == rec.MeasuredCreated()
+func (r *simRun) final() bool {
+	rec := r.nw.Rec
+	return r.clock.Now() >= rec.WindowEnd && rec.MeasuredCompleted() == rec.MeasuredCreated()
 }
 
-// run drives the clock on toward total. Without a context deadline,
-// event budget or stop rule it is the plain single RunUntil of the
-// original harness (bit-identical); with any of them, the same event
-// sequence is dispatched in watchdogChunks chunks so the run can abort
-// between batches. stop, when non-nil, is consulted at every chunk
-// boundary short of the end: when it returns true, run returns
-// stopped=true with the run suspended at that boundary, and a later
-// call continues it. In both modes, quiescence at the end with flits
-// still held in the fabric is diagnosed as a deadlock; a run that ends
-// with events pending drains first (see drain).
-func (g *guard) run(ctx context.Context, stop func() bool) (stopped bool, err error) {
-	clk := g.h.clock
-	if g.t == 0 && ctx.Done() == nil && g.maxEvents == 0 && stop == nil {
-		clk.RunUntil(g.total)
+// run drives the clock on toward the end of the span. Without a context
+// deadline, event budget or stop rule it is one plain RunUntil; with any
+// of them, the same event sequence is dispatched in watchdogChunks
+// chunks so the run can abort between batches. stop, when non-nil, is
+// consulted at every chunk boundary short of the end: when it returns
+// true, run returns stopped=true with the run suspended at that
+// boundary, and a later call continues it. In both modes, quiescence at
+// the end with flits still held in the fabric is diagnosed as a
+// deadlock; a run that ends with events pending drains first (see
+// drain).
+func (r *simRun) run(ctx context.Context, stop func() bool) (stopped bool, err error) {
+	clk := r.clock
+	if r.t == 0 && ctx.Done() == nil && r.maxEvents == 0 && stop == nil {
+		clk.RunUntil(r.total)
 	} else {
 		for {
-			g.t = min(sim.AddSat(g.t, g.chunk), g.total)
-			if err := g.h.advance(ctx, g.t, g.maxEvents, &g.step); err != nil {
+			r.t = min(sim.AddSat(r.t, r.chunk), r.total)
+			if err := r.advance(ctx, r.t); err != nil {
 				return false, err
 			}
-			if g.watchHolds {
-				if err := g.watch(); err != nil {
+			if r.watchHolds {
+				if err := r.watch(); err != nil {
 					return false, err
 				}
 			}
-			if g.t >= g.total || clk.Len() == 0 {
+			if r.t >= r.total || clk.Len() == 0 {
 				break
 			}
 			if stop != nil && stop() {
 				return true, nil
 			}
 		}
-		if clk.Now() < g.total {
-			clk.RunUntil(g.total) // advance the clock past an early quiescence
+		if clk.Now() < r.total {
+			clk.RunUntil(r.total) // advance the clock past an early quiescence
 		}
 	}
 	if clk.Len() > 0 {
-		g.drain()
+		r.drain()
 	}
 	if clk.Len() == 0 {
-		if stuck := g.h.nw.StuckFlits(); len(stuck) > 0 {
-			return false, &DeadlockError{Network: g.h.nw.Spec.Name, At: clk.Now(), Stuck: stuck}
+		if stuck := r.nw.StuckFlits(); len(stuck) > 0 {
+			return false, &DeadlockError{Network: r.nw.Spec.Name, At: clk.Now(), Stuck: stuck}
 		}
 	}
 	return false, nil
@@ -557,35 +539,35 @@ func (g *guard) run(ctx context.Context, stop func() bool) (stopped bool, err er
 // the end, and watch finds its wedged links while it runs), nor is a
 // chiplet composition (its serial and sharded runs dispatch the same
 // events).
-func (g *guard) drain() {
-	nw := g.h.nw
-	if g.watchHolds || nw.Spec.Chiplet != nil {
+func (r *simRun) drain() {
+	nw := r.nw
+	if r.watchHolds || nw.Spec.Chiplet != nil {
 		return
 	}
 	nw.Rec.Close()
 	trace := nw.Trace
 	nw.Trace = nil
-	g.h.clock.RunUntil(sim.AddSat(g.total, g.chunk))
+	r.clock.RunUntil(sim.AddSat(r.total, r.chunk))
 	nw.Trace = trace
 }
 
 // watch updates the wedged-link streaks at a chunk boundary and reports
 // a flit held by one channel for heldBoundaries boundaries as a deadlock.
-func (g *guard) watch() error {
+func (r *simRun) watch() error {
 	next := make(map[int]holdStreak)
-	for _, hold := range g.h.nw.ChannelHolds() {
-		s := g.streaks[hold.Chan]
+	for _, hold := range r.nw.ChannelHolds() {
+		s := r.streaks[hold.Chan]
 		if s.hold == hold {
 			s.count++
 		} else {
 			s = holdStreak{hold: hold, count: 1}
 		}
 		if s.count >= heldBoundaries {
-			return &DeadlockError{Network: g.h.nw.Spec.Name, At: g.h.clock.Now(), Stuck: g.h.nw.StuckFlits()}
+			return &DeadlockError{Network: r.nw.Spec.Name, At: r.clock.Now(), Stuck: r.nw.StuckFlits()}
 		}
 		next[hold.Chan] = s
 	}
-	g.streaks = next
+	r.streaks = next
 	return nil
 }
 
@@ -594,25 +576,25 @@ func (g *guard) watch() error {
 // that one step dispatches about stepEvents events: a chunk of a huge
 // simulated span then still returns control every few milliseconds.
 // Splitting RunUntil does not change the dispatch sequence.
-func (h *harness) advance(ctx context.Context, t sim.Time, maxEvents uint64, step *sim.Time) error {
-	clk := h.clock
+func (r *simRun) advance(ctx context.Context, t sim.Time) error {
+	clk := r.clock
 	for {
 		before := clk.Executed()
-		clk.RunUntil(min(sim.AddSat(clk.Now(), *step), t))
+		clk.RunUntil(min(sim.AddSat(clk.Now(), r.step), t))
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if maxEvents > 0 && clk.Executed() > maxEvents {
-			return &LivelockError{Network: h.nw.Spec.Name, Events: clk.Executed(), At: clk.Now()}
+		if r.maxEvents > 0 && clk.Executed() > r.maxEvents {
+			return &LivelockError{Network: r.nw.Spec.Name, Events: clk.Executed(), At: clk.Now()}
 		}
 		if clk.Now() >= t {
 			return nil
 		}
 		switch n := clk.Executed() - before; {
 		case n < stepEvents/2:
-			*step = sim.AddSat(*step, *step)
+			r.step = sim.AddSat(r.step, r.step)
 		case n > 2*stepEvents:
-			*step = max(*step/2, 1)
+			r.step = max(r.step/2, 1)
 		}
 	}
 }
@@ -654,25 +636,19 @@ func checkRun(spec network.Spec, cfg RunConfig) error {
 // network.NewSharded): drive it with Group().RunUntil and Close the
 // group when done — RunContext does both.
 func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
-	if err := checkRun(spec, cfg); err != nil {
+	var r simRun // only the network outlives Build, so r stays off the heap
+	if err := r.start(spec, cfg, nil); err != nil {
 		return nil, err
 	}
-	h, err := newHarness(spec, cfg.Shards, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.arm(cfg); err != nil {
-		return nil, err
-	}
-	return h.nw, nil
+	return r.nw, nil
 }
 
-// arm sets the measurement windows, pre-sizes the recorder, and starts
-// one open-loop Poisson injector per terminal. On a chiplet composition
-// of dies the benchmark must be a traffic.WideBenchmark, which drives
-// hierarchical injection.
-func (h *harness) arm(cfg RunConfig) error {
-	spec := &h.nw.Spec
+// arm pre-sizes the recorder and starts one open-loop Poisson injector
+// per terminal. On a chiplet composition of dies the benchmark must be a
+// traffic.WideBenchmark, which drives hierarchical injection.
+func (r *simRun) arm() error {
+	nw, cfg := r.nw, r.cfg
+	spec := &nw.Spec
 	var wide traffic.WideBenchmark
 	if spec.Chiplet != nil {
 		w, ok := cfg.Bench.(traffic.WideBenchmark)
@@ -683,10 +659,6 @@ func (h *harness) arm(cfg RunConfig) error {
 		wide = w
 	}
 	terms := spec.Terminals()
-	windowEnd := sim.AddSat(cfg.Warmup, cfg.Measure)
-	h.nw.Rec.SetWindow(cfg.Warmup, windowEnd)
-	h.nw.Meter.SetWindow(cfg.Warmup, windowEnd)
-	injectUntil := sim.AddSat(windowEnd, cfg.Drain)
 	// Mean packet inter-arrival in ps: PacketLen flits at LoadGFs
 	// flits/ns per source.
 	meanGapPs := float64(spec.PacketLen) / cfg.LoadGFs * 1000
@@ -696,13 +668,13 @@ func (h *harness) arm(cfg RunConfig) error {
 	// fluctuation; an underestimate only costs amortized growth, so
 	// maxReserve caps what an absurd window (any span a service request
 	// names) allocates up front.
-	expected := float64(windowEnd-cfg.Warmup) / meanGapPs * float64(terms)
-	h.nw.Rec.Reserve(int(min(expected*9/8, maxReserve)) + terms)
+	expected := float64(nw.Rec.WindowEnd-nw.Rec.WindowStart) / meanGapPs * float64(terms)
+	nw.Rec.Reserve(int(min(expected*9/8, maxReserve)) + terms)
 	root := rng.New(cfg.Seed)
 	for s := 0; s < terms; s++ {
 		inj := &injector{
-			nw: h.nw, sched: h.nw.SchedFor(s), bench: cfg.Bench, src: s, r: root.Split(),
-			meanGapPs: meanGapPs, injectUntil: injectUntil,
+			nw: nw, sched: nw.SchedFor(s), bench: cfg.Bench, src: s, r: root.Split(),
+			meanGapPs: meanGapPs, injectUntil: r.total,
 		}
 		if wide != nil {
 			// Per-injector destination buffer: injectors on different
@@ -754,7 +726,7 @@ func (in *injector) OnEvent(int64) {
 // next draws the gap to the injector's next event and arms it, unless it
 // would land at or past injectUntil: no injector event outlives the
 // span, so a run whose fabric has drained quiesces at its end and a
-// wedged one is diagnosed there (guard.run).
+// wedged one is diagnosed there (simRun.run).
 func (in *injector) next() {
 	if g := gap(in.r, in.meanGapPs); g < in.injectUntil-in.sched.Now() {
 		in.sched.In(g, in, 0)
@@ -772,34 +744,32 @@ func gap(r *rng.Source, meanPs float64) sim.Time {
 
 // Collect extracts the run's measurements from a finished network.
 func Collect(nw *network.Network, cfg RunConfig) RunResult {
-	h := harnessFor(nw)
-	return h.collect(cfg.Bench.Name(), cfg.LoadGFs)
+	return collect(nw, cfg.Bench.Name(), cfg.LoadGFs)
 }
 
 // collect extracts a finished run's measurements; bench and load label
 // the result.
-func (h *harness) collect(bench string, load float64) RunResult {
-	nw := h.nw
+func collect(nw *network.Network, bench string, load float64) RunResult {
 	res := RunResult{
 		Network:         nw.Spec.Name,
 		Benchmark:       bench,
 		LoadGFs:         load,
-		ThroughputGFs:   h.nw.Rec.ThroughputGFs(nw.Spec.Terminals()),
+		ThroughputGFs:   nw.Rec.ThroughputGFs(nw.Spec.Terminals()),
 		PowerMW:         nw.Meter.PowerMW(),
-		Completion:      h.nw.Rec.CompletionRate(),
-		MeasuredPackets: h.nw.Rec.MeasuredCreated(),
+		Completion:      nw.Rec.CompletionRate(),
+		MeasuredPackets: nw.Rec.MeasuredCreated(),
 	}
-	if sum := h.nw.Rec.LatencySummary(); sum.Count() > 0 {
+	if sum := nw.Rec.LatencySummary(); sum.Count() > 0 {
 		// Sort-once summary: one sort serves all four latency figures.
 		res.AvgLatencyNs = sum.Mean()
 		res.P50LatencyNs = sum.P50()
 		res.P95LatencyNs = sum.P95()
 		res.P99LatencyNs = sum.P99()
 	}
-	res.LostMeasuredPackets = h.nw.Rec.MeasuredLost()
-	copy(res.ForwardsPerLevel[:], h.nw.Rec.ForwardsPerLevel())
-	copy(res.ThrottlesPerLevel[:], h.nw.Rec.ThrottlesPerLevel())
-	res.RedundantFraction = h.nw.Rec.RedundantFraction()
+	res.LostMeasuredPackets = nw.Rec.MeasuredLost()
+	copy(res.ForwardsPerLevel[:], nw.Rec.ForwardsPerLevel())
+	copy(res.ThrottlesPerLevel[:], nw.Rec.ThrottlesPerLevel())
+	res.RedundantFraction = nw.Rec.RedundantFraction()
 	if nw.MoT != nil {
 		res.Levels = nw.MoT.Levels
 	}

@@ -141,26 +141,25 @@ func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResu
 	if drain < 0 {
 		return RunResult{}, fmt.Errorf("core: negative drain %v", drain)
 	}
-	h, err := newHarness(spec, 0, nil)
-	if err != nil {
+	// The window spans the whole schedule: every scheduled packet is
+	// measured.
+	var r simRun
+	if err := r.build(spec, RunConfig{Measure: sim.AddSat(sched.End(), drain)}, nil); err != nil {
 		return RunResult{}, err
 	}
-	if err := sched.Validate(h.nw.Spec.Terminals()); err != nil {
+	nw := r.nw
+	if err := sched.Validate(nw.Spec.Terminals()); err != nil {
 		return RunResult{}, err
 	}
-	end := sim.AddSat(sched.End(), drain)
-	h.nw.Rec.Reserve(len(sched)) // every scheduled packet is measured
-	h.nw.Rec.SetWindow(0, end)
-	h.nw.Meter.SetWindow(0, end)
+	nw.Rec.Reserve(len(sched))
 	ordered := append(Schedule(nil), sched...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
-	rp := &replayer{nw: h.nw, ordered: ordered}
+	rp := &replayer{nw: nw, ordered: ordered}
 	for i, inj := range ordered {
-		h.nw.SchedFor(inj.Src).At(inj.At, rp, int64(i))
+		nw.SchedFor(inj.Src).At(inj.At, rp, int64(i))
 	}
-	g := h.guard(end, 0)
-	if _, err := g.run(context.Background(), nil); err != nil {
+	if _, err := r.run(context.Background(), nil); err != nil {
 		return RunResult{}, err
 	}
-	return h.collect("schedule", 0), nil
+	return collect(nw, "schedule", 0), nil
 }

@@ -476,7 +476,7 @@ func checkVerdict(t testing.TB, c verdictCase) metrics.Verdict {
 		t.Fatal(err)
 	}
 	v := metrics.Undecided
-	stopped, err := r.g.run(context.Background(), func() bool {
+	stopped, err := r.run(context.Background(), func() bool {
 		v = r.verdict(crit)
 		return v != metrics.Undecided
 	})
@@ -491,7 +491,7 @@ func checkVerdict(t testing.TB, c verdictCase) metrics.Verdict {
 		t.Fatalf("%s/%s load %.4f seed %d windows %v/%v/%v, criterion %+v: probe stopped at %v with verdict %v, "+
 			"full run says saturated=%v (completion %v, latency %v ns)",
 			c.spec.Name, c.cfg.Bench.Name(), c.cfg.LoadGFs, c.cfg.Seed, c.cfg.Warmup, c.cfg.Measure, c.cfg.Drain,
-			crit, r.h.clock.Now(), v, want, full.Completion, full.AvgLatencyNs)
+			crit, r.clock.Now(), v, want, full.Completion, full.AvgLatencyNs)
 	}
 	return v
 }

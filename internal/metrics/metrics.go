@@ -340,23 +340,6 @@ func (r *Recorder) LatencySummary() *stats.Summary {
 	return r.summary
 }
 
-// AvgLatencyNs returns the mean network latency of completed measured
-// packets, and false when no packet completed.
-func (r *Recorder) AvgLatencyNs() (float64, bool) {
-	if len(r.latenciesNs) == 0 {
-		return 0, false
-	}
-	return r.LatencySummary().Mean(), true
-}
-
-// P95LatencyNs returns the 95th-percentile latency of measured packets.
-func (r *Recorder) P95LatencyNs() (float64, bool) {
-	if len(r.latenciesNs) == 0 {
-		return 0, false
-	}
-	return r.LatencySummary().P95(), true
-}
-
 // LatenciesNs exposes the raw samples (for tests and histograms).
 func (r *Recorder) LatenciesNs() []float64 { return r.latenciesNs }
 

@@ -19,12 +19,12 @@ func TestLatencyMeasuredToLastHeader(t *testing.T) {
 	p := mkPkt(1, packet.Dests(2, 5), 100)
 	r.PacketCreated(p, 100)
 	r.HeaderArrived(p, 2, 400)
-	if _, ok := r.AvgLatencyNs(); ok {
+	if r.LatencySummary().Count() != 0 {
 		t.Fatal("latency reported before all headers arrived")
 	}
 	r.HeaderArrived(p, 5, 700)
-	lat, ok := r.AvgLatencyNs()
-	if !ok || lat != 0.6 {
+	sum := r.LatencySummary()
+	if lat := sum.Mean(); sum.Count() != 1 || lat != 0.6 {
 		t.Errorf("latency = %v ns, want 0.6 (100ps -> 700ps)", lat)
 	}
 	if r.MeasuredCompleted() != 1 || r.MeasuredCreated() != 1 {
@@ -41,8 +41,8 @@ func TestSerialClonesResolveToParent(t *testing.T) {
 	clone3 := &packet.Packet{ID: 3, Dests: packet.Dest(3), Parent: parent}
 	r.HeaderArrived(clone0, 0, 300)
 	r.HeaderArrived(clone3, 3, 850)
-	lat, ok := r.AvgLatencyNs()
-	if !ok || lat != 0.8 {
+	sum := r.LatencySummary()
+	if lat := sum.Mean(); sum.Count() != 1 || lat != 0.8 {
 		t.Errorf("latency = %v ns, want 0.8 (serial completion at last clone)", lat)
 	}
 }
@@ -327,10 +327,8 @@ func TestLatencySummaryCachesSingleSort(t *testing.T) {
 	if s2 := r.LatencySummary(); s2 != s1 {
 		t.Error("summary not cached across queries")
 	}
-	avg, _ := r.AvgLatencyNs()
-	p95, _ := r.P95LatencyNs()
-	if avg != s1.Mean() || p95 != s1.P95() {
-		t.Error("legacy accessors disagree with the summary")
+	if avg, p95 := s1.Mean(), s1.P95(); avg != 50.5 || p95 < 95 || p95 > 96 {
+		t.Errorf("summary mean %v, P95 %v, want 50.5 and ~95", avg, p95)
 	}
 	// A new sample invalidates the cache.
 	p := mkPkt(1000, packet.Dest(0), 0)
@@ -374,8 +372,8 @@ func TestP95(t *testing.T) {
 		r.PacketCreated(p, 0)
 		r.HeaderArrived(p, 0, sim.Time(i*1000))
 	}
-	p95, ok := r.P95LatencyNs()
-	if !ok || p95 < 95 || p95 > 96 {
+	sum := r.LatencySummary()
+	if p95 := sum.P95(); sum.Count() == 0 || p95 < 95 || p95 > 96 {
 		t.Errorf("P95 = %v, want ~95", p95)
 	}
 }
@@ -456,11 +454,11 @@ func TestPktStatSize(t *testing.T) {
 
 func mustAvg(t *testing.T, r *Recorder) float64 {
 	t.Helper()
-	avg, ok := r.AvgLatencyNs()
-	if !ok {
+	sum := r.LatencySummary()
+	if sum.Count() == 0 {
 		t.Fatal("no latency samples")
 	}
-	return avg
+	return sum.Mean()
 }
 
 // TestHierarchyClassSummaries: the intra-die and die-to-die summaries

@@ -384,8 +384,7 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 		nw.Sched.Run()
-		lat, _ := nw.Rec.AvgLatencyNs()
-		return nw.Sched.Executed(), lat
+		return nw.Sched.Executed(), nw.Rec.LatencySummary().Mean()
 	}
 	e1, l1 := run()
 	e2, l2 := run()
@@ -487,8 +486,8 @@ func TestDeadlockFreedomStress(t *testing.T) {
 	}
 }
 
-// TestVCDAttachment runs a traced simulation dumping a VCD and checks the
-// dump is well formed and reflects the traffic.
+// TestVCDAttachment runs a simulation carrying a VCD instrument and checks
+// the dump is well formed and reflects the traffic.
 func TestVCDAttachment(t *testing.T) {
 	nw, err := New(basicHybrid(8))
 	if err != nil {
@@ -496,15 +495,15 @@ func TestVCDAttachment(t *testing.T) {
 	}
 	nw.Rec.SetWindow(0, 1<<62)
 	var sb strings.Builder
-	rec, err := AttachVCD(nw, &sb)
-	if err != nil {
+	vi := &VCDInstrument{Out: &sb}
+	if err := vi.Attach(nw); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nw.Inject(0, packet.Dests(0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	nw.Sched.Run()
-	if err := rec.Close(); err != nil {
+	if err := vi.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -526,20 +525,20 @@ func TestVCDAttachment(t *testing.T) {
 	if !strings.Contains(out[defsEnd:], "#") {
 		t.Error("VCD has no timestamped activity")
 	}
-	// Trace chaining: AttachVCD must preserve an existing callback.
+	// Trace chaining: Attach must preserve an existing callback.
 	nw2, _ := New(basicHybrid(8))
 	nw2.Rec.SetWindow(0, 1<<62)
 	called := false
 	nw2.Trace = func(TraceEvent) { called = true }
-	rec2, err := AttachVCD(nw2, &strings.Builder{})
-	if err != nil {
+	vi2 := &VCDInstrument{Out: &strings.Builder{}}
+	if err := vi2.Attach(nw2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nw2.Inject(1, packet.Dest(2)); err != nil {
 		t.Fatal(err)
 	}
 	nw2.Sched.Run()
-	_ = rec2.Close()
+	_ = vi2.Finish()
 	if !called {
 		t.Error("pre-existing trace callback not chained")
 	}

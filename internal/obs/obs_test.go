@@ -27,6 +27,17 @@ func testCfgN(n int) core.RunConfig {
 	}
 }
 
+// attachTrace chains a JSONL sink over w onto nw through the trace
+// instrument and returns the sink.
+func attachTrace(t *testing.T, nw *network.Network, w io.Writer) *TraceSink {
+	t.Helper()
+	ti := &TraceInstrument{Out: w}
+	if err := ti.Attach(nw); err != nil {
+		t.Fatal(err)
+	}
+	return ti.Sink
+}
+
 // traceRun builds, traces, and runs one simulation, returning the JSONL.
 func traceRun(t *testing.T, spec network.Spec, cfg core.RunConfig) []byte {
 	t.Helper()
@@ -35,7 +46,7 @@ func traceRun(t *testing.T, spec network.Spec, cfg core.RunConfig) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sink := AttachTraceJSONL(nw, &buf)
+	sink := attachTrace(t, nw, &buf)
 	nw.Sched.RunUntil(cfg.Warmup + cfg.Measure + cfg.Drain)
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -94,7 +105,7 @@ func TestTracePreservesChainedObserver(t *testing.T) {
 	seen := 0
 	nw.Trace = func(network.TraceEvent) { seen++ }
 	var buf bytes.Buffer
-	sink := AttachTraceJSONL(nw, &buf)
+	sink := attachTrace(t, nw, &buf)
 	nw.Sched.RunUntil(10 * sim.Nanosecond)
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -142,9 +153,12 @@ func TestTraceSinkLatchesWriteError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := AttachTraceJSONL(nw, &errWriter{failAfter: 256})
+	ti := &TraceInstrument{Out: &errWriter{failAfter: 256}}
+	if err := ti.Attach(nw); err != nil {
+		t.Fatal(err)
+	}
 	nw.Sched.RunUntil(100 * sim.Nanosecond)
-	if sink.Flush() == nil {
+	if ti.Finish() == nil {
 		t.Fatal("write error swallowed")
 	}
 }

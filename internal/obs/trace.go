@@ -49,28 +49,6 @@ type TraceSink struct {
 	levelOf func(k int) int
 }
 
-// NewTraceSink wraps w. Call Attach to chain it onto a network, and Flush
-// once the run completes.
-func NewTraceSink(w io.Writer) *TraceSink {
-	return &TraceSink{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// Attach chains the sink onto nw's trace callback, preserving any
-// already-installed observer (both run, existing first). On a mesh,
-// which has no fanout trees, every forward reports level 0.
-func (s *TraceSink) Attach(nw *network.Network) {
-	if nw.MoT != nil {
-		s.levelOf = nw.MoT.LevelOf
-	}
-	prev := nw.Trace
-	nw.Trace = func(ev network.TraceEvent) {
-		if prev != nil {
-			prev(ev)
-		}
-		s.Event(ev)
-	}
-}
-
 // Event formats and buffers one trace event. The first write error is
 // latched and subsequent events are dropped.
 func (s *TraceSink) Event(ev network.TraceEvent) {
@@ -153,26 +131,31 @@ func (s *TraceSink) Flush() error {
 	return s.err
 }
 
-// AttachTraceJSONL builds a sink over w and chains it onto nw in one
-// step — the common CLI path.
-func AttachTraceJSONL(nw *network.Network, w io.Writer) *TraceSink {
-	s := NewTraceSink(w)
-	s.Attach(nw)
-	return s
-}
-
-// TraceInstrument adapts the JSONL trace sink to the run-config
-// instrument surface (core.Instrument): Attach chains a sink over Out
-// onto the network, Finish flushes it. After the run, Sink exposes the
-// event count.
+// TraceInstrument streams a run's trace as JSONL through the run-config
+// instrument surface (core.Instrument): Attach chains a new sink over
+// Out onto the network, Finish flushes it. After the run, Sink exposes
+// the event count.
 type TraceInstrument struct {
 	Out  io.Writer
 	Sink *TraceSink
 }
 
-// Attach implements the instrument surface.
+// Attach chains a sink over Out onto nw's trace callback, preserving any
+// already-installed observer (both run, existing first). On a mesh,
+// which has no fanout trees, every forward reports level 0.
 func (t *TraceInstrument) Attach(nw *network.Network) error {
-	t.Sink = AttachTraceJSONL(nw, t.Out)
+	s := &TraceSink{w: bufio.NewWriterSize(t.Out, 1<<16)}
+	if nw.MoT != nil {
+		s.levelOf = nw.MoT.LevelOf
+	}
+	prev := nw.Trace
+	nw.Trace = func(ev network.TraceEvent) {
+		if prev != nil {
+			prev(ev)
+		}
+		s.Event(ev)
+	}
+	t.Sink = s
 	return nil
 }
 

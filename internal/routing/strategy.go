@@ -302,6 +302,13 @@ func LinkCost(f Fabric, dests packet.DestSet) int {
 	return walk(1)
 }
 
+// planOnePacket is the plan of both parallel multicast schemes: one
+// packet carries the whole destination set, and the schemes differ only
+// in header cost.
+func planOnePacket(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
+	return emitChain(f, dests, false, emit)
+}
+
 // ceilDiv is ceil(a/b) for positive operands.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
@@ -325,9 +332,7 @@ var (
 
 	treeMulticast = &scheme{
 		name: TreeMulticastName,
-		plan: func(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
-			return emitChain(f, dests, false, emit)
-		},
+		plan: planOnePacket,
 		// Parallel multicast addresses every fanout node: 2 bits per
 		// node (14 for the 8x8 MoT), the paper's pre-simplification cost.
 		bits: func(f Fabric) int { return 2 * f.MoT().NodesPerTree() },
@@ -335,9 +340,7 @@ var (
 
 	speculativeMulticast = &scheme{
 		name: SpeculativeMulticastName,
-		plan: func(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
-			return emitChain(f, dests, false, emit)
-		},
+		plan: planOnePacket,
 		// Simplified source routing: only addressable nodes carry fields.
 		bits: func(f Fabric) int { return f.Placement.AddressBits() },
 	}

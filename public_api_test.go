@@ -2,8 +2,10 @@
 // asyncnoc facade (with its type, and the exported methods and fields of
 // the named types it exports) against testdata/api.txt, and
 // TestPublicAPIUsed requires each of those names to have a caller outside
-// the facade's own tests. Adding or removing a name is then a deliberate
-// diff to the listing, and a name nothing calls fails until it is deleted.
+// the facade's own tests, and TestReadmeNamesInAPI requires each
+// asyncnoc.X that README.md names to be one of them. Adding or removing a
+// name is then a deliberate diff to the listing, and a name nothing calls
+// fails until it is deleted.
 package asyncnoc_test
 
 import (
@@ -212,6 +214,30 @@ func TestPublicAPIUsed(t *testing.T) {
 			strings.Join(unused, "\n\t"))
 	}
 }
+
+// TestReadmeNamesInAPI requires every asyncnoc.X that README.md names to
+// be a package-scope name of testdata/api.txt, so the README's API
+// examples cannot drift from the facade.
+func TestReadmeNamesInAPI(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := readAPI(t)
+	var missing []string
+	for _, m := range readmeRef.FindAllStringSubmatch(string(readme), -1) {
+		if api[m[1]] == nil && !slices.Contains(missing, m[1]) {
+			missing = append(missing, m[1])
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("README.md names asyncnoc identifiers that %s does not list: %s", apiListing, strings.Join(missing, ", "))
+	}
+}
+
+// readmeRef matches an exported facade selector asyncnoc.X in prose or
+// code (not a file name such as asyncnoc.go).
+var readmeRef = regexp.MustCompile(`\basyncnoc\.([A-Z][A-Za-z0-9_]*)`)
 
 // typeIdents matches the (possibly package-qualified) identifiers of a
 // type as TestPublicAPI prints it; qualifiedIdent matches a type that is
